@@ -15,6 +15,8 @@ from .hilbert import (
     is_normal,
     kernel_of,
     normal_decompose,
+    normal_frame,
+    operator_exp_batch,
     operator_norm,
     operator_power_one_minus_z,
     schatten_norm,
@@ -28,6 +30,7 @@ from .transfer import (
     SingularTransferError,
     ar_inverse_laurent,
     arma_transfer,
+    binomial_ma_coeffs,
     check_invertible_on_circle,
     duker_decomposition,
     envelope_bounds,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,12 +21,14 @@ from .config import ConfigError, ModelConfig, parse_config
 from .dataio import _atomic_write, write_path
 from .existence import ExistenceRefusal, check_conditions, existence_integral
 from .simulate import (
+    SampledPath,
     simulate_arma,
     simulate_duker,
     simulate_fiarma,
     verify_longmemory_decomposition,
 )
 from .spectral import (
+    SpectralDensityGrid,
     arma_spectral_density,
     autocov_sequence,
     density_frequencies,
@@ -36,18 +37,6 @@ from .spectral import (
     periodogram,
 )
 from .transfer import duker_decomposition, frac_ma_coeffs
-
-SUBCOMMANDS = (
-    "simulate",
-    "density",
-    "autocov",
-    "frac-coeffs",
-    "check-existence",
-    "existence-integral",
-    "duker-decompose",
-    "duker-verify",
-    "periodogram",
-)
 
 
 def _fmt(x: float) -> str:
@@ -88,35 +77,37 @@ def _density_table(out: Path, name: str, freqs: np.ndarray, values: np.ndarray) 
     return name
 
 
-def _run_simulate(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    sim = cfg.run.sim_config()
+def _simulate(cfg: ModelConfig, force: bool) -> SampledPath:
+    """Path of the configured model: fractional (D), power-law (N) or plain ARMA."""
     if cfg.memory is not None:
-        path = simulate_fiarma(cfg.fiarma_model(), sim, force=force)
-    elif cfg.power_exponent is not None:
-        path = simulate_duker(cfg.power_exponent, cfg.sigma, sim, force=force)
-    else:
-        path = simulate_arma(cfg.arma_model(), sim)
+        return simulate_fiarma(cfg.fiarma_model(), cfg.run, force=force)
+    if cfg.power_exponent is not None:
+        return simulate_duker(cfg.power_exponent, cfg.arma.sigma, cfg.run, force=force)
+    return simulate_arma(cfg.arma, cfg.run)
+
+
+def _density(cfg: ModelConfig) -> SpectralDensityGrid:
+    """Density of the configured model on the run's frequency grid."""
+    freqs = density_frequencies(cfg.run.n_freq)
+    if cfg.memory is not None:
+        return fiarma_spectral_density(cfg.fiarma_model(), freqs)
+    return arma_spectral_density(cfg.arma, freqs)
+
+
+def _run_simulate(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+    path = _simulate(cfg, force)
     name = "path.csv" if cfg.run.format == "csv" else "path.bin"
     write_path(path, out / name, fmt=cfg.run.format)
     return [name]
 
 
-def _run_density(cfg: ModelConfig, out: Path) -> list[str]:
-    freqs = density_frequencies(cfg.run.n_freq)
-    if cfg.memory is not None:
-        g = fiarma_spectral_density(cfg.fiarma_model(), freqs)
-    else:
-        g = arma_spectral_density(cfg.arma_model(), freqs)
+def _run_density(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+    g = _density(cfg)
     return [_density_table(out, "density.csv", g.freqs, g.values)]
 
 
-def _run_autocov(cfg: ModelConfig, out: Path) -> list[str]:
-    freqs = density_frequencies(cfg.run.n_freq)
-    if cfg.memory is not None:
-        g = fiarma_spectral_density(cfg.fiarma_model(), freqs)
-    else:
-        g = arma_spectral_density(cfg.arma_model(), freqs)
-    seq = autocov_sequence(g, cfg.run.lags)
+def _run_autocov(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+    seq = autocov_sequence(_density(cfg), cfg.run.lags)
     rows = []
     for h in range(-cfg.run.lags, cfg.run.lags + 1):
         rows.append([str(h)] + _matrix_cells(seq.operator(h).entries))
@@ -124,15 +115,15 @@ def _run_autocov(cfg: ModelConfig, out: Path) -> list[str]:
     return ["autocov.csv"]
 
 
-def _run_frac_coeffs(cfg: ModelConfig, out: Path) -> list[str]:
+def _run_frac_coeffs(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     seq = frac_ma_coeffs(cfg.frac_spec(), cfg.run.K)
     rows = [[str(k)] + _matrix_cells(seq[k]) for k in range(len(seq))]
     _write_table(out / "frac_coeffs.csv", ["k"] + _matrix_header(cfg.grid.n), rows)
     return ["frac_coeffs.csv"]
 
 
-def _run_check_existence(cfg: ModelConfig, out: Path) -> list[str]:
-    model = cfg.arma_model()
+def _run_check_existence(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+    model = cfg.arma
     spec = cfg.frac_spec()
     report = check_conditions(model, spec)
     report.i_eta = existence_integral(
@@ -146,9 +137,9 @@ def _run_check_existence(cfg: ModelConfig, out: Path) -> list[str]:
     return ["existence.json"]
 
 
-def _run_existence_integral(cfg: ModelConfig, out: Path) -> list[str]:
+def _run_existence_integral(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     report = existence_integral(
-        cfg.arma_model(),
+        cfg.arma,
         cfg.frac_spec(),
         eta=cfg.run.eta,
         n_freq=cfg.run.shell_points,
@@ -163,7 +154,7 @@ def _run_existence_integral(cfg: ModelConfig, out: Path) -> list[str]:
     return ["existence_integral.json", "shells.csv"]
 
 
-def _run_duker_decompose(cfg: ModelConfig, out: Path) -> list[str]:
+def _run_duker_decompose(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     n_op = cfg.require_power_exponent()
     c_mat, deltas, rho = duker_decomposition(n_op, cfg.run.K)
     _write_table(
@@ -178,24 +169,31 @@ def _run_duker_decompose(cfg: ModelConfig, out: Path) -> list[str]:
     return ["duker_C.csv", "duker_deltas.csv", "duker_decompose.json"]
 
 
-def _run_duker_verify(cfg: ModelConfig, out: Path) -> list[str]:
+def _run_duker_verify(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     n_op = cfg.require_power_exponent()
-    check = verify_longmemory_decomposition(n_op, cfg.sigma, cfg.run.sim_config())
+    check = verify_longmemory_decomposition(n_op, cfg.arma.sigma, cfg.run)
     _write_json(out / "duker_verify.json", check.to_dict())
     return ["duker_verify.json"]
 
 
 def _run_periodogram(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    sim = cfg.run.sim_config()
-    if cfg.memory is not None:
-        path = simulate_fiarma(cfg.fiarma_model(), sim, force=force)
-    elif cfg.power_exponent is not None:
-        path = simulate_duker(cfg.power_exponent, cfg.sigma, sim, force=force)
-    else:
-        path = simulate_arma(cfg.arma_model(), sim)
+    path = _simulate(cfg, force)
     freqs = fourier_frequencies(path.t_len)
     pg = periodogram(path, freqs)
     return [_density_table(out, "periodogram.csv", pg.freqs, pg.values)]
+
+
+RUNNERS = {
+    "simulate": _run_simulate,
+    "density": _run_density,
+    "autocov": _run_autocov,
+    "frac-coeffs": _run_frac_coeffs,
+    "check-existence": _run_check_existence,
+    "existence-integral": _run_existence_integral,
+    "duker-decompose": _run_duker_decompose,
+    "duker-verify": _run_duker_verify,
+    "periodogram": _run_periodogram,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,19 +202,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Operator-valued fractional ARMA toolbox (batch CLI)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument(
             "--force", action="store_true", help="bypass existence refusals"
-        )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="thread budget hint (falls back to FIARMA_LAB_THREADS)",
         )
     return parser
 
@@ -240,30 +232,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.seed is not None:
         cfg.run.seed = args.seed
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("FIARMA_LAB_THREADS")
-        threads = int(env) if env else None
 
     try:
-        if args.subcommand == "simulate":
-            outputs = _run_simulate(cfg, out, args.force)
-        elif args.subcommand == "density":
-            outputs = _run_density(cfg, out)
-        elif args.subcommand == "autocov":
-            outputs = _run_autocov(cfg, out)
-        elif args.subcommand == "frac-coeffs":
-            outputs = _run_frac_coeffs(cfg, out)
-        elif args.subcommand == "check-existence":
-            outputs = _run_check_existence(cfg, out)
-        elif args.subcommand == "existence-integral":
-            outputs = _run_existence_integral(cfg, out)
-        elif args.subcommand == "duker-decompose":
-            outputs = _run_duker_decompose(cfg, out)
-        elif args.subcommand == "duker-verify":
-            outputs = _run_duker_verify(cfg, out)
-        else:
-            outputs = _run_periodogram(cfg, out, args.force)
+        outputs = RUNNERS[args.subcommand](cfg, out, args.force)
     except ExistenceRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
@@ -279,7 +250,6 @@ def main(argv: list[str] | None = None) -> int:
         "resolved_config": cfg.resolved(),
         "seed": cfg.run.seed,
         "force": bool(args.force),
-        "threads": threads,
         "outputs": outputs,
     }
     _write_json(out / "manifest.json", manifest)

@@ -8,14 +8,14 @@ can find in one pass instead of stopping at the first.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .hilbert import HilbertGrid, LinearOperator
-from .simulate import SimConfig
+from .simulate import NOISE_KINDS, SimConfig
 from .spectral import ArmaModel, FiarmaModel
-from .transfer import FracIntegrationSpec, OperatorPolynomial, check_invertible_on_circle
+from .transfer import FracIntegrationSpec, OperatorPolynomial, SingularTransferError
 
 
 class ConfigError(ValueError):
@@ -26,31 +26,12 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
-_RUN_DEFAULTS = {
-    "T": 1024,
-    "burnin": None,
-    "K_trunc": 2048,
-    "seed": 0,
-    "noise_kind": "auto",
-    "replication": 0,
-    "n_freq": 4096,
-    "eta": 1.0,
-    "n_refine": 40,
-    "shell_points": 64,
-    "K": 64,
-    "lags": 8,
-    "format": "csv",
-}
-
-
 @dataclass
-class RunConfig:
-    T: int = 1024
-    burnin: int | None = None
-    K_trunc: int = 2048
-    seed: int = 0
-    noise_kind: str = "auto"
-    replication: int = 0
+class RunConfig(SimConfig):
+    """The ``run`` section: the simulation settings of :class:`SimConfig`
+    followed by the frequency-grid, existence and export settings.  Its
+    fields are the allowed keys and their defaults."""
+
     n_freq: int = 4096
     eta: float = 1.0
     n_refine: int = 40
@@ -59,31 +40,29 @@ class RunConfig:
     lags: int = 8
     format: str = "csv"
 
-    def sim_config(self) -> SimConfig:
-        return SimConfig(
-            T=self.T,
-            burnin=self.burnin,
-            K_trunc=self.K_trunc,
-            seed=self.seed,
-            noise_kind=self.noise_kind,
-            replication=self.replication,
-        )
+
+_RUN_KEYS = {f.name for f in fields(RunConfig)}
 
 
 @dataclass(eq=False)
 class ModelConfig:
-    """Validated configuration with assembled model objects."""
+    """Validated configuration with assembled model objects.
 
-    grid: HilbertGrid
-    phi: OperatorPolynomial
-    theta: OperatorPolynomial
-    sigma: LinearOperator
+    ``arma`` is built, and its circle certificate and noise root computed,
+    once by :func:`parse_config`; every subcommand reads that one model.
+    """
+
+    arma: ArmaModel
     memory: LinearOperator | None
     power_exponent: LinearOperator | None
     run: RunConfig
 
+    @property
+    def grid(self) -> HilbertGrid:
+        return self.arma.grid
+
     def arma_model(self) -> ArmaModel:
-        return ArmaModel(self.phi, self.theta, self.sigma)
+        return self.arma
 
     def frac_spec(self) -> FracIntegrationSpec:
         if self.memory is None:
@@ -91,7 +70,7 @@ class ModelConfig:
         return FracIntegrationSpec(self.memory)
 
     def fiarma_model(self) -> FiarmaModel:
-        return FiarmaModel(self.arma_model(), self.frac_spec())
+        return FiarmaModel(self.arma, self.frac_spec())
 
     def require_power_exponent(self) -> LinearOperator:
         if self.power_exponent is None:
@@ -106,9 +85,9 @@ class ModelConfig:
                 "weights": list(map(float, self.grid.weights)),
             },
             "model": {
-                "phi": [_matrix_doc(c.entries) for c in self.phi.coeffs],
-                "theta": [_matrix_doc(c.entries) for c in self.theta.coeffs],
-                "sigma": _matrix_doc(self.sigma.entries),
+                "phi": [_matrix_doc(c.entries) for c in self.arma.phi.coeffs],
+                "theta": [_matrix_doc(c.entries) for c in self.arma.theta.coeffs],
+                "sigma": _matrix_doc(self.arma.sigma.entries),
                 **({"D": _matrix_doc(self.memory.entries)} if self.memory is not None else {}),
                 **(
                     {"N": _matrix_doc(self.power_exponent.entries)}
@@ -237,30 +216,13 @@ def parse_config(text: str) -> ModelConfig:
 
     # run section
     rsec = doc.get("run", {})
-    run_kwargs = dict(_RUN_DEFAULTS)
+    run_kwargs = {}
     if not isinstance(rsec, dict):
         errors.append("run: section must be an object")
     else:
-        _check_keys(rsec, set(_RUN_DEFAULTS), "run", errors)
-        run_kwargs.update({k: v for k, v in rsec.items() if k in _RUN_DEFAULTS})
-    run = None
-    try:
-        run = RunConfig(**run_kwargs)
-        for key in ("T", "K_trunc", "n_freq", "n_refine", "shell_points", "K", "lags"):
-            if not isinstance(getattr(run, key), int) or getattr(run, key) < 0:
-                errors.append(f"run.{key}: must be a nonnegative integer")
-        if run.T < 1:
-            errors.append("run.T: must be at least 1")
-        if run.burnin is not None and (not isinstance(run.burnin, int) or run.burnin < 0):
-            errors.append("run.burnin: must be a nonnegative integer or null")
-        if run.noise_kind not in ("auto", "real-gaussian", "complex-gaussian"):
-            errors.append(f"run.noise_kind: unknown kind {run.noise_kind!r}")
-        if not 0.0 < float(run.eta) < np.pi:
-            errors.append("run.eta: must lie in (0, pi)")
-        if run.format not in ("csv", "bin"):
-            errors.append(f"run.format: unknown format {run.format!r}")
-    except TypeError:
-        errors.append("run: malformed section")
+        _check_keys(rsec, _RUN_KEYS, "run", errors)
+        run_kwargs = {k: v for k, v in rsec.items() if k in _RUN_KEYS}
+    _check_run(asdict(RunConfig()) | run_kwargs, errors)
 
     # semantic checks that need assembled pieces
     if grid is not None and sigma_mat is not None:
@@ -273,29 +235,39 @@ def parse_config(text: str) -> ModelConfig:
             eigs = np.linalg.eigvalsh(herm)
             if eigs[0] < -1e-10 * scale:
                 errors.append(f"model.sigma: Sigma not PSD (min eig {eigs[0]:.6g})")
-    phi_poly = theta_poly = None
-    if grid is not None and not errors:
-        phi_poly = OperatorPolynomial(
-            grid, tuple(LinearOperator(m, grid) for m in phi_mats)
-        )
-        theta_poly = OperatorPolynomial(
-            grid, tuple(LinearOperator(m, grid) for m in theta_mats)
-        )
-        ok, margin = check_invertible_on_circle(phi_poly)
-        if not ok:
-            errors.append(
-                f"model.phi: not invertible on the unit circle (margin {margin:.3e})"
-            )
-
     if errors:
         raise ConfigError(errors)
-    assert grid is not None and sigma_mat is not None and run is not None
+    try:
+        arma = ArmaModel(
+            OperatorPolynomial(grid, tuple(LinearOperator(m, grid) for m in phi_mats)),
+            OperatorPolynomial(grid, tuple(LinearOperator(m, grid) for m in theta_mats)),
+            LinearOperator(sigma_mat, grid),
+        )
+    except SingularTransferError as exc:
+        raise ConfigError(
+            [f"model.phi: not invertible on the unit circle (margin {exc.margin:.3e})"]
+        ) from exc
     return ModelConfig(
-        grid=grid,
-        phi=phi_poly,
-        theta=theta_poly,
-        sigma=LinearOperator(sigma_mat, grid),
+        arma=arma,
         memory=LinearOperator(d_mat, grid) if d_mat is not None else None,
         power_exponent=LinearOperator(n_mat, grid) if n_mat is not None else None,
-        run=run,
+        run=RunConfig(**run_kwargs),
     )
+
+
+def _check_run(run: dict, errors: list[str]) -> None:
+    """Append a message for every invalid value of the run section."""
+    for key in ("T", "K_trunc", "n_freq", "n_refine", "shell_points", "K", "lags"):
+        if not isinstance(run[key], int) or run[key] < 0:
+            errors.append(f"run.{key}: must be a nonnegative integer")
+    if isinstance(run["T"], int) and run["T"] < 1:
+        errors.append("run.T: must be at least 1")
+    if run["burnin"] is not None and (not isinstance(run["burnin"], int) or run["burnin"] < 0):
+        errors.append("run.burnin: must be a nonnegative integer or null")
+    if run["noise_kind"] not in NOISE_KINDS:
+        errors.append(f"run.noise_kind: unknown kind {run['noise_kind']!r}")
+    eta = run["eta"]
+    if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not 0.0 < eta < np.pi:
+        errors.append("run.eta: must lie in (0, pi)")
+    if run["format"] not in ("csv", "bin"):
+        errors.append(f"run.format: unknown format {run['format']!r}")

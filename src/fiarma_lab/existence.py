@@ -126,8 +126,7 @@ def _transformed_innovation_half(
     if sig[-1] <= 1e-12 * max(sig[0], 1e-300):
         raise SingularTransferError("AR root at frequency 0", lam=0.0)
     theta1 = eval_poly_ma(model.theta, 1.0).entries
-    root = sqrt_psd(model.sigma).entries
-    return dec.U @ np.linalg.solve(phi1, theta1 @ root)
+    return dec.U @ np.linalg.solve(phi1, theta1 @ model.root.entries)
 
 
 def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
@@ -215,7 +214,7 @@ def existence_integral(
         raise ValueError("need n_freq >= 1 and n_refine >= 4")
     dec = spec.ensure_decomposition()
     d_re = dec.d.real
-    root = sqrt_psd(model.sigma).entries
+    root = model.root.entries
     u = dec.U
 
     shells = np.empty(n_refine)

@@ -147,7 +147,12 @@ def schatten_norm(a: LinearOperator, p: float) -> float:
     return top * float(np.sum((sigma / top) ** p)) ** (1.0 / p)
 
 
-def is_normal(a: LinearOperator, tol: float = 1e-10) -> bool:
+# Relative tolerance under which an operator counts as normal, and to which
+# its unitary eigenframe must reproduce it: the library's one normality test.
+NORMAL_TOL = 1e-10
+
+
+def is_normal(a: LinearOperator, tol: float = NORMAL_TOL) -> bool:
     """True when ``A A^H - A^H A`` vanishes relative to ``||A||^2``."""
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -159,7 +164,7 @@ def is_normal(a: LinearOperator, tol: float = 1e-10) -> bool:
     return operator_norm(comm) <= tol * scale
 
 
-def normal_decompose(n_op: LinearOperator, tol: float = 1e-10) -> NormalDecomposition:
+def normal_decompose(n_op: LinearOperator, tol: float = NORMAL_TOL) -> NormalDecomposition:
     """Diagonalize a normal operator by a unitary: ``U N U^H = diag(d)``.
 
     Uses a complex Schur factorization, whose triangular factor is diagonal
@@ -181,6 +186,39 @@ def normal_decompose(n_op: LinearOperator, tol: float = 1e-10) -> NormalDecompos
     return dec
 
 
+def normal_frame(a: LinearOperator) -> NormalDecomposition | None:
+    """Unitary eigenframe of ``a``, or ``None`` when ``a`` has none at ``NORMAL_TOL``.
+
+    ``None`` covers both a failed normality test and a Schur frame that does
+    not reproduce ``a``; callers then fall back to dense matrix functions.
+    """
+    try:
+        return normal_decompose(a)
+    except (NotNormalError, ArithmeticError):
+        return None
+
+
+def operator_exp_batch(
+    a: LinearOperator, ts: np.ndarray, frame: NormalDecomposition | None
+) -> np.ndarray:
+    """Stacked ``exp(t A)`` over the scalars ``ts``, shape ``(len(ts), n, n)``.
+
+    With the eigenframe of a normal ``A`` this is ``U^H diag(exp(t d)) U``,
+    evaluated as ``sum_i exp(t d_i) P_i`` over the spectral projectors
+    ``P_i = U[i]^H U[i]`` in one matrix product; without a frame
+    (``frame=None``), one scaling-and-squaring ``expm`` per ``t``.
+    """
+    ts = np.asarray(ts, dtype=complex).ravel()
+    n = a.n
+    if frame is not None:
+        projectors = (frame.U.conj()[:, :, None] * frame.U[:, None, :]).reshape(n, n * n)
+        return (np.exp(np.outer(ts, frame.d)) @ projectors).reshape(ts.size, n, n)
+    out = np.empty((ts.size, n, n), dtype=complex)
+    for j, t in enumerate(ts):
+        out[j] = scipy.linalg.expm(t * a.entries)
+    return out
+
+
 def operator_power_one_minus_z(d_op: LinearOperator, z: complex) -> LinearOperator:
     """Principal power ``(1 - z)^D = exp(log(1 - z) D)``.
 
@@ -192,10 +230,7 @@ def operator_power_one_minus_z(d_op: LinearOperator, z: complex) -> LinearOperat
     if z.imag == 0.0 and z.real >= 1.0:
         raise BranchCutError(f"z={z} lies on the branch cut [1, inf)")
     w = np.log(1.0 - z)  # principal branch
-    if is_normal(d_op, 1e-12):
-        dec = normal_decompose(d_op, 1e-10)
-        return LinearOperator(dec.apply_scalar(np.exp(w * dec.d)), d_op.grid)
-    return LinearOperator(scipy.linalg.expm(w * d_op.entries), d_op.grid)
+    return LinearOperator(operator_exp_batch(d_op, [w], normal_frame(d_op))[0], d_op.grid)
 
 
 def sqrt_psd(a: LinearOperator, tol: float | None = None) -> LinearOperator:

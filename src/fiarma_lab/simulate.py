@@ -16,15 +16,17 @@ import numpy as np
 import scipy.fft
 
 from .existence import ExistenceRefusal, check_conditions, check_duker_conditions
-from .hilbert import HilbertGrid, LinearOperator, NotNormalError, sqrt_psd
+from .hilbert import HilbertGrid, LinearOperator, NotNormalError, normal_decompose, sqrt_psd
 from .spectral import ArmaModel, FiarmaModel
 from .transfer import (
-    FracIntegrationSpec,
     ar_inverse_laurent,
+    binomial_ma_coeffs,
     duker_decomposition,
     frac_ma_coeffs,
     power_law_weights,
 )
+
+NOISE_KINDS = ("auto", "real-gaussian", "complex-gaussian")
 
 
 @dataclass
@@ -45,7 +47,7 @@ class SimConfig:
             raise ValueError("burnin must be nonnegative")
         if self.K_trunc < 0:
             raise ValueError("K_trunc must be nonnegative")
-        if self.noise_kind not in ("auto", "real-gaussian", "complex-gaussian"):
+        if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise_kind {self.noise_kind!r}")
 
 
@@ -106,12 +108,11 @@ def _auto_burnin(model: ArmaModel) -> int:
 
 
 def _noise_rows(
-    sigma: LinearOperator, cfg: SimConfig, pre: int, kind: str
+    root: LinearOperator, cfg: SimConfig, pre: int, kind: str
 ) -> np.ndarray:
-    """Rows ``eps_t = Sigma^{1/2} xi_t`` for t in [-pre, T)."""
-    root = sqrt_psd(sigma).entries
-    xi = _standard_block(cfg.seed, cfg.replication, pre + cfg.T, sigma.grid.n, kind)
-    return xi @ root.T
+    """Rows ``eps_t = Sigma^{1/2} xi_t`` for t in [-pre, T), given ``root = Sigma^{1/2}``."""
+    xi = _standard_block(cfg.seed, cfg.replication, pre + cfg.T, root.n, kind)
+    return xi @ root.entries.T
 
 
 def _convolve(coeffs: np.ndarray, path: np.ndarray) -> np.ndarray:
@@ -135,7 +136,7 @@ def gaussian_white_noise(sigma: LinearOperator, cfg: SimConfig) -> SampledPath:
     kind = _resolve_noise_kind(cfg.noise_kind, sigma.entries)
     burnin = cfg.burnin or 0
     pre = burnin + cfg.K_trunc
-    rows = _noise_rows(sigma, cfg, pre, kind)
+    rows = _noise_rows(sqrt_psd(sigma), cfg, pre, kind)
     meta = {
         "seed": cfg.seed,
         "replication": cfg.replication,
@@ -161,7 +162,7 @@ def simulate_arma(model: ArmaModel, cfg: SimConfig, lead: int = 0) -> SampledPat
     )
     burnin = cfg.burnin if cfg.burnin is not None else _auto_burnin(model)
     pre = burnin + cfg.K_trunc + q
-    noise = _noise_rows(model.sigma, cfg, pre, kind)
+    noise = _noise_rows(model.root, cfg, pre, kind)
 
     if q:
         eps = noise.copy()
@@ -247,8 +248,10 @@ def simulate_duker(
 ) -> SampledPath:
     """Power-law moving average ``sum_k (k+1)^{-N} eps_{t-k}``, truncated."""
     existence = "forced"
+    dec = None
     if not force:
-        report = check_duker_conditions(n_op, sigma)
+        dec = normal_decompose(n_op)
+        report = check_duker_conditions(n_op, sigma, dec)
         if not report.passes:
             raise ExistenceRefusal(
                 "duker",
@@ -260,8 +263,8 @@ def simulate_duker(
     kind = _resolve_noise_kind(cfg.noise_kind, n_op.entries, sigma.entries)
     burnin = cfg.burnin or 0
     pre = burnin + cfg.K_trunc
-    noise = _noise_rows(sigma, cfg, pre, kind)
-    weights = power_law_weights(n_op, cfg.K_trunc)
+    noise = _noise_rows(sqrt_psd(sigma), cfg, pre, kind)
+    weights = power_law_weights(n_op, cfg.K_trunc, dec)
     y = _convolve(weights.data, noise[burnin:])[cfg.K_trunc:]
     meta = {
         "seed": cfg.seed,
@@ -317,7 +320,8 @@ def verify_longmemory_decomposition(
     also carries the remainder norms whose partial sums certify the
     short-memory property.
     """
-    report = check_duker_conditions(n_op, sigma)
+    dec = normal_decompose(n_op)
+    report = check_duker_conditions(n_op, sigma, dec)
     if not report.passes:
         raise ExistenceRefusal(
             "duker", "power-law moving average conditions fail; nothing to verify"
@@ -326,13 +330,12 @@ def verify_longmemory_decomposition(
     kind = _resolve_noise_kind(cfg.noise_kind, n_op.entries, sigma.entries)
     burnin = cfg.burnin or 0
     pre = burnin + k_trunc
-    noise = _noise_rows(sigma, cfg, pre, kind)[burnin:]
+    noise = _noise_rows(sqrt_psd(sigma), cfg, pre, kind)[burnin:]
 
     eye = np.eye(n_op.n, dtype=complex)
-    spec = FracIntegrationSpec(LinearOperator(eye - n_op.entries, n_op.grid))
-    binom = frac_ma_coeffs(spec, k_trunc)
-    c_mat, deltas, rho = duker_decomposition(n_op, k_trunc)
-    powers = power_law_weights(n_op, k_trunc)
+    binom = binomial_ma_coeffs(LinearOperator(eye - n_op.entries, n_op.grid), k_trunc)
+    c_mat, deltas, rho = duker_decomposition(n_op, k_trunc, dec)
+    powers = power_law_weights(n_op, k_trunc, dec)
 
     path_a = _convolve(binom.data, noise)[k_trunc:]
     duker_rows = _convolve(powers.data, noise)[k_trunc:]

@@ -7,7 +7,7 @@ lag-0 autocovariance of a white noise is exactly its covariance operator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,21 +35,29 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(eq=False)
 class ArmaModel:
-    """AR/MA operator polynomials plus the noise covariance operator."""
+    """AR/MA operator polynomials plus the noise covariance operator.
+
+    The constructor certifies the model once and keeps what it finds:
+    ``root`` is the PSD square root of ``sigma`` and ``margin`` the smallest
+    singular value of the AR symbol over the circle scan.
+    """
 
     phi: OperatorPolynomial
     theta: OperatorPolynomial
     sigma: LinearOperator
+    root: LinearOperator = field(init=False, repr=False)
+    margin: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.phi.grid.n != self.sigma.grid.n or self.theta.grid.n != self.sigma.grid.n:
             raise ValueError("model components must share one grid")
         # PSD check doubles as the Hermitian check
-        sqrt_psd(self.sigma)
-        ok, margin = check_invertible_on_circle(self.phi)
+        self.root = sqrt_psd(self.sigma)
+        ok, self.margin = check_invertible_on_circle(self.phi)
         if not ok:
             raise SingularTransferError(
-                f"AR polynomial not invertible on the circle (margin {margin:.3e})"
+                f"AR polynomial not invertible on the circle (margin {self.margin:.3e})",
+                margin=self.margin,
             )
 
     @property
@@ -147,8 +155,7 @@ def density_frequencies(n_freq: int) -> np.ndarray:
 def arma_spectral_density(model: ArmaModel, freqs: np.ndarray) -> SpectralDensityGrid:
     """Density ``T(lam) Sigma T(lam)^H / (2 pi)`` with T the ARMA transfer."""
     freqs = np.asarray(freqs, dtype=float).ravel()
-    root = sqrt_psd(model.sigma).entries
-    half = arma_transfer_batch(model.phi, model.theta, freqs, right=root)
+    half = arma_transfer_batch(model.phi, model.theta, freqs, right=model.root.entries)
     vals = np.einsum("fij,fkj->fik", half, half.conj()) / (2.0 * np.pi)
     return SpectralDensityGrid(freqs, vals, model.grid)
 
@@ -157,8 +164,8 @@ def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDe
     """Density of the fractionally integrated model: the ARMA half-factor is
     premultiplied by the fractional transfer frequency-wise (zero at 0)."""
     freqs = np.asarray(freqs, dtype=float).ravel()
-    root = sqrt_psd(model.base.sigma).entries
-    half = arma_transfer_batch(model.base.phi, model.base.theta, freqs, right=root)
+    base = model.base
+    half = arma_transfer_batch(base.phi, base.theta, freqs, right=base.root.entries)
     frac = frac_transfer_batch(model.D, freqs)
     half = np.einsum("fij,fjk->fik", frac, half)
     vals = np.einsum("fij,fkj->fik", half, half.conj()) / (2.0 * np.pi)
@@ -280,10 +287,8 @@ def local_factorization(
             lam=lam_bad,
         )
 
-    root = sqrt_psd(model.sigma).entries
-
     def half(points: np.ndarray) -> np.ndarray:
-        vals = arma_transfer_batch(model.phi, model.theta, points, right=root)
+        vals = arma_transfer_batch(model.phi, model.theta, points, right=model.root.entries)
         if dec is not None:
             vals = np.einsum("ij,fjk,kl->fil", dec.U, vals, dec.U.conj().T)
         return vals

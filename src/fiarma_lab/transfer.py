@@ -10,19 +10,19 @@ plus a summable remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .hilbert import (
     HilbertGrid,
     LinearOperator,
     NormalDecomposition,
-    is_normal,
+    NotNormalError,
     normal_decompose,
-    operator_power_one_minus_z,
+    normal_frame,
+    operator_exp_batch,
 )
 
 # Euler's constant, 20 significant digits.
@@ -30,11 +30,16 @@ EULER_GAMMA = 0.57721566490153286061
 
 
 class SingularTransferError(ValueError):
-    """AR polynomial is (numerically) singular at some frequency."""
+    """AR polynomial is (numerically) singular at some frequency.
 
-    def __init__(self, message: str, lam: float | None = None):
+    ``lam`` names the offending frequency when one is known; ``margin`` is
+    the smallest singular value found by a circle scan that failed.
+    """
+
+    def __init__(self, message: str, lam: float | None = None, margin: float | None = None):
         super().__init__(message)
         self.lam = lam
+        self.margin = margin
 
 
 @dataclass(eq=False)
@@ -75,14 +80,21 @@ class OperatorPolynomial:
 
 @dataclass(eq=False)
 class FracIntegrationSpec:
-    """Bounded memory operator D, with its diagonalization cached when normal."""
+    """Bounded memory operator D with its unitary eigenframe, found once.
+
+    ``decomposition`` is ``None`` when D is not normal; every function of D
+    then goes through the dense matrix exponential.
+    """
 
     D: LinearOperator
-    decomposition: NormalDecomposition | None = None
+    decomposition: NormalDecomposition | None = field(init=False, repr=False)
 
-    def ensure_decomposition(self, tol: float = 1e-10) -> NormalDecomposition:
+    def __post_init__(self) -> None:
+        self.decomposition = normal_frame(self.D)
+
+    def ensure_decomposition(self) -> NormalDecomposition:
         if self.decomposition is None:
-            self.decomposition = normal_decompose(self.D, tol)
+            raise NotNormalError("operator not normal")
         return self.decomposition
 
     @property
@@ -225,51 +237,45 @@ def arma_transfer_batch(
 
 def frac_transfer(spec: FracIntegrationSpec, lam: float) -> LinearOperator:
     """Fractional integration transfer: zero at frequency 0, else ``(1-e^{-i lam})^{-D}``."""
-    if math.remainder(lam, 2.0 * math.pi) == 0.0:
-        return LinearOperator(np.zeros((spec.grid.n,) * 2, dtype=complex), spec.grid)
-    minus_d = LinearOperator(-spec.D.entries, spec.grid)
-    return operator_power_one_minus_z(minus_d, np.exp(-1j * lam))
+    return LinearOperator(frac_transfer_batch(spec, [lam])[0], spec.grid)
 
 
 def frac_transfer_batch(spec: FracIntegrationSpec, freqs: np.ndarray) -> np.ndarray:
-    """Stacked fractional transfer values; uses the diagonalization when normal."""
+    """Stacked fractional transfer values ``exp(-log(1 - e^{-i lam}) D)``, zero at 0."""
     freqs = np.asarray(freqs, dtype=float).ravel()
     n = spec.grid.n
-    out = np.empty((freqs.size, n, n), dtype=complex)
-    at_zero = np.array(
-        [math.remainder(l, 2.0 * math.pi) == 0.0 for l in freqs], dtype=bool
+    out = np.zeros((freqs.size, n, n), dtype=complex)
+    nonzero = np.array(
+        [math.remainder(l, 2.0 * math.pi) != 0.0 for l in freqs], dtype=bool
     )
-    if is_normal(spec.D, 1e-12):
-        dec = spec.ensure_decomposition()
-        logs = np.log(1.0 - np.exp(-1j * freqs[~at_zero]))  # principal branch
-        scal = np.exp(-np.outer(logs, dec.d))  # (F_nz, n) values (1-z)^{-d_i}
-        out[~at_zero] = np.einsum(
-            "ki,fi,ij->fkj", dec.U.conj().T, scal, dec.U, optimize=True
-        )
-    else:
-        for idx in np.flatnonzero(~at_zero):
-            out[idx] = frac_transfer(spec, float(freqs[idx])).entries
-    out[at_zero] = 0.0
+    ts = -np.log(1.0 - np.exp(-1j * freqs[nonzero]))  # principal branch
+    out[nonzero] = operator_exp_batch(spec.D, ts, spec.decomposition)
     return out
 
 
 def frac_ma_coeffs(spec: FracIntegrationSpec, order: int) -> CoefficientSequence:
+    """Moving-average coefficients of ``(1 - z)^{-D}`` for the memory operator of ``spec``."""
+    return binomial_ma_coeffs(spec.D, order)
+
+
+def binomial_ma_coeffs(d_op: LinearOperator, order: int) -> CoefficientSequence:
     """Moving-average coefficients of ``(1 - z)^{-D}`` up to the given order.
 
     The recursion ``C_0 = Id``, ``C_k = C_{k-1} (D + (k-1) Id) / k`` produces
     the binomial-type expansion; for a scalar exponent ``D = d Id`` the k-th
-    coefficient is ``gamma(k + d) / (gamma(d) k!) Id``.
+    coefficient is ``gamma(k + d) / (gamma(d) k!) Id``.  It needs no
+    eigenframe, so exponents such as ``Id - N`` are passed as bare operators.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    n = spec.grid.n
-    d_mat = spec.D.entries
+    n = d_op.n
+    d_mat = d_op.entries
     eye = np.eye(n, dtype=complex)
     out = np.empty((order + 1, n, n), dtype=complex)
     out[0] = eye
     for k in range(1, order + 1):
         out[k] = out[k - 1] @ (d_mat + (k - 1) * eye) / k
-    return CoefficientSequence(out, spec.grid, meaning="frac-binomial")
+    return CoefficientSequence(out, d_op.grid, meaning="frac-binomial")
 
 
 def ar_inverse_laurent(
@@ -332,7 +338,7 @@ def _duker_scalar_constant(n_val: complex, k0: int, n_powers_scale: float) -> co
 
 
 def duker_decomposition(
-    n_op: LinearOperator, order: int
+    n_op: LinearOperator, order: int, dec: NormalDecomposition | None = None
 ) -> tuple[LinearOperator, CoefficientSequence, float]:
     """Split ``(1-z)^{N-Id}`` into ``C (k+1)^{-N}`` power-law weights plus a remainder.
 
@@ -344,9 +350,11 @@ def duker_decomposition(
 
     The matching constant ``C`` is evaluated eigenvalue-wise through the
     diagonalization, with ``k0`` fixed to the smallest integer exceeding
-    ``||N||`` so the defining series converge geometrically.
+    ``||N||`` so the defining series converge geometrically.  A caller that
+    already holds the eigenframe of ``N`` passes it as ``dec``.
     """
-    dec = normal_decompose(n_op)
+    if dec is None:
+        dec = normal_decompose(n_op)
     rho = float(np.min(dec.d.real))
     norm_n = float(np.max(np.abs(dec.d)))
     k0 = int(math.floor(norm_n)) + 1
@@ -356,16 +364,9 @@ def duker_decomposition(
     )
     c_mat = dec.apply_scalar(c_vals)
 
-    minus_mem = FracIntegrationSpec(
-        LinearOperator(np.eye(n_op.n, dtype=complex) - n_op.entries, n_op.grid)
-    )
-    binom = frac_ma_coeffs(minus_mem, order).data  # coefficients of (1-z)^{N-Id}
-
-    ks = np.arange(order + 1, dtype=float)
-    powers_scal = np.exp(-np.outer(np.log(ks + 1.0), dec.d))  # (k+1)^{-n_i}
-    powerlaw = np.einsum(
-        "ki,fi,ij->fkj", dec.U.conj().T, powers_scal, dec.U, optimize=True
-    )
+    minus_mem = LinearOperator(np.eye(n_op.n, dtype=complex) - n_op.entries, n_op.grid)
+    binom = binomial_ma_coeffs(minus_mem, order).data  # coefficients of (1-z)^{N-Id}
+    powerlaw = power_law_weights(n_op, order, dec).data
     deltas = binom - np.einsum("ij,fjk->fik", c_mat, powerlaw)
     return (
         LinearOperator(c_mat, n_op.grid),
@@ -374,15 +375,18 @@ def duker_decomposition(
     )
 
 
-def power_law_weights(n_op: LinearOperator, order: int) -> CoefficientSequence:
-    """Weights ``(k+1)^{-N} = exp(-log(k+1) N)`` for k = 0..order."""
-    ks = np.log(np.arange(1, order + 2, dtype=float))
-    if is_normal(n_op, 1e-12):
-        dec = normal_decompose(n_op)
-        scal = np.exp(-np.outer(ks, dec.d))
-        data = np.einsum("ki,fi,ij->fkj", dec.U.conj().T, scal, dec.U, optimize=True)
-    else:
-        data = np.stack([scipy.linalg.expm(-t * n_op.entries) for t in ks])
+def power_law_weights(
+    n_op: LinearOperator, order: int, dec: NormalDecomposition | None = None
+) -> CoefficientSequence:
+    """Weights ``(k+1)^{-N} = exp(-log(k+1) N)`` for k = 0..order.
+
+    ``dec`` is the eigenframe of ``N`` when the caller holds it; otherwise
+    ``N`` is tested for normality here.
+    """
+    if dec is None:
+        dec = normal_frame(n_op)
+    ts = -np.log(np.arange(1, order + 2, dtype=float))
+    data = operator_exp_batch(n_op, ts, dec)
     return CoefficientSequence(data, n_op.grid, meaning="duker-powerlaw")
 
 

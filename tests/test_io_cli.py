@@ -103,6 +103,11 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert any("unknown key 'TT'" in m for m in err.value.errors)
 
+    def test_non_numeric_eta_flagged(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_config(eta="x"))
+        assert any(m.startswith("run.eta:") for m in err.value.errors)
+
     def test_unit_root_phi_flagged(self):
         doc = {
             "grid": {"points": [0.0], "weights": [1.0]},

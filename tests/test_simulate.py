@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fiarma_lab import (
     ArmaModel,
@@ -22,6 +23,20 @@ from fiarma_lab import (
 )
 
 from conftest import make_grid, op, random_unitary
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """Record every Schur factorization made through scipy.linalg."""
+    calls = []
+    real = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    return calls
 
 
 def scalar_grid():
@@ -223,6 +238,11 @@ class TestSimulateDuker:
         path = simulate_duker(n_op, identity(g), SimConfig(T=32, seed=1), force=True)
         assert path.t_len == 32
 
+    def test_exponent_decomposed_once(self, schur_calls):
+        g = make_grid(2)
+        simulate_duker(op(np.diag([0.7, 0.8]), g), identity(g), SimConfig(T=32, seed=1, K_trunc=16))
+        assert len(schur_calls) == 1
+
     def test_autocovariance_decay_slope(self):
         # scalar power-law weights (k+1)^{-0.7}: lag autocovariance decays
         # like h^{-0.4}; fit the log-log slope over h in [10, 500]
@@ -266,6 +286,13 @@ class TestLongMemoryDecomposition:
         sums = check.partial_sums
         # Cauchy tail: the last half contributes little
         assert sums[-1] - sums[len(sums) // 2] < 1e-2 * sums[-1]
+
+    def test_exponent_decomposed_once(self, schur_calls):
+        g = make_grid(2)
+        verify_longmemory_decomposition(
+            op(np.diag([0.7, 0.8]), g), identity(g), SimConfig(T=64, seed=1, K_trunc=32)
+        )
+        assert len(schur_calls) == 1
 
     def test_refuses_failing_conditions(self):
         g = make_grid(2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from fiarma_lab import (
@@ -23,6 +24,8 @@ from fiarma_lab import (
     operator_power_one_minus_z,
     power_law_weights,
 )
+
+from fiarma_lab.transfer import frac_transfer_batch
 
 from conftest import make_grid, op, random_unitary
 
@@ -126,6 +129,24 @@ class TestFracTransfer:
         spec = FracIntegrationSpec.scalar(make_grid(1), 0.5)
         out = frac_transfer(spec, np.pi)
         assert out.entries[0, 0] == pytest.approx(2.0**-0.5)
+
+    def test_near_normal_exponent_stays_in_its_frame(self, rng, monkeypatch):
+        # normal up to one 1e-12 entry in its frame: the existence check
+        # diagonalizes this D, so the transfer must use the same frame
+        u = random_unitary(rng, 4)
+        tri = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        tri[0, 3] = 1e-12
+        spec = FracIntegrationSpec(op(u.conj().T @ tri @ u))
+        dec = spec.ensure_decomposition()
+
+        def no_expm(*args, **kwargs):
+            raise AssertionError("dense expm used for a normal memory operator")
+
+        monkeypatch.setattr(scipy.linalg, "expm", no_expm)
+        freqs = np.array([-2.5, -0.3, 0.7, np.pi])
+        for lam, val in zip(freqs, frac_transfer_batch(spec, freqs)):
+            expect = dec.apply_scalar((1.0 - np.exp(-1j * lam)) ** -dec.d)
+            assert np.allclose(val, expect, rtol=0.0, atol=1e-13)
 
 
 class TestFracCoeffs:
