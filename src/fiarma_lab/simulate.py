@@ -6,10 +6,16 @@ Noise comes from a counter-based generator keyed by ``(seed, replication)``,
 drawn in a single block per path covering the burn-in and truncation
 pre-history, so identical configurations reproduce bit-identical paths and
 replications are independent streams that can run in parallel.
+
+An ARMA or fractional ARMA path is one FFT convolution of that block with a
+per-model filter: the exact impulse response of ``phi^{-1} theta``, folded
+into the truncated MA coefficients of ``(1 - z)^{-D}`` for a fractional
+model.  The model object keeps the filter's FFT for the last
+``(T, K_trunc, burnin)`` it simulated, so replications of one model only
+draw noise and convolve.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +25,7 @@ from .existence import ExistenceRefusal, check_conditions, check_duker_condition
 from .hilbert import HilbertGrid, LinearOperator, NotNormalError, normal_decompose, sqrt_psd
 from .spectral import ArmaModel, FiarmaModel
 from .transfer import (
-    ar_inverse_laurent,
+    OperatorPolynomial,
     binomial_ma_coeffs,
     duker_decomposition,
     frac_ma_coeffs,
@@ -27,6 +33,14 @@ from .transfer import (
 )
 
 NOISE_KINDS = ("auto", "real-gaussian", "complex-gaussian")
+
+# An impulse-response row below this fraction of the response's peak is
+# double-precision rounding of the peak.
+_ROUNDING_FLOOR = 2.0**-60
+# The auto burn-in lets the AR impulse response fall to this fraction of its
+# peak, within at most _BURNIN_CAP rows.
+_BURNIN_DECAY = 1e-12
+_BURNIN_CAP = 10_000
 
 
 @dataclass
@@ -91,20 +105,39 @@ def _standard_block(seed: int, replication: int, rows: int, n: int, kind: str) -
     return rng.standard_normal((rows, n)).astype(complex)
 
 
-def _auto_burnin(model: ArmaModel) -> int:
-    """Burn-in sized from the decay of the inverse AR coefficients."""
-    p = model.phi.degree
+def _ar_impulse(phi: OperatorPolynomial, limit: int) -> np.ndarray:
+    """Causal coefficients ``P_0 = Id``, ``P_k = sum_j A_j P_{k-j}`` of ``phi^{-1}``.
+
+    The exact recursion stops once its last ``p`` rows fall below
+    ``_ROUNDING_FLOOR`` of the peak, since every later row is a linear image
+    of them, and it never runs past ``limit`` rows.
+    """
+    a = phi.stacked()
+    p = len(a)
+    rows = [np.eye(phi.grid.n, dtype=complex)]
+    sizes = [1.0]
+    peak = 1.0
+    while p and len(rows) < limit:
+        k = len(rows)
+        acc = a[0] @ rows[k - 1]
+        for j in range(2, min(p, k) + 1):
+            acc = acc + a[j - 1] @ rows[k - j]
+        rows.append(acc)
+        sizes.append(float(np.abs(acc).max()))
+        peak = max(peak, sizes[-1])
+        if k >= p and max(sizes[-p:]) <= _ROUNDING_FLOOR * peak:
+            break
+    return np.stack(rows)
+
+
+def _auto_burnin(ar: np.ndarray, p: int) -> int:
+    """``10 p`` plus the rows until the AR impulse response ``ar`` falls to
+    ``_BURNIN_DECAY`` of its peak, the latter at most ``_BURNIN_CAP``."""
     if p == 0:
         return 0
-    seq = ar_inverse_laurent(model.phi, 64, 512)
-    n32 = float(np.linalg.norm(seq[32], 2))
-    n64 = float(np.linalg.norm(seq[64], 2))
-    if n32 <= 0.0 or n64 <= 0.0:
-        rate = 0.5
-    else:
-        rate = (n64 / n32) ** (1.0 / 32.0)
-    rate = min(max(rate, 1e-9), 1.0 - 1e-6)
-    return 10 * p + min(int(math.ceil(math.log(1e-12) / math.log(rate))), 10_000)
+    norms = np.linalg.norm(ar, 2, axis=(1, 2))
+    live = np.flatnonzero(norms > _BURNIN_DECAY * norms.max())
+    return 10 * p + min(int(live[-1]) + 1, _BURNIN_CAP)
 
 
 def _noise_rows(
@@ -115,16 +148,115 @@ def _noise_rows(
     return xi @ root.entries.T
 
 
+def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """Circular convolution of ``path`` (zero-padded) with the filter whose
+    FFT, at the FFT length ``len(filter_fft)``, is ``filter_fft``."""
+    xf = np.fft.fft(path, filter_fft.shape[0], axis=0)
+    return np.fft.ifft(np.einsum("fij,fj->fi", filter_fft, xf), axis=0)
+
+
 def _convolve(coeffs: np.ndarray, path: np.ndarray) -> np.ndarray:
     """Causal operator convolution ``y_t = sum_k C_k x_{t-k}`` (zero-padded)."""
-    k_len, n = coeffs.shape[0], coeffs.shape[1]
     t_len = path.shape[0]
-    m = scipy.fft.next_fast_len(t_len + k_len - 1)
-    cf = np.fft.fft(coeffs, m, axis=0)
-    xf = np.fft.fft(path, m, axis=0)
-    yf = np.einsum("fij,fj->fi", cf, xf)
-    out = np.fft.ifft(yf, axis=0)[:t_len]
+    m = scipy.fft.next_fast_len(t_len + coeffs.shape[0] - 1)
+    out = _fft_apply(np.fft.fft(coeffs, m, axis=0), path)[:t_len]
     if np.all(coeffs.imag == 0.0) and np.all(path.imag == 0.0):
+        # a real filter of a real path is real; drop the FFT's rounding fuzz
+        out = out.real.astype(complex)
+    return out
+
+
+@dataclass(eq=False)
+class _FilterPlan:
+    """A model's whole causal filter for one ``(T, K_trunc, burnin)``, built once.
+
+    A path is ``Sigma^{1/2}`` times ``pre + T`` standard noise rows, filtered
+    by the causal filter whose FFT is ``filter_fft`` (``None``: the identity).
+    Only the last ``keep`` rows reach the output rows; with the FFT length
+    covering ``keep`` plus the filter length, the circular convolution's
+    wrap-around misses them.
+    """
+
+    key: tuple[int, int, int | None]
+    burnin: int
+    pre: int
+    keep: int
+    filter_fft: np.ndarray | None
+    real: bool  # filter and Sigma^{1/2} have real entries
+    meta: dict  # diagnostics of the filter
+
+
+def _filter_plan(
+    model: ArmaModel | FiarmaModel, key: tuple[int, int, int | None]
+) -> _FilterPlan:
+    """Impulse response of ``phi^{-1} theta``, folded into the truncated MA
+    coefficients of ``(1 - z)^{-D}`` for a :class:`FiarmaModel`, and the FFT
+    of the result.
+
+    A plain ARMA filter is sized for the ``K_trunc`` lead rows that
+    :func:`simulate_arma` may prepend.  The stacked ``(m, n, n)`` transforms
+    go through ``scipy.fft``, which runs them along the strided time axis
+    faster than ``numpy.fft``.
+    """
+    t_len, k_trunc, burnin = key
+    fractional = isinstance(model, FiarmaModel)
+    base = model.base if fractional else model
+    p, q = base.phi.degree, base.theta.degree
+    after = k_trunc + q + t_len  # noise rows after the burn-in
+    if burnin is None:
+        ar = _ar_impulse(base.phi, 10 * p + _BURNIN_CAP + after)
+        burnin = _auto_burnin(ar, p)
+    else:
+        ar = _ar_impulse(base.phi, burnin + after)
+    rows = burnin + after
+    ar = ar[:rows]
+    psi = np.concatenate([ar, np.zeros((q,) + ar.shape[1:], dtype=complex)])
+    for j, b in enumerate(base.theta.stacked(), start=1):
+        psi[j : j + len(ar)] += ar @ b
+    psi = psi[:rows]
+    real = bool(np.all(base.root.entries.imag == 0.0) and np.all(psi.imag == 0.0))
+    pre = rows - t_len
+
+    if not fractional:
+        if len(psi) == 1:
+            return _FilterPlan(key, burnin, pre, 0, None, real, {})
+        span = t_len + k_trunc + len(psi) - 1
+        m = scipy.fft.next_fast_len(span)
+        return _FilterPlan(
+            key, burnin, pre, min(rows, span), scipy.fft.fft(psi, m, axis=0), real, {}
+        )
+
+    order = max(k_trunc, 1)
+    coeffs = frac_ma_coeffs(model.D, order).data
+    span = t_len + order + len(psi) - 1
+    m = scipy.fft.next_fast_len(span)
+    filter_fft = scipy.fft.fft(coeffs, m, axis=0) @ scipy.fft.fft(psi, m, axis=0)
+    eig_re = np.linalg.eigvals(model.D.D.entries).real
+    tail_norm = float(np.linalg.norm(coeffs[order], 2))
+    tail_estimate = tail_norm * order / max(1.0, 1.0 - 2.0 * float(eig_re.max()))
+    meta = {"coeff_tail_norm": tail_norm, "truncation_tail_estimate": tail_estimate}
+    real = real and bool(np.all(coeffs.imag == 0.0))
+    return _FilterPlan(key, burnin, pre, min(rows, span), filter_fft, real, meta)
+
+
+def _plan(model: ArmaModel | FiarmaModel, cfg: SimConfig) -> _FilterPlan:
+    """The model's cached filter plan for ``cfg``, rebuilt when the sizes change."""
+    key = (cfg.T, cfg.K_trunc, cfg.burnin)
+    if model._sim_plan is None or model._sim_plan.key != key:
+        model._sim_plan = _filter_plan(model, key)
+    return model._sim_plan
+
+
+def _filtered_rows(
+    plan: _FilterPlan, root: LinearOperator, cfg: SimConfig, kind: str, lead: int
+) -> np.ndarray:
+    """Output rows for times ``-lead .. T-1`` from the ``(seed, replication)`` noise."""
+    if plan.filter_fft is None:
+        return _noise_rows(root, cfg, plan.pre, kind)[plan.pre - lead :]
+    xi = _standard_block(cfg.seed, cfg.replication, plan.pre + cfg.T, root.n, kind)
+    noise = xi[-plan.keep :] @ root.entries.T
+    out = _fft_apply(plan.filter_fft, noise)[plan.keep - cfg.T - lead : plan.keep]
+    if plan.real and kind == "real-gaussian":
         # a real filter of a real path is real; drop the FFT's rounding fuzz
         out = out.real.astype(complex)
     return out
@@ -147,54 +279,33 @@ def gaussian_white_noise(sigma: LinearOperator, cfg: SimConfig) -> SampledPath:
     return SampledPath(rows[pre:], sigma.grid, meta)
 
 
+def _arma_kind(model: ArmaModel, cfg: SimConfig) -> str:
+    return _resolve_noise_kind(
+        cfg.noise_kind, model.phi.stacked(), model.theta.stacked(), model.sigma.entries
+    )
+
+
 def simulate_arma(model: ArmaModel, cfg: SimConfig, lead: int = 0) -> SampledPath:
-    """Stationary ARMA path by the MA-then-AR recursion from zero starts.
+    """Stationary ARMA path: the noise filtered by the impulse response of
+    ``phi^{-1} theta``, started from zero ``burnin + K_trunc + q`` rows back.
 
     ``lead`` extra rows of pre-history (at most ``K_trunc``) are prepended,
-    so the returned rows cover times ``-lead .. T-1``; downstream fractional
-    convolutions consume them.  Burn-in rows before that are discarded.
+    so the returned rows cover times ``-lead .. T-1``.  Burn-in rows before
+    that are discarded.
     """
     if not 0 <= lead <= cfg.K_trunc:
         raise ValueError("lead must lie in [0, K_trunc]")
-    q = model.theta.degree
-    kind = _resolve_noise_kind(
-        cfg.noise_kind, model.phi.stacked(), model.theta.stacked(), model.sigma.entries
-    )
-    burnin = cfg.burnin if cfg.burnin is not None else _auto_burnin(model)
-    pre = burnin + cfg.K_trunc + q
-    noise = _noise_rows(model.root, cfg, pre, kind)
-
-    if q:
-        eps = noise.copy()
-        thetas = model.theta.stacked()
-        for k in range(1, q + 1):
-            eps[k:] += noise[:-k] @ thetas[k - 1].T
-    else:
-        eps = noise
-
-    p = model.phi.degree
-    if p:
-        phis = model.phi.stacked()
-        x = np.zeros_like(eps)
-        transposed = [a.T.copy() for a in phis]
-        for t in range(x.shape[0]):
-            acc = eps[t]
-            for j in range(1, min(p, t) + 1):
-                acc = acc + x[t - j] @ transposed[j - 1]
-            x[t] = acc
-    else:
-        x = eps
-
-    start = pre - lead
+    kind = _arma_kind(model, cfg)
+    plan = _plan(model, cfg)
     meta = {
         "seed": cfg.seed,
         "replication": cfg.replication,
-        "burnin": burnin,
+        "burnin": plan.burnin,
         "K_trunc": cfg.K_trunc,
         "noise_kind": kind,
         "lead": lead,
     }
-    return SampledPath(x[start:], model.grid, meta)
+    return SampledPath(_filtered_rows(plan, model.root, cfg, kind, lead), model.grid, meta)
 
 
 def simulate_fiarma(model: FiarmaModel, cfg: SimConfig, force: bool = False) -> SampledPath:
@@ -220,24 +331,19 @@ def simulate_fiarma(model: FiarmaModel, cfg: SimConfig, force: bool = False) -> 
                 )
             existence = report.verdict
 
-    k_trunc = max(cfg.K_trunc, 1)
-    coeffs = frac_ma_coeffs(model.D, k_trunc)
-    base = simulate_arma(model.base, cfg, lead=k_trunc)
-    y = _convolve(coeffs.data, base.values)[k_trunc:]
-
-    eig_re = np.linalg.eigvals(model.D.D.entries).real
-    tail_norm = float(np.linalg.norm(coeffs[k_trunc], 2))
-    tail_estimate = tail_norm * k_trunc / max(1.0, 1.0 - 2.0 * float(eig_re.max()))
-    meta = dict(base.meta)
-    meta.update(
-        {
-            "lead": 0,
-            "existence": existence,
-            "coeff_tail_norm": tail_norm,
-            "truncation_tail_estimate": tail_estimate,
-        }
-    )
-    return SampledPath(y, model.grid, meta)
+    kind = _arma_kind(model.base, cfg)
+    plan = _plan(model, cfg)
+    meta = {
+        "seed": cfg.seed,
+        "replication": cfg.replication,
+        "burnin": plan.burnin,
+        "K_trunc": cfg.K_trunc,
+        "noise_kind": kind,
+        "lead": 0,
+        "existence": existence,
+        **plan.meta,
+    }
+    return SampledPath(_filtered_rows(plan, model.base.root, cfg, kind, 0), model.grid, meta)
 
 
 def simulate_duker(

@@ -30,7 +30,7 @@ from .transfer import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .simulate import SampledPath
+    from .simulate import SampledPath, _FilterPlan
 
 
 @dataclass(eq=False)
@@ -39,7 +39,8 @@ class ArmaModel:
 
     The constructor certifies the model once and keeps what it finds:
     ``root`` is the PSD square root of ``sigma`` and ``margin`` the smallest
-    singular value of the AR symbol over the circle scan.
+    singular value of the AR symbol over the circle scan.  Simulation keeps
+    the filter plan of the last path sizes it used in ``_sim_plan``.
     """
 
     phi: OperatorPolynomial
@@ -47,6 +48,7 @@ class ArmaModel:
     sigma: LinearOperator
     root: LinearOperator = field(init=False, repr=False)
     margin: float = field(init=False)
+    _sim_plan: "_FilterPlan | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.phi.grid.n != self.sigma.grid.n or self.theta.grid.n != self.sigma.grid.n:
@@ -72,10 +74,15 @@ class ArmaModel:
 
 @dataclass(eq=False)
 class FiarmaModel:
-    """ARMA base model filtered by a fractional integration transfer."""
+    """ARMA base model filtered by a fractional integration transfer.
+
+    Simulation keeps the combined filter plan of the last path sizes it used
+    in ``_sim_plan``.
+    """
 
     base: ArmaModel
     D: FracIntegrationSpec
+    _sim_plan: "_FilterPlan | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.D.grid.n != self.base.grid.n:

@@ -269,6 +269,17 @@ class TestCli:
         report = json.loads((out2 / "duker_verify.json").read_text())
         assert report["residual"] < 1e-8
 
+    @pytest.mark.parametrize("sub", ["simulate", "duker-decompose", "duker-verify"])
+    def test_frameless_power_exponent_is_an_error(self, tmp_path, capsys, sub):
+        doc = {
+            "grid": {"points": [0.0, 1.0], "weights": [0.5, 0.5]},
+            "model": {"sigma": [[1.0, 0.0], [0.0, 1.0]], "N": [[0.3, 1e-7], [0.0, 0.3]]},
+            "run": {"T": 16, "K_trunc": 8, "K": 8},
+        }
+        cfg = self._write(tmp_path, json.dumps(doc))
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: operator not normal")
+
     def test_existence_integral_outputs(self, tmp_path):
         cfg = self._write(tmp_path, fractional_config(0.5, n_refine=20))
         out = tmp_path / "out"

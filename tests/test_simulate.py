@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import fiarma_lab.simulate
 from fiarma_lab import (
     ArmaModel,
     ExistenceRefusal,
@@ -9,9 +10,13 @@ from fiarma_lab import (
     FracIntegrationSpec,
     HilbertGrid,
     LinearOperator,
+    NotNormalError,
     OperatorPolynomial,
     SimConfig,
+    check_duker_conditions,
+    duker_decomposition,
     empirical_autocov,
+    frac_ma_coeffs,
     gaussian_white_noise,
     identity,
     operator_norm,
@@ -300,3 +305,258 @@ class TestLongMemoryDecomposition:
             verify_longmemory_decomposition(
                 op(0.3 * np.eye(2), g), identity(g), SimConfig(T=64, seed=1)
             )
+
+
+class TestNotNormalExponent:
+    """An N that passes the commutator test but has no unitary frame: its
+    eigenvalue repeats, so the commutator is quadratic in the 1e-7 entry
+    while the frame's reconstruction error is linear in it."""
+
+    def frameless(self):
+        g = make_grid(2)
+        return op([[0.3, 1e-7], [0.0, 0.3]], g), identity(g)
+
+    def test_duker_decomposition(self):
+        n_op, _ = self.frameless()
+        with pytest.raises(NotNormalError):
+            duker_decomposition(n_op, 8)
+
+    def test_check_duker_conditions(self):
+        n_op, sigma = self.frameless()
+        with pytest.raises(NotNormalError):
+            check_duker_conditions(n_op, sigma)
+
+    def test_simulate_duker(self):
+        n_op, sigma = self.frameless()
+        with pytest.raises(NotNormalError):
+            simulate_duker(n_op, sigma, SimConfig(T=16, seed=1, K_trunc=8))
+
+    def test_verify_longmemory_decomposition(self):
+        n_op, sigma = self.frameless()
+        with pytest.raises(NotNormalError):
+            verify_longmemory_decomposition(n_op, sigma, SimConfig(T=16, seed=1, K_trunc=8))
+
+
+def recursion_arma(model, cfg, kind, lead=0):
+    """Reference ARMA path: the per-step MA-then-AR recursion from zero
+    starts over ``burnin + K_trunc + q`` noise rows, on the same noise."""
+    q = model.theta.degree
+    pre = cfg.burnin + cfg.K_trunc + q
+    block = SimConfig(
+        T=pre + cfg.T,
+        K_trunc=0,
+        burnin=0,
+        seed=cfg.seed,
+        replication=cfg.replication,
+        noise_kind=kind,
+    )
+    noise = gaussian_white_noise(model.sigma, block).values
+    eps = noise.copy()
+    for k, b in enumerate(model.theta.stacked(), start=1):
+        eps[k:] += noise[:-k] @ b.T
+    x = np.zeros_like(eps)
+    phis = model.phi.stacked()
+    for t in range(x.shape[0]):
+        acc = eps[t]
+        for j in range(1, min(len(phis), t) + 1):
+            acc = acc + x[t - j] @ phis[j - 1].T
+        x[t] = acc
+    return x[pre - lead :]
+
+
+def recursion_fiarma(model, cfg, kind):
+    """Reference fractional path: the recursion's ARMA rows with ``K_trunc``
+    lead rows, then the direct sum ``sum_k C_k x_{t-k}``."""
+    k_trunc = cfg.K_trunc
+    x = recursion_arma(model.base, cfg, kind, lead=k_trunc)
+    coeffs = frac_ma_coeffs(model.D, k_trunc).data
+    y = np.zeros((cfg.T, model.grid.n), dtype=complex)
+    for k in range(k_trunc + 1):
+        y += x[k_trunc - k : k_trunc - k + cfg.T] @ coeffs[k].T
+    return y
+
+
+def rel_diff(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def mc_model():
+    """The fixed 4x4 FIARMA(1,d,1) model of the Monte Carlo acceptance test."""
+    rng = np.random.default_rng(7)
+    g4 = make_grid(4)
+    u = random_unitary(rng, 4)
+    d_op = op(u.conj().T @ (np.array([0.1, 0.35, 0.2, -0.1])[:, None] * u), g4)
+    a1 = rng.normal(size=(4, 4))
+    a1 *= 0.3 / np.linalg.norm(a1, 2)
+    b1 = rng.normal(size=(4, 4))
+    b1 *= 0.4 / np.linalg.norm(b1, 2)
+    m = rng.normal(size=(4, 4))
+    sigma = op(m @ m.T / 4 + 0.3 * np.eye(4), g4)
+    base = ArmaModel(
+        OperatorPolynomial(g4, (op(a1, g4),)), OperatorPolynomial(g4, (op(b1, g4),)), sigma
+    )
+    return FiarmaModel(base, FracIntegrationSpec(d_op))
+
+
+def transient_ar2():
+    g = make_grid(3)
+    a1 = np.array([[0.5, 4.0, 0.0], [0.0, 0.5, 4.0], [0.0, 0.0, 0.5]])
+    phi = OperatorPolynomial(g, (op(a1, g), op(0.1 * np.eye(3), g)))
+    return ArmaModel(phi, OperatorPolynomial(g), identity(g))
+
+
+def complex_arma11(rng):
+    g = make_grid(2)
+    a1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a1 *= 0.6 / np.linalg.norm(a1, 2)
+    b1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    sigma = op(m @ m.conj().T + 0.5 * np.eye(2), g)
+    return ArmaModel(
+        OperatorPolynomial(g, (op(a1, g),)), OperatorPolynomial(g, (op(b1, g),)), sigma
+    )
+
+
+def ma2_model(rng):
+    g = make_grid(3)
+    b = [op(0.5 * rng.normal(size=(3, 3)), g) for _ in range(2)]
+    return ArmaModel(OperatorPolynomial(g), OperatorPolynomial(g, tuple(b)), identity(g))
+
+
+class TestFilterOracle:
+    """The FFT filter against the per-step recursion, with an explicit burn-in."""
+
+    @pytest.mark.parametrize(
+        "case, burnin, kind",
+        [
+            ("transient", 400, "auto"),
+            ("near-unit-root", 3000, "auto"),
+            ("complex", 60, "complex-gaussian"),
+            ("ma2", 5, "auto"),
+        ],
+    )
+    def test_arma_matches_recursion(self, rng, case, burnin, kind):
+        model = {
+            "transient": transient_ar2,
+            "near-unit-root": lambda: ar1_model(scalar_grid(), 0.99),
+            "complex": lambda: complex_arma11(rng),
+            "ma2": lambda: ma2_model(rng),
+        }[case]()
+        cfg = SimConfig(T=512, K_trunc=24, burnin=burnin, seed=41, noise_kind=kind)
+        path = simulate_arma(model, cfg, lead=24)
+        want = recursion_arma(model, cfg, path.meta["noise_kind"], lead=24)
+        assert path.values.shape == want.shape
+        assert rel_diff(path.values, want) <= 1e-12
+
+    def test_transient_growth_is_exercised(self):
+        a1 = transient_ar2().phi.coeffs[0].entries
+        assert max(np.abs(np.linalg.eigvals(a1))) < 1.0
+        assert max(operator_norm(np.linalg.matrix_power(a1, k)) for k in range(8)) > 10.0
+
+    def test_real_models_give_real_paths(self):
+        g = scalar_grid()
+        cfg = SimConfig(T=256, K_trunc=32, seed=3)
+        fractional = FiarmaModel(ar1_model(g, 0.5), FracIntegrationSpec.scalar(g, 0.3))
+        for path in (simulate_arma(transient_ar2(), cfg), simulate_fiarma(fractional, cfg)):
+            assert np.all(path.values.imag == 0.0)
+
+    def test_complex_noise_kind_kept(self, rng):
+        cfg = SimConfig(T=64, burnin=8, seed=2, noise_kind="complex-gaussian")
+        path = simulate_arma(complex_arma11(rng), cfg)
+        assert path.meta["noise_kind"] == "complex-gaussian"
+        assert np.abs(path.values.imag).max() > 0
+
+    def test_zero_truncation_filters_from_zero_start(self):
+        g = scalar_grid()
+        model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.3))
+        cfg = SimConfig(T=8, K_trunc=0, seed=6)
+        path = simulate_fiarma(model, cfg)
+        noise = gaussian_white_noise(identity(g), cfg).values[:, 0]
+        want = noise + 0.3 * np.concatenate([[0.0], noise[:-1]])
+        assert np.abs(path.values[:, 0] - want).max() <= 1e-12
+
+    def test_mc_fiarma_matches_recursion(self):
+        model = mc_model()
+        cfg = SimConfig(T=1024, K_trunc=256, burnin=100, seed=2000, replication=3)
+        path = simulate_fiarma(model, cfg)
+        assert rel_diff(path.values, recursion_fiarma(model, cfg, "real-gaussian")) <= 1e-12
+
+
+class TestAutoBurnin:
+    def test_fast_decay_gets_short_burnin(self):
+        path = simulate_arma(ar1_model(scalar_grid(), 0.15), SimConfig(T=64, seed=1))
+        assert path.meta["burnin"] <= 40
+
+    @pytest.mark.parametrize("a, burnin", [(0.9, 273), (0.99, 2760)])
+    def test_slow_decay_unchanged(self, a, burnin):
+        path = simulate_arma(ar1_model(scalar_grid(), a), SimConfig(T=64, seed=1))
+        assert path.meta["burnin"] == burnin
+
+    def test_mc_model_burnin_short(self):
+        path = simulate_fiarma(mc_model(), SimConfig(T=64, K_trunc=16, seed=1))
+        assert path.meta["burnin"] <= 40
+
+
+class TestFilterPlanCache:
+    def test_warm_plans_match_cold(self):
+        makers = [
+            mc_model,
+            lambda: FiarmaModel(
+                complex_arma11(np.random.default_rng(3)),
+                FracIntegrationSpec.scalar(make_grid(2), 0.2),
+            ),
+        ]
+        warm_models = [make() for make in makers]
+        cfgs = [
+            SimConfig(T=128, K_trunc=32, seed=5),
+            SimConfig(T=96, K_trunc=48, seed=5, replication=2),
+        ]
+        for _ in range(2):
+            for cfg in cfgs:
+                for model, make in zip(warm_models, makers):
+                    warm = simulate_fiarma(model, cfg)
+                    cold = simulate_fiarma(make(), cfg)
+                    assert np.array_equal(warm.values, cold.values)
+                    assert warm.meta == cold.meta
+
+    def test_fixed_model_work_done_once(self, monkeypatch):
+        calls = []
+        real = fiarma_lab.simulate.frac_ma_coeffs
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fiarma_lab.simulate, "frac_ma_coeffs", counting)
+        model = mc_model()
+        for r in range(3):
+            simulate_fiarma(model, SimConfig(T=128, K_trunc=32, seed=5, replication=r))
+        assert len(calls) == 1
+
+    def test_refusal_builds_no_plan(self, monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("filter plan built for a refused model")
+
+        monkeypatch.setattr(fiarma_lab.simulate, "_filter_plan", no_plan)
+        g = scalar_grid()
+        model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.6))
+        with pytest.raises(ExistenceRefusal):
+            simulate_fiarma(model, SimConfig(T=64, seed=1))
+
+    def test_forced_path_matches_recursion(self):
+        g = scalar_grid()
+        model = FiarmaModel(ar1_model(g, 0.5), FracIntegrationSpec.scalar(g, 0.6))
+        cfg = SimConfig(T=256, K_trunc=64, burnin=80, seed=9)
+        path = simulate_fiarma(model, cfg, force=True)
+        assert path.meta["existence"] == "forced"
+        assert rel_diff(path.values, recursion_fiarma(model, cfg, "real-gaussian")) <= 1e-12
+
+    def test_lead_rows_from_warm_plan(self):
+        model = ar1_model(scalar_grid(), 0.7)
+        cfg = SimConfig(T=100, seed=8, K_trunc=32)
+        plain = simulate_arma(model, cfg)
+        extended = simulate_arma(model, cfg, lead=32)
+        assert np.array_equal(extended.values[32:], plain.values)
+        ref_cfg = SimConfig(T=100, seed=8, K_trunc=32, burnin=plain.meta["burnin"])
+        want = recursion_arma(model, ref_cfg, "real-gaussian", lead=32)
+        assert rel_diff(extended.values, want) <= 1e-12
