@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class NotNormalError(ValueError):
@@ -167,8 +166,10 @@ def is_normal(a: LinearOperator, tol: float = NORMAL_TOL) -> bool:
 def normal_decompose(n_op: LinearOperator, tol: float = NORMAL_TOL) -> NormalDecomposition:
     """Diagonalize a normal operator by a unitary: ``U N U^H = diag(d)``.
 
-    Uses a complex Schur factorization, whose triangular factor is diagonal
-    exactly when the input is normal.  The reconstruction
+    The eigenvalues ``d`` come from ``numpy.linalg.eig`` and the frame from
+    a QR factorization of its eigenvectors: the eigenspaces of a normal
+    operator are orthogonal, so the orthonormalized eigenvectors are its
+    Schur vectors and ``d`` is in Schur order.  The reconstruction
     ``U^H diag(d) U`` is checked against the input to ``tol * ||N||``; an
     operator that passes the commutator test but fails this check (possible
     when eigenvalues repeat, where the commutator is quadratic in the
@@ -177,9 +178,8 @@ def normal_decompose(n_op: LinearOperator, tol: float = NORMAL_TOL) -> NormalDec
     """
     if not is_normal(n_op, tol):
         raise NotNormalError("operator not normal")
-    t, q = scipy.linalg.schur(n_op.entries, output="complex")
-    d = np.diag(t).copy()
-    u = q.conj().T
+    d, vecs = np.linalg.eig(n_op.entries)
+    u = np.linalg.qr(vecs)[0].conj().T
     dec = NormalDecomposition(u, d, n_op.grid)
     scale = operator_norm(n_op)
     err = operator_norm(dec.reconstruct().entries - n_op.entries)
@@ -194,7 +194,7 @@ def normal_decompose(n_op: LinearOperator, tol: float = NORMAL_TOL) -> NormalDec
 def normal_frame(a: LinearOperator) -> NormalDecomposition | None:
     """Unitary eigenframe of ``a``, or ``None`` when ``a`` has none at ``NORMAL_TOL``.
 
-    ``None`` covers both a failed normality test and a Schur frame that does
+    ``None`` covers both a failed normality test and an eigenframe that does
     not reproduce ``a``; callers then fall back to dense matrix functions.
     """
     try:
@@ -218,6 +218,8 @@ def operator_exp_batch(
     if frame is not None:
         projectors = (frame.U.conj()[:, :, None] * frame.U[:, None, :]).reshape(n, n * n)
         return (np.exp(np.outer(ts, frame.d)) @ projectors).reshape(ts.size, n, n)
+    import scipy.linalg  # deferred: a normal operator never needs it
+
     out = np.empty((ts.size, n, n), dtype=complex)
     for j, t in enumerate(ts):
         out[j] = scipy.linalg.expm(t * a.entries)

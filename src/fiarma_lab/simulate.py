@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .existence import ExistenceRefusal, check_conditions, check_duker_conditions
 from .hilbert import HilbertGrid, LinearOperator, NotNormalError, normal_decompose, sqrt_psd
@@ -148,6 +147,29 @@ def _noise_rows(
     return xi @ root.entries.T
 
 
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer ``>= target``: the transform lengths that
+    ``numpy.fft`` runs fastest, the same as ``scipy.fft.next_fast_len``."""
+    m = target
+    while True:
+        rest = m
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return m
+        m += 1
+
+
+def _fft_stack(ops: np.ndarray, m: int) -> np.ndarray:
+    """Length-``m`` FFTs of stacked ``(rows, n, n)`` operators along the time
+    axis, returned as an ``(m, n, n)`` view.  The transforms run along the
+    contiguous last axis of an ``(n, n, rows)`` copy, which ``numpy.fft``
+    handles faster than the strided time axis."""
+    by_entry = np.ascontiguousarray(ops.transpose(1, 2, 0))
+    return np.fft.fft(by_entry, m, axis=-1).transpose(2, 0, 1)
+
+
 def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
     """Circular convolution of ``path`` (zero-padded) with the filter whose
     FFT, at the FFT length ``len(filter_fft)``, is ``filter_fft``."""
@@ -158,7 +180,7 @@ def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
 def _convolve(coeffs: np.ndarray, path: np.ndarray) -> np.ndarray:
     """Causal operator convolution ``y_t = sum_k C_k x_{t-k}`` (zero-padded)."""
     t_len = path.shape[0]
-    m = scipy.fft.next_fast_len(t_len + coeffs.shape[0] - 1)
+    m = _next_fast_len(t_len + coeffs.shape[0] - 1)
     out = _fft_apply(np.fft.fft(coeffs, m, axis=0), path)[:t_len]
     if np.all(coeffs.imag == 0.0) and np.all(path.imag == 0.0):
         # a real filter of a real path is real; drop the FFT's rounding fuzz
@@ -195,8 +217,7 @@ def _filter_plan(
 
     A plain ARMA filter is sized for the ``K_trunc`` lead rows that
     :func:`simulate_arma` may prepend.  The stacked ``(m, n, n)`` transforms
-    go through ``scipy.fft``, which runs them along the strided time axis
-    faster than ``numpy.fft``.
+    run along a contiguous time axis (:func:`_fft_stack`).
     """
     t_len, k_trunc, burnin = key
     fractional = isinstance(model, FiarmaModel)
@@ -221,16 +242,14 @@ def _filter_plan(
         if len(psi) == 1:
             return _FilterPlan(key, burnin, pre, 0, None, real, {})
         span = t_len + k_trunc + len(psi) - 1
-        m = scipy.fft.next_fast_len(span)
-        return _FilterPlan(
-            key, burnin, pre, min(rows, span), scipy.fft.fft(psi, m, axis=0), real, {}
-        )
+        filter_fft = np.ascontiguousarray(_fft_stack(psi, _next_fast_len(span)))
+        return _FilterPlan(key, burnin, pre, min(rows, span), filter_fft, real, {})
 
     order = max(k_trunc, 1)
     coeffs = frac_ma_coeffs(model.D, order).data
     span = t_len + order + len(psi) - 1
-    m = scipy.fft.next_fast_len(span)
-    filter_fft = scipy.fft.fft(coeffs, m, axis=0) @ scipy.fft.fft(psi, m, axis=0)
+    m = _next_fast_len(span)
+    filter_fft = _fft_stack(coeffs, m) @ _fft_stack(psi, m)
     eig_re = np.linalg.eigvals(model.D.D.entries).real
     tail_norm = float(np.linalg.norm(coeffs[order], 2))
     tail_estimate = tail_norm * order / max(1.0, 1.0 - 2.0 * float(eig_re.max()))

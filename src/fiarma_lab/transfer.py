@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 from .hilbert import (
     HilbertGrid,
@@ -308,13 +307,43 @@ def ar_inverse_laurent(
     )
 
 
+# B_2, B_4, ..., B_16 over (2i)!: the Euler-Maclaurin correction weights.
+_EM_WEIGHTS = tuple(
+    b / math.factorial(2 * i)
+    for i, b in enumerate(
+        (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510),
+        start=1,
+    )
+)
+# Terms summed one by one before the Euler-Maclaurin tail takes over.
+_EM_DIRECT = 16
+
+
 def _beta_tail_sum(k0: int, j: int) -> float:
-    """``sum_{t >= k0} (k0/t)^j`` for j >= 2, via the Hurwitz zeta function.
+    """``sum_{t >= k0} (k0/t)^j`` for j >= 2, i.e. ``k0^j`` times the Hurwitz
+    zeta function ``zeta(j, k0)``.
 
     Term-by-term summation loses ~1/t of the tail for j = 2, which is far
-    too slow and too inaccurate; ``zeta(j, k0)`` is the exact tail.
+    too slow and too inaccurate.  The terms ``t < N = k0 + 16`` are summed
+    directly; the rest is the Euler-Maclaurin expansion at ``N``: the
+    integral ``N^{1-j}/(j-1)``, the half term ``N^{-j}/2`` and eight
+    Bernoulli terms ``B_2i/(2i)! j(j+1)..(j+2i-2) N^{1-j-2i}``, all scaled by
+    ``k0^j`` so that no power overflows.
     """
-    return float(k0**j) * float(scipy.special.zeta(j, k0))
+    big = k0 + _EM_DIRECT
+    lead = (k0 / big) ** j  # k0^j N^{-j}
+    inv2 = 1.0 / (big * big)
+    rising = float(j)  # j (j+1) .. (j+2i-2)
+    power = 1.0 / big  # N^{1-2i}
+    corr = 0.0
+    for i, weight in enumerate(_EM_WEIGHTS, start=1):
+        corr += weight * rising * power
+        rising *= (j + 2 * i - 1) * (j + 2 * i)
+        power *= inv2
+    total = lead * (big / (j - 1) + 0.5 + corr)
+    for t in range(big - 1, k0 - 1, -1):
+        total += (k0 / t) ** j
+    return total
 
 
 def _duker_scalar_constant(n_val: complex, k0: int, n_powers_scale: float) -> complex:

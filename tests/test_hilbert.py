@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +131,46 @@ class TestNormality:
             dec = normal_decompose(a, tol=1e-10)
             err = operator_norm(dec.reconstruct().entries - m)
             assert err <= 1e-10 * operator_norm(m)
+
+
+def _frame_cases(rng):
+    """Seeded normal operators ``(kind, matrix)`` in Haar frames, n <= 32."""
+    for n in (1, 2, 3, 5, 8, 13, 21, 32):
+        for _ in range(6):
+            u = random_unitary(rng, n)
+            real = rng.normal(size=n)
+            cplx = real + 1j * rng.normal(size=n)
+            repeated = rng.choice(np.array([0.2, -0.5 + 0.3j, 0.7]), size=n)
+            for kind, d in (("hermitian", real), ("complex", cplx), ("repeated", repeated)):
+                yield kind, u.conj().T @ (d[:, None] * u)
+            perm = np.eye(n)[rng.permutation(n)]
+            yield "permuted", perm.T @ np.diag(cplx) @ perm
+        yield "zero", np.zeros((n, n), dtype=complex)
+
+
+class TestEigenframeOracle:
+    """``normal_decompose`` against a complex Schur factorization (scipy)."""
+
+    def test_reconstructs_in_schur_order(self, rng):
+        kinds = set()
+        for kind, m in _frame_cases(rng):
+            kinds.add(kind)
+            dec = normal_decompose(op(m))
+            n = m.shape[0]
+            scale = max(operator_norm(m), 1.0)
+            assert operator_norm(dec.reconstruct().entries - m) <= 1e-12 * scale, kind
+            assert operator_norm(dec.U @ dec.U.conj().T - np.eye(n)) <= 1e-12, kind
+            schur_d = np.diag(scipy.linalg.schur(m, output="complex")[0])
+            assert np.max(np.abs(dec.d - schur_d)) <= 1e-12 * scale, kind
+        assert kinds == {"hermitian", "complex", "repeated", "permuted", "zero"}
+
+    def test_commuting_but_frameless_rejected(self):
+        # passes the commutator test (quadratic in the 1e-7 entry) but no
+        # unitary frame reproduces it
+        a = op([[0.3, 1e-7], [0.0, 0.3]])
+        assert is_normal(a)
+        with pytest.raises(NotNormalError, match="reconstruction error"):
+            normal_decompose(a)
 
 
 class TestPowerOneMinusZ:

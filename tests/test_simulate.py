@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.fft
 
 import fiarma_lab.simulate
 from fiarma_lab import (
@@ -31,16 +31,17 @@ from conftest import make_grid, op, random_unitary
 
 
 @pytest.fixture
-def schur_calls(monkeypatch):
-    """Record every Schur factorization made through scipy.linalg."""
+def eig_calls(monkeypatch):
+    """Record every eigendecomposition made through numpy.linalg.eig, the
+    factorization behind each unitary eigenframe."""
     calls = []
-    real = scipy.linalg.schur
+    real = np.linalg.eig
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(np.linalg, "eig", counting)
     return calls
 
 
@@ -243,10 +244,10 @@ class TestSimulateDuker:
         path = simulate_duker(n_op, identity(g), SimConfig(T=32, seed=1), force=True)
         assert path.t_len == 32
 
-    def test_exponent_decomposed_once(self, schur_calls):
+    def test_exponent_decomposed_once(self, eig_calls):
         g = make_grid(2)
         simulate_duker(op(np.diag([0.7, 0.8]), g), identity(g), SimConfig(T=32, seed=1, K_trunc=16))
-        assert len(schur_calls) == 1
+        assert len(eig_calls) == 1
 
     def test_autocovariance_decay_slope(self):
         # scalar power-law weights (k+1)^{-0.7}: lag autocovariance decays
@@ -292,12 +293,12 @@ class TestLongMemoryDecomposition:
         # Cauchy tail: the last half contributes little
         assert sums[-1] - sums[len(sums) // 2] < 1e-2 * sums[-1]
 
-    def test_exponent_decomposed_once(self, schur_calls):
+    def test_exponent_decomposed_once(self, eig_calls):
         g = make_grid(2)
         verify_longmemory_decomposition(
             op(np.diag([0.7, 0.8]), g), identity(g), SimConfig(T=64, seed=1, K_trunc=32)
         )
-        assert len(schur_calls) == 1
+        assert len(eig_calls) == 1
 
     def test_refuses_failing_conditions(self):
         g = make_grid(2)
@@ -495,6 +496,19 @@ class TestAutoBurnin:
     def test_mc_model_burnin_short(self):
         path = simulate_fiarma(mc_model(), SimConfig(T=64, K_trunc=16, seed=1))
         assert path.meta["burnin"] <= 40
+
+
+class TestFftHelpers:
+    def test_next_fast_len_matches_scipy(self):
+        lengths = [fiarma_lab.simulate._next_fast_len(n) for n in range(1, 20_001)]
+        assert lengths == [scipy.fft.next_fast_len(n) for n in range(1, 20_001)]
+
+    def test_stacked_fft_matches_time_axis_fft(self, rng):
+        ops = rng.normal(size=(37, 3, 3)) + 1j * rng.normal(size=(37, 3, 3))
+        got = fiarma_lab.simulate._fft_stack(ops, 60)
+        want = np.fft.fft(ops, 60, axis=0)
+        assert got.shape == (60, 3, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestFilterPlanCache:

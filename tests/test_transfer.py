@@ -25,7 +25,7 @@ from fiarma_lab import (
     power_law_weights,
 )
 
-from fiarma_lab.transfer import frac_transfer_batch
+from fiarma_lab.transfer import _beta_tail_sum, frac_transfer_batch
 
 from conftest import make_grid, op, random_unitary
 
@@ -325,6 +325,16 @@ class TestDukerDecomposition:
     def test_rejects_non_normal(self):
         with pytest.raises(NotNormalError):
             duker_decomposition(op([[0.5, 1.0], [0.0, 0.5]]), 4)
+
+
+class TestBetaTailSum:
+    def test_matches_hurwitz_zeta_oracle(self):
+        worst = 0.0
+        for k0 in range(1, 31):
+            for j in range(2, 121):
+                oracle = k0**j * scipy.special.zeta(j, k0)
+                worst = max(worst, abs(_beta_tail_sum(k0, j) - oracle) / oracle)
+        assert worst <= 4e-15
 
 
 class TestPowerLawWeights:
