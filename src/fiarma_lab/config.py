@@ -103,14 +103,15 @@ def _matrix_doc(entries: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in entries]
 
 
+def _is_number(obj, kinds: tuple = (int, float)) -> bool:
+    """A JSON number (an integer with ``kinds=(int,)``); booleans are not numbers here."""
+    return isinstance(obj, kinds) and not isinstance(obj, bool)
+
+
 def _parse_entry(obj, name: str, errors: list[str]) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+    if _is_number(obj):
         return complex(obj)
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
+    if isinstance(obj, list) and len(obj) == 2 and all(_is_number(v) for v in obj):
         return complex(obj[0], obj[1])
     errors.append(f"{name}: entries must be numbers or [re, im] pairs")
     return 0.0
@@ -173,11 +174,11 @@ def parse_config(text: str) -> ModelConfig:
         _check_keys(gsec, {"points", "weights"}, "grid", errors)
         points = gsec.get("points")
         weights = gsec.get("weights")
-        if not isinstance(points, list) or not points:
+        if not isinstance(points, list) or not points or not all(map(_is_number, points)):
             errors.append("grid.points: need a nonempty list of numbers")
         elif not isinstance(weights, list) or len(weights) != len(points):
             errors.append("grid.weights: need a list matching grid.points in length")
-        elif any(not isinstance(w, (int, float)) or w <= 0 for w in weights):
+        elif any(not _is_number(w) or w <= 0 for w in weights):
             errors.append("grid.weights: all weights must be strictly positive numbers")
         else:
             grid = HilbertGrid(np.asarray(points, float), np.asarray(weights, float))
@@ -258,16 +259,19 @@ def parse_config(text: str) -> ModelConfig:
 def _check_run(run: dict, errors: list[str]) -> None:
     """Append a message for every invalid value of the run section."""
     for key in ("T", "K_trunc", "n_freq", "n_refine", "shell_points", "K", "lags"):
-        if not isinstance(run[key], int) or run[key] < 0:
+        if not _is_number(run[key], (int,)) or run[key] < 0:
             errors.append(f"run.{key}: must be a nonnegative integer")
-    if isinstance(run["T"], int) and run["T"] < 1:
+    for key in ("seed", "replication"):  # may be negative: they key the noise stream
+        if not _is_number(run[key], (int,)):
+            errors.append(f"run.{key}: must be an integer")
+    if _is_number(run["T"], (int,)) and run["T"] < 1:
         errors.append("run.T: must be at least 1")
-    if run["burnin"] is not None and (not isinstance(run["burnin"], int) or run["burnin"] < 0):
+    if run["burnin"] is not None and (not _is_number(run["burnin"], (int,)) or run["burnin"] < 0):
         errors.append("run.burnin: must be a nonnegative integer or null")
     if run["noise_kind"] not in NOISE_KINDS:
         errors.append(f"run.noise_kind: unknown kind {run['noise_kind']!r}")
     eta = run["eta"]
-    if isinstance(eta, bool) or not isinstance(eta, (int, float)) or not 0.0 < eta < np.pi:
+    if not _is_number(eta) or not 0.0 < eta < np.pi:
         errors.append("run.eta: must lie in (0, pi)")
     if run["format"] not in ("csv", "bin"):
         errors.append(f"run.format: unknown format {run['format']!r}")

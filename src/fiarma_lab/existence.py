@@ -223,14 +223,13 @@ def existence_integral(
         lo = hi / 2.0
         step = (hi - lo) / n_freq
         pts = lo + (np.arange(n_freq) + 0.5) * step
-        total = 0.0
-        for lam_signed in (pts, -pts):
-            vals = arma_transfer_batch(model.phi, model.theta, lam_signed, right=root)
-            half = np.einsum("ij,fjk,kl->fil", u, vals, u.conj().T, optimize=True)
-            row_sq = np.sum(np.abs(half) ** 2, axis=2)  # (F, n)
-            scal = pts[:, None] ** (-2.0 * d_re[None, :])
-            total += float(np.sum(scal * row_sq)) * step / (2.0 * np.pi)
-        shells[level] = total
+        vals = arma_transfer_batch(
+            model.phi, model.theta, np.concatenate([pts, -pts]), right=root
+        )
+        # row norms of U T Sigma^{1/2} U^H; the unitary right factor leaves them unchanged
+        row_sq = np.sum(np.abs(u @ vals) ** 2, axis=2).reshape(2, n_freq, -1).sum(axis=0)
+        scal = pts[:, None] ** (-2.0 * d_re[None, :])
+        shells[level] = float(np.sum(scal * row_sq)) * step / (2.0 * np.pi)
 
     ratios = np.divide(
         shells[1:], shells[:-1], out=np.zeros(n_refine - 1), where=shells[:-1] > 0

@@ -102,9 +102,12 @@ class NormalDecomposition:
         return LinearOperator(self.U.conj().T @ (self.d[:, None] * self.U), self.grid)
 
     def apply_scalar(self, values: np.ndarray) -> np.ndarray:
-        """Matrix of U^H diag(values) U for scalar functions of the eigenvalues."""
+        """``U^H diag(v) U`` for each row ``v`` of ``values``, shape (..., n) -> (..., n, n),
+        as ``sum_i v_i P_i`` over the spectral projectors ``P_i = U[i]^H U[i]``."""
         values = np.asarray(values, dtype=complex)
-        return self.U.conj().T @ (values[:, None] * self.U)
+        n = self.d.size
+        projectors = (self.U.conj()[:, :, None] * self.U[:, None, :]).reshape(n, n * n)
+        return (values @ projectors).reshape(*values.shape[:-1], n, n)
 
 
 def identity(grid: HilbertGrid) -> LinearOperator:
@@ -208,16 +211,14 @@ def operator_exp_batch(
 ) -> np.ndarray:
     """Stacked ``exp(t A)`` over the scalars ``ts``, shape ``(len(ts), n, n)``.
 
-    With the eigenframe of a normal ``A`` this is ``U^H diag(exp(t d)) U``,
-    evaluated as ``sum_i exp(t d_i) P_i`` over the spectral projectors
-    ``P_i = U[i]^H U[i]`` in one matrix product; without a frame
+    With the eigenframe of a normal ``A`` this is ``U^H diag(exp(t d)) U``
+    through :meth:`NormalDecomposition.apply_scalar`; without a frame
     (``frame=None``), one scaling-and-squaring ``expm`` per ``t``.
     """
     ts = np.asarray(ts, dtype=complex).ravel()
-    n = a.n
     if frame is not None:
-        projectors = (frame.U.conj()[:, :, None] * frame.U[:, None, :]).reshape(n, n * n)
-        return (np.exp(np.outer(ts, frame.d)) @ projectors).reshape(ts.size, n, n)
+        return frame.apply_scalar(np.exp(np.outer(ts, frame.d)))
+    n = a.n
     import scipy.linalg  # deferred: a normal operator never needs it
 
     out = np.empty((ts.size, n, n), dtype=complex)

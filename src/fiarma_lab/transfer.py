@@ -9,6 +9,7 @@ plus a summable remainder.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -22,11 +23,8 @@ from .hilbert import (
     normal_decompose,
     normal_frame,
     operator_exp_batch,
+    operator_norm,
 )
-
-# Euler's constant, 20 significant digits.
-EULER_GAMMA = 0.57721566490153286061
-
 
 class SingularTransferError(ValueError):
     """AR polynomial is (numerically) singular at some frequency.
@@ -180,22 +178,68 @@ def ma_values_on_circle(theta: OperatorPolynomial, freqs: np.ndarray) -> np.ndar
     return _eval_batch(theta, np.exp(-1j * np.asarray(freqs, dtype=float)), sign=+1.0)
 
 
+# Bisection levels of the circle certificate: a failing scan cell is halved
+# at most this often, down to 2^-32 of the scan spacing.
+_CIRCLE_DEPTH = 32
+# Symbol evaluations the bisection may spend, in multiples of the scan size.
+_CIRCLE_BUDGET = 4
+
+
+def _smallest_sv_on_circle(phi: OperatorPolynomial, freqs: np.ndarray, chunk: int) -> np.ndarray:
+    """Smallest singular value of the AR symbol at each frequency, ``chunk`` at a time."""
+    return np.concatenate(
+        [
+            np.linalg.svd(ar_values_on_circle(phi, freqs[i : i + chunk]), compute_uv=False)[:, -1]
+            for i in range(0, freqs.size, chunk)
+        ]
+    )
+
+
 def check_invertible_on_circle(
     phi: OperatorPolynomial, grid_size: int = 4096
 ) -> tuple[bool, float]:
-    """Scan the unit circle for the smallest singular value of the AR symbol.
+    """Prove that the AR symbol has no singular point on the unit circle.
 
-    Returns ``(invertible, min_sv)`` where invertibility is declared when the
-    minimum singular value over the scan exceeds ``1e-8`` times the largest
-    one.  This is a dense-grid certificate with a safety margin, not a proof.
+    Returns ``(invertible, min_sv)``.  The smallest singular value of the
+    symbol is ``L``-Lipschitz in the frequency, ``L = sum_k k ||A_k||``, so
+    on a cell of width ``h`` between scan points with smallest singular
+    values ``s_0`` and ``s_1`` it stays above ``(s_0 + s_1 - L h) / 2``.
+    A cell is certified when that bound exceeds ``1e-8`` times the largest
+    singular value of the ``grid_size``-point scan; a cell that is not is
+    bisected.  The symbol is declared invertible when every cell is
+    certified, and ``min_sv`` is the smallest singular value evaluated.
+
+    The bisection stops after ``_CIRCLE_DEPTH`` levels, or before a level
+    that would take the symbol evaluations past ``_CIRCLE_BUDGET`` times
+    ``grid_size``; it evaluates at most ``grid_size`` points at once.  A
+    symbol whose smallest singular value is small but flat over much of the
+    circle can leave cells unproven when it stops; those are judged by the
+    smallest singular value evaluated, as a dense scan would judge them.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
-    freqs = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    sigma = np.linalg.svd(ar_values_on_circle(phi, freqs), compute_uv=False)
-    min_sv = float(sigma.min())
-    max_sv = float(sigma.max())
-    return min_sv > 1e-8 * max_sv, min_sv
+    h = 2.0 * np.pi / grid_size
+    left = h * np.arange(grid_size)
+    sigma = np.linalg.svd(ar_values_on_circle(phi, left), compute_uv=False)
+    floor = 1e-8 * float(sigma.max())
+    lip = sum(k * operator_norm(c) for k, c in enumerate(phi.coeffs, start=1))
+    s_left = sigma[:, -1]
+    s_right = np.roll(s_left, -1)
+    min_sv = float(s_left.min())
+    budget = _CIRCLE_BUDGET * grid_size
+    for _ in range(_CIRCLE_DEPTH):
+        bad = (s_left + s_right - lip * h) / 2.0 <= floor
+        n_bad = int(bad.sum())
+        if min_sv <= floor or not n_bad or n_bad > budget:
+            break
+        budget -= n_bad
+        h /= 2.0
+        left, s_left, s_right = left[bad], s_left[bad], s_right[bad]
+        s_mid = _smallest_sv_on_circle(phi, left + h, grid_size)
+        min_sv = min(min_sv, float(s_mid.min()))
+        left = np.concatenate([left, left + h])
+        s_left, s_right = np.concatenate([s_left, s_mid]), np.concatenate([s_mid, s_right])
+    return min_sv > floor, min_sv
 
 
 def arma_transfer(
@@ -307,63 +351,33 @@ def ar_inverse_laurent(
     )
 
 
-# B_2, B_4, ..., B_16 over (2i)!: the Euler-Maclaurin correction weights.
-_EM_WEIGHTS = tuple(
-    b / math.factorial(2 * i)
-    for i, b in enumerate(
-        (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510),
-        start=1,
-    )
+# B_2, B_4, ..., B_16 over (2i)(2i-1): the weights of Stirling's series
+# log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2 + sum_i w_i z^{1-2i}.
+_STIRLING_WEIGHTS = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400,
 )
-# Terms summed one by one before the Euler-Maclaurin tail takes over.
-_EM_DIRECT = 16
 
 
-def _beta_tail_sum(k0: int, j: int) -> float:
-    """``sum_{t >= k0} (k0/t)^j`` for j >= 2, i.e. ``k0^j`` times the Hurwitz
-    zeta function ``zeta(j, k0)``.
+def _rgamma(z: complex) -> complex:
+    """Reciprocal gamma function ``1/Gamma(z)`` of a complex argument.
 
-    Term-by-term summation loses ~1/t of the tail for j = 2, which is far
-    too slow and too inaccurate.  The terms ``t < N = k0 + 16`` are summed
-    directly; the rest is the Euler-Maclaurin expansion at ``N``: the
-    integral ``N^{1-j}/(j-1)``, the half term ``N^{-j}/2`` and eight
-    Bernoulli terms ``B_2i/(2i)! j(j+1)..(j+2i-2) N^{1-j-2i}``, all scaled by
-    ``k0^j`` so that no power overflows.
+    ``z`` is shifted up by ``Gamma(z+1) = z Gamma(z)`` until ``Re z >= 16``,
+    where Stirling's series with eight Bernoulli terms is exact to rounding.
+    The product of the shift factors is exactly 0 at the poles
+    ``z = 0, -1, -2, ...``, so there ``1/Gamma`` is exactly 0.
     """
-    big = k0 + _EM_DIRECT
-    lead = (k0 / big) ** j  # k0^j N^{-j}
-    inv2 = 1.0 / (big * big)
-    rising = float(j)  # j (j+1) .. (j+2i-2)
-    power = 1.0 / big  # N^{1-2i}
-    corr = 0.0
-    for i, weight in enumerate(_EM_WEIGHTS, start=1):
-        corr += weight * rising * power
-        rising *= (j + 2 * i - 1) * (j + 2 * i)
-        power *= inv2
-    total = lead * (big / (j - 1) + 0.5 + corr)
-    for t in range(big - 1, k0 - 1, -1):
-        total += (k0 / t) ** j
-    return total
-
-
-def _duker_scalar_constant(n_val: complex, k0: int, n_powers_scale: float) -> complex:
-    """Scalar value of the matching constant for one eigenvalue.
-
-    Explicit product formula: partial binomial product up to ``k0 - 1``,
-    an Euler-constant correction, and a convergent series in ``(n / k0)^j``.
-    ``n_powers_scale`` bounds ``|n| / k0`` to size the series truncation.
-    """
-    prod = complex(1.0)
-    for j in range(1, k0):
-        prod *= 1.0 - n_val / j
-    harmonic = sum(1.0 / t for t in range(1, k0))
-    out = prod * np.exp(-n_val * (EULER_GAMMA - harmonic))
+    z = complex(z)
+    shift = complex(1.0)
+    while z.real < 16.0:
+        shift *= z
+        z += 1.0
+    inv = 1.0 / z
+    inv2 = inv * inv
     series = complex(0.0)
-    j = 2
-    while n_powers_scale**j / j >= 1e-16:
-        series += (n_val / k0) ** j * _beta_tail_sum(k0, j) / j
-        j += 1
-    return out * np.exp(-series)
+    for weight in reversed(_STIRLING_WEIGHTS):
+        series = series * inv2 + weight
+    log_gamma = (z - 0.5) * cmath.log(z) - z + math.log(2.0 * math.pi) / 2 + series * inv
+    return shift * cmath.exp(-log_gamma)
 
 
 def duker_decomposition(
@@ -377,28 +391,27 @@ def duker_decomposition(
     ``b_k = C (k+1)^{-N} + Delta_k`` exactly; the testable content is the
     remainder decay ``||Delta_k|| = O(k^{-1-rho})``.
 
-    The matching constant ``C`` is evaluated eigenvalue-wise through the
-    diagonalization, with ``k0`` fixed to the smallest integer exceeding
-    ``||N||`` so the defining series converge geometrically.  A caller that
-    already holds the eigenframe of ``N`` passes it as ``dec``.
+    Every term is a scalar sequence over the eigenvalues ``n`` of ``N``,
+    rotated back by the eigenframe: the matching constant in closed form,
+    ``C(n) = 1/Gamma(1-n)``; the binomial coefficients from
+    ``b_0 = 1``, ``b_k = b_{k-1} (k-n)/k``; and
+    ``Delta_k(n) = b_k(n) - C(n) (k+1)^{-n}``.  A caller that already holds
+    the eigenframe of ``N`` passes it as ``dec``.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if dec is None:
         dec = normal_decompose(n_op)
     rho = float(np.min(dec.d.real))
-    norm_n = float(np.max(np.abs(dec.d)))
-    k0 = int(math.floor(norm_n)) + 1
-    scale = norm_n / k0
-    c_vals = np.array(
-        [_duker_scalar_constant(nv, k0, scale) for nv in dec.d], dtype=complex
-    )
-    c_mat = dec.apply_scalar(c_vals)
-
-    minus_mem = LinearOperator(np.eye(n_op.n, dtype=complex) - n_op.entries, n_op.grid)
-    binom = binomial_ma_coeffs(minus_mem, order).data  # coefficients of (1-z)^{N-Id}
-    powerlaw = power_law_weights(n_op, order, dec).data
-    deltas = binom - np.einsum("ij,fjk->fik", c_mat, powerlaw)
+    c_vals = np.array([_rgamma(1.0 - nv) for nv in dec.d], dtype=complex)
+    ks = np.arange(order + 1, dtype=float)[:, None]
+    steps = np.ones((order + 1, dec.d.size), dtype=complex)
+    steps[1:] = (ks[1:] - dec.d) / ks[1:]
+    binom = np.cumprod(steps, axis=0)  # b_k(n), coefficients of (1-z)^{n-1}
+    powerlaw = np.exp(-np.log(ks + 1.0) * dec.d)  # (k+1)^{-n}
+    deltas = dec.apply_scalar(binom - c_vals * powerlaw)
     return (
-        LinearOperator(c_mat, n_op.grid),
+        LinearOperator(dec.apply_scalar(c_vals), n_op.grid),
         CoefficientSequence(deltas, n_op.grid, meaning="duker-delta"),
         rho,
     )

@@ -37,6 +37,25 @@ def fractional_config(d: float, theta=None, **run) -> str:
     return json.dumps(doc)
 
 
+def two_point_config(points) -> str:
+    return json.dumps(
+        {
+            "grid": {"points": points, "weights": [0.5, 0.5]},
+            "model": {"sigma": [[1.0, 0.0], [0.0, 1.0]]},
+        }
+    )
+
+
+def between_scan_points_unit_root() -> str:
+    """AR(1) with the unit root exp(i pi/4096), midway between two circle-scan points."""
+    a = np.exp(1j * np.pi / 4096)
+    doc = {
+        "grid": {"points": [0.0], "weights": [1.0]},
+        "model": {"sigma": [[1.0]], "phi": [[[[float(a.real), float(a.imag)]]]]},
+    }
+    return json.dumps(doc)
+
+
 class TestParseConfig:
     def test_minimal_defaults_filled(self):
         cfg = parse_config(minimal_config())
@@ -116,6 +135,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(doc))
         assert any("invertible" in m for m in err.value.errors)
+
+    @pytest.mark.parametrize("points", [["a", 1.0], [[0.0], 1.0], [True, 1.0]])
+    def test_non_numeric_grid_points_flagged(self, points):
+        with pytest.raises(ConfigError) as err:
+            parse_config(two_point_config(points))
+        assert any(m.startswith("grid.points:") for m in err.value.errors)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["T", "burnin", "K_trunc", "seed", "replication", "n_freq", "n_refine",
+         "shell_points", "K", "lags"],
+    )
+    def test_boolean_run_integers_flagged(self, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_config(**{key: True}))
+        assert any(m.startswith(f"run.{key}:") for m in err.value.errors)
+
+    def test_negative_seed_accepted(self):
+        assert parse_config(minimal_config(seed=-3, replication=-1)).run.seed == -3
+
+    def test_unit_root_between_scan_points_flagged(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(between_scan_points_unit_root())
+        assert any(m.startswith("model.phi: not invertible") for m in err.value.errors)
 
     def test_resolved_round_trip(self):
         cfg = parse_config(fractional_config(0.3, T=64, seed=9))
@@ -230,6 +273,23 @@ class TestCli:
         cfg = self._write(tmp_path, '{"grid": {"points": [0.0]}}')
         assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            (two_point_config(["a", 1.0]), "config error: grid.points:"),
+            (two_point_config([[0.0], 1.0]), "config error: grid.points:"),
+            (minimal_config(T=True), "config error: run.T:"),
+            (minimal_config(burnin=False), "config error: run.burnin:"),
+            (between_scan_points_unit_root(), "config error: model.phi: not invertible"),
+        ],
+    )
+    def test_invalid_config_exits_one_with_prefix(self, tmp_path, capsys, text, prefix):
+        cfg = self._write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not (out / "manifest.json").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write(tmp_path, minimal_config(T=16))

@@ -11,6 +11,7 @@ from fiarma_lab import (
     NotNormalError,
     OperatorPolynomial,
     SingularTransferError,
+    ArmaModel,
     ar_inverse_laurent,
     arma_transfer,
     check_invertible_on_circle,
@@ -25,7 +26,8 @@ from fiarma_lab import (
     power_law_weights,
 )
 
-from fiarma_lab.transfer import _beta_tail_sum, frac_transfer_batch
+from fiarma_lab import transfer
+from fiarma_lab.transfer import _rgamma, ar_values_on_circle, frac_transfer_batch
 
 from conftest import make_grid, op, random_unitary
 
@@ -87,6 +89,68 @@ class TestCircleInvertibility:
     def test_degree_zero(self):
         ok, margin = check_invertible_on_circle(OperatorPolynomial(make_grid(2)), 64)
         assert ok and margin == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.exp(1j * np.pi / 4096), np.exp(0.1234567j), 1.0 - 1e-9, -np.exp(2.5e-5j)],
+    )
+    def test_roots_on_the_circle_refused(self, a):
+        g = make_grid(1)
+        phi = OperatorPolynomial.scalar(g, a)
+        ok, _ = check_invertible_on_circle(phi, 4096)
+        assert not ok
+        with pytest.raises(SingularTransferError):
+            ArmaModel(phi, OperatorPolynomial(g), op(np.eye(1), g))
+
+    def test_lag_weighted_lipschitz_bound(self):
+        # 1 - c z^4 with |c| = 1 has roots midway between scan points, where
+        # sigma(lam) = 2|sin(2 lam - arg c / 2)| has slope 4, the lag of its term
+        c = np.exp(2j * 2.0 * np.pi / 4096)
+        phi = OperatorPolynomial.scalar(make_grid(1), 0.0, 0.0, 0.0, c)
+        assert not check_invertible_on_circle(phi, 4096)[0]
+
+    def test_non_normal_unit_root_refused(self):
+        # eigenvalue e^{0.3i} on the circle, hidden behind a large off-diagonal entry
+        a1 = np.array([[np.exp(0.3j), 5.0], [0.0, 0.3]])
+        phi = OperatorPolynomial(make_grid(2), (op(a1),))
+        assert not check_invertible_on_circle(phi, 4096)[0]
+
+    @pytest.mark.parametrize("a", [0.5, 0.99, 0.9995, 0.9999999])
+    def test_near_unit_roots_on_the_scan_keep_their_margin(self, a):
+        phi = OperatorPolynomial.scalar(make_grid(1), a)
+        ok, margin = check_invertible_on_circle(phi, 4096)
+        scan = ar_values_on_circle(phi, 2.0 * np.pi * np.arange(4096) / 4096)
+        assert ok
+        assert margin == np.linalg.svd(scan, compute_uv=False).min()
+
+    def test_near_unit_root_between_scan_points_accepted(self):
+        a = (1.0 - 1e-6) * np.exp(0.1234567j)
+        ok, margin = check_invertible_on_circle(OperatorPolynomial.scalar(make_grid(1), a), 4096)
+        assert ok
+        # the margin is a singular value evaluated on the circle: at least the true minimum
+        assert 1e-6 * (1 - 1e-9) <= margin < 1e-4
+
+    def test_flat_small_margin_stays_within_the_evaluation_budget(self, monkeypatch):
+        # 1 - 1.5 S z with S the nilpotent shift: determinant 1, invertible on the
+        # whole circle, but sigma_min ~ 2e-6 everywhere, so no cell is certified
+        # until L h falls below it; the bisection must stop at its budget
+        n, grid_size = 32, 4096
+        g = make_grid(n)
+        phi = OperatorPolynomial(g, (op(1.5 * np.eye(n, k=1), g),))
+        batches = []
+
+        def counting(poly, freqs):
+            batches.append(np.size(freqs))
+            return ar_values_on_circle(poly, freqs)
+
+        monkeypatch.setattr(transfer, "ar_values_on_circle", counting)
+        ok, margin = check_invertible_on_circle(phi, grid_size)
+        assert ok
+        assert max(batches) <= grid_size
+        assert sum(batches) <= (1 + transfer._CIRCLE_BUDGET) * grid_size
+        coarse = ar_values_on_circle(phi, np.linspace(0.0, 2.0 * np.pi, 257))
+        true_min = np.linalg.svd(coarse, compute_uv=False)[:, -1].min()
+        assert true_min * (1 - 1e-9) <= margin <= true_min * (1 + 1e-6)
 
 
 class TestArmaTransfer:
@@ -267,10 +331,11 @@ class TestDukerDecomposition:
             assert operator_norm(deltas[k]) < 1e-8
 
     def test_scalar_constant_matches_gamma_oracle(self):
-        for n_val in (0.3, 0.7, 1.4, 0.6 + 0.2j):
+        for n_val in (0.3, 0.7, 1.4, 0.6 + 0.2j, 0.95, 0.99, 0.999, 1.0, 2.0, 2.5 + 0.3j):
             g = make_grid(1)
             c_mat, _, _ = duker_decomposition(op(np.array([[n_val]]), g), 2)
-            oracle = 1.0 / scipy.special.gamma(1.0 - n_val)
+            # rgamma, not 1/gamma: scipy's gamma is nan at the pole 1 - n = -1
+            oracle = scipy.special.rgamma(1.0 - n_val)
             assert abs(c_mat.entries[0, 0] - oracle) < 1e-12 * max(1.0, abs(oracle))
 
     def test_remainder_decay_bounded(self):
@@ -326,15 +391,44 @@ class TestDukerDecomposition:
         with pytest.raises(NotNormalError):
             duker_decomposition(op([[0.5, 1.0], [0.0, 0.5]]), 4)
 
+    def test_remainders_match_log_gamma_oracle_in_frame(self):
+        g = make_grid(2)
+        u = random_unitary(np.random.default_rng(11), 2)
+        n_vals = np.array([0.95, 0.99])
+        order = 2000
+        c_mat, deltas, rho = duker_decomposition(op(u.conj().T @ (n_vals[:, None] * u), g), order)
+        assert rho == pytest.approx(0.95)
+        ks = np.arange(order + 1, dtype=float)[:, None]
+        lg_one_minus_n = scipy.special.gammaln(1.0 - n_vals)
+        b_k = np.exp(scipy.special.gammaln(ks + 1.0 - n_vals) - lg_one_minus_n
+                     - scipy.special.gammaln(ks + 1.0))
+        powerlaw = np.exp(-lg_one_minus_n) * (ks + 1.0) ** -n_vals
+        oracle = np.einsum("ij,ki,il->kjl", u.conj(), b_k - powerlaw, u)
+        assert np.allclose(c_mat.entries, u.conj().T @ (np.exp(-lg_one_minus_n)[:, None] * u),
+                           rtol=0, atol=1e-14)
+        # the oracle's b_k inherit the rounding of gammaln(k+1), up to 1.3e4 here, and
+        # the remainders cancel down to ~b_k/k against it: allow 8 ulps of
+        # gammaln(k+1) relative to b_k, over rounding at the scale of Delta_0 = 1 - C
+        err = np.max(np.abs(deltas.data - oracle), axis=(1, 2))
+        ulps = np.finfo(float).eps * scipy.special.gammaln(ks[:, 0] + 1.0)
+        assert np.all(err <= 8.0 * ulps * b_k.max(axis=1) + 1e-15)
 
-class TestBetaTailSum:
-    def test_matches_hurwitz_zeta_oracle(self):
-        worst = 0.0
-        for k0 in range(1, 31):
-            for j in range(2, 121):
-                oracle = k0**j * scipy.special.zeta(j, k0)
-                worst = max(worst, abs(_beta_tail_sum(k0, j) - oracle) / oracle)
-        assert worst <= 4e-15
+
+class TestReciprocalGamma:
+    def test_real_axis_matches_scipy(self):
+        for z in np.arange(-12.0, 12.0 + 1e-9, 0.25):
+            want = scipy.special.rgamma(z)
+            got = _rgamma(z)
+            if z <= 0 and z == round(z):
+                assert got == 0.0  # exactly, at every pole of Gamma
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_complex_plane_matches_scipy(self, rng):
+        zs = rng.uniform(-12, 12, 400) + 1j * rng.uniform(-6, 6, 400)
+        zs = np.concatenate([zs, [5 + 2j, 1.5 + 4j, -0.5 + 6j, 0.25 - 6j, 6j]])
+        for z in zs:
+            want = scipy.special.rgamma(z)
+            assert abs(_rgamma(z) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestPowerLawWeights:
