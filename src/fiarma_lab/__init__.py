@@ -68,6 +68,7 @@ from .existence import (
 )
 from .simulate import (
     DecompositionCheck,
+    NonCausalError,
     SampledPath,
     SimConfig,
     gaussian_white_noise,

@@ -8,11 +8,14 @@ pre-history, so identical configurations reproduce bit-identical paths and
 replications are independent streams that can run in parallel.
 
 An ARMA or fractional ARMA path is one FFT convolution of that block with a
-per-model filter: the exact impulse response of ``phi^{-1} theta``, folded
-into the truncated MA coefficients of ``(1 - z)^{-D}`` for a fractional
-model.  The model object keeps the filter's FFT for the last
-``(T, K_trunc, burnin)`` it simulated, so replications of one model only
-draw noise and convolve.
+per-model filter: the exact impulse response of ``phi^{-1} theta`` times
+``Sigma^{1/2}``, folded into the truncated MA coefficients of
+``(1 - z)^{-D}`` for a fractional model.  The impulse response is the causal
+one, so an AR polynomial with a root inside the unit disk is refused with
+:class:`NonCausalError` when the filter is built.  The model object keeps the
+filter's FFT for the last ``(T, K_trunc, burnin)`` it simulated, and a
+fractional model also keeps its existence verdict, so replications of one
+model only draw noise and convolve.
 """
 from __future__ import annotations
 
@@ -40,6 +43,11 @@ _ROUNDING_FLOOR = 2.0**-60
 # peak, within at most _BURNIN_CAP rows.
 _BURNIN_DECAY = 1e-12
 _BURNIN_CAP = 10_000
+
+
+class NonCausalError(ValueError):
+    """The AR polynomial has a root inside the unit disk, so the causal
+    impulse response that simulation filters with diverges."""
 
 
 @dataclass
@@ -94,14 +102,37 @@ def _resolve_noise_kind(kind: str, *mats: np.ndarray) -> str:
 
 
 def _standard_block(seed: int, replication: int, rows: int, n: int, kind: str) -> np.ndarray:
-    """Standard Gaussian block from a Philox stream keyed by (seed, replication)."""
+    """Standard Gaussian block from a Philox stream keyed by (seed, replication):
+    real for ``real-gaussian``, circular complex for ``complex-gaussian``."""
     key = np.array([seed & (2**64 - 1), replication & (2**64 - 1)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     if kind == "complex-gaussian":
         a = rng.standard_normal((rows, n))
         b = rng.standard_normal((rows, n))
         return (a + 1j * b) / np.sqrt(2.0)
-    return rng.standard_normal((rows, n)).astype(complex)
+    return rng.standard_normal((rows, n))
+
+
+def _require_causal(phi: OperatorPolynomial) -> None:
+    """Refuse ``phi`` unless every eigenvalue of its block companion matrix
+    ``[[A_1 ... A_p], [Id 0]]`` lies inside the unit disk.  ``phi(z)`` is
+    singular exactly at the reciprocals of those eigenvalues, so this is the
+    condition under which the causal impulse response of ``phi^{-1}``
+    decays (Brockwell & Davis 1991, section 11.3)."""
+    a = phi.stacked()
+    p, n = len(a), phi.grid.n
+    if not p:
+        return
+    companion = np.eye(p * n, k=-n, dtype=complex)
+    companion[:n] = np.concatenate(list(a), axis=1)
+    eig = np.linalg.eigvals(companion)
+    lam = eig[np.argmax(np.abs(eig))]
+    if abs(lam) >= 1.0:
+        raise NonCausalError(
+            f"AR polynomial not causal: companion eigenvalue {lam:.6g} has modulus "
+            f"{abs(lam):.6g} >= 1, so phi(z) is singular at z = {1 / lam:.6g} "
+            "inside the unit disk"
+        )
 
 
 def _ar_impulse(phi: OperatorPolynomial, limit: int) -> np.ndarray:
@@ -163,25 +194,42 @@ def _next_fast_len(target: int) -> int:
 
 def _fft_stack(ops: np.ndarray, m: int) -> np.ndarray:
     """Length-``m`` FFTs of stacked ``(rows, n, n)`` operators along the time
-    axis, returned as an ``(m, n, n)`` view.  The transforms run along the
-    contiguous last axis of an ``(n, n, rows)`` copy, which ``numpy.fft``
+    axis, returned by entry as a contiguous ``(n, n, m)`` array.  The
+    transforms run along the contiguous last axis, which ``numpy.fft``
     handles faster than the strided time axis."""
     by_entry = np.ascontiguousarray(ops.transpose(1, 2, 0))
-    return np.fft.fft(by_entry, m, axis=-1).transpose(2, 0, 1)
+    return np.fft.fft(by_entry, m, axis=-1)
 
 
 def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
-    """Circular convolution of ``path`` (zero-padded) with the filter whose
-    FFT, at the FFT length ``len(filter_fft)``, is ``filter_fft``."""
-    xf = np.fft.fft(path, filter_fft.shape[0], axis=0)
-    return np.fft.ifft(np.einsum("fij,fj->fi", filter_fft, xf), axis=0)
+    """Circular convolution of the ``(rows, n)`` ``path`` (zero-padded) with
+    the filter whose FFT, stored by entry as ``(n, n, m)``, is ``filter_fft``.
+    Returns ``m`` rows.
+
+    A real path takes a half-length ``rfft`` and the other half of its
+    spectrum by Hermitian symmetry; the filter itself may be complex.
+    """
+    n, _, m = filter_fft.shape
+    if np.iscomplexobj(path):
+        xf = np.fft.fft(path, m, axis=0).T
+    else:
+        half = np.fft.rfft(path, m, axis=0).T
+        h = half.shape[1]
+        xf = np.empty((n, m), dtype=complex)
+        xf[:, :h] = half
+        xf[:, h:] = half[:, m - h : 0 : -1].conj()
+    # at small n this loop over j beats an (m, n, n) einsum or matmul
+    yf = filter_fft[:, 0] * xf[0]
+    for j in range(1, n):
+        yf += filter_fft[:, j] * xf[j]
+    return np.fft.ifft(yf, axis=-1).T
 
 
 def _convolve(coeffs: np.ndarray, path: np.ndarray) -> np.ndarray:
     """Causal operator convolution ``y_t = sum_k C_k x_{t-k}`` (zero-padded)."""
     t_len = path.shape[0]
     m = _next_fast_len(t_len + coeffs.shape[0] - 1)
-    out = _fft_apply(np.fft.fft(coeffs, m, axis=0), path)[:t_len]
+    out = _fft_apply(_fft_stack(coeffs, m), path)[:t_len]
     if np.all(coeffs.imag == 0.0) and np.all(path.imag == 0.0):
         # a real filter of a real path is real; drop the FFT's rounding fuzz
         out = out.real.astype(complex)
@@ -192,11 +240,11 @@ def _convolve(coeffs: np.ndarray, path: np.ndarray) -> np.ndarray:
 class _FilterPlan:
     """A model's whole causal filter for one ``(T, K_trunc, burnin)``, built once.
 
-    A path is ``Sigma^{1/2}`` times ``pre + T`` standard noise rows, filtered
-    by the causal filter whose FFT is ``filter_fft`` (``None``: the identity).
-    Only the last ``keep`` rows reach the output rows; with the FFT length
-    covering ``keep`` plus the filter length, the circular convolution's
-    wrap-around misses them.
+    A path is ``pre + T`` standard noise rows filtered by the causal filter
+    whose FFT is ``filter_fft``, with ``Sigma^{1/2}`` folded in (``None``:
+    the filter is ``Sigma^{1/2}`` alone).  Only the last ``keep`` rows reach
+    the output rows; with the FFT length covering ``keep`` plus the filter
+    length, the circular convolution's wrap-around misses them.
     """
 
     key: tuple[int, int, int | None]
@@ -204,24 +252,26 @@ class _FilterPlan:
     pre: int
     keep: int
     filter_fft: np.ndarray | None
-    real: bool  # filter and Sigma^{1/2} have real entries
+    real: bool  # the filter has real entries
     meta: dict  # diagnostics of the filter
 
 
 def _filter_plan(
     model: ArmaModel | FiarmaModel, key: tuple[int, int, int | None]
 ) -> _FilterPlan:
-    """Impulse response of ``phi^{-1} theta``, folded into the truncated MA
-    coefficients of ``(1 - z)^{-D}`` for a :class:`FiarmaModel`, and the FFT
-    of the result.
+    """Impulse response of ``phi^{-1} theta`` times ``Sigma^{1/2}``, folded
+    into the truncated MA coefficients of ``(1 - z)^{-D}`` for a
+    :class:`FiarmaModel`, and the FFT of the result, stored by entry as
+    ``(n, n, m)`` (:func:`_fft_stack`).
 
+    A non-causal AR polynomial is refused first (:func:`_require_causal`).
     A plain ARMA filter is sized for the ``K_trunc`` lead rows that
-    :func:`simulate_arma` may prepend.  The stacked ``(m, n, n)`` transforms
-    run along a contiguous time axis (:func:`_fft_stack`).
+    :func:`simulate_arma` may prepend.
     """
     t_len, k_trunc, burnin = key
     fractional = isinstance(model, FiarmaModel)
     base = model.base if fractional else model
+    _require_causal(base.phi)
     p, q = base.phi.degree, base.theta.degree
     after = k_trunc + q + t_len  # noise rows after the burn-in
     if burnin is None:
@@ -234,22 +284,23 @@ def _filter_plan(
     psi = np.concatenate([ar, np.zeros((q,) + ar.shape[1:], dtype=complex)])
     for j, b in enumerate(base.theta.stacked(), start=1):
         psi[j : j + len(ar)] += ar @ b
-    psi = psi[:rows]
-    real = bool(np.all(base.root.entries.imag == 0.0) and np.all(psi.imag == 0.0))
+    psi = psi[:rows] @ base.root.entries
+    real = bool(np.all(psi.imag == 0.0))
     pre = rows - t_len
 
     if not fractional:
         if len(psi) == 1:
             return _FilterPlan(key, burnin, pre, 0, None, real, {})
         span = t_len + k_trunc + len(psi) - 1
-        filter_fft = np.ascontiguousarray(_fft_stack(psi, _next_fast_len(span)))
+        filter_fft = _fft_stack(psi, _next_fast_len(span))
         return _FilterPlan(key, burnin, pre, min(rows, span), filter_fft, real, {})
 
     order = max(k_trunc, 1)
     coeffs = frac_ma_coeffs(model.D, order).data
     span = t_len + order + len(psi) - 1
     m = _next_fast_len(span)
-    filter_fft = _fft_stack(coeffs, m) @ _fft_stack(psi, m)
+    by_freq = _fft_stack(coeffs, m).transpose(2, 0, 1) @ _fft_stack(psi, m).transpose(2, 0, 1)
+    filter_fft = np.ascontiguousarray(by_freq.transpose(1, 2, 0))
     eig_re = np.linalg.eigvals(model.D.D.entries).real
     tail_norm = float(np.linalg.norm(coeffs[order], 2))
     tail_estimate = tail_norm * order / max(1.0, 1.0 - 2.0 * float(eig_re.max()))
@@ -273,11 +324,10 @@ def _filtered_rows(
     if plan.filter_fft is None:
         return _noise_rows(root, cfg, plan.pre, kind)[plan.pre - lead :]
     xi = _standard_block(cfg.seed, cfg.replication, plan.pre + cfg.T, root.n, kind)
-    noise = xi[-plan.keep :] @ root.entries.T
-    out = _fft_apply(plan.filter_fft, noise)[plan.keep - cfg.T - lead : plan.keep]
+    out = _fft_apply(plan.filter_fft, xi[-plan.keep :])[plan.keep - cfg.T - lead : plan.keep]
     if plan.real and kind == "real-gaussian":
         # a real filter of a real path is real; drop the FFT's rounding fuzz
-        out = out.real.astype(complex)
+        out = out.real
     return out
 
 
@@ -307,6 +357,7 @@ def _arma_kind(model: ArmaModel, cfg: SimConfig) -> str:
 def simulate_arma(model: ArmaModel, cfg: SimConfig, lead: int = 0) -> SampledPath:
     """Stationary ARMA path: the noise filtered by the impulse response of
     ``phi^{-1} theta``, started from zero ``burnin + K_trunc + q`` rows back.
+    A non-causal AR polynomial raises :class:`NonCausalError`.
 
     ``lead`` extra rows of pre-history (at most ``K_trunc``) are prepended,
     so the returned rows cover times ``-lead .. T-1``.  Burn-in rows before
@@ -327,29 +378,37 @@ def simulate_arma(model: ArmaModel, cfg: SimConfig, lead: int = 0) -> SampledPat
     return SampledPath(_filtered_rows(plan, model.root, cfg, kind, lead), model.grid, meta)
 
 
-def simulate_fiarma(model: FiarmaModel, cfg: SimConfig, force: bool = False) -> SampledPath:
-    """Fractionally integrated ARMA path via the truncated MA expansion.
-
-    The existence conditions are checked first (when the memory operator is
-    normal); a failing verdict refuses to simulate unless ``force`` is set.
-    Truncation diagnostics land in the path metadata.
-    """
-    existence = "forced" if force else None
-    if not force:
+def _existence_verdict(model: FiarmaModel) -> str:
+    """The model's existence verdict, decided on first use and kept on the
+    model.  A failing verdict raises :class:`ExistenceRefusal` on every call."""
+    if model._existence is None:
         try:
             report = check_conditions(model.base, model.D)
         except NotNormalError:
-            existence = "unchecked (memory operator not normal)"
+            model._existence = ("unchecked (memory operator not normal)", None)
         else:
-            if report.verdict == "fails":
-                cond = report.failed_condition()
-                raise ExistenceRefusal(
-                    cond,
-                    f"existence condition ({cond}) fails for this model; "
-                    "pass force=True to simulate anyway",
-                )
-            existence = report.verdict
+            model._existence = (report.verdict, report.failed_condition())
+    verdict, cond = model._existence
+    if cond is not None:
+        raise ExistenceRefusal(
+            cond,
+            f"existence condition ({cond}) fails for this model; "
+            "pass force=True to simulate anyway",
+        )
+    return verdict
 
+
+def simulate_fiarma(model: FiarmaModel, cfg: SimConfig, force: bool = False) -> SampledPath:
+    """Fractionally integrated ARMA path via the truncated MA expansion.
+
+    The existence conditions are decided once per model, on the first call
+    without ``force`` (when the memory operator is normal), and the verdict
+    is kept on the model; a failing verdict refuses to simulate on every
+    call unless ``force`` is set.  A non-causal AR polynomial raises
+    :class:`NonCausalError`.  Truncation diagnostics land in the path
+    metadata.
+    """
+    existence = "forced" if force else _existence_verdict(model)
     kind = _arma_kind(model.base, cfg)
     plan = _plan(model, cfg)
     meta = {

@@ -77,12 +77,15 @@ class FiarmaModel:
     """ARMA base model filtered by a fractional integration transfer.
 
     Simulation keeps the combined filter plan of the last path sizes it used
-    in ``_sim_plan``.
+    in ``_sim_plan``, and the existence verdict with its failed condition
+    (``None`` when none failed) in ``_existence``, decided on the first
+    unforced simulation.
     """
 
     base: ArmaModel
     D: FracIntegrationSpec
     _sim_plan: "_FilterPlan | None" = field(default=None, init=False, repr=False)
+    _existence: tuple[str, str | None] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.D.grid.n != self.base.grid.n:
@@ -159,12 +162,21 @@ def density_frequencies(n_freq: int) -> np.ndarray:
     return np.sort(np.where(lam > np.pi, lam - 2.0 * np.pi, lam))
 
 
+def _density_from_half(half: np.ndarray) -> np.ndarray:
+    """Frequency-wise ``half half^H / (2 pi)``, made exactly Hermitian: the
+    batched product leaves rounding-level asymmetry, which the lag-0
+    autocovariance would inherit."""
+    vals = half @ half.conj().transpose(0, 2, 1)
+    vals += vals.conj().transpose(0, 2, 1)
+    vals *= 0.25 / np.pi
+    return vals
+
+
 def arma_spectral_density(model: ArmaModel, freqs: np.ndarray) -> SpectralDensityGrid:
     """Density ``T(lam) Sigma T(lam)^H / (2 pi)`` with T the ARMA transfer."""
     freqs = np.asarray(freqs, dtype=float).ravel()
     half = arma_transfer_batch(model.phi, model.theta, freqs, right=model.root.entries)
-    vals = np.einsum("fij,fkj->fik", half, half.conj()) / (2.0 * np.pi)
-    return SpectralDensityGrid(freqs, vals, model.grid)
+    return SpectralDensityGrid(freqs, _density_from_half(half), model.grid)
 
 
 def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDensityGrid:
@@ -174,9 +186,7 @@ def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDe
     base = model.base
     half = arma_transfer_batch(base.phi, base.theta, freqs, right=base.root.entries)
     frac = frac_transfer_batch(model.D, freqs)
-    half = np.einsum("fij,fjk->fik", frac, half)
-    vals = np.einsum("fij,fkj->fik", half, half.conj()) / (2.0 * np.pi)
-    return SpectralDensityGrid(freqs, vals, model.grid)
+    return SpectralDensityGrid(freqs, _density_from_half(frac @ half), model.grid)
 
 
 def _quadrature_weights(freqs: np.ndarray) -> np.ndarray:
@@ -251,14 +261,16 @@ def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
     y = path.values
     t_len = y.shape[0]
     j_float = freqs * t_len / (2.0 * np.pi)
-    j_round = np.rint(j_float).astype(int)
-    if not np.allclose(j_float, j_round, rtol=0.0, atol=1e-8):
-        lam_bad = freqs[np.argmax(np.abs(j_float - j_round))]
+    j_round = np.rint(j_float)
+    off = np.abs(j_float - j_round)
+    if off.size and off.max() > 1e-8:
+        lam_bad = freqs[np.argmax(off)]
         raise ValueError(f"{lam_bad:.6g} is not a Fourier frequency for T={t_len}")
     y = y - y.mean(axis=0)
     dft = np.fft.fft(y, axis=0)  # row j holds sum_t y_t e^{-2 pi i j t / T}
-    d = dft[j_round % t_len]
-    vals = np.einsum("fi,fj->fij", d, d.conj()) / (2.0 * np.pi * t_len)
+    # scaled before the outer product, so that the (F, n, n) values are written once
+    d = dft[j_round.astype(int) % t_len] * (1.0 / np.sqrt(2.0 * np.pi * t_len))
+    vals = d[:, :, None] * d[:, None, :].conj()
     return SpectralDensityGrid(freqs, vals, path.grid)
 
 

@@ -46,6 +46,15 @@ def two_point_config(points) -> str:
     )
 
 
+def ar1_config(a: float, **run) -> str:
+    doc = {
+        "grid": {"points": [0.0], "weights": [1.0]},
+        "model": {"sigma": [[1.0]], "phi": [[[a]]]},
+        "run": run,
+    }
+    return json.dumps(doc)
+
+
 def between_scan_points_unit_root() -> str:
     """AR(1) with the unit root exp(i pi/4096), midway between two circle-scan points."""
     a = np.exp(1j * np.pi / 4096)
@@ -290,6 +299,17 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(prefix)
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("sub", ["simulate", "periodogram"])
+    def test_non_causal_ar_is_a_one_line_error(self, tmp_path, capsys, sub):
+        cfg = self._write(tmp_path, ar1_config(2.0, T=32))
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: AR polynomial not causal")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+        assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write(tmp_path, minimal_config(T=16))

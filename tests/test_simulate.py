@@ -10,6 +10,7 @@ from fiarma_lab import (
     FracIntegrationSpec,
     HilbertGrid,
     LinearOperator,
+    NonCausalError,
     NotNormalError,
     OperatorPolynomial,
     SimConfig,
@@ -43,6 +44,25 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counting)
     return calls
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``counted(name)`` wraps ``fiarma_lab.simulate.<name>`` and returns the
+    list that records the arguments of each call."""
+
+    def wrap(name):
+        calls = []
+        real = getattr(fiarma_lab.simulate, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fiarma_lab.simulate, name, counting)
+        return calls
+
+    return wrap
 
 
 def scalar_grid():
@@ -477,10 +497,16 @@ class TestFilterOracle:
         assert np.abs(path.values[:, 0] - want).max() <= 1e-12
 
     def test_mc_fiarma_matches_recursion(self):
+        """A complex filter applied to real noise goes through the half-length
+        transform and the Hermitian rebuild; complex noise takes the full one."""
         model = mc_model()
-        cfg = SimConfig(T=1024, K_trunc=256, burnin=100, seed=2000, replication=3)
-        path = simulate_fiarma(model, cfg)
-        assert rel_diff(path.values, recursion_fiarma(model, cfg, "real-gaussian")) <= 1e-12
+        for kind in ("real-gaussian", "complex-gaussian"):
+            cfg = SimConfig(
+                T=1024, K_trunc=256, burnin=100, seed=2000, replication=3, noise_kind=kind
+            )
+            path = simulate_fiarma(model, cfg)
+            assert np.abs(model._sim_plan.filter_fft.imag).max() > 0
+            assert rel_diff(path.values, recursion_fiarma(model, cfg, kind)) <= 1e-12
 
 
 class TestAutoBurnin:
@@ -506,8 +532,8 @@ class TestFftHelpers:
     def test_stacked_fft_matches_time_axis_fft(self, rng):
         ops = rng.normal(size=(37, 3, 3)) + 1j * rng.normal(size=(37, 3, 3))
         got = fiarma_lab.simulate._fft_stack(ops, 60)
-        want = np.fft.fft(ops, 60, axis=0)
-        assert got.shape == (60, 3, 3)
+        want = np.fft.fft(ops, 60, axis=0).transpose(1, 2, 0)
+        assert got.shape == (3, 3, 60) and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -533,29 +559,49 @@ class TestFilterPlanCache:
                     assert np.array_equal(warm.values, cold.values)
                     assert warm.meta == cold.meta
 
-    def test_fixed_model_work_done_once(self, monkeypatch):
-        calls = []
-        real = fiarma_lab.simulate.frac_ma_coeffs
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(fiarma_lab.simulate, "frac_ma_coeffs", counting)
+    def test_fixed_model_work_done_once(self, counted):
+        coeff_calls = counted("frac_ma_coeffs")
+        check_calls = counted("check_conditions")
         model = mc_model()
         for r in range(3):
             simulate_fiarma(model, SimConfig(T=128, K_trunc=32, seed=5, replication=r))
-        assert len(calls) == 1
+        assert len(coeff_calls) == 1
+        assert len(check_calls) == 1
 
-    def test_refusal_builds_no_plan(self, monkeypatch):
+    def test_refusal_builds_no_plan(self, monkeypatch, counted):
         def no_plan(*args):
             raise AssertionError("filter plan built for a refused model")
 
         monkeypatch.setattr(fiarma_lab.simulate, "_filter_plan", no_plan)
+        check_calls = counted("check_conditions")
         g = scalar_grid()
         model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.6))
+        for _ in range(2):
+            with pytest.raises(ExistenceRefusal) as err:
+                simulate_fiarma(model, SimConfig(T=64, seed=1))
+            assert err.value.condition == "ii"
+        assert len(check_calls) == 1
+
+    def test_forced_run_never_checks(self, counted):
+        check_calls = counted("check_conditions")
+        g = scalar_grid()
+        model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.6))
+        for r in range(2):
+            simulate_fiarma(model, SimConfig(T=64, seed=1, replication=r), force=True)
+        assert check_calls == []
         with pytest.raises(ExistenceRefusal):
             simulate_fiarma(model, SimConfig(T=64, seed=1))
+
+    def test_non_normal_memory_unchecked_once(self, counted):
+        check_calls = counted("check_conditions")
+        g = make_grid(2)
+        d_op = op([[0.2, 0.3], [0.0, 0.1]], g)
+        model = FiarmaModel(white_model(g), FracIntegrationSpec(d_op))
+        assert model.D.decomposition is None
+        for r in range(2):
+            path = simulate_fiarma(model, SimConfig(T=64, K_trunc=16, seed=1, replication=r))
+            assert path.meta["existence"] == "unchecked (memory operator not normal)"
+        assert len(check_calls) == 1
 
     def test_forced_path_matches_recursion(self):
         g = scalar_grid()
@@ -574,3 +620,35 @@ class TestFilterPlanCache:
         ref_cfg = SimConfig(T=100, seed=8, K_trunc=32, burnin=plain.meta["burnin"])
         want = recursion_arma(model, ref_cfg, "real-gaussian", lead=32)
         assert rel_diff(extended.values, want) <= 1e-12
+
+
+class TestNonCausal:
+    """The causal filter of an AR polynomial with a root inside the unit disk
+    diverges, so simulation refuses it."""
+
+    @pytest.mark.parametrize("a", [2.0, 1.05])
+    def test_ar1_root_inside_disk_refused(self, a):
+        g = scalar_grid()
+        cfg = SimConfig(T=64, seed=1)
+        with pytest.raises(NonCausalError, match=f"eigenvalue {a:.6g}"):
+            simulate_arma(ar1_model(g, a), cfg)
+        fractional = FiarmaModel(ar1_model(g, a), FracIntegrationSpec.scalar(g, 0.2))
+        with pytest.raises(NonCausalError):
+            simulate_fiarma(fractional, cfg)
+
+    def test_ar2_companion_root_refused(self):
+        """``1 - 2.5 z + z^2 = (1 - 2 z)(1 - z/2)``: no coefficient alone
+        shows the root at 1/2, the companion matrix does."""
+        g = scalar_grid()
+        model = ArmaModel(
+            OperatorPolynomial.scalar(g, 2.5, -1.0), OperatorPolynomial(g), identity(g)
+        )
+        with pytest.raises(NonCausalError, match="eigenvalue 2"):
+            simulate_arma(model, SimConfig(T=64, seed=1))
+
+    def test_causal_near_circle_simulates(self):
+        a = 0.95
+        cfg = SimConfig(T=20_000, seed=3, K_trunc=0)
+        path = simulate_arma(ar1_model(scalar_grid(), a), cfg)
+        var = empirical_autocov(path, 0).entries[0, 0].real
+        assert var == pytest.approx(1.0 / (1.0 - a * a), rel=0.15)

@@ -250,6 +250,28 @@ class TestPeriodogram:
         path = SampledPath(np.zeros((64, 1)), g)
         with pytest.raises(ValueError, match="Fourier"):
             periodogram(path, np.array([0.1]))
+        freqs = np.concatenate([fourier_frequencies(64)[:3], [0.1], fourier_frequencies(64)[3:]])
+        with pytest.raises(ValueError, match=r"^0\.1 is not a Fourier frequency for T=64$"):
+            periodogram(path, freqs)
+
+    def test_matches_direct_sum(self, rng):
+        """Entry-wise against ``d(lam) d(lam)^H / (2 pi T)`` with ``d`` the
+        direct sum over the mean-centered path, at every Fourier frequency
+        including 0 and pi."""
+        g = make_grid(3)
+        t_len = 64
+        vals = rng.normal(size=(t_len, 3)) + 1j * rng.normal(size=(t_len, 3))
+        freqs = fourier_frequencies(t_len, drop_zero=False)
+        assert freqs[0] == pytest.approx(-np.pi + 2 * np.pi / t_len) and freqs[-1] == np.pi
+        pg = periodogram(SampledPath(vals, g), freqs)
+        centered = vals - vals.mean(axis=0)
+        d = np.exp(-1j * np.outer(freqs, np.arange(t_len))) @ centered
+        want = d[:, :, None] * d[:, None, :].conj() / (2 * np.pi * t_len)
+        assert np.abs(pg.values - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_empty_frequencies(self):
+        pg = periodogram(SampledPath(np.ones((16, 2)), make_grid(2)), np.array([]))
+        assert pg.values.shape == (0, 2, 2)
 
     def test_parseval(self, rng):
         g = make_grid(3)
