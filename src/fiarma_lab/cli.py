@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ModelConfig, parse_config
-from .dataio import _atomic_write, write_path
+from .dataio import _atomic_write, _complex_cells, _table_bytes, write_path
 from .existence import ExistenceRefusal, check_conditions, existence_integral
 from .simulate import (
     SampledPath,
@@ -39,18 +39,6 @@ from .spectral import (
 from .transfer import duker_decomposition, frac_ma_coeffs
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _matrix_cells(mat: np.ndarray) -> list[str]:
-    cells = []
-    for v in mat.ravel():
-        cells.append(_fmt(v.real))
-        cells.append(_fmt(v.imag))
-    return cells
-
-
 def _matrix_header(n: int) -> list[str]:
     cols = []
     for i in range(1, n + 1):
@@ -59,9 +47,11 @@ def _matrix_header(n: int) -> list[str]:
     return cols
 
 
-def _write_table(target: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    _atomic_write(target, ("\n".join(lines) + "\n").encode())
+def _write_table(
+    target: Path, header: list[str], cells: np.ndarray, index: np.ndarray | None = None
+) -> None:
+    """One CSV table: float ``cells`` per row, led by the integer ``index``."""
+    _atomic_write(target, _table_bytes(header, cells, index))
 
 
 def _write_json(target: Path, payload: dict) -> None:
@@ -69,11 +59,8 @@ def _write_json(target: Path, payload: dict) -> None:
 
 
 def _density_table(out: Path, name: str, freqs: np.ndarray, values: np.ndarray) -> str:
-    n = values.shape[1]
-    rows = [
-        [_fmt(lam)] + _matrix_cells(values[j]) for j, lam in enumerate(freqs)
-    ]
-    _write_table(out / name, ["lambda"] + _matrix_header(n), rows)
+    cells = np.column_stack([freqs, _complex_cells(values)])
+    _write_table(out / name, ["lambda"] + _matrix_header(values.shape[1]), cells)
     return name
 
 
@@ -108,17 +95,16 @@ def _run_density(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
 
 def _run_autocov(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     seq = autocov_sequence(_density(cfg), cfg.run.lags)
-    rows = []
-    for h in range(-cfg.run.lags, cfg.run.lags + 1):
-        rows.append([str(h)] + _matrix_cells(seq.operator(h).entries))
-    _write_table(out / "autocov.csv", ["h"] + _matrix_header(cfg.grid.n), rows)
+    lags = np.arange(-seq.max_lag, seq.max_lag + 1)
+    header = ["h"] + _matrix_header(cfg.grid.n)
+    _write_table(out / "autocov.csv", header, _complex_cells(seq.data), lags)
     return ["autocov.csv"]
 
 
 def _run_frac_coeffs(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     seq = frac_ma_coeffs(cfg.frac_spec(), cfg.run.K)
-    rows = [[str(k)] + _matrix_cells(seq[k]) for k in range(len(seq))]
-    _write_table(out / "frac_coeffs.csv", ["k"] + _matrix_header(cfg.grid.n), rows)
+    header = ["k"] + _matrix_header(cfg.grid.n)
+    _write_table(out / "frac_coeffs.csv", header, _complex_cells(seq.data), np.arange(len(seq)))
     return ["frac_coeffs.csv"]
 
 
@@ -146,25 +132,21 @@ def _run_existence_integral(cfg: ModelConfig, out: Path, force: bool) -> list[st
         n_refine=cfg.run.n_refine,
     )
     _write_json(out / "existence_integral.json", report.to_dict())
-    rows = []
-    for level, contribution in enumerate(report.shells):
-        hi = report.eta * 2.0**-level
-        rows.append([str(level), _fmt(hi / 2.0), _fmt(hi), _fmt(contribution)])
-    _write_table(out / "shells.csv", ["level", "lo", "hi", "contribution"], rows)
+    levels = np.arange(len(report.shells))
+    hi = report.eta * 2.0**-levels
+    cells = np.column_stack([hi / 2.0, hi, report.shells])
+    _write_table(out / "shells.csv", ["level", "lo", "hi", "contribution"], cells, levels)
     return ["existence_integral.json", "shells.csv"]
 
 
 def _run_duker_decompose(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     n_op = cfg.require_power_exponent()
     c_mat, deltas, rho = duker_decomposition(n_op, cfg.run.K)
-    _write_table(
-        out / "duker_C.csv",
-        _matrix_header(cfg.grid.n),
-        [_matrix_cells(c_mat.entries)],
-    )
+    header = _matrix_header(cfg.grid.n)
+    _write_table(out / "duker_C.csv", header, _complex_cells(c_mat.entries[None]))
     norms = deltas.norms()
-    rows = [[str(k), _fmt(norms[k])] for k in range(len(deltas))]
-    _write_table(out / "duker_deltas.csv", ["k", "delta_norm"], rows)
+    ks = np.arange(len(norms))
+    _write_table(out / "duker_deltas.csv", ["k", "delta_norm"], norms[:, None], ks)
     _write_json(out / "duker_decompose.json", {"rho": float(rho), "K": cfg.run.K})
     return ["duker_C.csv", "duker_deltas.csv", "duker_decompose.json"]
 

@@ -33,19 +33,33 @@ def _atomic_write(target: Path, payload: bytes) -> None:
         raise
 
 
+def _table_bytes(header: list[str], cells: np.ndarray, index: np.ndarray | None = None) -> bytes:
+    """CSV bytes of ``header`` and one line per row of the 2-D float array
+    ``cells``, led by the integer ``index`` of the row when one is given.
+
+    Every float is written as ``format(x, ".17g")`` would write it, ``-0``
+    included, and the whole table goes through one ``%`` operation.
+    """
+    cells = np.asarray(cells, dtype=float)
+    row = ",".join(["%.17g"] * cells.shape[1])
+    if index is not None:
+        cells = np.column_stack([np.asarray(index, dtype=float), cells])
+        row = "%d," + row
+    body = (row + "\n") * cells.shape[0] % tuple(cells.ravel().tolist())
+    return (",".join(header) + "\n" + body).encode()
+
+
+def _complex_cells(values: np.ndarray) -> np.ndarray:
+    """Rows of ``values`` (first axis) as float columns ``re, im`` per entry,
+    in row-major entry order."""
+    values = np.ascontiguousarray(values, dtype=complex)
+    return values.reshape(len(values), -1).view(float)
+
+
 def _csv_bytes(path: SampledPath) -> bytes:
     n = path.grid.n
-    header = "t," + ",".join(
-        f"coord_{i}_re,coord_{i}_im" for i in range(1, n + 1)
-    )
-    lines = [header]
-    for t, row in enumerate(path.values):
-        cells = [str(t)]
-        for v in row:
-            cells.append(format(v.real, ".17g"))
-            cells.append(format(v.imag, ".17g"))
-        lines.append(",".join(cells))
-    return ("\n".join(lines) + "\n").encode()
+    header = ["t"] + [f"coord_{i}_re,coord_{i}_im" for i in range(1, n + 1)]
+    return _table_bytes(header, _complex_cells(path.values), np.arange(path.t_len))
 
 
 def _binary_bytes(path: SampledPath) -> bytes:

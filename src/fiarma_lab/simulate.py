@@ -204,25 +204,31 @@ def _fft_stack(ops: np.ndarray, m: int) -> np.ndarray:
 def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
     """Circular convolution of the ``(rows, n)`` ``path`` (zero-padded) with
     the filter whose FFT, stored by entry as ``(n, n, m)``, is ``filter_fft``.
-    Returns ``m`` rows.
+    Returns the ``(m, n)`` result, C-contiguous.
 
-    A real path takes a half-length ``rfft`` and the other half of its
-    spectrum by Hermitian symmetry; the filter itself may be complex.
+    Each coordinate of the path is transformed as one line (``path.T``)
+    straight into a row of the ``(n, m)`` spectrum, which the per-entry
+    filter multiplies directly, and the inverse transform writes its lines
+    into the columns of the result.  A real path takes a half-length
+    ``rfft`` and the other half of its spectrum by Hermitian symmetry; the
+    filter itself may be complex.
     """
     n, _, m = filter_fft.shape
+    xf = np.empty((n, m), dtype=complex)
     if np.iscomplexobj(path):
-        xf = np.fft.fft(path, m, axis=0).T
+        np.fft.fft(path.T, m, out=xf)
     else:
-        half = np.fft.rfft(path, m, axis=0).T
-        h = half.shape[1]
-        xf = np.empty((n, m), dtype=complex)
-        xf[:, :h] = half
-        xf[:, h:] = half[:, m - h : 0 : -1].conj()
+        h = m // 2 + 1
+        np.fft.rfft(path.T, m, out=xf[:, :h])
+        np.conjugate(xf[:, m - h : 0 : -1], out=xf[:, h:])
     # at small n this loop over j beats an (m, n, n) einsum or matmul
     yf = filter_fft[:, 0] * xf[0]
+    term = np.empty_like(yf)
     for j in range(1, n):
-        yf += filter_fft[:, j] * xf[j]
-    return np.fft.ifft(yf, axis=-1).T
+        yf += np.multiply(filter_fft[:, j], xf[j], out=term)
+    out = np.empty((m, n), dtype=complex)
+    np.fft.ifft(yf, out=out.T)
+    return out
 
 
 def _convolve(coeffs: np.ndarray, path: np.ndarray) -> np.ndarray:
@@ -238,26 +244,33 @@ def _convolve(coeffs: np.ndarray, path: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _FilterPlan:
-    """A model's whole causal filter for one ``(T, K_trunc, burnin)``, built once.
+    """A model's whole causal filter for one ``(T, K_trunc, burnin, lead)``,
+    built once.
 
     A path is ``pre + T`` standard noise rows filtered by the causal filter
     whose FFT is ``filter_fft``, with ``Sigma^{1/2}`` folded in (``None``:
     the filter is ``Sigma^{1/2}`` alone).  Only the last ``keep`` rows reach
     the output rows; with the FFT length covering ``keep`` plus the filter
     length, the circular convolution's wrap-around misses them.
+    ``auto_kind`` is the noise family that ``noise_kind="auto"`` resolves to
+    for this model.
     """
 
-    key: tuple[int, int, int | None]
+    key: tuple[int, int, int | None, int]
     burnin: int
     pre: int
     keep: int
     filter_fft: np.ndarray | None
     real: bool  # the filter has real entries
+    auto_kind: str
     meta: dict  # diagnostics of the filter
+
+    def noise_kind(self, cfg: SimConfig) -> str:
+        return self.auto_kind if cfg.noise_kind == "auto" else cfg.noise_kind
 
 
 def _filter_plan(
-    model: ArmaModel | FiarmaModel, key: tuple[int, int, int | None]
+    model: ArmaModel | FiarmaModel, key: tuple[int, int, int | None, int]
 ) -> _FilterPlan:
     """Impulse response of ``phi^{-1} theta`` times ``Sigma^{1/2}``, folded
     into the truncated MA coefficients of ``(1 - z)^{-D}`` for a
@@ -265,13 +278,17 @@ def _filter_plan(
     ``(n, n, m)`` (:func:`_fft_stack`).
 
     A non-causal AR polynomial is refused first (:func:`_require_causal`).
-    A plain ARMA filter is sized for the ``K_trunc`` lead rows that
-    :func:`simulate_arma` may prepend.
+    The noise block always covers the burn-in and ``K_trunc + q`` rows of
+    pre-history, whatever ``lead`` is; a plain ARMA filter is sized for the
+    ``lead`` rows that :func:`simulate_arma` prepends, a fractional one for
+    its ``K_trunc`` MA lags.
     """
-    t_len, k_trunc, burnin = key
+    t_len, k_trunc, burnin, lead = key
     fractional = isinstance(model, FiarmaModel)
     base = model.base if fractional else model
     _require_causal(base.phi)
+    thetas = base.theta.stacked()
+    auto_kind = _resolve_noise_kind("auto", base.phi.stacked(), thetas, base.sigma.entries)
     p, q = base.phi.degree, base.theta.degree
     after = k_trunc + q + t_len  # noise rows after the burn-in
     if burnin is None:
@@ -282,7 +299,7 @@ def _filter_plan(
     rows = burnin + after
     ar = ar[:rows]
     psi = np.concatenate([ar, np.zeros((q,) + ar.shape[1:], dtype=complex)])
-    for j, b in enumerate(base.theta.stacked(), start=1):
+    for j, b in enumerate(thetas, start=1):
         psi[j : j + len(ar)] += ar @ b
     psi = psi[:rows] @ base.root.entries
     real = bool(np.all(psi.imag == 0.0))
@@ -290,10 +307,10 @@ def _filter_plan(
 
     if not fractional:
         if len(psi) == 1:
-            return _FilterPlan(key, burnin, pre, 0, None, real, {})
-        span = t_len + k_trunc + len(psi) - 1
+            return _FilterPlan(key, burnin, pre, 0, None, real, auto_kind, {})
+        span = t_len + lead + len(psi) - 1
         filter_fft = _fft_stack(psi, _next_fast_len(span))
-        return _FilterPlan(key, burnin, pre, min(rows, span), filter_fft, real, {})
+        return _FilterPlan(key, burnin, pre, min(rows, span), filter_fft, real, auto_kind, {})
 
     order = max(k_trunc, 1)
     coeffs = frac_ma_coeffs(model.D, order).data
@@ -306,12 +323,13 @@ def _filter_plan(
     tail_estimate = tail_norm * order / max(1.0, 1.0 - 2.0 * float(eig_re.max()))
     meta = {"coeff_tail_norm": tail_norm, "truncation_tail_estimate": tail_estimate}
     real = real and bool(np.all(coeffs.imag == 0.0))
-    return _FilterPlan(key, burnin, pre, min(rows, span), filter_fft, real, meta)
+    return _FilterPlan(key, burnin, pre, min(rows, span), filter_fft, real, auto_kind, meta)
 
 
-def _plan(model: ArmaModel | FiarmaModel, cfg: SimConfig) -> _FilterPlan:
-    """The model's cached filter plan for ``cfg``, rebuilt when the sizes change."""
-    key = (cfg.T, cfg.K_trunc, cfg.burnin)
+def _plan(model: ArmaModel | FiarmaModel, cfg: SimConfig, lead: int = 0) -> _FilterPlan:
+    """The model's cached filter plan for ``cfg`` and ``lead``, rebuilt when
+    the sizes change."""
+    key = (cfg.T, cfg.K_trunc, cfg.burnin, lead)
     if model._sim_plan is None or model._sim_plan.key != key:
         model._sim_plan = _filter_plan(model, key)
     return model._sim_plan
@@ -348,12 +366,6 @@ def gaussian_white_noise(sigma: LinearOperator, cfg: SimConfig) -> SampledPath:
     return SampledPath(rows[pre:], sigma.grid, meta)
 
 
-def _arma_kind(model: ArmaModel, cfg: SimConfig) -> str:
-    return _resolve_noise_kind(
-        cfg.noise_kind, model.phi.stacked(), model.theta.stacked(), model.sigma.entries
-    )
-
-
 def simulate_arma(model: ArmaModel, cfg: SimConfig, lead: int = 0) -> SampledPath:
     """Stationary ARMA path: the noise filtered by the impulse response of
     ``phi^{-1} theta``, started from zero ``burnin + K_trunc + q`` rows back.
@@ -365,8 +377,8 @@ def simulate_arma(model: ArmaModel, cfg: SimConfig, lead: int = 0) -> SampledPat
     """
     if not 0 <= lead <= cfg.K_trunc:
         raise ValueError("lead must lie in [0, K_trunc]")
-    kind = _arma_kind(model, cfg)
-    plan = _plan(model, cfg)
+    plan = _plan(model, cfg, lead)
+    kind = plan.noise_kind(cfg)
     meta = {
         "seed": cfg.seed,
         "replication": cfg.replication,
@@ -409,8 +421,8 @@ def simulate_fiarma(model: FiarmaModel, cfg: SimConfig, force: bool = False) -> 
     metadata.
     """
     existence = "forced" if force else _existence_verdict(model)
-    kind = _arma_kind(model.base, cfg)
     plan = _plan(model, cfg)
+    kind = plan.noise_kind(cfg)
     meta = {
         "seed": cfg.seed,
         "replication": cfg.replication,

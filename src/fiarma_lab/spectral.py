@@ -38,9 +38,10 @@ class ArmaModel:
     """AR/MA operator polynomials plus the noise covariance operator.
 
     The constructor certifies the model once and keeps what it finds:
-    ``root`` is the PSD square root of ``sigma`` and ``margin`` the smallest
-    singular value of the AR symbol over the circle scan.  Simulation keeps
-    the filter plan of the last path sizes it used in ``_sim_plan``.
+    ``root`` is the PSD square root of ``sigma`` and ``margin`` the circle
+    certificate's lower bound on the smallest singular value of the AR
+    symbol over the unit circle.  Simulation keeps the filter plan of the
+    last path sizes it used in ``_sim_plan``.
     """
 
     phi: OperatorPolynomial
@@ -250,12 +251,39 @@ def fourier_frequencies(t_len: int, drop_zero: bool = True) -> np.ndarray:
     return np.sort(lam)
 
 
+def _outer_by_frequency(d: np.ndarray) -> np.ndarray:
+    """Values ``d_f d_f^H`` for the columns ``d_f`` of the ``(n, F)`` array
+    ``d``, returned C-contiguous as ``(F, n, n)`` and exactly Hermitian.
+
+    Each entry of the upper triangle is one multiply whose inner loop runs
+    over the frequency, written through the ``(n, n, F)`` transposed view of
+    the values.  The lower triangle is the conjugate of the upper one and the
+    diagonal is made real: the fused multiply-add in numpy's complex product
+    leaves ``d_a conj(d_b)`` and ``conj(d_b conj(d_a))`` unequal in the last
+    bit, and ``d_a conj(d_a)`` with an imaginary part.
+    """
+    n, n_freq = d.shape
+    dc = d.conj()
+    vals = np.empty((n_freq, n, n), dtype=complex)
+    by_entry = vals.transpose(1, 2, 0)
+    for a in range(n):
+        np.multiply(d[a], dc[a], out=by_entry[a, a])
+        by_entry[a, a].imag = 0.0
+        for b in range(a + 1, n):
+            np.conjugate(np.multiply(d[a], dc[b], out=by_entry[a, b]), out=by_entry[b, a])
+    return vals
+
+
 def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
     """Rank-one periodogram values ``d(lam) d(lam)^H / (2 pi T)``.
 
-    Only Fourier frequencies ``2 pi j / T`` are admitted; the discrete
-    transform ``d`` is taken of the mean-centered path, so the scaling is
+    Only Fourier frequencies ``2 pi j / T`` are admitted.  ``d`` is the
+    discrete transform of the mean-centered path, so the scaling is
     consistent with the density normalization used by this package.
+    Centering changes the transform only at ``j = 0``, where it makes it
+    exactly 0 (Brockwell & Davis 1991, section 10.1), so the transform is
+    taken of the path as it is and that row is set to 0.  The values are
+    C-contiguous and exactly Hermitian.
     """
     freqs = np.asarray(freqs, dtype=float).ravel()
     y = path.values
@@ -266,12 +294,13 @@ def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
     if off.size and off.max() > 1e-8:
         lam_bad = freqs[np.argmax(off)]
         raise ValueError(f"{lam_bad:.6g} is not a Fourier frequency for T={t_len}")
-    y = y - y.mean(axis=0)
-    dft = np.fft.fft(y, axis=0)  # row j holds sum_t y_t e^{-2 pi i j t / T}
-    # scaled before the outer product, so that the (F, n, n) values are written once
-    d = dft[j_round.astype(int) % t_len] * (1.0 / np.sqrt(2.0 * np.pi * t_len))
-    vals = d[:, :, None] * d[:, None, :].conj()
-    return SpectralDensityGrid(freqs, vals, path.grid)
+    # entry (a, j) holds sum_t y_{t,a} e^{-2 pi i j t / T}
+    dft = np.fft.fft(y.T, out=np.empty(y.shape[::-1], dtype=complex))
+    dft[:, 0] = 0.0
+    # scaled before the outer product, which writes the (F, n, n) values
+    d = np.take(dft, j_round.astype(int) % t_len, axis=1)
+    d *= 1.0 / np.sqrt(2.0 * np.pi * t_len)
+    return SpectralDensityGrid(freqs, _outer_by_frequency(d), path.grid)
 
 
 def local_factorization(

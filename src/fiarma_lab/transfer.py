@@ -200,14 +200,16 @@ def check_invertible_on_circle(
 ) -> tuple[bool, float]:
     """Prove that the AR symbol has no singular point on the unit circle.
 
-    Returns ``(invertible, min_sv)``.  The smallest singular value of the
+    Returns ``(invertible, margin)``.  The smallest singular value of the
     symbol is ``L``-Lipschitz in the frequency, ``L = sum_k k ||A_k||``, so
     on a cell of width ``h`` between scan points with smallest singular
     values ``s_0`` and ``s_1`` it stays above ``(s_0 + s_1 - L h) / 2``.
     A cell is certified when that bound exceeds ``1e-8`` times the largest
     singular value of the ``grid_size``-point scan; a cell that is not is
     bisected.  The symbol is declared invertible when every cell is
-    certified, and ``min_sv`` is the smallest singular value evaluated.
+    certified.  ``margin`` is the smallest cell bound, a lower bound of the
+    smallest singular value over the whole circle (0 where no positive bound
+    was proven).
 
     The bisection stops after ``_CIRCLE_DEPTH`` levels, or before a level
     that would take the symbol evaluations past ``_CIRCLE_BUDGET`` times
@@ -226,12 +228,15 @@ def check_invertible_on_circle(
     s_left = sigma[:, -1]
     s_right = np.roll(s_left, -1)
     min_sv = float(s_left.min())
+    certified = np.inf  # smallest bound of the cells certified so far
     budget = _CIRCLE_BUDGET * grid_size
     for _ in range(_CIRCLE_DEPTH):
-        bad = (s_left + s_right - lip * h) / 2.0 <= floor
+        bound = (s_left + s_right - lip * h) / 2.0
+        bad = bound <= floor
         n_bad = int(bad.sum())
         if min_sv <= floor or not n_bad or n_bad > budget:
             break
+        certified = min(certified, float(bound[~bad].min(initial=np.inf)))
         budget -= n_bad
         h /= 2.0
         left, s_left, s_right = left[bad], s_left[bad], s_right[bad]
@@ -239,7 +244,8 @@ def check_invertible_on_circle(
         min_sv = min(min_sv, float(s_mid.min()))
         left = np.concatenate([left, left + h])
         s_left, s_right = np.concatenate([s_left, s_mid]), np.concatenate([s_mid, s_right])
-    return min_sv > floor, min_sv
+    open_cells = float(((s_left + s_right - lip * h) / 2.0).min(initial=np.inf))
+    return min_sv > floor, max(0.0, min(certified, open_cells))
 
 
 def arma_transfer(

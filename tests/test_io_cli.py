@@ -13,6 +13,7 @@ from fiarma_lab import (
     write_path,
 )
 from fiarma_lab.cli import main
+from fiarma_lab.dataio import _table_bytes
 
 from conftest import make_grid
 
@@ -234,6 +235,37 @@ class TestPathFiles:
         write_path(path, target, fmt="bin")
         back = read_path(target, path.grid)
         assert np.array_equal(back.values, path.values)
+
+
+class TestCsvTables:
+    """The one-operation table writer against ``format(x, ".17g")`` per cell."""
+
+    @staticmethod
+    def per_cell(header, cells, index=None):
+        lines = [",".join(header)]
+        for i, row in enumerate(cells):
+            lead = [str(int(index[i]))] if index is not None else []
+            lines.append(",".join(lead + [format(float(x), ".17g") for x in row]))
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_matches_per_cell_formatter(self, rng):
+        cells = rng.normal(size=(37, 5)) * 10.0 ** rng.integers(-300, 300, size=(37, 5))
+        cells[0, :] = [-0.0, 0.0, 5e-324, -1e16, 0.1]
+        cells[1, :] = [np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.0**60]
+        header = ["k"] + [f"c{j}" for j in range(5)]
+        index = np.arange(-18, 19)
+        assert _table_bytes(header, cells, index) == self.per_cell(header, cells, index)
+        assert _table_bytes(header[1:], cells) == self.per_cell(header[1:], cells)
+        assert _table_bytes(header, cells[:0], index[:0]) == self.per_cell(header, cells[:0])
+
+    def test_path_csv_matches_per_cell_formatter(self, rng, tmp_path):
+        vals = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+        vals[0] = [-0.0 + 0.0j, complex(0.0, -0.0)]
+        target = tmp_path / "p.csv"
+        write_path(SampledPath(vals, make_grid(2)), target, fmt="csv")
+        header = ["t", "coord_1_re", "coord_1_im", "coord_2_re", "coord_2_im"]
+        cells = np.stack([vals.real, vals.imag], axis=-1).reshape(40, 4)
+        assert target.read_bytes() == self.per_cell(header, cells, np.arange(40))
 
 
 class TestCli:

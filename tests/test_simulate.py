@@ -17,10 +17,12 @@ from fiarma_lab import (
     check_duker_conditions,
     duker_decomposition,
     empirical_autocov,
+    fourier_frequencies,
     frac_ma_coeffs,
     gaussian_white_noise,
     identity,
     operator_norm,
+    periodogram,
     simulate_arma,
     simulate_duker,
     simulate_fiarma,
@@ -164,7 +166,8 @@ class TestSimulateArma:
         plain = simulate_arma(ar1_model(g), cfg)
         extended = simulate_arma(ar1_model(g), cfg, lead=32)
         assert extended.values.shape[0] == 132
-        assert np.array_equal(extended.values[32:], plain.values)
+        # the same noise through filters sized for each lead: equal up to rounding
+        assert rel_diff(extended.values[32:], plain.values) <= 1e-14
 
 
 class TestSimulateFiarma:
@@ -568,6 +571,31 @@ class TestFilterPlanCache:
         assert len(coeff_calls) == 1
         assert len(check_calls) == 1
 
+    def test_warm_replication_makes_no_extra_pass(self, monkeypatch, counted):
+        """A warm Monte Carlo replication (path, then its periodogram) runs
+        three FFTs, draws one noise block and never re-decides the noise kind."""
+        fft_calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            real = getattr(np.fft, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                fft_calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        model = mc_model()
+        freqs = fourier_frequencies(256)
+        periodogram(simulate_fiarma(model, SimConfig(T=256, K_trunc=64, seed=5)), freqs)
+        fft_calls.clear()
+        block_calls = counted("_standard_block")
+        kind_calls = counted("_resolve_noise_kind")
+        path = simulate_fiarma(model, SimConfig(T=256, K_trunc=64, seed=5, replication=1))
+        periodogram(path, freqs)
+        assert sorted(fft_calls) == ["fft", "ifft", "rfft"]
+        assert len(block_calls) == 1
+        assert kind_calls == []
+        assert path.meta["noise_kind"] == "real-gaussian"
+
     def test_refusal_builds_no_plan(self, monkeypatch, counted):
         def no_plan(*args):
             raise AssertionError("filter plan built for a refused model")
@@ -616,10 +644,26 @@ class TestFilterPlanCache:
         cfg = SimConfig(T=100, seed=8, K_trunc=32)
         plain = simulate_arma(model, cfg)
         extended = simulate_arma(model, cfg, lead=32)
-        assert np.array_equal(extended.values[32:], plain.values)
+        assert rel_diff(extended.values[32:], plain.values) <= 1e-14
         ref_cfg = SimConfig(T=100, seed=8, K_trunc=32, burnin=plain.meta["burnin"])
         want = recursion_arma(model, ref_cfg, "real-gaussian", lead=32)
         assert rel_diff(extended.values, want) <= 1e-12
+        assert rel_diff(plain.values, want[32:]) <= 1e-12
+
+    @pytest.mark.parametrize("lead", [0, 7, 64])
+    def test_arma_plan_sized_for_its_lead(self, lead):
+        """The filter covers ``T + lead`` output rows, not ``T + K_trunc``, and
+        the path still matches the recursion on the same noise block."""
+        model = ar1_model(scalar_grid(), 0.5)
+        cfg = SimConfig(T=200, K_trunc=64, burnin=300, seed=12)
+        path = simulate_arma(model, cfg, lead=lead)
+        psi_len = len(fiarma_lab.simulate._ar_impulse(model.phi, 10_000))
+        assert psi_len < 100
+        m = model._sim_plan.filter_fft.shape[-1]
+        assert m == fiarma_lab.simulate._next_fast_len(cfg.T + lead + psi_len - 1)
+        want = recursion_arma(model, cfg, "real-gaussian", lead=lead)
+        assert path.values.shape == want.shape
+        assert rel_diff(path.values, want) <= 1e-12
 
 
 class TestNonCausal:

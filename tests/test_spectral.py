@@ -311,6 +311,39 @@ class TestPeriodogram:
             assert ev.min() > -1e-12
             assert np.linalg.matrix_rank(v, tol=1e-10) <= 1
 
+    def test_constant_shift_changes_only_frequency_zero(self, rng):
+        """Centering makes the periodogram blind to the path's mean: adding a
+        constant vector moves no value at a nonzero Fourier frequency."""
+        g = make_grid(3)
+        t_len = 96
+        vals = rng.normal(size=(t_len, 3)) + 1j * rng.normal(size=(t_len, 3))
+        shift = np.array([2.5, -1.0 + 3.0j, -4.0j])
+        freqs = fourier_frequencies(t_len, drop_zero=False)
+        pg = periodogram(SampledPath(vals, g), freqs).values
+        shifted = periodogram(SampledPath(vals + shift, g), freqs).values
+        nonzero = freqs != 0.0
+        assert nonzero.sum() == t_len - 1
+        assert np.abs(shifted[nonzero] - pg[nonzero]).max() <= 1e-13 * np.abs(pg).max()
+
+    @pytest.mark.parametrize("t_len", [50, 51])
+    def test_frequency_zero_row_is_exactly_zero(self, rng, t_len):
+        g = make_grid(2)
+        vals = rng.normal(size=(t_len, 2)) + np.array([3.0, -7.0 + 1.0j])
+        pg = periodogram(SampledPath(vals, g), fourier_frequencies(t_len, drop_zero=False))
+        zero = pg.freqs == 0.0
+        assert zero.sum() == 1
+        assert np.all(pg.values[zero] == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_values_contiguous_and_exactly_hermitian(self, rng, n):
+        g = make_grid(n)
+        t_len = 127
+        vals = rng.normal(size=(t_len, n)) + 1j * rng.normal(size=(t_len, n))
+        pg = periodogram(SampledPath(vals, g), fourier_frequencies(t_len, drop_zero=False))
+        v = pg.values
+        assert v.flags.c_contiguous
+        assert np.array_equal(v, v.conj().transpose(0, 2, 1))
+
 
 class TestLocalFactorization:
     def test_identity_model(self):
