@@ -33,20 +33,29 @@ def _atomic_write(target: Path, payload: bytes) -> None:
         raise
 
 
+_TABLE_CHUNK_CELLS = 1 << 16
+
+
 def _table_bytes(header: list[str], cells: np.ndarray, index: np.ndarray | None = None) -> bytes:
     """CSV bytes of ``header`` and one line per row of the 2-D float array
     ``cells``, led by the integer ``index`` of the row when one is given.
 
     Every float is written as ``format(x, ".17g")`` would write it, ``-0``
-    included, and the whole table goes through one ``%`` operation.
+    included.  Rows go through one ``%`` operation per chunk of about 65536
+    cells, which bounds the Python floats and strings alive at once.
     """
     cells = np.asarray(cells, dtype=float)
     row = ",".join(["%.17g"] * cells.shape[1])
     if index is not None:
         cells = np.column_stack([np.asarray(index, dtype=float), cells])
         row = "%d," + row
-    body = (row + "\n") * cells.shape[0] % tuple(cells.ravel().tolist())
-    return (",".join(header) + "\n" + body).encode()
+    row += "\n"
+    step = max(1, _TABLE_CHUNK_CELLS // max(1, cells.shape[1]))
+    parts = [(",".join(header) + "\n").encode()]
+    for r0 in range(0, cells.shape[0], step):
+        chunk = cells[r0 : r0 + step]
+        parts.append((row * len(chunk) % tuple(chunk.ravel().tolist())).encode())
+    return b"".join(parts)
 
 
 def _complex_cells(values: np.ndarray) -> np.ndarray:

@@ -251,26 +251,41 @@ def fourier_frequencies(t_len: int, drop_zero: bool = True) -> np.ndarray:
     return np.sort(lam)
 
 
+_OUTER_CACHE_BYTES = 1 << 20
+
+
 def _outer_by_frequency(d: np.ndarray) -> np.ndarray:
     """Values ``d_f d_f^H`` for the columns ``d_f`` of the ``(n, F)`` array
     ``d``, returned C-contiguous as ``(F, n, n)`` and exactly Hermitian.
 
-    Each entry of the upper triangle is one multiply whose inner loop runs
-    over the frequency, written through the ``(n, n, F)`` transposed view of
-    the values.  The lower triangle is the conjugate of the upper one and the
-    diagonal is made real: the fused multiply-add in numpy's complex product
-    leaves ``d_a conj(d_b)`` and ``conj(d_b conj(d_a))`` unequal in the last
-    bit, and ``d_a conj(d_a)`` with an imaginary part.
+    Each multiply runs its inner loop over the frequency, and the lower
+    triangle is the conjugate of the upper one and the diagonal is made
+    real: the fused multiply-add in numpy's complex product leaves
+    ``d_a conj(d_b)`` and ``conj(d_b conj(d_a))`` unequal in the last bit,
+    and ``d_a conj(d_a)`` with an imaginary part.  Values that fit in about
+    1 MB of cache are written entry by entry through their ``(n, n, F)``
+    transposed view.  Larger ones would miss the cache on every write of
+    that view, so they are made in blocks of about 512 KB of frequencies,
+    each copied into place while it is still in cache.
     """
     n, n_freq = d.shape
     dc = d.conj()
     vals = np.empty((n_freq, n, n), dtype=complex)
-    by_entry = vals.transpose(1, 2, 0)
-    for a in range(n):
-        np.multiply(d[a], dc[a], out=by_entry[a, a])
-        by_entry[a, a].imag = 0.0
-        for b in range(a + 1, n):
-            np.conjugate(np.multiply(d[a], dc[b], out=by_entry[a, b]), out=by_entry[b, a])
+    if vals.nbytes <= _OUTER_CACHE_BYTES:
+        by_entry = vals.transpose(1, 2, 0)
+        for a in range(n):
+            np.multiply(d[a], dc[a], out=by_entry[a, a])
+            by_entry[a, a].imag = 0.0
+            for b in range(a + 1, n):
+                np.conjugate(np.multiply(d[a], dc[b], out=by_entry[a, b]), out=by_entry[b, a])
+        return vals
+    step = max(16, _OUTER_CACHE_BYTES // (32 * n * n))
+    for f0 in range(0, n_freq, step):
+        block = d[:, None, f0 : f0 + step] * dc[None, :, f0 : f0 + step]
+        for a in range(n):
+            block[a, a].imag = 0.0
+            np.conjugate(block[a, a + 1 :], out=block[a + 1 :, a])
+        vals[f0 : f0 + step] = block.transpose(2, 0, 1)
     return vals
 
 
@@ -282,8 +297,11 @@ def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
     consistent with the density normalization used by this package.
     Centering changes the transform only at ``j = 0``, where it makes it
     exactly 0 (Brockwell & Davis 1991, section 10.1), so the transform is
-    taken of the path as it is and that row is set to 0.  The values are
-    C-contiguous and exactly Hermitian.
+    taken of the path as it is and that row is set to 0.  The transform's
+    rounding error grows with the norm of what it transforms; a path whose
+    mean carries more than half of its energy is centered before the
+    transform, which keeps that norm within sqrt(2) of the centered path's.
+    The values are C-contiguous and exactly Hermitian.
     """
     freqs = np.asarray(freqs, dtype=float).ravel()
     y = path.values
@@ -296,6 +314,9 @@ def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
         raise ValueError(f"{lam_bad:.6g} is not a Fourier frequency for T={t_len}")
     # entry (a, j) holds sum_t y_{t,a} e^{-2 pi i j t / T}
     dft = np.fft.fft(y.T, out=np.empty(y.shape[::-1], dtype=complex))
+    # row j = 0 holds T times the mean: T |mean|^2 is the energy of the mean
+    if np.vdot(dft[:, 0], dft[:, 0]).real / t_len > 0.5 * np.vdot(y, y).real:
+        np.fft.fft((y - y.mean(axis=0)).T, out=dft)
     dft[:, 0] = 0.0
     # scaled before the outer product, which writes the (F, n, n) values
     d = np.take(dft, j_round.astype(int) % t_len, axis=1)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import fiarma_lab.dataio
 from fiarma_lab import (
     ConfigError,
     HilbertGrid,
@@ -257,6 +258,15 @@ class TestCsvTables:
         assert _table_bytes(header, cells, index) == self.per_cell(header, cells, index)
         assert _table_bytes(header[1:], cells) == self.per_cell(header[1:], cells)
         assert _table_bytes(header, cells[:0], index[:0]) == self.per_cell(header, cells[:0])
+
+    def test_chunked_rows_match_per_cell_formatter(self, rng, monkeypatch):
+        """Rows split over many ``%`` operations, the last one partial."""
+        monkeypatch.setattr(fiarma_lab.dataio, "_TABLE_CHUNK_CELLS", 12)
+        cells = rng.normal(size=(37, 5))
+        header = ["k"] + [f"c{j}" for j in range(5)]
+        index = np.arange(37)
+        assert _table_bytes(header, cells, index) == self.per_cell(header, cells, index)
+        assert _table_bytes(header[1:], cells) == self.per_cell(header[1:], cells)
 
     def test_path_csv_matches_per_cell_formatter(self, rng, tmp_path):
         vals = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))

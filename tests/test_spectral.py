@@ -334,15 +334,35 @@ class TestPeriodogram:
         assert zero.sum() == 1
         assert np.all(pg.values[zero] == 0.0)
 
-    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_large_mean_keeps_the_centered_precision(self, rng):
+        """A mean 1e8 times the spread is removed before the transform, so the
+        values match the direct transform of the centered path."""
+        g = make_grid(2)
+        t_len = 64
+        vals = rng.normal(size=(t_len, 2)) + 1j * rng.normal(size=(t_len, 2))
+        vals += np.array([1e8, -3e8j])
+        freqs = fourier_frequencies(t_len)
+        pg = periodogram(SampledPath(vals, g), freqs).values
+        centered = vals - vals.mean(axis=0)
+        j = np.rint(freqs * t_len / (2.0 * np.pi)) % t_len
+        d = np.exp(-2j * np.pi * np.outer(j, np.arange(t_len)) / t_len) @ centered
+        direct = d[:, :, None] * d[:, None, :].conj() / (2.0 * np.pi * t_len)
+        assert np.abs(pg - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 32])
     def test_values_contiguous_and_exactly_hermitian(self, rng, n):
+        """n=32 has more than 1 MB of values, which are made in blocks."""
         g = make_grid(n)
         t_len = 127
         vals = rng.normal(size=(t_len, n)) + 1j * rng.normal(size=(t_len, n))
-        pg = periodogram(SampledPath(vals, g), fourier_frequencies(t_len, drop_zero=False))
-        v = pg.values
+        freqs = fourier_frequencies(t_len, drop_zero=False)
+        v = periodogram(SampledPath(vals, g), freqs).values
         assert v.flags.c_contiguous
         assert np.array_equal(v, v.conj().transpose(0, 2, 1))
+        j = np.rint(freqs * t_len / (2.0 * np.pi)).astype(int) % t_len
+        d = np.fft.fft(vals - vals.mean(axis=0), axis=0)[j]
+        ref = d[:, :, None] * d[:, None, :].conj() / (2.0 * np.pi * t_len)
+        assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestLocalFactorization:
