@@ -13,13 +13,7 @@ import numpy as np
 
 from .hilbert import LinearOperator, NormalDecomposition, normal_decompose, sqrt_psd
 from .spectral import ArmaModel
-from .transfer import (
-    FracIntegrationSpec,
-    SingularTransferError,
-    arma_transfer_batch,
-    eval_poly_ar,
-    eval_poly_ma,
-)
+from .transfer import FracIntegrationSpec, arma_transfer_batch
 
 
 class ExistenceRefusal(RuntimeError):
@@ -117,18 +111,6 @@ class DukerReport:
         }
 
 
-def _transformed_innovation_half(
-    model: ArmaModel, dec: NormalDecomposition
-) -> np.ndarray:
-    """Matrix ``U phi(1)^{-1} theta(1) Sigma^{1/2}`` in the diagonalizing frame."""
-    phi1 = eval_poly_ar(model.phi, 1.0).entries
-    sig = np.linalg.svd(phi1, compute_uv=False)
-    if sig[-1] <= 1e-12 * max(sig[0], 1e-300):
-        raise SingularTransferError("AR root at frequency 0", lam=0.0)
-    theta1 = eval_poly_ma(model.theta, 1.0).entries
-    return dec.U @ np.linalg.solve(phi1, theta1 @ model.root.entries)
-
-
 def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
     """Pointwise standard deviation of the transformed innovation.
 
@@ -139,7 +121,8 @@ def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
     """
     if dec.grid.n != model.grid.n:
         raise ValueError("model and decomposition must share one grid")
-    half = _transformed_innovation_half(model, dec)
+    at_zero = arma_transfer_batch(model.phi, model.theta, [0.0], right=model.root.entries)
+    half = dec.U @ at_zero[0]
     row_sq = np.sum(np.abs(half) ** 2, axis=1)
     return np.sqrt(row_sq / model.grid.weights)
 

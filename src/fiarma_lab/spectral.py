@@ -40,7 +40,9 @@ class ArmaModel:
     The constructor certifies the model once and keeps what it finds:
     ``root`` is the PSD square root of ``sigma`` and ``margin`` the circle
     certificate's lower bound on the smallest singular value of the AR
-    symbol over the unit circle.  Simulation keeps the filter plan of the
+    symbol over the unit circle, the only singularity check the model gets.
+    A margin of 0.0 means the symbol was accepted on its evaluated minimum,
+    with no proven lower bound.  Simulation keeps the filter plan of the
     last path sizes it used in ``_sim_plan``.
     """
 

@@ -251,10 +251,15 @@ def check_invertible_on_circle(
 def arma_transfer(
     phi: OperatorPolynomial, theta: OperatorPolynomial, lam: float
 ) -> LinearOperator:
-    """One-frequency ARMA transfer ``phi(e^{-i lam})^{-1} theta(e^{-i lam})``."""
-    return LinearOperator(
-        arma_transfer_batch(phi, theta, np.array([lam]))[0], phi.grid
-    )
+    """One-frequency ARMA transfer ``phi(e^{-i lam})^{-1} theta(e^{-i lam})``.
+
+    Bare polynomials carry no circle certificate, so the AR symbol is refused
+    when its smallest singular value at ``lam`` is at most 1e-12 of its largest.
+    """
+    sigma = np.linalg.svd(ar_values_on_circle(phi, [lam])[0], compute_uv=False)
+    if sigma[-1] <= 1e-12 * max(sigma[0], 1e-300):
+        raise SingularTransferError(f"AR symbol singular at frequency {lam:.6g}", lam=lam)
+    return LinearOperator(arma_transfer_batch(phi, theta, [lam])[0], phi.grid)
 
 
 def arma_transfer_batch(
@@ -266,22 +271,26 @@ def arma_transfer_batch(
     """Stacked transfer values, solving rather than inverting.
 
     With ``right`` given, returns ``phi^{-1} theta @ right`` (the factor is
-    applied inside the solve).  Raises :class:`SingularTransferError` naming
-    the first offending frequency when the AR symbol is numerically singular.
+    applied inside the solve).  ``phi`` must be the AR polynomial of an
+    :class:`ArmaModel`, whose circle certificate proved it invertible once,
+    so no singularity check runs here.  Only a solve that fails or gives a
+    non-finite value computes singular values: :class:`SingularTransferError`
+    then names the frequency with the smallest one.
     """
     freqs = np.asarray(freqs, dtype=float).ravel()
     phi_vals = ar_values_on_circle(phi, freqs)
-    sigma = np.linalg.svd(phi_vals, compute_uv=False)
-    bad = sigma[:, -1] <= 1e-12 * max(sigma.max(), 1e-300)
-    if np.any(bad):
-        lam_bad = float(freqs[np.argmax(bad)])
-        raise SingularTransferError(
-            f"AR symbol singular at frequency {lam_bad:.6g}", lam=lam_bad
-        )
     rhs = ma_values_on_circle(theta, freqs)
     if right is not None:
         rhs = rhs @ right
-    return np.linalg.solve(phi_vals, rhs)
+    try:
+        vals = np.linalg.solve(phi_vals, rhs)
+        if np.isfinite(vals).all():
+            return vals
+    except np.linalg.LinAlgError:
+        pass
+    s_min = np.linalg.svd(phi_vals, compute_uv=False)[:, -1]
+    lam_bad = float(freqs[np.argmin(s_min)])
+    raise SingularTransferError(f"AR symbol singular at frequency {lam_bad:.6g}", lam=lam_bad)
 
 
 def frac_transfer(spec: FracIntegrationSpec, lam: float) -> LinearOperator:
@@ -292,11 +301,11 @@ def frac_transfer(spec: FracIntegrationSpec, lam: float) -> LinearOperator:
 def frac_transfer_batch(spec: FracIntegrationSpec, freqs: np.ndarray) -> np.ndarray:
     """Stacked fractional transfer values ``exp(-log(1 - e^{-i lam}) D)``, zero at 0."""
     freqs = np.asarray(freqs, dtype=float).ravel()
+    if not np.isfinite(freqs).all():
+        raise ValueError("frequencies must be finite")
     n = spec.grid.n
     out = np.zeros((freqs.size, n, n), dtype=complex)
-    nonzero = np.array(
-        [math.remainder(l, 2.0 * math.pi) != 0.0 for l in freqs], dtype=bool
-    )
+    nonzero = np.fmod(freqs, 2.0 * np.pi) != 0.0  # exact: 0 only at multiples of 2 pi
     ts = -np.log(1.0 - np.exp(-1j * freqs[nonzero]))  # principal branch
     out[nonzero] = operator_exp_batch(spec.D, ts, spec.decomposition)
     return out

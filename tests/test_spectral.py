@@ -14,10 +14,12 @@ from fiarma_lab import (
     arma_spectral_density,
     autocov_from_density,
     autocov_sequence,
+    check_conditions,
     cross_spectral_kernel,
     density_frequencies,
     empirical_autocov,
     envelope_bounds,
+    existence_integral,
     fiarma_spectral_density,
     fourier_frequencies,
     frac_transfer,
@@ -112,6 +114,61 @@ class TestArmaDensity:
         )
         dens = arma_spectral_density(model, density_frequencies(128))
         dens.validate(1e-10)
+
+    def test_uncertified_margin_model_matches_closed_form(self):
+        # Id - 1.5 S z with S the nilpotent shift: the circle certificate
+        # proves no positive margin, yet the symbol is invertible everywhere
+        # with inverse sum_{k<n} (1.5 z S)^k, and the density must match it
+        n = 32
+        g = make_grid(n)
+        shift = np.eye(n, k=1)
+        model = ArmaModel(
+            OperatorPolynomial(g, (op(1.5 * shift, g),)), OperatorPolynomial(g), identity(g)
+        )
+        assert model.margin == 0.0
+        freqs = density_frequencies(16)
+        dens = arma_spectral_density(model, freqs)
+        for lam, got in zip(freqs, dens.values):
+            step = 1.5 * np.exp(-1j * lam) * shift
+            inv = sum(np.linalg.matrix_power(step, k) for k in range(n))
+            expected = inv @ inv.conj().T / (2 * np.pi)
+            assert operator_norm(got - expected) <= 1e-12 * operator_norm(expected)
+
+
+class TestCertifiedOnce:
+    """A built model's AR symbol was certified by its constructor, so its
+    densities and existence checks must not run another singular value
+    decomposition."""
+
+    def test_no_svd_after_construction(self, rng, monkeypatch):
+        g = make_grid(3)
+        u = random_unitary(rng, 3)
+        model = FiarmaModel(
+            ArmaModel(
+                OperatorPolynomial(g, (op(0.3 * rng.normal(size=(3, 3)), g),)),
+                OperatorPolynomial(g, (op(0.3 * rng.normal(size=(3, 3)), g),)),
+                random_psd(rng, g),
+            ),
+            FracIntegrationSpec(op(u.conj().T @ np.diag([0.1, 0.25, 0.4]) @ u, g)),
+        )
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        freqs = density_frequencies(64)
+        for run in (
+            lambda: arma_spectral_density(model.base, freqs),
+            lambda: fiarma_spectral_density(model, freqs),
+            lambda: existence_integral(model.base, model.D, 0.5),
+            lambda: check_conditions(model.base, model.D),
+        ):
+            calls.clear()
+            run()
+            assert not calls
 
 
 class TestFiarmaDensity:

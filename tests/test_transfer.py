@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,7 +29,12 @@ from fiarma_lab import (
 )
 
 from fiarma_lab import transfer
-from fiarma_lab.transfer import _rgamma, ar_values_on_circle, frac_transfer_batch
+from fiarma_lab.transfer import (
+    _rgamma,
+    ar_values_on_circle,
+    arma_transfer_batch,
+    frac_transfer_batch,
+)
 
 from conftest import make_grid, op, random_unitary
 
@@ -205,12 +212,58 @@ class TestArmaTransfer:
             arma_transfer(phi, OperatorPolynomial(g), 0.0)
         assert err.value.lam == pytest.approx(0.0)
 
+    def test_batch_names_the_singular_frequency_not_the_first(self):
+        g = make_grid(1)
+        phi = OperatorPolynomial.scalar(g, 1.0)
+        with pytest.raises(SingularTransferError) as err:
+            arma_transfer_batch(phi, OperatorPolynomial(g), [0.5, 0.0, 1.0])
+        assert err.value.lam == 0.0
+
+    def test_batch_names_the_most_singular_frequency(self):
+        # diag(1 - z, 1 - 0.5 z): singular only at frequency 0, mid-batch
+        g = make_grid(2)
+        phi = OperatorPolynomial(g, (op(np.diag([1.0, 0.5]), g),))
+        freqs = np.array([-2.0, -0.7, 0.0, 0.3, 1.5, np.pi])
+        with pytest.raises(SingularTransferError) as err:
+            arma_transfer_batch(phi, OperatorPolynomial(g), freqs)
+        assert err.value.lam == 0.0
+
+    def test_single_frequency_refuses_ill_conditioned_symbol(self):
+        # diag(1, 1 - (1 - 1e-13) z) has condition number about 1e13 at 0
+        g = make_grid(2)
+        phi = OperatorPolynomial(g, (op(np.diag([0.0, 1.0 - 1e-13]), g),))
+        with pytest.raises(SingularTransferError) as err:
+            arma_transfer(phi, OperatorPolynomial(g), 0.0)
+        assert err.value.lam == 0.0
+        # the batch trusts its caller's certificate and solves what it can
+        vals = arma_transfer_batch(phi, OperatorPolynomial(g), [0.0])
+        assert np.isfinite(vals).all() and abs(vals[0, 1, 1]) > 1e12
+
 
 class TestFracTransfer:
     def test_zero_frequency_is_zero_operator(self):
         spec = FracIntegrationSpec.scalar(make_grid(2), 0.4)
         for lam in (0.0, 2 * np.pi, -2 * np.pi):
             assert operator_norm(frac_transfer(spec, lam).entries) == 0.0
+
+    def test_zero_mask_matches_math_remainder(self):
+        two_pi = 2.0 * np.pi
+        edge = [0.0, -0.0, np.pi, -np.pi, two_pi, -two_pi, 3 * two_pi, -7 * two_pi,
+                np.nextafter(two_pi, 0.0), np.nextafter(two_pi, 10.0), 5e-324, 1e300]
+        rng = np.random.default_rng(11)
+        freqs = np.concatenate([edge, rng.uniform(-50.0, 50.0, 1000),
+                                two_pi * rng.integers(-1000, 1000, 200)])
+        spec = FracIntegrationSpec.scalar(make_grid(1), 0.3)
+        got = frac_transfer_batch(spec, freqs)[:, 0, 0] != 0.0
+        expected = np.array([math.remainder(l, two_pi) != 0.0 for l in freqs])
+        assert np.array_equal(got, expected)
+        assert list(got[:6]) == [False, False, True, True, False, False]
+
+    @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
+    def test_non_finite_frequency_rejected(self, lam):
+        spec = FracIntegrationSpec.scalar(make_grid(1), 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            frac_transfer_batch(spec, [0.5, lam])
 
     def test_zero_exponent(self):
         spec = FracIntegrationSpec.scalar(make_grid(2), 0.0)
