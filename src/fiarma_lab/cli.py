@@ -22,6 +22,7 @@ from .dataio import _atomic_write, _complex_cells, _table_bytes, write_path
 from .existence import ExistenceRefusal, check_conditions, existence_integral
 from .simulate import (
     SampledPath,
+    key_range_error,
     simulate_arma,
     simulate_duker,
     simulate_fiarma,
@@ -213,6 +214,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.seed is not None:
+        message = key_range_error("--seed", args.seed)
+        if message:
+            print(f"config error: {message}", file=sys.stderr)
+            return 1
         cfg.run.seed = args.seed
 
     try:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .hilbert import HilbertGrid, LinearOperator
-from .simulate import NOISE_KINDS, SimConfig
+from .simulate import NOISE_KINDS, SimConfig, key_range_error
 from .spectral import ArmaModel, FiarmaModel
 from .transfer import FracIntegrationSpec, OperatorPolynomial, SingularTransferError
 
@@ -264,6 +264,8 @@ def _check_run(run: dict, errors: list[str]) -> None:
     for key in ("seed", "replication"):  # may be negative: they key the noise stream
         if not _is_number(run[key], (int,)):
             errors.append(f"run.{key}: must be an integer")
+        elif message := key_range_error(f"run.{key}", run[key]):
+            errors.append(message)
     if _is_number(run["T"], (int,)) and run["T"] < 1:
         errors.append("run.T: must be at least 1")
     if run["burnin"] is not None and (not _is_number(run["burnin"], (int,)) or run["burnin"] < 0):

@@ -109,7 +109,13 @@ def _read_csv(raw: bytes, grid: HilbertGrid | None) -> SampledPath:
         cells = line.split(",")
         if len(cells) != 1 + 2 * n:
             raise PathFormatError(f"row {t}: expected {1 + 2 * n} cells")
-        nums = [float(c) for c in cells[1:]]
+        try:
+            nums = [float(c) for c in cells[1:]]
+            stamp = int(cells[0])
+        except ValueError as exc:
+            raise PathFormatError(f"row {t}: {exc}") from None
+        if stamp != t:
+            raise PathFormatError(f"row {t}: t column reads {stamp}, expected {t}")
         values[t] = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
     if grid is None:
         grid = HilbertGrid(np.arange(n, dtype=float), np.ones(n))

@@ -70,6 +70,20 @@ class SimConfig:
             raise ValueError("K_trunc must be nonnegative")
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise_kind {self.noise_kind!r}")
+        for name in ("seed", "replication"):
+            message = key_range_error(name, getattr(self, name))
+            if message:
+                raise ValueError(message)
+
+
+def key_range_error(name: str, value: int) -> str | None:
+    """The message for a ``seed`` or ``replication`` that does not fit one
+    64-bit word of the noise stream's key, or None.  A negative value stands
+    for its two's complement; a value outside ``[-2**63, 2**64)`` would wrap
+    onto the stream of another key."""
+    if -(2**63) <= value < 2**64:
+        return None
+    return f"{name}: must lie in [-2**63, 2**64) to key the noise stream, got {value}"
 
 
 @dataclass(eq=False)
@@ -179,12 +193,20 @@ def _noise_rows(
 
 
 def _next_fast_len(target: int) -> int:
-    """Smallest 11-smooth integer ``>= target``: the transform lengths that
-    ``numpy.fft`` runs fastest, the same as ``scipy.fft.next_fast_len``."""
+    """Smallest 5-smooth integer ``>= target``, the real-transform length of
+    ``scipy.fft.next_fast_len(target, real=True)``.
+
+    Every convolution here transforms real noise with ``rfft``, and numpy's
+    real transforms have kernels for the factors 2, 3, 4 and 5 only: a
+    factor 7 or 11 runs through a generic pass that costs 1.5 to 1.9 times
+    as much per point.  On a 2-core Xeon with numpy 2.4, four lines of real
+    noise took 250 us at 5145 = 3 5 7^3 and 148 us at 5184 = 2^6 3^4; their
+    complex inverse took 271 and 227 us.
+    """
     m = target
     while True:
         rest = m
-        for prime in (2, 3, 5, 7, 11):
+        for prime in (2, 3, 5):
             while rest % prime == 0:
                 rest //= prime
         if rest == 1:
@@ -211,7 +233,9 @@ def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
     filter multiplies directly, and the inverse transform writes its lines
     into the columns of the result.  A real path takes a half-length
     ``rfft`` and the other half of its spectrum by Hermitian symmetry; the
-    filter itself may be complex.
+    filter itself may be complex.  The real path is first copied into
+    zero-padded contiguous lines: one copy is cheaper than letting ``rfft``
+    pad each strided line itself.
     """
     n, _, m = filter_fft.shape
     xf = np.empty((n, m), dtype=complex)
@@ -219,7 +243,10 @@ def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
         np.fft.fft(path.T, m, out=xf)
     else:
         h = m // 2 + 1
-        np.fft.rfft(path.T, m, out=xf[:, :h])
+        padded = np.empty((n, m))
+        padded[:, : len(path)] = path.T
+        padded[:, len(path) :] = 0.0
+        np.fft.rfft(padded, out=xf[:, :h])
         np.conjugate(xf[:, m - h : 0 : -1], out=xf[:, h:])
     # at small n this loop over j beats an (m, n, n) einsum or matmul
     yf = filter_fft[:, 0] * xf[0]

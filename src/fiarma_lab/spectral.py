@@ -254,6 +254,7 @@ def fourier_frequencies(t_len: int, drop_zero: bool = True) -> np.ndarray:
 
 
 _OUTER_CACHE_BYTES = 1 << 20
+_OUTER_ROWS_BYTES = 1 << 18
 
 
 def _outer_by_frequency(d: np.ndarray) -> np.ndarray:
@@ -264,22 +265,37 @@ def _outer_by_frequency(d: np.ndarray) -> np.ndarray:
     triangle is the conjugate of the upper one and the diagonal is made
     real: the fused multiply-add in numpy's complex product leaves
     ``d_a conj(d_b)`` and ``conj(d_b conj(d_a))`` unequal in the last bit,
-    and ``d_a conj(d_a)`` with an imaginary part.  Values that fit in about
-    1 MB of cache are written entry by entry through their ``(n, n, F)``
-    transposed view.  Larger ones would miss the cache on every write of
-    that view, so they are made in blocks of about 512 KB of frequencies,
-    each copied into place while it is still in cache.
+    and ``d_a conj(d_a)`` with an imaginary part.
+
+    Values that fit in about 1 MB of cache are made in blocks of at most
+    256 KB with contiguous rows, ``(n, n, F')``, one upper-triangle row of
+    entries per multiply, and each block is copied transposed into place in
+    one pass.  Writing the entries straight through the transposed view of
+    the values would touch a new cache line with every element.  A block as
+    large as the values would hold a second megabyte per call, which made
+    the allocator hand the freed memory back to the system and fault it in
+    again on every Monte Carlo replication (about 720 page faults each at
+    n=4, T=4096).  Larger values are made in
+    blocks of about 512 KB of frequencies by one broadcast multiply each,
+    copied into place while still in cache.
     """
     n, n_freq = d.shape
     dc = d.conj()
     vals = np.empty((n_freq, n, n), dtype=complex)
     if vals.nbytes <= _OUTER_CACHE_BYTES:
-        by_entry = vals.transpose(1, 2, 0)
-        for a in range(n):
-            np.multiply(d[a], dc[a], out=by_entry[a, a])
-            by_entry[a, a].imag = 0.0
-            for b in range(a + 1, n):
-                np.conjugate(np.multiply(d[a], dc[b], out=by_entry[a, b]), out=by_entry[b, a])
+        step = max(1, _OUTER_ROWS_BYTES // (16 * n * n))
+        block = np.empty((n, n, min(step, n_freq)), dtype=complex)
+        diagonal = block.reshape(n * n, -1)[:: n + 1]
+        for f0 in range(0, n_freq, step):
+            width = min(step, n_freq - f0)
+            rows = block[:, :, :width]
+            da, dca = d[:, f0 : f0 + width], dc[:, f0 : f0 + width]
+            for a in range(n):
+                np.multiply(da[a], dca[a:], out=rows[a, a:])
+            for a in range(n - 1):
+                np.conjugate(rows[a, a + 1 :], out=rows[a + 1 :, a])
+            diagonal[:, :width].imag = 0.0
+            vals[f0 : f0 + width] = rows.transpose(2, 0, 1)
         return vals
     step = max(16, _OUTER_CACHE_BYTES // (32 * n * n))
     for f0 in range(0, n_freq, step):
@@ -303,26 +319,32 @@ def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
     rounding error grows with the norm of what it transforms; a path whose
     mean carries more than half of its energy is centered before the
     transform, which keeps that norm within sqrt(2) of the centered path's.
-    The values are C-contiguous and exactly Hermitian.
+    The energies are plain sums, not BLAS dot products, whose thread pool
+    would wake on every call.  The values are C-contiguous and exactly
+    Hermitian.
     """
     freqs = np.asarray(freqs, dtype=float).ravel()
     y = path.values
     t_len = y.shape[0]
-    j_float = freqs * t_len / (2.0 * np.pi)
-    j_round = np.rint(j_float)
-    off = np.abs(j_float - j_round)
+    off = freqs * (t_len / (2.0 * np.pi))
+    j = np.rint(off)
+    off -= j
+    np.abs(off, out=off)
     if off.size and off.max() > 1e-8:
         lam_bad = freqs[np.argmax(off)]
         raise ValueError(f"{lam_bad:.6g} is not a Fourier frequency for T={t_len}")
     # entry (a, j) holds sum_t y_{t,a} e^{-2 pi i j t / T}
     dft = np.fft.fft(y.T, out=np.empty(y.shape[::-1], dtype=complex))
     # row j = 0 holds T times the mean: T |mean|^2 is the energy of the mean
-    if np.vdot(dft[:, 0], dft[:, 0]).real / t_len > 0.5 * np.vdot(y, y).real:
+    mean = dft[:, 0]
+    mean_energy = float(np.sum(mean.real**2 + mean.imag**2)) / t_len
+    flat = y.view(float)
+    if mean_energy > 0.5 * float(np.einsum("ij,ij->", flat, flat)):
         np.fft.fft((y - y.mean(axis=0)).T, out=dft)
     dft[:, 0] = 0.0
-    # scaled before the outer product, which writes the (F, n, n) values
-    d = np.take(dft, j_round.astype(int) % t_len, axis=1)
-    d *= 1.0 / np.sqrt(2.0 * np.pi * t_len)
+    # scaled once, before the gather and the outer product
+    dft *= 1.0 / np.sqrt(2.0 * np.pi * t_len)
+    d = np.take(dft, j.astype(np.intp), axis=1, mode="wrap")  # j modulo T
     return SpectralDensityGrid(freqs, _outer_by_frequency(d), path.grid)
 
 

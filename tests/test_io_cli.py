@@ -166,6 +166,18 @@ class TestParseConfig:
     def test_negative_seed_accepted(self):
         assert parse_config(minimal_config(seed=-3, replication=-1)).run.seed == -3
 
+    @pytest.mark.parametrize("key", ["seed", "replication"])
+    @pytest.mark.parametrize("value", [2**64, -(2**63) - 1])
+    def test_key_outside_64_bits_flagged(self, key, value):
+        """Such a value would wrap onto the noise stream of another key."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_config(**{key: value}))
+        assert any(m.startswith(f"run.{key}: must lie in") for m in err.value.errors)
+
+    def test_key_range_ends_accepted(self):
+        cfg = parse_config(minimal_config(seed=2**64 - 1, replication=-(2**63)))
+        assert (cfg.run.seed, cfg.run.replication) == (2**64 - 1, -(2**63))
+
     def test_unit_root_between_scan_points_flagged(self):
         with pytest.raises(ConfigError) as err:
             parse_config(between_scan_points_unit_root())
@@ -228,6 +240,20 @@ class TestPathFiles:
         raw[4] = 0xFF
         target.write_bytes(bytes(raw))
         with pytest.raises(PathFormatError, match="version"):
+            read_path(target)
+
+    def test_non_numeric_csv_cell_rejected(self, tmp_path):
+        target = tmp_path / "p.csv"
+        target.write_text("t,coord_1_re,coord_1_im\n0,1.0,0.0\n1,abc,0.0\n")
+        with pytest.raises(PathFormatError, match="row 1: .*'abc'"):
+            read_path(target)
+
+    @pytest.mark.parametrize("stamps", [("5", "5"), ("0", "0"), ("0", "2"), ("0", "1.5")])
+    def test_csv_t_column_must_count_rows(self, tmp_path, stamps):
+        target = tmp_path / "p.csv"
+        rows = "".join(f"{s},1.0,0.0\n" for s in stamps)
+        target.write_text("t,coord_1_re,coord_1_im\n" + rows)
+        with pytest.raises(PathFormatError, match="row [01]: "):
             read_path(target)
 
     def test_format_is_sniffed_not_suffixed(self, rng, tmp_path):
@@ -333,6 +359,9 @@ class TestCli:
             (minimal_config(T=True), "config error: run.T:"),
             (minimal_config(burnin=False), "config error: run.burnin:"),
             (between_scan_points_unit_root(), "config error: model.phi: not invertible"),
+            (minimal_config(seed=2**64), "config error: run.seed: must lie in"),
+            (minimal_config(seed=-(2**63) - 1), "config error: run.seed: must lie in"),
+            (minimal_config(replication=2**64), "config error: run.replication: must lie in"),
         ],
     )
     def test_invalid_config_exits_one_with_prefix(self, tmp_path, capsys, text, prefix):

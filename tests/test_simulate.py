@@ -94,6 +94,19 @@ class TestWhiteNoise:
         b = gaussian_white_noise(identity(g), cfg)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("key", ["seed", "replication"])
+    @pytest.mark.parametrize("value", [2**64, -(2**63) - 1])
+    def test_key_outside_64_bits_refused(self, key, value):
+        """Such a value would wrap onto the noise stream of another key."""
+        with pytest.raises(ValueError, match=f"{key}: must lie in"):
+            SimConfig(**{key: value})
+
+    def test_negative_key_is_its_twos_complement(self):
+        g = make_grid(2)
+        a = gaussian_white_noise(identity(g), SimConfig(T=8, seed=-1, replication=-(2**63)))
+        b = gaussian_white_noise(identity(g), SimConfig(T=8, seed=2**64 - 1, replication=2**63))
+        assert np.array_equal(a.values, b.values)
+
     def test_replications_differ(self):
         g = make_grid(2)
         a = gaussian_white_noise(identity(g), SimConfig(T=64, seed=5, replication=0))
@@ -529,8 +542,21 @@ class TestAutoBurnin:
 
 class TestFftHelpers:
     def test_next_fast_len_matches_scipy(self):
+        """The real-transform lengths: numpy's rfft has no radix-7 or -11 pass."""
         lengths = [fiarma_lab.simulate._next_fast_len(n) for n in range(1, 20_001)]
-        assert lengths == [scipy.fft.next_fast_len(n) for n in range(1, 20_001)]
+        assert lengths == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20_001)]
+
+    @pytest.mark.parametrize("t_len, k_trunc", [(4096, 1024), (1024, 2048), (100, 32)])
+    def test_plans_use_5_smooth_lengths(self, counted, t_len, k_trunc):
+        stack_calls = counted("_fft_stack")
+        cfg = SimConfig(T=t_len, K_trunc=k_trunc, seed=3)
+        simulate_fiarma(mc_model(), cfg)
+        simulate_arma(mc_model().base, cfg)
+        g = make_grid(2)
+        simulate_duker(op(0.7 * np.eye(2), g), identity(g), cfg)
+        lengths = [args[1] for args in stack_calls]
+        assert len(lengths) == 4  # two for the fractional plan
+        assert lengths == [scipy.fft.next_fast_len(m, real=True) for m in lengths]
 
     def test_stacked_fft_matches_time_axis_fft(self, rng):
         ops = rng.normal(size=(37, 3, 3)) + 1j * rng.normal(size=(37, 3, 3))
@@ -595,6 +621,26 @@ class TestFilterPlanCache:
         assert len(block_calls) == 1
         assert kind_calls == []
         assert path.meta["noise_kind"] == "real-gaussian"
+
+    def test_warm_replication_calls_no_blas_dot(self, monkeypatch):
+        """A BLAS dot product above its threading threshold wakes the BLAS
+        thread pool, whose worker then spins on another core."""
+        calls = []
+        for name in ("vdot", "dot"):
+            real = getattr(np, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        model = mc_model()
+        freqs = fourier_frequencies(4096)
+        periodogram(simulate_fiarma(model, SimConfig(T=4096, K_trunc=64, seed=5)), freqs)
+        calls.clear()
+        path = simulate_fiarma(model, SimConfig(T=4096, K_trunc=64, seed=5, replication=1))
+        periodogram(path, freqs)
+        assert calls == []
 
     def test_refusal_builds_no_plan(self, monkeypatch, counted):
         def no_plan(*args):

@@ -406,20 +406,23 @@ class TestPeriodogram:
         direct = d[:, :, None] * d[:, None, :].conj() / (2.0 * np.pi * t_len)
         assert np.abs(pg - direct).max() <= 1e-12 * np.abs(direct).max()
 
-    @pytest.mark.parametrize("n", [1, 4, 5, 32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 32])
     def test_values_contiguous_and_exactly_hermitian(self, rng, n):
-        """n=32 has more than 1 MB of values, which are made in blocks."""
+        """At each n, values of exactly 1 MB are made in contiguous rows and
+        one more frequency takes them into the broadcast blocks above 1 MB;
+        127 frequencies are below 1 MB for n <= 5 and above it for n=32."""
         g = make_grid(n)
-        t_len = 127
-        vals = rng.normal(size=(t_len, n)) + 1j * rng.normal(size=(t_len, n))
-        freqs = fourier_frequencies(t_len, drop_zero=False)
-        v = periodogram(SampledPath(vals, g), freqs).values
-        assert v.flags.c_contiguous
-        assert np.array_equal(v, v.conj().transpose(0, 2, 1))
-        j = np.rint(freqs * t_len / (2.0 * np.pi)).astype(int) % t_len
-        d = np.fft.fft(vals - vals.mean(axis=0), axis=0)[j]
-        ref = d[:, :, None] * d[:, None, :].conj() / (2.0 * np.pi * t_len)
-        assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
+        at_limit = (1 << 20) // (16 * n * n)
+        for t_len in (127, at_limit, at_limit + 1):
+            vals = rng.normal(size=(t_len, n)) + 1j * rng.normal(size=(t_len, n))
+            freqs = fourier_frequencies(t_len, drop_zero=False)
+            v = periodogram(SampledPath(vals, g), freqs).values
+            assert v.flags.c_contiguous
+            assert np.array_equal(v, v.conj().transpose(0, 2, 1))
+            j = np.rint(freqs * t_len / (2.0 * np.pi)).astype(int) % t_len
+            d = np.fft.fft(vals - vals.mean(axis=0), axis=0)[j]
+            ref = d[:, :, None] * d[:, None, :].conj() / (2.0 * np.pi * t_len)
+            assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestLocalFactorization:
