@@ -253,8 +253,7 @@ def fourier_frequencies(t_len: int, drop_zero: bool = True) -> np.ndarray:
     return np.sort(lam)
 
 
-_OUTER_CACHE_BYTES = 1 << 20
-_OUTER_ROWS_BYTES = 1 << 18
+_OUTER_ROW_PRODUCTS = 1 << 12
 
 
 def _outer_by_frequency(d: np.ndarray) -> np.ndarray:
@@ -267,43 +266,34 @@ def _outer_by_frequency(d: np.ndarray) -> np.ndarray:
     ``d_a conj(d_b)`` and ``conj(d_b conj(d_a))`` unequal in the last bit,
     and ``d_a conj(d_a)`` with an imaginary part.
 
-    Values that fit in about 1 MB of cache are made in blocks of at most
-    256 KB with contiguous rows, ``(n, n, F')``, one upper-triangle row of
-    entries per multiply, and each block is copied transposed into place in
-    one pass.  Writing the entries straight through the transposed view of
-    the values would touch a new cache line with every element.  A block as
-    large as the values would hold a second megabyte per call, which made
-    the allocator hand the freed memory back to the system and fault it in
-    again on every Monte Carlo replication (about 720 page faults each at
-    n=4, T=4096).  Larger values are made in
-    blocks of about 512 KB of frequencies by one broadcast multiply each,
-    copied into place while still in cache.
+    The values are made in blocks ``(n, n, F')`` with contiguous rows, one
+    upper-triangle row of entries per multiply, and each block is copied
+    transposed into place in one pass.  Writing the entries straight
+    through the transposed view of the values would touch a new cache line
+    with every element.  A block holds ``4096 // n`` frequencies, so a row
+    multiply covers about 2048 products on average at every ``n`` and its
+    per-call cost stays small, while the block (64 KB times ``n``) stays in
+    cache for the copy.  At n=4, T=4096 that is 256 KB: a block as large as
+    the 1 MB of values made the allocator hand the freed memory back to the
+    system and fault it in again on every Monte Carlo replication (about
+    720 page faults each).
     """
     n, n_freq = d.shape
     dc = d.conj()
     vals = np.empty((n_freq, n, n), dtype=complex)
-    if vals.nbytes <= _OUTER_CACHE_BYTES:
-        step = max(1, _OUTER_ROWS_BYTES // (16 * n * n))
-        block = np.empty((n, n, min(step, n_freq)), dtype=complex)
-        diagonal = block.reshape(n * n, -1)[:: n + 1]
-        for f0 in range(0, n_freq, step):
-            width = min(step, n_freq - f0)
-            rows = block[:, :, :width]
-            da, dca = d[:, f0 : f0 + width], dc[:, f0 : f0 + width]
-            for a in range(n):
-                np.multiply(da[a], dca[a:], out=rows[a, a:])
-            for a in range(n - 1):
-                np.conjugate(rows[a, a + 1 :], out=rows[a + 1 :, a])
-            diagonal[:, :width].imag = 0.0
-            vals[f0 : f0 + width] = rows.transpose(2, 0, 1)
-        return vals
-    step = max(16, _OUTER_CACHE_BYTES // (32 * n * n))
+    step = max(1, _OUTER_ROW_PRODUCTS // n)
+    block = np.empty((n, n, min(step, n_freq)), dtype=complex)
+    diagonal = block.reshape(n * n, -1)[:: n + 1]
     for f0 in range(0, n_freq, step):
-        block = d[:, None, f0 : f0 + step] * dc[None, :, f0 : f0 + step]
+        width = min(step, n_freq - f0)
+        rows = block[:, :, :width]
+        da, dca = d[:, f0 : f0 + width], dc[:, f0 : f0 + width]
         for a in range(n):
-            block[a, a].imag = 0.0
-            np.conjugate(block[a, a + 1 :], out=block[a + 1 :, a])
-        vals[f0 : f0 + step] = block.transpose(2, 0, 1)
+            np.multiply(da[a], dca[a:], out=rows[a, a:])
+        for a in range(n - 1):
+            np.conjugate(rows[a, a + 1 :], out=rows[a + 1 :, a])
+        diagonal[:, :width].imag = 0.0
+        vals[f0 : f0 + width] = rows.transpose(2, 0, 1)
     return vals
 
 

@@ -393,6 +393,16 @@ class TestCli:
         c = (out3 / "path.csv").read_bytes()
         assert a != b and b == c
 
+    @pytest.mark.parametrize("seed", [2**64, -(2**63) - 1])
+    def test_seed_override_outside_64_bits_exits_one(self, tmp_path, capsys, seed):
+        """--seed is set on a parsed config, so the config check never sees it."""
+        cfg = self._write(tmp_path, minimal_config(T=16))
+        out = tmp_path / "o"
+        args = ["simulate", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("config error: --seed: must lie in")
+        assert not (out / "manifest.json").exists()
+
     def test_density_autocov_periodogram_run(self, tmp_path):
         cfg = self._write(
             tmp_path, fractional_config(0.3, T=64, n_freq=128, lags=2)

@@ -408,12 +408,12 @@ class TestPeriodogram:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 32])
     def test_values_contiguous_and_exactly_hermitian(self, rng, n):
-        """At each n, values of exactly 1 MB are made in contiguous rows and
-        one more frequency takes them into the broadcast blocks above 1 MB;
-        127 frequencies are below 1 MB for n <= 5 and above it for n=32."""
+        """Values are made in blocks of ``4096 // n`` frequencies: ``step``
+        frequencies fill exactly one block, one more starts a second block
+        of width 1, and 127 frequencies fill part of one block."""
         g = make_grid(n)
-        at_limit = (1 << 20) // (16 * n * n)
-        for t_len in (127, at_limit, at_limit + 1):
+        step = 4096 // n
+        for t_len in (127, step, step + 1):
             vals = rng.normal(size=(t_len, n)) + 1j * rng.normal(size=(t_len, n))
             freqs = fourier_frequencies(t_len, drop_zero=False)
             v = periodogram(SampledPath(vals, g), freqs).values
