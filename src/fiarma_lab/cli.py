@@ -2,7 +2,8 @@
 
 Each invocation runs one subcommand against a JSON config, writes its output
 files plus a run manifest into the output directory, and exits with 0 on
-success, 2 when an existence check refuses the run, and 1 on any error.
+success, 2 when an existence check refuses the run, and 1 on any error,
+usage errors of the command line included.
 The manifest embeds the fully resolved config so every output can be
 regenerated bit-identically from it.
 """
@@ -13,6 +14,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -179,20 +181,24 @@ RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1: exit code 2 means a refusal."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fiarma-lab",
         description="Operator-valued fractional ARMA toolbox (batch CLI)",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        p.add_argument(
-            "--force", action="store_true", help="bypass existence refusals"
-        )
+    parser.add_argument("subcommand", choices=RUNNERS, help="what to compute")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override run.seed")
+    parser.add_argument("--force", action="store_true", help="bypass existence refusals")
     return parser
 
 

@@ -105,6 +105,7 @@ def _read_csv(raw: bytes, grid: HilbertGrid | None) -> SampledPath:
     if len(lines) == 1:
         raise PathFormatError("empty path")
     values = np.empty((len(lines) - 1, n), dtype=complex)
+    parts = values.view(float)  # re, im of each coordinate in turn, as a row holds them
     for t, line in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != 1 + 2 * n:
@@ -116,7 +117,8 @@ def _read_csv(raw: bytes, grid: HilbertGrid | None) -> SampledPath:
             raise PathFormatError(f"row {t}: {exc}") from None
         if stamp != t:
             raise PathFormatError(f"row {t}: t column reads {stamp}, expected {t}")
-        values[t] = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
+        parts[t] = nums
+    _refuse_non_finite(parts)
     if grid is None:
         grid = HilbertGrid(np.arange(n, dtype=float), np.ones(n))
     return SampledPath(values, grid)
@@ -139,10 +141,19 @@ def _read_binary(raw: bytes, grid: HilbertGrid | None) -> SampledPath:
             f"truncated file ({len(raw)} bytes, expected {expected})"
         )
     flat = np.frombuffer(raw, dtype="<f8", offset=head_len).reshape(t_len, n, 2)
+    _refuse_non_finite(flat.reshape(t_len, -1))
     values = flat[:, :, 0] + 1j * flat[:, :, 1]
     if grid is None:
         grid = HilbertGrid(np.arange(n, dtype=float), np.ones(n))
     return SampledPath(values, grid)
+
+
+def _refuse_non_finite(cells: np.ndarray) -> None:
+    """Raise :class:`PathFormatError` naming the first row of the ``(T, m)``
+    float cells that holds a ``nan`` or ``inf``."""
+    finite = np.isfinite(cells).all(axis=1)
+    if not finite.all():
+        raise PathFormatError(f"row {int(np.argmin(finite))}: value not finite")
 
 
 def read_path(file: str | Path, grid: HilbertGrid | None = None) -> SampledPath:

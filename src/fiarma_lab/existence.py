@@ -200,19 +200,20 @@ def existence_integral(
     root = model.root.entries
     u = dec.U
 
+    # every shell's nodes in one transfer batch: row l holds shell l's nodes
+    hi = eta * 2.0 ** -np.arange(n_refine)
+    lo = hi / 2.0
+    steps = (hi - lo) / n_freq
+    pts = lo[:, None] + (np.arange(n_freq) + 0.5) * steps[:, None]
+    vals = arma_transfer_batch(
+        model.phi, model.theta, np.concatenate([pts, -pts], axis=1).ravel(), right=root
+    )
+    # row norms of U T Sigma^{1/2} U^H; the unitary right factor leaves them unchanged
+    row_sq = np.sum(np.abs(u @ vals) ** 2, axis=2).reshape(n_refine, 2, n_freq, -1).sum(axis=1)
     shells = np.empty(n_refine)
     for level in range(n_refine):
-        hi = eta * 2.0**-level
-        lo = hi / 2.0
-        step = (hi - lo) / n_freq
-        pts = lo + (np.arange(n_freq) + 0.5) * step
-        vals = arma_transfer_batch(
-            model.phi, model.theta, np.concatenate([pts, -pts]), right=root
-        )
-        # row norms of U T Sigma^{1/2} U^H; the unitary right factor leaves them unchanged
-        row_sq = np.sum(np.abs(u @ vals) ** 2, axis=2).reshape(2, n_freq, -1).sum(axis=0)
-        scal = pts[:, None] ** (-2.0 * d_re[None, :])
-        shells[level] = float(np.sum(scal * row_sq)) * step / (2.0 * np.pi)
+        scal = pts[level, :, None] ** (-2.0 * d_re[None, :])
+        shells[level] = float(np.sum(scal * row_sq[level])) * steps[level] / (2.0 * np.pi)
 
     ratios = np.divide(
         shells[1:], shells[:-1], out=np.zeros(n_refine - 1), where=shells[:-1] > 0

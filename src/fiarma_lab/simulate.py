@@ -28,7 +28,7 @@ from .hilbert import HilbertGrid, LinearOperator, NotNormalError, normal_decompo
 from .spectral import ArmaModel, FiarmaModel
 from .transfer import (
     OperatorPolynomial,
-    binomial_ma_coeffs,
+    _binomial_scalars,
     duker_decomposition,
     frac_ma_coeffs,
     power_law_weights,
@@ -537,11 +537,11 @@ def verify_longmemory_decomposition(
     """Check ``Filter((1-z)^{N-Id}) eps = C Y + Z`` on one shared noise path.
 
     Path A convolves the noise with the binomial coefficients of
-    ``(1 - z)^{N - Id}``; path B assembles ``C`` times the power-law path
-    plus the remainder convolution.  The two agree up to floating point
-    because the remainder is defined as the matching residual; the report
-    also carries the remainder norms whose partial sums certify the
-    short-memory property.
+    ``(1 - z)^{N - Id}``, taken per eigenvalue of ``N`` in its frame; path B
+    assembles ``C`` times the power-law path plus the remainder convolution.
+    The two agree up to floating point because the remainder is defined as
+    the matching residual; the report also carries the remainder norms
+    whose partial sums certify the short-memory property.
     """
     dec = normal_decompose(n_op)
     report = check_duker_conditions(n_op, sigma, dec)
@@ -555,12 +555,11 @@ def verify_longmemory_decomposition(
     pre = burnin + k_trunc
     noise = _noise_rows(sqrt_psd(sigma), cfg, pre, kind)[burnin:]
 
-    eye = np.eye(n_op.n, dtype=complex)
-    binom = binomial_ma_coeffs(LinearOperator(eye - n_op.entries, n_op.grid), k_trunc)
+    binom = dec.apply_scalar(_binomial_scalars(-dec.d, k_trunc))  # (1-z)^{N-Id}
     c_mat, deltas, rho = duker_decomposition(n_op, k_trunc, dec)
     powers = power_law_weights(n_op, k_trunc, dec)
 
-    path_a = _convolve(binom.data, noise)[k_trunc:]
+    path_a = _convolve(binom, noise)[k_trunc:]
     duker_rows = _convolve(powers.data, noise)[k_trunc:]
     path_b = duker_rows @ c_mat.entries.T + _convolve(deltas.data, noise)[k_trunc:]
 

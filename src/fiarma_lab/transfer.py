@@ -178,8 +178,11 @@ def ma_values_on_circle(theta: OperatorPolynomial, freqs: np.ndarray) -> np.ndar
     return _eval_batch(theta, np.exp(-1j * np.asarray(freqs, dtype=float)), sign=+1.0)
 
 
-# Bisection levels of the circle certificate: a failing scan cell is halved
-# at most this often, down to 2^-32 of the scan spacing.
+# Points of the circle certificate's first scan; its cells are bisected
+# towards the spacing of the ``grid_size``-point scan where they need it.
+_CIRCLE_COARSE = 64
+# Bisection levels of the circle certificate below the ``grid_size``-point
+# spacing: a failing cell is halved down to 2^-32 of that spacing.
 _CIRCLE_DEPTH = 32
 # Symbol evaluations the bisection may spend, in multiples of the scan size.
 _CIRCLE_BUDGET = 4
@@ -205,41 +208,54 @@ def check_invertible_on_circle(
     on a cell of width ``h`` between scan points with smallest singular
     values ``s_0`` and ``s_1`` it stays above ``(s_0 + s_1 - L h) / 2``.
     A cell is certified when that bound exceeds ``1e-8`` times the largest
-    singular value of the ``grid_size``-point scan; a cell that is not is
-    bisected.  The symbol is declared invertible when every cell is
-    certified.  ``margin`` is the smallest cell bound, a lower bound of the
-    smallest singular value over the whole circle (0 where no positive bound
-    was proven).
+    singular value of the first scan, which has ``_CIRCLE_COARSE`` points
+    (``grid_size`` when smaller).  Two kinds of cell are bisected: those
+    not certified, and those whose bound lies more than ``L pi / grid_size``
+    below the smallest singular value evaluated so far.  The symbol is
+    declared invertible when every cell is certified.  ``margin`` is the
+    smallest cell bound, a lower bound of the smallest singular value over
+    the whole circle (0 where no positive bound was proven).  It is at least
+    the evaluated minimum less ``L pi / grid_size``, so it is as tight as
+    the bound of a dense ``grid_size``-point scan.  A symbol whose
+    coefficients are all zero is the identity: ``(True, 1.0)`` at once.
 
-    The bisection stops after ``_CIRCLE_DEPTH`` levels, or before a level
-    that would take the symbol evaluations past ``_CIRCLE_BUDGET`` times
-    ``grid_size``; it evaluates at most ``grid_size`` points at once.  A
-    symbol whose smallest singular value is small but flat over much of the
-    circle can leave cells unproven when it stops; those are judged by the
-    smallest singular value evaluated, as a dense scan would judge them.
+    The bisection stops once the cells are ``2^-_CIRCLE_DEPTH`` of the
+    ``grid_size``-point spacing, or before a level that would take the
+    symbol evaluations past ``_CIRCLE_BUDGET`` times ``grid_size``; it
+    evaluates at most ``grid_size`` points at once.  No cell of the
+    ``grid_size``-point spacing is loose, so tightening the margin costs
+    at most about ``grid_size`` evaluations of that budget.  A symbol whose
+    smallest singular value is small but flat over much of the circle can
+    leave cells unproven when it stops; those are judged by the smallest
+    singular value evaluated, as a dense scan would judge them.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
-    h = 2.0 * np.pi / grid_size
-    left = h * np.arange(grid_size)
+    if not any(c.entries.any() for c in phi.coeffs):
+        return True, 1.0
+    coarse = min(grid_size, _CIRCLE_COARSE)
+    h = 2.0 * np.pi / coarse
+    left = h * np.arange(coarse)
     sigma = np.linalg.svd(ar_values_on_circle(phi, left), compute_uv=False)
     floor = 1e-8 * float(sigma.max())
     lip = sum(k * operator_norm(c) for k, c in enumerate(phi.coeffs, start=1))
+    slack = lip * np.pi / grid_size  # half the Lipschitz swing of a grid_size-point cell
     s_left = sigma[:, -1]
     s_right = np.roll(s_left, -1)
     min_sv = float(s_left.min())
-    certified = np.inf  # smallest bound of the cells certified so far
+    certified = np.inf  # smallest bound of the cells certified and kept so far
     budget = _CIRCLE_BUDGET * grid_size
-    for _ in range(_CIRCLE_DEPTH):
+    for _ in range(_CIRCLE_DEPTH + math.ceil(math.log2(grid_size / coarse))):
         bound = (s_left + s_right - lip * h) / 2.0
         bad = bound <= floor
-        n_bad = int(bad.sum())
-        if min_sv <= floor or not n_bad or n_bad > budget:
+        split = bad | (bound < min_sv - slack)
+        n_split = int(split.sum())
+        if min_sv <= floor or not n_split or n_split > budget:
             break
-        certified = min(certified, float(bound[~bad].min(initial=np.inf)))
-        budget -= n_bad
+        certified = min(certified, float(bound[~split].min(initial=np.inf)))
+        budget -= n_split
         h /= 2.0
-        left, s_left, s_right = left[bad], s_left[bad], s_right[bad]
+        left, s_left, s_right = left[split], s_left[split], s_right[split]
         s_mid = _smallest_sv_on_circle(phi, left + h, grid_size)
         min_sv = min(min_sv, float(s_mid.min()))
         left = np.concatenate([left, left + h])
@@ -311,9 +327,38 @@ def frac_transfer_batch(spec: FracIntegrationSpec, freqs: np.ndarray) -> np.ndar
     return out
 
 
+def _binomial_scalars(shift: np.ndarray, order: int) -> np.ndarray:
+    """``b_k = prod_{j=1..k} (j + shift) / j`` for k = 0..order, shape (order+1, len(shift)).
+
+    These are the coefficients of ``(1 - z)^{-(shift + 1)}`` per entry of
+    ``shift``, from one ``cumprod``: ``shift = d - 1`` gives
+    ``Gamma(k + d) / (Gamma(d) k!)``, and ``shift = -n`` those of
+    ``(1 - z)^{n - 1}``.
+    """
+    ks = np.arange(order + 1, dtype=float)[:, None]
+    steps = np.ones((order + 1, np.size(shift)), dtype=complex)
+    steps[1:] = (ks[1:] + shift) / ks[1:]
+    return np.cumprod(steps, axis=0)
+
+
 def frac_ma_coeffs(spec: FracIntegrationSpec, order: int) -> CoefficientSequence:
-    """Moving-average coefficients of ``(1 - z)^{-D}`` for the memory operator of ``spec``."""
-    return binomial_ma_coeffs(spec.D, order)
+    """Moving-average coefficients of ``(1 - z)^{-D}`` for the memory operator of ``spec``.
+
+    With D's eigenframe each coefficient is a scalar function of the
+    eigenvalues, ``Gamma(k + d) / (Gamma(d) k!)``, rotated back through
+    :meth:`NormalDecomposition.apply_scalar`; a real D keeps real
+    coefficients.  A D without a frame takes the dense recursion of
+    :func:`binomial_ma_coeffs`.
+    """
+    dec = spec.decomposition
+    if dec is None:
+        return binomial_ma_coeffs(spec.D, order)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    data = dec.apply_scalar(_binomial_scalars(dec.d - 1.0, order))
+    if not spec.D.entries.imag.any():
+        data.imag = 0.0
+    return CoefficientSequence(data, spec.grid, meaning="frac-binomial")
 
 
 def binomial_ma_coeffs(d_op: LinearOperator, order: int) -> CoefficientSequence:
@@ -322,7 +367,7 @@ def binomial_ma_coeffs(d_op: LinearOperator, order: int) -> CoefficientSequence:
     The recursion ``C_0 = Id``, ``C_k = C_{k-1} (D + (k-1) Id) / k`` produces
     the binomial-type expansion; for a scalar exponent ``D = d Id`` the k-th
     coefficient is ``gamma(k + d) / (gamma(d) k!) Id``.  It needs no
-    eigenframe, so exponents such as ``Id - N`` are passed as bare operators.
+    eigenframe: :func:`frac_ma_coeffs` runs it for a D that has none.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -420,9 +465,7 @@ def duker_decomposition(
     rho = float(np.min(dec.d.real))
     c_vals = np.array([_rgamma(1.0 - nv) for nv in dec.d], dtype=complex)
     ks = np.arange(order + 1, dtype=float)[:, None]
-    steps = np.ones((order + 1, dec.d.size), dtype=complex)
-    steps[1:] = (ks[1:] - dec.d) / ks[1:]
-    binom = np.cumprod(steps, axis=0)  # b_k(n), coefficients of (1-z)^{n-1}
+    binom = _binomial_scalars(-dec.d, order)  # b_k(n), coefficients of (1-z)^{n-1}
     powerlaw = np.exp(-np.log(ks + 1.0) * dec.d)  # (k+1)^{-n}
     deltas = dec.apply_scalar(binom - c_vals * powerlaw)
     return (

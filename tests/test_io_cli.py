@@ -256,6 +256,25 @@ class TestPathFiles:
         with pytest.raises(PathFormatError, match="row [01]: "):
             read_path(target)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_value_names_its_row(self, tmp_path, cell):
+        target = tmp_path / "p.csv"
+        target.write_text(f"t,coord_1_re,coord_1_im\n0,1.0,0.0\n1,0.5,{cell}\n2,{cell},0.0\n")
+        with pytest.raises(PathFormatError, match="row 1: value not finite"):
+            read_path(target)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_binary_value_names_its_row(self, rng, tmp_path, bad):
+        path = self._path(rng, t_len=5, n=2)
+        target = tmp_path / "p.bin"
+        write_path(path, target)
+        raw = bytearray(target.read_bytes())
+        offset = len(raw) - 5 * 2 * 16 + (3 * 2 + 1) * 16 + 8  # row 3, coordinate 2, imaginary part
+        raw[offset : offset + 8] = np.float64(bad).tobytes()
+        target.write_bytes(bytes(raw))
+        with pytest.raises(PathFormatError, match="row 3: value not finite"):
+            read_path(target)
+
     def test_format_is_sniffed_not_suffixed(self, rng, tmp_path):
         path = self._path(rng, t_len=3, n=1)
         target = tmp_path / "weird.dat"
@@ -345,6 +364,29 @@ class TestCli:
         assert lines[0].split(",")[:2] == ["k", "m_1_1_re"]
         values = [float(l.split(",")[1]) for l in lines[1:]]
         assert values == pytest.approx([1.0, 0.3, 0.195])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["density"], "the following arguments are required: --config"),
+            (["densty", "--config", "cfg.json"], "invalid choice: 'densty'"),
+            ([], "the following arguments are required: subcommand, --config"),
+        ],
+    )
+    def test_usage_errors_exit_one(self, capsys, argv, message):
+        """Exit code 2 is kept for refusals, so a bad command line exits 1."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fiarma-lab") and message in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "duker-verify" in out and "--config" in out
 
     def test_config_errors_exit_one(self, tmp_path, capsys):
         cfg = self._write(tmp_path, '{"grid": {"points": [0.0]}}')

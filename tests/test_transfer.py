@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiarma_lab import (
     CoefficientSequence,
@@ -16,6 +18,7 @@ from fiarma_lab import (
     ArmaModel,
     ar_inverse_laurent,
     arma_transfer,
+    binomial_ma_coeffs,
     check_invertible_on_circle,
     duker_decomposition,
     envelope_bounds,
@@ -186,6 +189,88 @@ class TestCircleInvertibility:
         # bound is proven, although the evaluated minimum accepts the symbol
         assert margin == 0.0
 
+    @staticmethod
+    def _symbol(n: int, p: int, seed: int, unit_root: bool) -> OperatorPolynomial:
+        """``prod_j (Id - A_j z)`` for p random factors with operator norms in
+        (0.2, 1.2).  With ``unit_root``, the first factor is normal with the
+        eigenvalue ``exp(-i lam_0)`` for a point ``lam_0`` of the 2^16-point
+        oracle scan, so the symbol is singular exactly there."""
+        rng = np.random.default_rng(seed)
+        g = make_grid(n)
+        factors = []
+        for _ in range(p):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            factors.append(a * (rng.uniform(0.2, 1.2) / np.linalg.norm(a, 2)))
+        if unit_root:
+            u = random_unitary(rng, n)
+            eig = rng.uniform(0.1, 0.9, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+            eig[0] = np.exp(-2j * np.pi * rng.integers(2**16) / 2**16)
+            factors[0] = u.conj().T @ (eig[:, None] * u)
+        coeffs = [factors[0]]  # coefficients of the AR sign convention Id - A_1 z - A_2 z^2
+        if p == 2:
+            coeffs = [factors[0] + factors[1], -factors[0] @ factors[1]]
+        return OperatorPolynomial(g, tuple(op(c, g) for c in coeffs))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 5]),
+        p=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        unit_root=st.booleans(),
+    )
+    def test_agrees_with_a_dense_scan_oracle(self, n, p, seed, unit_root):
+        """Same verdict as a 2^16-point scan; the margin lies below that scan's
+        minimum and within ``L pi / 4096`` of the 4096-point scan's cell bound."""
+        phi = self._symbol(n, p, seed, unit_root)
+        ok, margin = check_invertible_on_circle(phi, 4096)
+        lip = sum(k * operator_norm(c) for k, c in enumerate(phi.coeffs, start=1))
+        oracle = np.concatenate(
+            [
+                np.linalg.svd(ar_values_on_circle(phi, part), compute_uv=False)
+                for part in np.split(2.0 * np.pi * np.arange(2**16) / 2**16, 16)
+            ]
+        )
+        assert ok == (oracle[:, -1].min() > 1e-8 * oracle.max())
+        assert ok == (not unit_root)
+        assert margin <= oracle[:, -1].min()
+        h = 2.0 * np.pi / 4096
+        s = np.linalg.svd(ar_values_on_circle(phi, h * np.arange(4096)), compute_uv=False)[:, -1]
+        dense = max(0.0, float(((s + np.roll(s, -1) - lip * h) / 2.0).min()))
+        assert margin >= dense - lip * np.pi / 4096
+
+    @pytest.mark.parametrize("coeffs", [(), (0.0,), (0.0, 0.0)])
+    def test_identity_symbol_needs_no_svd(self, monkeypatch, coeffs):
+        phi = OperatorPolynomial.scalar(make_grid(3), *coeffs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the identity symbol was evaluated")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(transfer, "ar_values_on_circle", refuse)
+        assert check_invertible_on_circle(phi, 4096) == (True, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 32])
+    def test_arma11_model_needs_few_symbol_evaluations(self, monkeypatch, n):
+        """An ARMA(1,1) base with an AR coefficient of norm 0.5 is certified
+        from at most 512 symbol values, where a dense scan takes 4096."""
+        rng = np.random.default_rng(n)
+        g = make_grid(n)
+        a1, b1 = (rng.normal(size=(n, n)) for _ in range(2))
+        a1 *= 0.5 / np.linalg.norm(a1, 2)
+        b1 *= 0.5 / np.linalg.norm(b1, 2)
+        evaluated = []
+
+        def counting(poly, freqs):
+            evaluated.append(np.size(freqs))
+            return ar_values_on_circle(poly, freqs)
+
+        monkeypatch.setattr(transfer, "ar_values_on_circle", counting)
+        model = ArmaModel(
+            OperatorPolynomial(g, (op(a1, g),)), OperatorPolynomial(g, (op(b1, g),)), op(np.eye(n), g)
+        )
+        assert sum(evaluated) <= 512
+        assert model.margin > 0.0
+
 
 class TestArmaTransfer:
     def test_identity_model(self):
@@ -340,6 +425,57 @@ class TestFracCoeffs:
         partial = sum(seq[k] * z**k for k in range(201))
         assert operator_norm(partial - target) < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_eigenframe_matches_dense_recursion(self, rng, n):
+        """The per-eigenvalue ``cumprod`` rotated back through D's frame agrees
+        with the dense recursion on D to 1e-12 of each coefficient's norm."""
+        u = random_unitary(rng, n)
+        d = rng.uniform(-0.2, 0.45, n) + 1j * rng.uniform(-0.1, 0.1, n)
+        spec = FracIntegrationSpec(op(u.conj().T @ (d[:, None] * u)))
+        assert spec.decomposition is not None
+        got = frac_ma_coeffs(spec, 2048).data
+        want = binomial_ma_coeffs(spec.D, 2048).data
+        err = np.linalg.norm(got - want, 2, axis=(1, 2)) / np.linalg.norm(want, 2, axis=(1, 2))
+        assert err.max() < 1e-12
+
+    @pytest.mark.parametrize("d", [-0.4, 0.3, 0.45, 0.499])
+    def test_scalar_exponent_matches_exact_rational_coefficients(self, d):
+        """``Gamma(k + d) / (Gamma(d) k!) = prod_{j<=k} (j - 1 + d) / j`` in exact
+        rational arithmetic on the float ``d``, correctly rounded at the end."""
+        order = 2048
+        seq = frac_ma_coeffs(FracIntegrationSpec.scalar(make_grid(1), d), order)
+        num_d, den_d = d.as_integer_ratio()
+        num, den = 1, 1
+        for k in range(1, order + 1):
+            num *= (k - 1) * den_d + num_d
+            den *= k * den_d
+            if k in (1, 2, 10, 100, 1000, 2048):
+                assert seq[k][0, 0] == pytest.approx(num / den, rel=1e-12, abs=0.0)
+                assert seq[k][0, 0].imag == 0.0
+
+    def test_non_normal_exponent_keeps_the_dense_recursion(self, rng):
+        """A D without an eigenframe gives exactly the values of the loop
+        ``C_k = C_{k-1} (D + (k-1) Id) / k``."""
+        m = np.triu(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        m *= 0.4 / operator_norm(m)
+        spec = FracIntegrationSpec(op(m))
+        assert spec.decomposition is None
+        eye = np.eye(4, dtype=complex)
+        want = [eye]
+        for k in range(1, 301):
+            want.append(want[-1] @ (m + (k - 1) * eye) / k)
+        assert np.array_equal(frac_ma_coeffs(spec, 300).data, np.array(want))
+
+    def test_real_exponent_gives_real_coefficients(self, rng):
+        """A real normal D with the complex eigenvalues 0.2 +- 0.1i has a complex
+        frame, yet the coefficients of ``(1 - z)^{-D}`` are real."""
+        u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        block = np.array([[0.2, -0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.3]])
+        spec = FracIntegrationSpec(op(u.T @ block @ u))
+        assert spec.decomposition is not None
+        seq = frac_ma_coeffs(spec, 64).data
+        assert not seq.imag.any()
+        assert np.allclose(seq, binomial_ma_coeffs(spec.D, 64).data, rtol=0.0, atol=1e-14)
 
 def scalar_frac_coeffs_complex(d: np.ndarray, k: int) -> np.ndarray:
     """Coefficient k of (1-z)^(-d) per complex exponent, by direct recursion."""
