@@ -256,18 +256,26 @@ def parse_config(text: str) -> ModelConfig:
     )
 
 
+# The smallest value of each size in the run section: a path needs a row, a
+# density grid and an existence shell need a frequency, and the existence
+# integral needs four dyadic shells.
+_RUN_MINIMUM = {
+    "T": 1, "K_trunc": 0, "n_freq": 1, "n_refine": 4, "shell_points": 1, "K": 0, "lags": 0,
+}
+
+
 def _check_run(run: dict, errors: list[str]) -> None:
     """Append a message for every invalid value of the run section."""
-    for key in ("T", "K_trunc", "n_freq", "n_refine", "shell_points", "K", "lags"):
+    for key, low in _RUN_MINIMUM.items():
         if not _is_number(run[key], (int,)) or run[key] < 0:
             errors.append(f"run.{key}: must be a nonnegative integer")
+        elif run[key] < low:
+            errors.append(f"run.{key}: must be at least {low}")
     for key in ("seed", "replication"):  # may be negative: they key the noise stream
         if not _is_number(run[key], (int,)):
             errors.append(f"run.{key}: must be an integer")
         elif message := key_range_error(f"run.{key}", run[key]):
             errors.append(message)
-    if _is_number(run["T"], (int,)) and run["T"] < 1:
-        errors.append("run.T: must be at least 1")
     if run["burnin"] is not None and (not _is_number(run["burnin"], (int,)) or run["burnin"] < 0):
         errors.append("run.burnin: must be a nonnegative integer or null")
     if run["noise_kind"] not in NOISE_KINDS:

@@ -102,6 +102,8 @@ def _read_csv(raw: bytes, grid: HilbertGrid | None) -> SampledPath:
     if header[0] != "t" or (len(header) - 1) % 2:
         raise PathFormatError("malformed CSV header")
     n = (len(header) - 1) // 2
+    if n == 0:
+        raise PathFormatError("CSV header names no coordinates")
     if len(lines) == 1:
         raise PathFormatError("empty path")
     values = np.empty((len(lines) - 1, n), dtype=complex)
@@ -119,9 +121,7 @@ def _read_csv(raw: bytes, grid: HilbertGrid | None) -> SampledPath:
             raise PathFormatError(f"row {t}: t column reads {stamp}, expected {t}")
         parts[t] = nums
     _refuse_non_finite(parts)
-    if grid is None:
-        grid = HilbertGrid(np.arange(n, dtype=float), np.ones(n))
-    return SampledPath(values, grid)
+    return _on_grid(values, grid)
 
 
 def _read_binary(raw: bytes, grid: HilbertGrid | None) -> SampledPath:
@@ -135,6 +135,8 @@ def _read_binary(raw: bytes, grid: HilbertGrid | None) -> SampledPath:
         raise PathFormatError(f"unsupported container version {version}")
     if t_len == 0:
         raise PathFormatError("empty path")
+    if n == 0:
+        raise PathFormatError("no coordinates")
     expected = head_len + t_len * n * 16
     if len(raw) != expected:
         raise PathFormatError(
@@ -142,9 +144,17 @@ def _read_binary(raw: bytes, grid: HilbertGrid | None) -> SampledPath:
         )
     flat = np.frombuffer(raw, dtype="<f8", offset=head_len).reshape(t_len, n, 2)
     _refuse_non_finite(flat.reshape(t_len, -1))
-    values = flat[:, :, 0] + 1j * flat[:, :, 1]
+    return _on_grid(flat[:, :, 0] + 1j * flat[:, :, 1], grid)
+
+
+def _on_grid(values: np.ndarray, grid: HilbertGrid | None) -> SampledPath:
+    """The ``(T, n)`` ``values`` as a path on ``grid``, or on ``n`` unit-weight
+    points without one."""
+    n = values.shape[1]
     if grid is None:
         grid = HilbertGrid(np.arange(n, dtype=float), np.ones(n))
+    elif grid.n != n:
+        raise PathFormatError(f"file holds {n} coordinates, the grid has {grid.n}")
     return SampledPath(values, grid)
 
 

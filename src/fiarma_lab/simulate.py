@@ -7,28 +7,40 @@ drawn in a single block per path covering the burn-in and truncation
 pre-history, so identical configurations reproduce bit-identical paths and
 replications are independent streams that can run in parallel.
 
-An ARMA or fractional ARMA path is one FFT convolution of that block with a
-per-model filter: the exact impulse response of ``phi^{-1} theta`` times
-``Sigma^{1/2}``, folded into the truncated MA coefficients of
-``(1 - z)^{-D}`` for a fractional model.  The impulse response is the causal
-one, so an AR polynomial with a root inside the unit disk is refused with
-:class:`NonCausalError` when the filter is built.  The model object keeps the
-filter's FFT for the last ``(T, K_trunc, burnin)`` it simulated, and a
+Every path is that block through one causal filter plan
+(:func:`_filter_plan`): a product of causal coefficient sequences with
+``Sigma^{1/2}`` folded in, applied as one FFT convolution at a 5-smooth
+length, or as one matrix product when the filter has a single tap.  White
+noise is the tap ``Sigma^{1/2}`` alone, a power-law path takes the weights
+``(k+1)^{-N}``, an ARMA path the exact impulse response of
+``phi^{-1} theta``, and a fractional ARMA path that response after the
+truncated MA coefficients of ``(1 - z)^{-D}``.  The impulse response is the
+causal one, so an AR polynomial with a root inside the unit disk is refused
+with :class:`NonCausalError` when the filter is built.  A model object keeps
+its plan for the last ``(T, K_trunc, burnin)`` it simulated, and a
 fractional model also keeps its existence verdict, so replications of one
 model only draw noise and convolve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .existence import ExistenceRefusal, check_conditions, check_duker_conditions
-from .hilbert import HilbertGrid, LinearOperator, NotNormalError, normal_decompose, sqrt_psd
+from .hilbert import (
+    HilbertGrid,
+    LinearOperator,
+    NotNormalError,
+    identity,
+    normal_decompose,
+    sqrt_psd,
+)
 from .spectral import ArmaModel, FiarmaModel
 from .transfer import (
     OperatorPolynomial,
-    _binomial_scalars,
+    binomial_ma_coeffs,
     duker_decomposition,
     frac_ma_coeffs,
     power_law_weights,
@@ -184,14 +196,6 @@ def _auto_burnin(ar: np.ndarray, p: int) -> int:
     return 10 * p + min(int(live[-1]) + 1, _BURNIN_CAP)
 
 
-def _noise_rows(
-    root: LinearOperator, cfg: SimConfig, pre: int, kind: str
-) -> np.ndarray:
-    """Rows ``eps_t = Sigma^{1/2} xi_t`` for t in [-pre, T), given ``root = Sigma^{1/2}``."""
-    xi = _standard_block(cfg.seed, cfg.replication, pre + cfg.T, root.n, kind)
-    return xi @ root.entries.T
-
-
 def _next_fast_len(target: int) -> int:
     """Smallest 5-smooth integer ``>= target``, the real-transform length of
     ``scipy.fft.next_fast_len(target, real=True)``.
@@ -258,36 +262,29 @@ def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
     return out
 
 
-def _convolve(coeffs: np.ndarray, path: np.ndarray) -> np.ndarray:
-    """Causal operator convolution ``y_t = sum_k C_k x_{t-k}`` (zero-padded)."""
-    t_len = path.shape[0]
-    m = _next_fast_len(t_len + coeffs.shape[0] - 1)
-    out = _fft_apply(_fft_stack(coeffs, m), path)[:t_len]
-    if np.all(coeffs.imag == 0.0) and np.all(path.imag == 0.0):
-        # a real filter of a real path is real; drop the FFT's rounding fuzz
-        out = out.real.astype(complex)
-    return out
-
-
 @dataclass(eq=False)
 class _FilterPlan:
-    """A model's whole causal filter for one ``(T, K_trunc, burnin, lead)``,
-    built once.
+    """One causal filter ``sum_k C_k z^k``, ``Sigma^{1/2}`` folded in, for
+    paths of ``t_len`` rows, built once.
 
-    A path is ``pre + T`` standard noise rows filtered by the causal filter
-    whose FFT is ``filter_fft``, with ``Sigma^{1/2}`` folded in (``None``:
-    the filter is ``Sigma^{1/2}`` alone).  Only the last ``keep`` rows reach
-    the output rows; with the FFT length covering ``keep`` plus the filter
-    length, the circular convolution's wrap-around misses them.
-    ``auto_kind`` is the noise family that ``noise_kind="auto"`` resolves to
-    for this model.
+    A path is the last ``keep`` of ``rows`` standard noise rows through the
+    filter, of which the last ``t_len`` output rows are returned.
+    ``filter_fft`` is the filter's FFT stored by entry as ``(n, n, m)``
+    (:func:`_fft_stack`); with ``m`` covering the path plus the filter
+    length, the circular convolution's wrap-around misses the output rows.
+    A filter with one tap keeps that coefficient as ``tap`` instead and
+    needs no transform.  ``auto_kind`` is the noise family that
+    ``noise_kind="auto"`` resolves to, and ``key`` names a model's plan in
+    its cache.
     """
 
-    key: tuple[int, int, int | None, int]
+    key: tuple
     burnin: int
-    pre: int
+    rows: int
+    t_len: int
     keep: int
     filter_fft: np.ndarray | None
+    tap: np.ndarray | None
     real: bool  # the filter has real entries
     auto_kind: str
     meta: dict  # diagnostics of the filter
@@ -297,124 +294,123 @@ class _FilterPlan:
 
 
 def _filter_plan(
-    model: ArmaModel | FiarmaModel, key: tuple[int, int, int | None, int]
+    factors: list[np.ndarray],
+    t_len: int,
+    rows: int,
+    model_mats: tuple[np.ndarray, ...],
+    burnin: int = 0,
+    key: tuple = (),
+    meta: dict | None = None,
 ) -> _FilterPlan:
-    """Impulse response of ``phi^{-1} theta`` times ``Sigma^{1/2}``, folded
-    into the truncated MA coefficients of ``(1 - z)^{-D}`` for a
-    :class:`FiarmaModel`, and the FFT of the result, stored by entry as
-    ``(n, n, m)`` (:func:`_fft_stack`).
+    """The plan of the filter ``factors[0] factors[1] ...``, a product of
+    stacked ``(taps, n, n)`` causal coefficient sequences, for ``t_len``
+    output rows from ``rows`` noise rows.
 
-    A non-causal AR polynomial is refused first (:func:`_require_causal`).
-    The noise block always covers the burn-in and ``K_trunc + q`` rows of
-    pre-history, whatever ``lead`` is; a plain ARMA filter is sized for the
-    ``lead`` rows that :func:`simulate_arma` prepends, a fractional one for
-    its ``K_trunc`` MA lags.
+    The product has ``sum(len(f)) - len(factors) + 1`` taps, so only the
+    last ``t_len + taps - 1`` noise rows reach the output; with fewer rows
+    the filter starts from zero.  The FFT length is the 5-smooth
+    :func:`_next_fast_len` of that span.  ``model_mats`` are the model's
+    matrices, real or not, which decide the ``auto`` noise family.
     """
-    t_len, k_trunc, burnin, lead = key
+    taps = sum(len(f) for f in factors) - len(factors) + 1
+    span = t_len + taps - 1
+    filter_fft = tap = None
+    if taps == 1:
+        tap = reduce(np.matmul, [f[0] for f in factors])
+    else:
+        m = _next_fast_len(span)
+        by_freq = reduce(np.matmul, [_fft_stack(f, m).transpose(2, 0, 1) for f in factors])
+        filter_fft = np.ascontiguousarray(by_freq.transpose(1, 2, 0))
+    real = not any(f.imag.any() for f in factors)
+    auto_kind = _resolve_noise_kind("auto", *model_mats)
+    return _FilterPlan(
+        key, burnin, rows, t_len, min(rows, span), filter_fft, tap, real, auto_kind, meta or {}
+    )
+
+
+def _plan(model: ArmaModel | FiarmaModel, cfg: SimConfig) -> _FilterPlan:
+    """The model's cached filter plan for the sizes of ``cfg``, rebuilt when
+    they change.
+
+    The filter is the impulse response of ``phi^{-1} theta`` times
+    ``Sigma^{1/2}``, after the truncated MA coefficients of ``(1 - z)^{-D}``
+    for a :class:`FiarmaModel`.  A non-causal AR polynomial is refused first
+    (:func:`_require_causal`).  The noise block covers the burn-in and
+    ``K_trunc + q`` rows of pre-history.
+    """
+    key = (cfg.T, cfg.K_trunc, cfg.burnin)
+    if model._sim_plan is not None and model._sim_plan.key == key:
+        return model._sim_plan
     fractional = isinstance(model, FiarmaModel)
     base = model.base if fractional else model
     _require_causal(base.phi)
-    thetas = base.theta.stacked()
-    auto_kind = _resolve_noise_kind("auto", base.phi.stacked(), thetas, base.sigma.entries)
     p, q = base.phi.degree, base.theta.degree
-    after = k_trunc + q + t_len  # noise rows after the burn-in
-    if burnin is None:
+    after = cfg.K_trunc + q + cfg.T  # noise rows after the burn-in
+    if cfg.burnin is None:
         ar = _ar_impulse(base.phi, 10 * p + _BURNIN_CAP + after)
         burnin = _auto_burnin(ar, p)
     else:
+        burnin = cfg.burnin
         ar = _ar_impulse(base.phi, burnin + after)
     rows = burnin + after
     ar = ar[:rows]
+    thetas = base.theta.stacked()
     psi = np.concatenate([ar, np.zeros((q,) + ar.shape[1:], dtype=complex)])
     for j, b in enumerate(thetas, start=1):
         psi[j : j + len(ar)] += ar @ b
-    psi = psi[:rows] @ base.root.entries
-    real = bool(np.all(psi.imag == 0.0))
-    pre = rows - t_len
-
-    if not fractional:
-        if len(psi) == 1:
-            return _FilterPlan(key, burnin, pre, 0, None, real, auto_kind, {})
-        span = t_len + lead + len(psi) - 1
-        filter_fft = _fft_stack(psi, _next_fast_len(span))
-        return _FilterPlan(key, burnin, pre, min(rows, span), filter_fft, real, auto_kind, {})
-
-    order = max(k_trunc, 1)
-    coeffs = frac_ma_coeffs(model.D, order).data
-    span = t_len + order + len(psi) - 1
-    m = _next_fast_len(span)
-    by_freq = _fft_stack(coeffs, m).transpose(2, 0, 1) @ _fft_stack(psi, m).transpose(2, 0, 1)
-    filter_fft = np.ascontiguousarray(by_freq.transpose(1, 2, 0))
-    eig_re = np.linalg.eigvals(model.D.D.entries).real
-    tail_norm = float(np.linalg.norm(coeffs[order], 2))
-    tail_estimate = tail_norm * order / max(1.0, 1.0 - 2.0 * float(eig_re.max()))
-    meta = {"coeff_tail_norm": tail_norm, "truncation_tail_estimate": tail_estimate}
-    real = real and bool(np.all(coeffs.imag == 0.0))
-    return _FilterPlan(key, burnin, pre, min(rows, span), filter_fft, real, auto_kind, meta)
-
-
-def _plan(model: ArmaModel | FiarmaModel, cfg: SimConfig, lead: int = 0) -> _FilterPlan:
-    """The model's cached filter plan for ``cfg`` and ``lead``, rebuilt when
-    the sizes change."""
-    key = (cfg.T, cfg.K_trunc, cfg.burnin, lead)
-    if model._sim_plan is None or model._sim_plan.key != key:
-        model._sim_plan = _filter_plan(model, key)
+    factors = [psi[:rows] @ base.root.entries]
+    meta = {}
+    if fractional:
+        coeffs = frac_ma_coeffs(model.D, max(cfg.K_trunc, 1)).data
+        factors.insert(0, coeffs)
+        meta = {"coeff_tail_norm": float(np.linalg.norm(coeffs[-1], 2))}
+    mats = (base.phi.stacked(), thetas, base.sigma.entries)
+    model._sim_plan = _filter_plan(factors, cfg.T, rows, mats, burnin, key, meta)
     return model._sim_plan
 
 
-def _filtered_rows(
-    plan: _FilterPlan, root: LinearOperator, cfg: SimConfig, kind: str, lead: int
-) -> np.ndarray:
-    """Output rows for times ``-lead .. T-1`` from the ``(seed, replication)`` noise."""
-    if plan.filter_fft is None:
-        return _noise_rows(root, cfg, plan.pre, kind)[plan.pre - lead :]
-    xi = _standard_block(cfg.seed, cfg.replication, plan.pre + cfg.T, root.n, kind)
-    out = _fft_apply(plan.filter_fft, xi[-plan.keep :])[plan.keep - cfg.T - lead : plan.keep]
-    if plan.real and kind == "real-gaussian":
+def _filtered_rows(plan: _FilterPlan, xi: np.ndarray) -> np.ndarray:
+    """The ``plan.t_len`` path rows that ``plan`` makes of the standard noise
+    block ``xi``."""
+    x = xi[-plan.keep :]
+    if plan.tap is not None:
+        return x @ plan.tap.T
+    out = _fft_apply(plan.filter_fft, x)[plan.keep - plan.t_len : plan.keep]
+    if plan.real and not np.iscomplexobj(x):
         # a real filter of a real path is real; drop the FFT's rounding fuzz
         out = out.real
     return out
 
 
-def gaussian_white_noise(sigma: LinearOperator, cfg: SimConfig) -> SampledPath:
-    """White noise with covariance ``sigma``; rows are ``Sigma^{1/2}`` times
-    independent standard (real or circular complex) Gaussians."""
-    kind = _resolve_noise_kind(cfg.noise_kind, sigma.entries)
-    burnin = cfg.burnin or 0
-    pre = burnin + cfg.K_trunc
-    rows = _noise_rows(sqrt_psd(sigma), cfg, pre, kind)
-    meta = {
-        "seed": cfg.seed,
-        "replication": cfg.replication,
-        "burnin": burnin,
-        "K_trunc": cfg.K_trunc,
-        "noise_kind": kind,
-    }
-    return SampledPath(rows[pre:], sigma.grid, meta)
-
-
-def simulate_arma(model: ArmaModel, cfg: SimConfig, lead: int = 0) -> SampledPath:
-    """Stationary ARMA path: the noise filtered by the impulse response of
-    ``phi^{-1} theta``, started from zero ``burnin + K_trunc + q`` rows back.
-    A non-causal AR polynomial raises :class:`NonCausalError`.
-
-    ``lead`` extra rows of pre-history (at most ``K_trunc``) are prepended,
-    so the returned rows cover times ``-lead .. T-1``.  Burn-in rows before
-    that are discarded.
-    """
-    if not 0 <= lead <= cfg.K_trunc:
-        raise ValueError("lead must lie in [0, K_trunc]")
-    plan = _plan(model, cfg, lead)
+def _path(plan: _FilterPlan, cfg: SimConfig, grid: HilbertGrid, **extra) -> SampledPath:
+    """The path that ``plan`` makes of the ``(seed, replication)`` noise block."""
     kind = plan.noise_kind(cfg)
+    xi = _standard_block(cfg.seed, cfg.replication, plan.rows, grid.n, kind)
     meta = {
         "seed": cfg.seed,
         "replication": cfg.replication,
         "burnin": plan.burnin,
         "K_trunc": cfg.K_trunc,
         "noise_kind": kind,
-        "lead": lead,
+        **extra,
     }
-    return SampledPath(_filtered_rows(plan, model.root, cfg, kind, lead), model.grid, meta)
+    return SampledPath(_filtered_rows(plan, xi), grid, meta)
+
+
+def gaussian_white_noise(sigma: LinearOperator, cfg: SimConfig) -> SampledPath:
+    """White noise with covariance ``sigma``; rows are ``Sigma^{1/2}`` times
+    independent standard (real or circular complex) Gaussians."""
+    burnin = cfg.burnin or 0
+    rows = burnin + cfg.K_trunc + cfg.T
+    plan = _filter_plan([sqrt_psd(sigma).entries[None]], cfg.T, rows, (sigma.entries,), burnin)
+    return _path(plan, cfg, sigma.grid)
+
+
+def simulate_arma(model: ArmaModel, cfg: SimConfig) -> SampledPath:
+    """Stationary ARMA path: the noise filtered by the impulse response of
+    ``phi^{-1} theta``, started from zero ``burnin + K_trunc + q`` rows back.
+    A non-causal AR polynomial raises :class:`NonCausalError`."""
+    return _path(_plan(model, cfg), cfg, model.grid)
 
 
 def _existence_verdict(model: FiarmaModel) -> str:
@@ -449,18 +445,7 @@ def simulate_fiarma(model: FiarmaModel, cfg: SimConfig, force: bool = False) -> 
     """
     existence = "forced" if force else _existence_verdict(model)
     plan = _plan(model, cfg)
-    kind = plan.noise_kind(cfg)
-    meta = {
-        "seed": cfg.seed,
-        "replication": cfg.replication,
-        "burnin": plan.burnin,
-        "K_trunc": cfg.K_trunc,
-        "noise_kind": kind,
-        "lead": 0,
-        "existence": existence,
-        **plan.meta,
-    }
-    return SampledPath(_filtered_rows(plan, model.base.root, cfg, kind, 0), model.grid, meta)
+    return _path(plan, cfg, model.grid, existence=existence, **plan.meta)
 
 
 def simulate_duker(
@@ -483,21 +468,12 @@ def simulate_duker(
             )
         existence = "holds"
 
-    kind = _resolve_noise_kind(cfg.noise_kind, n_op.entries, sigma.entries)
-    burnin = cfg.burnin or 0
-    pre = burnin + cfg.K_trunc
-    noise = _noise_rows(sqrt_psd(sigma), cfg, pre, kind)
     weights = power_law_weights(n_op, cfg.K_trunc, dec)
-    y = _convolve(weights.data, noise[burnin:])[cfg.K_trunc:]
-    meta = {
-        "seed": cfg.seed,
-        "replication": cfg.replication,
-        "burnin": burnin,
-        "K_trunc": cfg.K_trunc,
-        "noise_kind": kind,
-        "existence": existence,
-    }
-    return SampledPath(y, n_op.grid, meta)
+    burnin = cfg.burnin or 0
+    rows = burnin + cfg.K_trunc + cfg.T
+    factors = [weights.data @ sqrt_psd(sigma).entries]
+    plan = _filter_plan(factors, cfg.T, rows, (n_op.entries, sigma.entries), burnin)
+    return _path(plan, cfg, n_op.grid, existence=existence)
 
 
 @dataclass(eq=False)
@@ -536,12 +512,14 @@ def verify_longmemory_decomposition(
 ) -> DecompositionCheck:
     """Check ``Filter((1-z)^{N-Id}) eps = C Y + Z`` on one shared noise path.
 
-    Path A convolves the noise with the binomial coefficients of
-    ``(1 - z)^{N - Id}``, taken per eigenvalue of ``N`` in its frame; path B
-    assembles ``C`` times the power-law path plus the remainder convolution.
-    The two agree up to floating point because the remainder is defined as
-    the matching residual; the report also carries the remainder norms
-    whose partial sums certify the short-memory property.
+    Path A filters the noise with the binomial coefficients of
+    ``(1 - z)^{N - Id}`` from the dense recursion on ``Id - N``, which needs
+    no eigenframe; path B assembles ``C`` times the power-law path plus the
+    remainder path, whose ``Delta_k`` are taken per eigenvalue of ``N`` in
+    its frame.  The two routes agree up to floating point exactly when the
+    frame's binomials and matching constant are right; the report also
+    carries the remainder norms whose partial sums certify the short-memory
+    property.
     """
     dec = normal_decompose(n_op)
     report = check_duker_conditions(n_op, sigma, dec)
@@ -550,18 +528,18 @@ def verify_longmemory_decomposition(
             "duker", "power-law moving average conditions fail; nothing to verify"
         )
     k_trunc = max(cfg.K_trunc, 1)
-    kind = _resolve_noise_kind(cfg.noise_kind, n_op.entries, sigma.entries)
-    burnin = cfg.burnin or 0
-    pre = burnin + k_trunc
-    noise = _noise_rows(sqrt_psd(sigma), cfg, pre, kind)[burnin:]
-
-    binom = dec.apply_scalar(_binomial_scalars(-dec.d, k_trunc))  # (1-z)^{N-Id}
+    rows = (cfg.burnin or 0) + k_trunc + cfg.T
+    root = sqrt_psd(sigma).entries
+    binom = binomial_ma_coeffs(identity(n_op.grid) - n_op, k_trunc)  # (1-z)^{N-Id}
     c_mat, deltas, rho = duker_decomposition(n_op, k_trunc, dec)
     powers = power_law_weights(n_op, k_trunc, dec)
-
-    path_a = _convolve(binom, noise)[k_trunc:]
-    duker_rows = _convolve(powers.data, noise)[k_trunc:]
-    path_b = duker_rows @ c_mat.entries.T + _convolve(deltas.data, noise)[k_trunc:]
+    plans = [
+        _filter_plan([seq.data @ root], cfg.T, rows, (n_op.entries, sigma.entries))
+        for seq in (binom, powers, deltas)
+    ]
+    xi = _standard_block(cfg.seed, cfg.replication, rows, n_op.n, plans[0].noise_kind(cfg))
+    path_a, duker_rows, remainder = (_filtered_rows(plan, xi) for plan in plans)
+    path_b = duker_rows @ c_mat.entries.T + remainder
 
     residual = float(np.max(np.linalg.norm(path_a - path_b, axis=1), initial=0.0))
     return DecompositionCheck(

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fiarma_lab import (
     read_path,
     write_path,
 )
-from fiarma_lab.cli import main
+from fiarma_lab.cli import RUNNERS, main
 from fiarma_lab.dataio import _table_bytes
 
 from conftest import make_grid
@@ -163,6 +164,20 @@ class TestParseConfig:
             parse_config(minimal_config(**{key: True}))
         assert any(m.startswith(f"run.{key}:") for m in err.value.errors)
 
+    @pytest.mark.parametrize(
+        "key, value, low",
+        [("n_freq", 0, 1), ("shell_points", 0, 1), ("n_refine", 3, 4), ("n_refine", 0, 4)],
+    )
+    def test_run_size_below_minimum_flagged(self, key, value, low):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_config(**{key: value}))
+        assert err.value.errors == [f"run.{key}: must be at least {low}"]
+
+    def test_negative_size_flagged_once(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_config(T=-1))
+        assert err.value.errors == ["run.T: must be a nonnegative integer"]
+
     def test_negative_seed_accepted(self):
         assert parse_config(minimal_config(seed=-3, replication=-1)).run.seed == -3
 
@@ -222,6 +237,25 @@ class TestPathFiles:
         target.write_text("t,coord_1_re,coord_1_im\n")
         with pytest.raises(PathFormatError, match="empty path"):
             read_path(target)
+
+    def test_csv_without_coordinates_rejected(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("t\n0\n1\n")
+        with pytest.raises(PathFormatError, match="no coordinates"):
+            read_path(target)
+
+    def test_binary_without_coordinates_rejected(self, tmp_path):
+        target = tmp_path / "z.bin"
+        target.write_bytes(b"FIAR" + struct.pack("<HIQ", 1, 0, 3))
+        with pytest.raises(PathFormatError, match="no coordinates"):
+            read_path(target)
+
+    @pytest.mark.parametrize("suffix", ["csv", "bin"])
+    def test_grid_of_another_size_rejected(self, rng, tmp_path, suffix):
+        target = tmp_path / f"p.{suffix}"
+        write_path(self._path(rng, n=3), target)
+        with pytest.raises(PathFormatError, match="file holds 3 coordinates, the grid has 2"):
+            read_path(target, make_grid(2))
 
     def test_truncated_binary_rejected(self, rng, tmp_path):
         path = self._path(rng)
@@ -411,6 +445,17 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(prefix)
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("sub", sorted(RUNNERS))
+    @pytest.mark.parametrize("key, value", [("n_freq", 0), ("shell_points", 0), ("n_refine", 2)])
+    def test_run_size_below_minimum_exits_one(self, tmp_path, capsys, sub, key, value):
+        """Every subcommand refuses the config before it runs, whether or not
+        it reads the value."""
+        cfg = self._write(tmp_path, fractional_config(0.3, **{key: value}))
+        out = tmp_path / "o"
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: run.{key}: must be at least")
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("sub", ["simulate", "periodogram"])

@@ -3,6 +3,7 @@ import pytest
 import scipy.fft
 
 import fiarma_lab.simulate
+import fiarma_lab.transfer
 from fiarma_lab import (
     ArmaModel,
     ExistenceRefusal,
@@ -173,15 +174,6 @@ class TestSimulateArma:
             simulate_arma(model, cfg).values, simulate_arma(model, cfg).values
         )
 
-    def test_lead_rows_prepended(self):
-        g = scalar_grid()
-        cfg = SimConfig(T=100, seed=8, K_trunc=32)
-        plain = simulate_arma(ar1_model(g), cfg)
-        extended = simulate_arma(ar1_model(g), cfg, lead=32)
-        assert extended.values.shape[0] == 132
-        # the same noise through filters sized for each lead: equal up to rounding
-        assert rel_diff(extended.values[32:], plain.values) <= 1e-14
-
 
 class TestSimulateFiarma:
     def test_zero_memory_equals_arma(self):
@@ -224,13 +216,15 @@ class TestSimulateFiarma:
         cfg = SimConfig(T=256, seed=6, K_trunc=k_trunc)
         model = FiarmaModel(ar1_model(g), FracIntegrationSpec.scalar(g, 0.3))
         frac = simulate_fiarma(model, cfg)
-        base = simulate_arma(ar1_model(g), cfg, lead=k_trunc)
+        # the recursion's ARMA rows on the same noise, with K_trunc rows of pre-history
+        ref_cfg = SimConfig(T=256, seed=6, K_trunc=k_trunc, burnin=frac.meta["burnin"])
+        base = recursion_arma(ar1_model(g), ref_cfg, "real-gaussian", lead=k_trunc)
         coeffs = frac_ma_coeffs(model.D, k_trunc)
         manual = np.zeros_like(frac.values)
         for t in range(cfg.T):
             s = t + k_trunc
             for k in range(k_trunc + 1):
-                manual[t] += coeffs[k] @ base.values[s - k]
+                manual[t] += coeffs[k] @ base[s - k]
         assert np.abs(manual - frac.values).max() < 1e-10
 
     def test_variance_monotone_in_truncation(self):
@@ -248,7 +242,6 @@ class TestSimulateFiarma:
         model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.3))
         path = simulate_fiarma(model, SimConfig(T=64, seed=1, K_trunc=128))
         assert path.meta["coeff_tail_norm"] > 0
-        assert np.isfinite(path.meta["truncation_tail_estimate"])
 
 
 class TestSimulateDuker:
@@ -271,6 +264,25 @@ class TestSimulateDuker:
         t = 127
         manual = sum(noise.values[t - k, 0] / (k + 1) for k in range(0, 33))
         assert abs(path.values[t, 0] - manual) < 1e-10
+
+    def test_matches_direct_sum_with_correlated_noise(self):
+        """``y_t = sum_k (k+1)^{-N} eps_{t-k}`` over the white-noise rows of
+        the same noise block, with a non-diagonal ``Sigma`` and ``N``."""
+        g = make_grid(2)
+        c, s = np.cos(0.4), np.sin(0.4)
+        rot = np.array([[c, -s], [s, c]])
+        exps = np.array([0.7, 0.9])
+        sigma = op([[1.0, 0.6], [0.6, 0.8]], g)
+        k_trunc, t_len = 24, 64
+        cfg = SimConfig(T=t_len, K_trunc=k_trunc, burnin=5, seed=21, replication=1)
+        path = simulate_duker(op(rot @ np.diag(exps) @ rot.T, g), sigma, cfg)
+        eps_cfg = SimConfig(T=t_len + k_trunc, K_trunc=0, burnin=5, seed=21, replication=1)
+        eps = gaussian_white_noise(sigma, eps_cfg).values
+        want = np.zeros((t_len, 2), dtype=complex)
+        for k in range(k_trunc + 1):
+            weight = rot @ np.diag((k + 1.0) ** -exps) @ rot.T
+            want += eps[k_trunc - k : k_trunc - k + t_len] @ weight.T
+        assert rel_diff(path.values, want) <= 1e-13
 
     def test_condition_refusal_and_force(self):
         g = make_grid(2)
@@ -328,6 +340,24 @@ class TestLongMemoryDecomposition:
         sums = check.partial_sums
         # Cauchy tail: the last half contributes little
         assert sums[-1] - sums[len(sums) // 2] < 1e-2 * sums[-1]
+
+    def test_residual_sees_wrong_frame_binomials(self, rng, monkeypatch):
+        """Path A takes its binomials from the dense recursion on ``Id - N``,
+        so an error in the per-eigenvalue binomials, wherever the library
+        uses them, shows in the residual."""
+        g = make_grid(2)
+        u = random_unitary(rng, 2)
+        n_op = op(u.conj().T @ (np.array([0.6, 0.8])[:, None] * u), g)
+        cfg = SimConfig(T=256, seed=20, K_trunc=64)
+        assert verify_longmemory_decomposition(n_op, identity(g), cfg).residual < 1e-12
+        real = fiarma_lab.transfer._binomial_scalars
+
+        def shifted(shift, order):
+            return real(shift + 1e-3, order)
+
+        for module in (fiarma_lab.transfer, fiarma_lab.simulate):
+            monkeypatch.setattr(module, "_binomial_scalars", shifted, raising=False)
+        assert verify_longmemory_decomposition(n_op, identity(g), cfg).residual > 1e-6
 
     def test_exponent_decomposed_once(self, eig_calls):
         g = make_grid(2)
@@ -480,8 +510,8 @@ class TestFilterOracle:
             "ma2": lambda: ma2_model(rng),
         }[case]()
         cfg = SimConfig(T=512, K_trunc=24, burnin=burnin, seed=41, noise_kind=kind)
-        path = simulate_arma(model, cfg, lead=24)
-        want = recursion_arma(model, cfg, path.meta["noise_kind"], lead=24)
+        path = simulate_arma(model, cfg)
+        want = recursion_arma(model, cfg, path.meta["noise_kind"])
         assert path.values.shape == want.shape
         assert rel_diff(path.values, want) <= 1e-12
 
@@ -685,29 +715,18 @@ class TestFilterPlanCache:
         assert path.meta["existence"] == "forced"
         assert rel_diff(path.values, recursion_fiarma(model, cfg, "real-gaussian")) <= 1e-12
 
-    def test_lead_rows_from_warm_plan(self):
-        model = ar1_model(scalar_grid(), 0.7)
-        cfg = SimConfig(T=100, seed=8, K_trunc=32)
-        plain = simulate_arma(model, cfg)
-        extended = simulate_arma(model, cfg, lead=32)
-        assert rel_diff(extended.values[32:], plain.values) <= 1e-14
-        ref_cfg = SimConfig(T=100, seed=8, K_trunc=32, burnin=plain.meta["burnin"])
-        want = recursion_arma(model, ref_cfg, "real-gaussian", lead=32)
-        assert rel_diff(extended.values, want) <= 1e-12
-        assert rel_diff(plain.values, want[32:]) <= 1e-12
-
-    @pytest.mark.parametrize("lead", [0, 7, 64])
-    def test_arma_plan_sized_for_its_lead(self, lead):
-        """The filter covers ``T + lead`` output rows, not ``T + K_trunc``, and
-        the path still matches the recursion on the same noise block."""
+    def test_arma_plan_sized_for_its_path(self):
+        """The filter covers ``T + len(psi) - 1`` rows, not the ``K_trunc``
+        rows of pre-history, and the path still matches the recursion on the
+        same noise block."""
         model = ar1_model(scalar_grid(), 0.5)
         cfg = SimConfig(T=200, K_trunc=64, burnin=300, seed=12)
-        path = simulate_arma(model, cfg, lead=lead)
+        path = simulate_arma(model, cfg)
         psi_len = len(fiarma_lab.simulate._ar_impulse(model.phi, 10_000))
         assert psi_len < 100
         m = model._sim_plan.filter_fft.shape[-1]
-        assert m == fiarma_lab.simulate._next_fast_len(cfg.T + lead + psi_len - 1)
-        want = recursion_arma(model, cfg, "real-gaussian", lead=lead)
+        assert m == fiarma_lab.simulate._next_fast_len(cfg.T + psi_len - 1)
+        want = recursion_arma(model, cfg, "real-gaussian")
         assert path.values.shape == want.shape
         assert rel_diff(path.values, want) <= 1e-12
 
