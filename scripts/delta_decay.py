@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from fiarma_lab import HilbertGrid, LinearOperator, duker_decomposition
+from fiarma_lab import FracIntegrationSpec, HilbertGrid, LinearOperator, duker_decomposition
 
 
 def main() -> int:
@@ -25,8 +25,8 @@ def main() -> int:
     grid = HilbertGrid(np.array([0.0]), np.array([1.0]))
     rows = ["exponent,k,delta_norm"]
     for n_val in args.exponents:
-        n_op = LinearOperator(n_val * np.eye(1, dtype=complex), grid)
-        c_mat, deltas, rho = duker_decomposition(n_op, args.order)
+        n_spec = FracIntegrationSpec(LinearOperator(n_val * np.eye(1, dtype=complex), grid))
+        c_mat, deltas, rho = duker_decomposition(n_spec, args.order)
         norms = deltas.norms()
         ks = np.arange(args.fit_from, args.order + 1)
         slope = np.polyfit(np.log(ks), np.log(norms[args.fit_from:]), 1)[0]

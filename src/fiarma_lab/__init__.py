@@ -44,6 +44,7 @@ from .spectral import (
     ArmaModel,
     AutocovarianceSequence,
     FiarmaModel,
+    PowerLawModel,
     SpectralDensityGrid,
     arma_spectral_density,
     autocov_from_density,

@@ -31,6 +31,9 @@ from .simulate import (
     verify_longmemory_decomposition,
 )
 from .spectral import (
+    ArmaModel,
+    FiarmaModel,
+    PowerLawModel,
     SpectralDensityGrid,
     arma_spectral_density,
     autocov_sequence,
@@ -69,19 +72,19 @@ def _density_table(out: Path, name: str, freqs: np.ndarray, values: np.ndarray) 
 
 def _simulate(cfg: ModelConfig, force: bool) -> SampledPath:
     """Path of the configured model: fractional (D), power-law (N) or plain ARMA."""
-    if cfg.memory is not None:
-        return simulate_fiarma(cfg.fiarma_model(), cfg.run, force=force)
-    if cfg.power_exponent is not None:
-        return simulate_duker(cfg.power_exponent, cfg.arma.sigma, cfg.run, force=force)
-    return simulate_arma(cfg.arma, cfg.run)
+    if isinstance(cfg.model, FiarmaModel):
+        return simulate_fiarma(cfg.model, cfg.run, force=force)
+    if isinstance(cfg.model, PowerLawModel):
+        return simulate_duker(cfg.model, cfg.run, force=force)
+    return simulate_arma(cfg.model, cfg.run)
 
 
 def _density(cfg: ModelConfig) -> SpectralDensityGrid:
     """Density of the configured model on the run's frequency grid."""
     freqs = density_frequencies(cfg.run.n_freq)
-    if cfg.memory is not None:
-        return fiarma_spectral_density(cfg.fiarma_model(), freqs)
-    return arma_spectral_density(cfg.arma, freqs)
+    if isinstance(cfg.model, FiarmaModel):
+        return fiarma_spectral_density(cfg.model, freqs)
+    return arma_spectral_density(cfg.model, freqs)
 
 
 def _run_simulate(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
@@ -105,18 +108,17 @@ def _run_autocov(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
 
 
 def _run_frac_coeffs(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    seq = frac_ma_coeffs(cfg.frac_spec(), cfg.run.K)
+    seq = frac_ma_coeffs(cfg.model.D, cfg.run.K)
     header = ["k"] + _matrix_header(cfg.grid.n)
     _write_table(out / "frac_coeffs.csv", header, _complex_cells(seq.data), np.arange(len(seq)))
     return ["frac_coeffs.csv"]
 
 
 def _run_check_existence(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    model = cfg.arma
-    spec = cfg.frac_spec()
-    report = check_conditions(model, spec)
+    base, spec = cfg.model.base, cfg.model.D
+    report = check_conditions(base, spec)
     report.i_eta = existence_integral(
-        model,
+        base,
         spec,
         eta=cfg.run.eta,
         n_freq=cfg.run.shell_points,
@@ -128,8 +130,8 @@ def _run_check_existence(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
 
 def _run_existence_integral(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     report = existence_integral(
-        cfg.arma,
-        cfg.frac_spec(),
+        cfg.model.base,
+        cfg.model.D,
         eta=cfg.run.eta,
         n_freq=cfg.run.shell_points,
         n_refine=cfg.run.n_refine,
@@ -143,8 +145,7 @@ def _run_existence_integral(cfg: ModelConfig, out: Path, force: bool) -> list[st
 
 
 def _run_duker_decompose(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    n_op = cfg.require_power_exponent()
-    c_mat, deltas, rho = duker_decomposition(n_op, cfg.run.K)
+    c_mat, deltas, rho = duker_decomposition(cfg.model.N, cfg.run.K)
     header = _matrix_header(cfg.grid.n)
     _write_table(out / "duker_C.csv", header, _complex_cells(c_mat.entries[None]))
     norms = deltas.norms()
@@ -155,8 +156,7 @@ def _run_duker_decompose(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
 
 
 def _run_duker_verify(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    n_op = cfg.require_power_exponent()
-    check = verify_longmemory_decomposition(n_op, cfg.arma.sigma, cfg.run)
+    check = verify_longmemory_decomposition(cfg.model, cfg.run)
     _write_json(out / "duker_verify.json", check.to_dict())
     return ["duker_verify.json"]
 
@@ -168,17 +168,21 @@ def _run_periodogram(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     return [_density_table(out, "periodogram.csv", pg.freqs, pg.values)]
 
 
+# Each subcommand's runner and the model families it takes: plain ARMA,
+# fractional (``model.D``) and power-law (``model.N``).
+_EVERY_FAMILY = (ArmaModel, FiarmaModel, PowerLawModel)
 RUNNERS = {
-    "simulate": _run_simulate,
-    "density": _run_density,
-    "autocov": _run_autocov,
-    "frac-coeffs": _run_frac_coeffs,
-    "check-existence": _run_check_existence,
-    "existence-integral": _run_existence_integral,
-    "duker-decompose": _run_duker_decompose,
-    "duker-verify": _run_duker_verify,
-    "periodogram": _run_periodogram,
+    "simulate": (_run_simulate, _EVERY_FAMILY),
+    "density": (_run_density, (ArmaModel, FiarmaModel)),
+    "autocov": (_run_autocov, (ArmaModel, FiarmaModel)),
+    "frac-coeffs": (_run_frac_coeffs, (FiarmaModel,)),
+    "check-existence": (_run_check_existence, (FiarmaModel,)),
+    "existence-integral": (_run_existence_integral, (FiarmaModel,)),
+    "duker-decompose": (_run_duker_decompose, (PowerLawModel,)),
+    "duker-verify": (_run_duker_verify, (PowerLawModel,)),
+    "periodogram": (_run_periodogram, _EVERY_FAMILY),
 }
+_CONFIG_KEY = {FiarmaModel: "model.D", PowerLawModel: "model.N"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,12 +230,21 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         cfg.run.seed = args.seed
 
+    runner, takes = RUNNERS[args.subcommand]
+    if not isinstance(cfg.model, takes):
+        # a one-family subcommand names the key it needs, any other the key it refuses
+        if len(takes) == 1:
+            message = f"{_CONFIG_KEY[takes[0]]} is required by this subcommand"
+        else:
+            message = f"{_CONFIG_KEY[type(cfg.model)]} is not taken by this subcommand"
+        print(f"error: {message}", file=sys.stderr)
+        return 1
     try:
-        outputs = RUNNERS[args.subcommand](cfg, out, args.force)
+        outputs = runner(cfg, out, args.force)
     except ExistenceRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .hilbert import HilbertGrid, LinearOperator
 from .simulate import NOISE_KINDS, SimConfig, key_range_error
-from .spectral import ArmaModel, FiarmaModel
+from .spectral import ArmaModel, FiarmaModel, PowerLawModel
 from .transfer import FracIntegrationSpec, OperatorPolynomial, SingularTransferError
 
 
@@ -46,54 +46,37 @@ _RUN_KEYS = {f.name for f in fields(RunConfig)}
 
 @dataclass(eq=False)
 class ModelConfig:
-    """Validated configuration with assembled model objects.
-
-    ``arma`` is built, and its circle certificate and noise root computed,
-    once by :func:`parse_config`; every subcommand reads that one model.
+    """Validated configuration with its one model, built and certified once
+    by :func:`parse_config`: a :class:`FiarmaModel` when ``model.D`` is given,
+    a :class:`PowerLawModel` when ``model.N`` is, else an :class:`ArmaModel`.
     """
 
-    arma: ArmaModel
-    memory: LinearOperator | None
-    power_exponent: LinearOperator | None
+    model: ArmaModel | FiarmaModel | PowerLawModel
     run: RunConfig
 
     @property
     def grid(self) -> HilbertGrid:
-        return self.arma.grid
-
-    def arma_model(self) -> ArmaModel:
-        return self.arma
-
-    def frac_spec(self) -> FracIntegrationSpec:
-        if self.memory is None:
-            raise ConfigError(["model.D is required by this subcommand"])
-        return FracIntegrationSpec(self.memory)
-
-    def fiarma_model(self) -> FiarmaModel:
-        return FiarmaModel(self.arma, self.frac_spec())
-
-    def require_power_exponent(self) -> LinearOperator:
-        if self.power_exponent is None:
-            raise ConfigError(["model.N is required by this subcommand"])
-        return self.power_exponent
+        return self.model.grid
 
     def resolved(self) -> dict:
         """Round-trippable document with all defaults filled in."""
+        model = self.model
+        base = model if isinstance(model, ArmaModel) else model.base
+        exponent = {}
+        if isinstance(model, FiarmaModel):
+            exponent = {"D": _matrix_doc(model.D.D.entries)}
+        elif isinstance(model, PowerLawModel):
+            exponent = {"N": _matrix_doc(model.N.D.entries)}
         return {
             "grid": {
                 "points": list(map(float, self.grid.points)),
                 "weights": list(map(float, self.grid.weights)),
             },
             "model": {
-                "phi": [_matrix_doc(c.entries) for c in self.arma.phi.coeffs],
-                "theta": [_matrix_doc(c.entries) for c in self.arma.theta.coeffs],
-                "sigma": _matrix_doc(self.arma.sigma.entries),
-                **({"D": _matrix_doc(self.memory.entries)} if self.memory is not None else {}),
-                **(
-                    {"N": _matrix_doc(self.power_exponent.entries)}
-                    if self.power_exponent is not None
-                    else {}
-                ),
+                "phi": [_matrix_doc(c.entries) for c in base.phi.coeffs],
+                "theta": [_matrix_doc(c.entries) for c in base.theta.coeffs],
+                "sigma": _matrix_doc(base.sigma.entries),
+                **exponent,
             },
             "run": asdict(self.run),
         }
@@ -151,7 +134,7 @@ def parse_config(text: str) -> ModelConfig:
     """Parse and validate a JSON configuration document.
 
     Raises :class:`ConfigError` carrying every validation message found;
-    a well-formed document comes back as assembled model objects with run
+    a well-formed document comes back as its one assembled model with run
     defaults filled in.
     """
     errors: list[str] = []
@@ -210,6 +193,8 @@ def parse_config(text: str) -> ModelConfig:
             sigma_mat = _parse_matrix(msec["sigma"], "model.sigma", n, errors)
         if "D" in msec and "N" in msec:
             errors.append("model: provide at most one of D and N")
+        if "N" in msec and (msec.get("phi") or msec.get("theta")):
+            errors.append("model.N: the power-law moving average takes no phi or theta")
         if "D" in msec:
             d_mat = _parse_matrix(msec["D"], "model.D", n, errors)
         if "N" in msec:
@@ -248,12 +233,12 @@ def parse_config(text: str) -> ModelConfig:
         raise ConfigError(
             [f"model.phi: not invertible on the unit circle (margin {exc.margin:.3e})"]
         ) from exc
-    return ModelConfig(
-        arma=arma,
-        memory=LinearOperator(d_mat, grid) if d_mat is not None else None,
-        power_exponent=LinearOperator(n_mat, grid) if n_mat is not None else None,
-        run=RunConfig(**run_kwargs),
-    )
+    model = arma
+    if d_mat is not None:
+        model = FiarmaModel(arma, FracIntegrationSpec(LinearOperator(d_mat, grid)))
+    elif n_mat is not None:
+        model = PowerLawModel(arma, FracIntegrationSpec(LinearOperator(n_mat, grid)))
+    return ModelConfig(model, RunConfig(**run_kwargs))
 
 
 # The smallest value of each size in the run section: a path needs a row, a

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import LinearOperator, NormalDecomposition, normal_decompose, sqrt_psd
-from .spectral import ArmaModel
+from .hilbert import NormalDecomposition
+from .spectral import ArmaModel, PowerLawModel
 from .transfer import FracIntegrationSpec, arma_transfer_batch
 
 
@@ -99,16 +99,6 @@ class DukerReport:
     integral_value: float
     grid_sensitive: bool
     passes: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "exponents_real": [float(x) for x in self.exponents_real],
-            "sigma_w": [float(s) for s in self.sigma_w],
-            "condition_exponent": self.condition_exponent,
-            "integral_value": float(self.integral_value),
-            "grid_sensitive": self.grid_sensitive,
-            "passes": self.passes,
-        }
 
 
 def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
@@ -237,32 +227,25 @@ def existence_integral(
     )
 
 
-def check_duker_conditions(
-    n_op: LinearOperator,
-    sigma: LinearOperator,
-    dec: NormalDecomposition | None = None,
-    boundary_margin: float = 0.05,
-) -> DukerReport:
+def check_duker_conditions(model: PowerLawModel) -> DukerReport:
     """Conditions for convergence of the power-law moving average.
 
     Requires the real part of every exponent to exceed one half and reports
-    the weighted sum ``sum sigma_w^2 / (2 h - 1)``.  Grid points whose
-    exponent sits within ``boundary_margin`` of the 1/2 boundary make that
-    sum resolution-dependent, which is flagged rather than guessed.
+    the weighted sum ``sum sigma_w^2 / (2 h - 1)``, with ``sigma_w`` of the
+    white-noise base in the exponent's eigenframe.  Grid points whose
+    exponent sits within 0.05 of the 1/2 boundary make that sum
+    resolution-dependent, which is flagged rather than guessed.  An
+    exponent without a frame raises :class:`NotNormalError`.
     """
-    if dec is None:
-        dec = normal_decompose(n_op)
+    dec = model.N.ensure_decomposition()
     h = dec.d.real
-    root = sqrt_psd(sigma).entries
-    half = dec.U @ root
-    sw = np.sqrt(np.sum(np.abs(half) ** 2, axis=1) / n_op.grid.weights)
+    sw = sigma_w(model.base, dec)
+    weights = model.grid.weights
 
-    cond = bool(np.all(h > 0.5))
     above = h > 0.5
-    value = float(
-        np.sum(sw[above] ** 2 / (2.0 * h[above] - 1.0) * n_op.grid.weights[above])
-    )
-    sensitive = bool(np.any((h > 0.5) & (h - 0.5 < boundary_margin)))
+    cond = bool(np.all(above))
+    value = float(np.sum(sw[above] ** 2 / (2.0 * h[above] - 1.0) * weights[above]))
+    sensitive = bool(np.any(above & (h - 0.5 < 0.05)))
     return DukerReport(
         exponents_real=h,
         sigma_w=sw,

@@ -18,8 +18,8 @@ truncated MA coefficients of ``(1 - z)^{-D}``.  The impulse response is the
 causal one, so an AR polynomial with a root inside the unit disk is refused
 with :class:`NonCausalError` when the filter is built.  A model object keeps
 its plan for the last ``(T, K_trunc, burnin)`` it simulated, and a
-fractional model also keeps its existence verdict, so replications of one
-model only draw noise and convolve.
+fractional or power-law model also keeps its existence verdict, so
+replications of one model only draw noise and convolve.
 """
 from __future__ import annotations
 
@@ -34,10 +34,9 @@ from .hilbert import (
     LinearOperator,
     NotNormalError,
     identity,
-    normal_decompose,
     sqrt_psd,
 )
-from .spectral import ArmaModel, FiarmaModel
+from .spectral import ArmaModel, FiarmaModel, PowerLawModel
 from .transfer import (
     OperatorPolynomial,
     binomial_ma_coeffs,
@@ -328,7 +327,7 @@ def _filter_plan(
     )
 
 
-def _plan(model: ArmaModel | FiarmaModel, cfg: SimConfig) -> _FilterPlan:
+def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> _FilterPlan:
     """The model's cached filter plan for the sizes of ``cfg``, rebuilt when
     they change.
 
@@ -336,10 +335,19 @@ def _plan(model: ArmaModel | FiarmaModel, cfg: SimConfig) -> _FilterPlan:
     ``Sigma^{1/2}``, after the truncated MA coefficients of ``(1 - z)^{-D}``
     for a :class:`FiarmaModel`.  A non-causal AR polynomial is refused first
     (:func:`_require_causal`).  The noise block covers the burn-in and
-    ``K_trunc + q`` rows of pre-history.
+    ``K_trunc + q`` rows of pre-history.  A :class:`PowerLawModel` filters
+    with the weights ``(k+1)^{-N}`` times ``Sigma^{1/2}``, after a burn-in
+    of ``burnin`` rows (none when unset).
     """
     key = (cfg.T, cfg.K_trunc, cfg.burnin)
     if model._sim_plan is not None and model._sim_plan.key == key:
+        return model._sim_plan
+    if isinstance(model, PowerLawModel):
+        burnin = cfg.burnin or 0
+        rows = burnin + cfg.K_trunc + cfg.T
+        factors = [power_law_weights(model.N, cfg.K_trunc).data @ model.base.root.entries]
+        mats = (model.N.D.entries, model.base.sigma.entries)
+        model._sim_plan = _filter_plan(factors, cfg.T, rows, mats, burnin, key)
         return model._sim_plan
     fractional = isinstance(model, FiarmaModel)
     base = model.base if fractional else model
@@ -448,32 +456,27 @@ def simulate_fiarma(model: FiarmaModel, cfg: SimConfig, force: bool = False) -> 
     return _path(plan, cfg, model.grid, existence=existence, **plan.meta)
 
 
-def simulate_duker(
-    n_op: LinearOperator,
-    sigma: LinearOperator,
-    cfg: SimConfig,
-    force: bool = False,
-) -> SampledPath:
-    """Power-law moving average ``sum_k (k+1)^{-N} eps_{t-k}``, truncated."""
-    existence = "forced"
-    dec = None
-    if not force:
-        dec = normal_decompose(n_op)
-        report = check_duker_conditions(n_op, sigma, dec)
-        if not report.passes:
-            raise ExistenceRefusal(
-                "duker",
-                "power-law moving average conditions fail (need Re exponents "
-                "> 1/2 with a finite weighted sum); pass force=True to override",
-            )
-        existence = "holds"
+def _require_duker_conditions(model: PowerLawModel) -> None:
+    """Refuse the model unless the power-law conditions pass, deciding them
+    on first use and keeping the outcome on the model.  An exponent without
+    a frame raises :class:`NotNormalError` on every call."""
+    if model._passes is None:
+        model._passes = check_duker_conditions(model).passes
+    if not model._passes:
+        raise ExistenceRefusal(
+            "duker",
+            "power-law moving average conditions fail (need Re exponents "
+            "> 1/2 with a finite weighted sum)",
+        )
 
-    weights = power_law_weights(n_op, cfg.K_trunc, dec)
-    burnin = cfg.burnin or 0
-    rows = burnin + cfg.K_trunc + cfg.T
-    factors = [weights.data @ sqrt_psd(sigma).entries]
-    plan = _filter_plan(factors, cfg.T, rows, (n_op.entries, sigma.entries), burnin)
-    return _path(plan, cfg, n_op.grid, existence=existence)
+
+def simulate_duker(model: PowerLawModel, cfg: SimConfig, force: bool = False) -> SampledPath:
+    """Power-law moving average ``sum_k (k+1)^{-N} eps_{t-k}``, truncated.
+    A model that fails its conditions is refused unless ``force`` is set."""
+    if not force:
+        _require_duker_conditions(model)
+    plan = _plan(model, cfg)
+    return _path(plan, cfg, model.grid, existence="forced" if force else "holds")
 
 
 @dataclass(eq=False)
@@ -507,9 +510,7 @@ class DecompositionCheck:
         }
 
 
-def verify_longmemory_decomposition(
-    n_op: LinearOperator, sigma: LinearOperator, cfg: SimConfig
-) -> DecompositionCheck:
+def verify_longmemory_decomposition(model: PowerLawModel, cfg: SimConfig) -> DecompositionCheck:
     """Check ``Filter((1-z)^{N-Id}) eps = C Y + Z`` on one shared noise path.
 
     Path A filters the noise with the binomial coefficients of
@@ -521,23 +522,17 @@ def verify_longmemory_decomposition(
     carries the remainder norms whose partial sums certify the short-memory
     property.
     """
-    dec = normal_decompose(n_op)
-    report = check_duker_conditions(n_op, sigma, dec)
-    if not report.passes:
-        raise ExistenceRefusal(
-            "duker", "power-law moving average conditions fail; nothing to verify"
-        )
+    _require_duker_conditions(model)
+    n_op, grid = model.N.D, model.grid
     k_trunc = max(cfg.K_trunc, 1)
     rows = (cfg.burnin or 0) + k_trunc + cfg.T
-    root = sqrt_psd(sigma).entries
-    binom = binomial_ma_coeffs(identity(n_op.grid) - n_op, k_trunc)  # (1-z)^{N-Id}
-    c_mat, deltas, rho = duker_decomposition(n_op, k_trunc, dec)
-    powers = power_law_weights(n_op, k_trunc, dec)
-    plans = [
-        _filter_plan([seq.data @ root], cfg.T, rows, (n_op.entries, sigma.entries))
-        for seq in (binom, powers, deltas)
-    ]
-    xi = _standard_block(cfg.seed, cfg.replication, rows, n_op.n, plans[0].noise_kind(cfg))
+    root = model.base.root.entries
+    binom = binomial_ma_coeffs(identity(grid) - n_op, k_trunc)  # (1-z)^{N-Id}
+    c_mat, deltas, rho = duker_decomposition(model.N, k_trunc)
+    powers = power_law_weights(model.N, k_trunc)
+    mats = (n_op.entries, model.base.sigma.entries)
+    plans = [_filter_plan([seq.data @ root], cfg.T, rows, mats) for seq in (binom, powers, deltas)]
+    xi = _standard_block(cfg.seed, cfg.replication, rows, grid.n, plans[0].noise_kind(cfg))
     path_a, duker_rows, remainder = (_filtered_rows(plan, xi) for plan in plans)
     path_b = duker_rows @ c_mat.entries.T + remainder
 

@@ -100,13 +100,38 @@ class FiarmaModel:
 
 
 @dataclass(eq=False)
+class PowerLawModel:
+    """Power-law moving average ``sum_k (k+1)^{-N} eps_{t-k}`` of white noise.
+
+    ``base`` is the white noise, with ``Sigma`` and its root; ``N`` holds the
+    exponent with its eigenframe, found once.  Simulation keeps the filter
+    plan of the last path sizes it used in ``_sim_plan``, and whether the
+    power-law conditions pass in ``_passes``, decided on first use.
+    """
+
+    base: ArmaModel
+    N: FracIntegrationSpec
+    _sim_plan: "_FilterPlan | None" = field(default=None, init=False, repr=False)
+    _passes: bool | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.N.grid.n != self.base.grid.n:
+            raise ValueError("power-law exponent must live on the model grid")
+        if not self.base.is_white_noise():
+            raise ValueError("the power-law moving average has no AR or MA part")
+
+    @property
+    def grid(self) -> HilbertGrid:
+        return self.base.grid
+
+
+@dataclass(eq=False)
 class SpectralDensityGrid:
     """Operator density values on a frequency grid, w.r.t. Lebesgue measure."""
 
     freqs: np.ndarray
     values: np.ndarray
     grid: HilbertGrid
-    normalization: str = "lebesgue"
 
     def __post_init__(self) -> None:
         self.freqs = np.asarray(self.freqs, dtype=float).ravel()

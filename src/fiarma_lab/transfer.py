@@ -20,7 +20,6 @@ from .hilbert import (
     LinearOperator,
     NormalDecomposition,
     NotNormalError,
-    normal_decompose,
     normal_frame,
     operator_exp_batch,
     operator_norm,
@@ -80,7 +79,8 @@ class FracIntegrationSpec:
     """Bounded memory operator D with its unitary eigenframe, found once.
 
     ``decomposition`` is ``None`` when D is not normal; every function of D
-    then goes through the dense matrix exponential.
+    then goes through the dense matrix exponential.  The exponent ``N`` of
+    a power-law moving average is held the same way, in ``D``.
     """
 
     D: LinearOperator
@@ -441,7 +441,7 @@ def _rgamma(z: complex) -> complex:
 
 
 def duker_decomposition(
-    n_op: LinearOperator, order: int, dec: NormalDecomposition | None = None
+    spec: FracIntegrationSpec, order: int
 ) -> tuple[LinearOperator, CoefficientSequence, float]:
     """Split ``(1-z)^{N-Id}`` into ``C (k+1)^{-N}`` power-law weights plus a remainder.
 
@@ -455,13 +455,12 @@ def duker_decomposition(
     rotated back by the eigenframe: the matching constant in closed form,
     ``C(n) = 1/Gamma(1-n)``; the binomial coefficients from
     ``b_0 = 1``, ``b_k = b_{k-1} (k-n)/k``; and
-    ``Delta_k(n) = b_k(n) - C(n) (k+1)^{-n}``.  A caller that already holds
-    the eigenframe of ``N`` passes it as ``dec``.
+    ``Delta_k(n) = b_k(n) - C(n) (k+1)^{-n}``.  ``spec`` holds ``N`` with
+    its eigenframe; an ``N`` without one raises :class:`NotNormalError`.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if dec is None:
-        dec = normal_decompose(n_op)
+    dec = spec.ensure_decomposition()
     rho = float(np.min(dec.d.real))
     c_vals = np.array([_rgamma(1.0 - nv) for nv in dec.d], dtype=complex)
     ks = np.arange(order + 1, dtype=float)[:, None]
@@ -469,25 +468,19 @@ def duker_decomposition(
     powerlaw = np.exp(-np.log(ks + 1.0) * dec.d)  # (k+1)^{-n}
     deltas = dec.apply_scalar(binom - c_vals * powerlaw)
     return (
-        LinearOperator(dec.apply_scalar(c_vals), n_op.grid),
-        CoefficientSequence(deltas, n_op.grid, meaning="duker-delta"),
+        LinearOperator(dec.apply_scalar(c_vals), spec.grid),
+        CoefficientSequence(deltas, spec.grid, meaning="duker-delta"),
         rho,
     )
 
 
-def power_law_weights(
-    n_op: LinearOperator, order: int, dec: NormalDecomposition | None = None
-) -> CoefficientSequence:
-    """Weights ``(k+1)^{-N} = exp(-log(k+1) N)`` for k = 0..order.
-
-    ``dec`` is the eigenframe of ``N`` when the caller holds it; otherwise
-    ``N`` is tested for normality here.
-    """
-    if dec is None:
-        dec = normal_frame(n_op)
+def power_law_weights(spec: FracIntegrationSpec, order: int) -> CoefficientSequence:
+    """Weights ``(k+1)^{-N} = exp(-log(k+1) N)`` for k = 0..order, with ``N``
+    and its eigenframe held by ``spec``; an ``N`` without a frame takes the
+    dense matrix exponential."""
     ts = -np.log(np.arange(1, order + 2, dtype=float))
-    data = operator_exp_batch(n_op, ts, dec)
-    return CoefficientSequence(data, n_op.grid, meaning="duker-powerlaw")
+    data = operator_exp_batch(spec.D, ts, spec.decomposition)
+    return CoefficientSequence(data, spec.grid, meaning="duker-powerlaw")
 
 
 def envelope_bounds(z: complex, lam: float) -> tuple[float, float]:

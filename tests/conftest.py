@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fiarma_lab import HilbertGrid, LinearOperator
+from fiarma_lab import (
+    ArmaModel,
+    FracIntegrationSpec,
+    HilbertGrid,
+    LinearOperator,
+    OperatorPolynomial,
+    PowerLawModel,
+)
 
 
 @pytest.fixture
@@ -31,3 +38,10 @@ def op(mat, grid=None) -> LinearOperator:
     if grid is None:
         grid = HilbertGrid.uniform(mat.shape[0])
     return LinearOperator(mat, grid)
+
+
+def power_law_model(n_op: LinearOperator, sigma: LinearOperator) -> PowerLawModel:
+    """Power-law moving average with exponent ``n_op`` of white noise with covariance ``sigma``."""
+    g = n_op.grid
+    white = ArmaModel(OperatorPolynomial(g), OperatorPolynomial(g), sigma)
+    return PowerLawModel(white, FracIntegrationSpec(n_op))

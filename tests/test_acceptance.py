@@ -21,7 +21,7 @@ from fiarma_lab import (
     SimConfig,
 )
 
-from conftest import make_grid, op, random_unitary
+from conftest import make_grid, op, power_law_model, random_unitary
 
 
 @contextmanager
@@ -186,14 +186,15 @@ def _duker_cases():
 def test_c08_duker_decomposition():
     with criterion("08 duker-decomposition"):
         for label, n_op in _duker_cases():
-            c_mat, deltas, rho = fl.duker_decomposition(n_op, 10_000)
+            n_spec = FracIntegrationSpec(n_op)
+            c_mat, deltas, rho = fl.duker_decomposition(n_spec, 10_000)
             norms = deltas.norms()
             ks = np.arange(100, 10_001)
             slope = np.polyfit(np.log(ks), np.log(norms[100:]), 1)[0]
             assert slope <= -(1 + rho) + 0.1, f"{label}: slope {slope:.3f}"
 
             # reconstruction against an independently coded binomial product
-            powers = fl.power_law_weights(n_op, 500)
+            powers = fl.power_law_weights(n_spec, 500)
             eye = np.eye(n_op.n, dtype=complex)
             binom = eye.copy()
             for k in range(501):
@@ -207,11 +208,12 @@ def test_c09_longmemory_equivalence():
     with criterion("09 longmemory-equivalence"):
         for label, n_op in _duker_cases():
             check = fl.verify_longmemory_decomposition(
-                n_op, fl.identity(n_op.grid), SimConfig(T=2000, seed=33, K_trunc=500)
+                power_law_model(n_op, fl.identity(n_op.grid)),
+                SimConfig(T=2000, seed=33, K_trunc=500),
             )
             assert check.residual < 1e-8, f"{label}: residual {check.residual:.3e}"
 
-            _, deltas, _ = fl.duker_decomposition(n_op, 10_000)
+            _, deltas, _ = fl.duker_decomposition(FracIntegrationSpec(n_op), 10_000)
             sums = np.cumsum(deltas.norms())
             tail = sums[-1] - sums[5000]
             assert tail < 1e-3 * sums[-1], f"{label}: tail fraction {tail / sums[-1]:.2e}"

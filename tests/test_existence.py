@@ -19,7 +19,7 @@ from fiarma_lab import (
     sigma_w,
 )
 
-from conftest import make_grid, op, random_unitary
+from conftest import make_grid, op, power_law_model, random_unitary
 
 
 def scalar_grid():
@@ -177,13 +177,13 @@ class TestExistenceIntegral:
 class TestDukerConditions:
     def test_constant_above_half_passes(self):
         g = make_grid(3)
-        report = check_duker_conditions(op(0.7 * np.eye(3), g), identity(g))
+        report = check_duker_conditions(power_law_model(op(0.7 * np.eye(3), g), identity(g)))
         assert report.condition_exponent and report.passes
         assert not report.grid_sensitive
 
     def test_boundary_fails(self):
         g = make_grid(3)
-        report = check_duker_conditions(op(0.5 * np.eye(3), g), identity(g))
+        report = check_duker_conditions(power_law_model(op(0.5 * np.eye(3), g), identity(g)))
         assert not report.condition_exponent and not report.passes
 
     @pytest.mark.parametrize("n", [32, 128, 512])
@@ -192,7 +192,7 @@ class TestDukerConditions:
         exponents = 0.5 + g.points  # h(v) = 0.5 + v on (0, 1]
         n_op = LinearOperator(np.diag(exponents), g)
         sigma = constant_function_projector(g)
-        report = check_duker_conditions(n_op, sigma, boundary_margin=0.05)
+        report = check_duker_conditions(power_law_model(n_op, sigma))
         # harmonic-sum oracle: sum w / (2 v) = H_n / 2
         oracle = np.sum(1.0 / (2 * np.arange(1, n + 1)))
         assert report.integral_value == pytest.approx(oracle, rel=1e-10)
@@ -210,7 +210,7 @@ class TestDukerConditions:
             n_mat = u.conj().T @ (h_vals[:, None] * u)
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             sigma = LinearOperator(m @ m.conj().T / n, g)
-            duker = check_duker_conditions(LinearOperator(n_mat, g), sigma)
+            duker = check_duker_conditions(power_law_model(LinearOperator(n_mat, g), sigma))
             assert duker.passes
             spec = FracIntegrationSpec(
                 LinearOperator(np.eye(n, dtype=complex) - n_mat, g)

@@ -39,6 +39,8 @@ RUNS = [
     ("duker-decompose", HERMITIAN_N, 0),
     ("duker-verify", HERMITIAN_N, 0),
     ("simulate", HERMITIAN_N, 0),
+    ("periodogram", HERMITIAN_N, 0),
+    ("density", HERMITIAN_N, 1),
     ("simulate", REFUSED_D, 2),
     ("density", MALFORMED, 1),
 ]

@@ -6,6 +6,7 @@ import pytest
 
 import fiarma_lab.dataio
 from fiarma_lab import (
+    ArmaModel,
     ConfigError,
     HilbertGrid,
     PathFormatError,
@@ -38,6 +39,33 @@ def fractional_config(d: float, theta=None, **run) -> str:
     if theta is not None:
         doc["model"]["theta"] = [[[theta]]]
     return json.dumps(doc)
+
+
+GRID_2 = {"points": [0.0, 1.0], "weights": [0.5, 0.5]}
+SIGMA_2 = [[1.0, 0.2], [0.2, 0.5]]
+# One n=2 model of each family, each within its existence conditions.
+FAMILY_MODELS = {
+    "ARMA": {"sigma": SIGMA_2, "phi": [[[0.5, 0.1], [0.0, 0.3]]], "theta": [[[0.2, 0], [0, 0.2]]]},
+    "D": {"sigma": SIGMA_2, "D": [[0.2, 0.05], [0.05, 0.1]]},
+    "N": {"sigma": SIGMA_2, "N": [[0.7, 0.05], [0.05, 0.8]]},
+}
+# The families each subcommand takes; it refuses the others with exit code 1.
+TAKES = {
+    "simulate": ("ARMA", "D", "N"),
+    "density": ("ARMA", "D"),
+    "autocov": ("ARMA", "D"),
+    "frac-coeffs": ("D",),
+    "check-existence": ("D",),
+    "existence-integral": ("D",),
+    "duker-decompose": ("N",),
+    "duker-verify": ("N",),
+    "periodogram": ("ARMA", "D", "N"),
+}
+
+
+def family_config(family: str, **model) -> str:
+    run = {"T": 32, "K_trunc": 16, "K": 8, "n_freq": 64, "lags": 2, "shell_points": 8}
+    return json.dumps({"grid": GRID_2, "model": FAMILY_MODELS[family] | model, "run": run})
 
 
 def two_point_config(points) -> str:
@@ -75,8 +103,8 @@ class TestParseConfig:
         assert cfg.run.T == 1024
         assert cfg.run.K_trunc == 2048
         assert cfg.run.seed == 0
-        assert cfg.memory is None and cfg.power_exponent is None
-        assert cfg.arma_model().is_white_noise()
+        assert isinstance(cfg.model, ArmaModel)
+        assert cfg.model.is_white_noise()
 
     def test_complex_entries_parsed(self):
         doc = {
@@ -84,7 +112,7 @@ class TestParseConfig:
             "model": {"sigma": [[1.0, 0.0], [0.0, 1.0]], "D": [[[0.1, 0.2], 0.0], [0.0, 0.3]]},
         }
         cfg = parse_config(json.dumps(doc))
-        assert cfg.memory.entries[0, 0] == 0.1 + 0.2j
+        assert cfg.model.D.D.entries[0, 0] == 0.1 + 0.2j
 
     def test_non_psd_sigma_message(self):
         doc = {
@@ -198,11 +226,24 @@ class TestParseConfig:
             parse_config(between_scan_points_unit_root())
         assert any(m.startswith("model.phi: not invertible") for m in err.value.errors)
 
+    @pytest.mark.parametrize("key", ["phi", "theta"])
+    def test_power_law_with_arma_part_flagged(self, key):
+        """The power-law moving average has no ARMA part to take, reported in
+        the same pass as the config's other defects."""
+        doc = json.loads(family_config("N", **{key: [[[0.5, 0.0], [0.0, 0.5]]]}))
+        doc["run"]["T"] = 0
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.errors == [
+            "model.N: the power-law moving average takes no phi or theta",
+            "run.T: must be at least 1",
+        ]
+
     def test_resolved_round_trip(self):
         cfg = parse_config(fractional_config(0.3, T=64, seed=9))
         again = parse_config(json.dumps(cfg.resolved()))
         assert again.run.seed == 9
-        assert np.array_equal(again.memory.entries, cfg.memory.entries)
+        assert np.array_equal(again.model.D.D.entries, cfg.model.D.D.entries)
 
 
 class TestPathFiles:
@@ -438,6 +479,10 @@ class TestCli:
             (minimal_config(seed=2**64), "config error: run.seed: must lie in"),
             (minimal_config(seed=-(2**63) - 1), "config error: run.seed: must lie in"),
             (minimal_config(replication=2**64), "config error: run.replication: must lie in"),
+            (
+                family_config("N", phi=[[[0.5, 0.0], [0.0, 0.5]]]),
+                "config error: model.N: the power-law moving average takes no phi or theta",
+            ),
         ],
     )
     def test_invalid_config_exits_one_with_prefix(self, tmp_path, capsys, text, prefix):
@@ -456,6 +501,26 @@ class TestCli:
         out = tmp_path / "o"
         assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: run.{key}: must be at least")
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_MODELS))
+    @pytest.mark.parametrize("sub", sorted(RUNNERS))
+    def test_family_matrix(self, tmp_path, capsys, sub, family):
+        """Every subcommand runs on the families it takes and refuses the
+        rest with one line: the key it requires, or the key it does not take."""
+        cfg = self._write(tmp_path, family_config(family))
+        out = tmp_path / "o"
+        code = main([sub, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if family in TAKES[sub]:
+            assert (code, err) == (0, "")
+            assert (out / "manifest.json").exists()
+            return
+        if len(TAKES[sub]) == 1:
+            message = f"error: model.{TAKES[sub][0]} is required by this subcommand\n"
+        else:
+            message = f"error: model.{family} is not taken by this subcommand\n"
+        assert (code, err) == (1, message)
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("sub", ["simulate", "periodogram"])
@@ -516,6 +581,17 @@ class TestCli:
         assert main(["duker-verify", "--config", str(cfg), "--out", str(out2)]) == 0
         report = json.loads((out2 / "duker_verify.json").read_text())
         assert report["residual"] < 1e-8
+
+    def test_frameless_power_exponent_simulates_forced(self, tmp_path):
+        doc = {
+            "grid": {"points": [0.0, 1.0], "weights": [0.5, 0.5]},
+            "model": {"sigma": [[1.0, 0.0], [0.0, 1.0]], "N": [[0.3, 1e-7], [0.0, 0.3]]},
+            "run": {"T": 16, "K_trunc": 8},
+        }
+        cfg = self._write(tmp_path, json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+        assert len((out / "path.csv").read_text().splitlines()) == 17
 
     @pytest.mark.parametrize("sub", ["simulate", "duker-decompose", "duker-verify"])
     def test_frameless_power_exponent_is_an_error(self, tmp_path, capsys, sub):

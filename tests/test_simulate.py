@@ -14,6 +14,7 @@ from fiarma_lab import (
     NonCausalError,
     NotNormalError,
     OperatorPolynomial,
+    PowerLawModel,
     SimConfig,
     check_duker_conditions,
     duker_decomposition,
@@ -31,7 +32,7 @@ from fiarma_lab import (
     zero_operator,
 )
 
-from conftest import make_grid, op, random_unitary
+from conftest import make_grid, op, power_law_model, random_unitary
 
 
 @pytest.fixture
@@ -250,15 +251,15 @@ class TestSimulateDuker:
         n_op = op(0.7 * np.eye(2), g)
         cfg = SimConfig(T=512, seed=14, K_trunc=256)
         assert np.array_equal(
-            simulate_duker(n_op, identity(g), cfg).values,
-            simulate_duker(n_op, identity(g), cfg).values,
+            simulate_duker(power_law_model(n_op, identity(g)), cfg).values,
+            simulate_duker(power_law_model(n_op, identity(g)), cfg).values,
         )
 
     def test_harmonic_weights_manual_oracle(self):
         g = scalar_grid()
         n_op = op(np.eye(1), g)
         cfg = SimConfig(T=128, seed=15, K_trunc=32, burnin=0)
-        path = simulate_duker(n_op, identity(g), cfg, force=True)
+        path = simulate_duker(power_law_model(n_op, identity(g)), cfg, force=True)
         noise = gaussian_white_noise(identity(g), SimConfig(T=128, seed=15, K_trunc=32, burnin=0))
         # reconstruct y_T-1 from returned noise rows: weights 1/(k+1), k <= t
         t = 127
@@ -275,7 +276,7 @@ class TestSimulateDuker:
         sigma = op([[1.0, 0.6], [0.6, 0.8]], g)
         k_trunc, t_len = 24, 64
         cfg = SimConfig(T=t_len, K_trunc=k_trunc, burnin=5, seed=21, replication=1)
-        path = simulate_duker(op(rot @ np.diag(exps) @ rot.T, g), sigma, cfg)
+        path = simulate_duker(power_law_model(op(rot @ np.diag(exps) @ rot.T, g), sigma), cfg)
         eps_cfg = SimConfig(T=t_len + k_trunc, K_trunc=0, burnin=5, seed=21, replication=1)
         eps = gaussian_white_noise(sigma, eps_cfg).values
         want = np.zeros((t_len, 2), dtype=complex)
@@ -287,14 +288,21 @@ class TestSimulateDuker:
     def test_condition_refusal_and_force(self):
         g = make_grid(2)
         n_op = op(0.5 * np.eye(2), g)
+        model = power_law_model(n_op, identity(g))
         with pytest.raises(ExistenceRefusal):
-            simulate_duker(n_op, identity(g), SimConfig(T=32, seed=1))
-        path = simulate_duker(n_op, identity(g), SimConfig(T=32, seed=1), force=True)
+            simulate_duker(model, SimConfig(T=32, seed=1))
+        path = simulate_duker(model, SimConfig(T=32, seed=1), force=True)
         assert path.t_len == 32
+
+    def test_model_refuses_an_arma_part(self):
+        g = scalar_grid()
+        with pytest.raises(ValueError, match="no AR or MA part"):
+            PowerLawModel(ar1_model(g), FracIntegrationSpec.scalar(g, 0.7))
 
     def test_exponent_decomposed_once(self, eig_calls):
         g = make_grid(2)
-        simulate_duker(op(np.diag([0.7, 0.8]), g), identity(g), SimConfig(T=32, seed=1, K_trunc=16))
+        model = power_law_model(op(np.diag([0.7, 0.8]), g), identity(g))
+        simulate_duker(model, SimConfig(T=32, seed=1, K_trunc=16))
         assert len(eig_calls) == 1
 
     def test_autocovariance_decay_slope(self):
@@ -303,7 +311,7 @@ class TestSimulateDuker:
         g = scalar_grid()
         n_op = op(0.7 * np.eye(1), g)
         cfg = SimConfig(T=200_000, seed=16, K_trunc=4096)
-        path = simulate_duker(n_op, identity(g), cfg)
+        path = simulate_duker(power_law_model(n_op, identity(g)), cfg)
         lags = np.unique(np.geomspace(10, 500, 24).astype(int))
         acov = np.array(
             [empirical_autocov(path, int(h)).entries[0, 0].real for h in lags]
@@ -317,14 +325,15 @@ class TestLongMemoryDecomposition:
     def test_identity_exponent(self):
         g = make_grid(2)
         check = verify_longmemory_decomposition(
-            op(np.eye(2), g), identity(g), SimConfig(T=256, seed=18, K_trunc=64)
+            power_law_model(op(np.eye(2), g), identity(g)), SimConfig(T=256, seed=18, K_trunc=64)
         )
         assert check.residual < 1e-8
 
     def test_scalar_case(self):
         g = scalar_grid()
         check = verify_longmemory_decomposition(
-            op(0.7 * np.eye(1), g), identity(g), SimConfig(T=2000, seed=19, K_trunc=500)
+            power_law_model(op(0.7 * np.eye(1), g), identity(g)),
+            SimConfig(T=2000, seed=19, K_trunc=500),
         )
         assert check.residual < 1e-8
         assert check.rho == pytest.approx(0.7)
@@ -334,7 +343,7 @@ class TestLongMemoryDecomposition:
         u = random_unitary(rng, 2)
         n_mat = u.conj().T @ (np.array([0.6, 0.8])[:, None] * u)
         check = verify_longmemory_decomposition(
-            op(n_mat, g), identity(g), SimConfig(T=2000, seed=20, K_trunc=500)
+            power_law_model(op(n_mat, g), identity(g)), SimConfig(T=2000, seed=20, K_trunc=500)
         )
         assert check.residual < 1e-8
         sums = check.partial_sums
@@ -348,8 +357,9 @@ class TestLongMemoryDecomposition:
         g = make_grid(2)
         u = random_unitary(rng, 2)
         n_op = op(u.conj().T @ (np.array([0.6, 0.8])[:, None] * u), g)
+        model = power_law_model(n_op, identity(g))
         cfg = SimConfig(T=256, seed=20, K_trunc=64)
-        assert verify_longmemory_decomposition(n_op, identity(g), cfg).residual < 1e-12
+        assert verify_longmemory_decomposition(model, cfg).residual < 1e-12
         real = fiarma_lab.transfer._binomial_scalars
 
         def shifted(shift, order):
@@ -357,12 +367,13 @@ class TestLongMemoryDecomposition:
 
         for module in (fiarma_lab.transfer, fiarma_lab.simulate):
             monkeypatch.setattr(module, "_binomial_scalars", shifted, raising=False)
-        assert verify_longmemory_decomposition(n_op, identity(g), cfg).residual > 1e-6
+        assert verify_longmemory_decomposition(model, cfg).residual > 1e-6
 
     def test_exponent_decomposed_once(self, eig_calls):
         g = make_grid(2)
         verify_longmemory_decomposition(
-            op(np.diag([0.7, 0.8]), g), identity(g), SimConfig(T=64, seed=1, K_trunc=32)
+            power_law_model(op(np.diag([0.7, 0.8]), g), identity(g)),
+            SimConfig(T=64, seed=1, K_trunc=32),
         )
         assert len(eig_calls) == 1
 
@@ -370,7 +381,7 @@ class TestLongMemoryDecomposition:
         g = make_grid(2)
         with pytest.raises(ExistenceRefusal):
             verify_longmemory_decomposition(
-                op(0.3 * np.eye(2), g), identity(g), SimConfig(T=64, seed=1)
+                power_law_model(op(0.3 * np.eye(2), g), identity(g)), SimConfig(T=64, seed=1)
             )
 
 
@@ -386,22 +397,24 @@ class TestNotNormalExponent:
     def test_duker_decomposition(self):
         n_op, _ = self.frameless()
         with pytest.raises(NotNormalError):
-            duker_decomposition(n_op, 8)
+            duker_decomposition(FracIntegrationSpec(n_op), 8)
 
     def test_check_duker_conditions(self):
         n_op, sigma = self.frameless()
         with pytest.raises(NotNormalError):
-            check_duker_conditions(n_op, sigma)
+            check_duker_conditions(power_law_model(n_op, sigma))
 
     def test_simulate_duker(self):
         n_op, sigma = self.frameless()
         with pytest.raises(NotNormalError):
-            simulate_duker(n_op, sigma, SimConfig(T=16, seed=1, K_trunc=8))
+            simulate_duker(power_law_model(n_op, sigma), SimConfig(T=16, seed=1, K_trunc=8))
 
     def test_verify_longmemory_decomposition(self):
         n_op, sigma = self.frameless()
         with pytest.raises(NotNormalError):
-            verify_longmemory_decomposition(n_op, sigma, SimConfig(T=16, seed=1, K_trunc=8))
+            verify_longmemory_decomposition(
+                power_law_model(n_op, sigma), SimConfig(T=16, seed=1, K_trunc=8)
+            )
 
 
 def recursion_arma(model, cfg, kind, lead=0):
@@ -583,7 +596,7 @@ class TestFftHelpers:
         simulate_fiarma(mc_model(), cfg)
         simulate_arma(mc_model().base, cfg)
         g = make_grid(2)
-        simulate_duker(op(0.7 * np.eye(2), g), identity(g), cfg)
+        simulate_duker(power_law_model(op(0.7 * np.eye(2), g), identity(g)), cfg)
         lengths = [args[1] for args in stack_calls]
         assert len(lengths) == 4  # two for the fractional plan
         assert lengths == [scipy.fft.next_fast_len(m, real=True) for m in lengths]
@@ -671,6 +684,34 @@ class TestFilterPlanCache:
         path = simulate_fiarma(model, SimConfig(T=4096, K_trunc=64, seed=5, replication=1))
         periodogram(path, freqs)
         assert calls == []
+
+    def test_power_law_model_work_done_once(self, monkeypatch, counted):
+        """A power-law model decides its frame, weights and plan on the first
+        call; every later replication only draws noise and convolves."""
+        g = make_grid(2)
+        n_op = op([[0.7, 0.05], [0.05, 0.8]], g)
+        sigma = op([[1.0, 0.2], [0.2, 0.5]], g)
+        model = power_law_model(n_op, sigma)
+        cfgs = [SimConfig(T=128, K_trunc=64, seed=5, replication=r) for r in range(4)]
+        simulate_duker(model, cfgs[0])
+        plan = model._sim_plan
+        eig_calls = []
+        for name in ("eig", "eigh"):
+            real = getattr(np.linalg, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                eig_calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        weight_calls = counted("power_law_weights")
+        warm = [simulate_duker(model, cfg) for cfg in cfgs[1:]]
+        assert eig_calls == [] and weight_calls == []
+        assert model._sim_plan is plan
+        for cfg, path in zip(cfgs[1:], warm):
+            cold = simulate_duker(power_law_model(n_op, sigma), cfg)
+            assert np.array_equal(path.values, cold.values)
+            assert path.meta == cold.meta
 
     def test_refusal_builds_no_plan(self, monkeypatch, counted):
         def no_plan(*args):

@@ -539,7 +539,7 @@ class TestArInverseLaurent:
 class TestDukerDecomposition:
     def test_identity_exponent_degenerates(self):
         g = make_grid(2)
-        c_mat, deltas, rho = duker_decomposition(op(np.eye(2), g), 20)
+        c_mat, deltas, rho = duker_decomposition(FracIntegrationSpec(op(np.eye(2), g)), 20)
         assert rho == pytest.approx(1.0)
         assert operator_norm(c_mat.entries) < 1e-12
         assert np.allclose(deltas[0], np.eye(2), atol=1e-8)
@@ -549,14 +549,14 @@ class TestDukerDecomposition:
     def test_scalar_constant_matches_gamma_oracle(self):
         for n_val in (0.3, 0.7, 1.4, 0.6 + 0.2j, 0.95, 0.99, 0.999, 1.0, 2.0, 2.5 + 0.3j):
             g = make_grid(1)
-            c_mat, _, _ = duker_decomposition(op(np.array([[n_val]]), g), 2)
+            c_mat, _, _ = duker_decomposition(FracIntegrationSpec(op(np.array([[n_val]]), g)), 2)
             # rgamma, not 1/gamma: scipy's gamma is nan at the pole 1 - n = -1
             oracle = scipy.special.rgamma(1.0 - n_val)
             assert abs(c_mat.entries[0, 0] - oracle) < 1e-12 * max(1.0, abs(oracle))
 
     def test_remainder_decay_bounded(self):
         g = make_grid(1)
-        _, deltas, rho = duker_decomposition(op(0.7 * np.eye(1), g), 10_000)
+        _, deltas, rho = duker_decomposition(FracIntegrationSpec(op(0.7 * np.eye(1), g)), 10_000)
         assert rho == pytest.approx(0.7)
         norms = deltas.norms()
         ks = np.arange(100, 10_001)
@@ -566,7 +566,7 @@ class TestDukerDecomposition:
     def test_remainder_negligible_against_binomials(self):
         n_val = 0.4
         g = make_grid(1)
-        c_mat, deltas, _ = duker_decomposition(op(n_val * np.eye(1), g), 5000)
+        c_mat, deltas, _ = duker_decomposition(FracIntegrationSpec(op(n_val * np.eye(1), g)), 5000)
         # the binomial coefficients behave like k^{-n}/gamma(1-n); remainder is o(that)
         b_k = np.exp(
             scipy.special.gammaln(np.arange(1, 5001) + 1 - n_val)
@@ -580,7 +580,7 @@ class TestDukerDecomposition:
     def test_reconstruction_binomial_oracle(self):
         n_val = 0.65
         g = make_grid(1)
-        c_mat, deltas, _ = duker_decomposition(op(n_val * np.eye(1), g), 500)
+        c_mat, deltas, _ = duker_decomposition(FracIntegrationSpec(op(n_val * np.eye(1), g)), 500)
         ks = np.arange(1, 501, dtype=float)
         oracle = np.exp(
             scipy.special.gammaln(ks + 1 - n_val)
@@ -596,7 +596,7 @@ class TestDukerDecomposition:
         g = make_grid(2)
         u = random_unitary(np.random.default_rng(3), 2)
         mat = u.conj().T @ (np.array([0.6, 0.8])[:, None] * u)
-        _, deltas, rho = duker_decomposition(op(mat, g), 4000)
+        _, deltas, rho = duker_decomposition(FracIntegrationSpec(op(mat, g)), 4000)
         sums = np.cumsum(deltas.norms())
         tail_1 = sums[-1] - sums[1999]
         tail_2 = sums[1999] - sums[999]
@@ -605,14 +605,15 @@ class TestDukerDecomposition:
 
     def test_rejects_non_normal(self):
         with pytest.raises(NotNormalError):
-            duker_decomposition(op([[0.5, 1.0], [0.0, 0.5]]), 4)
+            duker_decomposition(FracIntegrationSpec(op([[0.5, 1.0], [0.0, 0.5]])), 4)
 
     def test_remainders_match_log_gamma_oracle_in_frame(self):
         g = make_grid(2)
         u = random_unitary(np.random.default_rng(11), 2)
         n_vals = np.array([0.95, 0.99])
         order = 2000
-        c_mat, deltas, rho = duker_decomposition(op(u.conj().T @ (n_vals[:, None] * u), g), order)
+        n_spec = FracIntegrationSpec(op(u.conj().T @ (n_vals[:, None] * u), g))
+        c_mat, deltas, rho = duker_decomposition(n_spec, order)
         assert rho == pytest.approx(0.95)
         ks = np.arange(order + 1, dtype=float)[:, None]
         lg_one_minus_n = scipy.special.gammaln(1.0 - n_vals)
@@ -650,7 +651,7 @@ class TestReciprocalGamma:
 class TestPowerLawWeights:
     def test_harmonic_scalar(self):
         g = make_grid(1)
-        seq = power_law_weights(op(np.eye(1), g), 16)
+        seq = power_law_weights(FracIntegrationSpec(op(np.eye(1), g)), 16)
         for k in range(17):
             assert seq[k][0, 0].real == pytest.approx(1.0 / (k + 1))
 
