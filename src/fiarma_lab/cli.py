@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ModelConfig, parse_config
 from .dataio import _atomic_write, _complex_cells, _table_bytes, write_path
-from .existence import ExistenceRefusal, check_conditions, existence_integral
+from .existence import ExistenceRefusal, IntegralReport, check_conditions, existence_integral
 from .simulate import (
     SampledPath,
     key_range_error,
@@ -114,28 +114,23 @@ def _run_frac_coeffs(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     return ["frac_coeffs.csv"]
 
 
-def _run_check_existence(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    base, spec = cfg.model.base, cfg.model.D
-    report = check_conditions(base, spec)
-    report.i_eta = existence_integral(
-        base,
-        spec,
-        eta=cfg.run.eta,
-        n_freq=cfg.run.shell_points,
-        n_refine=cfg.run.n_refine,
+def _existence_integral(cfg: ModelConfig) -> IntegralReport:
+    """The existence integral on the run's window, shells and nodes per shell."""
+    run = cfg.run
+    return existence_integral(
+        cfg.model.base, cfg.model.D, eta=run.eta, n_freq=run.shell_points, n_refine=run.n_refine
     )
+
+
+def _run_check_existence(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+    report = check_conditions(cfg.model.base, cfg.model.D)
+    report.i_eta = _existence_integral(cfg)
     _write_json(out / "existence.json", report.to_dict())
     return ["existence.json"]
 
 
 def _run_existence_integral(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    report = existence_integral(
-        cfg.model.base,
-        cfg.model.D,
-        eta=cfg.run.eta,
-        n_freq=cfg.run.shell_points,
-        n_refine=cfg.run.n_refine,
-    )
+    report = _existence_integral(cfg)
     _write_json(out / "existence_integral.json", report.to_dict())
     levels = np.arange(len(report.shells))
     hi = report.eta * 2.0**-levels

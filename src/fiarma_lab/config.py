@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
-from .hilbert import HilbertGrid, LinearOperator
-from .simulate import NOISE_KINDS, SimConfig, key_range_error
+from .hilbert import HilbertGrid, LinearOperator, NotPSDError
+from .simulate import SimConfig
 from .spectral import ArmaModel, FiarmaModel, PowerLawModel
 from .transfer import FracIntegrationSpec, OperatorPolynomial, SingularTransferError
 
@@ -40,8 +41,20 @@ class RunConfig(SimConfig):
     lags: int = 8
     format: str = "csv"
 
+    # a density grid and an existence shell need a frequency, and the
+    # existence integral needs four dyadic shells
+    SIZES = SimConfig.SIZES | {"n_freq": 1, "n_refine": 4, "shell_points": 1, "K": 0, "lags": 0}
 
-_RUN_KEYS = {f.name for f in fields(RunConfig)}
+    @classmethod
+    def errors(cls, values: dict, prefix: str = "") -> Iterator[str]:
+        yield from super().errors(values, prefix)
+        if not _is_number(values["eta"]) or not 0.0 < values["eta"] < np.pi:
+            yield f"{prefix}eta: must lie in (0, pi)"
+        if values["format"] not in ("csv", "bin"):
+            yield f"{prefix}format: unknown format {values['format']!r}"
+
+
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 @dataclass(eq=False)
@@ -86,9 +99,9 @@ def _matrix_doc(entries: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in entries]
 
 
-def _is_number(obj, kinds: tuple = (int, float)) -> bool:
-    """A JSON number (an integer with ``kinds=(int,)``); booleans are not numbers here."""
-    return isinstance(obj, kinds) and not isinstance(obj, bool)
+def _is_number(obj) -> bool:
+    """A JSON number; booleans are not numbers here."""
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
 
 
 def _parse_entry(obj, name: str, errors: list[str]) -> complex:
@@ -161,16 +174,19 @@ def parse_config(text: str) -> ModelConfig:
             errors.append("grid.points: need a nonempty list of numbers")
         elif not isinstance(weights, list) or len(weights) != len(points):
             errors.append("grid.weights: need a list matching grid.points in length")
-        elif any(not _is_number(w) or w <= 0 for w in weights):
-            errors.append("grid.weights: all weights must be strictly positive numbers")
+        elif not all(map(_is_number, weights)):
+            errors.append("grid.weights: need a list of numbers")
         else:
-            grid = HilbertGrid(np.asarray(points, float), np.asarray(weights, float))
+            try:
+                grid = HilbertGrid(np.asarray(points, float), np.asarray(weights, float))
+            except ValueError as exc:  # the grid's own rule: strictly positive weights
+                errors.append(f"grid.weights: {exc}")
     n = grid.n if grid is not None else None
 
     # model operators
     msec = doc.get("model")
-    phi_mats: list[np.ndarray] = []
-    theta_mats: list[np.ndarray] = []
+    phi_mats: list[np.ndarray | None] = []  # None for a matrix that did not parse
+    theta_mats: list[np.ndarray | None] = []
     sigma_mat = None
     d_mat = None
     n_mat = None
@@ -182,11 +198,9 @@ def parse_config(text: str) -> ModelConfig:
             seq = msec.get(label, [])
             if not isinstance(seq, list):
                 errors.append(f"model.{label}: expected a list of matrices")
+                sink.append(None)
                 continue
-            for k, m in enumerate(seq):
-                mat = _parse_matrix(m, f"model.{label}[{k}]", n, errors)
-                if mat is not None:
-                    sink.append(mat)
+            sink += (_parse_matrix(m, f"model.{label}[{k}]", n, errors) for k, m in enumerate(seq))
         if "sigma" not in msec:
             errors.append("model.sigma: required")
         else:
@@ -200,73 +214,36 @@ def parse_config(text: str) -> ModelConfig:
         if "N" in msec:
             n_mat = _parse_matrix(msec["N"], "model.N", n, errors)
 
-    # run section
+    # run section: RunConfig's own rules, every broken one reported
     rsec = doc.get("run", {})
     run_kwargs = {}
     if not isinstance(rsec, dict):
         errors.append("run: section must be an object")
     else:
-        _check_keys(rsec, _RUN_KEYS, "run", errors)
-        run_kwargs = {k: v for k, v in rsec.items() if k in _RUN_KEYS}
-    _check_run(asdict(RunConfig()) | run_kwargs, errors)
+        _check_keys(rsec, _RUN_DEFAULTS, "run", errors)
+        run_kwargs = {k: v for k, v in rsec.items() if k in _RUN_DEFAULTS}
+    errors.extend(RunConfig.errors(_RUN_DEFAULTS | run_kwargs, prefix="run."))
 
-    # semantic checks that need assembled pieces
-    if grid is not None and sigma_mat is not None:
-        herm = 0.5 * (sigma_mat + sigma_mat.conj().T)
-        defect = np.linalg.norm(sigma_mat - sigma_mat.conj().T, 2)
-        scale = max(np.linalg.norm(herm, 2), 1e-300)
-        if defect > 1e-10 * scale:
-            errors.append("model.sigma: not Hermitian")
-        else:
-            eigs = np.linalg.eigvalsh(herm)
-            if eigs[0] < -1e-10 * scale:
-                errors.append(f"model.sigma: Sigma not PSD (min eig {eigs[0]:.6g})")
+    # the model certifies itself in the same pass: Sigma and the AR symbol
+    arma = None
+    if grid is not None and all(m is not None for m in [sigma_mat, *phi_mats, *theta_mats]):
+        try:
+            arma = ArmaModel(
+                OperatorPolynomial(grid, tuple(LinearOperator(m, grid) for m in phi_mats)),
+                OperatorPolynomial(grid, tuple(LinearOperator(m, grid) for m in theta_mats)),
+                LinearOperator(sigma_mat, grid),
+            )
+        except NotPSDError as exc:
+            why = exc if exc.min_eig is None else f"Sigma not PSD (min eig {exc.min_eig:.6g})"
+            errors.append(f"model.sigma: {why}")
+        except SingularTransferError as exc:
+            margin = f"margin {exc.margin:.3e}"
+            errors.append(f"model.phi: not invertible on the unit circle ({margin})")
     if errors:
         raise ConfigError(errors)
-    try:
-        arma = ArmaModel(
-            OperatorPolynomial(grid, tuple(LinearOperator(m, grid) for m in phi_mats)),
-            OperatorPolynomial(grid, tuple(LinearOperator(m, grid) for m in theta_mats)),
-            LinearOperator(sigma_mat, grid),
-        )
-    except SingularTransferError as exc:
-        raise ConfigError(
-            [f"model.phi: not invertible on the unit circle (margin {exc.margin:.3e})"]
-        ) from exc
     model = arma
     if d_mat is not None:
         model = FiarmaModel(arma, FracIntegrationSpec(LinearOperator(d_mat, grid)))
     elif n_mat is not None:
         model = PowerLawModel(arma, FracIntegrationSpec(LinearOperator(n_mat, grid)))
     return ModelConfig(model, RunConfig(**run_kwargs))
-
-
-# The smallest value of each size in the run section: a path needs a row, a
-# density grid and an existence shell need a frequency, and the existence
-# integral needs four dyadic shells.
-_RUN_MINIMUM = {
-    "T": 1, "K_trunc": 0, "n_freq": 1, "n_refine": 4, "shell_points": 1, "K": 0, "lags": 0,
-}
-
-
-def _check_run(run: dict, errors: list[str]) -> None:
-    """Append a message for every invalid value of the run section."""
-    for key, low in _RUN_MINIMUM.items():
-        if not _is_number(run[key], (int,)) or run[key] < 0:
-            errors.append(f"run.{key}: must be a nonnegative integer")
-        elif run[key] < low:
-            errors.append(f"run.{key}: must be at least {low}")
-    for key in ("seed", "replication"):  # may be negative: they key the noise stream
-        if not _is_number(run[key], (int,)):
-            errors.append(f"run.{key}: must be an integer")
-        elif message := key_range_error(f"run.{key}", run[key]):
-            errors.append(message)
-    if run["burnin"] is not None and (not _is_number(run["burnin"], (int,)) or run["burnin"] < 0):
-        errors.append("run.burnin: must be a nonnegative integer or null")
-    if run["noise_kind"] not in NOISE_KINDS:
-        errors.append(f"run.noise_kind: unknown kind {run['noise_kind']!r}")
-    eta = run["eta"]
-    if not _is_number(eta) or not 0.0 < eta < np.pi:
-        errors.append("run.eta: must lie in (0, pi)")
-    if run["format"] not in ("csv", "bin"):
-        errors.append(f"run.format: unknown format {run['format']!r}")

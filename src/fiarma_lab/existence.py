@@ -117,19 +117,16 @@ def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
     return np.sqrt(row_sq / model.grid.weights)
 
 
-def check_conditions(
-    model: ArmaModel, spec: FracIntegrationSpec, tol: float | None = None
-) -> ExistenceReport:
+def check_conditions(model: ArmaModel, spec: FracIntegrationSpec) -> ExistenceReport:
     """Evaluate the existence conditions of the fractional filter on the grid.
 
     Almost-everywhere quantifiers become checks at every grid point, with the
-    support of ``sigma_w`` thresholded at ``tol`` (default
-    ``1e-12 * max sigma_w``) to guard rounding.
+    support of ``sigma_w`` thresholded at ``1e-12 * max sigma_w`` to guard
+    rounding.
     """
     dec = spec.ensure_decomposition()
     sw = sigma_w(model, dec)
-    if tol is None:
-        tol = 1e-12 * float(sw.max(initial=0.0))
+    tol = 1e-12 * float(sw.max(initial=0.0))
     d_re = dec.d.real
     support = sw > tol
 

@@ -21,7 +21,12 @@ class NotNormalError(ValueError):
 
 
 class NotPSDError(ValueError):
-    """Raised when an operation requires a positive semidefinite operator."""
+    """Raised when an operation requires a positive semidefinite operator;
+    ``min_eig`` is the eigenvalue refused, ``None`` for a non-Hermitian one."""
+
+    def __init__(self, message: str, min_eig: float | None = None):
+        super().__init__(message)
+        self.min_eig = min_eig
 
 
 class BranchCutError(ValueError):
@@ -241,23 +246,29 @@ def operator_power_one_minus_z(d_op: LinearOperator, z: complex) -> LinearOperat
     return LinearOperator(operator_exp_batch(d_op, [w], normal_frame(d_op))[0], d_op.grid)
 
 
-def sqrt_psd(a: LinearOperator, tol: float | None = None) -> LinearOperator:
-    """Hermitian PSD square root ``B`` with ``B @ B = A``.
+def psd_eigh(m: np.ndarray, rel_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """The library's one Hermitian PSD test, on a matrix or a stack ``(..., n, n)``:
+    with ``tol`` the largest ``||(M + M^H) / 2||`` times ``rel_tol``, every
+    ``||M - M^H||`` must stay within ``tol`` and no eigenvalue of the
+    Hermitian part may fall below ``-tol``.  Returns those eigenvalues and
+    eigenvectors."""
+    mh = m.conj().swapaxes(-1, -2)
+    vals, vecs = np.linalg.eigh(0.5 * (m + mh))
+    tol = rel_tol * float(np.max(np.abs(vals), initial=0.0))
+    defect = float(np.max(np.linalg.norm(m - mh, 2, axis=(-2, -1)), initial=0.0))
+    if defect > tol:
+        raise NotPSDError(f"not Hermitian (||A - A^H|| = {defect:.3e})")
+    low = float(np.min(vals, initial=np.inf))
+    if low < -tol:
+        raise NotPSDError(f"not positive semidefinite (min eig {low:.6g})", low)
+    return vals, vecs
 
-    Eigenvalues in ``[-tol, 0)`` are treated as rounding noise and clamped
-    to zero; anything below ``-tol`` is rejected.  ``tol`` defaults to
-    ``1e-10 * ||A||``.
-    """
-    scale = operator_norm(a)
-    if tol is None:
-        tol = 1e-10 * scale
-    m = a.entries
-    herm_defect = operator_norm(m - m.conj().T)
-    if herm_defect > max(tol, 1e-14 * max(scale, 1.0)):
-        raise NotPSDError(f"not Hermitian (||A - A^H|| = {herm_defect:.3e})")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-    if vals.size and vals[0] < -tol:
-        raise NotPSDError(f"not positive semidefinite (min eig {vals[0]:.6g})")
+
+def sqrt_psd(a: LinearOperator) -> LinearOperator:
+    """Hermitian PSD square root ``B`` with ``B @ B = A`` of an ``A`` that
+    passes :func:`psd_eigh`; eigenvalues within its tolerance below zero are
+    clamped to zero."""
+    vals, vecs = psd_eigh(a.entries)
     root = vecs @ (np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T)
     return LinearOperator(root, a.grid)
 

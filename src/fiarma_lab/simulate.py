@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import Iterator
 
 import numpy as np
 
@@ -61,9 +62,26 @@ class NonCausalError(ValueError):
     impulse response that simulation filters with diverges."""
 
 
+def _is_int(value) -> bool:  # booleans are not integers here
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def key_range_error(name: str, value: int) -> str | None:
+    """The message for a ``seed`` or ``replication`` that is not an integer
+    fitting one 64-bit word of the noise stream's key, or None.  A negative
+    value stands for its two's complement; a value outside
+    ``[-2**63, 2**64)`` would wrap onto the stream of another key."""
+    if not _is_int(value):
+        return f"{name}: must be an integer"
+    if -(2**63) <= value < 2**64:
+        return None
+    return f"{name}: must lie in [-2**63, 2**64) to key the noise stream, got {value}"
+
+
 @dataclass
 class SimConfig:
-    """Run length, pre-history sizes, seed and noise family for one path."""
+    """Run length, pre-history sizes, seed and noise family for one path,
+    refused with the first rule of :meth:`errors` that it breaks."""
 
     T: int = 1024
     burnin: int | None = None  # None: sized from the AR forgetting rate
@@ -72,29 +90,30 @@ class SimConfig:
     noise_kind: str = "auto"  # auto | real-gaussian | complex-gaussian
     replication: int = 0
 
+    # the smallest value of each size: a path needs a row
+    SIZES = {"T": 1, "K_trunc": 0}
+
     def __post_init__(self) -> None:
-        if self.T < 1:
-            raise ValueError("T must be at least 1")
-        if self.burnin is not None and self.burnin < 0:
-            raise ValueError("burnin must be nonnegative")
-        if self.K_trunc < 0:
-            raise ValueError("K_trunc must be nonnegative")
-        if self.noise_kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise_kind {self.noise_kind!r}")
-        for name in ("seed", "replication"):
-            message = key_range_error(name, getattr(self, name))
-            if message:
-                raise ValueError(message)
+        if message := next(self.errors(vars(self)), None):
+            raise ValueError(message)
 
-
-def key_range_error(name: str, value: int) -> str | None:
-    """The message for a ``seed`` or ``replication`` that does not fit one
-    64-bit word of the noise stream's key, or None.  A negative value stands
-    for its two's complement; a value outside ``[-2**63, 2**64)`` would wrap
-    onto the stream of another key."""
-    if -(2**63) <= value < 2**64:
-        return None
-    return f"{name}: must lie in [-2**63, 2**64) to key the noise stream, got {value}"
+    @classmethod
+    def errors(cls, values: dict, prefix: str = "") -> Iterator[str]:
+        """The message of every rule that the field ``values`` break, each
+        naming its field after ``prefix``."""
+        for key, low in cls.SIZES.items():
+            if not _is_int(values[key]) or values[key] < 0:
+                yield f"{prefix}{key}: must be a nonnegative integer"
+            elif values[key] < low:
+                yield f"{prefix}{key}: must be at least {low}"
+        for key in ("seed", "replication"):  # may be negative: they key the noise stream
+            if message := key_range_error(prefix + key, values[key]):
+                yield message
+        burnin = values["burnin"]
+        if burnin is not None and (not _is_int(burnin) or burnin < 0):
+            yield f"{prefix}burnin: must be a nonnegative integer or null"
+        if values["noise_kind"] not in NOISE_KINDS:
+            yield f"{prefix}noise_kind: unknown kind {values['noise_kind']!r}"
 
 
 @dataclass(eq=False)

@@ -16,7 +16,7 @@ from .hilbert import (
     HilbertGrid,
     LinearOperator,
     NormalDecomposition,
-    operator_norm,
+    psd_eigh,
     sqrt_psd,
 )
 from .transfer import (
@@ -147,14 +147,9 @@ class SpectralDensityGrid:
         return np.einsum("fii->f", self.values).real
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Check every value is Hermitian PSD within tol (relative)."""
-        scale = max(operator_norm(v) for v in self.values) or 1.0
-        herm = max(operator_norm(v - v.conj().T) for v in self.values)
-        if herm > tol * scale:
-            raise ValueError(f"density values not Hermitian within tolerance ({herm:.3e})")
-        mins = np.linalg.eigvalsh(0.5 * (self.values + self.values.conj().transpose(0, 2, 1)))
-        if mins.size and mins.min() < -tol * scale:
-            raise ValueError(f"density value has eigenvalue {mins.min():.3e} below 0")
+        """Check every value is Hermitian PSD within ``tol`` relative to the
+        largest; :class:`NotPSDError` names the defect otherwise."""
+        psd_eigh(self.values, rel_tol=tol)
 
 
 @dataclass(eq=False)

@@ -20,7 +20,7 @@ from .hilbert import (
     LinearOperator,
     NormalDecomposition,
     NotNormalError,
-    normal_frame,
+    normal_decompose,
     operator_exp_batch,
     operator_norm,
 )
@@ -78,20 +78,24 @@ class OperatorPolynomial:
 class FracIntegrationSpec:
     """Bounded memory operator D with its unitary eigenframe, found once.
 
-    ``decomposition`` is ``None`` when D is not normal; every function of D
-    then goes through the dense matrix exponential.  The exponent ``N`` of
-    a power-law moving average is held the same way, in ``D``.
+    ``decomposition`` is ``None`` when D has no frame, ``frame_error`` says
+    why, and every function of D goes through the dense matrix exponential.
+    The exponent ``N`` of a power-law moving average is held the same way.
     """
 
     D: LinearOperator
     decomposition: NormalDecomposition | None = field(init=False, repr=False)
+    frame_error: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.decomposition = normal_frame(self.D)
+        try:
+            self.decomposition = normal_decompose(self.D)
+        except NotNormalError as exc:
+            self.decomposition, self.frame_error = None, str(exc)
 
     def ensure_decomposition(self) -> NormalDecomposition:
         if self.decomposition is None:
-            raise NotNormalError("operator not normal")
+            raise NotNormalError(self.frame_error)
         return self.decomposition
 
     @property

@@ -9,7 +9,11 @@ from fiarma_lab import (
     ArmaModel,
     ConfigError,
     HilbertGrid,
+    LinearOperator,
+    NotPSDError,
+    OperatorPolynomial,
     PathFormatError,
+    RunConfig,
     SampledPath,
     parse_config,
     read_path,
@@ -238,6 +242,69 @@ class TestParseConfig:
             "model.N: the power-law moving average takes no phi or theta",
             "run.T: must be at least 1",
         ]
+
+    @pytest.mark.parametrize(
+        "model, refusal",
+        [
+            ({"sigma": [[1.0]], "phi": [[[1.0]]]}, "model.phi: not invertible"),
+            ({"sigma": [[-0.1]]}, "model.sigma: Sigma not PSD (min eig -0.1)"),
+        ],
+    )
+    def test_model_refusal_reported_with_run_defects(self, model, refusal):
+        """The model is built in the same pass as the run section is checked."""
+        doc = {"grid": {"points": [0.0], "weights": [1.0]}, "model": model, "run": {"T": 0}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert len(err.value.errors) == 2
+        assert err.value.errors[0] == "run.T: must be at least 1"
+        assert err.value.errors[1].startswith(refusal)
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            [[1e-6, 1e-15], [0.0, 1e-6]],
+            [[1.0, 1e-11], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, -0.1]],
+            [[1.0, 0.0], [0.0, -1e-11]],
+            [[1e-6, 0.0], [0.0, 1e-6]],
+            SIGMA_2,
+        ],
+    )
+    def test_sigma_verdict_matches_model(self, sigma):
+        """Sigma has one rule: the config refuses exactly what the model does."""
+        grid = HilbertGrid([0.0, 1.0], [0.5, 0.5])
+        try:
+            ArmaModel(
+                OperatorPolynomial(grid),
+                OperatorPolynomial(grid),
+                LinearOperator(np.array(sigma, dtype=complex), grid),
+            )
+        except NotPSDError:
+            model_accepts = False
+        else:
+            model_accepts = True
+        doc = json.dumps({"grid": GRID_2, "model": {"sigma": sigma}})
+        try:
+            parse_config(doc)
+        except ConfigError:
+            config_accepts = False
+        else:
+            config_accepts = True
+        assert config_accepts == model_accepts
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("eta", 5.0), ("eta", True), ("format", "xlsx"), ("n_refine", 3), ("lags", -1), ("T", 0)],
+    )
+    def test_run_config_applies_the_config_rules(self, key, value):
+        """RunConfig built in Python refuses what the config refuses, with the
+        same message less the section prefix."""
+        with pytest.raises(ValueError) as built:
+            RunConfig(**{key: value})
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(minimal_config(**{key: value}))
+        assert str(built.value).startswith(f"{key}: ")
+        assert parsed.value.errors == [f"run.{built.value}"]
 
     def test_resolved_round_trip(self):
         cfg = parse_config(fractional_config(0.3, T=64, seed=9))
@@ -473,12 +540,20 @@ class TestCli:
         [
             (two_point_config(["a", 1.0]), "config error: grid.points:"),
             (two_point_config([[0.0], 1.0]), "config error: grid.points:"),
+            (
+                json.dumps({"grid": {"points": [0.0], "weights": [float("nan")]}, "model": {}}),
+                "config error: grid.weights: all grid weights must be strictly positive",
+            ),
             (minimal_config(T=True), "config error: run.T:"),
             (minimal_config(burnin=False), "config error: run.burnin:"),
             (between_scan_points_unit_root(), "config error: model.phi: not invertible"),
             (minimal_config(seed=2**64), "config error: run.seed: must lie in"),
             (minimal_config(seed=-(2**63) - 1), "config error: run.seed: must lie in"),
             (minimal_config(replication=2**64), "config error: run.replication: must lie in"),
+            (
+                json.dumps({"grid": GRID_2, "model": {"sigma": [[1e-6, 1e-15], [0.0, 1e-6]]}}),
+                "config error: model.sigma: not Hermitian",
+            ),
             (
                 family_config("N", phi=[[[0.5, 0.0], [0.0, 0.5]]]),
                 "config error: model.N: the power-law moving average takes no phi or theta",

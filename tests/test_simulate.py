@@ -103,6 +103,21 @@ class TestWhiteNoise:
         with pytest.raises(ValueError, match=f"{key}: must lie in"):
             SimConfig(**{key: value})
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"T": True}, "T"),
+            ({"T": 0}, "T"),
+            ({"burnin": -1.5}, "burnin"),
+            ({"K_trunc": 2.0}, "K_trunc"),
+            ({"seed": 1.0}, "seed"),
+            ({"noise_kind": "uniform"}, "noise_kind"),
+        ],
+    )
+    def test_field_rules_refused(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            SimConfig(**kwargs)
+
     def test_negative_key_is_its_twos_complement(self):
         g = make_grid(2)
         a = gaussian_white_noise(identity(g), SimConfig(T=8, seed=-1, replication=-(2**63)))
@@ -415,6 +430,14 @@ class TestNotNormalExponent:
             verify_longmemory_decomposition(
                 power_law_model(n_op, sigma), SimConfig(T=16, seed=1, K_trunc=8)
             )
+
+    def test_refusal_keeps_the_reason(self):
+        """The exponent passes the commutator test, and the refusal says which
+        check of its eigenframe failed."""
+        n_op, sigma = self.frameless()
+        reason = "unitary diagonalization leaves reconstruction error 1.000e-07"
+        with pytest.raises(NotNormalError, match=f"^operator not normal: {reason}$"):
+            simulate_duker(power_law_model(n_op, sigma), SimConfig(T=16, seed=1, K_trunc=8))
 
 
 def recursion_arma(model, cfg, kind, lead=0):
