@@ -13,6 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .dataio import PATH_FORMATS
 from .hilbert import HilbertGrid, LinearOperator, NotPSDError
 from .simulate import SimConfig
 from .spectral import ArmaModel, FiarmaModel, PowerLawModel
@@ -50,7 +51,7 @@ class RunConfig(SimConfig):
         yield from super().errors(values, prefix)
         if not _is_number(values["eta"]) or not 0.0 < values["eta"] < np.pi:
             yield f"{prefix}eta: must lie in (0, pi)"
-        if values["format"] not in ("csv", "bin"):
+        if values["format"] not in PATH_FORMATS:
             yield f"{prefix}format: unknown format {values['format']!r}"
 
 
@@ -177,10 +178,12 @@ def parse_config(text: str) -> ModelConfig:
         elif not all(map(_is_number, weights)):
             errors.append("grid.weights: need a list of numbers")
         else:
-            try:
-                grid = HilbertGrid(np.asarray(points, float), np.asarray(weights, float))
-            except ValueError as exc:  # the grid's own rule: strictly positive weights
-                errors.append(f"grid.weights: {exc}")
+            points, weights = np.asarray(points, float), np.asarray(weights, float)
+            # the grid's own rules: finite points, finite and strictly positive weights
+            grid_errors = list(HilbertGrid.errors(points, weights, prefix="grid."))
+            errors += grid_errors
+            if not grid_errors:
+                grid = HilbertGrid(points, weights)
     n = grid.n if grid is not None else None
 
     # model operators

@@ -15,6 +15,8 @@ from .simulate import SampledPath
 
 _MAGIC = b"FIAR"
 _VERSION = 1
+# the formats :func:`write_path` writes, each the suffix of the CLI's path file
+PATH_FORMATS = ("csv", "bin")
 
 
 class PathFormatError(ValueError):
@@ -85,12 +87,9 @@ def write_path(path: SampledPath, file: str | Path, fmt: str | None = None) -> N
     target = Path(file)
     if fmt is None:
         fmt = "bin" if target.suffix in (".bin", ".fiar") else "csv"
-    if fmt == "csv":
-        _atomic_write(target, _csv_bytes(path))
-    elif fmt == "bin":
-        _atomic_write(target, _binary_bytes(path))
-    else:
+    if fmt not in PATH_FORMATS:
         raise ValueError(f"unknown path format {fmt!r}")
+    _atomic_write(target, _csv_bytes(path) if fmt == "csv" else _binary_bytes(path))
 
 
 def _read_csv(raw: bytes, grid: HilbertGrid | None) -> SampledPath:

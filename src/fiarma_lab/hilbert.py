@@ -12,6 +12,7 @@ between matrix entries and integral-operator kernel values are handled by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -47,8 +48,19 @@ class HilbertGrid:
             raise ValueError("grid needs at least one point")
         if self.points.shape != self.weights.shape:
             raise ValueError("points and weights must have the same length")
-        if not np.all(self.weights > 0):
-            raise ValueError("all grid weights must be strictly positive")
+        if message := next(self.errors(self.points, self.weights), None):
+            raise ValueError(message)
+
+    @staticmethod
+    def errors(points: np.ndarray, weights: np.ndarray, prefix: str = "") -> Iterator[str]:
+        """The message of every rule that the float arrays ``points`` and
+        ``weights`` of one length break, each naming its field after ``prefix``."""
+        if not np.all(np.isfinite(points)):
+            yield f"{prefix}points: all grid points must be finite"
+        if not np.all(weights > 0):
+            yield f"{prefix}weights: all grid weights must be strictly positive"
+        elif not np.all(np.isfinite(weights)):
+            yield f"{prefix}weights: all grid weights must be finite"
 
     @property
     def n(self) -> int:

@@ -376,12 +376,16 @@ def binomial_ma_coeffs(d_op: LinearOperator, order: int) -> CoefficientSequence:
     if order < 0:
         raise ValueError("order must be nonnegative")
     n = d_op.n
-    d_mat = d_op.entries
-    eye = np.eye(n, dtype=complex)
+    # the factors step[k-1] = (D + (k-1) Id) / k of every lag, built in place
+    lags = np.arange(1, order + 1)
+    step = np.empty((order, n, n), dtype=complex)
+    step[:] = d_op.entries
+    step.reshape(order, n * n)[:, :: n + 1] += lags[:, None] - 1
+    step /= lags[:, None, None]
     out = np.empty((order + 1, n, n), dtype=complex)
-    out[0] = eye
+    out[0] = np.eye(n)
     for k in range(1, order + 1):
-        out[k] = out[k - 1] @ (d_mat + (k - 1) * eye) / k
+        np.matmul(out[k - 1], step[k - 1], out=out[k])
     return CoefficientSequence(out, d_op.grid, meaning="frac-binomial")
 
 

@@ -45,6 +45,22 @@ class TestGrid:
         with pytest.raises(ValueError):
             HilbertGrid(np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="^points: all grid points must be finite$"):
+            HilbertGrid(np.array([0.0, bad]), np.array([0.5, 0.5]))
+
+    def test_rejects_infinite_weights(self):
+        with pytest.raises(ValueError, match="^weights: all grid weights must be finite$"):
+            HilbertGrid(np.array([0.0, 1.0]), np.array([0.5, np.inf]))
+
+    def test_errors_name_every_broken_field(self):
+        errors = HilbertGrid.errors(np.array([np.nan]), np.array([-1.0]), prefix="grid.")
+        assert list(errors) == [
+            "grid.points: all grid points must be finite",
+            "grid.weights: all grid weights must be strictly positive",
+        ]
+
     def test_operator_shape_checked(self):
         with pytest.raises(ValueError):
             LinearOperator(np.zeros((2, 3)), make_grid(2))

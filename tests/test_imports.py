@@ -1,10 +1,13 @@
-"""The CLI runs on numpy alone for normal operators; scipy is loaded only for
-the matrix exponential of a non-normal memory operator."""
+"""Fresh-interpreter checks of the CLI.  It runs on numpy alone for normal
+operators; scipy is loaded only for the matrix exponential of a non-normal
+memory operator.  Only the process entry touches the garbage collector."""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fiarma_lab
 
@@ -63,11 +66,37 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def _run_fresh(tmp_path, runs):
+# Runs one command line through ``main`` in process or through the module's
+# ``__main__`` block; prints the exit code and the collector's state after it.
+ENTRY_SCRIPT = """
+import gc, json, runpy, sys
+route, argv = sys.argv[1], json.loads(sys.argv[2])
+threshold = gc.get_threshold()
+try:
+    if route == "main":
+        from fiarma_lab.cli import main
+        code = main(argv)
+    else:
+        sys.argv = ["fiarma-lab", *argv]
+        runpy.run_module("fiarma_lab.cli", run_name="__main__")
+        code = "no SystemExit"
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({
+    "code": code,
+    "frozen": gc.get_freeze_count(),
+    "enabled": gc.isenabled(),
+    "threshold_kept": gc.get_threshold() == threshold,
+}))
+"""
+
+
+def _fresh(script, *args):
+    """The JSON that ``script`` prints last, run with ``args`` in a new interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path), json.dumps(runs)],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -75,6 +104,10 @@ def _run_fresh(tmp_path, runs):
         check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _run_fresh(tmp_path, runs):
+    return _fresh(SCRIPT, str(tmp_path), json.dumps(runs))
 
 
 def test_cli_on_normal_operators_loads_no_scipy(tmp_path):
@@ -87,3 +120,40 @@ def test_non_normal_density_loads_scipy_linalg(tmp_path):
     result = _run_fresh(tmp_path, [("density", NONNORMAL_D, 0)])
     assert result["codes"] == [0]
     assert "scipy.linalg" in result["scipy"]
+
+
+@pytest.mark.parametrize(
+    "sub, text, code",
+    [
+        ("check-existence", HERMITIAN_D, 0),
+        ("simulate", REFUSED_D, 2),
+        ("density", MALFORMED, 1),
+        ("density", None, 1),  # no --config: a usage error
+        ("--help", None, 0),
+    ],
+)
+def test_only_the_process_entry_freezes_the_heap(tmp_path, sub, text, code):
+    """``main`` in process leaves the collector as it found it; the module's
+    ``__main__`` block freezes the import-time heap, keeps the collector
+    enabled and exits with the code ``main`` returns."""
+    argv = [sub]
+    if text is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv += ["--config", str(cfg)]
+    results = {
+        route: _fresh(ENTRY_SCRIPT, route, json.dumps(argv + ["--out", str(tmp_path / route)]))
+        for route in ("main", "module")
+    }
+    assert results["main"] == {"code": code, "frozen": 0, "enabled": True, "threshold_kept": True}
+    module = results["module"]
+    assert module["code"] == code
+    assert module["frozen"] > 0
+    assert module["enabled"] and module["threshold_kept"]
+
+
+def test_console_script_runs_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"fiarma-lab": "fiarma_lab.cli:run"}

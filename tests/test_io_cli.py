@@ -81,6 +81,9 @@ def two_point_config(points) -> str:
     )
 
 
+NON_FINITE_POINTS = "config error: grid.points: all grid points must be finite\n"
+
+
 def ar1_config(a: float, **run) -> str:
     doc = {
         "grid": {"points": [0.0], "weights": [1.0]},
@@ -493,6 +496,20 @@ class TestCli:
         assert code == 0
         assert (out / "path.csv").exists()
 
+    @pytest.mark.parametrize("fmt", fiarma_lab.dataio.PATH_FORMATS)
+    def test_simulate_writes_each_path_format(self, tmp_path, fmt):
+        cfg = self._write(tmp_path, minimal_config(T=8, format=fmt))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [f"path.{fmt}"]
+        assert read_path(out / f"path.{fmt}").t_len == 8
+
+    def test_write_path_refuses_an_unknown_format(self, rng, tmp_path):
+        path = SampledPath(rng.normal(size=(4, 1)), make_grid(1))
+        with pytest.raises(ValueError, match="^unknown path format 'xlsx'$"):
+            write_path(path, tmp_path / "p.xlsx", fmt="xlsx")
+        assert not list(tmp_path.iterdir())
+
     def test_vacuous_high_memory_simulates(self, tmp_path):
         cfg = self._write(tmp_path, fractional_config(0.75, theta=-1.0, T=32))
         out = tmp_path / "out"
@@ -543,6 +560,12 @@ class TestCli:
             (
                 json.dumps({"grid": {"points": [0.0], "weights": [float("nan")]}, "model": {}}),
                 "config error: grid.weights: all grid weights must be strictly positive",
+            ),
+            (two_point_config([0.0, float("nan")]), NON_FINITE_POINTS),
+            (two_point_config([float("inf"), 1.0]), NON_FINITE_POINTS),
+            (
+                json.dumps({"grid": {"points": [0.0], "weights": [float("inf")]}, "model": {}}),
+                "config error: grid.weights: all grid weights must be finite",
             ),
             (minimal_config(T=True), "config error: run.T:"),
             (minimal_config(burnin=False), "config error: run.burnin:"),

@@ -453,9 +453,21 @@ class TestFracCoeffs:
                 assert seq[k][0, 0] == pytest.approx(num / den, rel=1e-12, abs=0.0)
                 assert seq[k][0, 0].imag == 0.0
 
+    @pytest.mark.parametrize("d", [-0.4, 0.3, 0.45, 0.499])
+    def test_dense_recursion_matches_hosking_closed_form(self, d):
+        """The dense recursion on ``D = d Id`` gives Hosking's
+        ``Gamma(k + d) / (Gamma(d) k!) Id`` at every lag up to 2048; the
+        log-gamma oracle itself carries rounding of about 3e-12 there."""
+        order = 2048
+        got = binomial_ma_coeffs(op(d * np.eye(3)), order).data
+        want = scalar_frac_coeffs(d, order)[:, None]
+        diag = got[:, [0, 1, 2], [0, 1, 2]]
+        assert np.max(np.abs(diag - want) / np.abs(want)) < 1e-10
+        assert not got[:, ~np.eye(3, dtype=bool)].any()
+
     def test_non_normal_exponent_keeps_the_dense_recursion(self, rng):
         """A D without an eigenframe gives exactly the values of the loop
-        ``C_k = C_{k-1} (D + (k-1) Id) / k``."""
+        ``C_k = C_{k-1} ((D + (k-1) Id) / k)``."""
         m = np.triu(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         m *= 0.4 / operator_norm(m)
         spec = FracIntegrationSpec(op(m))
@@ -463,7 +475,7 @@ class TestFracCoeffs:
         eye = np.eye(4, dtype=complex)
         want = [eye]
         for k in range(1, 301):
-            want.append(want[-1] @ (m + (k - 1) * eye) / k)
+            want.append(want[-1] @ ((m + (k - 1) * eye) / k))
         assert np.array_equal(frac_ma_coeffs(spec, 300).data, np.array(want))
 
     def test_real_exponent_gives_real_coefficients(self, rng):
