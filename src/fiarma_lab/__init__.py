@@ -15,7 +15,6 @@ from .hilbert import (
     is_normal,
     kernel_of,
     normal_decompose,
-    normal_frame,
     operator_exp_batch,
     operator_norm,
     operator_power_one_minus_z,

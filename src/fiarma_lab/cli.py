@@ -124,9 +124,9 @@ def _existence_integral(cfg: ModelConfig) -> IntegralReport:
 
 
 def _run_check_existence(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    report = check_conditions(cfg.model.base, cfg.model.D)
-    report.i_eta = _existence_integral(cfg)
-    _write_json(out / "existence.json", report.to_dict())
+    report = check_conditions(cfg.model.base, cfg.model.D).to_dict()
+    report["i_eta"] = _existence_integral(cfg).to_dict()
+    _write_json(out / "existence.json", report)
     return ["existence.json"]
 
 

@@ -8,6 +8,7 @@ can find in one pass instead of stopping at the first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
@@ -75,7 +76,7 @@ class ModelConfig:
     def resolved(self) -> dict:
         """Round-trippable document with all defaults filled in."""
         model = self.model
-        base = model if isinstance(model, ArmaModel) else model.base
+        base = model.base
         exponent = {}
         if isinstance(model, FiarmaModel):
             exponent = {"D": _matrix_doc(model.D.D.entries)}
@@ -105,11 +106,21 @@ def _is_number(obj) -> bool:
     return isinstance(obj, (int, float)) and not isinstance(obj, bool)
 
 
+def _as_float(obj) -> float:
+    """A JSON number as a double.  An integer beyond the double range becomes
+    infinite, as a float literal beyond it does when the JSON is read, so the
+    finiteness rules refuse it."""
+    try:
+        return float(obj)
+    except OverflowError:
+        return math.inf if obj > 0 else -math.inf
+
+
 def _parse_entry(obj, name: str, errors: list[str]) -> complex:
     if _is_number(obj):
-        return complex(obj)
+        return complex(_as_float(obj))
     if isinstance(obj, list) and len(obj) == 2 and all(_is_number(v) for v in obj):
-        return complex(obj[0], obj[1])
+        return complex(_as_float(obj[0]), _as_float(obj[1]))
     errors.append(f"{name}: entries must be numbers or [re, im] pairs")
     return 0.0
 
@@ -178,7 +189,7 @@ def parse_config(text: str) -> ModelConfig:
         elif not all(map(_is_number, weights)):
             errors.append("grid.weights: need a list of numbers")
         else:
-            points, weights = np.asarray(points, float), np.asarray(weights, float)
+            points, weights = (np.array(list(map(_as_float, v))) for v in (points, weights))
             # the grid's own rules: finite points, finite and strictly positive weights
             grid_errors = list(HilbertGrid.errors(points, weights, prefix="grid."))
             errors += grid_errors

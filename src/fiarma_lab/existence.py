@@ -42,7 +42,6 @@ class ExistenceReport:
     cond_iv: bool
     cond_v: bool
     verdict: str
-    i_eta: "IntegralReport | None" = None
 
     def failed_condition(self) -> str | None:
         if self.verdict != "fails":
@@ -50,7 +49,7 @@ class ExistenceReport:
         return "ii" if not self.cond_ii else "iii"
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "sigma_w": [float(s) for s in self.sigma_w],
             "support_tol": float(self.support_tol),
             "cond_ii": self.cond_ii,
@@ -60,9 +59,6 @@ class ExistenceReport:
             "cond_v": self.cond_v,
             "verdict": self.verdict,
         }
-        if self.i_eta is not None:
-            out["i_eta"] = self.i_eta.to_dict()
-        return out
 
 
 @dataclass(eq=False)

@@ -211,18 +211,6 @@ def normal_decompose(n_op: LinearOperator, tol: float = NORMAL_TOL) -> NormalDec
     return dec
 
 
-def normal_frame(a: LinearOperator) -> NormalDecomposition | None:
-    """Unitary eigenframe of ``a``, or ``None`` when ``a`` has none at ``NORMAL_TOL``.
-
-    ``None`` covers both a failed normality test and an eigenframe that does
-    not reproduce ``a``; callers then fall back to dense matrix functions.
-    """
-    try:
-        return normal_decompose(a)
-    except NotNormalError:
-        return None
-
-
 def operator_exp_batch(
     a: LinearOperator, ts: np.ndarray, frame: NormalDecomposition | None
 ) -> np.ndarray:
@@ -255,7 +243,11 @@ def operator_power_one_minus_z(d_op: LinearOperator, z: complex) -> LinearOperat
     if z.imag == 0.0 and z.real >= 1.0:
         raise BranchCutError(f"z={z} lies on the branch cut [1, inf)")
     w = np.log(1.0 - z)  # principal branch
-    return LinearOperator(operator_exp_batch(d_op, [w], normal_frame(d_op))[0], d_op.grid)
+    try:
+        frame = normal_decompose(d_op)
+    except NotNormalError:
+        frame = None
+    return LinearOperator(operator_exp_batch(d_op, [w], frame)[0], d_op.grid)
 
 
 def psd_eigh(m: np.ndarray, rel_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

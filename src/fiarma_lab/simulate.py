@@ -7,36 +7,32 @@ drawn in a single block per path covering the burn-in and truncation
 pre-history, so identical configurations reproduce bit-identical paths and
 replications are independent streams that can run in parallel.
 
-Every path is that block through one causal filter plan
-(:func:`_filter_plan`): a product of causal coefficient sequences with
-``Sigma^{1/2}`` folded in, applied as one FFT convolution at a 5-smooth
-length, or as one matrix product when the filter has a single tap.  White
-noise is the tap ``Sigma^{1/2}`` alone, a power-law path takes the weights
-``(k+1)^{-N}``, an ARMA path the exact impulse response of
-``phi^{-1} theta``, and a fractional ARMA path that response after the
-truncated MA coefficients of ``(1 - z)^{-D}``.  The impulse response is the
-causal one, so an AR polynomial with a root inside the unit disk is refused
-with :class:`NonCausalError` when the filter is built.  A model object keeps
-its plan for the last ``(T, K_trunc, burnin)`` it simulated, and a
-fractional or power-law model also keeps its existence verdict, so
+Every path is that block through one causal filter, planned and sized in
+one place (:func:`_plan`).  Every model is its ARMA base, plus a memory
+factor when it has one.  The base's filter is the exact causal impulse
+response of ``phi^{-1} theta`` times ``Sigma^{1/2}``; the memory factor
+before it is the truncated MA coefficients of ``(1 - z)^{-D}`` for a
+fractional model and the weights ``(k+1)^{-N}`` for a power-law one.  White
+noise is the identity ARMA model, whose filter is the one tap
+``Sigma^{1/2}``, and a white base's tap is folded into the memory factor.
+The filter is applied as one FFT convolution at a 5-smooth length, or as
+one matrix product when it has a single tap (:func:`_filter_plan`).  An AR
+polynomial with a root inside the unit disk has no causal filter and is
+refused with :class:`NonCausalError` when the filter is built.  A model
+object keeps its plan for the last ``(T, K_trunc, burnin)`` it simulated,
+and a fractional or power-law model also keeps its existence verdict, so
 replications of one model only draw noise and convolve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Iterator
 
 import numpy as np
 
 from .existence import ExistenceRefusal, check_conditions, check_duker_conditions
-from .hilbert import (
-    HilbertGrid,
-    LinearOperator,
-    NotNormalError,
-    identity,
-    sqrt_psd,
-)
+from .hilbert import HilbertGrid, LinearOperator, NotNormalError, identity
 from .spectral import ArmaModel, FiarmaModel, PowerLawModel
 from .transfer import (
     OperatorPolynomial,
@@ -81,7 +77,10 @@ def key_range_error(name: str, value: int) -> str | None:
 @dataclass
 class SimConfig:
     """Run length, pre-history sizes, seed and noise family for one path,
-    refused with the first rule of :meth:`errors` that it breaks."""
+    refused with the first rule of :meth:`errors` that it breaks.
+    ``noise_kind="auto"`` draws real noise when ``phi``, ``theta`` and
+    ``Sigma`` are real (``D`` does not count), and for a power-law model
+    when ``N`` and ``Sigma`` are; it draws complex noise otherwise."""
 
     T: int = 1024
     burnin: int | None = None  # None: sized from the AR forgetting rate
@@ -138,9 +137,8 @@ class SampledPath:
         return self.values.shape[0]
 
 
-def _resolve_noise_kind(kind: str, *mats: np.ndarray) -> str:
-    if kind != "auto":
-        return kind
+def _resolve_noise_kind(*mats: np.ndarray) -> str:
+    """The family that ``noise_kind="auto"`` draws for these model matrices."""
     real = all(np.all(m.imag == 0.0) for m in mats if m.size)
     return "real-gaussian" if real else "complex-gaussian"
 
@@ -223,17 +221,18 @@ def _next_fast_len(target: int) -> int:
     factor 7 or 11 runs through a generic pass that costs 1.5 to 1.9 times
     as much per point.  On a 2-core Xeon with numpy 2.4, four lines of real
     noise took 250 us at 5145 = 3 5 7^3 and 148 us at 5184 = 2^6 3^4; their
-    complex inverse took 271 and 227 us.
+    complex inverse took 271 and 227 us.  Each ``3^b 5^c`` below the best
+    so far takes the least power of two reaching ``target``: O(log^2) steps.
     """
-    m = target
-    while True:
-        rest = m
-        for prime in (2, 3, 5):
-            while rest % prime == 0:
-                rest //= prime
-        if rest == 1:
-            return m
-        m += 1
+    best = 1 << max(target - 1, 0).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-target // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def _fft_stack(ops: np.ndarray, m: int) -> np.ndarray:
@@ -315,7 +314,7 @@ def _filter_plan(
     factors: list[np.ndarray],
     t_len: int,
     rows: int,
-    model_mats: tuple[np.ndarray, ...],
+    model_mats: tuple[np.ndarray, ...] = (),
     burnin: int = 0,
     key: tuple = (),
     meta: dict | None = None,
@@ -328,7 +327,8 @@ def _filter_plan(
     last ``t_len + taps - 1`` noise rows reach the output; with fewer rows
     the filter starts from zero.  The FFT length is the 5-smooth
     :func:`_next_fast_len` of that span.  ``model_mats`` are the model's
-    matrices, real or not, which decide the ``auto`` noise family.
+    matrices, real or not, which decide the ``auto`` noise family; a filter
+    applied to the noise of another plan needs none.
     """
     taps = sum(len(f) for f in factors) - len(factors) + 1
     span = t_len + taps - 1
@@ -340,7 +340,7 @@ def _filter_plan(
         by_freq = reduce(np.matmul, [_fft_stack(f, m).transpose(2, 0, 1) for f in factors])
         filter_fft = np.ascontiguousarray(by_freq.transpose(1, 2, 0))
     real = not any(f.imag.any() for f in factors)
-    auto_kind = _resolve_noise_kind("auto", *model_mats)
+    auto_kind = _resolve_noise_kind(*model_mats)
     return _FilterPlan(
         key, burnin, rows, t_len, min(rows, span), filter_fft, tap, real, auto_kind, meta or {}
     )
@@ -350,26 +350,17 @@ def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> _Fi
     """The model's cached filter plan for the sizes of ``cfg``, rebuilt when
     they change.
 
-    The filter is the impulse response of ``phi^{-1} theta`` times
-    ``Sigma^{1/2}``, after the truncated MA coefficients of ``(1 - z)^{-D}``
-    for a :class:`FiarmaModel`.  A non-causal AR polynomial is refused first
-    (:func:`_require_causal`).  The noise block covers the burn-in and
-    ``K_trunc + q`` rows of pre-history.  A :class:`PowerLawModel` filters
-    with the weights ``(k+1)^{-N}`` times ``Sigma^{1/2}``, after a burn-in
-    of ``burnin`` rows (none when unset).
+    Every model is its ARMA base: the impulse response of
+    ``phi^{-1} theta`` times ``Sigma^{1/2}``, refused first when not causal
+    (:func:`_require_causal`), on a block covering the burn-in and
+    ``K_trunc + q`` rows of pre-history.  Its memory factor comes first: the
+    MA coefficients of ``(1 - z)^{-D}`` or the weights ``(k+1)^{-N}``, with
+    a white base's one tap ``Sigma^{1/2}`` folded in.
     """
     key = (cfg.T, cfg.K_trunc, cfg.burnin)
     if model._sim_plan is not None and model._sim_plan.key == key:
         return model._sim_plan
-    if isinstance(model, PowerLawModel):
-        burnin = cfg.burnin or 0
-        rows = burnin + cfg.K_trunc + cfg.T
-        factors = [power_law_weights(model.N, cfg.K_trunc).data @ model.base.root.entries]
-        mats = (model.N.D.entries, model.base.sigma.entries)
-        model._sim_plan = _filter_plan(factors, cfg.T, rows, mats, burnin, key)
-        return model._sim_plan
-    fractional = isinstance(model, FiarmaModel)
-    base = model.base if fractional else model
+    base = model.base
     _require_causal(base.phi)
     p, q = base.phi.degree, base.theta.degree
     after = cfg.K_trunc + q + cfg.T  # noise rows after the burn-in
@@ -386,12 +377,16 @@ def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> _Fi
     for j, b in enumerate(thetas, start=1):
         psi[j : j + len(ar)] += ar @ b
     factors = [psi[:rows] @ base.root.entries]
-    meta = {}
-    if fractional:
-        coeffs = frac_ma_coeffs(model.D, max(cfg.K_trunc, 1)).data
-        factors.insert(0, coeffs)
-        meta = {"coeff_tail_norm": float(np.linalg.norm(coeffs[-1], 2))}
     mats = (base.phi.stacked(), thetas, base.sigma.entries)
+    memory, meta = None, {}
+    if isinstance(model, FiarmaModel):
+        memory = frac_ma_coeffs(model.D, max(cfg.K_trunc, 1)).data
+        meta = {"coeff_tail_norm": float(np.linalg.norm(memory[-1], 2))}
+    elif isinstance(model, PowerLawModel):
+        memory = power_law_weights(model.N, cfg.K_trunc).data
+        mats += (model.N.D.entries,)
+    if memory is not None:
+        factors = [memory @ factors[0]] if p == q == 0 else [memory, *factors]
     model._sim_plan = _filter_plan(factors, cfg.T, rows, mats, burnin, key, meta)
     return model._sim_plan
 
@@ -425,12 +420,10 @@ def _path(plan: _FilterPlan, cfg: SimConfig, grid: HilbertGrid, **extra) -> Samp
 
 
 def gaussian_white_noise(sigma: LinearOperator, cfg: SimConfig) -> SampledPath:
-    """White noise with covariance ``sigma``; rows are ``Sigma^{1/2}`` times
-    independent standard (real or circular complex) Gaussians."""
-    burnin = cfg.burnin or 0
-    rows = burnin + cfg.K_trunc + cfg.T
-    plan = _filter_plan([sqrt_psd(sigma).entries[None]], cfg.T, rows, (sigma.entries,), burnin)
-    return _path(plan, cfg, sigma.grid)
+    """White noise with covariance ``sigma``, the path of the identity ARMA
+    model: ``Sigma^{1/2}`` times standard (real or circular complex) noise."""
+    white = OperatorPolynomial(sigma.grid)
+    return simulate_arma(ArmaModel(white, white, sigma), cfg)
 
 
 def simulate_arma(model: ArmaModel, cfg: SimConfig) -> SampledPath:
@@ -539,21 +532,20 @@ def verify_longmemory_decomposition(model: PowerLawModel, cfg: SimConfig) -> Dec
     its frame.  The two routes agree up to floating point exactly when the
     frame's binomials and matching constant are right; the report also
     carries the remainder norms whose partial sums certify the short-memory
-    property.
+    property.  Noise and power-law path come from the model's own plan at
+    ``max(K_trunc, 1)``, which :func:`simulate_duker` then reuses.
     """
     _require_duker_conditions(model)
-    n_op, grid = model.N.D, model.grid
     k_trunc = max(cfg.K_trunc, 1)
-    rows = (cfg.burnin or 0) + k_trunc + cfg.T
+    plan = _plan(model, replace(cfg, K_trunc=k_trunc))
     root = model.base.root.entries
-    binom = binomial_ma_coeffs(identity(grid) - n_op, k_trunc)  # (1-z)^{N-Id}
+    binom = binomial_ma_coeffs(identity(model.grid) - model.N.D, k_trunc)  # (1-z)^{N-Id}
     c_mat, deltas, rho = duker_decomposition(model.N, k_trunc)
-    powers = power_law_weights(model.N, k_trunc)
-    mats = (n_op.entries, model.base.sigma.entries)
-    plans = [_filter_plan([seq.data @ root], cfg.T, rows, mats) for seq in (binom, powers, deltas)]
-    xi = _standard_block(cfg.seed, cfg.replication, rows, grid.n, plans[0].noise_kind(cfg))
-    path_a, duker_rows, remainder = (_filtered_rows(plan, xi) for plan in plans)
-    path_b = duker_rows @ c_mat.entries.T + remainder
+    checks = [_filter_plan([seq.data @ root], cfg.T, plan.rows) for seq in (binom, deltas)]
+    kind = plan.noise_kind(cfg)
+    xi = _standard_block(cfg.seed, cfg.replication, plan.rows, model.grid.n, kind)
+    path_a, remainder = (_filtered_rows(check, xi) for check in checks)
+    path_b = _filtered_rows(plan, xi) @ c_mat.entries.T + remainder
 
     residual = float(np.max(np.linalg.norm(path_a - path_b, axis=1), initial=0.0))
     return DecompositionCheck(

@@ -69,6 +69,11 @@ class ArmaModel:
     def grid(self) -> HilbertGrid:
         return self.sigma.grid
 
+    @property
+    def base(self) -> "ArmaModel":
+        """The model itself: every model family has an ARMA base."""
+        return self
+
     def is_white_noise(self) -> bool:
         """True when both polynomials are identically the identity."""
         stacked = np.concatenate([self.phi.stacked(), self.theta.stacked()])

@@ -111,14 +111,12 @@ class FracIntegrationSpec:
 class CoefficientSequence:
     """Operator coefficients ``C_{k_min} .. C_{k_min + len - 1}`` of a filter.
 
-    ``meaning`` tags how the sequence was produced (``frac-binomial``,
-    ``ar-laurent`` or ``duker-delta``).  ``tail_mass`` carries the estimated
-    mass of the discarded/aliased tail where applicable.
+    ``tail_mass`` carries the estimated mass of the discarded/aliased tail
+    where applicable.
     """
 
     data: np.ndarray
     grid: HilbertGrid
-    meaning: str
     k_min: int = 0
     tail_mass: float | None = None
 
@@ -362,7 +360,7 @@ def frac_ma_coeffs(spec: FracIntegrationSpec, order: int) -> CoefficientSequence
     data = dec.apply_scalar(_binomial_scalars(dec.d - 1.0, order))
     if not spec.D.entries.imag.any():
         data.imag = 0.0
-    return CoefficientSequence(data, spec.grid, meaning="frac-binomial")
+    return CoefficientSequence(data, spec.grid)
 
 
 def binomial_ma_coeffs(d_op: LinearOperator, order: int) -> CoefficientSequence:
@@ -386,7 +384,7 @@ def binomial_ma_coeffs(d_op: LinearOperator, order: int) -> CoefficientSequence:
     out[0] = np.eye(n)
     for k in range(1, order + 1):
         np.matmul(out[k - 1], step[k - 1], out=out[k])
-    return CoefficientSequence(out, d_op.grid, meaning="frac-binomial")
+    return CoefficientSequence(out, d_op.grid)
 
 
 def ar_inverse_laurent(
@@ -414,9 +412,7 @@ def ar_inverse_laurent(
     data = coeff[idx]
     mid = np.delete(coeff, idx, axis=0)
     tail = float(np.sum(np.linalg.norm(mid, axis=(1, 2)))) if mid.size else 0.0
-    return CoefficientSequence(
-        data, phi.grid, meaning="ar-laurent", k_min=-order, tail_mass=tail
-    )
+    return CoefficientSequence(data, phi.grid, k_min=-order, tail_mass=tail)
 
 
 # B_2, B_4, ..., B_16 over (2i)(2i-1): the weights of Stirling's series
@@ -477,7 +473,7 @@ def duker_decomposition(
     deltas = dec.apply_scalar(binom - c_vals * powerlaw)
     return (
         LinearOperator(dec.apply_scalar(c_vals), spec.grid),
-        CoefficientSequence(deltas, spec.grid, meaning="duker-delta"),
+        CoefficientSequence(deltas, spec.grid),
         rho,
     )
 
@@ -488,7 +484,7 @@ def power_law_weights(spec: FracIntegrationSpec, order: int) -> CoefficientSeque
     dense matrix exponential."""
     ts = -np.log(np.arange(1, order + 2, dtype=float))
     data = operator_exp_batch(spec.D, ts, spec.decomposition)
-    return CoefficientSequence(data, spec.grid, meaning="duker-powerlaw")
+    return CoefficientSequence(data, spec.grid)
 
 
 def envelope_bounds(z: complex, lam: float) -> tuple[float, float]:

@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,7 @@ def two_point_config(points) -> str:
 
 
 NON_FINITE_POINTS = "config error: grid.points: all grid points must be finite\n"
+HUGE = 10**400  # a 401-digit JSON integer, beyond the double range
 
 
 def ar1_config(a: float, **run) -> str:
@@ -581,6 +586,20 @@ class TestCli:
                 family_config("N", phi=[[[0.5, 0.0], [0.0, 0.5]]]),
                 "config error: model.N: the power-law moving average takes no phi or theta",
             ),
+            # integers beyond the double range, like 1e400 read as a float
+            (two_point_config([HUGE, 1.0]), NON_FINITE_POINTS),
+            (
+                json.dumps({"grid": {"points": [0.0], "weights": [HUGE]}, "model": {}}),
+                "config error: grid.weights: all grid weights must be finite",
+            ),
+            (
+                json.dumps({"grid": GRID_2, "model": {"sigma": [[HUGE, 0.0], [0.0, 1.0]]}}),
+                "config error: model.sigma: entries must be finite",
+            ),
+            (
+                json.dumps({"grid": GRID_2, "model": {"sigma": [[1.0, [0.0, -HUGE]], [0, 1]]}}),
+                "config error: model.sigma: entries must be finite",
+            ),
         ],
     )
     def test_invalid_config_exits_one_with_prefix(self, tmp_path, capsys, text, prefix):
@@ -588,6 +607,27 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(prefix)
+        assert not (out / "manifest.json").exists()
+
+    def test_huge_run_length_exits_one(self, tmp_path):
+        """A 401-digit ``run.T`` passes the config rules; simulating it fails
+        within seconds with a one-line error, in a fresh process whose hang
+        the timeout would catch."""
+        cfg = self._write(tmp_path, fractional_config(0.3, T=HUGE))
+        out = tmp_path / "o"
+        src = str(Path(fiarma_lab.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fiarma_lab.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("sub", sorted(RUNNERS))

@@ -569,6 +569,38 @@ class TestFilterOracle:
         assert path.meta["noise_kind"] == "complex-gaussian"
         assert np.abs(path.values.imag).max() > 0
 
+    @pytest.mark.parametrize("kind", ["real-gaussian", "complex-gaussian"])
+    def test_white_base_fiarma_matches_recursion(self, counted, kind):
+        """A white base's tap ``Sigma^{1/2}``, here correlated, is folded into
+        the memory factor: one stacked transform, and the recursion's path."""
+        stack_calls = counted("_fft_stack")
+        g = make_grid(2)
+        sigma = op([[1.0, 0.6], [0.6, 0.5]], g)
+        base = ArmaModel(OperatorPolynomial(g), OperatorPolynomial(g), sigma)
+        model = FiarmaModel(base, FracIntegrationSpec(op([[0.3, 0.1], [0.1, 0.2]], g)))
+        cfg = SimConfig(T=256, K_trunc=64, burnin=5, seed=8, noise_kind=kind)
+        path = simulate_fiarma(model, cfg, force=True)
+        assert len(stack_calls) == 1
+        assert rel_diff(path.values, recursion_fiarma(model, cfg, kind)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "family, kind", [("power-law", "complex-gaussian"), ("fractional", "real-gaussian")]
+    )
+    def test_auto_noise_rule(self, family, kind):
+        """``auto`` follows N and Sigma for a power-law model, and the base
+        alone for a fractional one: a complex Hermitian N draws complex
+        noise, a complex Hermitian D on a real base draws real noise."""
+        g = make_grid(2)
+        sigma = op([[1.0, 0.2], [0.2, 0.5]], g)
+        cfg = SimConfig(T=64, K_trunc=16, seed=4)
+        if family == "power-law":
+            path = simulate_duker(power_law_model(op([[0.75, 0.1j], [-0.1j, 0.8]], g), sigma), cfg)
+        else:
+            base = ArmaModel(OperatorPolynomial.scalar(g, 0.5), OperatorPolynomial(g), sigma)
+            d_op = op([[0.25, 0.1j], [-0.1j, 0.3]], g)
+            path = simulate_fiarma(FiarmaModel(base, FracIntegrationSpec(d_op)), cfg, force=True)
+        assert path.meta["noise_kind"] == kind
+
     def test_zero_truncation_filters_from_zero_start(self):
         g = scalar_grid()
         model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.3))
@@ -611,6 +643,21 @@ class TestFftHelpers:
         """The real-transform lengths: numpy's rfft has no radix-7 or -11 pass."""
         lengths = [fiarma_lab.simulate._next_fast_len(n) for n in range(1, 20_001)]
         assert lengths == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20_001)]
+
+    def test_next_fast_len_of_large_targets(self):
+        """The search is over the 5-smooth numbers, not a scan of integers:
+        a target near 1e18, or with 401 digits, is answered at once."""
+        rng = np.random.default_rng(15)
+        targets = [int(t) for e in range(5, 19) for t in rng.integers(1, 10**e, 20)]
+        lengths = [fiarma_lab.simulate._next_fast_len(t) for t in targets]
+        assert lengths == [scipy.fft.next_fast_len(t, real=True) for t in targets]
+        target = 10**400 + 1
+        m = fiarma_lab.simulate._next_fast_len(target)
+        rest = m
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        assert rest == 1 and target <= m < 2 * target
 
     @pytest.mark.parametrize("t_len, k_trunc", [(4096, 1024), (1024, 2048), (100, 32)])
     def test_plans_use_5_smooth_lengths(self, counted, t_len, k_trunc):
@@ -735,6 +782,21 @@ class TestFilterPlanCache:
             cold = simulate_duker(power_law_model(n_op, sigma), cfg)
             assert np.array_equal(path.values, cold.values)
             assert path.meta == cold.meta
+
+    def test_decomposition_check_shares_the_power_law_plan(self, counted):
+        """The check draws its noise through the model's own plan, so a
+        simulation at the same sizes reuses its weights."""
+        weight_calls = counted("power_law_weights")
+        g = make_grid(2)
+        n_op = op([[0.7, 0.05], [0.05, 0.8]], g)
+        sigma = op([[1.0, 0.2], [0.2, 0.5]], g)
+        model = power_law_model(n_op, sigma)
+        cfg = SimConfig(T=128, K_trunc=64, seed=5)
+        verify_longmemory_decomposition(model, cfg)
+        path = simulate_duker(model, cfg)
+        assert len(weight_calls) == 1
+        cold = simulate_duker(power_law_model(n_op, sigma), cfg)
+        assert np.array_equal(path.values, cold.values) and path.meta == cold.meta
 
     def test_refusal_builds_no_plan(self, monkeypatch, counted):
         def no_plan(*args):
