@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except ExistenceRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

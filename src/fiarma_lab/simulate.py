@@ -18,7 +18,7 @@ noise is the identity ARMA model, whose filter is the one tap
 The filter is applied as one FFT convolution at a 5-smooth length, or as
 one matrix product when it has a single tap (:func:`_filter_plan`).  An AR
 polynomial with a root inside the unit disk has no causal filter and is
-refused with :class:`NonCausalError` when the filter is built.  A model
+refused with :class:`NonCausalError`, read from the model's poles.  A model
 object keeps its plan for the last ``(T, K_trunc, burnin)`` it simulated,
 and a fractional or power-law model also keeps its existence verdict, so
 replications of one model only draw noise and convolve.
@@ -54,7 +54,7 @@ _BURNIN_CAP = 10_000
 
 
 class NonCausalError(ValueError):
-    """The AR polynomial has a root inside the unit disk, so the causal
+    """A pole of the AR symbol lies outside the open unit disk, so the causal
     impulse response that simulation filters with diverges."""
 
 
@@ -153,28 +153,6 @@ def _standard_block(seed: int, replication: int, rows: int, n: int, kind: str) -
         b = rng.standard_normal((rows, n))
         return (a + 1j * b) / np.sqrt(2.0)
     return rng.standard_normal((rows, n))
-
-
-def _require_causal(phi: OperatorPolynomial) -> None:
-    """Refuse ``phi`` unless every eigenvalue of its block companion matrix
-    ``[[A_1 ... A_p], [Id 0]]`` lies inside the unit disk.  ``phi(z)`` is
-    singular exactly at the reciprocals of those eigenvalues, so this is the
-    condition under which the causal impulse response of ``phi^{-1}``
-    decays (Brockwell & Davis 1991, section 11.3)."""
-    a = phi.stacked()
-    p, n = len(a), phi.grid.n
-    if not p:
-        return
-    companion = np.eye(p * n, k=-n, dtype=complex)
-    companion[:n] = np.concatenate(list(a), axis=1)
-    eig = np.linalg.eigvals(companion)
-    lam = eig[np.argmax(np.abs(eig))]
-    if abs(lam) >= 1.0:
-        raise NonCausalError(
-            f"AR polynomial not causal: companion eigenvalue {lam:.6g} has modulus "
-            f"{abs(lam):.6g} >= 1, so phi(z) is singular at z = {1 / lam:.6g} "
-            "inside the unit disk"
-        )
 
 
 def _ar_impulse(phi: OperatorPolynomial, limit: int) -> np.ndarray:
@@ -351,17 +329,23 @@ def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> _Fi
     they change.
 
     Every model is its ARMA base: the impulse response of
-    ``phi^{-1} theta`` times ``Sigma^{1/2}``, refused first when not causal
-    (:func:`_require_causal`), on a block covering the burn-in and
-    ``K_trunc + q`` rows of pre-history.  Its memory factor comes first: the
-    MA coefficients of ``(1 - z)^{-D}`` or the weights ``(k+1)^{-N}``, with
-    a white base's one tap ``Sigma^{1/2}`` folded in.
+    ``phi^{-1} theta`` times ``Sigma^{1/2}``, refused first when a pole of
+    the base is not inside the unit disk, on a block covering the burn-in
+    and ``K_trunc + q`` rows of pre-history.  Its memory factor comes first:
+    the MA coefficients of ``(1 - z)^{-D}`` or the weights ``(k+1)^{-N}``,
+    with a white base's one tap ``Sigma^{1/2}`` folded in.
     """
     key = (cfg.T, cfg.K_trunc, cfg.burnin)
     if model._sim_plan is not None and model._sim_plan.key == key:
         return model._sim_plan
     base = model.base
-    _require_causal(base.phi)
+    lam = max(base.poles.values, key=abs, default=0.0)
+    if abs(lam) >= 1.0:
+        raise NonCausalError(
+            f"AR polynomial not causal: companion eigenvalue {lam:.6g} has modulus "
+            f"{abs(lam):.6g} >= 1, so phi(z) is singular at z = {1 / lam:.6g} "
+            "inside the unit disk"
+        )
     p, q = base.phi.degree, base.theta.degree
     after = cfg.K_trunc + q + cfg.T  # noise rows after the burn-in
     if cfg.burnin is None:

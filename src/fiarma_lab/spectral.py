@@ -20,12 +20,12 @@ from .hilbert import (
     sqrt_psd,
 )
 from .transfer import (
+    ArPoles,
     FracIntegrationSpec,
     OperatorPolynomial,
     SingularTransferError,
-    ar_values_on_circle,
     arma_transfer_batch,
-    check_invertible_on_circle,
+    circle_verdict,
     frac_transfer_batch,
 )
 
@@ -38,12 +38,11 @@ class ArmaModel:
     """AR/MA operator polynomials plus the noise covariance operator.
 
     The constructor certifies the model once and keeps what it finds:
-    ``root`` is the PSD square root of ``sigma`` and ``margin`` the circle
-    certificate's lower bound on the smallest singular value of the AR
-    symbol over the unit circle, the only singularity check the model gets.
-    A margin of 0.0 means the symbol was accepted on its evaluated minimum,
-    with no proven lower bound.  Simulation keeps the filter plan of the
-    last path sizes it used in ``_sim_plan``.
+    ``root`` is the PSD square root of ``sigma``, ``poles`` the AR symbol's
+    poles, which answer every later question about it, and ``margin`` a
+    lower bound on its smallest singular value on the circle
+    (:func:`circle_verdict`), 0.0 when none was proven.  Simulation keeps
+    the filter plan of the last path sizes it used in ``_sim_plan``.
     """
 
     phi: OperatorPolynomial
@@ -51,6 +50,7 @@ class ArmaModel:
     sigma: LinearOperator
     root: LinearOperator = field(init=False, repr=False)
     margin: float = field(init=False)
+    poles: ArPoles = field(init=False, repr=False)
     _sim_plan: "_FilterPlan | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -58,7 +58,7 @@ class ArmaModel:
             raise ValueError("model components must share one grid")
         # PSD check doubles as the Hermitian check
         self.root = sqrt_psd(self.sigma)
-        ok, self.margin = check_invertible_on_circle(self.phi)
+        ok, self.margin, self.poles = circle_verdict(self.phi)
         if not ok:
             raise SingularTransferError(
                 f"AR polynomial not invertible on the circle (margin {self.margin:.3e})",
@@ -122,7 +122,7 @@ class PowerLawModel:
     def __post_init__(self) -> None:
         if self.N.grid.n != self.base.grid.n:
             raise ValueError("power-law exponent must live on the model grid")
-        if not self.base.is_white_noise():
+        if self.base.phi.degree or self.base.theta.degree:
             raise ValueError("the power-law moving average has no AR or MA part")
 
     @property
@@ -373,8 +373,8 @@ def local_factorization(
 
     ``h(lam)`` is the transfer applied to the noise square root, conjugated
     into the diagonalizing frame when a decomposition is supplied.  The
-    window ``(-eta, eta)`` is validated against near-singularity of the AR
-    symbol; ``k`` at an exact zero frequency is filled with a symmetric
+    window is refused when a pole has ``|1 - lam_i e^{-i w}| <= 1e-6 scale``
+    on it; ``k`` at an exact zero frequency is filled with a symmetric
     difference estimate.  Returns ``(h0, k_values)`` with ``k_values``
     stacked over ``freqs``.
     """
@@ -383,13 +383,9 @@ def local_factorization(
         raise ValueError("eta must lie in (0, pi]")
     if np.any(np.abs(freqs) >= eta):
         raise ValueError("all frequencies must lie inside (-eta, eta)")
-    scan = np.linspace(-eta, eta, 513)
-    sigma = np.linalg.svd(ar_values_on_circle(model.phi, scan), compute_uv=False)
-    # stricter than the circle-wide certificate: the local expansion loses
-    # accuracy well before the AR symbol actually becomes singular
-    margin = 1e-6 * float(sigma.max())
-    if float(sigma[:, -1].min()) <= margin:
-        lam_bad = float(scan[int(np.argmin(sigma[:, -1]))])
+    dist, lam_bad = model.poles.nearest(eta)
+    # the local expansion loses accuracy well before the symbol is singular
+    if dist <= 1e-6 * model.poles.scale:
         raise SingularTransferError(
             f"eta too large: AR symbol near-singular at frequency {lam_bad:.6g}",
             lam=lam_bad,

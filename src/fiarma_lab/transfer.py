@@ -266,16 +266,67 @@ def check_invertible_on_circle(
     return min_sv > floor, max(0.0, min(certified, open_cells))
 
 
+@dataclass(eq=False)
+class ArPoles:
+    """Poles ``lam_i`` of an AR symbol, singular where ``lam_i e^{-i w} = 1``;
+    ``scale`` is ``1 + sum_k ||A_k||`` and ``bound`` a proven lower bound of
+    its smallest singular value on the circle, or 0.0."""
+
+    values: np.ndarray
+    scale: float
+    bound: float
+
+    def nearest(self, eta: float, center: float = 0.0) -> tuple[float, float]:
+        """Smallest ``|1 - lam_i e^{-i w}|`` over ``|w - center| <= eta``, reached at
+        the arc's point ``w`` closest to some ``arg lam_i``, and that ``w``."""
+        w = center + np.clip(np.angle(self.values * np.exp(-1j * center)), -eta, eta)
+        dist = np.abs(1.0 - self.values * np.exp(-1j * w))
+        return min(zip(dist.tolist(), w.tolist()), default=(math.inf, center))
+
+
+def ar_poles(phi: OperatorPolynomial) -> ArPoles:
+    """Eigenvalues of the block companion ``C = [[A_1 ... A_p], [Id 0]]``,
+    ``C = V diag(lam) V^{-1}`` (Lütkepohl 2005, section 2.1).  ``phi(z)^{-1}``
+    is the leading block of ``(Id - z C)^{-1}``, so on the circle
+    ``||phi^{-1}|| <= ||V[:n]|| ||V^{-1}[:, :n]|| / (min_i ||lam_i| - 1| - r)``,
+    ``r`` the Bauer–Fike allowance ``||V^{-1} (C V - V diag(lam))||``."""
+    scale = 1.0 + sum(operator_norm(c) for c in phi.coeffs)
+    if not any(c.entries.any() for c in phi.coeffs):  # the identity symbol
+        return ArPoles(np.zeros(0, dtype=complex), scale, 1.0)
+    n = phi.grid.n
+    companion = np.eye(n * phi.degree, k=-n, dtype=complex)
+    companion[:n] = np.concatenate([c.entries for c in phi.coeffs], axis=1)
+    lam, vec = np.linalg.eig(companion)
+    try:
+        inv = np.linalg.inv(vec)
+    except np.linalg.LinAlgError:  # a defective companion proves nothing
+        return ArPoles(lam, scale, 0.0)
+    allowance = np.linalg.norm(inv) * np.linalg.norm(companion @ vec - vec * lam)
+    kappa = operator_norm(vec[:n]) * operator_norm(inv[:, :n])
+    bound = (float(np.abs(np.abs(lam) - 1.0).min()) - allowance) / kappa
+    return ArPoles(lam, scale, max(0.0, bound))
+
+
+def circle_verdict(phi: OperatorPolynomial, grid_size: int = 4096) -> tuple[bool, float, ArPoles]:
+    """``(invertible, margin, poles)``: the poles' ``bound`` decides when it clears
+    ``1e-8 scale``, above the floor of :func:`check_invertible_on_circle`,
+    which decides every other symbol."""
+    poles = ar_poles(phi)
+    if poles.bound > 1e-8 * poles.scale:
+        return True, poles.bound, poles
+    return (*check_invertible_on_circle(phi, grid_size), poles)
+
+
 def arma_transfer(
     phi: OperatorPolynomial, theta: OperatorPolynomial, lam: float
 ) -> LinearOperator:
     """One-frequency ARMA transfer ``phi(e^{-i lam})^{-1} theta(e^{-i lam})``.
 
     Bare polynomials carry no circle certificate, so the AR symbol is refused
-    when its smallest singular value at ``lam`` is at most 1e-12 of its largest.
+    when a pole has ``|1 - lam_i e^{-i lam}| <= 1e-12 (1 + sum_k ||A_k||)``.
     """
-    sigma = np.linalg.svd(ar_values_on_circle(phi, [lam])[0], compute_uv=False)
-    if sigma[-1] <= 1e-12 * max(sigma[0], 1e-300):
+    poles = ar_poles(phi)
+    if poles.nearest(0.0, lam)[0] <= 1e-12 * poles.scale:
         raise SingularTransferError(f"AR symbol singular at frequency {lam:.6g}", lam=lam)
     return LinearOperator(arma_transfer_batch(phi, theta, [lam])[0], phi.grid)
 
@@ -401,8 +452,7 @@ def ar_inverse_laurent(
         raise ValueError("order must be nonnegative")
     if fft_size < 4 * max(order, 1) or fft_size & (fft_size - 1):
         raise ValueError("fft_size must be a power of two with fft_size >= 4*order")
-    ok, _ = check_invertible_on_circle(phi, max(fft_size, 8))
-    if not ok:
+    if not circle_verdict(phi, max(fft_size, 8))[0]:
         raise SingularTransferError("AR polynomial not invertible on the circle")
     freqs = 2.0 * np.pi * np.arange(fft_size) / fft_size
     vals = np.linalg.inv(ar_values_on_circle(phi, freqs))

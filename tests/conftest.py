@@ -8,12 +8,24 @@ from fiarma_lab import (
     LinearOperator,
     OperatorPolynomial,
     PowerLawModel,
+    identity,
 )
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def nilpotent_shift_model() -> ArmaModel:
+    """``Id - 1.5 S z`` with S the nilpotent shift on n=32: determinant 1, but
+    its smallest singular value is about 2e-6 on the whole circle and its
+    companion is defective.  Built once: its certificate spends its whole
+    evaluation budget, about 2 s."""
+    g = make_grid(32)
+    phi = OperatorPolynomial(g, (op(1.5 * np.eye(32, k=1), g),))
+    return ArmaModel(phi, OperatorPolynomial(g), identity(g))
 
 
 def scalar_grid() -> HilbertGrid:

@@ -672,6 +672,19 @@ class TestCli:
         assert not (out / "manifest.json").exists()
         assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
 
+    def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg, out, force):
+            raise MemoryError("Unable to allocate 20.0 GiB for an array")
+
+        monkeypatch.setitem(RUNNERS, "density", (exhausted, RUNNERS["density"][1]))
+        cfg = self._write(tmp_path, minimal_config(T=16))
+        out = tmp_path / "o"
+        assert main(["density", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 20.0 GiB for an array\n"
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self._write(tmp_path, minimal_config(T=16))
         out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))

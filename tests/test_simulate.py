@@ -314,6 +314,16 @@ class TestSimulateDuker:
         with pytest.raises(ValueError, match="no AR or MA part"):
             PowerLawModel(ar1_model(g), FracIntegrationSpec.scalar(g, 0.7))
 
+    def test_model_refuses_an_explicit_zero_ar_term(self):
+        """A zero AR matrix is still a degree-1 base, which the plan would size
+        a burn-in for: the model refuses it, as the config refuses ``phi``
+        beside ``N``."""
+        g = make_grid(2)
+        zero_ar = ArmaModel(OperatorPolynomial.scalar(g, 0.0), OperatorPolynomial(g), identity(g))
+        assert zero_ar.is_white_noise()
+        with pytest.raises(ValueError, match="no AR or MA part"):
+            PowerLawModel(zero_ar, FracIntegrationSpec.scalar(g, 0.7))
+
     def test_exponent_decomposed_once(self, eig_calls):
         g = make_grid(2)
         model = power_law_model(op(np.diag([0.7, 0.8]), g), identity(g))

@@ -32,6 +32,7 @@ from fiarma_lab import (
     periodogram,
     schatten_norm,
     simulate_arma,
+    simulate_fiarma,
     sqrt_psd,
 )
 
@@ -136,9 +137,10 @@ class TestArmaDensity:
 
 
 class TestCertifiedOnce:
-    """A built model's AR symbol was certified by its constructor, so its
-    densities and existence checks must not run another singular value
-    decomposition."""
+    """A built model's AR symbol was certified by its constructor, which
+    keeps its poles, so its densities, existence checks, window guard and
+    causality check must not run another singular value decomposition or
+    eigendecomposition."""
 
     def test_no_svd_after_construction(self, rng, monkeypatch):
         g = make_grid(3)
@@ -152,19 +154,22 @@ class TestCertifiedOnce:
             FracIntegrationSpec(op(u.conj().T @ np.diag([0.1, 0.25, 0.4]) @ u, g)),
         )
         calls = []
-        svd = np.linalg.svd
+        for name in ("svd", "eig", "eigvals"):
+            real = getattr(np.linalg, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         freqs = density_frequencies(64)
         for run in (
             lambda: arma_spectral_density(model.base, freqs),
             lambda: fiarma_spectral_density(model, freqs),
             lambda: existence_integral(model.base, model.D, 0.5),
             lambda: check_conditions(model.base, model.D),
+            lambda: local_factorization(model.base, model.D.decomposition, 0.5, freqs[:8] / 8),
+            lambda: simulate_fiarma(model, SimConfig(T=64, K_trunc=32, seed=1)),
         ):
             calls.clear()
             run()
@@ -469,6 +474,30 @@ class TestLocalFactorization:
         model = ar1_model(g, 0.9999999)
         with pytest.raises(SingularTransferError, match="eta too large"):
             local_factorization(model, None, 3.0, np.array([0.1]))
+
+    def test_nilpotent_symbol_matches_closed_form(self, nilpotent_shift_model):
+        """``Id - 1.5 S z`` with S the nilpotent shift has all its poles at 0,
+        so no window is refused although its smallest singular value is about
+        2e-6 everywhere; ``h0 + lam k(lam)`` is its inverse
+        ``sum_{k<n} (1.5 e^{-i lam} S)^k``."""
+        shift = np.eye(32, k=1)
+        freqs = np.linspace(-0.4, 0.4, 9)
+        h0, k_vals = local_factorization(nilpotent_shift_model, None, 0.5, freqs)
+        for lam, k in zip(freqs, k_vals):
+            step = 1.5 * np.exp(-1j * lam) * shift
+            inv = sum(np.linalg.matrix_power(step, j) for j in range(32))
+            assert operator_norm(h0.entries + lam * k - inv) <= 1e-12 * operator_norm(inv)
+
+    def test_window_guard_names_the_pole_frequency(self):
+        """A pole ``r e^{0.8i}`` next to the circle refuses every window that
+        reaches frequency 0.8, at that frequency, and no window short of it;
+        the closest point of a shorter window is its end, 0.5 away."""
+        g = scalar_grid()
+        model = ar1_model(g, (1.0 - 1e-7) * np.exp(0.8j))
+        with pytest.raises(SingularTransferError, match="eta too large") as err:
+            local_factorization(model, None, 1.0, np.array([0.1]))
+        assert err.value.lam == pytest.approx(0.8)
+        local_factorization(model, None, 0.3, np.array([0.1]))
 
     def test_frequency_range_checked(self):
         g = scalar_grid()

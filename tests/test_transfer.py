@@ -237,6 +237,15 @@ class TestCircleInvertibility:
         s = np.linalg.svd(ar_values_on_circle(phi, h * np.arange(4096)), compute_uv=False)[:, -1]
         dense = max(0.0, float(((s + np.roll(s, -1) - lip * h) / 2.0).min()))
         assert margin >= dense - lip * np.pi / 4096
+        # the model decides by its poles, or by the certificate when they prove nothing
+        g = phi.grid
+        try:
+            model = ArmaModel(phi, OperatorPolynomial(g), op(np.eye(g.n), g))
+        except SingularTransferError:
+            model = None
+        assert (model is not None) == ok
+        if model is not None:
+            assert model.margin <= oracle[:, -1].min()
 
     @pytest.mark.parametrize("coeffs", [(), (0.0,), (0.0, 0.0)])
     def test_identity_symbol_needs_no_svd(self, monkeypatch, coeffs):
@@ -270,6 +279,74 @@ class TestCircleInvertibility:
         )
         assert sum(evaluated) <= 512
         assert model.margin > 0.0
+
+
+class TestPoles:
+    """The poles of an AR symbol, from the eigendecomposition of its block
+    companion, against the Lipschitz certificate they stand in for."""
+
+    @staticmethod
+    def _counted_fallback(monkeypatch) -> list:
+        calls = []
+        real = transfer.check_invertible_on_circle
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "check_invertible_on_circle", counting)
+        return calls
+
+    def test_scalar_ar2_is_proven_by_its_poles(self, monkeypatch):
+        """``(1 - 0.5 z)(1 + 0.25 z)``: poles 0.5 and -0.25, whose distance to
+        the circle, over the companion's small kappa, bounds the symbol's
+        minimum 0.625 (at w = 0) from below without the certificate."""
+        fallback = self._counted_fallback(monkeypatch)
+        g = make_grid(1)
+        phi = OperatorPolynomial.scalar(g, 0.25, 0.125)
+        ok, margin, poles = transfer.circle_verdict(phi)
+        assert ok and not fallback
+        assert sorted(poles.values.real) == pytest.approx([-0.25, 0.5])
+        assert poles.scale == pytest.approx(1.375)
+        dense = np.linspace(0.0, 2.0 * np.pi, 2**16, endpoint=False)
+        true_min = np.abs(1.0 - 0.25 * np.exp(-1j * dense) - 0.125 * np.exp(-2j * dense)).min()
+        assert true_min == pytest.approx(0.625)
+        assert 0.1 * true_min <= margin <= true_min
+
+    def test_identity_symbol_has_no_poles(self):
+        poles = transfer.ar_poles(OperatorPolynomial.scalar(make_grid(2), 0.0, 0.0))
+        assert poles.values.size == 0 and poles.bound == 1.0
+        assert poles.nearest(np.pi) == (math.inf, 0.0)
+
+    def test_jordan_type_ar2_takes_the_certificate(self, monkeypatch):
+        """An n=3 AR(2) with a Jordan-type lag-1 coefficient has an eigenvector
+        matrix too ill-conditioned to prove anything: the Lipschitz
+        certificate decides it, with its own margin."""
+        fallback = self._counted_fallback(monkeypatch)
+        g = make_grid(3)
+        a1 = np.array([[0.5, 4.0, 0.0], [0.0, 0.5, 4.0], [0.0, 0.0, 0.5]])
+        phi = OperatorPolynomial(g, (op(a1, g), op(0.1 * np.eye(3), g)))
+        model = ArmaModel(phi, OperatorPolynomial(g), op(np.eye(3), g))
+        assert len(fallback) == 1
+        assert model.poles.bound == 0.0
+        assert model.margin == pytest.approx(5.198966019054501e-4, rel=1e-6)
+
+    def test_nilpotent_shift_takes_the_certificate(self, nilpotent_shift_model):
+        """The defective companion of ``Id - 1.5 S z`` proves no bound, so the
+        certificate decides: it accepts, with no proven margin."""
+        assert nilpotent_shift_model.poles.bound == 0.0
+        assert nilpotent_shift_model.margin == 0.0
+
+    def test_ar_inverse_laurent_takes_the_model_verdict(self, monkeypatch):
+        """A stable symbol is proven by its poles; a unit root is refused by the
+        certificate, as :class:`ArmaModel` refuses it."""
+        fallback = self._counted_fallback(monkeypatch)
+        g = make_grid(1)
+        ar_inverse_laurent(OperatorPolynomial.scalar(g, 0.5), 8, 64)
+        assert not fallback
+        with pytest.raises(SingularTransferError):
+            ar_inverse_laurent(OperatorPolynomial.scalar(g, 1.0), 8, 64)
+        assert len(fallback) == 1
 
 
 class TestArmaTransfer:
