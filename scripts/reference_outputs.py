@@ -3,8 +3,10 @@
 
 Runs the ops of one seed's ``cli-startup`` workload (four cycles of eleven
 subcommand ops on n=2 configs: fractional ``d*``, white-noise ``hosking*``,
-power-law ``n*``, the refused ``blocked*`` and the malformed ``broken*``)
-through :func:`fiarma_lab.cli.main` in process.  For each op it records the
+power-law ``n*``, the refused ``blocked*`` and the malformed ``broken*``),
+then a fixed list of ops on the README example's base: memory operators
+without a unitary frame, one that is only near normal, and a one-row
+periodogram.  Every op runs through :func:`fiarma_lab.cli.main` in process.  For each op it records the
 exit code, the first line of stderr, and for every output file except
 ``manifest.json`` the shape, the largest absolute value and eight seeded
 entries of its numbers (the other leaves of a JSON output are kept as
@@ -35,6 +37,45 @@ ROOT = Path(__file__).resolve().parent.parent
 # Entries sampled from each output, at indices drawn by a generator of this seed.
 SAMPLES = 8
 SAMPLE_SEED = 0
+
+# The README example's grid, ``phi`` and ``Sigma``, with small run sizes.
+_EXAMPLE_GRID = {"points": [0.0, 1.0], "weights": [0.5, 0.5]}
+_EXAMPLE_PHI = [[[0.3, 0.0], [0.0, 0.2]]]
+_EXAMPLE_SIGMA = [[1.0, 0.0], [0.0, 1.0]]
+_EXAMPLE_RUN = {"T": 256, "K_trunc": 64, "n_freq": 256, "seed": 7}
+
+
+def _example_config(memory: dict, phi: list = _EXAMPLE_PHI, **run) -> str:
+    model = {"phi": phi, "theta": [], "sigma": _EXAMPLE_SIGMA, **memory}
+    return json.dumps({"grid": _EXAMPLE_GRID, "model": model, "run": {**_EXAMPLE_RUN, **run}})
+
+
+_FRAMELESS_D = {"D": [[0.2, 0.1], [0.0, 0.1]]}
+# Configs of the extra ops: the upper-triangular D and N have no unitary
+# frame; the near-normal D fails the commutator test at 1e-10 but its frame
+# reproduces it to 8e-11 relative.
+EXTRA_CONFIGS = {
+    "frameless_D.json": _example_config(_FRAMELESS_D),
+    "frameless_N.json": _example_config({"N": [[0.8, 0.2], [0.0, 0.9]]}, phi=[]),
+    "near_normal_D.json": _example_config(
+        {"D": (0.4 * np.array([[1.0, 8e-11], [0.0, -1.0]])).tolist()}
+    ),
+    "frameless_D_T1.json": _example_config(_FRAMELESS_D, T=1),
+}
+EXTRA_OPS = (
+    *[
+        (sub, "frameless_D.json")
+        for sub in (
+            "density", "autocov", "frac-coeffs", "simulate", "check-existence",
+            "existence-integral",
+        )
+    ],
+    ("duker-decompose", "frameless_N.json"),
+    ("simulate", "frameless_N.json"),
+    ("density", "near_normal_D.json"),
+    ("check-existence", "near_normal_D.json"),
+    ("periodogram", "frameless_D_T1.json"),
+)
 
 
 def _leaves(doc, prefix: str = ""):
@@ -112,6 +153,11 @@ def main() -> int:
                 op_dir.mkdir()
                 record = run_op(op.sub, configs[name], op_dir)
                 ops.append({"sub": op.sub, "config": name, **record})
+        configs.update(EXTRA_CONFIGS)
+        for sub, name in EXTRA_OPS:
+            op_dir = work / f"op{len(ops)}"
+            op_dir.mkdir()
+            ops.append({"sub": sub, "config": name, **run_op(sub, configs[name], op_dir)})
     fixture = {"seed": args.seed, "configs": configs, "ops": ops}
     Path(args.out).write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")
     return 0
