@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .hilbert import (
-    BranchCutError,
     HilbertGrid,
     LinearOperator,
     NormalDecomposition,
@@ -15,14 +14,13 @@ from .hilbert import (
     is_normal,
     kernel_of,
     normal_decompose,
-    operator_exp_batch,
     operator_norm,
-    operator_power_one_minus_z,
     schatten_norm,
     sqrt_psd,
     zero_operator,
 )
 from .transfer import (
+    BranchCutError,
     CoefficientSequence,
     FracIntegrationSpec,
     OperatorPolynomial,
@@ -37,6 +35,7 @@ from .transfer import (
     eval_poly_ma,
     frac_ma_coeffs,
     frac_transfer,
+    operator_power_one_minus_z,
     power_law_weights,
 )
 from .spectral import (

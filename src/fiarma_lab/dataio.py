@@ -3,6 +3,7 @@ bit-exact round trips.  All writes go through a temp file and an atomic
 rename."""
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -62,9 +63,9 @@ def _table_bytes(header: list[str], cells: np.ndarray, index: np.ndarray | None 
 
 def _complex_cells(values: np.ndarray) -> np.ndarray:
     """Rows of ``values`` (first axis) as float columns ``re, im`` per entry,
-    in row-major entry order."""
+    in row-major entry order; zero rows give a ``(0, 2 * entries)`` array."""
     values = np.ascontiguousarray(values, dtype=complex)
-    return values.reshape(len(values), -1).view(float)
+    return values.reshape(len(values), math.prod(values.shape[1:])).view(float)
 
 
 def _csv_bytes(path: SampledPath) -> bytes:

@@ -30,10 +30,6 @@ class NotPSDError(ValueError):
         self.min_eig = min_eig
 
 
-class BranchCutError(ValueError):
-    """Raised when a complex power is requested on the branch cut [1, inf)."""
-
-
 @dataclass(eq=False)
 class HilbertGrid:
     """Weighted point set: ``points`` carry quadrature weights ``weights``."""
@@ -166,8 +162,9 @@ def schatten_norm(a: LinearOperator, p: float) -> float:
     return top * float(np.sum((sigma / top) ** p)) ** (1.0 / p)
 
 
-# Relative tolerance under which an operator counts as normal, and to which
-# its unitary eigenframe must reproduce it: the library's one normality test.
+# Relative tolerance of the library's one frame rule: an operator has a
+# unitary frame when that frame reproduces it within ``NORMAL_TOL ||A||``.
+# The commutator test :func:`is_normal` takes it as its default too.
 NORMAL_TOL = 1e-10
 
 
@@ -189,15 +186,15 @@ def normal_decompose(n_op: LinearOperator, tol: float = NORMAL_TOL) -> NormalDec
     The eigenvalues ``d`` come from ``numpy.linalg.eig`` and the frame from
     a QR factorization of its eigenvectors: the eigenspaces of a normal
     operator are orthogonal, so the orthonormalized eigenvectors are its
-    Schur vectors and ``d`` is in Schur order.  The reconstruction
-    ``U^H diag(d) U`` is checked against the input to ``tol * ||N||``; an
-    operator that passes the commutator test but fails this check (possible
-    when eigenvalues repeat, where the commutator is quadratic in the
-    departure from normality) has no unitary frame and is rejected as not
-    normal too.
+    Schur vectors and ``d`` is in Schur order.  The library's one frame
+    rule: the operator has this frame when ``U^H diag(d) U`` reproduces it
+    within ``tol * ||N||``, and is otherwise rejected as not normal, naming
+    the reconstruction error.  No commutator test runs; none would be
+    sufficient, since where eigenvalues repeat the commutator is quadratic
+    in the departure from normality.
     """
-    if not is_normal(n_op, tol):
-        raise NotNormalError("operator not normal")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     d, vecs = np.linalg.eig(n_op.entries)
     u = np.linalg.qr(vecs)[0].conj().T
     dec = NormalDecomposition(u, d, n_op.grid)
@@ -209,45 +206,6 @@ def normal_decompose(n_op: LinearOperator, tol: float = NORMAL_TOL) -> NormalDec
             f"reconstruction error {err:.3e}"
         )
     return dec
-
-
-def operator_exp_batch(
-    a: LinearOperator, ts: np.ndarray, frame: NormalDecomposition | None
-) -> np.ndarray:
-    """Stacked ``exp(t A)`` over the scalars ``ts``, shape ``(len(ts), n, n)``.
-
-    With the eigenframe of a normal ``A`` this is ``U^H diag(exp(t d)) U``
-    through :meth:`NormalDecomposition.apply_scalar`; without a frame
-    (``frame=None``), one scaling-and-squaring ``expm`` per ``t``.
-    """
-    ts = np.asarray(ts, dtype=complex).ravel()
-    if frame is not None:
-        return frame.apply_scalar(np.exp(np.outer(ts, frame.d)))
-    n = a.n
-    import scipy.linalg  # deferred: a normal operator never needs it
-
-    out = np.empty((ts.size, n, n), dtype=complex)
-    for j, t in enumerate(ts):
-        out[j] = scipy.linalg.expm(t * a.entries)
-    return out
-
-
-def operator_power_one_minus_z(d_op: LinearOperator, z: complex) -> LinearOperator:
-    """Principal power ``(1 - z)^D = exp(log(1 - z) D)``.
-
-    Defined off the branch cut ``z in [1, inf)``.  Normal exponents go
-    through their unitary diagonalization; general exponents through the
-    scaling-and-squaring matrix exponential.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 1.0:
-        raise BranchCutError(f"z={z} lies on the branch cut [1, inf)")
-    w = np.log(1.0 - z)  # principal branch
-    try:
-        frame = normal_decompose(d_op)
-    except NotNormalError:
-        frame = None
-    return LinearOperator(operator_exp_batch(d_op, [w], frame)[0], d_op.grid)
 
 
 def psd_eigh(m: np.ndarray, rel_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

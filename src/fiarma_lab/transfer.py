@@ -21,9 +21,13 @@ from .hilbert import (
     NormalDecomposition,
     NotNormalError,
     normal_decompose,
-    operator_exp_batch,
     operator_norm,
 )
+
+
+class BranchCutError(ValueError):
+    """Raised when a complex power is requested on the branch cut [1, inf)."""
+
 
 class SingularTransferError(ValueError):
     """AR polynomial is (numerically) singular at some frequency.
@@ -76,11 +80,15 @@ class OperatorPolynomial:
 
 @dataclass(eq=False)
 class FracIntegrationSpec:
-    """Bounded memory operator D with its unitary eigenframe, found once.
+    """Bounded memory operator D, the one owner of its unitary frame.
 
-    ``decomposition`` is ``None`` when D has no frame, ``frame_error`` says
-    why, and every function of D goes through the dense matrix exponential.
-    The exponent ``N`` of a power-law moving average is held the same way.
+    The frame is found once, by the library's one rule: D has a frame when
+    the unitary eigenframe of :func:`normal_decompose` reproduces it within
+    ``NORMAL_TOL ||D||``.  ``decomposition`` is that frame, or ``None``
+    with ``frame_error`` naming the reconstruction error.  :meth:`exp`
+    evaluates every ``exp(t D)`` of the library; the MA coefficients and the
+    power-law decomposition read ``decomposition`` themselves.  The exponent
+    ``N`` of a power-law moving average is held the same way.
     """
 
     D: LinearOperator
@@ -98,6 +106,24 @@ class FracIntegrationSpec:
             raise NotNormalError(self.frame_error)
         return self.decomposition
 
+    def exp(self, ts: np.ndarray) -> np.ndarray:
+        """Stacked ``exp(t D)`` over the scalars ``ts``, shape ``(len(ts), n, n)``.
+
+        In D's frame this is ``U^H diag(exp(t d)) U`` through
+        :meth:`NormalDecomposition.apply_scalar`; without a frame, one
+        scaling-and-squaring ``expm`` per ``t``, the library's only use of scipy.
+        """
+        ts = np.asarray(ts, dtype=complex).ravel()
+        dec = self.decomposition
+        if dec is not None:
+            return dec.apply_scalar(np.exp(np.outer(ts, dec.d)))
+        import scipy.linalg  # deferred: an operator with a frame never needs it
+
+        out = np.empty((ts.size, self.grid.n, self.grid.n), dtype=complex)
+        for j, t in enumerate(ts):
+            out[j] = scipy.linalg.expm(t * self.D.entries)
+        return out
+
     @property
     def grid(self) -> HilbertGrid:
         return self.D.grid
@@ -105,6 +131,16 @@ class FracIntegrationSpec:
     @classmethod
     def scalar(cls, grid: HilbertGrid, d: complex) -> "FracIntegrationSpec":
         return cls(LinearOperator(d * np.eye(grid.n, dtype=complex), grid))
+
+
+def operator_power_one_minus_z(d_op: LinearOperator, z: complex) -> LinearOperator:
+    """Principal power ``(1 - z)^D = exp(log(1 - z) D)``, off the branch cut
+    ``z in [1, inf)``, through :meth:`FracIntegrationSpec.exp`."""
+    z = complex(z)
+    if z.imag == 0.0 and z.real >= 1.0:
+        raise BranchCutError(f"z={z} lies on the branch cut [1, inf)")
+    w = np.log(1.0 - z)  # principal branch
+    return LinearOperator(FracIntegrationSpec(d_op).exp([w])[0], d_op.grid)
 
 
 @dataclass(eq=False)
@@ -376,7 +412,7 @@ def frac_transfer_batch(spec: FracIntegrationSpec, freqs: np.ndarray) -> np.ndar
     out = np.zeros((freqs.size, n, n), dtype=complex)
     nonzero = np.fmod(freqs, 2.0 * np.pi) != 0.0  # exact: 0 only at multiples of 2 pi
     ts = -np.log(1.0 - np.exp(-1j * freqs[nonzero]))  # principal branch
-    out[nonzero] = operator_exp_batch(spec.D, ts, spec.decomposition)
+    out[nonzero] = spec.exp(ts)
     return out
 
 
@@ -533,8 +569,7 @@ def power_law_weights(spec: FracIntegrationSpec, order: int) -> CoefficientSeque
     and its eigenframe held by ``spec``; an ``N`` without a frame takes the
     dense matrix exponential."""
     ts = -np.log(np.arange(1, order + 2, dtype=float))
-    data = operator_exp_batch(spec.D, ts, spec.decomposition)
-    return CoefficientSequence(data, spec.grid)
+    return CoefficientSequence(spec.exp(ts), spec.grid)
 
 
 def envelope_bounds(z: complex, lam: float) -> tuple[float, float]:

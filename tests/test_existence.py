@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiarma_lab.existence
 from fiarma_lab import (
     ArmaModel,
     FracIntegrationSpec,
@@ -18,6 +19,7 @@ from fiarma_lab import (
     normal_decompose,
     sigma_w,
 )
+from fiarma_lab.transfer import arma_transfer_batch
 
 from conftest import make_grid, op, power_law_model, random_unitary
 
@@ -167,6 +169,20 @@ class TestExistenceIntegral:
         report = existence_integral(white_model(g), scalar_spec(g, d), eta=eta, n_freq=256)
         oracle = 2 * eta ** (1 - 2 * d) / (1 - 2 * d) / (2 * np.pi)
         assert report.value == pytest.approx(oracle, rel=1e-4)
+
+    def test_one_transfer_batch_per_shell(self, monkeypatch):
+        """A batch holds one shell's nodes of both signs, so the integral's
+        memory does not grow with the number of shells."""
+        sizes = []
+
+        def counting(phi, theta, freqs, right=None):
+            sizes.append(np.size(freqs))
+            return arma_transfer_batch(phi, theta, freqs, right)
+
+        monkeypatch.setattr(fiarma_lab.existence, "arma_transfer_batch", counting)
+        g = make_grid(2)
+        existence_integral(ar1_model(g), scalar_spec(g, 0.3), eta=0.5, n_freq=16, n_refine=10)
+        assert sizes and max(sizes) <= 2 * 16
 
     def test_eta_range_checked(self):
         g = scalar_grid()

@@ -716,6 +716,14 @@ class TestCli:
         dens_lines = (tmp_path / "density" / "density.csv").read_text().splitlines()
         assert len(dens_lines) == 129
 
+    def test_periodogram_of_one_row_is_header_only(self, tmp_path):
+        """T=1 has no nonzero Fourier frequency: an empty table, not an error."""
+        cfg = self._write(tmp_path, fractional_config(0.3, T=1))
+        out = tmp_path / "out"
+        assert main(["periodogram", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "periodogram.csv").read_text().splitlines()
+        assert lines == ["lambda,m_1_1_re,m_1_1_im"]
+
     def test_duker_subcommands(self, tmp_path):
         doc = {
             "grid": {"points": [0.0, 1.0], "weights": [0.5, 0.5]},

@@ -116,16 +116,13 @@ class TestArmaDensity:
         dens = arma_spectral_density(model, density_frequencies(128))
         dens.validate(1e-10)
 
-    def test_uncertified_margin_model_matches_closed_form(self):
+    def test_uncertified_margin_model_matches_closed_form(self, nilpotent_shift_model):
         # Id - 1.5 S z with S the nilpotent shift: the circle certificate
         # proves no positive margin, yet the symbol is invertible everywhere
         # with inverse sum_{k<n} (1.5 z S)^k, and the density must match it
         n = 32
-        g = make_grid(n)
         shift = np.eye(n, k=1)
-        model = ArmaModel(
-            OperatorPolynomial(g, (op(1.5 * shift, g),)), OperatorPolynomial(g), identity(g)
-        )
+        model = nilpotent_shift_model
         assert model.margin == 0.0
         freqs = density_frequencies(16)
         dens = arma_spectral_density(model, freqs)

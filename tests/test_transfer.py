@@ -26,12 +26,14 @@ from fiarma_lab import (
     eval_poly_ma,
     frac_ma_coeffs,
     frac_transfer,
+    is_normal,
     operator_norm,
     operator_power_one_minus_z,
     power_law_weights,
 )
 
 from fiarma_lab import transfer
+from fiarma_lab.hilbert import NORMAL_TOL
 from fiarma_lab.transfer import (
     _rgamma,
     ar_values_on_circle,
@@ -453,6 +455,27 @@ class TestFracTransfer:
         for lam, val in zip(freqs, frac_transfer_batch(spec, freqs)):
             expect = dec.apply_scalar((1.0 - np.exp(-1j * lam)) ** -dec.d)
             assert np.allclose(val, expect, rtol=0.0, atol=1e-13)
+
+
+class TestOneFrameRule:
+    """A memory operator has a unitary frame exactly when that frame
+    reproduces it within ``NORMAL_TOL ||D||``; no commutator test decides."""
+
+    def test_near_normal_operator_gets_its_frame(self):
+        # its commutator is 1.6e-10 of ||D||^2, above the tolerance, yet its
+        # frame reproduces it within 8e-11 relative
+        d_op = op(0.4 * np.array([[1.0, 8e-11], [0.0, -1.0]]))
+        assert not is_normal(d_op)
+        dec = FracIntegrationSpec(d_op).ensure_decomposition()
+        err = operator_norm(dec.reconstruct().entries - d_op.entries)
+        assert err <= NORMAL_TOL * operator_norm(d_op)
+
+    def test_frame_error_names_the_reconstruction_error(self):
+        spec = FracIntegrationSpec(op([[0.2, 0.1], [0.0, 0.1]]))
+        assert spec.decomposition is None
+        assert spec.frame_error.startswith(
+            "operator not normal: unitary diagonalization leaves reconstruction error"
+        )
 
 
 class TestFracCoeffs:
