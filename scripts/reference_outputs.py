@@ -5,8 +5,9 @@ Runs the ops of one seed's ``cli-startup`` workload (four cycles of eleven
 subcommand ops on n=2 configs: fractional ``d*``, white-noise ``hosking*``,
 power-law ``n*``, the refused ``blocked*`` and the malformed ``broken*``),
 then a fixed list of ops on the README example's base: memory operators
-without a unitary frame, one that is only near normal, and a one-row
-periodogram.  Every op runs through :func:`fiarma_lab.cli.main` in process.  For each op it records the
+without a unitary frame, one that is only near normal, a power-law
+exponent that fails its conditions, and a one-row periodogram.  Every op
+runs through :func:`fiarma_lab.cli.main` in process.  For each op it records the
 exit code, the first line of stderr, and for every output file except
 ``manifest.json`` the shape, the largest absolute value and eight seeded
 entries of its numbers (the other leaves of a JSON output are kept as
@@ -53,10 +54,12 @@ def _example_config(memory: dict, phi: list = _EXAMPLE_PHI, **run) -> str:
 _FRAMELESS_D = {"D": [[0.2, 0.1], [0.0, 0.1]]}
 # Configs of the extra ops: the upper-triangular D and N have no unitary
 # frame; the near-normal D fails the commutator test at 1e-10 but its frame
-# reproduces it to 8e-11 relative.
+# reproduces it to 8e-11 relative; the failing N has the exponent 0.3, not
+# above 1/2, so the power-law conditions refuse it.
 EXTRA_CONFIGS = {
     "frameless_D.json": _example_config(_FRAMELESS_D),
     "frameless_N.json": _example_config({"N": [[0.8, 0.2], [0.0, 0.9]]}, phi=[]),
+    "failing_N.json": _example_config({"N": [[0.3, 0.0], [0.0, 0.8]]}, phi=[]),
     "near_normal_D.json": _example_config(
         {"D": (0.4 * np.array([[1.0, 8e-11], [0.0, -1.0]])).tolist()}
     ),
@@ -75,6 +78,9 @@ EXTRA_OPS = (
     ("density", "near_normal_D.json"),
     ("check-existence", "near_normal_D.json"),
     ("periodogram", "frameless_D_T1.json"),
+    ("duker-verify", "frameless_N.json"),
+    ("simulate", "failing_N.json"),
+    ("duker-verify", "failing_N.json"),
 )
 
 
