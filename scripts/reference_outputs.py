@@ -6,10 +6,11 @@ subcommand ops on n=2 configs: fractional ``d*``, white-noise ``hosking*``,
 power-law ``n*``, the refused ``blocked*`` and the malformed ``broken*``),
 then a fixed list of ops on the README example's base: memory operators
 without a unitary frame, one that is only near normal, a power-law
-exponent that fails its conditions, and a one-row periodogram.  Every op
+exponent that fails its conditions, an existence integral past the double
+range and one too deep for it, and a one-row periodogram.  Every op
 runs through :func:`fiarma_lab.cli.main` in process.  For each op it records the
 exit code, the first line of stderr, and for every output file except
-``manifest.json`` the shape, the largest absolute value and eight seeded
+``manifest.json`` the shape, the largest finite absolute value and eight seeded
 entries of its numbers (the other leaves of a JSON output are kept as
 text).  The config texts are stored with the records, so the tier-1 test
 ``tests/test_reference_outputs.py`` replays them without the benchmark
@@ -55,11 +56,15 @@ _FRAMELESS_D = {"D": [[0.2, 0.1], [0.0, 0.1]]}
 # Configs of the extra ops: the upper-triangular D and N have no unitary
 # frame; the near-normal D fails the commutator test at 1e-10 but its frame
 # reproduces it to 8e-11 relative; the failing N has the exponent 0.3, not
-# above 1/2, so the power-law conditions refuse it.
+# above 1/2, so the power-law conditions refuse it; the exponent 30 takes
+# the existence integral's shells past the double range, and 1100 shells
+# reach below the smallest normal double.
 EXTRA_CONFIGS = {
     "frameless_D.json": _example_config(_FRAMELESS_D),
     "frameless_N.json": _example_config({"N": [[0.8, 0.2], [0.0, 0.9]]}, phi=[]),
     "failing_N.json": _example_config({"N": [[0.3, 0.0], [0.0, 0.8]]}, phi=[]),
+    "overflow_D.json": _example_config({"D": [[30.0, 0.0], [0.0, 0.1]]}),
+    "deep_shells.json": _example_config({"D": [[0.3, 0.0], [0.0, 0.1]]}, n_refine=1100),
     "near_normal_D.json": _example_config(
         {"D": (0.4 * np.array([[1.0, 8e-11], [0.0, -1.0]])).tolist()}
     ),
@@ -81,6 +86,9 @@ EXTRA_OPS = (
     ("duker-verify", "frameless_N.json"),
     ("simulate", "failing_N.json"),
     ("duker-verify", "failing_N.json"),
+    ("check-existence", "overflow_D.json"),
+    ("existence-integral", "overflow_D.json"),
+    ("existence-integral", "deep_shells.json"),
 )
 
 
@@ -97,7 +105,9 @@ def _leaves(doc, prefix: str = ""):
 
 
 def summarise(target: Path) -> dict:
-    """Shape, largest absolute value and seeded entries of one output's numbers."""
+    """Shape, largest finite absolute value and seeded entries of one output's
+    numbers.  The entries are compared to that value's scale, which an
+    infinite entry would make infinite."""
     text = {}
     if target.suffix == ".json":
         numbers = []
@@ -115,7 +125,7 @@ def summarise(target: Path) -> dict:
     index = rng.integers(flat.size, size=SAMPLES) if flat.size else np.zeros(0, dtype=int)
     return {
         "shape": list(values.shape),
-        "max_abs": float(np.abs(flat).max(initial=0.0)),
+        "max_abs": float(np.abs(flat[np.isfinite(flat)]).max(initial=0.0)),
         "index": index.tolist(),
         "values": flat[index].tolist(),
         "text": text,

@@ -14,6 +14,7 @@ import gc
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
 
@@ -62,7 +63,9 @@ def _write_table(
 
 
 def _write_json(target: Path, payload: dict) -> None:
-    _atomic_write(target, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    """``payload`` as sorted JSON, numpy arrays and scalars as lists and numbers."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    _atomic_write(target, (text + "\n").encode())
 
 
 def _density_table(out: Path, name: str, freqs: np.ndarray, values: np.ndarray) -> str:
@@ -124,18 +127,17 @@ def _existence_integral(cfg: ModelConfig) -> IntegralReport:
 
 
 def _run_check_existence(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    report = check_conditions(cfg.model.base, cfg.model.D).to_dict()
-    report["i_eta"] = _existence_integral(cfg).to_dict()
+    report = asdict(check_conditions(cfg.model.base, cfg.model.D))
+    report["i_eta"] = asdict(_existence_integral(cfg))
     _write_json(out / "existence.json", report)
     return ["existence.json"]
 
 
 def _run_existence_integral(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
     report = _existence_integral(cfg)
-    _write_json(out / "existence_integral.json", report.to_dict())
-    levels = np.arange(len(report.shells))
-    hi = report.eta * 2.0**-levels
-    cells = np.column_stack([hi / 2.0, hi, report.shells])
+    _write_json(out / "existence_integral.json", asdict(report))
+    cells = np.column_stack([report.edges, report.shells])
+    levels = np.arange(report.n_refine)
     _write_table(out / "shells.csv", ["level", "lo", "hi", "contribution"], cells, levels)
     return ["existence_integral.json", "shells.csv"]
 
@@ -152,7 +154,7 @@ def _run_duker_decompose(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
 
 
 def _run_duker_verify(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    check = verify_longmemory_decomposition(cfg.model, cfg.run)
+    check = verify_longmemory_decomposition(cfg.model, cfg.run, force=force)
     _write_json(out / "duker_verify.json", check.to_dict())
     return ["duker_verify.json"]
 
@@ -210,7 +212,11 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 1
 
     try:
         raw = Path(args.config).read_bytes()
@@ -241,25 +247,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 1
     try:
-        outputs = runner(cfg, out, args.force)
+        manifest = {  # the run goes first, so a refusal skips the rest
+            "outputs": runner(cfg, out, args.force),
+            "tool": "fiarma-lab",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "config_sha256": hashlib.sha256(raw).hexdigest(),
+            "resolved_config": cfg.resolved(),
+            "seed": cfg.run.seed,
+            "force": bool(args.force),
+        }
+        _write_json(out / "manifest.json", manifest)
     except ExistenceRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    manifest = {
-        "tool": "fiarma-lab",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "config_sha256": hashlib.sha256(raw).hexdigest(),
-        "resolved_config": cfg.resolved(),
-        "seed": cfg.run.seed,
-        "force": bool(args.force),
-        "outputs": outputs,
-    }
-    _write_json(out / "manifest.json", manifest)
     return 0
 
 

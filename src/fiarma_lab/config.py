@@ -15,6 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .dataio import PATH_FORMATS
+from .existence import shell_depth_error
 from .hilbert import HilbertGrid, LinearOperator, NotPSDError
 from .simulate import SimConfig
 from .spectral import ArmaModel, FiarmaModel, PowerLawModel
@@ -50,8 +51,11 @@ class RunConfig(SimConfig):
     @classmethod
     def errors(cls, values: dict, prefix: str = "") -> Iterator[str]:
         yield from super().errors(values, prefix)
-        if not _is_number(values["eta"]) or not 0.0 < values["eta"] < np.pi:
+        eta, n_refine = values["eta"], values["n_refine"]
+        if not _is_number(eta) or not 0.0 < eta < np.pi:
             yield f"{prefix}eta: must lie in (0, pi)"
+        elif isinstance(n_refine, int) and (message := shell_depth_error(eta, n_refine)):
+            yield prefix + message
         if values["format"] not in PATH_FORMATS:
             yield f"{prefix}format: unknown format {values['format']!r}"
 

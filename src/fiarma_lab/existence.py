@@ -7,6 +7,7 @@ frequency integral whose finiteness characterizes existence.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +49,6 @@ class ExistenceReport:
             return None
         return "ii" if not self.cond_ii else "iii"
 
-    def to_dict(self) -> dict:
-        return {
-            "sigma_w": [float(s) for s in self.sigma_w],
-            "support_tol": float(self.support_tol),
-            "cond_ii": self.cond_ii,
-            "cond_iii": self.cond_iii,
-            "cond_iii_value": float(self.cond_iii_value),
-            "cond_iv": self.cond_iv,
-            "cond_v": self.cond_v,
-            "verdict": self.verdict,
-        }
-
 
 @dataclass(eq=False)
 class IntegralReport:
@@ -73,16 +62,11 @@ class IntegralReport:
     n_refine: int
     tail_estimate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "diverges": self.diverges,
-            "shells": [float(s) for s in self.shells],
-            "eta": float(self.eta),
-            "n_freq": int(self.n_freq),
-            "n_refine": int(self.n_refine),
-            "tail_estimate": float(self.tail_estimate),
-        }
+    @property
+    def edges(self) -> np.ndarray:
+        """The ``(n_refine, 2)`` edges ``(eta 2^{-l-1}, eta 2^{-l}]`` of each shell."""
+        hi = self.eta * 2.0 ** -np.arange(self.n_refine)
+        return np.column_stack([hi / 2.0, hi])
 
 
 @dataclass(eq=False)
@@ -95,6 +79,18 @@ class DukerReport:
     integral_value: float
     grid_sensitive: bool
     passes: bool
+
+
+def shell_depth_error(eta: float, n_refine: int) -> str | None:
+    """The message for shells whose innermost edge ``eta 2^{-n_refine}`` is
+    below the smallest normal double, where their widths underflow, or None."""
+    limit = math.frexp(eta)[1] + 1021  # eta 2^{-limit} >= 2^{-1022} > eta 2^{-limit-1}
+    if n_refine <= limit:
+        return None
+    return (
+        f"n_refine: must be at most {limit} for eta = {eta}, so that the innermost "
+        "shell edge eta 2**-n_refine stays a normal double"
+    )
 
 
 def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
@@ -169,53 +165,51 @@ def existence_integral(
     ``h(lam) = U T(lam) Sigma^{1/2} U^H`` with ``T`` the ARMA transfer, and
     the integral is taken against ``d lam / (2 pi)``.
 
-    Divergence is declared when the last three shell-contribution ratios sit
-    at or above ``1 - 1e-3`` (the ratios approach ``2^{2 max Re d - 1}``).
-    For convergent ratios the geometric tail beyond the deepest shell is
-    extrapolated and added to the returned value.
+    Divergence is declared when the sum is not finite, or when the last three
+    shell-contribution ratios sit at or above ``1 - 1e-3`` (the ratios approach
+    ``2^{2 max Re d - 1}``).  For convergent ratios the geometric tail beyond
+    the deepest shell is extrapolated and added to the returned value.
     """
     if not 0.0 < eta < np.pi:
         raise ValueError("eta must lie in (0, pi)")
     if n_freq < 1 or n_refine < 4:
         raise ValueError("need n_freq >= 1 and n_refine >= 4")
+    if message := shell_depth_error(eta, n_refine):
+        raise ValueError(message)
     dec = spec.ensure_decomposition()
     d_re = dec.d.real
     root = model.root.entries
     u = dec.U
 
-    hi = eta * 2.0 ** -np.arange(n_refine)
-    lo = hi / 2.0
+    # the shells are filled in place; a value that stays non-finite diverges
+    report = IntegralReport(0.0, True, np.empty(n_refine), float(eta), n_freq, n_refine, 0.0)
+    lo, hi = report.edges.T
     steps = (hi - lo) / n_freq
-    shells = np.empty(n_refine)
+    shells = report.shells
     for level in range(n_refine):
         # one transfer batch per shell, holding its nodes of both signs
         pts = lo[level] + (np.arange(n_freq) + 0.5) * steps[level]
         vals = arma_transfer_batch(model.phi, model.theta, np.concatenate([pts, -pts]), right=root)
         # row norms of U T Sigma^{1/2} U^H; the unitary right factor leaves them unchanged
         row_sq = np.sum(np.abs(u @ vals) ** 2, axis=2).reshape(2, n_freq, -1).sum(axis=0)
-        scal = pts[:, None] ** (-2.0 * d_re[None, :])
-        shells[level] = float(np.sum(scal * row_sq)) * steps[level] / (2.0 * np.pi)
-
-    ratios = np.divide(
-        shells[1:], shells[:-1], out=np.zeros(n_refine - 1), where=shells[:-1] > 0
-    )
-    last = ratios[-3:]
-    diverges = bool(np.all(last >= 1.0 - 1e-3))
-    value = float(shells.sum())
-    tail = 0.0
-    if not diverges and shells[-1] > 0:
+        with np.errstate(over="ignore"):  # a shell beyond the double range is inf, as it is
+            scal = pts[:, None] ** (-2.0 * d_re[None, :])
+            # a point without innovation adds 0, however large its exponent
+            terms = np.multiply(scal, row_sq, out=np.zeros_like(row_sq), where=row_sq > 0)
+            shells[level] = float(np.sum(terms)) * steps[level] / (2.0 * np.pi)
+    with np.errstate(over="ignore"):
+        report.value = float(shells.sum())
+    if np.isfinite(report.value):
+        ratios = np.divide(
+            shells[1:], shells[:-1], out=np.zeros(n_refine - 1), where=shells[:-1] > 0
+        )
+        last = ratios[-3:]
+        report.diverges = bool(np.all(last >= 1.0 - 1e-3))
         r = float(last[-1])
-        if 0.0 < r < 1.0:
-            tail = float(shells[-1]) * r / (1.0 - r)
-    return IntegralReport(
-        value=value + tail,
-        diverges=diverges,
-        shells=shells,
-        eta=eta,
-        n_freq=n_freq,
-        n_refine=n_refine,
-        tail_estimate=tail,
-    )
+        if not report.diverges and 0.0 < r < 1.0:
+            report.tail_estimate = float(shells[-1]) * r / (1.0 - r)
+            report.value += report.tail_estimate
+    return report
 
 
 def check_duker_conditions(model: PowerLawModel) -> DukerReport:

@@ -417,21 +417,32 @@ def simulate_arma(model: ArmaModel, cfg: SimConfig) -> SampledPath:
     return _path(_plan(model, cfg), cfg, model.grid)
 
 
-def _existence_verdict(model: FiarmaModel) -> str:
-    """The model's existence verdict, decided on first use and kept on the
-    model.  A failing verdict raises :class:`ExistenceRefusal` on every call."""
-    if model._existence is None:
-        try:
-            report = check_conditions(model.base, model.D)
-        except NotNormalError:
-            model._existence = ("unchecked (memory operator not normal)", None)
+def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
+    """``"forced"`` under ``force``, else the model's existence verdict, kept
+    with its failed condition as ``model._verdict`` from its first use and
+    refused with :class:`ExistenceRefusal` while it fails.  A ``D`` without
+    a frame is ``unchecked``; an ``N`` without one raises every call."""
+    if force:
+        return "forced"
+    if model._verdict is None:
+        if isinstance(model, PowerLawModel):
+            passes = check_duker_conditions(model).passes
+            model._verdict = ("holds", None) if passes else ("fails", "duker")
         else:
-            model._existence = (report.verdict, report.failed_condition())
-    verdict, cond = model._existence
+            try:
+                report = check_conditions(model.base, model.D)
+            except NotNormalError:
+                model._verdict = ("unchecked (memory operator not normal)", None)
+            else:
+                model._verdict = (report.verdict, report.failed_condition())
+    verdict, cond = model._verdict
     if cond is not None:
         raise ExistenceRefusal(
             cond,
-            f"existence condition ({cond}) fails for this model; "
+            "power-law moving average conditions fail (need Re exponents > 1/2 "
+            "with a finite weighted sum)"
+            if cond == "duker"
+            else f"existence condition ({cond}) fails for this model; "
             "pass force=True to simulate anyway",
         )
     return verdict
@@ -441,38 +452,21 @@ def simulate_fiarma(model: FiarmaModel, cfg: SimConfig, force: bool = False) -> 
     """Fractionally integrated ARMA path via the truncated MA expansion.
 
     The existence conditions are decided once per model, on the first call
-    without ``force`` (when the memory operator is normal), and the verdict
-    is kept on the model; a failing verdict refuses to simulate on every
-    call unless ``force`` is set.  A non-causal AR polynomial raises
-    :class:`NonCausalError`.  Truncation diagnostics land in the path
-    metadata.
+    without ``force`` (:func:`_verdict`); a failing verdict refuses to
+    simulate on every call unless ``force`` is set.  A non-causal AR
+    polynomial raises :class:`NonCausalError`.  Truncation diagnostics land
+    in the path metadata.
     """
-    existence = "forced" if force else _existence_verdict(model)
+    existence = _verdict(model, force)
     plan = _plan(model, cfg)
     return _path(plan, cfg, model.grid, existence=existence, **plan.meta)
-
-
-def _require_duker_conditions(model: PowerLawModel) -> None:
-    """Refuse the model unless the power-law conditions pass, deciding them
-    on first use and keeping the outcome on the model.  An exponent without
-    a frame raises :class:`NotNormalError` on every call."""
-    if model._passes is None:
-        model._passes = check_duker_conditions(model).passes
-    if not model._passes:
-        raise ExistenceRefusal(
-            "duker",
-            "power-law moving average conditions fail (need Re exponents "
-            "> 1/2 with a finite weighted sum)",
-        )
 
 
 def simulate_duker(model: PowerLawModel, cfg: SimConfig, force: bool = False) -> SampledPath:
     """Power-law moving average ``sum_k (k+1)^{-N} eps_{t-k}``, truncated.
     A model that fails its conditions is refused unless ``force`` is set."""
-    if not force:
-        _require_duker_conditions(model)
-    plan = _plan(model, cfg)
-    return _path(plan, cfg, model.grid, existence="forced" if force else "holds")
+    existence = _verdict(model, force)
+    return _path(_plan(model, cfg), cfg, model.grid, existence=existence)
 
 
 @dataclass(eq=False)
@@ -506,7 +500,9 @@ class DecompositionCheck:
         }
 
 
-def verify_longmemory_decomposition(model: PowerLawModel, cfg: SimConfig) -> DecompositionCheck:
+def verify_longmemory_decomposition(
+    model: PowerLawModel, cfg: SimConfig, force: bool = False
+) -> DecompositionCheck:
     """Check ``Filter((1-z)^{N-Id}) eps = C Y + Z`` on one shared noise path.
 
     Path A filters the noise with the binomial coefficients of
@@ -517,9 +513,10 @@ def verify_longmemory_decomposition(model: PowerLawModel, cfg: SimConfig) -> Dec
     frame's binomials and matching constant are right; the report also
     carries the remainder norms whose partial sums certify the short-memory
     property.  Noise and power-law path come from the model's own plan at
-    ``max(K_trunc, 1)``, which :func:`simulate_duker` then reuses.
+    ``max(K_trunc, 1)``, which :func:`simulate_duker` then reuses.  A model
+    that fails its conditions is refused unless ``force`` is set.
     """
-    _require_duker_conditions(model)
+    _verdict(model, force)
     k_trunc = max(cfg.K_trunc, 1)
     plan = _plan(model, replace(cfg, K_trunc=k_trunc))
     root = model.base.root.entries

@@ -86,14 +86,14 @@ class FiarmaModel:
 
     Simulation keeps the combined filter plan of the last path sizes it used
     in ``_sim_plan``, and the existence verdict with its failed condition
-    (``None`` when none failed) in ``_existence``, decided on the first
+    (``None`` when none failed) in ``_verdict``, decided on the first
     unforced simulation.
     """
 
     base: ArmaModel
     D: FracIntegrationSpec
     _sim_plan: "_FilterPlan | None" = field(default=None, init=False, repr=False)
-    _existence: tuple[str, str | None] | None = field(default=None, init=False, repr=False)
+    _verdict: tuple[str, str | None] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.D.grid.n != self.base.grid.n:
@@ -110,14 +110,14 @@ class PowerLawModel:
 
     ``base`` is the white noise, with ``Sigma`` and its root; ``N`` holds the
     exponent with its eigenframe, found once.  Simulation keeps the filter
-    plan of the last path sizes it used in ``_sim_plan``, and whether the
-    power-law conditions pass in ``_passes``, decided on first use.
+    plan of the last path sizes it used in ``_sim_plan``, and the verdict of
+    the power-law conditions in ``_verdict``, as :class:`FiarmaModel` does.
     """
 
     base: ArmaModel
     N: FracIntegrationSpec
     _sim_plan: "_FilterPlan | None" = field(default=None, init=False, repr=False)
-    _passes: bool | None = field(default=None, init=False, repr=False)
+    _verdict: tuple[str, str | None] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.N.grid.n != self.base.grid.n:

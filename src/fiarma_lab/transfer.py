@@ -177,12 +177,10 @@ class CoefficientSequence:
     def operator(self, k: int) -> LinearOperator:
         return LinearOperator(self[k], self.grid)
 
-    def norms(self, ord: float = np.inf) -> np.ndarray:
-        """Schatten norms of every coefficient, in index order."""
+    def norms(self) -> np.ndarray:
+        """Operator (spectral) norms of every coefficient, in index order."""
         sigma = np.linalg.svd(self.data, compute_uv=False)
-        if np.isinf(ord):
-            return sigma[:, 0] if sigma.size else np.zeros(len(self))
-        return np.sum(sigma**ord, axis=1) ** (1.0 / ord)
+        return sigma[:, 0] if sigma.size else np.zeros(len(self))
 
 
 def eval_poly_ar(phi: OperatorPolynomial, z: complex) -> LinearOperator:

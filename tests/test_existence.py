@@ -184,6 +184,43 @@ class TestExistenceIntegral:
         existence_integral(ar1_model(g), scalar_spec(g, 0.3), eta=0.5, n_freq=16, n_refine=10)
         assert sizes and max(sizes) <= 2 * 16
 
+    def test_overflowing_shells_diverge(self):
+        """An exponent of 30 takes the shells past the double range: inf is
+        their value, so the integral diverges, with no tail estimate."""
+        g = make_grid(2)
+        spec = FracIntegrationSpec(op(np.diag([30.0, 0.1]), g))
+        report = existence_integral(ar1_model(g, 0.3), spec, eta=1.0)
+        assert np.isinf(report.shells).any()
+        assert report.diverges and report.value == np.inf and report.tail_estimate == 0.0
+
+    def test_point_without_innovation_adds_nothing(self):
+        """Where ``sigma_w`` is 0 the integrand is 0, however large the
+        exponent there and even where its power overflows."""
+        g = make_grid(2)
+        model = white_model(g, op(np.diag([1.0, 0.0]), g))
+        report = existence_integral(model, FracIntegrationSpec(op(np.diag([0.3, 30.0]), g)), 1.0)
+        mild = existence_integral(model, FracIntegrationSpec(op(np.diag([0.3, 0.1]), g)), 1.0)
+        assert not report.diverges
+        np.testing.assert_allclose(report.shells, mild.shells, rtol=1e-14)
+        assert report.value == pytest.approx(mild.value, rel=1e-14)
+
+    def test_shells_below_normal_doubles_refused(self):
+        g = scalar_grid()
+        with pytest.raises(ValueError, match="^n_refine: must be at most 1022 for eta = 1.0,"):
+            existence_integral(white_model(g), scalar_spec(g, 0.3), eta=1.0, n_refine=1023)
+        report = existence_integral(
+            white_model(g), scalar_spec(g, 0.3), eta=1.0, n_freq=4, n_refine=1022
+        )
+        assert np.all(np.isfinite(report.shells)) and not report.diverges
+        assert report.edges[-1, 0] == np.finfo(float).tiny
+
+    def test_shell_edges_halve(self):
+        g = scalar_grid()
+        report = existence_integral(white_model(g), scalar_spec(g, 0.3), eta=0.5, n_refine=6)
+        assert report.edges.shape == (6, 2)
+        np.testing.assert_array_equal(report.edges[:, 1], 0.5 * 2.0 ** -np.arange(6))
+        np.testing.assert_array_equal(report.edges[:, 0], report.edges[:, 1] / 2)
+
     def test_eta_range_checked(self):
         g = scalar_grid()
         with pytest.raises(ValueError):

@@ -314,6 +314,26 @@ class TestParseConfig:
         assert str(built.value).startswith(f"{key}: ")
         assert parsed.value.errors == [f"run.{built.value}"]
 
+    @pytest.mark.parametrize(
+        "eta, n_refine, limit",
+        [(1, 1023, 1022), (0.75, 1022, 1021), (3.0, HUGE, 1023)],
+        ids=["integer-eta", "fractional-eta", "401-digits"],
+    )
+    def test_shells_below_normal_doubles_flagged(self, eta, n_refine, limit):
+        """The innermost shell edge ``eta 2**-n_refine`` must be a normal
+        double; a 401-digit ``n_refine`` is refused by the same rule."""
+        message = (
+            f"n_refine: must be at most {limit} for eta = {eta}, so that the innermost "
+            "shell edge eta 2**-n_refine stays a normal double"
+        )
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(minimal_config(eta=eta, n_refine=n_refine))
+        assert parsed.value.errors == [f"run.{message}"]
+        with pytest.raises(ValueError) as built:
+            RunConfig(eta=eta, n_refine=n_refine)
+        assert str(built.value) == message
+        parse_config(minimal_config(eta=eta, n_refine=limit))
+
     def test_resolved_round_trip(self):
         cfg = parse_config(fractional_config(0.3, T=64, seed=9))
         again = parse_config(json.dumps(cfg.resolved()))
@@ -741,6 +761,21 @@ class TestCli:
         report = json.loads((out2 / "duker_verify.json").read_text())
         assert report["residual"] < 1e-8
 
+    def test_duker_verify_force_bypasses_a_failing_exponent(self, tmp_path, capsys):
+        doc = {
+            "grid": {"points": [0.0, 1.0], "weights": [0.5, 0.5]},
+            "model": {"sigma": [[1.0, 0.0], [0.0, 1.0]], "N": [[0.3, 0.0], [0.0, 0.8]]},
+            "run": {"T": 128, "K_trunc": 64},
+        }
+        cfg = self._write(tmp_path, json.dumps(doc))
+        args = ["duker-verify", "--config", str(cfg), "--out"]
+        assert main([*args, str(tmp_path / "refused")]) == 2
+        assert capsys.readouterr().err.startswith("refused: power-law moving average")
+        out = tmp_path / "forced"
+        assert main([*args, str(out), "--force"]) == 0
+        assert json.loads((out / "duker_verify.json").read_text())["residual"] < 1e-12
+        assert json.loads((out / "manifest.json").read_text())["force"] is True
+
     def test_frameless_power_exponent_simulates_forced(self, tmp_path):
         doc = {
             "grid": {"points": [0.0, 1.0], "weights": [0.5, 0.5]},
@@ -771,6 +806,54 @@ class TestCli:
         assert report["diverges"] is True
         shells = (out / "shells.csv").read_text().splitlines()
         assert len(shells) == 21
+
+    def test_overflowing_existence_integral_diverges(self, tmp_path):
+        """With ``D = diag(30, 0.1)`` the shells pass the double range: the
+        integral is inf and divergent, beside the verdict ``fails``."""
+        doc = {
+            "grid": {"points": [0.0, 1.0], "weights": [0.5, 0.5]},
+            "model": {
+                "phi": [[[0.3, 0.0], [0.0, 0.2]]],
+                "sigma": [[1.0, 0.0], [0.0, 1.0]],
+                "D": [[30.0, 0.0], [0.0, 0.1]],
+            },
+        }
+        cfg = self._write(tmp_path, json.dumps(doc))
+        for sub, name in (("existence-integral", "existence_integral"), ("check-existence", "existence")):
+            out = tmp_path / sub
+            assert main([sub, "--config", str(cfg), "--out", str(out)]) == 0
+            report = json.loads((out / f"{name}.json").read_text())
+            integral = report.get("i_eta", report)
+            assert integral["diverges"] is True and integral["tail_estimate"] == 0.0
+            assert integral["value"] == float("inf")
+        assert report["verdict"] == "fails"
+
+    def test_too_deep_shells_exit_one(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, fractional_config(0.3, n_refine=1100))
+        out = tmp_path / "o"
+        assert main(["existence-integral", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: run.n_refine: must be at most 1022")
+        assert not (out / "manifest.json").exists()
+
+    def test_output_directory_that_is_a_file_exits_one(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, fractional_config(0.3))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["density", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory: ")
+        assert len(err.splitlines()) == 1 and out.read_text() == ""
+
+    @pytest.mark.parametrize("name", ["density.csv", "manifest.json"])
+    def test_output_file_that_is_a_directory_exits_one(self, tmp_path, capsys, name):
+        cfg = self._write(tmp_path, fractional_config(0.3))
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main(["density", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and name in err
+        assert len(err.splitlines()) == 1
+        assert (out / name).is_dir() and not (out / "manifest.json").is_file()
 
     def test_manifest_regenerates_outputs_bit_identically(self, tmp_path):
         cfg = self._write(tmp_path, fractional_config(0.3, T=32, seed=5))

@@ -402,6 +402,14 @@ class TestLongMemoryDecomposition:
         )
         assert len(eig_calls) == 1
 
+    def test_force_bypasses_failing_conditions(self):
+        g = make_grid(2)
+        model = power_law_model(op(np.diag([0.3, 0.8]), g), identity(g))
+        cfg = SimConfig(T=64, seed=1, K_trunc=32)
+        assert verify_longmemory_decomposition(model, cfg, force=True).residual < 1e-12
+        with pytest.raises(ExistenceRefusal):
+            verify_longmemory_decomposition(model, cfg)
+
     def test_refuses_failing_conditions(self):
         g = make_grid(2)
         with pytest.raises(ExistenceRefusal):
@@ -842,6 +850,40 @@ class TestFilterPlanCache:
             path = simulate_fiarma(model, SimConfig(T=64, K_trunc=16, seed=1, replication=r))
             assert path.meta["existence"] == "unchecked (memory operator not normal)"
         assert len(check_calls) == 1
+
+    def test_power_law_verdict_decided_once(self, counted):
+        """A failing exponent is checked on its first unforced call and
+        refused with condition ``duker`` on every one, the decomposition
+        check included; a forced run neither checks nor refuses."""
+        check_calls = counted("check_duker_conditions")
+        g = make_grid(2)
+        model = power_law_model(op(np.diag([0.3, 0.8]), g), identity(g))
+        cfg = SimConfig(T=32, K_trunc=16, seed=1)
+        assert simulate_duker(model, cfg, force=True).meta["existence"] == "forced"
+        assert check_calls == []
+        for run in (simulate_duker, verify_longmemory_decomposition, simulate_duker):
+            with pytest.raises(ExistenceRefusal) as err:
+                run(model, cfg)
+            assert err.value.condition == "duker"
+        assert len(check_calls) == 1
+
+    def test_power_law_verdict_holds(self, counted):
+        check_calls = counted("check_duker_conditions")
+        g = make_grid(2)
+        model = power_law_model(op(np.diag([0.7, 0.8]), g), identity(g))
+        for r in range(2):
+            path = simulate_duker(model, SimConfig(T=32, K_trunc=16, seed=1, replication=r))
+            assert path.meta["existence"] == "holds"
+        assert len(check_calls) == 1
+
+    def test_frameless_exponent_verdict_never_kept(self, counted):
+        check_calls = counted("check_duker_conditions")
+        g = make_grid(2)
+        model = power_law_model(op([[0.3, 1e-7], [0.0, 0.3]], g), identity(g))
+        for _ in range(2):
+            with pytest.raises(NotNormalError):
+                simulate_duker(model, SimConfig(T=16, K_trunc=8, seed=1))
+        assert len(check_calls) == 2
 
     def test_forced_path_matches_recursion(self):
         g = scalar_grid()
