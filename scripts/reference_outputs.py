@@ -11,10 +11,11 @@ range and one too deep for it, and a one-row periodogram.  Every op
 runs through :func:`fiarma_lab.cli.main` in process.  For each op it records the
 exit code, the first line of stderr, and for every output file except
 ``manifest.json`` the shape, the largest finite absolute value and eight seeded
-entries of its numbers (the other leaves of a JSON output are kept as
-text).  The config texts are stored with the records, so the tier-1 test
-``tests/test_reference_outputs.py`` replays them without the benchmark
-package.
+entries of its numbers, each with the largest finite absolute value of the
+table column or JSON leaf it was written from (the other leaves of a JSON
+output are kept as text).  The config texts are stored with the records, so
+the tier-1 test ``tests/test_reference_outputs.py`` replays them without the
+benchmark package.
 
 Regenerate only when a change of output is intended, from the repository
 root:
@@ -27,6 +28,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -104,30 +106,42 @@ def _leaves(doc, prefix: str = ""):
         yield prefix.rstrip("."), doc
 
 
+# A table's column name less its entry suffix (``m_1_2_re`` -> ``m``), and a
+# JSON leaf's dotted path less its list indices (``shells.3`` -> ``shells``):
+# the array each number was written from.
+_ENTRY_SUFFIX = re.compile(r"(_\d+)+_(re|im)$")
+_LIST_INDEX = re.compile(r"\.\d+")
+
+
 def summarise(target: Path) -> dict:
     """Shape, largest finite absolute value and seeded entries of one output's
-    numbers.  The entries are compared to that value's scale, which an
-    infinite entry would make infinite."""
+    numbers.  Each entry comes with the largest finite absolute value of the
+    array or JSON leaf it was written from, the scale it is compared at."""
     text = {}
     if target.suffix == ".json":
-        numbers = []
+        numbers, arrays = [], []
         for key, value in _leaves(json.loads(target.read_text())):
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 numbers.append(float(value))
+                arrays.append(_LIST_INDEX.sub("", key))
             else:
                 text[key] = value
         values = np.array(numbers, dtype=float)
     else:
-        body = target.read_text().splitlines()[1:]
+        header, *body = target.read_text().splitlines()
         values = np.array([[float(c) for c in line.split(",")] for line in body], dtype=float)
+        arrays = [_ENTRY_SUFFIX.sub("", name) for name in header.split(",")] * len(body)
     flat = values.ravel()
+    arrays = np.array(arrays, dtype=str)
+    magnitude = np.where(np.isfinite(flat), np.abs(flat), 0.0)
     rng = np.random.default_rng(SAMPLE_SEED)
     index = rng.integers(flat.size, size=SAMPLES) if flat.size else np.zeros(0, dtype=int)
     return {
         "shape": list(values.shape),
-        "max_abs": float(np.abs(flat[np.isfinite(flat)]).max(initial=0.0)),
+        "max_abs": float(magnitude.max(initial=0.0)),
         "index": index.tolist(),
         "values": flat[index].tolist(),
+        "scales": [float(magnitude[arrays == arrays[i]].max()) for i in index],
         "text": text,
     }
 

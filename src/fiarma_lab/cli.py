@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
-Each invocation runs one subcommand against a JSON config, writes its output
-files plus a run manifest into the output directory, and exits with 0 on
+Each invocation runs one subcommand against a JSON config.  The subcommand's
+runner returns its outputs by file name, and :func:`dataio.write_outputs`
+writes them plus a run manifest into the output directory.  It exits with 0 on
 success, 2 when an existence check refuses the run, and 1 on any error,
 usage errors of the command line included.
 The manifest embeds the fully resolved config so every output can be
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ModelConfig, parse_config
-from .dataio import _atomic_write, _complex_cells, _table_bytes, write_path
+from .dataio import write_outputs
 from .existence import ExistenceRefusal, IntegralReport, check_conditions, existence_integral
 from .simulate import (
     SampledPath,
@@ -47,33 +47,6 @@ from .spectral import (
 from .transfer import duker_decomposition, frac_ma_coeffs
 
 
-def _matrix_header(n: int) -> list[str]:
-    cols = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cols += [f"m_{i}_{j}_re", f"m_{i}_{j}_im"]
-    return cols
-
-
-def _write_table(
-    target: Path, header: list[str], cells: np.ndarray, index: np.ndarray | None = None
-) -> None:
-    """One CSV table: float ``cells`` per row, led by the integer ``index``."""
-    _atomic_write(target, _table_bytes(header, cells, index))
-
-
-def _write_json(target: Path, payload: dict) -> None:
-    """``payload`` as sorted JSON, numpy arrays and scalars as lists and numbers."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist())
-    _atomic_write(target, (text + "\n").encode())
-
-
-def _density_table(out: Path, name: str, freqs: np.ndarray, values: np.ndarray) -> str:
-    cells = np.column_stack([freqs, _complex_cells(values)])
-    _write_table(out / name, ["lambda"] + _matrix_header(values.shape[1]), cells)
-    return name
-
-
 def _simulate(cfg: ModelConfig, force: bool) -> SampledPath:
     """Path of the configured model: fractional (D), power-law (N) or plain ARMA."""
     if isinstance(cfg.model, FiarmaModel):
@@ -91,31 +64,23 @@ def _density(cfg: ModelConfig) -> SpectralDensityGrid:
     return arma_spectral_density(cfg.model, freqs)
 
 
-def _run_simulate(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
-    path = _simulate(cfg, force)
-    name = f"path.{cfg.run.format}"
-    write_path(path, out / name, fmt=cfg.run.format)
-    return [name]
+def _run_simulate(cfg: ModelConfig, force: bool) -> dict:
+    return {f"path.{cfg.run.format}": _simulate(cfg, force)}
 
 
-def _run_density(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+def _run_density(cfg: ModelConfig, force: bool) -> dict:
     g = _density(cfg)
-    return [_density_table(out, "density.csv", g.freqs, g.values)]
+    return {"density.csv": {"lambda": g.freqs, "m": g.values}}
 
 
-def _run_autocov(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+def _run_autocov(cfg: ModelConfig, force: bool) -> dict:
     seq = autocov_sequence(_density(cfg), cfg.run.lags)
-    lags = np.arange(-seq.max_lag, seq.max_lag + 1)
-    header = ["h"] + _matrix_header(cfg.grid.n)
-    _write_table(out / "autocov.csv", header, _complex_cells(seq.data), lags)
-    return ["autocov.csv"]
+    return {"autocov.csv": {"h": np.arange(-seq.max_lag, seq.max_lag + 1), "m": seq.data}}
 
 
-def _run_frac_coeffs(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+def _run_frac_coeffs(cfg: ModelConfig, force: bool) -> dict:
     seq = frac_ma_coeffs(cfg.model.D, cfg.run.K)
-    header = ["k"] + _matrix_header(cfg.grid.n)
-    _write_table(out / "frac_coeffs.csv", header, _complex_cells(seq.data), np.arange(len(seq)))
-    return ["frac_coeffs.csv"]
+    return {"frac_coeffs.csv": {"k": np.arange(len(seq)), "m": seq.data}}
 
 
 def _existence_integral(cfg: ModelConfig) -> IntegralReport:
@@ -126,48 +91,43 @@ def _existence_integral(cfg: ModelConfig) -> IntegralReport:
     )
 
 
-def _run_check_existence(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+def _run_check_existence(cfg: ModelConfig, force: bool) -> dict:
     report = asdict(check_conditions(cfg.model.base, cfg.model.D))
     report["i_eta"] = asdict(_existence_integral(cfg))
-    _write_json(out / "existence.json", report)
-    return ["existence.json"]
+    return {"existence.json": report}
 
 
-def _run_existence_integral(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+def _run_existence_integral(cfg: ModelConfig, force: bool) -> dict:
     report = _existence_integral(cfg)
-    _write_json(out / "existence_integral.json", asdict(report))
-    cells = np.column_stack([report.edges, report.shells])
-    levels = np.arange(report.n_refine)
-    _write_table(out / "shells.csv", ["level", "lo", "hi", "contribution"], cells, levels)
-    return ["existence_integral.json", "shells.csv"]
+    lo, hi = report.edges.T
+    shells = {"level": np.arange(len(lo)), "lo": lo, "hi": hi, "contribution": report.shells}
+    return {"existence_integral.json": asdict(report), "shells.csv": shells}
 
 
-def _run_duker_decompose(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+def _run_duker_decompose(cfg: ModelConfig, force: bool) -> dict:
     c_mat, deltas, rho = duker_decomposition(cfg.model.N, cfg.run.K)
-    header = _matrix_header(cfg.grid.n)
-    _write_table(out / "duker_C.csv", header, _complex_cells(c_mat.entries[None]))
     norms = deltas.norms()
-    ks = np.arange(len(norms))
-    _write_table(out / "duker_deltas.csv", ["k", "delta_norm"], norms[:, None], ks)
-    _write_json(out / "duker_decompose.json", {"rho": float(rho), "K": cfg.run.K})
-    return ["duker_C.csv", "duker_deltas.csv", "duker_decompose.json"]
+    return {
+        "duker_C.csv": {"m": c_mat.entries[None]},
+        "duker_deltas.csv": {"k": np.arange(len(norms)), "delta_norm": norms},
+        "duker_decompose.json": {"rho": float(rho), "K": cfg.run.K},
+    }
 
 
-def _run_duker_verify(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+def _run_duker_verify(cfg: ModelConfig, force: bool) -> dict:
     check = verify_longmemory_decomposition(cfg.model, cfg.run, force=force)
-    _write_json(out / "duker_verify.json", check.to_dict())
-    return ["duker_verify.json"]
+    return {"duker_verify.json": check.to_dict()}
 
 
-def _run_periodogram(cfg: ModelConfig, out: Path, force: bool) -> list[str]:
+def _run_periodogram(cfg: ModelConfig, force: bool) -> dict:
     path = _simulate(cfg, force)
-    freqs = fourier_frequencies(path.t_len)
-    pg = periodogram(path, freqs)
-    return [_density_table(out, "periodogram.csv", pg.freqs, pg.values)]
+    pg = periodogram(path, fourier_frequencies(path.t_len))
+    return {"periodogram.csv": {"lambda": pg.freqs, "m": pg.values}}
 
 
-# Each subcommand's runner and the model families it takes: plain ARMA,
-# fractional (``model.D``) and power-law (``model.N``).
+# Each subcommand's runner, ``(cfg, force) -> {file name: output}`` in write
+# order, and the model families it takes: plain ARMA, fractional
+# (``model.D``) and power-law (``model.N``).
 _EVERY_FAMILY = (ArmaModel, FiarmaModel, PowerLawModel)
 RUNNERS = {
     "simulate": (_run_simulate, _EVERY_FAMILY),
@@ -247,8 +207,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 1
     try:
-        manifest = {  # the run goes first, so a refusal skips the rest
-            "outputs": runner(cfg, out, args.force),
+        outputs = runner(cfg, args.force)  # a refusal writes nothing
+        manifest = {
+            "outputs": list(outputs),
             "tool": "fiarma-lab",
             "version": __version__,
             "subcommand": args.subcommand,
@@ -257,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": cfg.run.seed,
             "force": bool(args.force),
         }
-        _write_json(out / "manifest.json", manifest)
+        write_outputs(out, {**outputs, "manifest.json": manifest})
     except ExistenceRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .dataio import PATH_FORMATS
-from .existence import shell_depth_error
+from .existence import N_REFINE, SHELL_POINTS, shell_depth_error
 from .hilbert import HilbertGrid, LinearOperator, NotPSDError
 from .simulate import SimConfig
 from .spectral import ArmaModel, FiarmaModel, PowerLawModel
@@ -38,8 +38,8 @@ class RunConfig(SimConfig):
 
     n_freq: int = 4096
     eta: float = 1.0
-    n_refine: int = 40
-    shell_points: int = 64
+    n_refine: int = N_REFINE
+    shell_points: int = SHELL_POINTS
     K: int = 64
     lags: int = 8
     format: str = "csv"

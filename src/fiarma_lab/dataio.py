@@ -1,8 +1,9 @@
-"""Path persistence: CSV for readable output, a small binary container for
-bit-exact round trips.  All writes go through a temp file and an atomic
-rename."""
+"""Every file the package writes: paths as CSV or a small binary container
+for bit-exact round trips, CSV tables of named columns, and sorted JSON
+documents.  All writes go through a temp file and an atomic rename."""
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -25,14 +26,19 @@ class PathFormatError(ValueError):
 
 
 def _atomic_write(target: Path, payload: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+    """Replace ``target`` by ``payload``.  An error names ``target``, never
+    the temporary file, so its message is the same on every run."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
         raise
 
 
@@ -61,26 +67,36 @@ def _table_bytes(header: list[str], cells: np.ndarray, index: np.ndarray | None 
     return b"".join(parts)
 
 
-def _complex_cells(values: np.ndarray) -> np.ndarray:
-    """Rows of ``values`` (first axis) as float columns ``re, im`` per entry,
-    in row-major entry order; zero rows give a ``(0, 2 * entries)`` array."""
-    values = np.ascontiguousarray(values, dtype=complex)
-    return values.reshape(len(values), math.prod(values.shape[1:])).view(float)
+def _columns_bytes(columns: dict[str, np.ndarray]) -> bytes:
+    """CSV bytes of a table given as ``{name: column}`` over the columns' first axis.
 
-
-def _csv_bytes(path: SampledPath) -> bytes:
-    n = path.grid.n
-    header = ["t"] + [f"coord_{i}_re,coord_{i}_im" for i in range(1, n + 1)]
-    return _table_bytes(header, _complex_cells(path.values), np.arange(path.t_len))
+    A leading integer column (``t``, ``h``, ``k``, ``level``) is written as
+    integers and any other 1-D column as floats.  A column with more axes
+    holds a vector or matrix per row, written as ``name_i_re,name_i_im`` or
+    ``name_i_j_re,name_i_j_im`` per entry in row-major order.
+    """
+    header, cells, index = [], [], None
+    for name, column in columns.items():
+        column = np.asarray(column)
+        if not header and column.dtype.kind in "iu":
+            header.append(name)
+            index = column
+        elif column.ndim == 1:
+            header.append(name)
+            cells.append(column[:, None])
+        else:
+            for entry in np.ndindex(column.shape[1:]):
+                tag = "_".join(str(i + 1) for i in entry)
+                header += [f"{name}_{tag}_re", f"{name}_{tag}_im"]
+            # re, im per entry; the explicit width keeps a zero-row table's columns
+            entries = np.ascontiguousarray(column, dtype=complex)
+            cells.append(entries.reshape(len(column), math.prod(column.shape[1:])).view(float))
+    return _table_bytes(header, np.hstack(cells), index)
 
 
 def _binary_bytes(path: SampledPath) -> bytes:
     t_len, n = path.values.shape
-    head = _MAGIC + struct.pack("<HIQ", _VERSION, n, t_len)
-    flat = np.empty((t_len, n, 2), dtype="<f8")
-    flat[:, :, 0] = path.values.real
-    flat[:, :, 1] = path.values.imag
-    return head + flat.tobytes()
+    return _MAGIC + struct.pack("<HIQ", _VERSION, n, t_len) + path.values.astype("<c16").tobytes()
 
 
 def write_path(path: SampledPath, file: str | Path, fmt: str | None = None) -> None:
@@ -90,7 +106,26 @@ def write_path(path: SampledPath, file: str | Path, fmt: str | None = None) -> N
         fmt = "bin" if target.suffix in (".bin", ".fiar") else "csv"
     if fmt not in PATH_FORMATS:
         raise ValueError(f"unknown path format {fmt!r}")
-    _atomic_write(target, _csv_bytes(path) if fmt == "csv" else _binary_bytes(path))
+    if fmt == "bin":
+        _atomic_write(target, _binary_bytes(path))
+    else:
+        _atomic_write(target, _columns_bytes({"t": np.arange(path.t_len), "coord": path.values}))
+
+
+def write_outputs(out: Path, outputs: dict) -> None:
+    """Write each ``{file name: output}`` into the directory ``out``, in order:
+    a :class:`SampledPath` by :func:`write_path`, a ``.json`` document sorted
+    and indented, numpy values as lists, and any other output as a table of
+    named columns (:func:`_columns_bytes`)."""
+    for name, output in outputs.items():
+        target = out / name
+        if isinstance(output, SampledPath):
+            write_path(output, target)
+        elif target.suffix == ".json":
+            text = json.dumps(output, indent=2, sort_keys=True, default=lambda v: v.tolist())
+            _atomic_write(target, (text + "\n").encode())
+        else:
+            _atomic_write(target, _columns_bytes(output))
 
 
 def _read_csv(raw: bytes, grid: HilbertGrid | None) -> SampledPath:

@@ -16,6 +16,9 @@ from .hilbert import NormalDecomposition
 from .spectral import ArmaModel, PowerLawModel
 from .transfer import FracIntegrationSpec, arma_transfer_batch
 
+# default nodes per shell and number of shells of the existence integral and the run config
+SHELL_POINTS, N_REFINE = 64, 40
+
 
 class ExistenceRefusal(RuntimeError):
     """Simulation refused because the existence check reports failure."""
@@ -154,8 +157,8 @@ def existence_integral(
     model: ArmaModel,
     spec: FracIntegrationSpec,
     eta: float,
-    n_freq: int = 64,
-    n_refine: int = 40,
+    n_freq: int = SHELL_POINTS,
+    n_refine: int = N_REFINE,
 ) -> IntegralReport:
     """Quadrature of ``|lam|^{-2 Re d(v)} |k_h(v, v'; lam)|^2`` near frequency 0.
 

@@ -258,7 +258,7 @@ def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class _FilterPlan:
+class FilterPlan:
     """One causal filter ``sum_k C_k z^k``, ``Sigma^{1/2}`` folded in, for
     paths of ``t_len`` rows, built once.
 
@@ -296,7 +296,7 @@ def _filter_plan(
     burnin: int = 0,
     key: tuple = (),
     meta: dict | None = None,
-) -> _FilterPlan:
+) -> FilterPlan:
     """The plan of the filter ``factors[0] factors[1] ...``, a product of
     stacked ``(taps, n, n)`` causal coefficient sequences, for ``t_len``
     output rows from ``rows`` noise rows.
@@ -319,12 +319,12 @@ def _filter_plan(
         filter_fft = np.ascontiguousarray(by_freq.transpose(1, 2, 0))
     real = not any(f.imag.any() for f in factors)
     auto_kind = _resolve_noise_kind(*model_mats)
-    return _FilterPlan(
+    return FilterPlan(
         key, burnin, rows, t_len, min(rows, span), filter_fft, tap, real, auto_kind, meta or {}
     )
 
 
-def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> _FilterPlan:
+def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> FilterPlan:
     """The model's cached filter plan for the sizes of ``cfg``, rebuilt when
     they change.
 
@@ -375,7 +375,7 @@ def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> _Fi
     return model._sim_plan
 
 
-def _filtered_rows(plan: _FilterPlan, xi: np.ndarray) -> np.ndarray:
+def _filtered_rows(plan: FilterPlan, xi: np.ndarray) -> np.ndarray:
     """The ``plan.t_len`` path rows that ``plan`` makes of the standard noise
     block ``xi``."""
     x = xi[-plan.keep :]
@@ -388,7 +388,7 @@ def _filtered_rows(plan: _FilterPlan, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _path(plan: _FilterPlan, cfg: SimConfig, grid: HilbertGrid, **extra) -> SampledPath:
+def _path(plan: FilterPlan, cfg: SimConfig, grid: HilbertGrid, **extra) -> SampledPath:
     """The path that ``plan`` makes of the ``(seed, replication)`` noise block."""
     kind = plan.noise_kind(cfg)
     xi = _standard_block(cfg.seed, cfg.replication, plan.rows, grid.n, kind)
@@ -485,18 +485,17 @@ class DecompositionCheck:
         return np.cumsum(self.delta_norms)
 
     def to_dict(self) -> dict:
+        """The CLI's ``duker_verify.json``: the residual, the remainder norms'
+        total and the share of it beyond their midpoint, and the sizes."""
         sums = self.partial_sums
+        tail = (sums[-1] - sums[len(sums) // 2]) / sums[-1] if sums[-1] > 0 else 0.0
         return {
-            "residual": float(self.residual),
-            "delta_norm_total": float(sums[-1]),
-            "delta_norm_tail_fraction": float(
-                (sums[-1] - sums[len(sums) // 2]) / sums[-1]
-            )
-            if sums[-1] > 0
-            else 0.0,
-            "rho": float(self.rho),
-            "T": int(self.t_len),
-            "K_trunc": int(self.k_trunc),
+            "residual": self.residual,
+            "delta_norm_total": sums[-1],
+            "delta_norm_tail_fraction": tail,
+            "rho": self.rho,
+            "T": self.t_len,
+            "K_trunc": self.k_trunc,
         }
 
 

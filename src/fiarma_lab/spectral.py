@@ -30,7 +30,7 @@ from .transfer import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .simulate import SampledPath, _FilterPlan
+    from .simulate import FilterPlan, SampledPath
 
 
 @dataclass(eq=False)
@@ -51,7 +51,7 @@ class ArmaModel:
     root: LinearOperator = field(init=False, repr=False)
     margin: float = field(init=False)
     poles: ArPoles = field(init=False, repr=False)
-    _sim_plan: "_FilterPlan | None" = field(default=None, init=False, repr=False)
+    _sim_plan: "FilterPlan | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.phi.grid.n != self.sigma.grid.n or self.theta.grid.n != self.sigma.grid.n:
@@ -92,7 +92,7 @@ class FiarmaModel:
 
     base: ArmaModel
     D: FracIntegrationSpec
-    _sim_plan: "_FilterPlan | None" = field(default=None, init=False, repr=False)
+    _sim_plan: "FilterPlan | None" = field(default=None, init=False, repr=False)
     _verdict: tuple[str, str | None] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -116,7 +116,7 @@ class PowerLawModel:
 
     base: ArmaModel
     N: FracIntegrationSpec
-    _sim_plan: "_FilterPlan | None" = field(default=None, init=False, repr=False)
+    _sim_plan: "FilterPlan | None" = field(default=None, init=False, repr=False)
     _verdict: tuple[str, str | None] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:

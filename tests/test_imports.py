@@ -1,6 +1,8 @@
 """Fresh-interpreter checks of the CLI.  It runs on numpy alone for normal
 operators; scipy is loaded only for the matrix exponential of a non-normal
-memory operator.  Only the process entry touches the garbage collector."""
+memory operator.  Only the process entry touches the garbage collector.
+Every module of the package keeps its underscore names to itself."""
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +13,8 @@ import pytest
 
 import fiarma_lab
 
-SRC = str(Path(fiarma_lab.__file__).resolve().parent.parent)
+PACKAGE = Path(fiarma_lab.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
 
 GRID = {"points": [0.0, 1.0], "weights": [0.5, 0.5]}
 RUN = {
@@ -157,3 +160,31 @@ def test_console_script_runs_the_process_entry():
     pyproject = Path(SRC).parent / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts == {"fiarma-lab": "fiarma_lab.cli:run"}
+
+
+def _private_sibling_imports(source: str) -> list[str]:
+    """``module.name`` of every underscore name that ``source`` imports from
+    a sibling module of the package (dunder names such as ``__version__``
+    are public)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("fiarma_lab"):
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.endswith("__"):
+                found.append(f"{node.module or '.'}.{alias.name}")
+    return found
+
+
+def test_private_import_check_sees_both_spellings():
+    source = "from .dataio import _atomic_write, write_path\nfrom fiarma_lab.cli import _Parser\n"
+    assert _private_sibling_imports(source) == ["dataio._atomic_write", "fiarma_lab.cli._Parser"]
+    assert _private_sibling_imports("from . import __version__\nimport numpy._core\n") == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_a_private_name_of_a_sibling(module):
+    """A module's underscore names are its own: no other module of the package imports them."""
+    assert _private_sibling_imports((PACKAGE / module).read_text()) == []

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import struct
@@ -693,7 +694,7 @@ class TestCli:
         assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
 
     def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
-        def exhausted(cfg, out, force):
+        def exhausted(cfg, force):
             raise MemoryError("Unable to allocate 20.0 GiB for an array")
 
         monkeypatch.setitem(RUNNERS, "density", (exhausted, RUNNERS["density"][1]))
@@ -854,6 +855,21 @@ class TestCli:
         assert err.startswith("error: [Errno ") and name in err
         assert len(err.splitlines()) == 1
         assert (out / name).is_dir() and not (out / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("name", ["density.csv", "manifest.json"])
+    def test_output_file_that_is_a_directory_is_named_alone(self, tmp_path, capsys, name):
+        """The error names the output file, never the temporary file written
+        beside it, so two runs print the same line and leave nothing behind."""
+        cfg = self._write(tmp_path, fractional_config(0.3))
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        errs = []
+        for _ in range(2):
+            assert main(["density", "--config", str(cfg), "--out", str(out)]) == 1
+            errs.append(capsys.readouterr().err)
+        line = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out / name)!r}\n"
+        assert errs == [line, line]
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
     def test_manifest_regenerates_outputs_bit_identically(self, tmp_path):
         cfg = self._write(tmp_path, fractional_config(0.3, T=32, seed=5))
