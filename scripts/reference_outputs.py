@@ -7,8 +7,9 @@ power-law ``n*``, the refused ``blocked*`` and the malformed ``broken*``),
 then a fixed list of ops on the README example's base: memory operators
 without a unitary frame, one that is only near normal, a power-law
 exponent that fails its conditions, an existence integral past the double
-range and one too deep for it, a one-row periodogram, and the example
-with an explicit zero MA matrix.  Every op runs through :func:`fiarma_lab.cli.main` in process.  For each op it records the
+range and one too deep for it, a one-row periodogram, the example with an
+explicit zero MA matrix, and a base whose half-factor overflows.  Every op
+runs through :func:`fiarma_lab.cli.main` in process.  For each op it records the
 exit code, the first line of stderr, and for every output file except
 ``manifest.json`` the shape, the largest finite absolute value and eight seeded
 entries of its numbers, each with the largest finite absolute value of the
@@ -49,20 +50,28 @@ _EXAMPLE_SIGMA = [[1.0, 0.0], [0.0, 1.0]]
 _EXAMPLE_RUN = {"T": 256, "K_trunc": 64, "n_freq": 256, "seed": 7}
 
 
-def _example_config(memory: dict, phi: list = _EXAMPLE_PHI, theta: tuple = (), **run) -> str:
-    model = {"phi": phi, "theta": theta, "sigma": _EXAMPLE_SIGMA, **memory}
+def _example_config(
+    memory: dict,
+    phi: list = _EXAMPLE_PHI,
+    theta: list | tuple = (),
+    sigma: list = _EXAMPLE_SIGMA,
+    **run,
+) -> str:
+    model = {"phi": phi, "theta": theta, "sigma": sigma, **memory}
     return json.dumps({"grid": _EXAMPLE_GRID, "model": model, "run": {**_EXAMPLE_RUN, **run}})
 
 
 _README_D = {"D": [[0.3, 0.0], [0.0, 0.1]]}
 _FRAMELESS_D = {"D": [[0.2, 0.1], [0.0, 0.1]]}
+_HUGE = (1e300 * np.eye(2)).tolist()
 # Configs of the extra ops: the upper-triangular D and N have no unitary
 # frame; the near-normal D fails the commutator test at 1e-10 but its frame
 # reproduces it to 8e-11 relative; the failing N has the exponent 0.3, not
 # above 1/2, so the power-law conditions refuse it; the exponent 30 takes
 # the existence integral's shells past the double range, and 1100 shells
 # reach below the smallest normal double; the zero MA matrix after the last
-# nonzero one configures the README example itself.
+# nonzero one configures the README example itself; theta = Sigma = 1e300 Id
+# leave phi certified but overflow the base's half-factor.
 EXTRA_CONFIGS = {
     "frameless_D.json": _example_config(_FRAMELESS_D),
     "frameless_N.json": _example_config({"N": [[0.8, 0.2], [0.0, 0.9]]}, phi=[]),
@@ -74,6 +83,7 @@ EXTRA_CONFIGS = {
     ),
     "frameless_D_T1.json": _example_config(_FRAMELESS_D, T=1),
     "zero_theta.json": _example_config(_README_D, theta=[np.zeros((2, 2)).tolist()]),
+    "overflow_base.json": _example_config(_README_D, theta=[_HUGE], sigma=_HUGE),
 }
 EXTRA_OPS = (
     *[
@@ -96,6 +106,10 @@ EXTRA_OPS = (
     ("existence-integral", "deep_shells.json"),
     ("simulate", "zero_theta.json"),
     ("periodogram", "zero_theta.json"),
+    *[
+        (sub, "overflow_base.json")
+        for sub in ("density", "check-existence", "existence-integral", "simulate")
+    ],
 )
 
 

@@ -106,8 +106,7 @@ def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
     """
     if dec.grid.n != model.grid.n:
         raise ValueError("model and decomposition must share one grid")
-    at_zero = arma_transfer_batch(model.phi, model.theta, [0.0], right=model.root.entries)
-    half = dec.U @ at_zero[0]
+    half = dec.U @ arma_transfer_batch(model, [0.0])[0]
     row_sq = np.sum(np.abs(half) ** 2, axis=1)
     return np.sqrt(row_sq / model.grid.weights)
 
@@ -181,8 +180,6 @@ def existence_integral(
         raise ValueError(message)
     dec = spec.ensure_decomposition()
     d_re = dec.d.real
-    root = model.root.entries
-    u = dec.U
 
     # the shells are filled in place; a value that stays non-finite diverges
     report = IntegralReport(0.0, True, np.empty(n_refine), float(eta), n_freq, n_refine, 0.0)
@@ -192,9 +189,9 @@ def existence_integral(
     for level in range(n_refine):
         # one transfer batch per shell, holding its nodes of both signs
         pts = lo[level] + (np.arange(n_freq) + 0.5) * steps[level]
-        vals = arma_transfer_batch(model.phi, model.theta, np.concatenate([pts, -pts]), right=root)
+        vals = arma_transfer_batch(model, np.concatenate([pts, -pts]))
         # row norms of U T Sigma^{1/2} U^H; the unitary right factor leaves them unchanged
-        row_sq = np.sum(np.abs(u @ vals) ** 2, axis=2).reshape(2, n_freq, -1).sum(axis=0)
+        row_sq = np.sum(np.abs(dec.U @ vals) ** 2, axis=2).reshape(2, n_freq, -1).sum(axis=0)
         with np.errstate(over="ignore"):  # a shell beyond the double range is inf, as it is
             scal = pts[:, None] ** (-2.0 * d_re[None, :])
             # a point without innovation adds 0, however large its exponent

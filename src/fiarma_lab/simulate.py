@@ -306,17 +306,21 @@ def _filter_plan(
     the filter starts from zero.  The FFT length is the 5-smooth
     :func:`_next_fast_len` of that span.  ``model_mats`` are the model's
     matrices, real or not, which decide the ``auto`` noise family; a filter
-    applied to the noise of another plan needs none.
+    applied to the noise of another plan needs none.  A filter that is not
+    finite raises :class:`OverflowError`, before any noise is drawn.
     """
     taps = sum(len(f) for f in factors) - len(factors) + 1
     span = t_len + taps - 1
     filter_fft = tap = None
-    if taps == 1:
-        tap = reduce(np.matmul, [f[0] for f in factors])
-    else:
-        m = _next_fast_len(span)
-        by_freq = reduce(np.matmul, [_fft_stack(f, m).transpose(2, 0, 1) for f in factors])
-        filter_fft = np.ascontiguousarray(by_freq.transpose(1, 2, 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if taps == 1:
+            tap = reduce(np.matmul, [f[0] for f in factors])
+        else:
+            m = _next_fast_len(span)
+            by_freq = reduce(np.matmul, [_fft_stack(f, m).transpose(2, 0, 1) for f in factors])
+            filter_fft = np.ascontiguousarray(by_freq.transpose(1, 2, 0))
+    if not np.isfinite(filter_fft if tap is None else tap).all():
+        raise OverflowError("simulation filter overflows")
     real = not any(f.imag.any() for f in factors)
     auto_kind = _resolve_noise_kind(*model_mats)
     return FilterPlan(
@@ -357,10 +361,6 @@ def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> Fil
     rows = burnin + after
     ar = ar[:rows]
     thetas = base.theta.stacked()
-    psi = np.concatenate([ar, np.zeros((q,) + ar.shape[1:], dtype=complex)])
-    for j, b in enumerate(thetas, start=1):
-        psi[j : j + len(ar)] += ar @ b
-    factors = [psi[:rows] @ base.root.entries]
     mats = (base.phi.stacked(), thetas, base.sigma.entries)
     memory, meta = None, {}
     if isinstance(model, FiarmaModel):
@@ -369,8 +369,13 @@ def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> Fil
     elif isinstance(model, PowerLawModel):
         memory = power_law_weights(model.N, cfg.K_trunc).data
         mats += (model.N.D.entries,)
-    if memory is not None:
-        factors = [memory @ factors[0]] if p == q == 0 else [memory, *factors]
+    with np.errstate(over="ignore", invalid="ignore"):  # _filter_plan refuses an overflow
+        psi = np.concatenate([ar, np.zeros((q,) + ar.shape[1:], dtype=complex)])
+        for j, b in enumerate(thetas, start=1):
+            psi[j : j + len(ar)] += ar @ b
+        factors = [psi[:rows] @ base.root.entries]
+        if memory is not None:
+            factors = [memory @ factors[0]] if p == q == 0 else [memory, *factors]
     model._sim_plan = _filter_plan(factors, cfg.T, rows, mats, burnin, key, meta)
     return model._sim_plan
 

@@ -75,9 +75,8 @@ class ArmaModel:
         return self
 
     def is_white_noise(self) -> bool:
-        """True when both polynomials are identically the identity."""
-        stacked = np.concatenate([self.phi.stacked(), self.theta.stacked()])
-        return stacked.size == 0 or not np.any(stacked)
+        """True when both polynomials are the identity, of degree 0."""
+        return not (self.phi.degree or self.theta.degree)
 
 
 @dataclass(eq=False)
@@ -203,7 +202,7 @@ def _density_from_half(half: np.ndarray) -> np.ndarray:
 def arma_spectral_density(model: ArmaModel, freqs: np.ndarray) -> SpectralDensityGrid:
     """Density ``T(lam) Sigma T(lam)^H / (2 pi)`` with T the ARMA transfer."""
     freqs = np.asarray(freqs, dtype=float).ravel()
-    half = arma_transfer_batch(model.phi, model.theta, freqs, right=model.root.entries)
+    half = arma_transfer_batch(model, freqs)
     return SpectralDensityGrid(freqs, _density_from_half(half), model.grid)
 
 
@@ -211,17 +210,20 @@ def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDe
     """Density of the fractionally integrated model: the ARMA half-factor is
     premultiplied by the fractional transfer frequency-wise (zero at 0)."""
     freqs = np.asarray(freqs, dtype=float).ravel()
-    base = model.base
-    half = arma_transfer_batch(base.phi, base.theta, freqs, right=base.root.entries)
+    half = arma_transfer_batch(model.base, freqs)
     frac = frac_transfer_batch(model.D, freqs)
     return SpectralDensityGrid(freqs, _density_from_half(frac @ half), model.grid)
 
 
 def _quadrature_weights(freqs: np.ndarray) -> np.ndarray:
-    """Equal weights for equispaced grids, trapezoid otherwise."""
+    """Equal weights for equispaced grids, trapezoid otherwise; frequencies
+    that do not increase are refused, naming the first one out of order."""
     if freqs.size == 1:
         return np.array([2.0 * np.pi])
     steps = np.diff(freqs)
+    if not np.all(steps > 0.0):
+        k = int(np.argmin(steps > 0.0)) + 1
+        raise ValueError(f"frequencies must increase: {freqs[k]:.6g} follows {freqs[k - 1]:.6g}")
     if np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         return np.full(freqs.size, steps[0])
     w = np.empty(freqs.size)
@@ -392,7 +394,7 @@ def local_factorization(
         )
 
     def half(points: np.ndarray) -> np.ndarray:
-        vals = arma_transfer_batch(model.phi, model.theta, points, right=model.root.entries)
+        vals = arma_transfer_batch(model, points)
         if dec is not None:
             vals = np.einsum("ij,fjk,kl->fil", dec.U, vals, dec.U.conj().T)
         return vals

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .hilbert import (
     normal_decompose,
     operator_norm,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .spectral import ArmaModel
 
 
 class BranchCutError(ValueError):
@@ -48,7 +52,8 @@ class OperatorPolynomial:
 
     Only the coefficients of ``z^1 .. z^m`` are stored; whether they enter
     with a minus sign (AR convention) or a plus sign (MA convention) is
-    decided by the evaluation function.
+    decided by the evaluation function.  Trailing zero coefficients are
+    dropped, so ``degree`` is the true degree, 0 for the identity symbol.
     """
 
     grid: HilbertGrid
@@ -59,6 +64,8 @@ class OperatorPolynomial:
         for c in self.coeffs:
             if c.grid is not self.grid and c.grid.n != self.grid.n:
                 raise ValueError("polynomial coefficients must share one grid")
+        while self.coeffs and not self.coeffs[-1].entries.any():
+            self.coeffs = self.coeffs[:-1]
 
     @property
     def degree(self) -> int:
@@ -67,9 +74,7 @@ class OperatorPolynomial:
     def stacked(self) -> np.ndarray:
         """Coefficients as an (m, n, n) array (empty for degree 0)."""
         n = self.grid.n
-        if not self.coeffs:
-            return np.zeros((0, n, n), dtype=complex)
-        return np.stack([c.entries for c in self.coeffs])
+        return np.array([c.entries for c in self.coeffs], dtype=complex).reshape(-1, n, n)
 
     @classmethod
     def scalar(cls, grid: HilbertGrid, *values: complex) -> "OperatorPolynomial":
@@ -252,8 +257,8 @@ def check_invertible_on_circle(
     smallest cell bound, a lower bound of the smallest singular value over
     the whole circle (0 where no positive bound was proven).  It is at least
     the evaluated minimum less ``L pi / grid_size``, so it is as tight as
-    the bound of a dense ``grid_size``-point scan.  A symbol whose
-    coefficients are all zero is the identity: ``(True, 1.0)`` at once.
+    the bound of a dense ``grid_size``-point scan.  A symbol of degree 0 is
+    the identity: ``(True, 1.0)`` at once.
 
     The bisection stops once the cells are ``2^-_CIRCLE_DEPTH`` of the
     ``grid_size``-point spacing, or before a level that would take the
@@ -267,7 +272,7 @@ def check_invertible_on_circle(
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
-    if not any(c.entries.any() for c in phi.coeffs):
+    if not phi.degree:
         return True, 1.0
     coarse = min(grid_size, _CIRCLE_COARSE)
     h = 2.0 * np.pi / coarse
@@ -325,7 +330,7 @@ def ar_poles(phi: OperatorPolynomial) -> ArPoles:
     ``||phi^{-1}|| <= ||V[:n]|| ||V^{-1}[:, :n]|| / (min_i ||lam_i| - 1| - r)``,
     ``r`` the Bauer–Fike allowance ``||V^{-1} (C V - V diag(lam))||``."""
     scale = 1.0 + sum(operator_norm(c) for c in phi.coeffs)
-    if not any(c.entries.any() for c in phi.coeffs):  # the identity symbol
+    if not phi.degree:  # the identity symbol
         return ArPoles(np.zeros(0, dtype=complex), scale, 1.0)
     n = phi.grid.n
     companion = np.eye(n * phi.degree, k=-n, dtype=complex)
@@ -362,38 +367,26 @@ def arma_transfer(
     poles = ar_poles(phi)
     if poles.nearest(0.0, lam)[0] <= 1e-12 * poles.scale:
         raise SingularTransferError(f"AR symbol singular at frequency {lam:.6g}", lam=lam)
-    return LinearOperator(arma_transfer_batch(phi, theta, [lam])[0], phi.grid)
+    vals = np.linalg.solve(ar_values_on_circle(phi, [lam]), ma_values_on_circle(theta, [lam]))
+    return LinearOperator(vals[0], phi.grid)
 
 
-def arma_transfer_batch(
-    phi: OperatorPolynomial,
-    theta: OperatorPolynomial,
-    freqs: np.ndarray,
-    right: np.ndarray | None = None,
-) -> np.ndarray:
-    """Stacked transfer values, solving rather than inverting.
+def arma_transfer_batch(model: ArmaModel, freqs: np.ndarray) -> np.ndarray:
+    """The half-factor ``phi(e^{-i lam})^{-1} theta(e^{-i lam}) Sigma^{1/2}`` of
+    a built model, stacked over ``freqs``, solving rather than inverting.
 
-    With ``right`` given, returns ``phi^{-1} theta @ right`` (the factor is
-    applied inside the solve).  ``phi`` must be the AR polynomial of an
-    :class:`ArmaModel`, whose circle certificate proved it invertible once,
-    so no singularity check runs here.  Only a solve that fails or gives a
-    non-finite value computes singular values: :class:`SingularTransferError`
-    then names the frequency with the smallest one.
+    The model's circle certificate proved ``phi`` invertible once, so this
+    only solves: a value that is not finite is an overflow, and raises
+    :class:`OverflowError` naming the first frequency that has one.
     """
     freqs = np.asarray(freqs, dtype=float).ravel()
-    phi_vals = ar_values_on_circle(phi, freqs)
-    rhs = ma_values_on_circle(theta, freqs)
-    if right is not None:
-        rhs = rhs @ right
-    try:
-        vals = np.linalg.solve(phi_vals, rhs)
-        if np.isfinite(vals).all():
-            return vals
-    except np.linalg.LinAlgError:
-        pass
-    s_min = np.linalg.svd(phi_vals, compute_uv=False)[:, -1]
-    lam_bad = float(freqs[np.argmin(s_min)])
-    raise SingularTransferError(f"AR symbol singular at frequency {lam_bad:.6g}", lam=lam_bad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = ma_values_on_circle(model.theta, freqs) @ model.root.entries
+        vals = np.linalg.solve(ar_values_on_circle(model.phi, freqs), rhs)
+    finite = np.isfinite(vals).all(axis=(1, 2))
+    if not finite.all():
+        raise OverflowError(f"ARMA transfer overflows at frequency {freqs[~finite][0]:.6g}")
+    return vals
 
 
 def frac_transfer(spec: FracIntegrationSpec, lam: float) -> LinearOperator:
@@ -566,6 +559,8 @@ def power_law_weights(spec: FracIntegrationSpec, order: int) -> CoefficientSeque
     """Weights ``(k+1)^{-N} = exp(-log(k+1) N)`` for k = 0..order, with ``N``
     and its eigenframe held by ``spec``; an ``N`` without a frame takes the
     dense matrix exponential."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     ts = -np.log(np.arange(1, order + 2, dtype=float))
     return CoefficientSequence(spec.exp(ts), spec.grid)
 

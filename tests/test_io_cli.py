@@ -86,6 +86,38 @@ def two_point_config(points) -> str:
     )
 
 
+def readme_config(**model) -> str:
+    """The README example at small run sizes, with the model keys ``model`` replaced."""
+    example = {
+        "phi": [[[0.3, 0.0], [0.0, 0.2]]],
+        "theta": [],
+        "sigma": [[1.0, 0.0], [0.0, 1.0]],
+        "D": [[0.3, 0.0], [0.0, 0.1]],
+    }
+    run = {"T": 256, "K_trunc": 64, "n_freq": 256, "seed": 7}
+    return json.dumps({"grid": GRID_2, "model": example | model, "run": run})
+
+
+ZERO_2 = [[0.0, 0.0], [0.0, 0.0]]
+HUGE_2 = [[1e300, 0.0], [0.0, 1e300]]
+# theta = Sigma = 1e300 Id: phi is certified, and the base's half-factor overflows
+OVERFLOW_CONFIG = readme_config(theta=[HUGE_2], sigma=HUGE_2)
+
+
+def run_cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI run in a fresh Python process, outside pytest's warning filters."""
+    src = str(Path(fiarma_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fiarma_lab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 NON_FINITE_POINTS = "config error: grid.points: all grid points must be finite\n"
 HUGE = 10**400  # a 401-digit JSON integer, beyond the double range
 
@@ -650,6 +682,53 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("key, other", [("theta", {}), ("phi", {"phi": []})])
+    def test_explicit_zero_matrix_configures_the_same_path(self, tmp_path, key, other):
+        """A zero coefficient matrix after the last nonzero one does not count
+        toward the degree: the README example with a zero ``theta``, and its
+        white base with a zero ``phi``, simulate the paths of the configs
+        without them."""
+        paths = []
+        for name, model in (("omitted", other), ("zero", other | {key: [ZERO_2]})):
+            cfg = self._write(tmp_path, readme_config(**model), f"{name}.json")
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            paths.append((out / "path.csv").read_bytes())
+        assert paths[0] == paths[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density"],
+            ["autocov"],
+            ["check-existence"],
+            ["existence-integral"],
+            ["simulate"],
+            ["simulate", "--force"],
+        ],
+        ids=" ".join,
+    )
+    def test_overflow_is_a_one_line_error(self, tmp_path, capsys, argv):
+        """Every route to the overflowing base names an overflow in one line.
+        pytest raises an overflow warning, so none may occur on the way."""
+        cfg = self._write(tmp_path, OVERFLOW_CONFIG)
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [["density"], ["simulate", "--force"]], ids=" ".join)
+    def test_overflow_is_one_line_in_a_fresh_process(self, tmp_path, argv):
+        """Outside pytest a warning prints to stderr with its source line, so
+        the one-line error holds only if none is raised."""
+        cfg = self._write(tmp_path, OVERFLOW_CONFIG)
+        out = tmp_path / "o"
+        proc = run_cli_process([*argv, "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+        assert "overflows" in proc.stderr and "Warning" not in proc.stderr
 
     @pytest.mark.parametrize("sub", sorted(RUNNERS))
     @pytest.mark.parametrize("key, value", [("n_freq", 0), ("shell_points", 0), ("n_refine", 2)])

@@ -253,6 +253,24 @@ class TestSimulateFiarma:
             variances.append(np.var(path.values.real))
         assert variances[0] < variances[1] < variances[2]
 
+    def test_forced_overflow_is_refused_before_noise(self, monkeypatch):
+        """theta = Sigma = 1e300 Id overflows the base's filter: a forced
+        simulation raises OverflowError before it draws any noise, and no
+        overflow warning escapes."""
+        g = make_grid(2)
+        huge = op(1e300 * np.eye(2), g)
+        base = ArmaModel(
+            OperatorPolynomial(g, (op(np.diag([0.3, 0.2]), g),)),
+            OperatorPolynomial(g, (huge,)),
+            huge,
+        )
+        model = FiarmaModel(base, FracIntegrationSpec(op(np.diag([0.3, 0.1]), g)))
+        draws = []
+        monkeypatch.setattr(fiarma_lab.simulate, "_standard_block", lambda *a: draws.append(a))
+        with pytest.raises(OverflowError, match="simulation filter overflows"):
+            simulate_fiarma(model, SimConfig(T=256, K_trunc=64, seed=7), force=True)
+        assert not draws
+
     def test_truncation_diagnostics_present(self):
         g = scalar_grid()
         model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.3))
@@ -314,15 +332,17 @@ class TestSimulateDuker:
         with pytest.raises(ValueError, match="no AR or MA part"):
             PowerLawModel(ar1_model(g), FracIntegrationSpec.scalar(g, 0.7))
 
-    def test_model_refuses_an_explicit_zero_ar_term(self):
-        """A zero AR matrix is still a degree-1 base, which the plan would size
-        a burn-in for: the model refuses it, as the config refuses ``phi``
-        beside ``N``."""
+    def test_model_takes_an_explicit_zero_ar_term(self):
+        """A zero AR matrix is trimmed, so the base has degree 0: the model
+        takes it and simulates the path of the base without an AR term."""
         g = make_grid(2)
         zero_ar = ArmaModel(OperatorPolynomial.scalar(g, 0.0), OperatorPolynomial(g), identity(g))
-        assert zero_ar.is_white_noise()
-        with pytest.raises(ValueError, match="no AR or MA part"):
-            PowerLawModel(zero_ar, FracIntegrationSpec.scalar(g, 0.7))
+        assert zero_ar.phi.degree == 0 and zero_ar.is_white_noise()
+        cfg = SimConfig(T=64, seed=3, K_trunc=16)
+        got = simulate_duker(PowerLawModel(zero_ar, FracIntegrationSpec.scalar(g, 0.7)), cfg)
+        want = simulate_duker(power_law_model(op(0.7 * np.eye(2), g), identity(g)), cfg)
+        assert got.meta["burnin"] == want.meta["burnin"] == 0
+        assert np.array_equal(got.values, want.values)
 
     def test_exponent_decomposed_once(self, eig_calls):
         g = make_grid(2)

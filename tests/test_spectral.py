@@ -11,6 +11,7 @@ from fiarma_lab import (
     SampledPath,
     SimConfig,
     SingularTransferError,
+    SpectralDensityGrid,
     arma_spectral_density,
     autocov_from_density,
     autocov_sequence,
@@ -64,6 +65,14 @@ class TestModelInvariants:
         g = scalar_grid()
         with pytest.raises(SingularTransferError):
             ArmaModel(OperatorPolynomial.scalar(g, 1.0), OperatorPolynomial(g), identity(g))
+
+    def test_zero_coefficients_are_white_noise(self):
+        g = make_grid(2)
+        zero = OperatorPolynomial.scalar(g, 0.0)
+        model = ArmaModel(zero, zero, identity(g))
+        assert model.phi.degree == model.theta.degree == 0 and model.is_white_noise()
+        ma2 = ArmaModel(zero, OperatorPolynomial.scalar(g, 0.0, 0.5), identity(g))
+        assert ma2.theta.degree == 2 and not ma2.is_white_noise()
 
     def test_rejects_indefinite_sigma(self):
         g = make_grid(2)
@@ -248,6 +257,18 @@ class TestAutocovariance:
         g1 = autocov_from_density(dens, 1).entries[0, 0].real
         assert g1 / g0 == pytest.approx(0.5, abs=1e-9)
         assert g0 == pytest.approx(1.0 / (1 - 0.25), abs=1e-9)
+
+    def test_frequencies_out_of_order_are_refused(self):
+        """Reversed, the equal steps are negative and the lag-0 value would be
+        -Sigma; an unsorted irregular grid would mix signs in the trapezoid
+        rule.  Both are refused, naming the first frequency out of order."""
+        g = make_grid(2)
+        dens = arma_spectral_density(white_model(g), density_frequencies(64))
+        reversed_dens = SpectralDensityGrid(dens.freqs[::-1], dens.values[::-1], g)
+        with pytest.raises(ValueError, match="must increase: 2.99433 follows 3.09251"):
+            autocov_from_density(reversed_dens, 0)
+        with pytest.raises(ValueError, match="must increase: 0.1 follows 0.5"):
+            autocov_from_density(SpectralDensityGrid([-1.0, 0.5, 0.1, 2.0], dens.values[:4], g), 0)
 
     def test_negative_lag_is_adjoint(self, rng):
         g = make_grid(3)

@@ -61,6 +61,15 @@ class TestPolyEvaluation:
             assert np.array_equal(eval_poly_ar(p, z).entries, np.eye(2))
             assert np.array_equal(eval_poly_ma(p, z).entries, np.eye(2))
 
+    def test_trailing_zero_coefficients_are_dropped(self):
+        """Zeros after the last nonzero coefficient do not count toward the
+        degree; a zero before it does."""
+        g = make_grid(2)
+        assert OperatorPolynomial.scalar(g, 0.0).degree == 0
+        assert OperatorPolynomial.scalar(g, 0.5, 0.0, 0.0).degree == 1
+        inner = OperatorPolynomial.scalar(g, 0.0, 0.5, 0.0)
+        assert inner.degree == 2 and not inner.coeffs[0].entries.any()
+
     def test_ar_sign(self):
         g = make_grid(2)
         p = OperatorPolynomial.scalar(g, 0.5)
@@ -376,22 +385,6 @@ class TestArmaTransfer:
             arma_transfer(phi, OperatorPolynomial(g), 0.0)
         assert err.value.lam == pytest.approx(0.0)
 
-    def test_batch_names_the_singular_frequency_not_the_first(self):
-        g = make_grid(1)
-        phi = OperatorPolynomial.scalar(g, 1.0)
-        with pytest.raises(SingularTransferError) as err:
-            arma_transfer_batch(phi, OperatorPolynomial(g), [0.5, 0.0, 1.0])
-        assert err.value.lam == 0.0
-
-    def test_batch_names_the_most_singular_frequency(self):
-        # diag(1 - z, 1 - 0.5 z): singular only at frequency 0, mid-batch
-        g = make_grid(2)
-        phi = OperatorPolynomial(g, (op(np.diag([1.0, 0.5]), g),))
-        freqs = np.array([-2.0, -0.7, 0.0, 0.3, 1.5, np.pi])
-        with pytest.raises(SingularTransferError) as err:
-            arma_transfer_batch(phi, OperatorPolynomial(g), freqs)
-        assert err.value.lam == 0.0
-
     def test_single_frequency_refuses_ill_conditioned_symbol(self):
         # diag(1, 1 - (1 - 1e-13) z) has condition number about 1e13 at 0
         g = make_grid(2)
@@ -399,9 +392,32 @@ class TestArmaTransfer:
         with pytest.raises(SingularTransferError) as err:
             arma_transfer(phi, OperatorPolynomial(g), 0.0)
         assert err.value.lam == 0.0
-        # the batch trusts its caller's certificate and solves what it can
-        vals = arma_transfer_batch(phi, OperatorPolynomial(g), [0.0])
-        assert np.isfinite(vals).all() and abs(vals[0, 1, 1]) > 1e12
+
+    def test_batch_is_the_half_factor_of_the_model(self, rng):
+        g = make_grid(2)
+        model = ArmaModel(
+            OperatorPolynomial(g, (op(0.3 * rng.normal(size=(2, 2)), g),)),
+            OperatorPolynomial(g, (op(0.5 * rng.normal(size=(2, 2)), g),)),
+            op([[2.0, 0.5], [0.5, 1.0]], g),
+        )
+        freqs = np.array([-2.5, 0.0, 0.4, np.pi])
+        got = arma_transfer_batch(model, freqs)
+        for lam, half in zip(freqs, got):
+            want = arma_transfer(model.phi, model.theta, lam).entries @ model.root.entries
+            assert np.allclose(half, want, rtol=1e-13, atol=0.0)
+
+    def test_batch_overflow_is_reported_as_an_overflow(self):
+        """theta = Sigma = 1e300 Id: phi is certified, and the half-factor
+        1e450 is beyond the double range, at the first frequency already."""
+        g = make_grid(2)
+        huge = op(1e300 * np.eye(2), g)
+        model = ArmaModel(
+            OperatorPolynomial(g, (op(np.diag([0.3, 0.2]), g),)),
+            OperatorPolynomial(g, (huge,)),
+            huge,
+        )
+        with pytest.raises(OverflowError, match="ARMA transfer overflows at frequency -3$"):
+            arma_transfer_batch(model, [-3.0, 0.0, 1.0])
 
 
 class TestFracTransfer:
@@ -766,6 +782,12 @@ class TestPowerLawWeights:
         seq = power_law_weights(FracIntegrationSpec(op(np.eye(1), g)), 16)
         for k in range(17):
             assert seq[k][0, 0].real == pytest.approx(1.0 / (k + 1))
+
+    def test_negative_order_refused(self):
+        spec = FracIntegrationSpec.scalar(make_grid(1), 0.7)
+        for expansion in (power_law_weights, frac_ma_coeffs, duker_decomposition):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                expansion(spec, -3)
 
 
 class TestEnvelopeBounds:
