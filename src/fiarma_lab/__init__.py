@@ -11,7 +11,6 @@ from .hilbert import (
     adjoint,
     from_kernel,
     identity,
-    is_normal,
     kernel_of,
     normal_decompose,
     operator_norm,
@@ -20,22 +19,17 @@ from .hilbert import (
     zero_operator,
 )
 from .transfer import (
-    BranchCutError,
     CoefficientSequence,
     FracIntegrationSpec,
     OperatorPolynomial,
     SingularTransferError,
     ar_inverse_laurent,
-    arma_transfer,
     binomial_ma_coeffs,
     check_invertible_on_circle,
     duker_decomposition,
     envelope_bounds,
-    eval_poly_ar,
-    eval_poly_ma,
     frac_ma_coeffs,
     frac_transfer,
-    operator_power_one_minus_z,
     power_law_weights,
 )
 from .spectral import (
@@ -47,7 +41,6 @@ from .spectral import (
     arma_spectral_density,
     autocov_from_density,
     autocov_sequence,
-    cross_spectral_kernel,
     density_frequencies,
     empirical_autocov,
     fiarma_spectral_density,

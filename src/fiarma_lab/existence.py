@@ -102,12 +102,16 @@ def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
     Computed from the integral kernel of ``U phi(1)^{-1} theta(1) Sigma^{1/2}``:
     the squared value at a grid point is the weighted row sum of squared
     kernel values, which in coordinates is the squared row norm divided by
-    the point's weight.
+    the point's weight.  Squared row norms beyond the double range raise
+    :class:`OverflowError`: they are no verdict on the model.
     """
     if dec.grid.n != model.grid.n:
         raise ValueError("model and decomposition must share one grid")
     half = dec.U @ arma_transfer_batch(model, [0.0])[0]
-    row_sq = np.sum(np.abs(half) ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        row_sq = np.sum(np.abs(half) ** 2, axis=1)
+    if not np.isfinite(row_sq).all():
+        raise OverflowError("sigma_w overflows: the half-factor squares past the double range")
     return np.sqrt(row_sq / model.grid.weights)
 
 
@@ -167,7 +171,8 @@ def existence_integral(
     ``h(lam) = U T(lam) Sigma^{1/2} U^H`` with ``T`` the ARMA transfer, and
     the integral is taken against ``d lam / (2 pi)``.
 
-    Divergence is declared when the sum is not finite, or when the last three
+    Squared row norms beyond the double range raise :class:`OverflowError`;
+    divergence is declared when the sum is not finite, or when the last three
     shell-contribution ratios sit at or above ``1 - 1e-3`` (the ratios approach
     ``2^{2 max Re d - 1}``).  For convergent ratios the geometric tail beyond
     the deepest shell is extrapolated and added to the returned value.
@@ -191,7 +196,12 @@ def existence_integral(
         pts = lo[level] + (np.arange(n_freq) + 0.5) * steps[level]
         vals = arma_transfer_batch(model, np.concatenate([pts, -pts]))
         # row norms of U T Sigma^{1/2} U^H; the unitary right factor leaves them unchanged
-        row_sq = np.sum(np.abs(dec.U @ vals) ** 2, axis=2).reshape(2, n_freq, -1).sum(axis=0)
+        with np.errstate(over="ignore"):
+            row_sq = np.sum(np.abs(dec.U @ vals) ** 2, axis=2).reshape(2, n_freq, -1).sum(axis=0)
+        out_of_range = ~np.isfinite(row_sq).all(axis=1)
+        if out_of_range.any():  # no verdict: the half-factor squares past the double range
+            lam = pts[out_of_range][0]
+            raise OverflowError(f"existence integral overflows at frequency {lam:.6g}")
         with np.errstate(over="ignore"):  # a shell beyond the double range is inf, as it is
             scal = pts[:, None] ** (-2.0 * d_re[None, :])
             # a point without innovation adds 0, however large its exponent

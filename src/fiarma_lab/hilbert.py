@@ -164,23 +164,10 @@ def schatten_norm(a: LinearOperator, p: float) -> float:
 
 # Relative tolerance of the library's one frame rule: an operator has a
 # unitary frame when that frame reproduces it within ``NORMAL_TOL ||A||``.
-# The commutator test :func:`is_normal` takes it as its default too.
 NORMAL_TOL = 1e-10
 
 
-def is_normal(a: LinearOperator, tol: float = NORMAL_TOL) -> bool:
-    """True when ``A A^H - A^H A`` vanishes relative to ``||A||^2``."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    m = a.entries
-    comm = m @ m.conj().T - m.conj().T @ m
-    scale = operator_norm(m) ** 2
-    if scale == 0.0:
-        return True
-    return operator_norm(comm) <= tol * scale
-
-
-def normal_decompose(n_op: LinearOperator, tol: float = NORMAL_TOL) -> NormalDecomposition:
+def normal_decompose(n_op: LinearOperator) -> NormalDecomposition:
     """Diagonalize a normal operator by a unitary: ``U N U^H = diag(d)``.
 
     The eigenvalues ``d`` come from ``numpy.linalg.eig`` and the frame from
@@ -188,19 +175,17 @@ def normal_decompose(n_op: LinearOperator, tol: float = NORMAL_TOL) -> NormalDec
     operator are orthogonal, so the orthonormalized eigenvectors are its
     Schur vectors and ``d`` is in Schur order.  The library's one frame
     rule: the operator has this frame when ``U^H diag(d) U`` reproduces it
-    within ``tol * ||N||``, and is otherwise rejected as not normal, naming
-    the reconstruction error.  No commutator test runs; none would be
+    within ``NORMAL_TOL * ||N||``, and is otherwise rejected as not normal,
+    naming the reconstruction error.  No commutator test runs; none would be
     sufficient, since where eigenvalues repeat the commutator is quadratic
     in the departure from normality.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
     d, vecs = np.linalg.eig(n_op.entries)
     u = np.linalg.qr(vecs)[0].conj().T
     dec = NormalDecomposition(u, d, n_op.grid)
     scale = operator_norm(n_op)
     err = operator_norm(dec.reconstruct().entries - n_op.entries)
-    if scale > 0 and err > tol * scale:
+    if scale > 0 and err > NORMAL_TOL * scale:
         raise NotNormalError(
             f"operator not normal: unitary diagonalization leaves "
             f"reconstruction error {err:.3e}"
@@ -208,15 +193,15 @@ def normal_decompose(n_op: LinearOperator, tol: float = NORMAL_TOL) -> NormalDec
     return dec
 
 
-def psd_eigh(m: np.ndarray, rel_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The library's one Hermitian PSD test, on a matrix or a stack ``(..., n, n)``:
-    with ``tol`` the largest ``||(M + M^H) / 2||`` times ``rel_tol``, every
+    with ``tol`` the largest ``||(M + M^H) / 2||`` times ``1e-10``, every
     ``||M - M^H||`` must stay within ``tol`` and no eigenvalue of the
     Hermitian part may fall below ``-tol``.  Returns those eigenvalues and
     eigenvectors."""
     mh = m.conj().swapaxes(-1, -2)
     vals, vecs = np.linalg.eigh(0.5 * (m + mh))
-    tol = rel_tol * float(np.max(np.abs(vals), initial=0.0))
+    tol = 1e-10 * float(np.max(np.abs(vals), initial=0.0))
     defect = float(np.max(np.linalg.norm(m - mh, 2, axis=(-2, -1)), initial=0.0))
     if defect > tol:
         raise NotPSDError(f"not Hermitian (||A - A^H|| = {defect:.3e})")

@@ -150,10 +150,10 @@ class SpectralDensityGrid:
     def trace(self) -> np.ndarray:
         return np.einsum("fii->f", self.values).real
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Check every value is Hermitian PSD within ``tol`` relative to the
-        largest; :class:`NotPSDError` names the defect otherwise."""
-        psd_eigh(self.values, rel_tol=tol)
+    def validate(self) -> None:
+        """Check every value is Hermitian PSD within 1e-10 relative to the
+        largest (:func:`psd_eigh`); :class:`NotPSDError` names the defect otherwise."""
+        psd_eigh(self.values)
 
 
 @dataclass(eq=False)
@@ -189,21 +189,31 @@ def density_frequencies(n_freq: int) -> np.ndarray:
     return np.sort(np.where(lam > np.pi, lam - 2.0 * np.pi, lam))
 
 
-def _density_from_half(half: np.ndarray) -> np.ndarray:
-    """Frequency-wise ``half half^H / (2 pi)``, made exactly Hermitian: the
-    batched product leaves rounding-level asymmetry, which the lag-0
-    autocovariance would inherit."""
-    vals = half @ half.conj().transpose(0, 2, 1)
-    vals += vals.conj().transpose(0, 2, 1)
+def _density_from_half(
+    freqs: np.ndarray, half: np.ndarray, grid: HilbertGrid, frac: np.ndarray | None = None
+) -> SpectralDensityGrid:
+    """Frequency-wise ``h h^H / (2 pi)`` with ``h = frac @ half`` (``half``
+    when ``frac`` is None), made exactly Hermitian: the batched product
+    leaves rounding-level asymmetry, which the lag-0 autocovariance would
+    inherit.  A finite half-factor can still square past the double range;
+    a value that is not finite raises :class:`OverflowError` naming the
+    first frequency that has one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if frac is not None:
+            half = frac @ half
+        vals = half @ half.conj().transpose(0, 2, 1)
+        vals += vals.conj().transpose(0, 2, 1)
     vals *= 0.25 / np.pi
-    return vals
+    finite = np.isfinite(vals).all(axis=(1, 2))
+    if not finite.all():
+        raise OverflowError(f"spectral density overflows at frequency {freqs[~finite][0]:.6g}")
+    return SpectralDensityGrid(freqs, vals, grid)
 
 
 def arma_spectral_density(model: ArmaModel, freqs: np.ndarray) -> SpectralDensityGrid:
     """Density ``T(lam) Sigma T(lam)^H / (2 pi)`` with T the ARMA transfer."""
     freqs = np.asarray(freqs, dtype=float).ravel()
-    half = arma_transfer_batch(model, freqs)
-    return SpectralDensityGrid(freqs, _density_from_half(half), model.grid)
+    return _density_from_half(freqs, arma_transfer_batch(model, freqs), model.grid)
 
 
 def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDensityGrid:
@@ -211,8 +221,7 @@ def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDe
     premultiplied by the fractional transfer frequency-wise (zero at 0)."""
     freqs = np.asarray(freqs, dtype=float).ravel()
     half = arma_transfer_batch(model.base, freqs)
-    frac = frac_transfer_batch(model.D, freqs)
-    return SpectralDensityGrid(freqs, _density_from_half(frac @ half), model.grid)
+    return _density_from_half(freqs, half, model.grid, frac_transfer_batch(model.D, freqs))
 
 
 def _quadrature_weights(freqs: np.ndarray) -> np.ndarray:
@@ -337,8 +346,10 @@ def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
     mean carries more than half of its energy is centered before the
     transform, which keeps that norm within sqrt(2) of the centered path's.
     The energies are plain sums, not BLAS dot products, whose thread pool
-    would wake on every call.  The values are C-contiguous and exactly
-    Hermitian.
+    would wake on every call.  By Parseval no value exceeds the path's
+    energy over ``2 pi``, so a path whose energy is beyond the double range
+    raises :class:`OverflowError` and any other has finite values.  The
+    values are C-contiguous and exactly Hermitian.
     """
     freqs = np.asarray(freqs, dtype=float).ravel()
     y = path.values
@@ -350,13 +361,18 @@ def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
     if off.size and off.max() > 1e-8:
         lam_bad = freqs[np.argmax(off)]
         raise ValueError(f"{lam_bad:.6g} is not a Fourier frequency for T={t_len}")
+    flat = y.view(float)
+    energy = float(np.einsum("ij,ij->", flat, flat))
+    if not np.isfinite(energy):
+        raise OverflowError("periodogram overflows: the path's energy is beyond the double range")
     # entry (a, j) holds sum_t y_{t,a} e^{-2 pi i j t / T}
     dft = np.fft.fft(y.T, out=np.empty(y.shape[::-1], dtype=complex))
-    # row j = 0 holds T times the mean: T |mean|^2 is the energy of the mean
+    # row j = 0 holds T times the mean: T |mean|^2 is the energy of the mean,
+    # at most the path's, though its square T^2 |mean|^2 may be out of range
     mean = dft[:, 0]
-    mean_energy = float(np.sum(mean.real**2 + mean.imag**2)) / t_len
-    flat = y.view(float)
-    if mean_energy > 0.5 * float(np.einsum("ij,ij->", flat, flat)):
+    with np.errstate(over="ignore"):
+        mean_energy = float(np.sum(mean.real**2 + mean.imag**2)) / t_len
+    if mean_energy > 0.5 * energy:
         np.fft.fft((y - y.mean(axis=0)).T, out=dft)
     dft[:, 0] = 0.0
     # scaled once, before the gather and the outer product
@@ -410,8 +426,3 @@ def local_factorization(
         k_vals[~nz] = (sym[0] - sym[1]) / (2.0 * eps)
     return LinearOperator(h0, model.grid), k_vals
 
-
-def cross_spectral_kernel(g: SpectralDensityGrid) -> np.ndarray:
-    """Joint kernel values ``k_g(v_i, v_j; lam)`` of the density, frequency-wise."""
-    rw = np.sqrt(g.grid.weights)
-    return g.values / np.outer(rw, rw)[None, :, :]

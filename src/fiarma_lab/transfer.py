@@ -29,10 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .spectral import ArmaModel
 
 
-class BranchCutError(ValueError):
-    """Raised when a complex power is requested on the branch cut [1, inf)."""
-
-
 class SingularTransferError(ValueError):
     """AR polynomial is (numerically) singular at some frequency.
 
@@ -138,16 +134,6 @@ class FracIntegrationSpec:
         return cls(LinearOperator(d * np.eye(grid.n, dtype=complex), grid))
 
 
-def operator_power_one_minus_z(d_op: LinearOperator, z: complex) -> LinearOperator:
-    """Principal power ``(1 - z)^D = exp(log(1 - z) D)``, off the branch cut
-    ``z in [1, inf)``, through :meth:`FracIntegrationSpec.exp`."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 1.0:
-        raise BranchCutError(f"z={z} lies on the branch cut [1, inf)")
-    w = np.log(1.0 - z)  # principal branch
-    return LinearOperator(FracIntegrationSpec(d_op).exp([w])[0], d_op.grid)
-
-
 @dataclass(eq=False)
 class CoefficientSequence:
     """Operator coefficients ``C_{k_min} .. C_{k_min + len - 1}`` of a filter.
@@ -186,16 +172,6 @@ class CoefficientSequence:
         """Operator (spectral) norms of every coefficient, in index order."""
         sigma = np.linalg.svd(self.data, compute_uv=False)
         return sigma[:, 0] if sigma.size else np.zeros(len(self))
-
-
-def eval_poly_ar(phi: OperatorPolynomial, z: complex) -> LinearOperator:
-    """AR-sign evaluation ``Id - sum_k A_k z^k``."""
-    return LinearOperator(_eval_batch(phi, np.array([z]), sign=-1.0)[0], phi.grid)
-
-
-def eval_poly_ma(theta: OperatorPolynomial, z: complex) -> LinearOperator:
-    """MA-sign evaluation ``Id + sum_k B_k z^k``."""
-    return LinearOperator(_eval_batch(theta, np.array([z]), sign=+1.0)[0], theta.grid)
 
 
 def _eval_batch(poly: OperatorPolynomial, zs: np.ndarray, sign: float) -> np.ndarray:
@@ -315,12 +291,12 @@ class ArPoles:
     scale: float
     bound: float
 
-    def nearest(self, eta: float, center: float = 0.0) -> tuple[float, float]:
-        """Smallest ``|1 - lam_i e^{-i w}|`` over ``|w - center| <= eta``, reached at
-        the arc's point ``w`` closest to some ``arg lam_i``, and that ``w``."""
-        w = center + np.clip(np.angle(self.values * np.exp(-1j * center)), -eta, eta)
+    def nearest(self, eta: float) -> tuple[float, float]:
+        """Smallest ``|1 - lam_i e^{-i w}|`` over ``|w| <= eta``, reached at the
+        arc's point ``w`` closest to some ``arg lam_i``, and that ``w``."""
+        w = np.clip(np.angle(self.values), -eta, eta)
         dist = np.abs(1.0 - self.values * np.exp(-1j * w))
-        return min(zip(dist.tolist(), w.tolist()), default=(math.inf, center))
+        return min(zip(dist.tolist(), w.tolist()), default=(math.inf, 0.0))
 
 
 def ar_poles(phi: OperatorPolynomial) -> ArPoles:
@@ -346,29 +322,14 @@ def ar_poles(phi: OperatorPolynomial) -> ArPoles:
     return ArPoles(lam, scale, max(0.0, bound))
 
 
-def circle_verdict(phi: OperatorPolynomial, grid_size: int = 4096) -> tuple[bool, float, ArPoles]:
+def circle_verdict(phi: OperatorPolynomial) -> tuple[bool, float, ArPoles]:
     """``(invertible, margin, poles)``: the poles' ``bound`` decides when it clears
     ``1e-8 scale``, above the floor of :func:`check_invertible_on_circle`,
-    which decides every other symbol."""
+    which decides every other symbol at its default scan size."""
     poles = ar_poles(phi)
     if poles.bound > 1e-8 * poles.scale:
         return True, poles.bound, poles
-    return (*check_invertible_on_circle(phi, grid_size), poles)
-
-
-def arma_transfer(
-    phi: OperatorPolynomial, theta: OperatorPolynomial, lam: float
-) -> LinearOperator:
-    """One-frequency ARMA transfer ``phi(e^{-i lam})^{-1} theta(e^{-i lam})``.
-
-    Bare polynomials carry no circle certificate, so the AR symbol is refused
-    when a pole has ``|1 - lam_i e^{-i lam}| <= 1e-12 (1 + sum_k ||A_k||)``.
-    """
-    poles = ar_poles(phi)
-    if poles.nearest(0.0, lam)[0] <= 1e-12 * poles.scale:
-        raise SingularTransferError(f"AR symbol singular at frequency {lam:.6g}", lam=lam)
-    vals = np.linalg.solve(ar_values_on_circle(phi, [lam]), ma_values_on_circle(theta, [lam]))
-    return LinearOperator(vals[0], phi.grid)
+    return (*check_invertible_on_circle(phi), poles)
 
 
 def arma_transfer_batch(model: ArmaModel, freqs: np.ndarray) -> np.ndarray:
@@ -479,7 +440,7 @@ def ar_inverse_laurent(
         raise ValueError("order must be nonnegative")
     if fft_size < 4 * max(order, 1) or fft_size & (fft_size - 1):
         raise ValueError("fft_size must be a power of two with fft_size >= 4*order")
-    if not circle_verdict(phi, max(fft_size, 8))[0]:
+    if not circle_verdict(phi)[0]:
         raise SingularTransferError("AR polynomial not invertible on the circle")
     freqs = 2.0 * np.pi * np.arange(fft_size) / fft_size
     vals = np.linalg.inv(ar_values_on_circle(phi, freqs))

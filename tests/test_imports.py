@@ -1,12 +1,14 @@
 """Fresh-interpreter checks of the CLI.  It runs on numpy alone for normal
 operators; scipy is loaded only for the matrix exponential of a non-normal
 memory operator.  Only the process entry touches the garbage collector.
-Every module of the package keeps its underscore names to itself."""
+Every module of the package keeps its underscore names to itself, and the
+package's public names are pinned."""
 import ast
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -188,3 +190,32 @@ def test_private_import_check_sees_both_spellings():
 def test_no_module_imports_a_private_name_of_a_sibling(module):
     """A module's underscore names are its own: no other module of the package imports them."""
     assert _private_sibling_imports((PACKAGE / module).read_text()) == []
+
+
+# The package's public names: adding or removing one shows as a diff of this list.
+PUBLIC_NAMES = [
+    "ArmaModel", "AutocovarianceSequence", "CoefficientSequence", "ConfigError",
+    "DecompositionCheck", "DukerReport", "ExistenceRefusal", "ExistenceReport",
+    "FiarmaModel", "FracIntegrationSpec", "HilbertGrid", "IntegralReport", "LinearOperator",
+    "ModelConfig", "NonCausalError", "NormalDecomposition", "NotNormalError", "NotPSDError",
+    "OperatorPolynomial", "PathFormatError", "PowerLawModel", "RunConfig", "SampledPath",
+    "SimConfig", "SingularTransferError", "SpectralDensityGrid", "adjoint",
+    "ar_inverse_laurent", "arma_spectral_density", "autocov_from_density", "autocov_sequence",
+    "binomial_ma_coeffs", "check_conditions", "check_duker_conditions",
+    "check_invertible_on_circle", "density_frequencies", "duker_decomposition",
+    "empirical_autocov", "envelope_bounds", "existence_integral", "fiarma_spectral_density",
+    "fourier_frequencies", "frac_ma_coeffs", "frac_transfer", "from_kernel",
+    "gaussian_white_noise", "identity", "kernel_of", "local_factorization", "normal_decompose",
+    "operator_norm", "parse_config", "periodogram", "power_law_weights", "read_path",
+    "schatten_norm", "sigma_w", "simulate_arma", "simulate_duker", "simulate_fiarma",
+    "sqrt_psd", "verify_longmemory_decomposition", "write_path", "zero_operator",
+]
+
+
+def test_public_names_are_pinned():
+    """The package exports exactly the listed names besides its modules."""
+    names = {
+        name for name, value in vars(fiarma_lab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(names) == sorted(PUBLIC_NAMES)

@@ -102,6 +102,19 @@ ZERO_2 = [[0.0, 0.0], [0.0, 0.0]]
 HUGE_2 = [[1e300, 0.0], [0.0, 1e300]]
 # theta = Sigma = 1e300 Id: phi is certified, and the base's half-factor overflows
 OVERFLOW_CONFIG = readme_config(theta=[HUGE_2], sigma=HUGE_2)
+# theta = 1e200 Id, Sigma = Id: the half-factor is finite, its square is not
+SQUARE_OVERFLOW_CONFIG = readme_config(theta=[[[1e200, 0.0], [0.0, 1e200]]])
+
+
+def overflow_cases(half: list[list[str]], square: list[list[str]]) -> list:
+    """``(config, argv)`` of each command line on the overflowing half-factor
+    and on its overflowing square, the latter's ids prefixed ``square``."""
+    cases = ((OVERFLOW_CONFIG, "", half), (SQUARE_OVERFLOW_CONFIG, "square ", square))
+    return [
+        pytest.param(config, argv, id=prefix + " ".join(argv))
+        for config, prefix, argvs in cases
+        for argv in argvs
+    ]
 
 
 def run_cli_process(argv: list[str]) -> subprocess.CompletedProcess:
@@ -698,37 +711,63 @@ class TestCli:
         assert paths[0] == paths[1]
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["density"],
-            ["autocov"],
-            ["check-existence"],
-            ["existence-integral"],
-            ["simulate"],
-            ["simulate", "--force"],
-        ],
-        ids=" ".join,
+        "config, argv",
+        overflow_cases(
+            [
+                ["density"],
+                ["autocov"],
+                ["check-existence"],
+                ["existence-integral"],
+                ["simulate"],
+                ["simulate", "--force"],
+            ],
+            [
+                ["density"],
+                ["autocov"],
+                ["check-existence"],
+                ["existence-integral"],
+                ["simulate"],
+                ["periodogram", "--force"],
+            ],
+        ),
     )
-    def test_overflow_is_a_one_line_error(self, tmp_path, capsys, argv):
-        """Every route to the overflowing base names an overflow in one line.
+    def test_overflow_is_a_one_line_error(self, tmp_path, capsys, config, argv):
+        """Every route to the overflowing base, or to a square of it beyond the
+        double range, names an overflow in one line and reports no verdict.
         pytest raises an overflow warning, so none may occur on the way."""
-        cfg = self._write(tmp_path, OVERFLOW_CONFIG)
+        cfg = self._write(tmp_path, config)
         out = tmp_path / "o"
         assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overflows" in err and len(err.splitlines()) == 1
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("argv", [["density"], ["simulate", "--force"]], ids=" ".join)
-    def test_overflow_is_one_line_in_a_fresh_process(self, tmp_path, argv):
+    @pytest.mark.parametrize(
+        "config, argv",
+        overflow_cases(
+            [["density"], ["simulate", "--force"]],
+            [["density"], ["check-existence"], ["periodogram", "--force"]],
+        ),
+    )
+    def test_overflow_is_one_line_in_a_fresh_process(self, tmp_path, config, argv):
         """Outside pytest a warning prints to stderr with its source line, so
         the one-line error holds only if none is raised."""
-        cfg = self._write(tmp_path, OVERFLOW_CONFIG)
+        cfg = self._write(tmp_path, config)
         out = tmp_path / "o"
         proc = run_cli_process([*argv, "--config", str(cfg), "--out", str(out)])
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
         assert "overflows" in proc.stderr and "Warning" not in proc.stderr
+
+    def test_finite_path_of_an_overflowing_square_is_written(self, tmp_path, capsys):
+        """A forced simulation of the base whose square overflows draws a path
+        whose values are finite, and writes it."""
+        cfg = self._write(tmp_path, SQUARE_OVERFLOW_CONFIG)
+        out = tmp_path / "o"
+        assert main(["simulate", "--force", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        values = np.loadtxt(out / "path.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(values).all() and np.abs(values).max() > 1e199
 
     @pytest.mark.parametrize("sub", sorted(RUNNERS))
     @pytest.mark.parametrize("key, value", [("n_freq", 0), ("shell_points", 0), ("n_refine", 2)])
