@@ -8,7 +8,8 @@ then a fixed list of ops on the README example's base: memory operators
 without a unitary frame, one that is only near normal, a power-law
 exponent that fails its conditions, an existence integral past the double
 range and one too deep for it, a one-row periodogram, the example with an
-explicit zero MA matrix, and a base whose half-factor overflows.  Every op
+explicit zero MA matrix, a base whose half-factor overflows, and one whose
+half-factor is finite but squares past the double range.  Every op
 runs through :func:`fiarma_lab.cli.main` in process.  For each op it records the
 exit code, the first line of stderr, and for every output file except
 ``manifest.json`` the shape, the largest finite absolute value and eight seeded
@@ -71,7 +72,8 @@ _HUGE = (1e300 * np.eye(2)).tolist()
 # the existence integral's shells past the double range, and 1100 shells
 # reach below the smallest normal double; the zero MA matrix after the last
 # nonzero one configures the README example itself; theta = Sigma = 1e300 Id
-# leave phi certified but overflow the base's half-factor.
+# leave phi certified but overflow the base's half-factor; theta = 1e200 Id
+# with Sigma = Id gives a finite half-factor whose square overflows.
 EXTRA_CONFIGS = {
     "frameless_D.json": _example_config(_FRAMELESS_D),
     "frameless_N.json": _example_config({"N": [[0.8, 0.2], [0.0, 0.9]]}, phi=[]),
@@ -84,6 +86,7 @@ EXTRA_CONFIGS = {
     "frameless_D_T1.json": _example_config(_FRAMELESS_D, T=1),
     "zero_theta.json": _example_config(_README_D, theta=[np.zeros((2, 2)).tolist()]),
     "overflow_base.json": _example_config(_README_D, theta=[_HUGE], sigma=_HUGE),
+    "overflow_square.json": _example_config(_README_D, theta=[(1e200 * np.eye(2)).tolist()]),
 }
 EXTRA_OPS = (
     *[
@@ -109,6 +112,13 @@ EXTRA_OPS = (
     *[
         (sub, "overflow_base.json")
         for sub in ("density", "check-existence", "existence-integral", "simulate")
+    ],
+    *[
+        (sub, "overflow_square.json")
+        for sub in (
+            "density", "autocov", "check-existence", "existence-integral", "simulate",
+            "periodogram",
+        )
     ],
 )
 
