@@ -96,23 +96,29 @@ def shell_depth_error(eta: float, n_refine: int) -> str | None:
     )
 
 
+def _row_sq(halves: np.ndarray, per: np.ndarray | float = 1.0) -> np.ndarray:
+    """Squared row norms of the half-factors ``halves[k]``, summed over ``k``
+    and divided by ``per``.  A sum beyond the double range raises
+    :class:`OverflowError`: it is no verdict on the model."""
+    with np.errstate(over="ignore"):
+        sq = np.sum(np.abs(halves) ** 2, axis=-1).sum(axis=0) / per
+    if not np.isfinite(sq).all():
+        raise OverflowError("the half-factor's square overflows the double range")
+    return sq
+
+
 def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
     """Pointwise standard deviation of the transformed innovation.
 
     Computed from the integral kernel of ``U phi(1)^{-1} theta(1) Sigma^{1/2}``:
     the squared value at a grid point is the weighted row sum of squared
     kernel values, which in coordinates is the squared row norm divided by
-    the point's weight.  Squared row norms beyond the double range raise
-    :class:`OverflowError`: they are no verdict on the model.
+    the point's weight.
     """
     if dec.grid.n != model.grid.n:
         raise ValueError("model and decomposition must share one grid")
-    half = dec.U @ arma_transfer_batch(model, [0.0])[0]
-    with np.errstate(over="ignore"):
-        row_sq = np.sum(np.abs(half) ** 2, axis=1)
-    if not np.isfinite(row_sq).all():
-        raise OverflowError("sigma_w overflows: the half-factor squares past the double range")
-    return np.sqrt(row_sq / model.grid.weights)
+    half = dec.U @ arma_transfer_batch(model, [0.0])
+    return np.sqrt(_row_sq(half, model.grid.weights))
 
 
 def check_conditions(model: ArmaModel, spec: FracIntegrationSpec) -> ExistenceReport:
@@ -195,13 +201,9 @@ def existence_integral(
         # one transfer batch per shell, holding its nodes of both signs
         pts = lo[level] + (np.arange(n_freq) + 0.5) * steps[level]
         vals = arma_transfer_batch(model, np.concatenate([pts, -pts]))
-        # row norms of U T Sigma^{1/2} U^H; the unitary right factor leaves them unchanged
-        with np.errstate(over="ignore"):
-            row_sq = np.sum(np.abs(dec.U @ vals) ** 2, axis=2).reshape(2, n_freq, -1).sum(axis=0)
-        out_of_range = ~np.isfinite(row_sq).all(axis=1)
-        if out_of_range.any():  # no verdict: the half-factor squares past the double range
-            lam = pts[out_of_range][0]
-            raise OverflowError(f"existence integral overflows at frequency {lam:.6g}")
+        # row norms of U T Sigma^{1/2} U^H, both signs summed; the unitary
+        # right factor leaves them unchanged
+        row_sq = _row_sq((dec.U @ vals).reshape(2, n_freq, *vals.shape[1:]))
         with np.errstate(over="ignore"):  # a shell beyond the double range is inf, as it is
             scal = pts[:, None] ** (-2.0 * d_re[None, :])
             # a point without innovation adds 0, however large its exponent

@@ -203,7 +203,7 @@ def _density_from_half(
             half = frac @ half
         vals = half @ half.conj().transpose(0, 2, 1)
         vals += vals.conj().transpose(0, 2, 1)
-    vals *= 0.25 / np.pi
+        vals *= 0.25 / np.pi
     finite = np.isfinite(vals).all(axis=(1, 2))
     if not finite.all():
         raise OverflowError(f"spectral density overflows at frequency {freqs[~finite][0]:.6g}")

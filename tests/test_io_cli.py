@@ -104,12 +104,22 @@ HUGE_2 = [[1e300, 0.0], [0.0, 1e300]]
 OVERFLOW_CONFIG = readme_config(theta=[HUGE_2], sigma=HUGE_2)
 # theta = 1e200 Id, Sigma = Id: the half-factor is finite, its square is not
 SQUARE_OVERFLOW_CONFIG = readme_config(theta=[[[1e200, 0.0], [0.0, 1e200]]])
+# theta = 8e153 Id, Sigma = Id: the squared row norms at frequency 0 are
+# finite, but not once divided by the grid weights 0.5
+WEIGHTED_OVERFLOW_CONFIG = readme_config(theta=[[[8e153, 0.0], [0.0, 8e153]]])
 
 
-def overflow_cases(half: list[list[str]], square: list[list[str]]) -> list:
-    """``(config, argv)`` of each command line on the overflowing half-factor
-    and on its overflowing square, the latter's ids prefixed ``square``."""
-    cases = ((OVERFLOW_CONFIG, "", half), (SQUARE_OVERFLOW_CONFIG, "square ", square))
+def overflow_cases(
+    half: list[list[str]], square: list[list[str]], weighted: list[list[str]]
+) -> list:
+    """``(config, argv)`` of each command line on the overflowing half-factor,
+    on its overflowing square and on its square overflowing once weighted,
+    the latter two's ids prefixed ``square`` and ``weighted``."""
+    cases = (
+        (OVERFLOW_CONFIG, "", half),
+        (SQUARE_OVERFLOW_CONFIG, "square ", square),
+        (WEIGHTED_OVERFLOW_CONFIG, "weighted ", weighted),
+    )
     return [
         pytest.param(config, argv, id=prefix + " ".join(argv))
         for config, prefix, argvs in cases
@@ -729,6 +739,14 @@ class TestCli:
                 ["simulate"],
                 ["periodogram", "--force"],
             ],
+            [
+                ["density"],
+                ["autocov"],
+                ["check-existence"],
+                ["existence-integral"],
+                ["simulate"],
+                ["periodogram"],
+            ],
         ),
     )
     def test_overflow_is_a_one_line_error(self, tmp_path, capsys, config, argv):
@@ -747,6 +765,7 @@ class TestCli:
         overflow_cases(
             [["density"], ["simulate", "--force"]],
             [["density"], ["check-existence"], ["periodogram", "--force"]],
+            [["density"], ["check-existence"], ["simulate"]],
         ),
     )
     def test_overflow_is_one_line_in_a_fresh_process(self, tmp_path, config, argv):
