@@ -29,7 +29,6 @@ from .transfer import (
     duker_decomposition,
     envelope_bounds,
     frac_ma_coeffs,
-    frac_transfer,
     power_law_weights,
 )
 from .spectral import (
@@ -39,7 +38,6 @@ from .spectral import (
     PowerLawModel,
     SpectralDensityGrid,
     arma_spectral_density,
-    autocov_from_density,
     autocov_sequence,
     density_frequencies,
     empirical_autocov,

@@ -35,7 +35,9 @@ class ExistenceReport:
     ``verdict`` is ``"fails"`` when a necessary condition is violated,
     ``"holds"`` when the sufficient set is satisfied, and ``"undetermined"``
     when the necessary conditions pass but neither sufficiency side
-    condition does, so the criterion is silent either way.
+    condition does, so the criterion is silent either way.  On a grid the
+    weighted sum of condition (iii) is finite whenever it is in the double
+    range, so ``cond_iii`` holds and only condition (ii) can fail.
     """
 
     sigma_w: np.ndarray
@@ -48,9 +50,7 @@ class ExistenceReport:
     verdict: str
 
     def failed_condition(self) -> str | None:
-        if self.verdict != "fails":
-            return None
-        return "ii" if not self.cond_ii else "iii"
+        return "ii" if self.verdict == "fails" else None
 
 
 @dataclass(eq=False)
@@ -107,6 +107,19 @@ def _row_sq(halves: np.ndarray, per: np.ndarray | float = 1.0) -> np.ndarray:
     return sq
 
 
+def _condition_sum(sw: np.ndarray, gap: np.ndarray, weights: np.ndarray, name: str) -> float:
+    """The weighted sum ``sum sigma_w^2 / gap * w`` of a grid condition over the
+    points where ``gap > 0``.  Its exact value is finite on a grid, so a sum
+    beyond the double range raises :class:`OverflowError` naming the
+    condition: it is no verdict."""
+    keep = gap > 0.0
+    with np.errstate(over="ignore"):
+        value = float(np.sum(sw[keep] ** 2 / gap[keep] * weights[keep]))
+    if not np.isfinite(value):
+        raise OverflowError(f"{name}'s weighted sum overflows the double range")
+    return value
+
+
 def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
     """Pointwise standard deviation of the transformed innovation.
 
@@ -135,16 +148,13 @@ def check_conditions(model: ArmaModel, spec: FracIntegrationSpec) -> ExistenceRe
     support = sw > tol
 
     cond_ii = bool(np.all(d_re[support] < 0.5)) if support.any() else True
-    below_half = d_re < 0.5
-    weights = model.grid.weights
-    cond_iii_value = float(
-        np.sum(sw[below_half] ** 2 / (1.0 - 2.0 * d_re[below_half]) * weights[below_half])
+    cond_iii_value = _condition_sum(
+        sw, 1.0 - 2.0 * d_re, model.grid.weights, "existence condition (iii)"
     )
-    cond_iii = bool(np.isfinite(cond_iii_value))
     cond_iv = bool(np.all(d_re < 1.0))
     cond_v = model.is_white_noise()
 
-    if not (cond_ii and cond_iii):
+    if not cond_ii:
         verdict = "fails"
     elif cond_iv or cond_v:
         verdict = "holds"
@@ -154,7 +164,7 @@ def check_conditions(model: ArmaModel, spec: FracIntegrationSpec) -> ExistenceRe
         sigma_w=sw,
         support_tol=tol,
         cond_ii=cond_ii,
-        cond_iii=cond_iii,
+        cond_iii=True,
         cond_iii_value=cond_iii_value,
         cond_iv=cond_iv,
         cond_v=cond_v,
@@ -205,10 +215,11 @@ def existence_integral(
         # right factor leaves them unchanged
         row_sq = _row_sq((dec.U @ vals).reshape(2, n_freq, *vals.shape[1:]))
         with np.errstate(over="ignore"):  # a shell beyond the double range is inf, as it is
-            scal = pts[:, None] ** (-2.0 * d_re[None, :])
+            # scaled by the cell width before the sum, so a shell in range sums in range
+            scal = pts[:, None] ** (-2.0 * d_re[None, :]) * (steps[level] / (2.0 * np.pi))
             # a point without innovation adds 0, however large its exponent
             terms = np.multiply(scal, row_sq, out=np.zeros_like(row_sq), where=row_sq > 0)
-            shells[level] = float(np.sum(terms)) * steps[level] / (2.0 * np.pi)
+            shells[level] = float(np.sum(terms))
     with np.errstate(over="ignore"):
         report.value = float(shells.sum())
     if np.isfinite(report.value):
@@ -237,11 +248,10 @@ def check_duker_conditions(model: PowerLawModel) -> DukerReport:
     dec = model.N.ensure_decomposition()
     h = dec.d.real
     sw = sigma_w(model.base, dec)
-    weights = model.grid.weights
 
     above = h > 0.5
     cond = bool(np.all(above))
-    value = float(np.sum(sw[above] ** 2 / (2.0 * h[above] - 1.0) * weights[above]))
+    value = _condition_sum(sw, 2.0 * h - 1.0, model.grid.weights, "the power-law condition")
     sensitive = bool(np.any(above & (h - 0.5 < 0.05)))
     return DukerReport(
         exponents_real=h,
@@ -249,5 +259,5 @@ def check_duker_conditions(model: PowerLawModel) -> DukerReport:
         condition_exponent=cond,
         integral_value=value,
         grid_sensitive=sensitive,
-        passes=cond and bool(np.isfinite(value)),
+        passes=cond,
     )

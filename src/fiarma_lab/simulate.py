@@ -247,13 +247,15 @@ def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
         padded[:, len(path) :] = 0.0
         np.fft.rfft(padded, out=xf[:, :h])
         np.conjugate(xf[:, m - h : 0 : -1], out=xf[:, h:])
-    # at small n this loop over j beats an (m, n, n) einsum or matmul
-    yf = filter_fft[:, 0] * xf[0]
-    term = np.empty_like(yf)
-    for j in range(1, n):
-        yf += np.multiply(filter_fft[:, j], xf[j], out=term)
     out = np.empty((m, n), dtype=complex)
-    np.fft.ifft(yf, out=out.T)
+    # an overflow leaves values that are not finite: SampledPath refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        # at small n this loop over j beats an (m, n, n) einsum or matmul
+        yf = filter_fft[:, 0] * xf[0]
+        term = np.empty_like(yf)
+        for j in range(1, n):
+            yf += np.multiply(filter_fft[:, j], xf[j], out=term)
+        np.fft.ifft(yf, out=out.T)
     return out
 
 

@@ -242,26 +242,22 @@ def _quadrature_weights(freqs: np.ndarray) -> np.ndarray:
     return w
 
 
-def autocov_from_density(g: SpectralDensityGrid, h: int) -> LinearOperator:
-    """Lag-h autocovariance ``integral e^{i lam h} g(lam) d lam`` by quadrature.
-
-    Negative lags are returned as the adjoint of the positive lag, so the
-    Hermitian symmetry holds by construction.
-    """
-    if h < 0:
-        pos = autocov_from_density(g, -h)
-        return LinearOperator(pos.entries.conj().T, g.grid)
-    w = _quadrature_weights(g.freqs)
-    phase = np.exp(1j * g.freqs * h) * w
-    return LinearOperator(np.einsum("f,fij->ij", phase, g.values), g.grid)
-
-
 def autocov_sequence(g: SpectralDensityGrid, max_lag: int) -> AutocovarianceSequence:
-    data = np.empty((2 * max_lag + 1, g.grid.n, g.grid.n), dtype=complex)
-    for h in range(max_lag + 1):
-        gamma = autocov_from_density(g, h).entries
-        data[max_lag + h] = gamma
-        data[max_lag - h] = gamma.conj().T
+    """Autocovariances ``Gamma(h) = integral e^{i lam h} g(lam) d lam`` for
+    h = -H..H, by the quadrature of :func:`_quadrature_weights`.
+
+    Lags 0..H are one ``(H+1, F) @ (F, n^2)`` product.  Lag 0 is made exactly
+    Hermitian and each negative lag is the adjoint of its positive lag, so
+    ``Gamma(-h) = Gamma(h)^H`` holds by construction.
+    """
+    if max_lag < 0:
+        raise ValueError("max_lag must be nonnegative")
+    n = g.grid.n
+    phases = np.exp(1j * np.outer(np.arange(max_lag + 1), g.freqs)) * _quadrature_weights(g.freqs)
+    pos = (phases @ g.values.reshape(-1, n * n)).reshape(-1, n, n)
+    pos[0] += pos[0].conj().T
+    pos[0] *= 0.5
+    data = np.concatenate([pos[:0:-1].conj().transpose(0, 2, 1), pos])
     return AutocovarianceSequence(data, g.grid, max_lag)
 
 
@@ -279,14 +275,10 @@ def empirical_autocov(path: "SampledPath", h: int) -> LinearOperator:
     return LinearOperator(gamma, path.grid)
 
 
-def fourier_frequencies(t_len: int, drop_zero: bool = True) -> np.ndarray:
-    """Fourier frequencies ``2 pi j / T`` mapped into ``(-pi, pi]``."""
-    j = np.arange(t_len)
-    lam = 2.0 * np.pi * j / t_len
-    lam = np.where(lam > np.pi + 1e-12, lam - 2.0 * np.pi, lam)
-    if drop_zero:
-        lam = lam[j != 0]
-    return np.sort(lam)
+def fourier_frequencies(t_len: int) -> np.ndarray:
+    """The nonzero Fourier frequencies ``2 pi j / T`` mapped into ``(-pi, pi]``, sorted."""
+    lam = 2.0 * np.pi * np.arange(1, t_len) / t_len
+    return np.sort(np.where(lam > np.pi + 1e-12, lam - 2.0 * np.pi, lam))
 
 
 _OUTER_ROW_PRODUCTS = 1 << 12

@@ -195,29 +195,31 @@ def ma_values_on_circle(theta: OperatorPolynomial, freqs: np.ndarray) -> np.ndar
     return _eval_batch(theta, np.exp(-1j * np.asarray(freqs, dtype=float)), sign=+1.0)
 
 
-# Points of the circle certificate's first scan; its cells are bisected
-# towards the spacing of the ``grid_size``-point scan where they need it.
+# Points of the dense scan whose cell bound the circle certificate's margin matches.
+_CIRCLE_SCAN = 4096
+# Points of the certificate's first scan; its cells are bisected towards the
+# ``_CIRCLE_SCAN``-point spacing where they need it.
 _CIRCLE_COARSE = 64
-# Bisection levels of the circle certificate below the ``grid_size``-point
-# spacing: a failing cell is halved down to 2^-32 of that spacing.
+# Bisection levels below the ``_CIRCLE_SCAN``-point spacing: a failing cell
+# is halved down to 2^-32 of that spacing.
 _CIRCLE_DEPTH = 32
 # Symbol evaluations the bisection may spend, in multiples of the scan size.
 _CIRCLE_BUDGET = 4
 
 
-def _smallest_sv_on_circle(phi: OperatorPolynomial, freqs: np.ndarray, chunk: int) -> np.ndarray:
-    """Smallest singular value of the AR symbol at each frequency, ``chunk`` at a time."""
+def _smallest_sv_on_circle(phi: OperatorPolynomial, freqs: np.ndarray) -> np.ndarray:
+    """Smallest singular value of the AR symbol at each frequency,
+    ``_CIRCLE_SCAN`` at a time."""
+    step = _CIRCLE_SCAN
     return np.concatenate(
         [
-            np.linalg.svd(ar_values_on_circle(phi, freqs[i : i + chunk]), compute_uv=False)[:, -1]
-            for i in range(0, freqs.size, chunk)
+            np.linalg.svd(ar_values_on_circle(phi, freqs[i : i + step]), compute_uv=False)[:, -1]
+            for i in range(0, freqs.size, step)
         ]
     )
 
 
-def check_invertible_on_circle(
-    phi: OperatorPolynomial, grid_size: int = 4096
-) -> tuple[bool, float]:
+def check_invertible_on_circle(phi: OperatorPolynomial) -> tuple[bool, float]:
     """Prove that the AR symbol has no singular point on the unit circle.
 
     Returns ``(invertible, margin)``.  The smallest singular value of the
@@ -225,44 +227,41 @@ def check_invertible_on_circle(
     on a cell of width ``h`` between scan points with smallest singular
     values ``s_0`` and ``s_1`` it stays above ``(s_0 + s_1 - L h) / 2``.
     A cell is certified when that bound exceeds ``1e-8`` times the largest
-    singular value of the first scan, which has ``_CIRCLE_COARSE`` points
-    (``grid_size`` when smaller).  Two kinds of cell are bisected: those
-    not certified, and those whose bound lies more than ``L pi / grid_size``
-    below the smallest singular value evaluated so far.  The symbol is
-    declared invertible when every cell is certified.  ``margin`` is the
-    smallest cell bound, a lower bound of the smallest singular value over
-    the whole circle (0 where no positive bound was proven).  It is at least
-    the evaluated minimum less ``L pi / grid_size``, so it is as tight as
-    the bound of a dense ``grid_size``-point scan.  A symbol of degree 0 is
-    the identity: ``(True, 1.0)`` at once.
+    singular value of the first scan, which has ``_CIRCLE_COARSE`` points.
+    Two kinds of cell are bisected: those not certified, and those whose
+    bound lies more than ``L pi / _CIRCLE_SCAN`` below the smallest singular
+    value evaluated so far.  The symbol is declared invertible when every
+    cell is certified.  ``margin`` is the smallest cell bound, a lower bound
+    of the smallest singular value over the whole circle (0 where no
+    positive bound was proven).  It is at least the evaluated minimum less
+    ``L pi / _CIRCLE_SCAN``, so it is as tight as the bound of a dense
+    ``_CIRCLE_SCAN``-point scan.  A symbol of degree 0 is the identity:
+    ``(True, 1.0)`` at once.
 
     The bisection stops once the cells are ``2^-_CIRCLE_DEPTH`` of the
-    ``grid_size``-point spacing, or before a level that would take the
-    symbol evaluations past ``_CIRCLE_BUDGET`` times ``grid_size``; it
-    evaluates at most ``grid_size`` points at once.  No cell of the
-    ``grid_size``-point spacing is loose, so tightening the margin costs
-    at most about ``grid_size`` evaluations of that budget.  A symbol whose
+    ``_CIRCLE_SCAN``-point spacing, or before a level that would take the
+    symbol evaluations past ``_CIRCLE_BUDGET`` times ``_CIRCLE_SCAN``; it
+    evaluates at most ``_CIRCLE_SCAN`` points at once.  No cell of the
+    ``_CIRCLE_SCAN``-point spacing is loose, so tightening the margin costs
+    at most about ``_CIRCLE_SCAN`` evaluations of that budget.  A symbol whose
     smallest singular value is small but flat over much of the circle can
     leave cells unproven when it stops; those are judged by the smallest
     singular value evaluated, as a dense scan would judge them.
     """
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
     if not phi.degree:
         return True, 1.0
-    coarse = min(grid_size, _CIRCLE_COARSE)
-    h = 2.0 * np.pi / coarse
-    left = h * np.arange(coarse)
+    h = 2.0 * np.pi / _CIRCLE_COARSE
+    left = h * np.arange(_CIRCLE_COARSE)
     sigma = np.linalg.svd(ar_values_on_circle(phi, left), compute_uv=False)
     floor = 1e-8 * float(sigma.max())
     lip = sum(k * operator_norm(c) for k, c in enumerate(phi.coeffs, start=1))
-    slack = lip * np.pi / grid_size  # half the Lipschitz swing of a grid_size-point cell
+    slack = lip * np.pi / _CIRCLE_SCAN  # half the Lipschitz swing of a scan cell
     s_left = sigma[:, -1]
     s_right = np.roll(s_left, -1)
     min_sv = float(s_left.min())
     certified = np.inf  # smallest bound of the cells certified and kept so far
-    budget = _CIRCLE_BUDGET * grid_size
-    for _ in range(_CIRCLE_DEPTH + math.ceil(math.log2(grid_size / coarse))):
+    budget = _CIRCLE_BUDGET * _CIRCLE_SCAN
+    for _ in range(_CIRCLE_DEPTH + math.ceil(math.log2(_CIRCLE_SCAN / _CIRCLE_COARSE))):
         bound = (s_left + s_right - lip * h) / 2.0
         bad = bound <= floor
         split = bad | (bound < min_sv - slack)
@@ -273,7 +272,7 @@ def check_invertible_on_circle(
         budget -= n_split
         h /= 2.0
         left, s_left, s_right = left[split], s_left[split], s_right[split]
-        s_mid = _smallest_sv_on_circle(phi, left + h, grid_size)
+        s_mid = _smallest_sv_on_circle(phi, left + h)
         min_sv = min(min_sv, float(s_mid.min()))
         left = np.concatenate([left, left + h])
         s_left, s_right = np.concatenate([s_left, s_mid]), np.concatenate([s_mid, s_right])
@@ -325,7 +324,7 @@ def ar_poles(phi: OperatorPolynomial) -> ArPoles:
 def circle_verdict(phi: OperatorPolynomial) -> tuple[bool, float, ArPoles]:
     """``(invertible, margin, poles)``: the poles' ``bound`` decides when it clears
     ``1e-8 scale``, above the floor of :func:`check_invertible_on_circle`,
-    which decides every other symbol at its default scan size."""
+    which decides every other symbol."""
     poles = ar_poles(phi)
     if poles.bound > 1e-8 * poles.scale:
         return True, poles.bound, poles
@@ -350,13 +349,9 @@ def arma_transfer_batch(model: ArmaModel, freqs: np.ndarray) -> np.ndarray:
     return vals
 
 
-def frac_transfer(spec: FracIntegrationSpec, lam: float) -> LinearOperator:
-    """Fractional integration transfer: zero at frequency 0, else ``(1-e^{-i lam})^{-D}``."""
-    return LinearOperator(frac_transfer_batch(spec, [lam])[0], spec.grid)
-
-
 def frac_transfer_batch(spec: FracIntegrationSpec, freqs: np.ndarray) -> np.ndarray:
-    """Stacked fractional transfer values ``exp(-log(1 - e^{-i lam}) D)``, zero at 0."""
+    """Stacked fractional integration transfer values ``(1 - e^{-i lam})^{-D}
+    = exp(-log(1 - e^{-i lam}) D)``, zero at frequency 0 (mod 2 pi)."""
     freqs = np.asarray(freqs, dtype=float).ravel()
     if not np.isfinite(freqs).all():
         raise ValueError("frequencies must be finite")
@@ -426,27 +421,29 @@ def binomial_ma_coeffs(d_op: LinearOperator, order: int) -> CoefficientSequence:
     return CoefficientSequence(out, d_op.grid)
 
 
-def ar_inverse_laurent(
-    phi: OperatorPolynomial, order: int, fft_size: int = 4096
-) -> CoefficientSequence:
+# Points of the discrete Fourier inversion of an AR symbol: at least four
+# per kept coefficient, so orders up to a quarter of it are admitted.
+_LAURENT_POINTS = 4096
+
+
+def ar_inverse_laurent(phi: OperatorPolynomial, order: int) -> CoefficientSequence:
     """Two-sided coefficients ``P_{-order} .. P_{order}`` of ``phi^{-1}`` on the circle.
 
     Obtained by discrete Fourier inversion of ``lambda -> phi(e^{-i lambda})^{-1}``
-    on ``fft_size`` points.  The coefficients decay exponentially when the
-    polynomial is invertible on the circle, so aliasing is controlled; the
-    mass of the discarded middle band is reported as ``tail_mass``.
+    on ``_LAURENT_POINTS`` points, so ``order`` is at most a quarter of that.
+    The coefficients decay exponentially when the polynomial is invertible
+    on the circle, so aliasing is controlled; the mass of the discarded
+    middle band is reported as ``tail_mass``.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if fft_size < 4 * max(order, 1) or fft_size & (fft_size - 1):
-        raise ValueError("fft_size must be a power of two with fft_size >= 4*order")
+    if not 0 <= order <= _LAURENT_POINTS // 4:
+        raise ValueError(f"order must lie in [0, {_LAURENT_POINTS // 4}]")
     if not circle_verdict(phi)[0]:
         raise SingularTransferError("AR polynomial not invertible on the circle")
-    freqs = 2.0 * np.pi * np.arange(fft_size) / fft_size
+    freqs = 2.0 * np.pi * np.arange(_LAURENT_POINTS) / _LAURENT_POINTS
     vals = np.linalg.inv(ar_values_on_circle(phi, freqs))
     # P_k = (1/M) sum_j vals_j e^{+i lambda_j k}: an inverse DFT along axis 0.
     coeff = np.fft.ifft(vals, axis=0)
-    idx = np.concatenate([np.arange(-order, 0) % fft_size, np.arange(order + 1)])
+    idx = np.concatenate([np.arange(-order, 0) % _LAURENT_POINTS, np.arange(order + 1)])
     data = coeff[idx]
     mid = np.delete(coeff, idx, axis=0)
     tail = float(np.sum(np.linalg.norm(mid, axis=(1, 2)))) if mid.size else 0.0

@@ -48,6 +48,16 @@ def constant_function_projector(grid):
     return LinearOperator(np.outer(coords, coords.conj()), grid)
 
 
+def readme_base(c: float) -> ArmaModel:
+    """The README example's base on two points of weight 0.5, with theta = c Id."""
+    g = HilbertGrid(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    return ArmaModel(
+        OperatorPolynomial(g, (op(np.diag([0.3, 0.2]), g),)),
+        OperatorPolynomial.scalar(g, c),
+        identity(g),
+    )
+
+
 class TestSigmaW:
     def test_rank_one_gives_function_modulus(self, rng):
         g = make_grid(5, uniform=False)
@@ -134,6 +144,24 @@ class TestCheckConditions:
         assert not (v_lo == "fails" and v_hi == "holds")
 
 
+    def test_condition_sum_beyond_the_double_range_is_an_overflow(self):
+        """theta = 1e153 Id, D = diag(0.4999, 0.1): ``sigma_w`` is finite, and
+        the exact condition (iii) sum is about 1e310, so it is an overflow and
+        not a failed condition."""
+        model = readme_base(1e153)
+        assert np.isfinite(sigma_w(model, normal_decompose(identity(model.grid)))).all()
+        spec = FracIntegrationSpec(op(np.diag([0.4999, 0.1]), model.grid))
+        with pytest.raises(
+            OverflowError, match=r"^existence condition \(iii\)'s weighted sum overflows"
+        ):
+            check_conditions(model, spec)
+        report = check_conditions(readme_base(1e150), spec)
+        assert report.verdict == "holds" and report.cond_iii
+        # sigma_w^2 w = (c / phi_i(1))^2 with phi(1) = diag(0.7, 0.8)
+        oracle = 1e300 * (1.0 / (0.49 * (1.0 - 0.9998)) + 1.0 / (0.64 * 0.8))
+        assert report.cond_iii_value == pytest.approx(oracle, rel=1e-12)
+
+
 class TestExistenceIntegral:
     def test_constant_case_value(self):
         g = make_grid(1)
@@ -184,6 +212,17 @@ class TestExistenceIntegral:
         assert np.isinf(report.shells).any()
         assert report.diverges and report.value == np.inf and report.tail_estimate == 0.0
 
+    def test_huge_in_range_half_factor_keeps_a_finite_value(self):
+        """theta = 1e150 Id: the shells are near 1e300 and their unscaled sum
+        would leave the double range.  Since ``1 + c z`` is ``c z`` to rounding
+        at c = 1e140 and beyond, the integral is 1e20 times that at 1e140."""
+        spec = FracIntegrationSpec(op(np.diag([0.3, 0.1]), readme_base(1.0).grid))
+        big = existence_integral(readme_base(1e150), spec, eta=1.0)
+        small = existence_integral(readme_base(1e140), spec, eta=1.0)
+        assert not big.diverges and np.isfinite(big.value) and big.value > 1e300
+        assert big.value == pytest.approx(1e20 * small.value, rel=1e-12)
+        np.testing.assert_allclose(big.shells, 1e20 * small.shells, rtol=1e-12)
+
     def test_point_without_innovation_adds_nothing(self):
         """Where ``sigma_w`` is 0 the integrand is 0, however large the
         exponent there and even where its power overflows."""
@@ -229,6 +268,14 @@ class TestDukerConditions:
         g = make_grid(3)
         report = check_duker_conditions(power_law_model(op(0.5 * np.eye(3), g), identity(g)))
         assert not report.condition_exponent and not report.passes
+
+    def test_condition_sum_beyond_the_double_range_is_an_overflow(self):
+        """Sigma = 1e300 Id with an exponent 1e-9 above 1/2: the weighted sum
+        over ``2 h - 1`` is about 1e309, an overflow and no verdict."""
+        g = make_grid(2)
+        model = power_law_model(op(np.diag([0.5 + 1e-9, 0.9]), g), op(1e300 * np.eye(2), g))
+        with pytest.raises(OverflowError, match="^the power-law condition's weighted sum"):
+            check_duker_conditions(model)
 
     @pytest.mark.parametrize("n", [32, 128, 512])
     def test_harmonic_divergence_flagged_as_grid_sensitive(self, n):

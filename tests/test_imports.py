@@ -200,11 +200,11 @@ PUBLIC_NAMES = [
     "ModelConfig", "NonCausalError", "NormalDecomposition", "NotNormalError", "NotPSDError",
     "OperatorPolynomial", "PathFormatError", "PowerLawModel", "RunConfig", "SampledPath",
     "SimConfig", "SingularTransferError", "SpectralDensityGrid", "adjoint",
-    "ar_inverse_laurent", "arma_spectral_density", "autocov_from_density", "autocov_sequence",
+    "ar_inverse_laurent", "arma_spectral_density", "autocov_sequence",
     "binomial_ma_coeffs", "check_conditions", "check_duker_conditions",
     "check_invertible_on_circle", "density_frequencies", "duker_decomposition",
     "empirical_autocov", "envelope_bounds", "existence_integral", "fiarma_spectral_density",
-    "fourier_frequencies", "frac_ma_coeffs", "frac_transfer", "from_kernel",
+    "fourier_frequencies", "frac_ma_coeffs", "from_kernel",
     "gaussian_white_noise", "identity", "kernel_of", "local_factorization", "normal_decompose",
     "operator_norm", "parse_config", "periodogram", "power_law_weights", "read_path",
     "schatten_norm", "sigma_w", "simulate_arma", "simulate_duker", "simulate_fiarma",

@@ -107,6 +107,46 @@ SQUARE_OVERFLOW_CONFIG = readme_config(theta=[[[1e200, 0.0], [0.0, 1e200]]])
 # theta = 8e153 Id, Sigma = Id: the squared row norms at frequency 0 are
 # finite, but not once divided by the grid weights 0.5
 WEIGHTED_OVERFLOW_CONFIG = readme_config(theta=[[[8e153, 0.0], [0.0, 8e153]]])
+# theta = 1e153 Id, D = diag(0.4999, 0.1): sigma_w is finite, and the weighted
+# sum of condition (iii) over 1 - 2 Re d (about 1e310) is not
+CONDITION_OVERFLOW_CONFIG = readme_config(
+    theta=[[[1e153, 0.0], [0.0, 1e153]]], D=[[0.4999, 0.0], [0.0, 0.1]]
+)
+# Sigma = 1e300 Id, N = diag(0.5 + 1e-9, 0.9): the power-law sum (about 1e309) overflows
+POWER_LAW_OVERFLOW_CONFIG = family_config(
+    "N", sigma=HUGE_2, N=[[0.500000001, 0.0], [0.0, 0.9]]
+)
+# theta = 1e307 Id: the filter is finite, and its FFT convolution with the noise is not
+CONVOLUTION_OVERFLOW_CONFIG = readme_config(theta=[[[1e307, 0.0], [0.0, 1e307]]])
+# theta = 1e150 Id: the existence integral's shells near 1e300 are finite,
+# and the sum of their unscaled terms would not be
+HUGE_SHELLS_CONFIG = readme_config(theta=[[[1e150, 0.0], [0.0, 1e150]]])
+# (config, command line, the one line of stderr) of a model in range whose
+# condition sum or simulated path is not
+IN_RANGE_MODEL_OVERFLOWS = [
+    pytest.param(config, argv, message, id=" ".join(argv) + suffix)
+    for config, suffix, message, argvs in (
+        (
+            CONDITION_OVERFLOW_CONFIG,
+            "",
+            "error: existence condition (iii)'s weighted sum overflows the double range\n",
+            (["check-existence"], ["simulate"]),
+        ),
+        (
+            POWER_LAW_OVERFLOW_CONFIG,
+            " power-law",
+            "error: the power-law condition's weighted sum overflows the double range\n",
+            (["simulate"], ["duker-verify"]),
+        ),
+        (
+            CONVOLUTION_OVERFLOW_CONFIG,
+            "",
+            "error: path values must be finite\n",
+            (["simulate", "--force"], ["periodogram", "--force"]),
+        ),
+    )
+    for argv in argvs
+]
 
 
 def overflow_cases(
@@ -787,6 +827,41 @@ class TestCli:
         assert capsys.readouterr().err == ""
         values = np.loadtxt(out / "path.csv", delimiter=",", skiprows=1)
         assert np.isfinite(values).all() and np.abs(values).max() > 1e199
+
+    @pytest.mark.parametrize("config, argv, message", IN_RANGE_MODEL_OVERFLOWS)
+    def test_in_range_model_overflow_is_one_line(self, tmp_path, capsys, config, argv, message):
+        """A sum or a path beyond the double range is one error line and no
+        verdict; pytest raises an overflow warning, so none may occur."""
+        cfg = self._write(tmp_path, config)
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("config, argv, message", IN_RANGE_MODEL_OVERFLOWS)
+    def test_in_range_model_overflow_is_one_line_in_a_fresh_process(
+        self, tmp_path, config, argv, message
+    ):
+        cfg = self._write(tmp_path, config)
+        out = tmp_path / "o"
+        proc = run_cli_process([*argv, "--config", str(cfg), "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (1, message)
+
+    @pytest.mark.parametrize(
+        "sub, name",
+        [("existence-integral", "existence_integral"), ("check-existence", "existence")],
+    )
+    def test_huge_shells_keep_a_finite_integral(self, tmp_path, sub, name):
+        """theta = 1e150 Id: the integral converges to about 2e300, with no
+        warning in a fresh process."""
+        cfg = self._write(tmp_path, HUGE_SHELLS_CONFIG)
+        out = tmp_path / "o"
+        proc = run_cli_process([sub, "--config", str(cfg), "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads((out / f"{name}.json").read_text())
+        integral = report.get("i_eta", report)
+        assert integral["diverges"] is False
+        assert 1e300 < integral["value"] < 1e301
 
     @pytest.mark.parametrize("sub", sorted(RUNNERS))
     @pytest.mark.parametrize("key, value", [("n_freq", 0), ("shell_points", 0), ("n_refine", 2)])

@@ -13,7 +13,6 @@ from fiarma_lab import (
     SingularTransferError,
     SpectralDensityGrid,
     arma_spectral_density,
-    autocov_from_density,
     autocov_sequence,
     check_conditions,
     density_frequencies,
@@ -22,7 +21,6 @@ from fiarma_lab import (
     existence_integral,
     fiarma_spectral_density,
     fourier_frequencies,
-    frac_transfer,
     gaussian_white_noise,
     identity,
     kernel_of,
@@ -34,7 +32,7 @@ from fiarma_lab import (
     simulate_arma,
     simulate_fiarma,
 )
-from fiarma_lab.transfer import arma_transfer_batch
+from fiarma_lab.transfer import arma_transfer_batch, frac_transfer_batch
 
 from conftest import make_grid, op, random_unitary
 
@@ -52,6 +50,11 @@ def ar1_model(grid, a=0.5):
     return ArmaModel(
         OperatorPolynomial.scalar(grid, a), OperatorPolynomial(grid), identity(grid)
     )
+
+
+def all_fourier_frequencies(t_len):
+    """The Fourier frequencies ``2 pi j / T`` in ``(-pi, pi]``, sorted, frequency 0 included."""
+    return np.sort(np.append(fourier_frequencies(t_len), 0.0))
 
 
 def random_psd(rng, grid):
@@ -90,7 +93,7 @@ class TestArmaDensity:
         dens = arma_spectral_density(white_model(g, sigma), density_frequencies(64))
         for j in range(64):
             assert np.allclose(dens.values[j], sigma.entries / (2 * np.pi), atol=1e-13)
-        gamma0 = autocov_from_density(dens, 0)
+        gamma0 = autocov_sequence(dens, 0).operator(0)
         assert operator_norm(gamma0.entries - sigma.entries) < 1e-10
 
     def test_scalar_ar1_value_at_zero(self):
@@ -234,7 +237,7 @@ class TestFiarmaDensity:
         base = arma_spectral_density(model.base, freqs)
         scale = max(operator_norm(v) for v in one_shot.values)
         for j, lam in enumerate(freqs):
-            f_d = frac_transfer(model.D, lam).entries
+            f_d = frac_transfer_batch(model.D, [lam])[0]
             recomposed = f_d @ base.values[j] @ f_d.conj().T
             assert operator_norm(one_shot.values[j] - recomposed) < 1e-12 * scale
 
@@ -244,16 +247,16 @@ class TestAutocovariance:
         g = make_grid(2)
         sigma = random_psd(rng, g)
         dens = arma_spectral_density(white_model(g, sigma), density_frequencies(4096))
-        assert operator_norm(
-            autocov_from_density(dens, 0).entries - sigma.entries
-        ) < 1e-6
-        assert operator_norm(autocov_from_density(dens, 1).entries) < 1e-6
+        seq = autocov_sequence(dens, 1)
+        assert operator_norm(seq.operator(0).entries - sigma.entries) < 1e-6
+        assert operator_norm(seq.operator(1).entries) < 1e-6
 
     def test_ar1_autocorrelation(self):
         g = scalar_grid()
         dens = arma_spectral_density(ar1_model(g), density_frequencies(4096))
-        g0 = autocov_from_density(dens, 0).entries[0, 0].real
-        g1 = autocov_from_density(dens, 1).entries[0, 0].real
+        seq = autocov_sequence(dens, 1)
+        g0 = seq.operator(0).entries[0, 0].real
+        g1 = seq.operator(1).entries[0, 0].real
         assert g1 / g0 == pytest.approx(0.5, abs=1e-9)
         assert g0 == pytest.approx(1.0 / (1 - 0.25), abs=1e-9)
 
@@ -265,9 +268,9 @@ class TestAutocovariance:
         dens = arma_spectral_density(white_model(g), density_frequencies(64))
         reversed_dens = SpectralDensityGrid(dens.freqs[::-1], dens.values[::-1], g)
         with pytest.raises(ValueError, match="must increase: 2.99433 follows 3.09251"):
-            autocov_from_density(reversed_dens, 0)
+            autocov_sequence(reversed_dens, 0)
         with pytest.raises(ValueError, match="must increase: 0.1 follows 0.5"):
-            autocov_from_density(SpectralDensityGrid([-1.0, 0.5, 0.1, 2.0], dens.values[:4], g), 0)
+            autocov_sequence(SpectralDensityGrid([-1.0, 0.5, 0.1, 2.0], dens.values[:4], g), 0)
 
     def test_negative_lag_is_adjoint(self, rng):
         g = make_grid(3)
@@ -340,7 +343,7 @@ class TestPeriodogram:
         g = make_grid(3)
         t_len = 64
         vals = rng.normal(size=(t_len, 3)) + 1j * rng.normal(size=(t_len, 3))
-        freqs = fourier_frequencies(t_len, drop_zero=False)
+        freqs = all_fourier_frequencies(t_len)
         assert freqs[0] == pytest.approx(-np.pi + 2 * np.pi / t_len) and freqs[-1] == np.pi
         pg = periodogram(SampledPath(vals, g), freqs)
         centered = vals - vals.mean(axis=0)
@@ -357,7 +360,7 @@ class TestPeriodogram:
         t_len = 128
         vals = rng.normal(size=(t_len, 3)) + 1j * rng.normal(size=(t_len, 3))
         path = SampledPath(vals, g)
-        freqs = fourier_frequencies(t_len, drop_zero=False)
+        freqs = all_fourier_frequencies(t_len)
         pg = periodogram(path, freqs)
         lhs = pg.trace().sum() * (2 * np.pi / t_len)
         centered = vals - vals.mean(axis=0)
@@ -397,7 +400,7 @@ class TestPeriodogram:
         t_len = 96
         vals = rng.normal(size=(t_len, 3)) + 1j * rng.normal(size=(t_len, 3))
         shift = np.array([2.5, -1.0 + 3.0j, -4.0j])
-        freqs = fourier_frequencies(t_len, drop_zero=False)
+        freqs = all_fourier_frequencies(t_len)
         pg = periodogram(SampledPath(vals, g), freqs).values
         shifted = periodogram(SampledPath(vals + shift, g), freqs).values
         nonzero = freqs != 0.0
@@ -408,7 +411,7 @@ class TestPeriodogram:
     def test_frequency_zero_row_is_exactly_zero(self, rng, t_len):
         g = make_grid(2)
         vals = rng.normal(size=(t_len, 2)) + np.array([3.0, -7.0 + 1.0j])
-        pg = periodogram(SampledPath(vals, g), fourier_frequencies(t_len, drop_zero=False))
+        pg = periodogram(SampledPath(vals, g), all_fourier_frequencies(t_len))
         zero = pg.freqs == 0.0
         assert zero.sum() == 1
         assert np.all(pg.values[zero] == 0.0)
@@ -437,7 +440,7 @@ class TestPeriodogram:
         step = 4096 // n
         for t_len in (127, step, step + 1):
             vals = rng.normal(size=(t_len, n)) + 1j * rng.normal(size=(t_len, n))
-            freqs = fourier_frequencies(t_len, drop_zero=False)
+            freqs = all_fourier_frequencies(t_len)
             v = periodogram(SampledPath(vals, g), freqs).values
             assert v.flags.c_contiguous
             assert np.array_equal(v, v.conj().transpose(0, 2, 1))
@@ -560,7 +563,8 @@ class TestBochnerRoundTrip:
         path = simulate_arma(model, SimConfig(T=t_len, seed=21, K_trunc=0))
         dens = arma_spectral_density(model, density_frequencies(4096))
         tol = 5.0 / np.sqrt(t_len)
+        seq = autocov_sequence(dens, 2)
         for h in (0, 1, 2):
-            want = autocov_from_density(dens, h).entries[0, 0]
+            want = seq.operator(h).entries[0, 0]
             got = empirical_autocov(path, h).entries[0, 0]
             assert abs(want - got) < tol

@@ -22,7 +22,6 @@ from fiarma_lab import (
     duker_decomposition,
     envelope_bounds,
     frac_ma_coeffs,
-    frac_transfer,
     operator_norm,
     power_law_weights,
 )
@@ -95,7 +94,7 @@ class TestPolyEvaluation:
 class TestCircleInvertibility:
     def test_stable_scalar_margin(self):
         phi = OperatorPolynomial.scalar(make_grid(1), 0.5)
-        ok, margin = check_invertible_on_circle(phi, 4096)
+        ok, margin = check_invertible_on_circle(phi)
         assert ok
         # oracle: |1 - 0.5 e^{-i lam}| is minimized at lam = 0, a scan point, so
         # the bound of the cells next to it lies within L h / 2 of the minimum
@@ -104,12 +103,12 @@ class TestCircleInvertibility:
 
     def test_unit_root_detected(self):
         phi = OperatorPolynomial.scalar(make_grid(1), 1.0)
-        ok, margin = check_invertible_on_circle(phi, 4096)
+        ok, margin = check_invertible_on_circle(phi)
         assert not ok
         assert margin < 1e-10
 
     def test_degree_zero(self):
-        ok, margin = check_invertible_on_circle(OperatorPolynomial(make_grid(2)), 64)
+        ok, margin = check_invertible_on_circle(OperatorPolynomial(make_grid(2)))
         assert ok and margin == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
@@ -119,7 +118,7 @@ class TestCircleInvertibility:
     def test_roots_on_the_circle_refused(self, a):
         g = make_grid(1)
         phi = OperatorPolynomial.scalar(g, a)
-        ok, _ = check_invertible_on_circle(phi, 4096)
+        ok, _ = check_invertible_on_circle(phi)
         assert not ok
         with pytest.raises(SingularTransferError):
             ArmaModel(phi, OperatorPolynomial(g), op(np.eye(1), g))
@@ -129,18 +128,18 @@ class TestCircleInvertibility:
         # sigma(lam) = 2|sin(2 lam - arg c / 2)| has slope 4, the lag of its term
         c = np.exp(2j * 2.0 * np.pi / 4096)
         phi = OperatorPolynomial.scalar(make_grid(1), 0.0, 0.0, 0.0, c)
-        assert not check_invertible_on_circle(phi, 4096)[0]
+        assert not check_invertible_on_circle(phi)[0]
 
     def test_non_normal_unit_root_refused(self):
         # eigenvalue e^{0.3i} on the circle, hidden behind a large off-diagonal entry
         a1 = np.array([[np.exp(0.3j), 5.0], [0.0, 0.3]])
         phi = OperatorPolynomial(make_grid(2), (op(a1),))
-        assert not check_invertible_on_circle(phi, 4096)[0]
+        assert not check_invertible_on_circle(phi)[0]
 
     @pytest.mark.parametrize("a", [0.5, 0.99, 0.9995, 0.9999999])
     def test_near_unit_roots_on_the_scan_keep_their_margin(self, a):
         phi = OperatorPolynomial.scalar(make_grid(1), a)
-        ok, margin = check_invertible_on_circle(phi, 4096)
+        ok, margin = check_invertible_on_circle(phi)
         scan = ar_values_on_circle(phi, 2.0 * np.pi * np.arange(4096) / 4096)
         s_min = np.linalg.svd(scan, compute_uv=False).min()
         assert ok
@@ -151,7 +150,7 @@ class TestCircleInvertibility:
 
     def test_near_unit_root_between_scan_points_accepted(self):
         a = (1.0 - 1e-6) * np.exp(0.1234567j)
-        ok, margin = check_invertible_on_circle(OperatorPolynomial.scalar(make_grid(1), a), 4096)
+        ok, margin = check_invertible_on_circle(OperatorPolynomial.scalar(make_grid(1), a))
         assert ok
         # the margin is a certified lower bound: at most the true minimum 1 - |a|,
         # which the scan points on either side overstate by about 1e-5
@@ -164,7 +163,7 @@ class TestCircleInvertibility:
         minimum over a dense scan."""
         a, b = 0.9 * np.exp(-2j), 0.998 * np.exp(-1.95j)
         phi = OperatorPolynomial.scalar(make_grid(1), a + b, -a * b)
-        ok, margin = check_invertible_on_circle(phi, 4096)
+        ok, margin = check_invertible_on_circle(phi)
         assert ok
         h = 2.0 * np.pi / 4096
         s = np.linalg.svd(ar_values_on_circle(phi, h * np.arange(4096)), compute_uv=False)
@@ -181,7 +180,7 @@ class TestCircleInvertibility:
         # 1 - 1.5 S z with S the nilpotent shift: determinant 1, invertible on the
         # whole circle, but sigma_min ~ 2e-6 everywhere, so no cell is certified
         # until L h falls below it; the bisection must stop at its budget
-        n, grid_size = 32, 4096
+        n, scan = 32, transfer._CIRCLE_SCAN
         g = make_grid(n)
         phi = OperatorPolynomial(g, (op(1.5 * np.eye(n, k=1), g),))
         batches = []
@@ -191,10 +190,10 @@ class TestCircleInvertibility:
             return ar_values_on_circle(poly, freqs)
 
         monkeypatch.setattr(transfer, "ar_values_on_circle", counting)
-        ok, margin = check_invertible_on_circle(phi, grid_size)
+        ok, margin = check_invertible_on_circle(phi)
         assert ok
-        assert max(batches) <= grid_size
-        assert sum(batches) <= (1 + transfer._CIRCLE_BUDGET) * grid_size
+        assert max(batches) <= scan
+        assert sum(batches) <= (1 + transfer._CIRCLE_BUDGET) * scan
         # no cell is certified before the budget runs out, so no positive lower
         # bound is proven, although the evaluated minimum accepts the symbol
         assert margin == 0.0
@@ -232,7 +231,7 @@ class TestCircleInvertibility:
         """Same verdict as a 2^16-point scan; the margin lies below that scan's
         minimum and within ``L pi / 4096`` of the 4096-point scan's cell bound."""
         phi = self._symbol(n, p, seed, unit_root)
-        ok, margin = check_invertible_on_circle(phi, 4096)
+        ok, margin = check_invertible_on_circle(phi)
         lip = sum(k * operator_norm(c) for k, c in enumerate(phi.coeffs, start=1))
         oracle = np.concatenate(
             [
@@ -266,7 +265,7 @@ class TestCircleInvertibility:
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setattr(transfer, "ar_values_on_circle", refuse)
-        assert check_invertible_on_circle(phi, 4096) == (True, 1.0)
+        assert check_invertible_on_circle(phi) == (True, 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 32])
     def test_arma11_model_needs_few_symbol_evaluations(self, monkeypatch, n):
@@ -352,10 +351,10 @@ class TestPoles:
         certificate, as :class:`ArmaModel` refuses it."""
         fallback = self._counted_fallback(monkeypatch)
         g = make_grid(1)
-        ar_inverse_laurent(OperatorPolynomial.scalar(g, 0.5), 8, 64)
+        ar_inverse_laurent(OperatorPolynomial.scalar(g, 0.5), 8)
         assert not fallback
         with pytest.raises(SingularTransferError):
-            ar_inverse_laurent(OperatorPolynomial.scalar(g, 1.0), 8, 64)
+            ar_inverse_laurent(OperatorPolynomial.scalar(g, 1.0), 8)
         assert len(fallback) == 1
 
 
@@ -416,7 +415,7 @@ class TestFracTransfer:
     def test_zero_frequency_is_zero_operator(self):
         spec = FracIntegrationSpec.scalar(make_grid(2), 0.4)
         for lam in (0.0, 2 * np.pi, -2 * np.pi):
-            assert operator_norm(frac_transfer(spec, lam).entries) == 0.0
+            assert operator_norm(frac_transfer_batch(spec, [lam])[0]) == 0.0
 
     def test_zero_mask_matches_math_remainder(self):
         two_pi = 2.0 * np.pi
@@ -439,12 +438,12 @@ class TestFracTransfer:
 
     def test_zero_exponent(self):
         spec = FracIntegrationSpec.scalar(make_grid(2), 0.0)
-        assert np.allclose(frac_transfer(spec, 1.0).entries, np.eye(2), atol=1e-14)
+        assert np.allclose(frac_transfer_batch(spec, [1.0])[0], np.eye(2), atol=1e-14)
 
     def test_scalar_at_pi(self):
         spec = FracIntegrationSpec.scalar(make_grid(1), 0.5)
-        out = frac_transfer(spec, np.pi)
-        assert out.entries[0, 0] == pytest.approx(2.0**-0.5)
+        out = frac_transfer_batch(spec, [np.pi])[0]
+        assert out[0, 0] == pytest.approx(2.0**-0.5)
 
     def test_near_normal_exponent_stays_in_its_frame(self, rng, monkeypatch):
         # normal up to one 1e-12 entry in its frame: the existence check
@@ -611,7 +610,7 @@ class TestArInverseLaurent:
     def test_causal_geometric(self):
         g = make_grid(1)
         phi = OperatorPolynomial.scalar(g, 0.5)
-        seq = ar_inverse_laurent(phi, 50, 4096)
+        seq = ar_inverse_laurent(phi, 50)
         for k in range(51):
             assert abs(seq[k][0, 0] - 0.5**k) < 1e-9
         for k in range(1, 51):
@@ -619,7 +618,7 @@ class TestArInverseLaurent:
         assert seq.tail_mass < 1e-8
 
     def test_degree_zero(self):
-        seq = ar_inverse_laurent(OperatorPolynomial(make_grid(2)), 8, 64)
+        seq = ar_inverse_laurent(OperatorPolynomial(make_grid(2)), 8)
         assert np.allclose(seq[0], np.eye(2), atol=1e-12)
         for k in range(1, 9):
             assert operator_norm(seq[k]) < 1e-12
@@ -629,7 +628,7 @@ class TestArInverseLaurent:
         # 1/(1 - 2z) = -sum_{m>=1} 2^{-m} z^{-m}: support on k <= 0, P_0 = 0
         g = make_grid(1)
         phi = OperatorPolynomial.scalar(g, 2.0)
-        seq = ar_inverse_laurent(phi, 30, 4096)
+        seq = ar_inverse_laurent(phi, 30)
         assert abs(seq[0][0, 0]) < 1e-9
         for m in range(1, 20):
             assert abs(seq[-m][0, 0] + 2.0**-m) < 1e-9
@@ -640,22 +639,25 @@ class TestArInverseLaurent:
         a1 = rng.normal(size=(3, 3)) * 0.15
         a2 = rng.normal(size=(3, 3)) * 0.1
         phi = OperatorPolynomial(g, (op(a1, g), op(a2, g)))
-        seq = ar_inverse_laurent(phi, 40, 1024)
+        seq = ar_inverse_laurent(phi, 40)
         for k in range(1, 41):
             expected = a1 @ seq[k - 1] + a2 @ seq[k - 2]
             assert operator_norm(seq[k] - expected) < 1e-8
 
     def test_rejects_bad_sizes(self):
+        """At most a quarter of the 4096 inversion points are kept, and no
+        order is negative."""
         phi = OperatorPolynomial.scalar(make_grid(1), 0.5)
-        with pytest.raises(ValueError):
-            ar_inverse_laurent(phi, 100, 128)
-        with pytest.raises(ValueError):
-            ar_inverse_laurent(phi, 4, 100)  # not a power of two
+        assert len(ar_inverse_laurent(phi, 1024)) == 2049
+        with pytest.raises(ValueError, match=r"order must lie in \[0, 1024\]"):
+            ar_inverse_laurent(phi, 1025)
+        with pytest.raises(ValueError, match=r"order must lie in \[0, 1024\]"):
+            ar_inverse_laurent(phi, -1)
 
     def test_rejects_unit_root(self):
         phi = OperatorPolynomial.scalar(make_grid(1), 1.0)
         with pytest.raises(SingularTransferError):
-            ar_inverse_laurent(phi, 4, 64)
+            ar_inverse_laurent(phi, 4)
 
 
 class TestDukerDecomposition:
