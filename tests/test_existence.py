@@ -143,7 +143,6 @@ class TestCheckConditions:
         v_hi = check_conditions(model, hi).verdict
         assert not (v_lo == "fails" and v_hi == "holds")
 
-
     def test_condition_sum_beyond_the_double_range_is_an_overflow(self):
         """theta = 1e153 Id, D = diag(0.4999, 0.1): ``sigma_w`` is finite, and
         the exact condition (iii) sum is about 1e310, so it is an overflow and

@@ -113,9 +113,7 @@ CONDITION_OVERFLOW_CONFIG = readme_config(
     theta=[[[1e153, 0.0], [0.0, 1e153]]], D=[[0.4999, 0.0], [0.0, 0.1]]
 )
 # Sigma = 1e300 Id, N = diag(0.5 + 1e-9, 0.9): the power-law sum (about 1e309) overflows
-POWER_LAW_OVERFLOW_CONFIG = family_config(
-    "N", sigma=HUGE_2, N=[[0.500000001, 0.0], [0.0, 0.9]]
-)
+POWER_LAW_OVERFLOW_CONFIG = family_config("N", sigma=HUGE_2, N=[[0.500000001, 0.0], [0.0, 0.9]])
 # theta = 1e307 Id: the filter is finite, and its FFT convolution with the noise is not
 CONVOLUTION_OVERFLOW_CONFIG = readme_config(theta=[[[1e307, 0.0], [0.0, 1e307]]])
 # theta = 1e150 Id: the existence integral's shells near 1e300 are finite,
