@@ -15,16 +15,18 @@ before it is the truncated MA coefficients of ``(1 - z)^{-D}`` for a
 fractional model and the weights ``(k+1)^{-N}`` for a power-law one.  White
 noise is the identity ARMA model, whose filter is the one tap
 ``Sigma^{1/2}``, and a white base's tap is folded into the memory factor.
-The filter is applied as one FFT convolution at a 5-smooth length, or as
-one matrix product when it has a single tap (:func:`_filter_plan`).  An AR
-polynomial with a root inside the unit disk has no causal filter and is
-refused with :class:`NonCausalError`, read from the model's poles.  A model
-object keeps its plan for the last ``(T, K_trunc, burnin)`` it simulated,
-and a fractional or power-law model also keeps its existence verdict, so
-replications of one model only draw noise and convolve.
+Every filter, one tap or many, is applied as one FFT convolution at a
+5-smooth length (:func:`_filter_plan`).  An AR polynomial with a root
+inside the unit disk has no causal filter and is refused with
+:class:`NonCausalError`, read from the model's poles.  The simulator, not
+the model, keeps each model's plan for the last ``(T, K_trunc, burnin)``,
+its ``auto`` noise family and its existence verdict, in a weak mapping
+(:class:`_ModelState`), so replications of one model only draw noise and
+convolve.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Iterator
@@ -43,6 +45,7 @@ from .transfer import (
 )
 
 NOISE_KINDS = ("auto", "real-gaussian", "complex-gaussian")
+_Model = ArmaModel | FiarmaModel | PowerLawModel
 
 # An impulse-response row below this fraction of the response's peak is
 # double-precision rounding of the peak.
@@ -137,9 +140,13 @@ class SampledPath:
         return self.values.shape[0]
 
 
-def _resolve_noise_kind(*mats: np.ndarray) -> str:
-    """The family that ``noise_kind="auto"`` draws for these model matrices."""
-    real = all(np.all(m.imag == 0.0) for m in mats if m.size)
+def _resolve_noise_kind(model: _Model) -> str:
+    """The family that ``noise_kind="auto"`` draws for ``model``, by the rule
+    of :class:`SimConfig`."""
+    base = model.base
+    mats = [base.phi.stacked(), base.theta.stacked(), base.sigma.entries]
+    mats += [model.N.D.entries] if isinstance(model, PowerLawModel) else []
+    real = all(np.all(m.imag == 0.0) for m in mats)
     return "real-gaussian" if real else "complex-gaussian"
 
 
@@ -269,35 +276,19 @@ class FilterPlan:
     ``filter_fft`` is the filter's FFT stored by entry as ``(n, n, m)``
     (:func:`_fft_stack`); with ``m`` covering the path plus the filter
     length, the circular convolution's wrap-around misses the output rows.
-    A filter with one tap keeps that coefficient as ``tap`` instead and
-    needs no transform.  ``auto_kind`` is the noise family that
-    ``noise_kind="auto"`` resolves to, and ``key`` names a model's plan in
-    its cache.
     """
 
-    key: tuple
     burnin: int
     rows: int
     t_len: int
     keep: int
-    filter_fft: np.ndarray | None
-    tap: np.ndarray | None
+    filter_fft: np.ndarray
     real: bool  # the filter has real entries
-    auto_kind: str
     meta: dict  # diagnostics of the filter
-
-    def noise_kind(self, cfg: SimConfig) -> str:
-        return self.auto_kind if cfg.noise_kind == "auto" else cfg.noise_kind
 
 
 def _filter_plan(
-    factors: list[np.ndarray],
-    t_len: int,
-    rows: int,
-    model_mats: tuple[np.ndarray, ...] = (),
-    burnin: int = 0,
-    key: tuple = (),
-    meta: dict | None = None,
+    factors: list[np.ndarray], t_len: int, rows: int, burnin: int = 0, meta: dict | None = None
 ) -> FilterPlan:
     """The plan of the filter ``factors[0] factors[1] ...``, a product of
     stacked ``(taps, n, n)`` causal coefficient sequences, for ``t_len``
@@ -306,33 +297,53 @@ def _filter_plan(
     The product has ``sum(len(f)) - len(factors) + 1`` taps, so only the
     last ``t_len + taps - 1`` noise rows reach the output; with fewer rows
     the filter starts from zero.  The FFT length is the 5-smooth
-    :func:`_next_fast_len` of that span.  ``model_mats`` are the model's
-    matrices, real or not, which decide the ``auto`` noise family; a filter
-    applied to the noise of another plan needs none.  A filter that is not
-    finite raises :class:`OverflowError`, before any noise is drawn.
+    :func:`_next_fast_len` of that span.  A filter that is not finite raises
+    :class:`OverflowError`, before any noise is drawn.
     """
     taps = sum(len(f) for f in factors) - len(factors) + 1
     span = t_len + taps - 1
-    filter_fft = tap = None
+    m = _next_fast_len(span)
     with np.errstate(over="ignore", invalid="ignore"):
-        if taps == 1:
-            tap = reduce(np.matmul, [f[0] for f in factors])
-        else:
-            m = _next_fast_len(span)
-            by_freq = reduce(np.matmul, [_fft_stack(f, m).transpose(2, 0, 1) for f in factors])
-            filter_fft = np.ascontiguousarray(by_freq.transpose(1, 2, 0))
-    if not np.isfinite(filter_fft if tap is None else tap).all():
+        by_freq = reduce(np.matmul, [_fft_stack(f, m).transpose(2, 0, 1) for f in factors])
+    filter_fft = np.ascontiguousarray(by_freq.transpose(1, 2, 0))
+    if not np.isfinite(filter_fft).all():
         raise OverflowError("simulation filter overflows")
     real = not any(f.imag.any() for f in factors)
-    auto_kind = _resolve_noise_kind(*model_mats)
-    return FilterPlan(
-        key, burnin, rows, t_len, min(rows, span), filter_fft, tap, real, auto_kind, meta or {}
-    )
+    return FilterPlan(burnin, rows, t_len, min(rows, span), filter_fft, real, meta or {})
 
 
-def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> FilterPlan:
-    """The model's cached filter plan for the sizes of ``cfg``, rebuilt when
-    they change.
+@dataclass(eq=False)
+class _ModelState:
+    """What the simulator keeps of one model: its ``auto`` noise family, its
+    existence verdict with the failed condition (``None`` when none failed)
+    once decided, and the plan of the last path sizes ``key``."""
+
+    auto_kind: str
+    verdict: tuple[str, str | None] | None = None
+    key: tuple | None = None
+    plan: FilterPlan | None = None
+
+
+# The state of every model simulated, dropped when the model is collected.
+_STATES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _state(model: _Model) -> _ModelState:
+    """The simulator's state of ``model``, made on its first use."""
+    if model not in _STATES:
+        _STATES[model] = _ModelState(_resolve_noise_kind(model))
+    return _STATES[model]
+
+
+def _noise(model: _Model, plan: FilterPlan, cfg: SimConfig) -> tuple[str, np.ndarray]:
+    """The noise family of ``cfg`` for ``model`` and its ``(seed, replication)`` block."""
+    kind = _state(model).auto_kind if cfg.noise_kind == "auto" else cfg.noise_kind
+    return kind, _standard_block(cfg.seed, cfg.replication, plan.rows, model.grid.n, kind)
+
+
+def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
+    """The model's filter plan for the sizes of ``cfg``, kept in its
+    :class:`_ModelState` and rebuilt when they change.
 
     Every model is its ARMA base: the impulse response of
     ``phi^{-1} theta`` times ``Sigma^{1/2}``, refused first when a pole of
@@ -341,9 +352,10 @@ def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> Fil
     the MA coefficients of ``(1 - z)^{-D}`` or the weights ``(k+1)^{-N}``,
     with a white base's one tap ``Sigma^{1/2}`` folded in.
     """
+    state = _state(model)
     key = (cfg.T, cfg.K_trunc, cfg.burnin)
-    if model._sim_plan is not None and model._sim_plan.key == key:
-        return model._sim_plan
+    if state.key == key:
+        return state.plan
     base = model.base
     lam = max(base.poles.values, key=abs, default=0.0)
     if abs(lam) >= 1.0:
@@ -363,14 +375,12 @@ def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> Fil
     rows = burnin + after
     ar = ar[:rows]
     thetas = base.theta.stacked()
-    mats = (base.phi.stacked(), thetas, base.sigma.entries)
     memory, meta = None, {}
     if isinstance(model, FiarmaModel):
         memory = frac_ma_coeffs(model.D, max(cfg.K_trunc, 1)).data
         meta = {"coeff_tail_norm": float(np.linalg.norm(memory[-1], 2))}
     elif isinstance(model, PowerLawModel):
         memory = power_law_weights(model.N, cfg.K_trunc).data
-        mats += (model.N.D.entries,)
     with np.errstate(over="ignore", invalid="ignore"):  # _filter_plan refuses an overflow
         psi = np.concatenate([ar, np.zeros((q,) + ar.shape[1:], dtype=complex)])
         for j, b in enumerate(thetas, start=1):
@@ -378,16 +388,15 @@ def _plan(model: ArmaModel | FiarmaModel | PowerLawModel, cfg: SimConfig) -> Fil
         factors = [psi[:rows] @ base.root.entries]
         if memory is not None:
             factors = [memory @ factors[0]] if p == q == 0 else [memory, *factors]
-    model._sim_plan = _filter_plan(factors, cfg.T, rows, mats, burnin, key, meta)
-    return model._sim_plan
+    state.plan = _filter_plan(factors, cfg.T, rows, burnin, meta)
+    state.key = key
+    return state.plan
 
 
 def _filtered_rows(plan: FilterPlan, xi: np.ndarray) -> np.ndarray:
     """The ``plan.t_len`` path rows that ``plan`` makes of the standard noise
     block ``xi``."""
     x = xi[-plan.keep :]
-    if plan.tap is not None:
-        return x @ plan.tap.T
     out = _fft_apply(plan.filter_fft, x)[plan.keep - plan.t_len : plan.keep]
     if plan.real and not np.iscomplexobj(x):
         # a real filter of a real path is real; drop the FFT's rounding fuzz
@@ -395,10 +404,10 @@ def _filtered_rows(plan: FilterPlan, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _path(plan: FilterPlan, cfg: SimConfig, grid: HilbertGrid, **extra) -> SampledPath:
-    """The path that ``plan`` makes of the ``(seed, replication)`` noise block."""
-    kind = plan.noise_kind(cfg)
-    xi = _standard_block(cfg.seed, cfg.replication, plan.rows, grid.n, kind)
+def _path(model: _Model, plan: FilterPlan, cfg: SimConfig, **extra) -> SampledPath:
+    """The path of ``model`` that ``plan`` makes of the ``(seed, replication)``
+    noise block."""
+    kind, xi = _noise(model, plan, cfg)
     meta = {
         "seed": cfg.seed,
         "replication": cfg.replication,
@@ -407,7 +416,7 @@ def _path(plan: FilterPlan, cfg: SimConfig, grid: HilbertGrid, **extra) -> Sampl
         "noise_kind": kind,
         **extra,
     }
-    return SampledPath(_filtered_rows(plan, xi), grid, meta)
+    return SampledPath(_filtered_rows(plan, xi), model.grid, meta)
 
 
 def gaussian_white_noise(sigma: LinearOperator, cfg: SimConfig) -> SampledPath:
@@ -421,28 +430,30 @@ def simulate_arma(model: ArmaModel, cfg: SimConfig) -> SampledPath:
     """Stationary ARMA path: the noise filtered by the impulse response of
     ``phi^{-1} theta``, started from zero ``burnin + K_trunc + q`` rows back.
     A non-causal AR polynomial raises :class:`NonCausalError`."""
-    return _path(_plan(model, cfg), cfg, model.grid)
+    return _path(model, _plan(model, cfg), cfg)
 
 
 def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
     """``"forced"`` under ``force``, else the model's existence verdict, kept
-    with its failed condition as ``model._verdict`` from its first use and
-    refused with :class:`ExistenceRefusal` while it fails.  A ``D`` without
-    a frame is ``unchecked``; an ``N`` without one raises every call."""
+    with its failed condition in the model's :class:`_ModelState` from its
+    first use and refused with :class:`ExistenceRefusal` while it fails.  A
+    ``D`` without a frame is ``unchecked``; an ``N`` without one raises
+    every call."""
     if force:
         return "forced"
-    if model._verdict is None:
+    state = _state(model)
+    if state.verdict is None:
         if isinstance(model, PowerLawModel):
             passes = check_duker_conditions(model).passes
-            model._verdict = ("holds", None) if passes else ("fails", "duker")
+            state.verdict = ("holds", None) if passes else ("fails", "duker")
         else:
             try:
                 report = check_conditions(model.base, model.D)
             except NotNormalError:
-                model._verdict = ("unchecked (memory operator not normal)", None)
+                state.verdict = ("unchecked (memory operator not normal)", None)
             else:
-                model._verdict = (report.verdict, report.failed_condition())
-    verdict, cond = model._verdict
+                state.verdict = (report.verdict, report.failed_condition())
+    verdict, cond = state.verdict
     if cond is not None:
         raise ExistenceRefusal(
             cond,
@@ -466,14 +477,14 @@ def simulate_fiarma(model: FiarmaModel, cfg: SimConfig, force: bool = False) -> 
     """
     existence = _verdict(model, force)
     plan = _plan(model, cfg)
-    return _path(plan, cfg, model.grid, existence=existence, **plan.meta)
+    return _path(model, plan, cfg, existence=existence, **plan.meta)
 
 
 def simulate_duker(model: PowerLawModel, cfg: SimConfig, force: bool = False) -> SampledPath:
     """Power-law moving average ``sum_k (k+1)^{-N} eps_{t-k}``, truncated.
     A model that fails its conditions is refused unless ``force`` is set."""
     existence = _verdict(model, force)
-    return _path(_plan(model, cfg), cfg, model.grid, existence=existence)
+    return _path(model, _plan(model, cfg), cfg, existence=existence)
 
 
 @dataclass(eq=False)
@@ -529,8 +540,7 @@ def verify_longmemory_decomposition(
     binom = binomial_ma_coeffs(identity(model.grid) - model.N.D, k_trunc)  # (1-z)^{N-Id}
     c_mat, deltas, rho = duker_decomposition(model.N, k_trunc)
     checks = [_filter_plan([seq.data @ root], cfg.T, plan.rows) for seq in (binom, deltas)]
-    kind = plan.noise_kind(cfg)
-    xi = _standard_block(cfg.seed, cfg.replication, plan.rows, model.grid.n, kind)
+    xi = _noise(model, plan, cfg)[1]
     path_a, remainder = (_filtered_rows(check, xi) for check in checks)
     path_b = _filtered_rows(plan, xi) @ c_mat.entries.T + remainder
 

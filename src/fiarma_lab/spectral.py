@@ -4,6 +4,9 @@ Densities are stored with respect to Lebesgue measure on ``(-pi, pi]`` with
 the ``1/(2 pi)`` factor folded into the white-noise density ``Sigma/(2 pi)``,
 so that ``Gamma(h) = integral of e^{i lam h} g(lam) d lam`` holds and the
 lag-0 autocovariance of a white noise is exactly its covariance operator.
+
+The models are plain values, their operators and what their constructors
+certify; the simulator keeps its plans and verdicts itself.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .transfer import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .simulate import FilterPlan, SampledPath
+    from .simulate import SampledPath
 
 
 @dataclass(eq=False)
@@ -41,8 +44,7 @@ class ArmaModel:
     ``root`` is the PSD square root of ``sigma``, ``poles`` the AR symbol's
     poles, which answer every later question about it, and ``margin`` a
     lower bound on its smallest singular value on the circle
-    (:func:`circle_verdict`), 0.0 when none was proven.  Simulation keeps
-    the filter plan of the last path sizes it used in ``_sim_plan``.
+    (:func:`circle_verdict`), 0.0 when none was proven.
     """
 
     phi: OperatorPolynomial
@@ -51,7 +53,6 @@ class ArmaModel:
     root: LinearOperator = field(init=False, repr=False)
     margin: float = field(init=False)
     poles: ArPoles = field(init=False, repr=False)
-    _sim_plan: "FilterPlan | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.phi.grid.n != self.sigma.grid.n or self.theta.grid.n != self.sigma.grid.n:
@@ -81,18 +82,10 @@ class ArmaModel:
 
 @dataclass(eq=False)
 class FiarmaModel:
-    """ARMA base model filtered by a fractional integration transfer.
-
-    Simulation keeps the combined filter plan of the last path sizes it used
-    in ``_sim_plan``, and the existence verdict with its failed condition
-    (``None`` when none failed) in ``_verdict``, decided on the first
-    unforced simulation.
-    """
+    """ARMA base model filtered by a fractional integration transfer."""
 
     base: ArmaModel
     D: FracIntegrationSpec
-    _sim_plan: "FilterPlan | None" = field(default=None, init=False, repr=False)
-    _verdict: tuple[str, str | None] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.D.grid.n != self.base.grid.n:
@@ -108,15 +101,11 @@ class PowerLawModel:
     """Power-law moving average ``sum_k (k+1)^{-N} eps_{t-k}`` of white noise.
 
     ``base`` is the white noise, with ``Sigma`` and its root; ``N`` holds the
-    exponent with its eigenframe, found once.  Simulation keeps the filter
-    plan of the last path sizes it used in ``_sim_plan``, and the verdict of
-    the power-law conditions in ``_verdict``, as :class:`FiarmaModel` does.
+    exponent with its eigenframe, found once.
     """
 
     base: ArmaModel
     N: FracIntegrationSpec
-    _sim_plan: "FilterPlan | None" = field(default=None, init=False, repr=False)
-    _verdict: tuple[str, str | None] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.N.grid.n != self.base.grid.n:

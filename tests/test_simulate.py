@@ -1,3 +1,7 @@
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -48,6 +52,11 @@ def eig_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counting)
     return calls
+
+
+def sim_plan(model):
+    """The filter plan that the simulator keeps for ``model``."""
+    return fiarma_lab.simulate._STATES[model].plan
 
 
 @pytest.fixture
@@ -657,7 +666,7 @@ class TestFilterOracle:
                 T=1024, K_trunc=256, burnin=100, seed=2000, replication=3, noise_kind=kind
             )
             path = simulate_fiarma(model, cfg)
-            assert np.abs(model._sim_plan.filter_fft.imag).max() > 0
+            assert np.abs(sim_plan(model).filter_fft.imag).max() > 0
             assert rel_diff(path.values, recursion_fiarma(model, cfg, kind)) <= 1e-12
 
 
@@ -718,6 +727,25 @@ class TestFftHelpers:
 
 
 class TestFilterPlanCache:
+    def test_model_is_a_plain_value(self):
+        """The Monte Carlo model pickles to the same bytes before and after a
+        replication at the benchmark's sizes: the simulator, not the model,
+        keeps the plan and the verdict."""
+        model = mc_model()
+        before = pickle.dumps(model)
+        simulate_fiarma(model, SimConfig(T=4096, K_trunc=1024, seed=7))
+        assert len(pickle.dumps(model)) == len(before) < 10_000
+        assert sim_plan(model) is not None
+
+    def test_state_is_dropped_with_the_model(self):
+        model = mc_model()
+        simulate_fiarma(model, SimConfig(T=128, K_trunc=32, seed=5))
+        model_ref = weakref.ref(model)
+        state_ref = weakref.ref(fiarma_lab.simulate._STATES[model])
+        del model
+        gc.collect()
+        assert model_ref() is None and state_ref() is None
+
     def test_warm_plans_match_cold(self):
         makers = [
             mc_model,
@@ -802,7 +830,7 @@ class TestFilterPlanCache:
         model = power_law_model(n_op, sigma)
         cfgs = [SimConfig(T=128, K_trunc=64, seed=5, replication=r) for r in range(4)]
         simulate_duker(model, cfgs[0])
-        plan = model._sim_plan
+        plan = sim_plan(model)
         eig_calls = []
         for name in ("eig", "eigh"):
             real = getattr(np.linalg, name)
@@ -815,7 +843,7 @@ class TestFilterPlanCache:
         weight_calls = counted("power_law_weights")
         warm = [simulate_duker(model, cfg) for cfg in cfgs[1:]]
         assert eig_calls == [] and weight_calls == []
-        assert model._sim_plan is plan
+        assert sim_plan(model) is plan
         for cfg, path in zip(cfgs[1:], warm):
             cold = simulate_duker(power_law_model(n_op, sigma), cfg)
             assert np.array_equal(path.values, cold.values)
@@ -922,7 +950,7 @@ class TestFilterPlanCache:
         path = simulate_arma(model, cfg)
         psi_len = len(fiarma_lab.simulate._ar_impulse(model.phi, 10_000))
         assert psi_len < 100
-        m = model._sim_plan.filter_fft.shape[-1]
+        m = sim_plan(model).filter_fft.shape[-1]
         assert m == fiarma_lab.simulate._next_fast_len(cfg.T + psi_len - 1)
         want = recursion_arma(model, cfg, "real-gaussian")
         assert path.values.shape == want.shape
