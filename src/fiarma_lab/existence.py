@@ -148,9 +148,9 @@ def check_conditions(model: ArmaModel, spec: FracIntegrationSpec) -> ExistenceRe
     support = sw > tol
 
     cond_ii = bool(np.all(d_re[support] < 0.5)) if support.any() else True
-    cond_iii_value = _condition_sum(
-        sw, 1.0 - 2.0 * d_re, model.grid.weights, "existence condition (iii)"
-    )
+    with np.errstate(over="ignore"):  # a gap of -inf is no gap: the sum skips it
+        gap = 1.0 - 2.0 * d_re
+    cond_iii_value = _condition_sum(sw, gap, model.grid.weights, "existence condition (iii)")
     cond_iv = bool(np.all(d_re < 1.0))
     cond_v = model.is_white_noise()
 
@@ -251,7 +251,9 @@ def check_duker_conditions(model: PowerLawModel) -> DukerReport:
 
     above = h > 0.5
     cond = bool(np.all(above))
-    value = _condition_sum(sw, 2.0 * h - 1.0, model.grid.weights, "the power-law condition")
+    with np.errstate(over="ignore"):  # an infinite gap adds 0 to the sum
+        gap = 2.0 * h - 1.0
+    value = _condition_sum(sw, gap, model.grid.weights, "the power-law condition")
     sensitive = bool(np.any(above & (h - 0.5 < 0.05)))
     return DukerReport(
         exponents_real=h,

@@ -200,7 +200,7 @@ def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Hermitian part may fall below ``-tol``.  Returns those eigenvalues and
     eigenvectors."""
     mh = m.conj().swapaxes(-1, -2)
-    vals, vecs = np.linalg.eigh(0.5 * (m + mh))
+    vals, vecs = np.linalg.eigh(0.5 * m + 0.5 * mh)  # (m + mh) / 2 would overflow first
     tol = 1e-10 * float(np.max(np.abs(vals), initial=0.0))
     defect = float(np.max(np.linalg.norm(m - mh, 2, axis=(-2, -1)), initial=0.0))
     if defect > tol:

@@ -537,8 +537,8 @@ def verify_longmemory_decomposition(
     k_trunc = max(cfg.K_trunc, 1)
     plan = _plan(model, replace(cfg, K_trunc=k_trunc))
     root = model.base.root.entries
+    c_mat, deltas, rho = duker_decomposition(model.N, k_trunc)  # first: its overflow names N
     binom = binomial_ma_coeffs(identity(model.grid) - model.N.D, k_trunc)  # (1-z)^{N-Id}
-    c_mat, deltas, rho = duker_decomposition(model.N, k_trunc)
     checks = [_filter_plan([seq.data @ root], cfg.T, plan.rows) for seq in (binom, deltas)]
     xi = _noise(model, plan, cfg)[1]
     path_a, remainder = (_filtered_rows(check, xi) for check in checks)

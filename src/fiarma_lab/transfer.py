@@ -112,18 +112,18 @@ class FracIntegrationSpec:
 
         In D's frame this is ``U^H diag(exp(t d)) U`` through
         :meth:`NormalDecomposition.apply_scalar`; without a frame, one
-        scaling-and-squaring ``expm`` per ``t``, the library's only use of scipy.
+        scaling-and-squaring ``expm`` of the stack of every ``t D``, the
+        library's only use of scipy.  A value beyond the double range is left
+        as it comes out, not finite, for the caller's finite check to refuse.
         """
         ts = np.asarray(ts, dtype=complex).ravel()
         dec = self.decomposition
-        if dec is not None:
-            return dec.apply_scalar(np.exp(np.outer(ts, dec.d)))
-        import scipy.linalg  # deferred: an operator with a frame never needs it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if dec is not None:
+                return dec.apply_scalar(np.exp(np.outer(ts, dec.d)))
+            import scipy.linalg  # deferred: an operator with a frame never needs it
 
-        out = np.empty((ts.size, self.grid.n, self.grid.n), dtype=complex)
-        for j, t in enumerate(ts):
-            out[j] = scipy.linalg.expm(t * self.D.entries)
-        return out
+            return scipy.linalg.expm(ts[:, None, None] * self.D.entries)
 
     @property
     def grid(self) -> HilbertGrid:
@@ -363,18 +363,23 @@ def frac_transfer_batch(spec: FracIntegrationSpec, freqs: np.ndarray) -> np.ndar
     return out
 
 
-def _binomial_scalars(shift: np.ndarray, order: int) -> np.ndarray:
+def _binomial_scalars(shift: np.ndarray, order: int, name: str) -> np.ndarray:
     """``b_k = prod_{j=1..k} (j + shift) / j`` for k = 0..order, shape (order+1, len(shift)).
 
     These are the coefficients of ``(1 - z)^{-(shift + 1)}`` per entry of
     ``shift``, from one ``cumprod``: ``shift = d - 1`` gives
     ``Gamma(k + d) / (Gamma(d) k!)``, and ``shift = -n`` those of
-    ``(1 - z)^{n - 1}``.
+    ``(1 - z)^{n - 1}``.  A coefficient beyond the double range raises
+    :class:`OverflowError` naming the coefficients, ``name``.
     """
     ks = np.arange(order + 1, dtype=float)[:, None]
     steps = np.ones((order + 1, np.size(shift)), dtype=complex)
-    steps[1:] = (ks[1:] + shift) / ks[1:]
-    return np.cumprod(steps, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps[1:] = (ks[1:] + shift) / ks[1:]
+        out = np.cumprod(steps, axis=0)
+    if not np.isfinite(out).all():
+        raise OverflowError(f"{name} overflow the double range")
+    return out
 
 
 def frac_ma_coeffs(spec: FracIntegrationSpec, order: int) -> CoefficientSequence:
@@ -391,7 +396,8 @@ def frac_ma_coeffs(spec: FracIntegrationSpec, order: int) -> CoefficientSequence
         return binomial_ma_coeffs(spec.D, order)
     if order < 0:
         raise ValueError("order must be nonnegative")
-    data = dec.apply_scalar(_binomial_scalars(dec.d - 1.0, order))
+    scalars = _binomial_scalars(dec.d - 1.0, order, "the MA coefficients of (1 - z)^{-D}")
+    data = dec.apply_scalar(scalars)
     if not spec.D.entries.imag.any():
         data.imag = 0.0
     return CoefficientSequence(data, spec.grid)
@@ -403,7 +409,8 @@ def binomial_ma_coeffs(d_op: LinearOperator, order: int) -> CoefficientSequence:
     The recursion ``C_0 = Id``, ``C_k = C_{k-1} (D + (k-1) Id) / k`` produces
     the binomial-type expansion; for a scalar exponent ``D = d Id`` the k-th
     coefficient is ``gamma(k + d) / (gamma(d) k!) Id``.  It needs no
-    eigenframe: :func:`frac_ma_coeffs` runs it for a D that has none.
+    eigenframe: :func:`frac_ma_coeffs` runs it for a D that has none.  A
+    coefficient beyond the double range raises :class:`OverflowError`.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -416,8 +423,11 @@ def binomial_ma_coeffs(d_op: LinearOperator, order: int) -> CoefficientSequence:
     step /= lags[:, None, None]
     out = np.empty((order + 1, n, n), dtype=complex)
     out[0] = np.eye(n)
-    for k in range(1, order + 1):
-        np.matmul(out[k - 1], step[k - 1], out=out[k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, order + 1):
+            np.matmul(out[k - 1], step[k - 1], out=out[k])
+    if not np.isfinite(out).all():
+        raise OverflowError("the MA coefficients of (1 - z)^{-D} overflow the double range")
     return CoefficientSequence(out, d_op.grid)
 
 
@@ -457,15 +467,10 @@ _STIRLING_WEIGHTS = (
 )
 
 
-def _rgamma(z: complex) -> complex:
-    """Reciprocal gamma function ``1/Gamma(z)`` of a complex argument.
-
-    ``z`` is shifted up by ``Gamma(z+1) = z Gamma(z)`` until ``Re z >= 16``,
-    where Stirling's series with eight Bernoulli terms is exact to rounding.
-    The product of the shift factors is exactly 0 at the poles
-    ``z = 0, -1, -2, ...``, so there ``1/Gamma`` is exactly 0.
-    """
-    z = complex(z)
+def _rgamma_right(z: complex) -> complex:
+    """``1/Gamma(z)`` for ``Re z >= 1/2``: ``z`` is shifted up by
+    ``Gamma(z+1) = z Gamma(z)`` until ``Re z >= 16``, at most 16 steps, where
+    Stirling's series with eight Bernoulli terms is exact to rounding."""
     shift = complex(1.0)
     while z.real < 16.0:
         shift *= z
@@ -477,6 +482,33 @@ def _rgamma(z: complex) -> complex:
         series = series * inv2 + weight
     log_gamma = (z - 0.5) * cmath.log(z) - z + math.log(2.0 * math.pi) / 2 + series * inv
     return shift * cmath.exp(-log_gamma)
+
+
+def _rgamma(z: complex) -> complex:
+    """Reciprocal gamma function ``1/Gamma(z)`` of a complex argument.
+
+    Left of ``Re z = 1/2`` the reflection formula
+    ``1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi`` takes it to the right half
+    (:func:`_rgamma_right`).  ``sin(pi z)`` is taken of ``z`` less its
+    nearest integer ``k`` and signed by ``(-1)^k``, so it is exactly 0 at the
+    poles ``z = 0, -1, -2, ...``, where ``1/Gamma`` is exactly 0.  A value
+    beyond the double range raises :class:`OverflowError` naming it.
+    """
+    z = complex(z)
+    k = round(z.real)
+    if z == k and k <= 0:
+        return 0j
+    try:
+        if z.real >= 0.5:
+            value = _rgamma_right(z)
+        else:
+            sin = cmath.sin(math.pi * (z - k)) * (-1.0) ** (k % 2)
+            value = sin / (math.pi * _rgamma_right(1.0 - z))
+    except (OverflowError, ZeroDivisionError):  # cmath's range error, or Gamma(1 - z) = inf
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise OverflowError(f"1/Gamma({z:.6g}) is beyond the double range")
+    return value
 
 
 def duker_decomposition(
@@ -503,7 +535,7 @@ def duker_decomposition(
     rho = float(np.min(dec.d.real))
     c_vals = np.array([_rgamma(1.0 - nv) for nv in dec.d], dtype=complex)
     ks = np.arange(order + 1, dtype=float)[:, None]
-    binom = _binomial_scalars(-dec.d, order)  # b_k(n), coefficients of (1-z)^{n-1}
+    binom = _binomial_scalars(-dec.d, order, "the binomial coefficients of (1 - z)^{N - Id}")
     powerlaw = np.exp(-np.log(ks + 1.0) * dec.d)  # (k+1)^{-n}
     deltas = dec.apply_scalar(binom - c_vals * powerlaw)
     return (

@@ -99,6 +99,14 @@ class TestCheckConditions:
         assert report.verdict == "fails"
         assert report.failed_condition() == "ii"
 
+    def test_exponent_near_the_double_range_fails(self):
+        """D = diag(1e308, 0.1): the gap 1 - 2 Re d is -inf there, which
+        condition (iii) skips without a warning, and condition (ii) fails."""
+        g = make_grid(2)
+        spec = FracIntegrationSpec(op(np.diag([1e308, 0.1]), g))
+        report = check_conditions(white_model(g), spec)
+        assert report.verdict == "fails" and np.isfinite(report.cond_iii_value)
+
     def test_vacuous_support_with_d_below_one_holds(self):
         g = scalar_grid()
         model = ArmaModel(

@@ -267,6 +267,12 @@ class TestSqrtPsd:
         root = sqrt_psd(op(a))
         assert operator_norm(root.entries @ root.entries - a) < 1e-10 * operator_norm(a)
 
+    def test_near_the_double_range(self):
+        """1.7e308 Id: its Hermitian part is in range, though the sum of the
+        operator and its adjoint is not."""
+        out = sqrt_psd(op(1.7e308 * np.eye(2)))
+        assert np.array_equal(out.entries, np.sqrt(1.7e308) * np.eye(2))
+
 
 class TestKernels:
     def test_uniform_identity_kernel_is_scaled_dirac(self):

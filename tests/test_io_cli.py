@@ -116,6 +116,12 @@ CONDITION_OVERFLOW_CONFIG = readme_config(
 POWER_LAW_OVERFLOW_CONFIG = family_config("N", sigma=HUGE_2, N=[[0.500000001, 0.0], [0.0, 0.9]])
 # theta = 1e307 Id: the filter is finite, and its FFT convolution with the noise is not
 CONVOLUTION_OVERFLOW_CONFIG = readme_config(theta=[[[1e307, 0.0], [0.0, 1e307]]])
+# Sigma = 1.7e308 Id: Sigma's Hermitian part is in range, though not the
+# sum Sigma + Sigma^H, and the half-factor's square overflows
+NEAR_RANGE_SIGMA_CONFIG = readme_config(sigma=[[1.7e308, 0.0], [0.0, 1.7e308]])
+# D = diag(1e308, 0.1): exp(t D), the MA coefficients of (1 - z)^{-D} and the
+# gap 1 - 2 Re d of existence condition (iii) leave the double range
+NEAR_RANGE_D_CONFIG = readme_config(D=[[1e308, 0.0], [0.0, 0.1]])
 # theta = 1e150 Id: the existence integral's shells near 1e300 are finite,
 # and the sum of their unscaled terms would not be
 HUGE_SHELLS_CONFIG = readme_config(theta=[[[1e150, 0.0], [0.0, 1e150]]])
@@ -141,6 +147,30 @@ IN_RANGE_MODEL_OVERFLOWS = [
             "",
             "error: path values must be finite\n",
             (["simulate", "--force"], ["periodogram", "--force"]),
+        ),
+        (
+            NEAR_RANGE_SIGMA_CONFIG,
+            " sigma",
+            "error: spectral density overflows at frequency -3.12932\n",
+            (["density"], ["autocov"]),
+        ),
+        (
+            NEAR_RANGE_SIGMA_CONFIG,
+            " sigma",
+            "error: the half-factor's square overflows the double range\n",
+            (["simulate"], ["periodogram"], ["check-existence"], ["existence-integral"]),
+        ),
+        (
+            NEAR_RANGE_D_CONFIG,
+            " D",
+            "error: spectral density overflows at frequency -1.04311\n",
+            (["density"], ["autocov"]),
+        ),
+        (
+            NEAR_RANGE_D_CONFIG,
+            " D",
+            "error: the MA coefficients of (1 - z)^{-D} overflow the double range\n",
+            (["frac-coeffs"], ["simulate", "--force"], ["periodogram", "--force"]),
         ),
     )
     for argv in argvs
@@ -844,6 +874,64 @@ class TestCli:
         out = tmp_path / "o"
         proc = run_cli_process([*argv, "--config", str(cfg), "--out", str(out)])
         assert (proc.returncode, proc.stderr) == (1, message)
+
+    @pytest.mark.parametrize(
+        "config, argv, code, err",
+        [
+            (NEAR_RANGE_SIGMA_CONFIG, ["frac-coeffs"], 0, ""),
+            (NEAR_RANGE_SIGMA_CONFIG, ["simulate", "--force"], 0, ""),
+            (NEAR_RANGE_D_CONFIG, ["check-existence"], 0, ""),
+            (NEAR_RANGE_D_CONFIG, ["existence-integral"], 0, ""),
+            *[
+                (NEAR_RANGE_D_CONFIG, [sub], 2, "refused: existence condition (ii) fails")
+                for sub in ("simulate", "periodogram")
+            ],
+        ],
+        ids=["sigma frac-coeffs", "sigma simulate --force", *(
+            f"D {sub}" for sub in ("check-existence", "existence-integral", "simulate",
+                                   "periodogram")
+        )],
+    )
+    def test_near_range_model_runs_without_a_warning(self, tmp_path, config, argv, code, err):
+        """Sigma = 1.7e308 Id and D = diag(1e308, 0.1) in a fresh process:
+        a verdict or an output without NaN, and at most the one refusal line."""
+        cfg = self._write(tmp_path, config)
+        out = tmp_path / "o"
+        proc = run_cli_process([*argv, "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == code
+        assert proc.stderr.startswith(err) and len(proc.stderr.splitlines()) == (code == 2)
+        for table in out.glob("*.csv"):  # a divergent shell is inf, as it is
+            assert not np.isnan(np.loadtxt(table, delimiter=",", skiprows=1)).any(), table.name
+        if argv == ["check-existence"]:
+            assert json.loads((out / "existence.json").read_text())["verdict"] == "fails"
+        if argv == ["existence-integral"]:
+            assert json.loads((out / "existence_integral.json").read_text())["diverges"] is True
+
+    @pytest.mark.parametrize("exponent", [200.0, 1e7])
+    def test_power_law_exponent_far_above_one_half(self, tmp_path, exponent):
+        """N = diag(200, 0.9) has its matching constant's eigenvalue at the
+        pole 1/Gamma(-199) = 0, and 1e7 lies far beyond it: both decompose in
+        a fresh process, with no warning."""
+        cfg = self._write(tmp_path, family_config("N", N=[[exponent, 0.0], [0.0, 0.9]]))
+        for sub in ("duker-decompose", "duker-verify"):
+            out = tmp_path / sub
+            proc = run_cli_process([sub, "--config", str(cfg), "--out", str(out)])
+            assert (proc.returncode, proc.stderr) == (0, "")
+        c_mat = np.loadtxt(tmp_path / "duker-decompose" / "duker_C.csv", delimiter=",", skiprows=1)
+        assert c_mat[0] == 0.0 and c_mat[1:].any()  # m_1_1_re, the entry of the exponent
+        report = json.loads((tmp_path / "duker-verify" / "duker_verify.json").read_text())
+        assert all(np.isfinite(v) for v in report.values())
+
+    @pytest.mark.parametrize("sub", ["duker-decompose", "duker-verify"])
+    def test_power_law_exponent_at_the_double_range(self, tmp_path, sub):
+        """N = diag(1e308, 0.9), where z + 1 == z: one error line, well within
+        the fresh process's timeout."""
+        cfg = self._write(tmp_path, family_config("N", N=[[1e308, 0.0], [0.0, 0.9]]))
+        proc = run_cli_process([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert (proc.returncode, proc.stderr) == (
+            1,
+            "error: the binomial coefficients of (1 - z)^{N - Id} overflow the double range\n",
+        )
 
     @pytest.mark.parametrize(
         "sub, name",

@@ -416,8 +416,8 @@ class TestLongMemoryDecomposition:
         assert verify_longmemory_decomposition(model, cfg).residual < 1e-12
         real = fiarma_lab.transfer._binomial_scalars
 
-        def shifted(shift, order):
-            return real(shift + 1e-3, order)
+        def shifted(shift, order, name):
+            return real(shift + 1e-3, order, name)
 
         for module in (fiarma_lab.transfer, fiarma_lab.simulate):
             monkeypatch.setattr(module, "_binomial_scalars", shifted, raising=False)

@@ -464,6 +464,23 @@ class TestFracTransfer:
             assert np.allclose(val, expect, rtol=0.0, atol=1e-13)
 
 
+class TestExpOfTheMemoryOperator:
+    def test_frameless_stack_matches_one_expm_per_scalar(self, rng):
+        d_op = np.triu(rng.normal(size=(5, 5))) * 0.1 + np.diag(rng.uniform(0.0, 0.4, 5))
+        spec = FracIntegrationSpec(op(d_op))
+        assert spec.decomposition is None
+        ts = rng.normal(size=7) + 1j * rng.normal(size=7)
+        want = np.stack([scipy.linalg.expm(t * spec.D.entries) for t in ts])
+        assert np.array_equal(spec.exp(ts), want)
+
+    def test_beyond_the_double_range_is_left_to_the_caller(self):
+        """D = diag(1e308, 0.1): exp(t D) leaves the double range without a
+        warning, and the density's finite check refuses it."""
+        spec = FracIntegrationSpec(op(np.diag([1e308, 0.1])))
+        assert not np.isfinite(spec.exp([0.5 + 0.2j])).all()
+        assert np.isfinite(spec.exp([-0.0])).all()
+
+
 class TestOneFrameRule:
     """A memory operator has a unitary frame exactly when that frame
     reproduces it within ``NORMAL_TOL ||D||``; no commutator test decides."""
@@ -488,6 +505,18 @@ class TestOneFrameRule:
 
 
 class TestFracCoeffs:
+    def test_coefficients_beyond_the_double_range_raise(self):
+        """D = diag(1e308, 0.1): one OverflowError, from the frame's scalars
+        and from the dense recursion alike, instead of NaN coefficients."""
+        d_op = op(np.diag([1e308, 0.1]))
+        message = r"the MA coefficients of \(1 - z\)\^\{-D\} overflow the double range"
+        with pytest.raises(OverflowError, match=message):
+            frac_ma_coeffs(FracIntegrationSpec(d_op), 64)
+        with pytest.raises(OverflowError, match=message):
+            binomial_ma_coeffs(d_op, 64)
+        with pytest.raises(OverflowError, match="binomial coefficients"):
+            duker_decomposition(FracIntegrationSpec(d_op), 8)
+
     def test_zero_exponent(self):
         seq = frac_ma_coeffs(FracIntegrationSpec.scalar(make_grid(2), 0.0), 4)
         assert np.allclose(seq[0], np.eye(2))
@@ -770,6 +799,23 @@ class TestReciprocalGamma:
         for z in zs:
             want = scipy.special.rgamma(z)
             assert abs(_rgamma(z) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+    @pytest.mark.parametrize("pole", [-199.0, -2.0**53, -1e7 + 1.0, 1.0 - 1e308])
+    def test_far_poles_are_exact_zeros(self, pole):
+        """The reflection formula keeps z fixed: no shift by one that stalls
+        once z + 1 == z, or overflows before the pole's 0."""
+        assert _rgamma(pole) == 0.0
+
+    def test_left_half_plane_far_from_zero(self):
+        for z in (-160.5, -100.25 + 3j, -30.7 - 20j):
+            want = scipy.special.rgamma(z)
+            assert abs(_rgamma(z) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("z", [-199.5, 0.5 + 500j, -0.5 - 500j])
+    def test_beyond_the_double_range_is_named(self, z):
+        with pytest.raises(OverflowError, match=r"1/Gamma\(.*\) is beyond the double range"):
+            _rgamma(z)
 
 
 class TestPowerLawWeights:
