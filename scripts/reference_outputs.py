@@ -8,8 +8,10 @@ then a fixed list of ops on the README example's base: memory operators
 without a unitary frame, one that is only near normal, a power-law
 exponent that fails its conditions, an existence integral past the double
 range and one too deep for it, a one-row periodogram, the example with an
-explicit zero MA matrix, a base whose half-factor overflows, and one whose
-half-factor is finite but squares past the double range.  Every op
+explicit zero MA matrix, a base whose half-factor overflows, one whose
+half-factor is finite but squares past the double range, a covariance and
+a memory operator near the double range, and power-law exponents far above
+1/2.  Every op
 runs through :func:`fiarma_lab.cli.main` in process.  For each op it records the
 exit code, the first line of stderr, and for every output file except
 ``manifest.json`` the shape, the largest finite absolute value and eight seeded
@@ -73,7 +75,11 @@ _HUGE = (1e300 * np.eye(2)).tolist()
 # reach below the smallest normal double; the zero MA matrix after the last
 # nonzero one configures the README example itself; theta = Sigma = 1e300 Id
 # leave phi certified but overflow the base's half-factor; theta = 1e200 Id
-# with Sigma = Id gives a finite half-factor whose square overflows.
+# with Sigma = Id gives a finite half-factor whose square overflows;
+# Sigma = 1.7e308 Id is in range though Sigma + Sigma^H is not; the memory
+# eigenvalue 1e308 takes exp(t D) and the MA coefficients past the double
+# range; the power-law exponents 200 and 1e7 have the matching constant 0,
+# and 1e308 is a value where z + 1 == z.
 EXTRA_CONFIGS = {
     "frameless_D.json": _example_config(_FRAMELESS_D),
     "frameless_N.json": _example_config({"N": [[0.8, 0.2], [0.0, 0.9]]}, phi=[]),
@@ -87,6 +93,12 @@ EXTRA_CONFIGS = {
     "zero_theta.json": _example_config(_README_D, theta=[np.zeros((2, 2)).tolist()]),
     "overflow_base.json": _example_config(_README_D, theta=[_HUGE], sigma=_HUGE),
     "overflow_square.json": _example_config(_README_D, theta=[(1e200 * np.eye(2)).tolist()]),
+    "near_range_sigma.json": _example_config(_README_D, sigma=(1.7e308 * np.eye(2)).tolist()),
+    "near_range_D.json": _example_config({"D": [[1e308, 0.0], [0.0, 0.1]]}),
+    **{
+        f"far_N_{exponent:g}.json": _example_config({"N": [[exponent, 0.0], [0.0, 0.9]]}, phi=[])
+        for exponent in (200.0, 1e7, 1e308)
+    },
 }
 EXTRA_OPS = (
     *[
@@ -119,6 +131,19 @@ EXTRA_OPS = (
             "density", "autocov", "check-existence", "existence-integral", "simulate",
             "periodogram",
         )
+    ],
+    *[
+        (sub, name)
+        for name in ("near_range_sigma.json", "near_range_D.json")
+        for sub in (
+            "density", "autocov", "frac-coeffs", "check-existence", "existence-integral",
+            "simulate", "periodogram",
+        )
+    ],
+    *[
+        (sub, f"far_N_{exponent}.json")
+        for exponent in ("200", "1e+07", "1e+308")
+        for sub in ("duker-decompose", "duker-verify", "simulate")
     ],
 )
 
