@@ -199,10 +199,11 @@ def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``||M - M^H||`` must stay within ``tol`` and no eigenvalue of the
     Hermitian part may fall below ``-tol``.  Returns those eigenvalues and
     eigenvectors."""
-    mh = m.conj().swapaxes(-1, -2)
-    vals, vecs = np.linalg.eigh(0.5 * m + 0.5 * mh)  # (m + mh) / 2 would overflow first
+    # halved first: m + mh and m - mh may leave the double range where their halves do not
+    half, half_h = 0.5 * m, 0.5 * m.conj().swapaxes(-1, -2)
+    vals, vecs = np.linalg.eigh(half + half_h)
     tol = 1e-10 * float(np.max(np.abs(vals), initial=0.0))
-    defect = float(np.max(np.linalg.norm(m - mh, 2, axis=(-2, -1)), initial=0.0))
+    defect = 2.0 * float(np.max(np.linalg.norm(half - half_h, 2, axis=(-2, -1)), initial=0.0))
     if defect > tol:
         raise NotPSDError(f"not Hermitian (||A - A^H|| = {defect:.3e})")
     low = float(np.min(vals, initial=np.inf))

@@ -273,6 +273,12 @@ class TestSqrtPsd:
         out = sqrt_psd(op(1.7e308 * np.eye(2)))
         assert np.array_equal(out.entries, np.sqrt(1.7e308) * np.eye(2))
 
+    def test_non_hermitian_near_the_double_range(self):
+        """A - A^H is beyond the double range: the defect reads inf, with no
+        warning on the way."""
+        with pytest.raises(NotPSDError, match=r"not Hermitian \(\|\|A - A\^H\|\| = inf\)"):
+            sqrt_psd(op(np.array([[1e308, -1e308], [1e308, 1e308]])))
+
 
 class TestKernels:
     def test_uniform_identity_kernel_is_scaled_dirac(self):
