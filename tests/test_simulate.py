@@ -734,7 +734,7 @@ class TestFilterPlanCache:
         model = mc_model()
         before = pickle.dumps(model)
         simulate_fiarma(model, SimConfig(T=4096, K_trunc=1024, seed=7))
-        assert len(pickle.dumps(model)) == len(before) < 10_000
+        assert pickle.dumps(model) == before and len(before) < 10_000
         assert sim_plan(model) is not None
 
     def test_state_is_dropped_with_the_model(self):
