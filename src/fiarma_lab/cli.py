@@ -14,7 +14,6 @@ import argparse
 import gc
 import hashlib
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
 
@@ -92,16 +91,15 @@ def _existence_integral(cfg: ModelConfig) -> IntegralReport:
 
 
 def _run_check_existence(cfg: ModelConfig, force: bool) -> dict:
-    report = asdict(check_conditions(cfg.model.base, cfg.model.D))
-    report["i_eta"] = asdict(_existence_integral(cfg))
-    return {"existence.json": report}
+    report = check_conditions(cfg.model.base, cfg.model.D)
+    return {"existence.json": {**vars(report), "i_eta": vars(_existence_integral(cfg))}}
 
 
 def _run_existence_integral(cfg: ModelConfig, force: bool) -> dict:
     report = _existence_integral(cfg)
     lo, hi = report.edges.T
     shells = {"level": np.arange(len(lo)), "lo": lo, "hi": hi, "contribution": report.shells}
-    return {"existence_integral.json": asdict(report), "shells.csv": shells}
+    return {"existence_integral.json": vars(report), "shells.csv": shells}
 
 
 def _run_duker_decompose(cfg: ModelConfig, force: bool) -> dict:
@@ -184,7 +182,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        cfg = parse_config(raw.decode())
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        print(f"config error: not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
+        return 1
+    try:
+        cfg = parse_config(text)
     except ConfigError as exc:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -30,23 +29,20 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
-@dataclass
 class RunConfig(SimConfig):
     """The ``run`` section: the simulation settings of :class:`SimConfig`
     followed by the frequency-grid, existence and export settings.  Its
     fields are the allowed keys and their defaults."""
 
-    n_freq: int = 4096
-    eta: float = 1.0
-    n_refine: int = N_REFINE
-    shell_points: int = SHELL_POINTS
-    K: int = 64
-    lags: int = 8
-    format: str = "csv"
-
     # a density grid and an existence shell need a frequency, and the
     # existence integral needs four dyadic shells
     SIZES = SimConfig.SIZES | {"n_freq": 1, "n_refine": 4, "shell_points": 1, "K": 0, "lags": 0}
+
+    def __init__(self, T: int = 1024, burnin: int | None = None, K_trunc: int = 2048, seed: int = 0,
+                 noise_kind: str = "auto", replication: int = 0, n_freq: int = 4096,
+                 eta: float = 1.0, n_refine: int = N_REFINE, shell_points: int = SHELL_POINTS,
+                 K: int = 64, lags: int = 8, format: str = "csv") -> None:
+        self._set(locals())
 
     @classmethod
     def errors(cls, values: dict, prefix: str = "") -> Iterator[str]:
@@ -60,18 +56,15 @@ class RunConfig(SimConfig):
             yield f"{prefix}format: unknown format {values['format']!r}"
 
 
-_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-
-
-@dataclass(eq=False)
 class ModelConfig:
     """Validated configuration with its one model, built and certified once
     by :func:`parse_config`: a :class:`FiarmaModel` when ``model.D`` is given,
     a :class:`PowerLawModel` when ``model.N`` is, else an :class:`ArmaModel`.
     """
 
-    model: ArmaModel | FiarmaModel | PowerLawModel
-    run: RunConfig
+    def __init__(self, model: ArmaModel | FiarmaModel | PowerLawModel, run: RunConfig) -> None:
+        self.model = model
+        self.run = run
 
     @property
     def grid(self) -> HilbertGrid:
@@ -97,7 +90,7 @@ class ModelConfig:
                 "sigma": _matrix_doc(base.sigma.entries),
                 **exponent,
             },
-            "run": asdict(self.run),
+            "run": dict(vars(self.run)),
         }
 
 
@@ -153,6 +146,10 @@ def _parse_matrix(obj, name: str, n: int | None, errors: list[str]) -> np.ndarra
     return mat
 
 
+# the run section's keys and their defaults
+_RUN_DEFAULTS = vars(RunConfig())
+
+
 def _check_keys(section: dict, allowed: set[str], where: str, errors: list[str]) -> None:
     for key in section:
         if key not in allowed:
@@ -173,6 +170,8 @@ def parse_config(text: str) -> ModelConfig:
         raise ConfigError(
             [f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"]
         ) from exc
+    except RecursionError as exc:  # the parser recurses once per level of nesting
+        raise ConfigError(["nested too deeply to parse"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be a JSON object"])
     _check_keys(doc, {"grid", "model", "run"}, "config", errors)

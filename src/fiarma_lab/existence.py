@@ -8,7 +8,6 @@ frequency integral whose finiteness characterizes existence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ class ExistenceRefusal(RuntimeError):
         self.condition = condition
 
 
-@dataclass(eq=False)
 class ExistenceReport:
     """Outcome of the necessary/sufficient existence conditions on a grid.
 
@@ -40,30 +38,33 @@ class ExistenceReport:
     range, so ``cond_iii`` holds and only condition (ii) can fail.
     """
 
-    sigma_w: np.ndarray
-    support_tol: float
-    cond_ii: bool
-    cond_iii: bool
-    cond_iii_value: float
-    cond_iv: bool
-    cond_v: bool
-    verdict: str
+    def __init__(self, sigma_w: np.ndarray, support_tol: float, cond_ii: bool, cond_iii: bool,
+                 cond_iii_value: float, cond_iv: bool, cond_v: bool, verdict: str) -> None:
+        self.sigma_w = sigma_w
+        self.support_tol = support_tol
+        self.cond_ii = cond_ii
+        self.cond_iii = cond_iii
+        self.cond_iii_value = cond_iii_value
+        self.cond_iv = cond_iv
+        self.cond_v = cond_v
+        self.verdict = verdict
 
     def failed_condition(self) -> str | None:
         return "ii" if self.verdict == "fails" else None
 
 
-@dataclass(eq=False)
 class IntegralReport:
     """Dyadic-shell quadrature of the existence integral near frequency 0."""
 
-    value: float
-    diverges: bool
-    shells: np.ndarray
-    eta: float
-    n_freq: int
-    n_refine: int
-    tail_estimate: float
+    def __init__(self, value: float, diverges: bool, shells: np.ndarray, eta: float, n_freq: int,
+                 n_refine: int, tail_estimate: float) -> None:
+        self.value = value
+        self.diverges = diverges
+        self.shells = shells
+        self.eta = eta
+        self.n_freq = n_freq
+        self.n_refine = n_refine
+        self.tail_estimate = tail_estimate
 
     @property
     def edges(self) -> np.ndarray:
@@ -72,16 +73,17 @@ class IntegralReport:
         return np.column_stack([hi / 2.0, hi])
 
 
-@dataclass(eq=False)
 class DukerReport:
     """Conditions for the power-law moving average ``sum (k+1)^{-N} eps_{t-k}``."""
 
-    exponents_real: np.ndarray
-    sigma_w: np.ndarray
-    condition_exponent: bool
-    integral_value: float
-    grid_sensitive: bool
-    passes: bool
+    def __init__(self, exponents_real: np.ndarray, sigma_w: np.ndarray, condition_exponent: bool,
+                 integral_value: float, grid_sensitive: bool, passes: bool) -> None:
+        self.exponents_real = exponents_real
+        self.sigma_w = sigma_w
+        self.condition_exponent = condition_exponent
+        self.integral_value = integral_value
+        self.grid_sensitive = grid_sensitive
+        self.passes = passes
 
 
 def shell_depth_error(eta: float, n_refine: int) -> str | None:

@@ -11,7 +11,6 @@ between matrix entries and integral-operator kernel values are handled by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -30,16 +29,12 @@ class NotPSDError(ValueError):
         self.min_eig = min_eig
 
 
-@dataclass(eq=False)
 class HilbertGrid:
     """Weighted point set: ``points`` carry quadrature weights ``weights``."""
 
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=float).ravel()
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
+    def __init__(self, points: np.ndarray, weights: np.ndarray) -> None:
+        self.points = np.asarray(points, dtype=float).ravel()
+        self.weights = np.asarray(weights, dtype=float).ravel()
         if self.points.size < 1:
             raise ValueError("grid needs at least one point")
         if self.points.shape != self.weights.shape:
@@ -68,16 +63,13 @@ class HilbertGrid:
         return cls(np.arange(1, n + 1) / n, np.full(n, 1.0 / n))
 
 
-@dataclass(eq=False)
 class LinearOperator:
     """Dense operator in the orthonormal weighted-coordinate basis."""
 
-    entries: np.ndarray
-    grid: HilbertGrid
-
-    def __post_init__(self) -> None:
-        self.entries = np.ascontiguousarray(self.entries, dtype=complex)
-        n = self.grid.n
+    def __init__(self, entries: np.ndarray, grid: HilbertGrid) -> None:
+        self.entries = np.ascontiguousarray(entries, dtype=complex)
+        self.grid = grid
+        n = grid.n
         if self.entries.shape != (n, n):
             raise ValueError(
                 f"operator shape {self.entries.shape} does not match grid size {n}"
@@ -102,13 +94,13 @@ class LinearOperator:
         return LinearOperator(scalar * self.entries, self.grid)
 
 
-@dataclass(eq=False)
 class NormalDecomposition:
     """Unitary frame U and complex singular-value function d with U N U^H = diag(d)."""
 
-    U: np.ndarray
-    d: np.ndarray
-    grid: HilbertGrid
+    def __init__(self, U: np.ndarray, d: np.ndarray, grid: HilbertGrid) -> None:
+        self.U = U
+        self.d = d
+        self.grid = grid
 
     def reconstruct(self) -> LinearOperator:
         """Return U^H diag(d) U as an operator."""

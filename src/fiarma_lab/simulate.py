@@ -27,7 +27,6 @@ convolve.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Iterator
 
@@ -77,27 +76,35 @@ def key_range_error(name: str, value: int) -> str | None:
     return f"{name}: must lie in [-2**63, 2**64) to key the noise stream, got {value}"
 
 
-@dataclass
 class SimConfig:
     """Run length, pre-history sizes, seed and noise family for one path,
     refused with the first rule of :meth:`errors` that it breaks.
     ``noise_kind="auto"`` draws real noise when ``phi``, ``theta`` and
     ``Sigma`` are real (``D`` does not count), and for a power-law model
-    when ``N`` and ``Sigma`` are; it draws complex noise otherwise."""
-
-    T: int = 1024
-    burnin: int | None = None  # None: sized from the AR forgetting rate
-    K_trunc: int = 2048
-    seed: int = 0
-    noise_kind: str = "auto"  # auto | real-gaussian | complex-gaussian
-    replication: int = 0
+    when ``N`` and ``Sigma`` are; it draws complex noise otherwise.
+    ``burnin=None`` sizes the burn-in from the AR forgetting rate.  Two
+    configs are equal when they are of one class and their fields are equal."""
 
     # the smallest value of each size: a path needs a row
     SIZES = {"T": 1, "K_trunc": 0}
 
-    def __post_init__(self) -> None:
-        if message := next(self.errors(vars(self)), None):
+    def __init__(self, T: int = 1024, burnin: int | None = None, K_trunc: int = 2048, seed: int = 0,
+                 noise_kind: str = "auto", replication: int = 0) -> None:
+        self._set(locals())
+
+    def _set(self, values: dict) -> None:
+        """Set the constructor's arguments, passed as its ``locals()``, as the
+        fields in signature order, refused with the first rule of
+        :meth:`errors` that they break."""
+        del values["self"]
+        if message := next(self.errors(values), None):
             raise ValueError(message)
+        vars(self).update(values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @classmethod
     def errors(cls, values: dict, prefix: str = "") -> Iterator[str]:
@@ -118,17 +125,15 @@ class SimConfig:
             yield f"{prefix}noise_kind: unknown kind {values['noise_kind']!r}"
 
 
-@dataclass(eq=False)
 class SampledPath:
-    """Realized path: rows are time, columns weighted grid coordinates."""
+    """Realized path: rows are time, columns weighted grid coordinates;
+    ``meta`` is a new empty dict when not given."""
 
-    values: np.ndarray
-    grid: HilbertGrid
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.values = np.ascontiguousarray(self.values, dtype=complex)
-        if self.values.ndim != 2 or self.values.shape[1] != self.grid.n:
+    def __init__(self, values: np.ndarray, grid: HilbertGrid, meta: dict | None = None) -> None:
+        self.values = np.ascontiguousarray(values, dtype=complex)
+        self.grid = grid
+        self.meta = {} if meta is None else meta
+        if self.values.ndim != 2 or self.values.shape[1] != grid.n:
             raise ValueError("path values must have shape (T, n)")
         if self.values.shape[0] < 1:
             raise ValueError("path must contain at least one row")
@@ -266,7 +271,6 @@ def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
 class FilterPlan:
     """One causal filter ``sum_k C_k z^k``, ``Sigma^{1/2}`` folded in, for
     paths of ``t_len`` rows, built once.
@@ -278,13 +282,15 @@ class FilterPlan:
     length, the circular convolution's wrap-around misses the output rows.
     """
 
-    burnin: int
-    rows: int
-    t_len: int
-    keep: int
-    filter_fft: np.ndarray
-    real: bool  # the filter has real entries
-    meta: dict  # diagnostics of the filter
+    def __init__(self, burnin: int, rows: int, t_len: int, keep: int, filter_fft: np.ndarray,
+                 real: bool, meta: dict) -> None:
+        self.burnin = burnin
+        self.rows = rows
+        self.t_len = t_len
+        self.keep = keep
+        self.filter_fft = filter_fft
+        self.real = real  # the filter has real entries
+        self.meta = meta  # diagnostics of the filter
 
 
 def _filter_plan(
@@ -312,16 +318,16 @@ def _filter_plan(
     return FilterPlan(burnin, rows, t_len, min(rows, span), filter_fft, real, meta or {})
 
 
-@dataclass(eq=False)
 class _ModelState:
     """What the simulator keeps of one model: its ``auto`` noise family, its
     existence verdict with the failed condition (``None`` when none failed)
     once decided, and the plan of the last path sizes ``key``."""
 
-    auto_kind: str
-    verdict: tuple[str, str | None] | None = None
-    key: tuple | None = None
-    plan: FilterPlan | None = None
+    def __init__(self, auto_kind: str) -> None:
+        self.auto_kind = auto_kind
+        self.verdict: tuple[str, str | None] | None = None
+        self.key: tuple | None = None
+        self.plan: FilterPlan | None = None
 
 
 # The state of every model simulated, dropped when the model is collected.
@@ -487,16 +493,18 @@ def simulate_duker(model: PowerLawModel, cfg: SimConfig, force: bool = False) ->
     return _path(model, _plan(model, cfg), cfg, existence=existence)
 
 
-@dataclass(eq=False)
 class DecompositionCheck:
     """Pathwise comparison of the fractional filter against the power-law
     moving average plus its short-memory remainder, on shared noise."""
 
-    residual: float
-    delta_norms: np.ndarray
-    rho: float
-    t_len: int
-    k_trunc: int
+    def __init__(
+        self, residual: float, delta_norms: np.ndarray, rho: float, t_len: int, k_trunc: int
+    ) -> None:
+        self.residual = residual
+        self.delta_norms = delta_norms
+        self.rho = rho
+        self.t_len = t_len
+        self.k_trunc = k_trunc
 
     @property
     def partial_sums(self) -> np.ndarray:
@@ -535,7 +543,7 @@ def verify_longmemory_decomposition(
     """
     _verdict(model, force)
     k_trunc = max(cfg.K_trunc, 1)
-    plan = _plan(model, replace(cfg, K_trunc=k_trunc))
+    plan = _plan(model, type(cfg)(**vars(cfg) | {"K_trunc": k_trunc}))
     root = model.base.root.entries
     c_mat, deltas, rho = duker_decomposition(model.N, k_trunc)  # first: its overflow names N
     binom = binomial_ma_coeffs(identity(model.grid) - model.N.D, k_trunc)  # (1-z)^{N-Id}

@@ -10,7 +10,6 @@ certify; the simulator keeps its plans and verdicts itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,7 +22,6 @@ from .hilbert import (
     sqrt_psd,
 )
 from .transfer import (
-    ArPoles,
     FracIntegrationSpec,
     OperatorPolynomial,
     SingularTransferError,
@@ -36,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .simulate import SampledPath
 
 
-@dataclass(eq=False)
 class ArmaModel:
     """AR/MA operator polynomials plus the noise covariance operator.
 
@@ -47,19 +44,17 @@ class ArmaModel:
     (:func:`circle_verdict`), 0.0 when none was proven.
     """
 
-    phi: OperatorPolynomial
-    theta: OperatorPolynomial
-    sigma: LinearOperator
-    root: LinearOperator = field(init=False, repr=False)
-    margin: float = field(init=False)
-    poles: ArPoles = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.phi.grid.n != self.sigma.grid.n or self.theta.grid.n != self.sigma.grid.n:
+    def __init__(
+        self, phi: OperatorPolynomial, theta: OperatorPolynomial, sigma: LinearOperator
+    ) -> None:
+        if phi.grid.n != sigma.grid.n or theta.grid.n != sigma.grid.n:
             raise ValueError("model components must share one grid")
+        self.phi = phi
+        self.theta = theta
+        self.sigma = sigma
         # PSD check doubles as the Hermitian check
-        self.root = sqrt_psd(self.sigma)
-        ok, self.margin, self.poles = circle_verdict(self.phi)
+        self.root = sqrt_psd(sigma)
+        ok, self.margin, self.poles = circle_verdict(phi)
         if not ok:
             raise SingularTransferError(
                 f"AR polynomial not invertible on the circle (margin {self.margin:.3e})",
@@ -80,23 +75,22 @@ class ArmaModel:
         return not (self.phi.degree or self.theta.degree)
 
 
-@dataclass(eq=False)
 class FiarmaModel:
     """ARMA base model filtered by a fractional integration transfer."""
 
-    base: ArmaModel
-    D: FracIntegrationSpec
-
-    def __post_init__(self) -> None:
-        if self.D.grid.n != self.base.grid.n:
+    def __init__(self, base: ArmaModel, D: FracIntegrationSpec) -> None:
+        if not isinstance(D, FracIntegrationSpec):
+            raise TypeError(f"D must be a FracIntegrationSpec, not {type(D).__name__}")
+        if D.grid.n != base.grid.n:
             raise ValueError("memory operator must live on the model grid")
+        self.base = base
+        self.D = D
 
     @property
     def grid(self) -> HilbertGrid:
         return self.base.grid
 
 
-@dataclass(eq=False)
 class PowerLawModel:
     """Power-law moving average ``sum_k (k+1)^{-N} eps_{t-k}`` of white noise.
 
@@ -104,32 +98,29 @@ class PowerLawModel:
     exponent with its eigenframe, found once.
     """
 
-    base: ArmaModel
-    N: FracIntegrationSpec
-
-    def __post_init__(self) -> None:
-        if self.N.grid.n != self.base.grid.n:
+    def __init__(self, base: ArmaModel, N: FracIntegrationSpec) -> None:
+        if not isinstance(N, FracIntegrationSpec):
+            raise TypeError(f"N must be a FracIntegrationSpec, not {type(N).__name__}")
+        if N.grid.n != base.grid.n:
             raise ValueError("power-law exponent must live on the model grid")
-        if self.base.phi.degree or self.base.theta.degree:
+        if base.phi.degree or base.theta.degree:
             raise ValueError("the power-law moving average has no AR or MA part")
+        self.base = base
+        self.N = N
 
     @property
     def grid(self) -> HilbertGrid:
         return self.base.grid
 
 
-@dataclass(eq=False)
 class SpectralDensityGrid:
     """Operator density values on a frequency grid, w.r.t. Lebesgue measure."""
 
-    freqs: np.ndarray
-    values: np.ndarray
-    grid: HilbertGrid
-
-    def __post_init__(self) -> None:
-        self.freqs = np.asarray(self.freqs, dtype=float).ravel()
-        self.values = np.ascontiguousarray(self.values, dtype=complex)
-        n = self.grid.n
+    def __init__(self, freqs: np.ndarray, values: np.ndarray, grid: HilbertGrid) -> None:
+        self.freqs = np.asarray(freqs, dtype=float).ravel()
+        self.values = np.ascontiguousarray(values, dtype=complex)
+        self.grid = grid
+        n = grid.n
         if self.values.shape != (self.freqs.size, n, n):
             raise ValueError("density values must have shape (len(freqs), n, n)")
 
@@ -145,18 +136,15 @@ class SpectralDensityGrid:
         psd_eigh(self.values)
 
 
-@dataclass(eq=False)
 class AutocovarianceSequence:
     """Lag-indexed autocovariance operators for h = -H..H."""
 
-    data: np.ndarray
-    grid: HilbertGrid
-    max_lag: int
-
-    def __post_init__(self) -> None:
-        self.data = np.ascontiguousarray(self.data, dtype=complex)
-        n = self.grid.n
-        if self.data.shape != (2 * self.max_lag + 1, n, n):
+    def __init__(self, data: np.ndarray, grid: HilbertGrid, max_lag: int) -> None:
+        self.data = np.ascontiguousarray(data, dtype=complex)
+        self.grid = grid
+        self.max_lag = max_lag
+        n = grid.n
+        if self.data.shape != (2 * max_lag + 1, n, n):
             raise ValueError("autocovariance data must have shape (2H+1, n, n)")
 
     def operator(self, h: int) -> LinearOperator:
@@ -216,6 +204,8 @@ def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDe
 def _quadrature_weights(freqs: np.ndarray) -> np.ndarray:
     """Equal weights for equispaced grids, trapezoid otherwise; frequencies
     that do not increase are refused, naming the first one out of order."""
+    if freqs.size == 0:
+        raise ValueError("need at least one frequency")
     if freqs.size == 1:
         return np.array([2.0 * np.pi])
     steps = np.diff(freqs)

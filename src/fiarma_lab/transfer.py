@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,7 +41,6 @@ class SingularTransferError(ValueError):
         self.margin = margin
 
 
-@dataclass(eq=False)
 class OperatorPolynomial:
     """Polynomial with operator coefficients and constant term fixed to Id.
 
@@ -52,13 +50,11 @@ class OperatorPolynomial:
     dropped, so ``degree`` is the true degree, 0 for the identity symbol.
     """
 
-    grid: HilbertGrid
-    coeffs: tuple[LinearOperator, ...] = ()
-
-    def __post_init__(self) -> None:
-        self.coeffs = tuple(self.coeffs)
+    def __init__(self, grid: HilbertGrid, coeffs: tuple[LinearOperator, ...] = ()) -> None:
+        self.grid = grid
+        self.coeffs = tuple(coeffs)
         for c in self.coeffs:
-            if c.grid is not self.grid and c.grid.n != self.grid.n:
+            if c.grid is not grid and c.grid.n != grid.n:
                 raise ValueError("polynomial coefficients must share one grid")
         while self.coeffs and not self.coeffs[-1].entries.any():
             self.coeffs = self.coeffs[:-1]
@@ -79,7 +75,6 @@ class OperatorPolynomial:
         return cls(grid, tuple(LinearOperator(v * eye, grid) for v in values))
 
 
-@dataclass(eq=False)
 class FracIntegrationSpec:
     """Bounded memory operator D, the one owner of its unitary frame.
 
@@ -92,15 +87,14 @@ class FracIntegrationSpec:
     ``N`` of a power-law moving average is held the same way.
     """
 
-    D: LinearOperator
-    decomposition: NormalDecomposition | None = field(init=False, repr=False)
-    frame_error: str | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, D: LinearOperator) -> None:
+        self.D = D
+        self.decomposition: NormalDecomposition | None = None
+        self.frame_error: str | None = None
         try:
-            self.decomposition = normal_decompose(self.D)
+            self.decomposition = normal_decompose(D)
         except NotNormalError as exc:
-            self.decomposition, self.frame_error = None, str(exc)
+            self.frame_error = str(exc)
 
     def ensure_decomposition(self) -> NormalDecomposition:
         if self.decomposition is None:
@@ -134,7 +128,6 @@ class FracIntegrationSpec:
         return cls(LinearOperator(d * np.eye(grid.n, dtype=complex), grid))
 
 
-@dataclass(eq=False)
 class CoefficientSequence:
     """Operator coefficients ``C_{k_min} .. C_{k_min + len - 1}`` of a filter.
 
@@ -142,15 +135,15 @@ class CoefficientSequence:
     where applicable.
     """
 
-    data: np.ndarray
-    grid: HilbertGrid
-    k_min: int = 0
-    tail_mass: float | None = None
-
-    def __post_init__(self) -> None:
-        self.data = np.ascontiguousarray(self.data, dtype=complex)
-        if self.data.ndim != 3 or self.data.shape[1:] != (self.grid.n, self.grid.n):
+    def __init__(
+        self, data: np.ndarray, grid: HilbertGrid, k_min: int = 0, tail_mass: float | None = None
+    ) -> None:
+        self.data = np.ascontiguousarray(data, dtype=complex)
+        if self.data.ndim != 3 or self.data.shape[1:] != (grid.n, grid.n):
             raise ValueError("coefficient data must have shape (m, n, n)")
+        self.grid = grid
+        self.k_min = k_min
+        self.tail_mass = tail_mass
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -280,15 +273,15 @@ def check_invertible_on_circle(phi: OperatorPolynomial) -> tuple[bool, float]:
     return min_sv > floor, max(0.0, min(certified, open_cells))
 
 
-@dataclass(eq=False)
 class ArPoles:
     """Poles ``lam_i`` of an AR symbol, singular where ``lam_i e^{-i w} = 1``;
     ``scale`` is ``1 + sum_k ||A_k||`` and ``bound`` a proven lower bound of
     its smallest singular value on the circle, or 0.0."""
 
-    values: np.ndarray
-    scale: float
-    bound: float
+    def __init__(self, values: np.ndarray, scale: float, bound: float) -> None:
+        self.values = values
+        self.scale = scale
+        self.bound = bound
 
     def nearest(self, eta: float) -> tuple[float, float]:
         """Smallest ``|1 - lam_i e^{-i w}|`` over ``|w| <= eta``, reached at the

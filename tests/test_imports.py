@@ -1,9 +1,12 @@
 """Fresh-interpreter checks of the CLI.  It runs on numpy alone for normal
 operators; scipy is loaded only for the matrix exponential of a non-normal
-memory operator.  Only the process entry touches the garbage collector.
-Every module of the package keeps its underscore names to itself, and the
-package's public names are pinned."""
+memory operator, and ``dataclasses`` never.  Only the process entry touches
+the garbage collector.  Every module of the package keeps its underscore
+names to itself, and the package's public names and constructors are
+pinned."""
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -53,8 +56,8 @@ RUNS = [
     ("density", MALFORMED, 1),
 ]
 
-# Runs ``main`` over RUNS in one interpreter; prints the exit codes and the
-# scipy modules loaded afterwards.
+# Runs ``main`` over RUNS in one interpreter; prints the exit codes, the
+# scipy modules loaded afterwards and whether ``dataclasses`` was.
 SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -67,7 +70,7 @@ for i, (sub, text, _) in enumerate(json.loads(sys.argv[2])):
     cfg.write_text(text)
     codes.append(main([sub, "--config", str(cfg), "--out", str(work / f"out{i}")]))
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy}))
+print(json.dumps({"codes": codes, "scipy": scipy, "dataclasses": "dataclasses" in sys.modules}))
 """
 
 
@@ -119,6 +122,7 @@ def test_cli_on_normal_operators_loads_no_scipy(tmp_path):
     result = _run_fresh(tmp_path, RUNS)
     assert result["codes"] == [code for _, _, code in RUNS]
     assert result["scipy"] == []
+    assert not result["dataclasses"]  # every class is a plain class
 
 
 def test_non_normal_density_loads_scipy_linalg(tmp_path):
@@ -219,3 +223,81 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(names) == sorted(PUBLIC_NAMES)
+
+
+REQUIRED = inspect.Parameter.empty
+# The constructor parameters of every public class that is not an exception,
+# each positional or keyword, as names, or as ``(name, default)`` pairs.
+# ``SampledPath``'s ``meta`` defaults to None, which stands for a new dict.
+CONSTRUCTORS = {
+    "ArPoles": ["values", "scale", "bound"],
+    "ArmaModel": ["phi", "theta", "sigma"],
+    "AutocovarianceSequence": ["data", "grid", "max_lag"],
+    "CoefficientSequence": ["data", "grid", ("k_min", 0), ("tail_mass", None)],
+    "DecompositionCheck": ["residual", "delta_norms", "rho", "t_len", "k_trunc"],
+    "DukerReport": [
+        "exponents_real", "sigma_w", "condition_exponent", "integral_value", "grid_sensitive",
+        "passes",
+    ],
+    "ExistenceReport": [
+        "sigma_w", "support_tol", "cond_ii", "cond_iii", "cond_iii_value", "cond_iv", "cond_v",
+        "verdict",
+    ],
+    "FiarmaModel": ["base", "D"],
+    "FilterPlan": ["burnin", "rows", "t_len", "keep", "filter_fft", "real", "meta"],
+    "FracIntegrationSpec": ["D"],
+    "HilbertGrid": ["points", "weights"],
+    "IntegralReport": ["value", "diverges", "shells", "eta", "n_freq", "n_refine", "tail_estimate"],
+    "LinearOperator": ["entries", "grid"],
+    "ModelConfig": ["model", "run"],
+    "NormalDecomposition": ["U", "d", "grid"],
+    "OperatorPolynomial": ["grid", ("coeffs", ())],
+    "PowerLawModel": ["base", "N"],
+    "RunConfig": [
+        ("T", 1024), ("burnin", None), ("K_trunc", 2048), ("seed", 0), ("noise_kind", "auto"),
+        ("replication", 0), ("n_freq", 4096), ("eta", 1.0), ("n_refine", 40),
+        ("shell_points", 64), ("K", 64), ("lags", 8), ("format", "csv"),
+    ],
+    "SampledPath": ["values", "grid", ("meta", None)],
+    "SimConfig": [
+        ("T", 1024), ("burnin", None), ("K_trunc", 2048), ("seed", 0), ("noise_kind", "auto"),
+        ("replication", 0),
+    ],
+    "SpectralDensityGrid": ["freqs", "values", "grid"],
+}
+
+
+def test_public_constructors_are_pinned():
+    """Every public class keeps its constructor's parameters, kinds and
+    defaults; the configs compare by value and stay unhashable, and the
+    models hash by identity, as the simulator's per-model state needs."""
+    modules = [
+        importlib.import_module(f"fiarma_lab.{path.stem}") for path in PACKAGE.glob("[!_]*.py")
+    ]
+    classes = {
+        name: value
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type) and not issubclass(value, BaseException)
+        and value.__module__ == module.__name__ and not name.startswith("_")
+    }
+    assert sorted(classes) == sorted(CONSTRUCTORS)
+    for name, params in CONSTRUCTORS.items():
+        expected = [
+            (p, inspect.Parameter.POSITIONAL_OR_KEYWORD, REQUIRED) if isinstance(p, str)
+            else (p[0], inspect.Parameter.POSITIONAL_OR_KEYWORD, p[1])
+            for p in params
+        ]
+        signature = inspect.signature(classes[name]).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in signature] == expected, name
+
+    sim, run = classes["SimConfig"], classes["RunConfig"]
+    assert sim(T=8) == sim(T=8) and sim(T=8) != sim(T=9)
+    assert run(K=3) == run(K=3) and run(K=3) != run()
+    assert sim() != run()
+    for config in (sim(), run()):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(config)
+    for model in ("ArmaModel", "FiarmaModel", "PowerLawModel"):
+        assert classes[model].__eq__ is object.__eq__
+        assert classes[model].__hash__ is object.__hash__

@@ -753,6 +753,29 @@ class TestCli:
         assert capsys.readouterr().err.startswith(prefix)
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b'{"grid": \xff}', "config error: not UTF-8 text: invalid start byte at byte 9\n"),
+            (
+                b'{"grid": ' + b"[" * 1000 + b"]" * 1000 + b"}",
+                "config error: nested too deeply to parse\n",
+            ),
+        ],
+        ids=["not utf-8", "nested 1000 deep"],
+    )
+    def test_unreadable_config_is_one_config_error(self, tmp_path, capsys, raw, message):
+        """Bytes the JSON parser cannot read are one config error line, in
+        process and in a fresh process, and write no manifest."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        out = tmp_path / "o"
+        assert main(["density", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        proc = run_cli_process(["density", "--config", str(cfg), "--out", str(out)])
+        assert (proc.returncode, proc.stderr) == (1, message)
+        assert not (out / "manifest.json").exists()
+
     def test_huge_run_length_exits_one(self, tmp_path):
         """A 401-digit ``run.T`` passes the config rules; simulating it fails
         within seconds with a one-line error, in a fresh process whose hang

@@ -8,6 +8,7 @@ from fiarma_lab import (
     HilbertGrid,
     LinearOperator,
     OperatorPolynomial,
+    PowerLawModel,
     SampledPath,
     SimConfig,
     SingularTransferError,
@@ -75,6 +76,16 @@ class TestModelInvariants:
         assert model.phi.degree == model.theta.degree == 0 and model.is_white_noise()
         ma2 = ArmaModel(zero, OperatorPolynomial.scalar(g, 0.0, 0.5), identity(g))
         assert ma2.theta.degree == 2 and not ma2.is_white_noise()
+
+    @pytest.mark.parametrize("family, name", [(FiarmaModel, "D"), (PowerLawModel, "N")])
+    def test_memory_operator_must_be_a_spec(self, family, name):
+        """A bare operator is refused when the model is built, naming the
+        argument and the type it needs, not later by a missing attribute."""
+        g = make_grid(2)
+        bare = LinearOperator(0.2 * np.eye(2), g)
+        message = f"^{name} must be a FracIntegrationSpec, not LinearOperator$"
+        with pytest.raises(TypeError, match=message):
+            family(white_model(g), bare)
 
     def test_rejects_indefinite_sigma(self):
         g = make_grid(2)
@@ -271,6 +282,12 @@ class TestAutocovariance:
             autocov_sequence(reversed_dens, 0)
         with pytest.raises(ValueError, match="must increase: 0.1 follows 0.5"):
             autocov_sequence(SpectralDensityGrid([-1.0, 0.5, 0.1, 2.0], dens.values[:4], g), 0)
+
+    def test_no_frequencies_are_refused(self):
+        g = make_grid(2)
+        empty = SpectralDensityGrid(np.zeros(0), np.zeros((0, 2, 2)), g)
+        with pytest.raises(ValueError, match="^need at least one frequency$"):
+            autocov_sequence(empty, 1)
 
     def test_negative_lag_is_adjoint(self, rng):
         g = make_grid(3)
