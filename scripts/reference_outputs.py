@@ -207,7 +207,9 @@ def run_op(sub: str, config_text: str, work: Path) -> dict:
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main([sub, "--config", str(config), "--out", str(out)])
-    names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    # a run that fails creates no output directory
+    files = out.iterdir() if out.exists() else ()
+    names = sorted(p.name for p in files if p.name != "manifest.json")
     return {
         "code": code,
         "stderr": err.getvalue().partition("\n")[0],

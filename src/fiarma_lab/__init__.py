@@ -33,7 +33,6 @@ from .transfer import (
 )
 from .spectral import (
     ArmaModel,
-    AutocovarianceSequence,
     FiarmaModel,
     PowerLawModel,
     SpectralDensityGrid,

@@ -2,9 +2,10 @@
 
 Each invocation runs one subcommand against a JSON config.  The subcommand's
 runner returns its outputs by file name, and :func:`dataio.write_outputs`
-writes them plus a run manifest into the output directory.  It exits with 0 on
-success, 2 when an existence check refuses the run, and 1 on any error,
-usage errors of the command line included.
+creates the output directory and writes them plus a run manifest into it.  It
+exits with 0 on success, 2 when an existence check refuses the run, and 1 on
+any error, usage errors of the command line included; such a run creates no
+output directory.
 The manifest embeds the fully resolved config so every output can be
 regenerated bit-identically from it.
 """
@@ -74,7 +75,7 @@ def _run_density(cfg: ModelConfig, force: bool) -> dict:
 
 def _run_autocov(cfg: ModelConfig, force: bool) -> dict:
     seq = autocov_sequence(_density(cfg), cfg.run.lags)
-    return {"autocov.csv": {"h": np.arange(-seq.max_lag, seq.max_lag + 1), "m": seq.data}}
+    return {"autocov.csv": {"h": np.arange(seq.k_min, seq.k_max + 1), "m": seq.data}}
 
 
 def _run_frac_coeffs(cfg: ModelConfig, force: bool) -> dict:
@@ -169,13 +170,6 @@ def main(argv: list[str] | None = None) -> int:
     process entry :func:`run` touches it.
     """
     args = _build_parser().parse_args(argv)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 1
-
     try:
         raw = Path(args.config).read_bytes()
     except OSError as exc:
@@ -221,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": cfg.run.seed,
             "force": bool(args.force),
         }
-        write_outputs(out, {**outputs, "manifest.json": manifest})
+        write_outputs(Path(args.out), {**outputs, "manifest.json": manifest})
     except ExistenceRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

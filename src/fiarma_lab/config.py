@@ -16,7 +16,7 @@ import numpy as np
 from .dataio import PATH_FORMATS
 from .existence import N_REFINE, SHELL_POINTS, shell_depth_error
 from .hilbert import HilbertGrid, LinearOperator, NotPSDError
-from .simulate import SimConfig
+from .simulate import SimConfig, echo
 from .spectral import ArmaModel, FiarmaModel, PowerLawModel
 from .transfer import FracIntegrationSpec, OperatorPolynomial, SingularTransferError
 
@@ -53,7 +53,7 @@ class RunConfig(SimConfig):
         elif isinstance(n_refine, int) and (message := shell_depth_error(eta, n_refine)):
             yield prefix + message
         if values["format"] not in PATH_FORMATS:
-            yield f"{prefix}format: unknown format {values['format']!r}"
+            yield f"{prefix}format: unknown format {echo(values['format'])}"
 
 
 class ModelConfig:
@@ -153,7 +153,7 @@ _RUN_DEFAULTS = vars(RunConfig())
 def _check_keys(section: dict, allowed: set[str], where: str, errors: list[str]) -> None:
     for key in section:
         if key not in allowed:
-            errors.append(f"{where}: unknown key {key!r}")
+            errors.append(f"{where}: unknown key {echo(key)}")
 
 
 def parse_config(text: str) -> ModelConfig:

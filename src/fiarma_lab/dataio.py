@@ -116,7 +116,12 @@ def write_outputs(out: Path, outputs: dict) -> None:
     """Write each ``{file name: output}`` into the directory ``out``, in order:
     a :class:`SampledPath` by :func:`write_path`, a ``.json`` document sorted
     and indented, numpy values as lists, and any other output as a table of
-    named columns (:func:`_columns_bytes`)."""
+    named columns (:func:`_columns_bytes`).  ``out`` and its parents are
+    created first; an :class:`OSError` there says that it could not be."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory: {exc}") from None
     for name, output in outputs.items():
         target = out / name
         if isinstance(output, SampledPath):

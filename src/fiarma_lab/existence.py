@@ -49,9 +49,6 @@ class ExistenceReport:
         self.cond_v = cond_v
         self.verdict = verdict
 
-    def failed_condition(self) -> str | None:
-        return "ii" if self.verdict == "fails" else None
-
 
 class IntegralReport:
     """Dyadic-shell quadrature of the existence integral near frequency 0."""
@@ -77,13 +74,12 @@ class DukerReport:
     """Conditions for the power-law moving average ``sum (k+1)^{-N} eps_{t-k}``."""
 
     def __init__(self, exponents_real: np.ndarray, sigma_w: np.ndarray, condition_exponent: bool,
-                 integral_value: float, grid_sensitive: bool, passes: bool) -> None:
+                 integral_value: float, grid_sensitive: bool) -> None:
         self.exponents_real = exponents_real
         self.sigma_w = sigma_w
         self.condition_exponent = condition_exponent
         self.integral_value = integral_value
         self.grid_sensitive = grid_sensitive
-        self.passes = passes
 
 
 def shell_depth_error(eta: float, n_refine: int) -> str | None:
@@ -263,5 +259,4 @@ def check_duker_conditions(model: PowerLawModel) -> DukerReport:
         condition_exponent=cond,
         integral_value=value,
         grid_sensitive=sensitive,
-        passes=cond,
     )

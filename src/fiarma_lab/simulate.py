@@ -76,6 +76,20 @@ def key_range_error(name: str, value: int) -> str | None:
     return f"{name}: must lie in [-2**63, 2**64) to key the noise stream, got {value}"
 
 
+# the longest repr of a configured string that a message shows
+ECHO_CHARS = 40
+
+
+def echo(value) -> str:
+    """A configured value as a message shows it: a string as its ``repr``,
+    cut to ``ECHO_CHARS`` characters that end in ``...``, any other value by
+    its type name.  No value makes a message long."""
+    if not isinstance(value, str):
+        return f"of type {type(value).__name__}"
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
+
+
 class SimConfig:
     """Run length, pre-history sizes, seed and noise family for one path,
     refused with the first rule of :meth:`errors` that it breaks.
@@ -122,7 +136,7 @@ class SimConfig:
         if burnin is not None and (not _is_int(burnin) or burnin < 0):
             yield f"{prefix}burnin: must be a nonnegative integer or null"
         if values["noise_kind"] not in NOISE_KINDS:
-            yield f"{prefix}noise_kind: unknown kind {values['noise_kind']!r}"
+            yield f"{prefix}noise_kind: unknown kind {echo(values['noise_kind'])}"
 
 
 class SampledPath:
@@ -450,7 +464,7 @@ def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
     state = _state(model)
     if state.verdict is None:
         if isinstance(model, PowerLawModel):
-            passes = check_duker_conditions(model).passes
+            passes = check_duker_conditions(model).condition_exponent
             state.verdict = ("holds", None) if passes else ("fails", "duker")
         else:
             try:
@@ -458,7 +472,7 @@ def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
             except NotNormalError:
                 state.verdict = ("unchecked (memory operator not normal)", None)
             else:
-                state.verdict = (report.verdict, report.failed_condition())
+                state.verdict = (report.verdict, None if report.cond_ii else "ii")
     verdict, cond = state.verdict
     if cond is not None:
         raise ExistenceRefusal(

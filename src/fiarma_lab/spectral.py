@@ -22,6 +22,7 @@ from .hilbert import (
     sqrt_psd,
 )
 from .transfer import (
+    CoefficientSequence,
     FracIntegrationSpec,
     OperatorPolynomial,
     SingularTransferError,
@@ -136,23 +137,6 @@ class SpectralDensityGrid:
         psd_eigh(self.values)
 
 
-class AutocovarianceSequence:
-    """Lag-indexed autocovariance operators for h = -H..H."""
-
-    def __init__(self, data: np.ndarray, grid: HilbertGrid, max_lag: int) -> None:
-        self.data = np.ascontiguousarray(data, dtype=complex)
-        self.grid = grid
-        self.max_lag = max_lag
-        n = grid.n
-        if self.data.shape != (2 * max_lag + 1, n, n):
-            raise ValueError("autocovariance data must have shape (2H+1, n, n)")
-
-    def operator(self, h: int) -> LinearOperator:
-        if abs(h) > self.max_lag:
-            raise IndexError(f"lag {h} outside [-{self.max_lag}, {self.max_lag}]")
-        return LinearOperator(self.data[h + self.max_lag], self.grid)
-
-
 def density_frequencies(n_freq: int) -> np.ndarray:
     """Half-cell-offset grid of ``n_freq`` equispaced frequencies in ``(-pi, pi]``.
 
@@ -221,9 +205,10 @@ def _quadrature_weights(freqs: np.ndarray) -> np.ndarray:
     return w
 
 
-def autocov_sequence(g: SpectralDensityGrid, max_lag: int) -> AutocovarianceSequence:
+def autocov_sequence(g: SpectralDensityGrid, max_lag: int) -> CoefficientSequence:
     """Autocovariances ``Gamma(h) = integral e^{i lam h} g(lam) d lam`` for
-    h = -H..H, by the quadrature of :func:`_quadrature_weights`.
+    h = -H..H, by the quadrature of :func:`_quadrature_weights`, as the
+    operator sequence with ``k_min = -H``.
 
     Lags 0..H are one ``(H+1, F) @ (F, n^2)`` product.  Lag 0 is made exactly
     Hermitian and each negative lag is the adjoint of its positive lag, so
@@ -237,7 +222,7 @@ def autocov_sequence(g: SpectralDensityGrid, max_lag: int) -> AutocovarianceSequ
     pos[0] += pos[0].conj().T
     pos[0] *= 0.5
     data = np.concatenate([pos[:0:-1].conj().transpose(0, 2, 1), pos])
-    return AutocovarianceSequence(data, g.grid, max_lag)
+    return CoefficientSequence(data, g.grid, k_min=-max_lag)
 
 
 def empirical_autocov(path: "SampledPath", h: int) -> LinearOperator:

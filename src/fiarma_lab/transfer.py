@@ -129,7 +129,8 @@ class FracIntegrationSpec:
 
 
 class CoefficientSequence:
-    """Operator coefficients ``C_{k_min} .. C_{k_min + len - 1}`` of a filter.
+    """Operator coefficients ``C_{k_min} .. C_{k_min + len - 1}`` of a filter,
+    or the autocovariances ``Gamma(-H) .. Gamma(H)`` with ``k_min = -H``.
 
     ``tail_mass`` carries the estimated mass of the discarded/aliased tail
     where applicable.

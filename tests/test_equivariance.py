@@ -1,11 +1,14 @@
-"""Unitary equivariance of the fractional transfer and the autocovariances.
+"""Unitary equivariance of the model's quantities.
 
 The grid's coordinates are one orthonormal basis of the function space, so
 for a unitary W the model ``W M W^H`` (phi, theta, Sigma and D each rotated)
 must give the rotated quantities of M: ``W F(lam) W^H`` for the fractional
-transfer and ``W Gamma(h) W^H`` for the autocovariances.
+transfer, ``W g(lam) W^H`` for the density, ``W Gamma(h) W^H`` for the
+autocovariances and ``W C_k W^H`` for the MA coefficients, and the same
+existence verdict, condition (iii) value and existence integral.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +20,11 @@ from fiarma_lab import (
     LinearOperator,
     OperatorPolynomial,
     autocov_sequence,
+    check_conditions,
     density_frequencies,
+    existence_integral,
     fiarma_spectral_density,
+    frac_ma_coeffs,
 )
 from fiarma_lab.transfer import frac_transfer_batch
 
@@ -77,3 +83,61 @@ def test_fractional_transfer_rotates_with_the_memory_operator(n, seed):
     rotated = frac_transfer_batch(build(grid, mats, w).D, freqs)
     want = w @ values @ w.conj().T
     assert np.abs(rotated - want).max() <= 1e-12 * np.abs(values).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWS)
+def test_density_rotates_with_the_model(n, seed):
+    grid, mats, w = draw(seed, n)
+    freqs = density_frequencies(256)
+    values = fiarma_spectral_density(build(grid, mats, np.eye(n)), freqs).values
+    rotated = fiarma_spectral_density(build(grid, mats, w), freqs).values
+    want = w @ values @ w.conj().T
+    assert np.abs(rotated - want).max() <= 1e-12 * np.abs(values).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWS)
+def test_ma_coefficients_rotate_with_the_memory_operator(n, seed):
+    grid, mats, w = draw(seed, n)
+    coeffs = frac_ma_coeffs(build(grid, mats, np.eye(n)).D, 64).data
+    rotated = frac_ma_coeffs(build(grid, mats, w).D, 64).data
+    want = w @ coeffs @ w.conj().T
+    assert np.abs(rotated - want).max() <= 1e-12 * np.abs(coeffs).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWS)
+def test_existence_conditions_are_basis_free(n, seed):
+    grid, mats, w = draw(seed, n)
+    model, rotated = build(grid, mats, np.eye(n)), build(grid, mats, w)
+    report = check_conditions(model.base, model.D)
+    turned = check_conditions(rotated.base, rotated.D)
+    assert turned.verdict == report.verdict
+    assert abs(turned.cond_iii_value - report.cond_iii_value) <= 1e-12 * report.cond_iii_value
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWS)
+def test_existence_integral_is_basis_free(n, seed):
+    grid, mats, w = draw(seed, n)
+    model, rotated = build(grid, mats, np.eye(n)), build(grid, mats, w)
+    value = existence_integral(model.base, model.D, eta=1.0, n_freq=16, n_refine=12).value
+    turned = existence_integral(rotated.base, rotated.D, eta=1.0, n_freq=16, n_refine=12).value
+    assert abs(turned - value) <= 1e-12 * value
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="sigma_w divides the squared rows of D's eigenframe, in the Schur order that "
+    "numpy.linalg.eig finds in the given basis, by the grid weights in grid order; with "
+    "non-uniform weights the pairing and so the values depend on the basis (ROADMAP item 10)",
+)
+@settings(max_examples=25, deadline=None)
+@given(**DRAWS)
+def test_sigma_w_is_basis_free(n, seed):
+    grid, mats, w = draw(seed, n)
+    model, rotated = build(grid, mats, np.eye(n)), build(grid, mats, w)
+    values = check_conditions(model.base, model.D).sigma_w
+    turned = check_conditions(rotated.base, rotated.D).sigma_w
+    assert np.abs(turned - values).max() <= 1e-12 * values.max()

@@ -298,6 +298,26 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert any("unknown key 'TT'" in m for m in err.value.errors)
 
+    def test_unknown_values_are_shown_bounded(self):
+        """A config error shows a string as its repr, cut to 40 characters
+        that end in ``...``, and any other value by its type name."""
+        nested = []
+        for _ in range(984):
+            nested = [nested]
+        long_kind = {"noise_kind": "k" * 100_000, "format": nested}
+        assert list(RunConfig.errors(vars(RunConfig()) | long_kind, prefix="run.")) == [
+            "run.noise_kind: unknown kind '" + "k" * 36 + "...",
+            "run.format: unknown format of type list",
+        ]
+        assert list(RunConfig.errors(vars(RunConfig()) | {"format": "tsv"})) == [
+            "format: unknown format 'tsv'"
+        ]
+        doc = json.loads(minimal_config())
+        doc["run"] = {"k" * 100_000: 1}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert err.value.errors == ["run: unknown key '" + "k" * 36 + "..."]
+
     def test_non_numeric_eta_flagged(self):
         with pytest.raises(ConfigError) as err:
             parse_config(minimal_config(eta="x"))
@@ -775,6 +795,56 @@ class TestCli:
         proc = run_cli_process(["density", "--config", str(cfg), "--out", str(out)])
         assert (proc.returncode, proc.stderr) == (1, message)
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "run, field",
+        [
+            ('"format": ' + "[" * 985 + "]" * 985, "run.format"),
+            ('"noise_kind": "' + "k" * 100_000 + '"', "run.noise_kind"),
+            ('"' + "k" * 100_000 + '": 1', "run"),
+        ],
+        ids=["format nested 985 deep", "noise_kind of 100000 characters", "run key of 100000 characters"],
+    )
+    def test_unbounded_value_is_a_short_config_error(self, tmp_path, capsys, run, field):
+        """A value or key of any size gives config error lines of at most 200
+        characters, in process and in a fresh process, and no output.  Under
+        pytest's stack the 985-deep list is already too deep to parse in
+        process; the fresh process reaches the format rule."""
+        cfg = self._write(tmp_path, minimal_config().replace('"run": {}', '"run": {' + run + "}"))
+        out = tmp_path / "o"
+        argv = ["density", "--config", str(cfg), "--out", str(out)]
+        code = main(argv)
+        proc = run_cli_process(argv)
+        for code, err in ((code, capsys.readouterr().err), (proc.returncode, proc.stderr)):
+            lines = err.splitlines()
+            assert code == 1 and lines
+            assert all(line.startswith("config error: ") and len(line) <= 200 for line in lines)
+        assert proc.stderr.startswith(f"config error: {field}: unknown ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, code",
+        [
+            (["density"], '{"grid": {"points": [0.0]}}', 1),
+            (["density"], family_config("N"), 1),
+            (["simulate", "--seed", str(2**64)], family_config("D"), 1),
+            (["periodogram"], ar1_config(2.0, T=32), 1),
+            (["simulate"], fractional_config(0.6), 2),
+            (["duker-verify"], family_config("N", N=[[0.3, 0.0], [0.0, 0.8]]), 2),
+        ],
+        ids=["config error", "family refusal", "seed out of range", "non-causal AR",
+             "existence refusal", "power-law refusal"],
+    )
+    def test_failed_run_creates_no_output_directory(self, tmp_path, capsys, argv, config, code):
+        """Only the writer creates ``--out``, so a run that exits 1 or 2
+        leaves none behind, nor its parents, in process and in a fresh process."""
+        cfg = self._write(tmp_path, config)
+        out = tmp_path / "parent" / "o"
+        full = [*argv, "--config", str(cfg), "--out", str(out)]
+        assert main(full) == code
+        assert not out.parent.exists()
+        assert run_cli_process(full).returncode == code
+        assert not out.parent.exists()
 
     def test_huge_run_length_exits_one(self, tmp_path):
         """A 401-digit ``run.T`` passes the config rules; simulating it fails
