@@ -8,15 +8,12 @@ from .hilbert import (
     NormalDecomposition,
     NotNormalError,
     NotPSDError,
-    adjoint,
     from_kernel,
     identity,
     kernel_of,
     normal_decompose,
     operator_norm,
-    schatten_norm,
     sqrt_psd,
-    zero_operator,
 )
 from .transfer import (
     CoefficientSequence,
@@ -60,7 +57,6 @@ from .simulate import (
     NonCausalError,
     SampledPath,
     SimConfig,
-    gaussian_white_noise,
     simulate_arma,
     simulate_duker,
     simulate_fiarma,

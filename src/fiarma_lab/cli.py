@@ -26,6 +26,7 @@ from .dataio import write_outputs
 from .existence import ExistenceRefusal, IntegralReport, check_conditions, existence_integral
 from .simulate import (
     SampledPath,
+    echo,
     key_range_error,
     simulate_arma,
     simulate_duker,
@@ -150,6 +151,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """``--seed`` as an integer; a value ``int`` refuses is named in bounded form."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fiarma-lab",
@@ -158,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=RUNNERS, help="what to compute")
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override run.seed")
+    parser.add_argument("--seed", type=_seed, default=None, help="override run.seed")
     parser.add_argument("--force", action="store_true", help="bypass existence refusals")
     return parser
 

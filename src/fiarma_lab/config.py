@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Iterator
 
 import numpy as np
@@ -172,6 +173,9 @@ def parse_config(text: str) -> ModelConfig:
         ) from exc
     except RecursionError as exc:  # the parser recurses once per level of nesting
         raise ConfigError(["nested too deeply to parse"]) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ConfigError([f"an integer has more than {limit} digits"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be a JSON object"])
     _check_keys(doc, {"grid", "model", "run"}, "config", errors)

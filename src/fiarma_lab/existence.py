@@ -71,12 +71,12 @@ class IntegralReport:
 
 
 class DukerReport:
-    """Conditions for the power-law moving average ``sum (k+1)^{-N} eps_{t-k}``."""
+    """Conditions for the power-law moving average ``sum (k+1)^{-N} eps_{t-k}``:
+    whether every exponent's real part exceeds 1/2, the condition's weighted
+    sum, and whether an exponent near 1/2 makes that sum depend on the grid."""
 
-    def __init__(self, exponents_real: np.ndarray, sigma_w: np.ndarray, condition_exponent: bool,
-                 integral_value: float, grid_sensitive: bool) -> None:
-        self.exponents_real = exponents_real
-        self.sigma_w = sigma_w
+    def __init__(self, condition_exponent: bool, integral_value: float,
+                 grid_sensitive: bool) -> None:
         self.condition_exponent = condition_exponent
         self.integral_value = integral_value
         self.grid_sensitive = grid_sensitive
@@ -253,10 +253,4 @@ def check_duker_conditions(model: PowerLawModel) -> DukerReport:
         gap = 2.0 * h - 1.0
     value = _condition_sum(sw, gap, model.grid.weights, "the power-law condition")
     sensitive = bool(np.any(above & (h - 0.5 < 0.05)))
-    return DukerReport(
-        exponents_real=h,
-        sigma_w=sw,
-        condition_exponent=cond,
-        integral_value=value,
-        grid_sensitive=sensitive,
-    )
+    return DukerReport(condition_exponent=cond, integral_value=value, grid_sensitive=sensitive)

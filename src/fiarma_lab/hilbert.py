@@ -119,39 +119,12 @@ def identity(grid: HilbertGrid) -> LinearOperator:
     return LinearOperator(np.eye(grid.n, dtype=complex), grid)
 
 
-def zero_operator(grid: HilbertGrid) -> LinearOperator:
-    return LinearOperator(np.zeros((grid.n, grid.n), dtype=complex), grid)
-
-
-def adjoint(a: LinearOperator) -> LinearOperator:
-    """Conjugate transpose; an involution."""
-    return LinearOperator(a.entries.conj().T, a.grid)
-
-
 def operator_norm(a: np.ndarray | LinearOperator) -> float:
     """Largest singular value (Schatten-infinity norm)."""
     m = a.entries if isinstance(a, LinearOperator) else np.asarray(a)
     if not m.size:
         return 0.0
     return float(np.linalg.norm(m, 2))
-
-
-def schatten_norm(a: LinearOperator, p: float) -> float:
-    """Singular-value norm ``(sum sigma_i^p)^(1/p)``; ``p=inf`` gives max sigma.
-
-    ``p`` must satisfy ``p >= 1`` (the smaller-p classes are the smaller
-    spaces: for p <= p' the p-norm dominates the p'-norm).
-    """
-    if not p >= 1:
-        raise ValueError(f"Schatten order must satisfy p >= 1, got {p}")
-    sigma = np.linalg.svd(a.entries, compute_uv=False)
-    top = float(sigma[0]) if sigma.size else 0.0
-    if top == 0.0:
-        return 0.0
-    if np.isinf(p):
-        return top
-    # factor out the top singular value so large p cannot overflow
-    return top * float(np.sum((sigma / top) ** p)) ** (1.0 / p)
 
 
 # Relative tolerance of the library's one frame rule: an operator has a

@@ -26,6 +26,7 @@ convolve.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from functools import reduce
 from typing import Iterator
@@ -33,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .existence import ExistenceRefusal, check_conditions, check_duker_conditions
-from .hilbert import HilbertGrid, LinearOperator, NotNormalError, identity
+from .hilbert import HilbertGrid, NotNormalError, identity
 from .spectral import ArmaModel, FiarmaModel, PowerLawModel
 from .transfer import (
     OperatorPolynomial,
@@ -73,7 +74,11 @@ def key_range_error(name: str, value: int) -> str | None:
         return f"{name}: must be an integer"
     if -(2**63) <= value < 2**64:
         return None
-    return f"{name}: must lie in [-2**63, 2**64) to key the noise stream, got {value}"
+    # its decimal digits, counted without str(), which refuses past the interpreter's limit
+    size = abs(int(value))
+    digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # those of 2**(bit_length - 1)
+    digits += size >= 10**digits
+    return f"{name}: must lie in [-2**63, 2**64) to key the noise stream, got {digits} digits"
 
 
 # the longest repr of a configured string that a message shows
@@ -437,13 +442,6 @@ def _path(model: _Model, plan: FilterPlan, cfg: SimConfig, **extra) -> SampledPa
         **extra,
     }
     return SampledPath(_filtered_rows(plan, xi), model.grid, meta)
-
-
-def gaussian_white_noise(sigma: LinearOperator, cfg: SimConfig) -> SampledPath:
-    """White noise with covariance ``sigma``, the path of the identity ARMA
-    model: ``Sigma^{1/2}`` times standard (real or circular complex) noise."""
-    white = OperatorPolynomial(sigma.grid)
-    return simulate_arma(ArmaModel(white, white, sigma), cfg)
 
 
 def simulate_arma(model: ArmaModel, cfg: SimConfig) -> SampledPath:

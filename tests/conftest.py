@@ -52,8 +52,18 @@ def op(mat, grid=None) -> LinearOperator:
     return LinearOperator(mat, grid)
 
 
+def white_model(grid: HilbertGrid, sigma: LinearOperator | None = None) -> ArmaModel:
+    """White noise with covariance ``sigma``, the identity by default: the
+    ARMA model with no AR and no MA coefficients."""
+    sigma = identity(grid) if sigma is None else sigma
+    return ArmaModel(OperatorPolynomial(grid), OperatorPolynomial(grid), sigma)
+
+
+def ar1_model(grid: HilbertGrid, a: complex = 0.5) -> ArmaModel:
+    """``(Id - a z) X_t = eps_t`` with identity innovation covariance."""
+    return ArmaModel(OperatorPolynomial.scalar(grid, a), OperatorPolynomial(grid), identity(grid))
+
+
 def power_law_model(n_op: LinearOperator, sigma: LinearOperator) -> PowerLawModel:
     """Power-law moving average with exponent ``n_op`` of white noise with covariance ``sigma``."""
-    g = n_op.grid
-    white = ArmaModel(OperatorPolynomial(g), OperatorPolynomial(g), sigma)
-    return PowerLawModel(white, FracIntegrationSpec(n_op))
+    return PowerLawModel(white_model(n_op.grid, sigma), FracIntegrationSpec(n_op))

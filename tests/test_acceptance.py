@@ -22,7 +22,7 @@ from fiarma_lab import (
 )
 from fiarma_lab.transfer import frac_transfer_batch
 
-from conftest import make_grid, op, power_law_model, random_unitary
+from conftest import ar1_model, make_grid, op, power_law_model, random_unitary, white_model
 
 
 @contextmanager
@@ -38,17 +38,6 @@ def criterion(name: str):
 
 def scalar_grid():
     return HilbertGrid(np.array([0.0]), np.array([1.0]))
-
-
-def white_model(grid, sigma=None):
-    sigma = fl.identity(grid) if sigma is None else sigma
-    return ArmaModel(OperatorPolynomial(grid), OperatorPolynomial(grid), sigma)
-
-
-def ar1_model(grid, a=0.5):
-    return ArmaModel(
-        OperatorPolynomial.scalar(grid, a), OperatorPolynomial(grid), fl.identity(grid)
-    )
 
 
 BATTERY_D = (-0.4, 0.0, 0.3, 0.49, 0.5, 0.6, 0.9)

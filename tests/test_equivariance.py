@@ -5,7 +5,10 @@ for a unitary W the model ``W M W^H`` (phi, theta, Sigma and D each rotated)
 must give the rotated quantities of M: ``W F(lam) W^H`` for the fractional
 transfer, ``W g(lam) W^H`` for the density, ``W Gamma(h) W^H`` for the
 autocovariances and ``W C_k W^H`` for the MA coefficients, and the same
-existence verdict, condition (iii) value and existence integral.
+existence verdict, condition (iii) value and existence integral.  A path
+rotated to ``W x_t`` has the periodogram ``W I(lam) W^H``.  The power-law
+model with exponent ``N = Id - D`` of the same draw rotates its matching
+constant, remainders and weights, and keeps its conditions.
 """
 import numpy as np
 import pytest
@@ -19,16 +22,25 @@ from fiarma_lab import (
     HilbertGrid,
     LinearOperator,
     OperatorPolynomial,
+    PowerLawModel,
+    SampledPath,
+    SimConfig,
     autocov_sequence,
     check_conditions,
+    check_duker_conditions,
     density_frequencies,
+    duker_decomposition,
     existence_integral,
     fiarma_spectral_density,
+    fourier_frequencies,
     frac_ma_coeffs,
+    periodogram,
+    power_law_weights,
+    simulate_fiarma,
 )
 from fiarma_lab.transfer import frac_transfer_batch
 
-from conftest import random_unitary
+from conftest import power_law_model, random_unitary
 
 DRAWS = dict(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 
@@ -60,6 +72,15 @@ def build(grid: HilbertGrid, mats: dict, w: np.ndarray) -> FiarmaModel:
     phi, theta = (OperatorPolynomial(grid, (rot[key],)) for key in ("phi", "theta"))
     base = ArmaModel(phi, theta, rot["sigma"])
     return FiarmaModel(base, FracIntegrationSpec(rot["D"]))
+
+
+def build_power_law(grid: HilbertGrid, mats: dict, w: np.ndarray) -> PowerLawModel:
+    """The power-law model with exponent ``N = Id - D`` of white noise with
+    covariance Sigma, each rotated to ``w M w^H``: N is normal, with the real
+    parts of its eigenvalues in (0.55, 1.4)."""
+    n_mat = np.eye(grid.n) - mats["D"]
+    n_op, sigma = (LinearOperator(w @ m @ w.conj().T, grid) for m in (n_mat, mats["sigma"]))
+    return power_law_model(n_op, sigma)
 
 
 @settings(max_examples=25, deadline=None)
@@ -125,6 +146,47 @@ def test_existence_integral_is_basis_free(n, seed):
     value = existence_integral(model.base, model.D, eta=1.0, n_freq=16, n_refine=12).value
     turned = existence_integral(rotated.base, rotated.D, eta=1.0, n_freq=16, n_refine=12).value
     assert abs(turned - value) <= 1e-12 * value
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWS)
+def test_periodogram_rotates_with_the_path(n, seed):
+    grid, mats, w = draw(seed, n)
+    path = simulate_fiarma(build(grid, mats, np.eye(n)), SimConfig(T=128, K_trunc=64, seed=seed))
+    freqs = fourier_frequencies(path.t_len)
+    values = periodogram(path, freqs).values
+    rotated = periodogram(SampledPath(path.values @ w.T, grid), freqs).values
+    want = w @ values @ w.conj().T
+    assert np.abs(rotated - want).max() <= 1e-12 * np.abs(values).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWS)
+def test_power_law_decomposition_rotates_with_the_exponent(n, seed):
+    grid, mats, w = draw(seed, n)
+    model, rotated = build_power_law(grid, mats, np.eye(n)), build_power_law(grid, mats, w)
+    c_mat, deltas, rho = duker_decomposition(model.N, 64)
+    c_turned, deltas_turned, rho_turned = duker_decomposition(rotated.N, 64)
+    for got, values in ((c_turned.entries, c_mat.entries), (deltas_turned.data, deltas.data)):
+        want = w @ values @ w.conj().T
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(values).max()
+    assert abs(rho_turned - rho) <= 1e-12
+    weights = power_law_weights(model.N, 64).data
+    turned = power_law_weights(rotated.N, 64).data
+    assert np.abs(turned - w @ weights @ w.conj().T).max() <= 1e-12 * np.abs(weights).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWS)
+def test_power_law_conditions_are_basis_free(n, seed):
+    """The weights cancel from the condition's sum, so it is basis-free
+    although the ``sigma_w`` it sums is not."""
+    grid, mats, w = draw(seed, n)
+    report = check_duker_conditions(build_power_law(grid, mats, np.eye(n)))
+    turned = check_duker_conditions(build_power_law(grid, mats, w))
+    assert turned.condition_exponent == report.condition_exponent
+    assert turned.grid_sensitive == report.grid_sensitive
+    assert abs(turned.integral_value - report.integral_value) <= 1e-12 * report.integral_value
 
 
 @pytest.mark.xfail(

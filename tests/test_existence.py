@@ -24,22 +24,11 @@ from fiarma_lab import (
 )
 from fiarma_lab.transfer import arma_transfer_batch
 
-from conftest import make_grid, op, power_law_model, random_unitary
+from conftest import ar1_model, make_grid, op, power_law_model, random_unitary, white_model
 
 
 def scalar_grid():
     return HilbertGrid(np.array([0.0]), np.array([1.0]))
-
-
-def white_model(grid, sigma=None):
-    sigma = identity(grid) if sigma is None else sigma
-    return ArmaModel(OperatorPolynomial(grid), OperatorPolynomial(grid), sigma)
-
-
-def ar1_model(grid, a=0.5):
-    return ArmaModel(
-        OperatorPolynomial.scalar(grid, a), OperatorPolynomial(grid), identity(grid)
-    )
 
 
 def scalar_spec(grid, d):

@@ -10,13 +10,11 @@ from fiarma_lab import (
     LinearOperator,
     NotNormalError,
     NotPSDError,
-    adjoint,
     from_kernel,
     identity,
     kernel_of,
     normal_decompose,
     operator_norm,
-    schatten_norm,
     sqrt_psd,
 )
 from fiarma_lab.hilbert import NORMAL_TOL
@@ -65,47 +63,6 @@ class TestGrid:
             LinearOperator(np.zeros((2, 3)), make_grid(2))
         with pytest.raises(ValueError):
             LinearOperator(np.array([[np.nan]]), make_grid(1))
-
-
-class TestAdjoint:
-    def test_identity(self):
-        g = make_grid(3)
-        assert np.array_equal(adjoint(identity(g)).entries, np.eye(3))
-
-    def test_real_transpose(self):
-        a = op([[0, 1], [0, 0]])
-        assert np.array_equal(adjoint(a).entries, np.array([[0, 0], [1, 0]]))
-
-    def test_conjugates(self):
-        a = op([[1j]])
-        assert adjoint(a).entries[0, 0] == -1j
-
-    @settings(max_examples=40, deadline=None)
-    @given(small_operators())
-    def test_involution_exact(self, a):
-        assert np.array_equal(adjoint(adjoint(a)).entries, a.entries)
-
-
-class TestSchattenNorm:
-    def test_identity_orders(self):
-        eye3 = identity(make_grid(3))
-        assert schatten_norm(eye3, 1) == pytest.approx(3.0)
-        assert schatten_norm(eye3, np.inf) == pytest.approx(1.0)
-
-    def test_diagonal_frobenius(self):
-        # oracle: singular values of diag(3, 4) are (4, 3), so sqrt(9+16)=5
-        assert schatten_norm(op(np.diag([3.0, 4.0])), 2) == pytest.approx(5.0)
-
-    def test_rejects_small_p(self):
-        with pytest.raises(ValueError):
-            schatten_norm(op([[1.0]]), 0.5)
-
-    @settings(max_examples=40, deadline=None)
-    @given(small_operators(), st.floats(1.0, 20.0), st.floats(0.0, 20.0))
-    def test_embedding_chain(self, a, p, bump):
-        hi = schatten_norm(a, p + bump)
-        lo = schatten_norm(a, p)
-        assert hi <= lo * (1 + 1e-12) + 1e-12
 
 
 class TestNormality:
@@ -301,7 +258,7 @@ class TestKernels:
         a = LinearOperator(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), g)
         k = kernel_of(a)
         quad = np.sum(np.abs(k) ** 2 * np.outer(g.weights, g.weights))
-        assert quad == pytest.approx(schatten_norm(a, 2) ** 2, rel=1e-12)
+        assert quad == pytest.approx(np.linalg.norm(a.entries, "fro") ** 2, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(small_operators())

@@ -2,8 +2,8 @@
 operators; scipy is loaded only for the matrix exponential of a non-normal
 memory operator, and ``dataclasses`` never.  Only the process entry touches
 the garbage collector.  Every module of the package keeps its underscore
-names to itself, and the package's public names and constructors are
-pinned."""
+names to itself, the package's public names and constructors are pinned,
+and every public name has a reader."""
 import ast
 import importlib
 import inspect
@@ -203,16 +203,16 @@ PUBLIC_NAMES = [
     "FiarmaModel", "FracIntegrationSpec", "HilbertGrid", "IntegralReport", "LinearOperator",
     "ModelConfig", "NonCausalError", "NormalDecomposition", "NotNormalError", "NotPSDError",
     "OperatorPolynomial", "PathFormatError", "PowerLawModel", "RunConfig", "SampledPath",
-    "SimConfig", "SingularTransferError", "SpectralDensityGrid", "adjoint",
+    "SimConfig", "SingularTransferError", "SpectralDensityGrid",
     "ar_inverse_laurent", "arma_spectral_density", "autocov_sequence",
     "binomial_ma_coeffs", "check_conditions", "check_duker_conditions",
     "check_invertible_on_circle", "density_frequencies", "duker_decomposition",
     "empirical_autocov", "envelope_bounds", "existence_integral", "fiarma_spectral_density",
     "fourier_frequencies", "frac_ma_coeffs", "from_kernel",
-    "gaussian_white_noise", "identity", "kernel_of", "local_factorization", "normal_decompose",
+    "identity", "kernel_of", "local_factorization", "normal_decompose",
     "operator_norm", "parse_config", "periodogram", "power_law_weights", "read_path",
-    "schatten_norm", "sigma_w", "simulate_arma", "simulate_duker", "simulate_fiarma",
-    "sqrt_psd", "verify_longmemory_decomposition", "write_path", "zero_operator",
+    "sigma_w", "simulate_arma", "simulate_duker", "simulate_fiarma",
+    "sqrt_psd", "verify_longmemory_decomposition", "write_path",
 ]
 
 
@@ -225,6 +225,67 @@ def test_public_names_are_pinned():
     assert sorted(names) == sorted(PUBLIC_NAMES)
 
 
+# The public names that no module of the package reads, each with the reader
+# that keeps it: an acceptance test of ``tests/test_acceptance.py`` that
+# checks it as a claim of the paper, or the ROADMAP item that will call it.
+READERS_OUTSIDE_THE_PACKAGE = {
+    "envelope_bounds": "test_c02",
+    "ar_inverse_laurent": "test_c03",
+    "empirical_autocov": "test_c05",
+    "local_factorization": "ROADMAP item 16",
+    "read_path": "ROADMAP item 14",
+    "from_kernel": "ROADMAP items 10 and 13",
+    "kernel_of": "ROADMAP items 10 and 13",
+}
+
+
+def _names_read(tree: ast.Module, skip: str | None = None) -> set[str]:
+    """Every name that the module ``tree`` reads, bare or as an attribute,
+    outside its top-level function or class named ``skip``; imports and
+    assignments do not count."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for top in tree.body
+        if not (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip)
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unread_public_names() -> set[str]:
+    """The public names that no module of the package but ``__init__.py``
+    reads, outside the name's own definition."""
+    trees = [
+        ast.parse(path.read_text()) for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
+    ]
+    return {
+        name for name in PUBLIC_NAMES
+        if not any(name in _names_read(tree, skip=name) for tree in trees)
+    }
+
+
+def test_unread_name_check_skips_only_the_own_definition():
+    tree = ast.parse("def f(x):\n    return f(x - 1)\n\ny = g.f\nfrom m import h\n")
+    assert _names_read(tree, skip="f") == {"g", "f"}
+    assert _names_read(tree) == {"f", "g", "x"}
+
+
+def test_every_public_name_has_a_reader():
+    """A public name that the package does not read is kept only for a
+    reader listed in READERS_OUTSIDE_THE_PACKAGE, and an acceptance test
+    named there reads it."""
+    assert _unread_public_names() == set(READERS_OUTSIDE_THE_PACKAGE)
+    tests = {
+        node.name: node
+        for node in ast.parse((Path(__file__).parent / "test_acceptance.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name, reader in READERS_OUTSIDE_THE_PACKAGE.items():
+        if reader.startswith("test_"):
+            (test,) = [node for key, node in tests.items() if key.startswith(reader + "_")]
+            assert name in _names_read(ast.Module(body=[test], type_ignores=[])), name
+
+
 REQUIRED = inspect.Parameter.empty
 # The constructor parameters of every public class that is not an exception,
 # each positional or keyword, as names, or as ``(name, default)`` pairs.
@@ -234,9 +295,7 @@ CONSTRUCTORS = {
     "ArmaModel": ["phi", "theta", "sigma"],
     "CoefficientSequence": ["data", "grid", ("k_min", 0), ("tail_mass", None)],
     "DecompositionCheck": ["residual", "delta_norms", "rho", "t_len", "k_trunc"],
-    "DukerReport": [
-        "exponents_real", "sigma_w", "condition_exponent", "integral_value", "grid_sensitive",
-    ],
+    "DukerReport": ["condition_exponent", "integral_value", "grid_sensitive"],
     "ExistenceReport": [
         "sigma_w", "support_tol", "cond_ii", "cond_iii", "cond_iii_value", "cond_iv", "cond_v",
         "verdict",

@@ -823,6 +823,53 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "run, seed, last",
+        [
+            (
+                '"n_freq": ' + "7" * 5000,
+                None,
+                f"config error: an integer has more than {sys.get_int_max_str_digits()} digits",
+            ),
+            (
+                '"seed": ' + "7" * 4000,
+                None,
+                "config error: run.seed: must lie in [-2**63, 2**64) to key the noise stream, "
+                "got 4000 digits",
+            ),
+            (
+                "",
+                "7" * 4000,
+                "config error: --seed: must lie in [-2**63, 2**64) to key the noise stream, "
+                "got 4000 digits",
+            ),
+            (
+                "",
+                "7" * 5000,
+                "fiarma-lab: error: argument --seed: invalid int value: '" + "7" * 36 + "...",
+            ),
+        ],
+        ids=["run.n_freq of 5000 digits", "run.seed of 4000 digits", "--seed of 4000 digits",
+             "--seed of 5000 digits"],
+    )
+    def test_huge_integer_is_a_short_error(self, tmp_path, capsys, run, seed, last):
+        """An integer of any size gives error lines of at most 200 characters,
+        in process and in a fresh process, exit 1 and no output directory."""
+        cfg = self._write(tmp_path, minimal_config().replace('"run": {}', '"run": {' + run + "}"))
+        out = tmp_path / "o"
+        argv = ["density", "--config", str(cfg), "--out", str(out)]
+        argv += [] if seed is None else ["--seed", seed]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        proc = run_cli_process(argv)
+        for code, err in ((code, capsys.readouterr().err), (proc.returncode, proc.stderr)):
+            lines = err.splitlines()
+            assert code == 1 and lines[-1] == last
+            assert all(len(line) <= 200 for line in lines)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, config, code",
         [
             (["density"], '{"grid": {"points": [0.0]}}', 1),

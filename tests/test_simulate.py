@@ -14,7 +14,6 @@ from fiarma_lab import (
     FiarmaModel,
     FracIntegrationSpec,
     HilbertGrid,
-    LinearOperator,
     NonCausalError,
     NotNormalError,
     OperatorPolynomial,
@@ -25,7 +24,6 @@ from fiarma_lab import (
     empirical_autocov,
     fourier_frequencies,
     frac_ma_coeffs,
-    gaussian_white_noise,
     identity,
     operator_norm,
     periodogram,
@@ -33,10 +31,9 @@ from fiarma_lab import (
     simulate_duker,
     simulate_fiarma,
     verify_longmemory_decomposition,
-    zero_operator,
 )
 
-from conftest import make_grid, op, power_law_model, random_unitary
+from conftest import ar1_model, make_grid, op, power_law_model, random_unitary, white_model
 
 
 @pytest.fixture
@@ -82,27 +79,17 @@ def scalar_grid():
     return HilbertGrid(np.array([0.0]), np.array([1.0]))
 
 
-def white_model(grid):
-    return ArmaModel(OperatorPolynomial(grid), OperatorPolynomial(grid), identity(grid))
-
-
-def ar1_model(grid, a=0.5):
-    return ArmaModel(
-        OperatorPolynomial.scalar(grid, a), OperatorPolynomial(grid), identity(grid)
-    )
-
-
 class TestWhiteNoise:
     def test_zero_covariance(self):
         g = make_grid(2)
-        path = gaussian_white_noise(zero_operator(g), SimConfig(T=64, seed=1))
+        path = simulate_arma(white_model(g, op(np.zeros((2, 2)), g)), SimConfig(T=64, seed=1))
         assert np.all(path.values == 0.0)
 
     def test_seed_determinism(self):
         g = make_grid(3)
         cfg = SimConfig(T=256, seed=123, K_trunc=16)
-        a = gaussian_white_noise(identity(g), cfg)
-        b = gaussian_white_noise(identity(g), cfg)
+        a = simulate_arma(white_model(g), cfg)
+        b = simulate_arma(white_model(g), cfg)
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("key", ["seed", "replication"])
@@ -129,27 +116,27 @@ class TestWhiteNoise:
 
     def test_negative_key_is_its_twos_complement(self):
         g = make_grid(2)
-        a = gaussian_white_noise(identity(g), SimConfig(T=8, seed=-1, replication=-(2**63)))
-        b = gaussian_white_noise(identity(g), SimConfig(T=8, seed=2**64 - 1, replication=2**63))
+        a = simulate_arma(white_model(g), SimConfig(T=8, seed=-1, replication=-(2**63)))
+        b = simulate_arma(white_model(g), SimConfig(T=8, seed=2**64 - 1, replication=2**63))
         assert np.array_equal(a.values, b.values)
 
     def test_replications_differ(self):
         g = make_grid(2)
-        a = gaussian_white_noise(identity(g), SimConfig(T=64, seed=5, replication=0))
-        b = gaussian_white_noise(identity(g), SimConfig(T=64, seed=5, replication=1))
+        a = simulate_arma(white_model(g), SimConfig(T=64, seed=5, replication=0))
+        b = simulate_arma(white_model(g), SimConfig(T=64, seed=5, replication=1))
         assert not np.array_equal(a.values, b.values)
 
     def test_empirical_covariance(self):
         g = make_grid(2)
         t_len = 100_000
-        path = gaussian_white_noise(identity(g), SimConfig(T=t_len, seed=2, K_trunc=0))
+        path = simulate_arma(white_model(g), SimConfig(T=t_len, seed=2, K_trunc=0))
         gamma0 = empirical_autocov(path, 0).entries
         assert operator_norm(gamma0 - np.eye(2)) < 5.0 / np.sqrt(t_len)
 
     def test_complex_kind_unit_covariance(self):
         g = make_grid(1)
         cfg = SimConfig(T=200_000, seed=3, K_trunc=0, noise_kind="complex-gaussian")
-        path = gaussian_white_noise(identity(g), cfg)
+        path = simulate_arma(white_model(g), cfg)
         var = np.mean(np.abs(path.values) ** 2)
         assert var == pytest.approx(1.0, abs=0.02)
         assert np.iscomplexobj(path.values) and np.abs(path.values.imag).max() > 0
@@ -161,7 +148,7 @@ class TestSimulateArma:
         cfg = SimConfig(T=512, seed=9)
         assert np.array_equal(
             simulate_arma(white_model(g), cfg).values,
-            gaussian_white_noise(identity(g), cfg).values,
+            simulate_arma(white_model(g), cfg).values,
         )
 
     def test_ar1_autocorrelation(self):
@@ -302,7 +289,7 @@ class TestSimulateDuker:
         n_op = op(np.eye(1), g)
         cfg = SimConfig(T=128, seed=15, K_trunc=32, burnin=0)
         path = simulate_duker(power_law_model(n_op, identity(g)), cfg, force=True)
-        noise = gaussian_white_noise(identity(g), SimConfig(T=128, seed=15, K_trunc=32, burnin=0))
+        noise = simulate_arma(white_model(g), SimConfig(T=128, seed=15, K_trunc=32, burnin=0))
         # reconstruct y_T-1 from returned noise rows: weights 1/(k+1), k <= t
         t = 127
         manual = sum(noise.values[t - k, 0] / (k + 1) for k in range(0, 33))
@@ -320,7 +307,7 @@ class TestSimulateDuker:
         cfg = SimConfig(T=t_len, K_trunc=k_trunc, burnin=5, seed=21, replication=1)
         path = simulate_duker(power_law_model(op(rot @ np.diag(exps) @ rot.T, g), sigma), cfg)
         eps_cfg = SimConfig(T=t_len + k_trunc, K_trunc=0, burnin=5, seed=21, replication=1)
-        eps = gaussian_white_noise(sigma, eps_cfg).values
+        eps = simulate_arma(white_model(g, sigma), eps_cfg).values
         want = np.zeros((t_len, 2), dtype=complex)
         for k in range(k_trunc + 1):
             weight = rot @ np.diag((k + 1.0) ** -exps) @ rot.T
@@ -500,7 +487,7 @@ def recursion_arma(model, cfg, kind, lead=0):
         replication=cfg.replication,
         noise_kind=kind,
     )
-    noise = gaussian_white_noise(model.sigma, block).values
+    noise = simulate_arma(white_model(model.grid, model.sigma), block).values
     eps = noise.copy()
     for k, b in enumerate(model.theta.stacked(), start=1):
         eps[k:] += noise[:-k] @ b.T
@@ -653,7 +640,7 @@ class TestFilterOracle:
         model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.3))
         cfg = SimConfig(T=8, K_trunc=0, seed=6)
         path = simulate_fiarma(model, cfg)
-        noise = gaussian_white_noise(identity(g), cfg).values[:, 0]
+        noise = simulate_arma(white_model(g), cfg).values[:, 0]
         want = noise + 0.3 * np.concatenate([[0.0], noise[:-1]])
         assert np.abs(path.values[:, 0] - want).max() <= 1e-12
 

@@ -22,35 +22,22 @@ from fiarma_lab import (
     existence_integral,
     fiarma_spectral_density,
     fourier_frequencies,
-    gaussian_white_noise,
     identity,
     kernel_of,
     local_factorization,
     normal_decompose,
     operator_norm,
     periodogram,
-    schatten_norm,
     simulate_arma,
     simulate_fiarma,
 )
 from fiarma_lab.transfer import arma_transfer_batch, frac_transfer_batch
 
-from conftest import make_grid, op, random_unitary
+from conftest import ar1_model, make_grid, op, random_unitary, white_model
 
 
 def scalar_grid():
     return HilbertGrid(np.array([0.0]), np.array([1.0]))
-
-
-def white_model(grid, sigma=None):
-    sigma = identity(grid) if sigma is None else sigma
-    return ArmaModel(OperatorPolynomial(grid), OperatorPolynomial(grid), sigma)
-
-
-def ar1_model(grid, a=0.5):
-    return ArmaModel(
-        OperatorPolynomial.scalar(grid, a), OperatorPolynomial(grid), identity(grid)
-    )
 
 
 def all_fourier_frequencies(t_len):
@@ -325,7 +312,7 @@ class TestEmpiricalAutocov:
         g = make_grid(2)
         sigma = random_psd(rng, g)
         t_len = 100_000
-        path = gaussian_white_noise(sigma, SimConfig(T=t_len, seed=11, K_trunc=0))
+        path = simulate_arma(white_model(g, sigma), SimConfig(T=t_len, seed=11, K_trunc=0))
         gamma0 = empirical_autocov(path, 0).entries
         tol = 5 * operator_norm(sigma.entries) / np.sqrt(t_len)
         assert operator_norm(gamma0 - sigma.entries) < tol
@@ -391,7 +378,7 @@ class TestPeriodogram:
         freqs = fourier_frequencies(t_len)
         acc = np.zeros((freqs.size, 2, 2), dtype=complex)
         for r in range(reps):
-            path = gaussian_white_noise(sigma, SimConfig(T=t_len, seed=99, K_trunc=0, replication=r))
+            path = simulate_arma(white_model(g, sigma), SimConfig(T=t_len, seed=99, K_trunc=0, replication=r))
             acc += periodogram(path, freqs).values
         acc /= reps
         target = sigma.entries / (2 * np.pi)
@@ -403,7 +390,7 @@ class TestPeriodogram:
 
     def test_rank_one_psd(self, rng):
         g = make_grid(2)
-        path = gaussian_white_noise(identity(g), SimConfig(T=64, seed=1, K_trunc=0))
+        path = simulate_arma(white_model(g), SimConfig(T=64, seed=1, K_trunc=0))
         pg = periodogram(path, fourier_frequencies(64))
         for v in pg.values:
             ev = np.linalg.eigvalsh(0.5 * (v + v.conj().T))
@@ -566,9 +553,7 @@ class TestCrossSpectralKernel:
         for j in range(16):
             assert np.allclose(kern[j], kern[j].conj().T, atol=1e-10)
             quad = np.sum(np.abs(kern[j]) ** 2 * ww)
-            assert quad == pytest.approx(
-                schatten_norm(dens.operator(j), 2) ** 2, rel=1e-10
-            )
+            assert quad == pytest.approx(np.linalg.norm(dens.values[j], "fro") ** 2, rel=1e-10)
 
 
 class TestBochnerRoundTrip:
