@@ -100,6 +100,34 @@ class TestWhiteNoise:
             SimConfig(**{key: value})
 
     @pytest.mark.parametrize(
+        "value, digits",
+        [
+            (2**64, 20),
+            (-(2**63) - 1, 19),
+            (10**20 - 1, 20),
+            (10**20, 21),
+            (-(10**40), 41),
+            (10**5000, 5001),
+        ],
+        ids=["2**64", "-2**63-1", "10**20-1", "10**20", "-10**40", "10**5000"],
+    )
+    def test_key_range_error_counts_digits(self, value, digits):
+        """The message names the digit count, not the value, so it stays short
+        for a key too long for ``str``."""
+        message = fiarma_lab.simulate.key_range_error("seed", value)
+        assert message == (
+            f"seed: must lie in [-2**63, 2**64) to key the noise stream, got {digits} digits"
+        )
+
+    def test_key_digit_count_at_every_power_of_ten(self):
+        """Each side of every power of ten past the 64-bit range, where the
+        count from the bit length is one short and must be corrected."""
+        for k in range(20, 400):
+            for value in (10**k - 1, 10**k, -(10**k)):
+                message = fiarma_lab.simulate.key_range_error("seed", value)
+                assert message.endswith(f"got {len(str(abs(value)))} digits"), value
+
+    @pytest.mark.parametrize(
         "kwargs, field",
         [
             ({"T": True}, "T"),
