@@ -50,7 +50,6 @@ from .existence import (
     check_conditions,
     check_duker_conditions,
     existence_integral,
-    sigma_w,
 )
 from .simulate import (
     DecompositionCheck,

@@ -1,9 +1,10 @@
 """Decide whether the fractional filter applies to a given ARMA process.
 
-The decision runs through the pointwise standard deviation ``sigma_w`` of the
-transformed innovation, a set of grid conditions on the real part of the
-memory exponents, and a dyadically refined quadrature of the near-zero
-frequency integral whose finiteness characterizes existence.
+The decision runs through the memory operator's spectral measure: the
+transformed innovation's mass on each of its eigenvalue clusters, a set of
+conditions on the real parts of the clusters' exponents, and a dyadically
+refined quadrature of the near-zero frequency integral whose finiteness
+characterizes existence.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from .hilbert import NormalDecomposition
+from .hilbert import NORMAL_TOL
 from .spectral import ArmaModel, PowerLawModel
 from .transfer import FracIntegrationSpec, arma_transfer_batch
 
@@ -28,22 +29,22 @@ class ExistenceRefusal(RuntimeError):
 
 
 class ExistenceReport:
-    """Outcome of the necessary/sufficient existence conditions on a grid.
+    """Outcome of the necessary/sufficient existence conditions on D's
+    eigenvalue clusters, given as ``[re, im]`` pairs in ``exponents``, and the
+    innovation's ``masses`` on them (:func:`_masses`).  ``verdict`` is
+    ``"fails"`` when a necessary condition is violated, ``"holds"`` when the
+    sufficient set is satisfied, and ``"undetermined"`` when neither
+    sufficiency side condition is.  The sum ``cond_iii_value`` of condition
+    (iii) is finite whenever it is in the double range, so only condition
+    (ii) can fail."""
 
-    ``verdict`` is ``"fails"`` when a necessary condition is violated,
-    ``"holds"`` when the sufficient set is satisfied, and ``"undetermined"``
-    when the necessary conditions pass but neither sufficiency side
-    condition does, so the criterion is silent either way.  On a grid the
-    weighted sum of condition (iii) is finite whenever it is in the double
-    range, so ``cond_iii`` holds and only condition (ii) can fail.
-    """
-
-    def __init__(self, sigma_w: np.ndarray, support_tol: float, cond_ii: bool, cond_iii: bool,
-                 cond_iii_value: float, cond_iv: bool, cond_v: bool, verdict: str) -> None:
-        self.sigma_w = sigma_w
+    def __init__(self, exponents: np.ndarray, masses: np.ndarray, support_tol: float,
+                 cond_ii: bool, cond_iii_value: float, cond_iv: bool, cond_v: bool,
+                 verdict: str) -> None:
+        self.exponents = exponents
+        self.masses = masses
         self.support_tol = support_tol
         self.cond_ii = cond_ii
-        self.cond_iii = cond_iii
         self.cond_iii_value = cond_iii_value
         self.cond_iv = cond_iv
         self.cond_v = cond_v
@@ -94,80 +95,71 @@ def shell_depth_error(eta: float, n_refine: int) -> str | None:
     )
 
 
-def _row_sq(halves: np.ndarray, per: np.ndarray | float = 1.0) -> np.ndarray:
+def _row_sq(halves: np.ndarray, clusters: np.ndarray | None = None) -> np.ndarray:
     """Squared row norms of the half-factors ``halves[k]``, summed over ``k``
-    and divided by ``per``.  A sum beyond the double range raises
-    :class:`OverflowError`: it is no verdict on the model."""
+    and, given each row's cluster label, over the rows of each cluster.  A
+    sum beyond the double range raises :class:`OverflowError`: it is no
+    verdict on the model."""
     with np.errstate(over="ignore"):
-        sq = np.sum(np.abs(halves) ** 2, axis=-1).sum(axis=0) / per
+        sq = np.sum(np.abs(halves) ** 2, axis=-1).sum(axis=0)
+        if clusters is not None:
+            sq = np.bincount(clusters, sq)
     if not np.isfinite(sq).all():
         raise OverflowError("the half-factor's square overflows the double range")
     return sq
 
 
-def _condition_sum(sw: np.ndarray, gap: np.ndarray, weights: np.ndarray, name: str) -> float:
-    """The weighted sum ``sum sigma_w^2 / gap * w`` of a grid condition over the
-    points where ``gap > 0``.  Its exact value is finite on a grid, so a sum
-    beyond the double range raises :class:`OverflowError` naming the
+def _condition_sum(masses: np.ndarray, re: np.ndarray, sign: float, name: str) -> float:
+    """The sum ``sum m_c / gap_c`` of a condition over the clusters where the
+    gap ``sign (1 - 2 Re d_c)`` is positive.  Its exact value is finite, so a
+    sum beyond the double range raises :class:`OverflowError` naming the
     condition: it is no verdict."""
-    keep = gap > 0.0
-    with np.errstate(over="ignore"):
-        value = float(np.sum(sw[keep] ** 2 / gap[keep] * weights[keep]))
+    with np.errstate(over="ignore"):  # an infinite gap adds 0, and one of -inf is skipped
+        gap = sign * (1.0 - 2.0 * re)
+        value = float(np.sum(masses[gap > 0.0] / gap[gap > 0.0]))
     if not np.isfinite(value):
         raise OverflowError(f"{name}'s weighted sum overflows the double range")
     return value
 
 
-def sigma_w(model: ArmaModel, dec: NormalDecomposition) -> np.ndarray:
-    """Pointwise standard deviation of the transformed innovation.
-
-    Computed from the integral kernel of ``U phi(1)^{-1} theta(1) Sigma^{1/2}``:
-    the squared value at a grid point is the weighted row sum of squared
-    kernel values, which in coordinates is the squared row norm divided by
-    the point's weight.
-    """
-    if dec.grid.n != model.grid.n:
-        raise ValueError("model and decomposition must share one grid")
-    half = dec.U @ arma_transfer_batch(model, [0.0])
-    return np.sqrt(_row_sq(half, model.grid.weights))
+def _masses(base: ArmaModel, spec: FracIntegrationSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalue clusters of the operator of ``spec``, as the mean of
+    each, ordered by (Re d, Im d), and the innovation's mass
+    ``m_c = ||P_c h(0)||_F^2`` on each cluster's spectral subspace, with
+    ``h(0) = phi(1)^{-1} theta(1) Sigma^{1/2}``.  Two eigenvalues share a
+    cluster when they lie within ``NORMAL_TOL ||D||`` of each other,
+    transitively (the frame rule's resolution), so both are basis-free even
+    where an eigenvalue repeats.  For a multiplication operator on the grid,
+    a point's mass is its pointwise innovation variance times its weight."""
+    dec = spec.ensure_decomposition()
+    d = dec.d
+    with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues near the double range
+        near = np.abs(d[:, None] - d[None, :]) <= NORMAL_TOL * np.abs(d).max()
+    labels = np.arange(d.size)  # each takes its neighbours' least until a cluster's is uniform
+    while ((step := np.where(near, labels, d.size).min(axis=1)) != labels).any():
+        labels = step
+    clusters = np.unique(labels, return_inverse=True)[1]
+    per = np.bincount(clusters)[clusters]
+    exponents = np.bincount(clusters, d.real / per) + 1j * np.bincount(clusters, d.imag / per)
+    masses = _row_sq(dec.U @ arma_transfer_batch(base, [0.0]), clusters)
+    order = np.lexsort((exponents.imag, exponents.real))
+    return exponents[order], masses[order]
 
 
 def check_conditions(model: ArmaModel, spec: FracIntegrationSpec) -> ExistenceReport:
-    """Evaluate the existence conditions of the fractional filter on the grid.
-
-    Almost-everywhere quantifiers become checks at every grid point, with the
-    support of ``sigma_w`` thresholded at ``1e-12 * max sigma_w`` to guard
-    rounding.
-    """
-    dec = spec.ensure_decomposition()
-    sw = sigma_w(model, dec)
-    tol = 1e-12 * float(sw.max(initial=0.0))
-    d_re = dec.d.real
-    support = sw > tol
-
-    cond_ii = bool(np.all(d_re[support] < 0.5)) if support.any() else True
-    with np.errstate(over="ignore"):  # a gap of -inf is no gap: the sum skips it
-        gap = 1.0 - 2.0 * d_re
-    cond_iii_value = _condition_sum(sw, gap, model.grid.weights, "existence condition (iii)")
-    cond_iv = bool(np.all(d_re < 1.0))
-    cond_v = model.is_white_noise()
-
-    if not cond_ii:
-        verdict = "fails"
-    elif cond_iv or cond_v:
-        verdict = "holds"
-    else:
-        verdict = "undetermined"
-    return ExistenceReport(
-        sigma_w=sw,
-        support_tol=tol,
-        cond_ii=cond_ii,
-        cond_iii=True,
-        cond_iii_value=cond_iii_value,
-        cond_iv=cond_iv,
-        cond_v=cond_v,
-        verdict=verdict,
-    )
+    """Evaluate the existence conditions of the fractional filter on D's
+    eigenvalue clusters (:func:`_masses`).  Almost-everywhere quantifiers
+    become checks on every cluster, the support thresholded at
+    ``1e-24 max m_c`` to guard rounding."""
+    exponents, masses = _masses(model, spec)
+    tol = 1e-24 * float(masses.max())
+    d_re = exponents.real
+    cond_ii = bool(np.all(d_re[masses > tol] < 0.5))
+    cond_iii_value = _condition_sum(masses, d_re, 1.0, "existence condition (iii)")
+    cond_iv, cond_v = bool(np.all(d_re < 1.0)), model.is_white_noise()
+    verdict = "fails" if not cond_ii else "holds" if cond_iv or cond_v else "undetermined"
+    pairs = np.column_stack([d_re, exponents.imag])
+    return ExistenceReport(pairs, masses, tol, cond_ii, cond_iii_value, cond_iv, cond_v, verdict)
 
 
 def existence_integral(
@@ -237,20 +229,15 @@ def check_duker_conditions(model: PowerLawModel) -> DukerReport:
     """Conditions for convergence of the power-law moving average.
 
     Requires the real part of every exponent to exceed one half and reports
-    the weighted sum ``sum sigma_w^2 / (2 h - 1)``, with ``sigma_w`` of the
-    white-noise base in the exponent's eigenframe.  Grid points whose
-    exponent sits within 0.05 of the 1/2 boundary make that sum
-    resolution-dependent, which is flagged rather than guessed.  An
-    exponent without a frame raises :class:`NotNormalError`.
+    the sum ``sum m_c / (2 Re n_c - 1)`` over the exponent's clusters with the
+    white-noise base's masses (:func:`_masses`).  Clusters within 0.05 of the
+    1/2 boundary make that sum resolution-dependent, which is flagged rather
+    than guessed.  An exponent without a frame raises :class:`NotNormalError`.
     """
-    dec = model.N.ensure_decomposition()
-    h = dec.d.real
-    sw = sigma_w(model.base, dec)
-
+    exponents, masses = _masses(model.base, model.N)
+    h = exponents.real
     above = h > 0.5
     cond = bool(np.all(above))
-    with np.errstate(over="ignore"):  # an infinite gap adds 0 to the sum
-        gap = 2.0 * h - 1.0
-    value = _condition_sum(sw, gap, model.grid.weights, "the power-law condition")
+    value = _condition_sum(masses, h, -1.0, "the power-law condition")
     sensitive = bool(np.any(above & (h - 0.5 < 0.05)))
     return DukerReport(condition_exponent=cond, integral_value=value, grid_sensitive=sensitive)

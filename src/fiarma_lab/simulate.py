@@ -65,6 +65,13 @@ def _is_int(value) -> bool:  # booleans are not integers here
     return type(value) is int or isinstance(value, np.integer)
 
 
+def _digits(value: int) -> int:
+    """The decimal digits of ``abs(value)``, counted without ``str()``, which refuses huge ones."""
+    size = abs(int(value))
+    digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # those of 2**(bit_length - 1)
+    return digits + (size >= 10**digits)
+
+
 def key_range_error(name: str, value: int) -> str | None:
     """The message for a ``seed`` or ``replication`` that is not an integer
     fitting one 64-bit word of the noise stream's key, or None.  A negative
@@ -74,10 +81,7 @@ def key_range_error(name: str, value: int) -> str | None:
         return f"{name}: must be an integer"
     if -(2**63) <= value < 2**64:
         return None
-    # its decimal digits, counted without str(), which refuses past the interpreter's limit
-    size = abs(int(value))
-    digits = int((size.bit_length() - 1) * math.log10(2)) + 1  # those of 2**(bit_length - 1)
-    digits += size >= 10**digits
+    digits = _digits(value)
     return f"{name}: must lie in [-2**63, 2**64) to key the noise stream, got {digits} digits"
 
 
@@ -322,11 +326,17 @@ def _filter_plan(
     The product has ``sum(len(f)) - len(factors) + 1`` taps, so only the
     last ``t_len + taps - 1`` noise rows reach the output; with fewer rows
     the filter starts from zero.  The FFT length is the 5-smooth
-    :func:`_next_fast_len` of that span.  A filter that is not finite raises
-    :class:`OverflowError`, before any noise is drawn.
+    :func:`_next_fast_len` of that span, searched only when an ``(n, n, span)``
+    complex filter fits the address range, else :class:`MemoryError`.  A
+    filter that is not finite raises :class:`OverflowError`, before any
+    noise is drawn.
     """
     taps = sum(len(f) for f in factors) - len(factors) + 1
     span = t_len + taps - 1
+    n = factors[0].shape[-1]
+    if n * n * span * 16 > np.iinfo(np.intp).max:
+        digits = _digits(span)
+        raise MemoryError(f"the simulation's FFT span has {digits} digits: too long to address")
     m = _next_fast_len(span)
     with np.errstate(over="ignore", invalid="ignore"):
         by_freq = reduce(np.matmul, [_fft_stack(f, m).transpose(2, 0, 1) for f in factors])

@@ -5,7 +5,8 @@ for a unitary W the model ``W M W^H`` (phi, theta, Sigma and D each rotated)
 must give the rotated quantities of M: ``W F(lam) W^H`` for the fractional
 transfer, ``W g(lam) W^H`` for the density, ``W Gamma(h) W^H`` for the
 autocovariances and ``W C_k W^H`` for the MA coefficients, and the same
-existence verdict, condition (iii) value and existence integral.  A path
+existence verdict, condition (iii) value, exponent clusters with their
+masses, and existence integral.  A path
 rotated to ``W x_t`` has the periodogram ``W I(lam) W^H``.  The power-law
 model with exponent ``N = Id - D`` of the same draw rotates its matching
 constant, remainders and weights, and keeps its conditions.
@@ -179,8 +180,8 @@ def test_power_law_decomposition_rotates_with_the_exponent(n, seed):
 @settings(max_examples=25, deadline=None)
 @given(**DRAWS)
 def test_power_law_conditions_are_basis_free(n, seed):
-    """The weights cancel from the condition's sum, so it is basis-free
-    although the ``sigma_w`` it sums is not."""
+    """The condition's sum runs over the exponent's clusters and their masses,
+    which are basis-free."""
     grid, mats, w = draw(seed, n)
     report = check_duker_conditions(build_power_law(grid, mats, np.eye(n)))
     turned = check_duker_conditions(build_power_law(grid, mats, w))
@@ -189,17 +190,54 @@ def test_power_law_conditions_are_basis_free(n, seed):
     assert abs(turned.integral_value - report.integral_value) <= 1e-12 * report.integral_value
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="sigma_w divides the squared rows of D's eigenframe, in the Schur order that "
-    "numpy.linalg.eig finds in the given basis, by the grid weights in grid order; with "
-    "non-uniform weights the pairing and so the values depend on the basis (ROADMAP item 10)",
-)
+def assert_spectral_record_is_basis_free(model: FiarmaModel, rotated: FiarmaModel):
+    """The exponents and masses that ``check_conditions`` reports for
+    ``model`` and ``rotated``, and the conditions read from them, agree."""
+    report = check_conditions(model.base, model.D)
+    turned = check_conditions(rotated.base, rotated.D)
+    assert turned.exponents.shape == report.exponents.shape
+    scale = max(1.0, np.abs(report.exponents).max())
+    assert np.abs(turned.exponents - report.exponents).max() <= 1e-12 * scale
+    assert np.abs(turned.masses - report.masses).max() <= 1e-12 * report.masses.sum()
+    assert (turned.cond_ii, turned.verdict) == (report.cond_ii, report.verdict)
+
+
 @settings(max_examples=25, deadline=None)
 @given(**DRAWS)
-def test_sigma_w_is_basis_free(n, seed):
+def test_masses_are_basis_free(n, seed):
     grid, mats, w = draw(seed, n)
+    assert_spectral_record_is_basis_free(build(grid, mats, np.eye(n)), build(grid, mats, w))
+
+
+def with_spectrum(mats: dict, d: np.ndarray, seed: int) -> dict:
+    """``mats`` with D replaced by the normal operator of eigenvalues ``d``
+    in a random frame."""
+    frame = random_unitary(np.random.default_rng(seed), len(d))
+    return mats | {"D": frame.conj().T @ (d[:, None] * frame)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_masses_of_a_repeated_eigenvalue_are_basis_free(n, seed):
+    """An eigenvalue of multiplicity two or more: its eigenvectors are
+    arbitrary, and the mass on its eigenspace is not."""
+    grid, mats, w = draw(seed, n)
+    d = np.random.default_rng(seed).uniform(-0.4, 0.45, n).astype(complex)
+    d[: 1 + n // 2] = d[0]
+    mats = with_spectrum(mats, d, seed + 1)
     model, rotated = build(grid, mats, np.eye(n)), build(grid, mats, w)
-    values = check_conditions(model.base, model.D).sigma_w
-    turned = check_conditions(rotated.base, rotated.D).sigma_w
-    assert np.abs(turned - values).max() <= 1e-12 * values.max()
+    assert_spectral_record_is_basis_free(model, rotated)
+    assert len(check_conditions(model.base, model.D).masses) == n - n // 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), side=st.sampled_from([-1.0, 1.0]))
+def test_condition_ii_near_its_boundary_is_basis_free(n, seed, side):
+    """One exponent on the innovation's support has a real part within 1e-9
+    of 1/2, below or above it: condition (ii) and the verdict do not move."""
+    grid, mats, w = draw(seed, n)
+    d = np.random.default_rng(seed).uniform(-0.4, 0.45, n) + 0j
+    d[-1] = 0.5 + side * 1e-9
+    model = build(grid, with_spectrum(mats, d, seed + 1), np.eye(n))
+    assert check_conditions(model.base, model.D).cond_ii == (side < 0)
+    assert_spectral_record_is_basis_free(model, build(grid, with_spectrum(mats, d, seed + 1), w))

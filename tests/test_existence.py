@@ -18,10 +18,9 @@ from fiarma_lab import (
     check_duker_conditions,
     existence_integral,
     identity,
-    normal_decompose,
-    sigma_w,
     simulate_fiarma,
 )
+from fiarma_lab.hilbert import NORMAL_TOL
 from fiarma_lab.transfer import arma_transfer_batch
 
 from conftest import ar1_model, make_grid, op, power_law_model, random_unitary, white_model
@@ -51,30 +50,61 @@ def readme_base(c: float) -> ArmaModel:
     )
 
 
-class TestSigmaW:
-    def test_rank_one_gives_function_modulus(self, rng):
+def masses_of(model: ArmaModel, d_vals) -> tuple[np.ndarray, np.ndarray]:
+    """The reported exponents and masses of ``model`` under ``D = diag(d_vals)``."""
+    report = check_conditions(model, FracIntegrationSpec(op(np.diag(d_vals), model.grid)))
+    return report.exponents, report.masses
+
+
+class TestMasses:
+    def test_multiplication_operator_gives_pointwise_variance_times_weight(self, rng):
+        """D = diag(d(v_i)) with distinct values: the mass at v_i is
+        ``sigma_w(v_i)^2 w_i``, which for the rank-one covariance onto a
+        function f of unit weighted norm is ``|f_i|^2 w_i``."""
         g = make_grid(5, uniform=False)
         f = rng.normal(size=5) + 1j * rng.normal(size=5)
         f /= np.sqrt(np.sum(np.abs(f) ** 2 * g.weights))
         coords = f * np.sqrt(g.weights)
         sigma = LinearOperator(np.outer(coords, coords.conj()), g)
-        dec = normal_decompose(identity(g))
-        got = sigma_w(white_model(g, sigma), dec)
-        assert np.allclose(got, np.abs(f), atol=1e-12)
+        d_vals = np.array([0.3, -0.2, 0.45, 0.1, -0.4])
+        exponents, masses = masses_of(white_model(g, sigma), d_vals)
+        order = np.argsort(d_vals)
+        np.testing.assert_array_equal(exponents, np.column_stack([d_vals[order], np.zeros(5)]))
+        np.testing.assert_allclose(masses, (np.abs(f) ** 2 * g.weights)[order], atol=1e-14)
 
-    def test_differencing_ma_kills_it(self):
+    def test_scalar_memory_is_one_cluster_with_the_whole_mass(self, rng):
+        """D = d Id: one cluster, whose mass is ``||h(0)||_F^2``, here
+        ``tr(Sigma) / (1 - a)^2`` for the AR(1) ``(Id - a z)`` with ``a = 0.5``."""
+        g = make_grid(4, uniform=False)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        sigma = LinearOperator(m @ m.conj().T, g)
+        model = ArmaModel(OperatorPolynomial.scalar(g, 0.5), OperatorPolynomial(g), sigma)
+        exponents, masses = masses_of(model, [0.3] * 4)
+        np.testing.assert_array_equal(exponents, [[0.3, 0.0]])
+        assert masses[0] == pytest.approx(np.trace(sigma.entries).real / 0.25, rel=1e-13)
+
+    def test_clusters_join_transitively(self):
+        """Eigenvalues 0.8 ``NORMAL_TOL ||D||`` apart join one cluster, though
+        the first and the third lie 1.6 of it apart; 2 of it parts them."""
+        g = make_grid(3)
+        step = 0.8 * NORMAL_TOL * 0.5
+        exponents, masses = masses_of(white_model(g), [0.5 - 2 * step, 0.5 - step, 0.5])
+        assert exponents[:, 0] == pytest.approx([0.5 - step], rel=1e-15)
+        np.testing.assert_allclose(masses, [3.0], rtol=1e-15)
+        exponents, masses = masses_of(white_model(g), [0.5 - 2.5 * step, 0.5 - step, 0.5])
+        np.testing.assert_allclose(masses, [1.0, 2.0], rtol=1e-15)
+
+    def test_differencing_ma_has_no_mass(self):
         g = make_grid(3)
         model = ArmaModel(
             OperatorPolynomial(g), OperatorPolynomial.scalar(g, -1.0), identity(g)
         )
-        got = sigma_w(model, normal_decompose(identity(g)))
-        assert np.allclose(got, 0.0, atol=1e-14)
+        assert np.allclose(masses_of(model, [0.1, 0.2, 0.3])[1], 0.0, atol=1e-28)
 
     def test_null_noise(self):
         g = make_grid(2)
         model = white_model(g, LinearOperator(np.zeros((2, 2)), g))
-        got = sigma_w(model, normal_decompose(identity(g)))
-        assert np.all(got == 0.0)
+        assert np.all(masses_of(model, [0.1, 0.2])[1] == 0.0)
 
 
 class TestCheckConditions:
@@ -83,7 +113,7 @@ class TestCheckConditions:
         for model in (white_model(g), ar1_model(g)):
             report = check_conditions(model, scalar_spec(g, 0.3))
             assert report.verdict == "holds"
-            assert report.cond_ii and report.cond_iii and report.cond_iv
+            assert report.cond_ii and report.cond_iv and np.isfinite(report.cond_iii_value)
 
     def test_scalar_above_half_fails_on_support(self):
         g = scalar_grid()
@@ -109,7 +139,7 @@ class TestCheckConditions:
             OperatorPolynomial(g), OperatorPolynomial.scalar(g, -1.0), identity(g)
         )
         report = check_conditions(model, scalar_spec(g, 0.75))
-        assert report.cond_ii  # vacuously: sigma_w is identically zero
+        assert report.cond_ii  # vacuously: the innovation has no mass
         assert report.cond_iv
         assert report.verdict == "holds"
 
@@ -122,7 +152,7 @@ class TestCheckConditions:
         )
         spec = FracIntegrationSpec(LinearOperator(np.diag([0.3, 1.5]), g))
         report = check_conditions(model, spec)
-        assert report.cond_ii and report.cond_iii
+        assert report.cond_ii and np.isfinite(report.cond_iii_value)
         assert not report.cond_iv and not report.cond_v
         assert report.verdict == "undetermined"
 
@@ -148,19 +178,19 @@ class TestCheckConditions:
         assert not (v_lo == "fails" and v_hi == "holds")
 
     def test_condition_sum_beyond_the_double_range_is_an_overflow(self):
-        """theta = 1e153 Id, D = diag(0.4999, 0.1): ``sigma_w`` is finite, and
+        """theta = 1e153 Id, D = diag(0.4999, 0.1): the masses are finite, and
         the exact condition (iii) sum is about 1e310, so it is an overflow and
         not a failed condition."""
         model = readme_base(1e153)
-        assert np.isfinite(sigma_w(model, normal_decompose(identity(model.grid)))).all()
+        assert np.isfinite(masses_of(model, [0.3, 0.1])[1]).all()
         spec = FracIntegrationSpec(op(np.diag([0.4999, 0.1]), model.grid))
         with pytest.raises(
             OverflowError, match=r"^existence condition \(iii\)'s weighted sum overflows"
         ):
             check_conditions(model, spec)
         report = check_conditions(readme_base(1e150), spec)
-        assert report.verdict == "holds" and report.cond_iii
-        # sigma_w^2 w = (c / phi_i(1))^2 with phi(1) = diag(0.7, 0.8)
+        assert report.verdict == "holds" and np.isfinite(report.cond_iii_value)
+        # the masses are (c / phi_i(1))^2 with phi(1) = diag(0.7, 0.8)
         oracle = 1e300 * (1.0 / (0.49 * (1.0 - 0.9998)) + 1.0 / (0.64 * 0.8))
         assert report.cond_iii_value == pytest.approx(oracle, rel=1e-12)
 
@@ -227,7 +257,7 @@ class TestExistenceIntegral:
         np.testing.assert_allclose(big.shells, 1e20 * small.shells, rtol=1e-12)
 
     def test_point_without_innovation_adds_nothing(self):
-        """Where ``sigma_w`` is 0 the integrand is 0, however large the
+        """Where the innovation has no mass the integrand is 0, however large the
         exponent there and even where its power overflows."""
         g = make_grid(2)
         model = white_model(g, op(np.diag([1.0, 0.0]), g))

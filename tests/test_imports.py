@@ -211,7 +211,7 @@ PUBLIC_NAMES = [
     "fourier_frequencies", "frac_ma_coeffs", "from_kernel",
     "identity", "kernel_of", "local_factorization", "normal_decompose",
     "operator_norm", "parse_config", "periodogram", "power_law_weights", "read_path",
-    "sigma_w", "simulate_arma", "simulate_duker", "simulate_fiarma",
+    "simulate_arma", "simulate_duker", "simulate_fiarma",
     "sqrt_psd", "verify_longmemory_decomposition", "write_path",
 ]
 
@@ -297,7 +297,7 @@ CONSTRUCTORS = {
     "DecompositionCheck": ["residual", "delta_norms", "rho", "t_len", "k_trunc"],
     "DukerReport": ["condition_exponent", "integral_value", "grid_sensitive"],
     "ExistenceReport": [
-        "sigma_w", "support_tol", "cond_ii", "cond_iii", "cond_iii_value", "cond_iv", "cond_v",
+        "exponents", "masses", "support_tol", "cond_ii", "cond_iii_value", "cond_iv", "cond_v",
         "verdict",
     ],
     "FiarmaModel": ["base", "D"],

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +105,10 @@ HUGE_2 = [[1e300, 0.0], [0.0, 1e300]]
 OVERFLOW_CONFIG = readme_config(theta=[HUGE_2], sigma=HUGE_2)
 # theta = 1e200 Id, Sigma = Id: the half-factor is finite, its square is not
 SQUARE_OVERFLOW_CONFIG = readme_config(theta=[[[1e200, 0.0], [0.0, 1e200]]])
-# theta = 8e153 Id, Sigma = Id: the squared row norms at frequency 0 are
-# finite, but not once divided by the grid weights 0.5
+# theta = 8e153 Id, Sigma = Id: the masses at frequency 0, about 1.3e308 and
+# 1.0e308, are finite at the top of the double range, and their condition sums are not
 WEIGHTED_OVERFLOW_CONFIG = readme_config(theta=[[[8e153, 0.0], [0.0, 8e153]]])
-# theta = 1e153 Id, D = diag(0.4999, 0.1): sigma_w is finite, and the weighted
+# theta = 1e153 Id, D = diag(0.4999, 0.1): the masses are finite, and their
 # sum of condition (iii) over 1 - 2 Re d (about 1e310) is not
 CONDITION_OVERFLOW_CONFIG = readme_config(
     theta=[[[1e153, 0.0], [0.0, 1e153]]], D=[[0.4999, 0.0], [0.0, 0.1]]
@@ -181,7 +182,7 @@ def overflow_cases(
     half: list[list[str]], square: list[list[str]], weighted: list[list[str]]
 ) -> list:
     """``(config, argv)`` of each command line on the overflowing half-factor,
-    on its overflowing square and on its square overflowing once weighted,
+    on its overflowing square and on its square at the top of the double range,
     the latter two's ids prefixed ``square`` and ``weighted``."""
     cases = (
         (OVERFLOW_CONFIG, "", half),
@@ -893,26 +894,26 @@ class TestCli:
         assert run_cli_process(full).returncode == code
         assert not out.parent.exists()
 
-    def test_huge_run_length_exits_one(self, tmp_path):
-        """A 401-digit ``run.T`` passes the config rules; simulating it fails
-        within seconds with a one-line error, in a fresh process whose hang
-        the timeout would catch."""
-        cfg = self._write(tmp_path, fractional_config(0.3, T=HUGE))
+    @pytest.mark.parametrize("digits", [401, 4000])
+    @pytest.mark.parametrize("sub", ["simulate", "periodogram"])
+    def test_huge_run_length_exits_one(self, tmp_path, capsys, sub, digits):
+        """A ``run.T`` of 401 or 4000 digits passes the config rules, and no
+        FFT filter of that length can be addressed: the run is refused before
+        the FFT length is searched for, whose time grows with the length, in
+        one line that counts the digits, in process and in a fresh process."""
+        cfg = self._write(tmp_path, fractional_config(0.3, T=10 ** (digits - 1)))
         out = tmp_path / "o"
-        src = str(Path(fiarma_lab.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "fiarma_lab.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
-        assert not (out / "manifest.json").exists()
+        argv = [sub, "--config", str(cfg), "--out", str(out)]
+        want = f"error: the simulation's FFT span has {digits} digits: too long to address\n"
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 10.0
+        assert capsys.readouterr().err == want and len(want) <= 200
+        start = time.perf_counter()
+        proc = run_cli_process(argv)
+        assert time.perf_counter() - start < 10.0
+        assert (proc.returncode, proc.stderr) == (1, want)
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, other", [("theta", {}), ("phi", {"phi": []})])
     def test_explicit_zero_matrix_configures_the_same_path(self, tmp_path, key, other):

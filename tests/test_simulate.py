@@ -239,7 +239,7 @@ class TestSimulateFiarma:
         assert path.t_len == 64
         assert path.meta["existence"] == "forced"
 
-    def test_vacuous_sigma_w_proceeds(self):
+    def test_innovation_without_mass_proceeds(self):
         g = scalar_grid()
         differencing = ArmaModel(
             OperatorPolynomial(g), OperatorPolynomial.scalar(g, -1.0), identity(g)
