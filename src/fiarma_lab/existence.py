@@ -116,7 +116,8 @@ def _condition_sum(masses: np.ndarray, re: np.ndarray, sign: float, name: str) -
     condition: it is no verdict."""
     with np.errstate(over="ignore"):  # an infinite gap adds 0, and one of -inf is skipped
         gap = sign * (1.0 - 2.0 * re)
-        value = float(np.sum(masses[gap > 0.0] / gap[gap > 0.0]))
+        keep = gap > 0.0
+        value = float(np.sum(masses[keep] / gap[keep]))
     if not np.isfinite(value):
         raise OverflowError(f"{name}'s weighted sum overflows the double range")
     return value

@@ -334,7 +334,7 @@ def _filter_plan(
     taps = sum(len(f) for f in factors) - len(factors) + 1
     span = t_len + taps - 1
     n = factors[0].shape[-1]
-    if n * n * span * 16 > np.iinfo(np.intp).max:
+    if n * n * span * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
         digits = _digits(span)
         raise MemoryError(f"the simulation's FFT span has {digits} digits: too long to address")
     m = _next_fast_len(span)
