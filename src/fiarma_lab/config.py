@@ -124,27 +124,19 @@ def _parse_entry(obj, name: str, errors: list[str]) -> complex:
 
 
 def _parse_matrix(obj, name: str, n: int | None, errors: list[str]) -> np.ndarray | None:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
+    """A nonempty list of equal-length rows as the matrix that passes
+    :meth:`LinearOperator.errors` on ``n`` points (its own rows when no grid
+    parsed); None when refused."""
+    rows = isinstance(obj, list) and all(isinstance(r, list) for r in obj)
+    if not rows or len({len(r) for r in obj}) != 1:
         errors.append(f"{name}: expected a matrix as a list of rows")
-        return None
-    rows = len(obj)
-    cols = {len(r) for r in obj}
-    if len(cols) != 1 or cols.pop() != rows:
-        errors.append(f"{name}: matrix must be square")
-        return None
-    if n is not None and rows != n:
-        errors.append(f"{name}: dimension {rows} does not match grid size {n}")
         return None
     before = len(errors)
     mat = np.array(
         [[_parse_entry(v, name, errors) for v in row] for row in obj], dtype=complex
     )
-    if len(errors) > before:
-        return None
-    if not np.all(np.isfinite(mat.view(float))):
-        errors.append(f"{name}: entries must be finite")
-        return None
-    return mat
+    errors += LinearOperator.errors(mat, len(mat) if n is None else n, prefix=f"{name}: ")
+    return None if len(errors) > before else mat
 
 
 # the run section's keys and their defaults
@@ -255,11 +247,9 @@ def parse_config(text: str) -> ModelConfig:
                 LinearOperator(sigma_mat, grid),
             )
         except NotPSDError as exc:
-            why = exc if exc.min_eig is None else f"Sigma not PSD (min eig {exc.min_eig:.6g})"
-            errors.append(f"model.sigma: {why}")
+            errors.append(f"model.sigma: {exc}")
         except SingularTransferError as exc:
-            margin = f"margin {exc.margin:.3e}"
-            errors.append(f"model.phi: not invertible on the unit circle ({margin})")
+            errors.append(f"model.phi: {exc}")
     if errors:
         raise ConfigError(errors)
     model = arma

@@ -21,12 +21,7 @@ class NotNormalError(ValueError):
 
 
 class NotPSDError(ValueError):
-    """Raised when an operation requires a positive semidefinite operator;
-    ``min_eig`` is the eigenvalue refused, ``None`` for a non-Hermitian one."""
-
-    def __init__(self, message: str, min_eig: float | None = None):
-        super().__init__(message)
-        self.min_eig = min_eig
+    """Raised when an operation requires a positive semidefinite operator."""
 
 
 class HilbertGrid:
@@ -69,13 +64,21 @@ class LinearOperator:
     def __init__(self, entries: np.ndarray, grid: HilbertGrid) -> None:
         self.entries = np.ascontiguousarray(entries, dtype=complex)
         self.grid = grid
-        n = grid.n
-        if self.entries.shape != (n, n):
-            raise ValueError(
-                f"operator shape {self.entries.shape} does not match grid size {n}"
-            )
-        if not np.all(np.isfinite(self.entries.view(float))):
-            raise ValueError("operator entries must be finite")
+        if message := next(self.errors(self.entries, grid.n), None):
+            raise ValueError(message)
+
+    @staticmethod
+    def errors(entries: np.ndarray, n: int, prefix: str = "") -> Iterator[str]:
+        """The message of the rule that the complex array ``entries`` breaks
+        as an operator on a grid of ``n`` points, after ``prefix``: it must be
+        square, then of dimension ``n``, then finite, each rule checked only
+        when those before it hold."""
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            yield f"{prefix}matrix must be square"
+        elif entries.shape[0] != n:
+            yield f"{prefix}dimension {entries.shape[0]} does not match grid size {n}"
+        elif not np.all(np.isfinite(entries.view(float))):
+            yield f"{prefix}entries must be finite"
 
     @property
     def n(self) -> int:
@@ -173,7 +176,7 @@ def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotPSDError(f"not Hermitian (||A - A^H|| = {defect:.3e})")
     low = float(np.min(vals, initial=np.inf))
     if low < -tol:
-        raise NotPSDError(f"not positive semidefinite (min eig {low:.6g})", low)
+        raise NotPSDError(f"not positive semidefinite (min eig {low:.6g})")
     return vals, vecs
 
 

@@ -58,8 +58,7 @@ class ArmaModel:
         ok, self.margin, self.poles = circle_verdict(phi)
         if not ok:
             raise SingularTransferError(
-                f"AR polynomial not invertible on the circle (margin {self.margin:.3e})",
-                margin=self.margin,
+                f"AR polynomial not invertible on the circle (margin {self.margin:.3e})"
             )
 
     @property
@@ -186,23 +185,18 @@ def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDe
 
 
 def _quadrature_weights(freqs: np.ndarray) -> np.ndarray:
-    """Equal weights for equispaced grids, trapezoid otherwise; frequencies
-    that do not increase are refused, naming the first one out of order."""
+    """Periodic trapezoid weights: each frequency carries half of the gap to
+    either neighbour, the last gap wrapping through 2 pi to the first
+    frequency one period on.  Frequencies that do not increase within one
+    period are refused, naming the first one out of order."""
     if freqs.size == 0:
         raise ValueError("need at least one frequency")
-    if freqs.size == 1:
-        return np.array([2.0 * np.pi])
-    steps = np.diff(freqs)
+    cycle = np.append(freqs, freqs[0] + 2.0 * np.pi)
+    steps = np.diff(cycle)
     if not np.all(steps > 0.0):
         k = int(np.argmin(steps > 0.0)) + 1
-        raise ValueError(f"frequencies must increase: {freqs[k]:.6g} follows {freqs[k - 1]:.6g}")
-    if np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        return np.full(freqs.size, steps[0])
-    w = np.empty(freqs.size)
-    w[0] = steps[0] / 2.0
-    w[-1] = steps[-1] / 2.0
-    w[1:-1] = (steps[:-1] + steps[1:]) / 2.0
-    return w
+        raise ValueError(f"frequencies must increase: {cycle[k]:.6g} follows {cycle[k - 1]:.6g}")
+    return 0.5 * (steps + np.roll(steps, 1))
 
 
 def autocov_sequence(g: SpectralDensityGrid, max_lag: int) -> CoefficientSequence:
@@ -361,8 +355,7 @@ def local_factorization(
     # the local expansion loses accuracy well before the symbol is singular
     if dist <= 1e-6 * model.poles.scale:
         raise SingularTransferError(
-            f"eta too large: AR symbol near-singular at frequency {lam_bad:.6g}",
-            lam=lam_bad,
+            f"eta too large: AR symbol near-singular at frequency {lam_bad:.6g}"
         )
 
     def half(points: np.ndarray) -> np.ndarray:

@@ -29,16 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SingularTransferError(ValueError):
-    """AR polynomial is (numerically) singular at some frequency.
-
-    ``lam`` names the offending frequency when one is known; ``margin`` is
-    the smallest singular value found by a circle scan that failed.
-    """
-
-    def __init__(self, message: str, lam: float | None = None, margin: float | None = None):
-        super().__init__(message)
-        self.lam = lam
-        self.margin = margin
+    """AR polynomial is (numerically) singular at some frequency."""
 
 
 class OperatorPolynomial:

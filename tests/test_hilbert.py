@@ -64,6 +64,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             LinearOperator(np.array([[np.nan]]), make_grid(1))
 
+    def test_operator_errors_in_rule_order(self):
+        """Square, then of the grid's size, then finite: each rule is checked
+        only when those before it hold."""
+        cases = [np.full((2, 3), np.nan), np.full((3, 3), np.nan), np.full((2, 2), np.nan)]
+        assert [list(LinearOperator.errors(m, 2, prefix="A: ")) for m in cases] == [
+            ["A: matrix must be square"],
+            ["A: dimension 3 does not match grid size 2"],
+            ["A: entries must be finite"],
+        ]
+
 
 class TestNormality:
     def test_hermitian_is_normal(self, rng):
