@@ -5,19 +5,17 @@ __version__ = "0.1.0"
 from .hilbert import (
     HilbertGrid,
     LinearOperator,
-    NormalDecomposition,
-    NotNormalError,
     NotPSDError,
     from_kernel,
     identity,
     kernel_of,
-    normal_decompose,
     operator_norm,
     sqrt_psd,
 )
 from .transfer import (
     CoefficientSequence,
     FracIntegrationSpec,
+    NotNormalError,
     OperatorPolynomial,
     SingularTransferError,
     ar_inverse_laurent,

@@ -114,27 +114,29 @@ def _as_float(obj) -> float:
         return math.inf if obj > 0 else -math.inf
 
 
-def _parse_entry(obj, name: str, errors: list[str]) -> complex:
+def _parse_entry(obj) -> complex | None:
+    """A JSON number or ``[re, im]`` pair as a complex number; None otherwise."""
     if _is_number(obj):
         return complex(_as_float(obj))
     if isinstance(obj, list) and len(obj) == 2 and all(_is_number(v) for v in obj):
         return complex(_as_float(obj[0]), _as_float(obj[1]))
-    errors.append(f"{name}: entries must be numbers or [re, im] pairs")
-    return 0.0
+    return None
 
 
 def _parse_matrix(obj, name: str, n: int | None, errors: list[str]) -> np.ndarray | None:
     """A nonempty list of equal-length rows as the matrix that passes
     :meth:`LinearOperator.errors` on ``n`` points (its own rows when no grid
-    parsed); None when refused."""
+    parsed); None when refused.  Bad entries are reported once per matrix
+    and stand in as 0 for the operator's rules."""
     rows = isinstance(obj, list) and all(isinstance(r, list) for r in obj)
     if not rows or len({len(r) for r in obj}) != 1:
         errors.append(f"{name}: expected a matrix as a list of rows")
         return None
     before = len(errors)
-    mat = np.array(
-        [[_parse_entry(v, name, errors) for v in row] for row in obj], dtype=complex
-    )
+    entries = [_parse_entry(v) for row in obj for v in row]
+    if None in entries:
+        errors.append(f"{name}: entries must be numbers or [re, im] pairs")
+    mat = np.array([0j if v is None else v for v in entries], dtype=complex).reshape(len(obj), -1)
     errors += LinearOperator.errors(mat, len(mat) if n is None else n, prefix=f"{name}: ")
     return None if len(errors) > before else mat
 

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .hilbert import NORMAL_TOL
 from .spectral import ArmaModel, PowerLawModel
 from .transfer import FracIntegrationSpec, arma_transfer_batch
 
@@ -95,18 +94,18 @@ def shell_depth_error(eta: float, n_refine: int) -> str | None:
     )
 
 
-def _row_sq(halves: np.ndarray, clusters: np.ndarray | None = None) -> np.ndarray:
-    """Squared row norms of the half-factors ``halves[k]``, summed over ``k``
-    and, given each row's cluster label, over the rows of each cluster.  A
-    sum beyond the double range raises :class:`OverflowError`: it is no
-    verdict on the model."""
+def _row_sq(halves: np.ndarray, clusters: np.ndarray) -> np.ndarray:
+    """Squared row norms of the half-factors ``halves[k]`` along their last
+    two axes, summed over ``k`` and, given each row's cluster index, over
+    the rows of each cluster.  A sum beyond the double range raises
+    :class:`OverflowError`: it is no verdict on the model."""
     with np.errstate(over="ignore"):
         sq = np.sum(np.abs(halves) ** 2, axis=-1).sum(axis=0)
-        if clusters is not None:
-            sq = np.bincount(clusters, sq)
-    if not np.isfinite(sq).all():
+        grouped = np.zeros((*sq.shape[:-1], clusters.max() + 1))
+        np.add.at(grouped.T, clusters, sq.T)
+    if not np.isfinite(grouped).all():
         raise OverflowError("the half-factor's square overflows the double range")
-    return sq
+    return grouped
 
 
 def _condition_sum(masses: np.ndarray, re: np.ndarray, sign: float, name: str) -> float:
@@ -123,28 +122,14 @@ def _condition_sum(masses: np.ndarray, re: np.ndarray, sign: float, name: str) -
     return value
 
 
-def _masses(base: ArmaModel, spec: FracIntegrationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalue clusters of the operator of ``spec``, as the mean of
-    each, ordered by (Re d, Im d), and the innovation's mass
-    ``m_c = ||P_c h(0)||_F^2`` on each cluster's spectral subspace, with
-    ``h(0) = phi(1)^{-1} theta(1) Sigma^{1/2}``.  Two eigenvalues share a
-    cluster when they lie within ``NORMAL_TOL ||D||`` of each other,
-    transitively (the frame rule's resolution), so both are basis-free even
-    where an eigenvalue repeats.  For a multiplication operator on the grid,
-    a point's mass is its pointwise innovation variance times its weight."""
-    dec = spec.ensure_decomposition()
-    d = dec.d
-    with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues near the double range
-        near = np.abs(d[:, None] - d[None, :]) <= NORMAL_TOL * np.abs(d).max()
-    labels = np.arange(d.size)  # each takes its neighbours' least until a cluster's is uniform
-    while ((step := np.where(near, labels, d.size).min(axis=1)) != labels).any():
-        labels = step
-    clusters = np.unique(labels, return_inverse=True)[1]
-    per = np.bincount(clusters)[clusters]
-    exponents = np.bincount(clusters, d.real / per) + 1j * np.bincount(clusters, d.imag / per)
-    masses = _row_sq(dec.U @ arma_transfer_batch(base, [0.0]), clusters)
-    order = np.lexsort((exponents.imag, exponents.real))
-    return exponents[order], masses[order]
+def _masses(base: ArmaModel, spec: FracIntegrationSpec) -> np.ndarray:
+    """The innovation's mass ``m_c = ||P_c h(0)||_F^2`` on the spectral
+    subspace of each eigenvalue cluster of the operator of ``spec``, in the
+    order of its ``exponents``, with ``h(0) = phi(1)^{-1} theta(1) Sigma^{1/2}``.
+    Clusters make the masses basis-free even where an eigenvalue repeats.
+    For a multiplication operator on the grid, a point's mass is its
+    pointwise innovation variance times its weight."""
+    return _row_sq(spec.U @ arma_transfer_batch(base, [0.0]), spec.clusters)
 
 
 def check_conditions(model: ArmaModel, spec: FracIntegrationSpec) -> ExistenceReport:
@@ -152,7 +137,8 @@ def check_conditions(model: ArmaModel, spec: FracIntegrationSpec) -> ExistenceRe
     eigenvalue clusters (:func:`_masses`).  Almost-everywhere quantifiers
     become checks on every cluster, the support thresholded at
     ``1e-24 max m_c`` to guard rounding."""
-    exponents, masses = _masses(model, spec)
+    masses = _masses(model, spec)
+    exponents = spec.exponents
     tol = 1e-24 * float(masses.max())
     d_re = exponents.real
     cond_ii = bool(np.all(d_re[masses > tol] < 0.5))
@@ -170,13 +156,16 @@ def existence_integral(
     n_freq: int = SHELL_POINTS,
     n_refine: int = N_REFINE,
 ) -> IntegralReport:
-    """Quadrature of ``|lam|^{-2 Re d(v)} |k_h(v, v'; lam)|^2`` near frequency 0.
+    """Quadrature of ``sum_c |lam|^{-2 Re d_c} ||P_c h(lam)||_F^2`` near
+    frequency 0, over the eigenvalue clusters ``c`` of D with their mean
+    exponents ``d_c`` and spectral projectors ``P_c``.
 
     The window ``(-eta, eta)`` is cut into dyadic shells
     ``(eta 2^{-l-1}, eta 2^{-l}]``; each shell carries ``n_freq`` midpoint
     nodes per sign of the frequency.  The half-factor is
-    ``h(lam) = U T(lam) Sigma^{1/2} U^H`` with ``T`` the ARMA transfer, and
-    the integral is taken against ``d lam / (2 pi)``.
+    ``h(lam) = U T(lam) Sigma^{1/2} U^H`` with ``T`` the ARMA transfer, its
+    rows grouped by the clusters of D's spec, and the integral is taken
+    against ``d lam / (2 pi)``.
 
     Squared row norms beyond the double range raise :class:`OverflowError`;
     divergence is declared when the sum is not finite, or when the last three
@@ -190,8 +179,7 @@ def existence_integral(
         raise ValueError("need n_freq >= 1 and n_refine >= 4")
     if message := shell_depth_error(eta, n_refine):
         raise ValueError(message)
-    dec = spec.ensure_decomposition()
-    d_re = dec.d.real
+    u, d_re = spec.U, spec.exponents.real
 
     # the shells are filled in place; a value that stays non-finite diverges
     report = IntegralReport(0.0, True, np.empty(n_refine), float(eta), n_freq, n_refine, 0.0)
@@ -202,13 +190,13 @@ def existence_integral(
         # one transfer batch per shell, holding its nodes of both signs
         pts = lo[level] + (np.arange(n_freq) + 0.5) * steps[level]
         vals = arma_transfer_batch(model, np.concatenate([pts, -pts]))
-        # row norms of U T Sigma^{1/2} U^H, both signs summed; the unitary
-        # right factor leaves them unchanged
-        row_sq = _row_sq((dec.U @ vals).reshape(2, n_freq, *vals.shape[1:]))
+        # row norms of U T Sigma^{1/2} U^H per cluster, both signs summed; the
+        # unitary right factor leaves them unchanged
+        row_sq = _row_sq((u @ vals).reshape(2, n_freq, *vals.shape[1:]), spec.clusters)
         with np.errstate(over="ignore"):  # a shell beyond the double range is inf, as it is
             # scaled by the cell width before the sum, so a shell in range sums in range
             scal = pts[:, None] ** (-2.0 * d_re[None, :]) * (steps[level] / (2.0 * np.pi))
-            # a point without innovation adds 0, however large its exponent
+            # a cluster without innovation adds 0, however large its exponent
             terms = np.multiply(scal, row_sq, out=np.zeros_like(row_sq), where=row_sq > 0)
             shells[level] = float(np.sum(terms))
     with np.errstate(over="ignore"):
@@ -235,8 +223,8 @@ def check_duker_conditions(model: PowerLawModel) -> DukerReport:
     1/2 boundary make that sum resolution-dependent, which is flagged rather
     than guessed.  An exponent without a frame raises :class:`NotNormalError`.
     """
-    exponents, masses = _masses(model.base, model.N)
-    h = exponents.real
+    masses = _masses(model.base, model.N)
+    h = model.N.exponents.real
     above = h > 0.5
     cond = bool(np.all(above))
     value = _condition_sum(masses, h, -1.0, "the power-law condition")

@@ -16,10 +16,6 @@ from typing import Iterator
 import numpy as np
 
 
-class NotNormalError(ValueError):
-    """Raised when an operation requires a normal operator and the input is not."""
-
-
 class NotPSDError(ValueError):
     """Raised when an operation requires a positive semidefinite operator."""
 
@@ -97,27 +93,6 @@ class LinearOperator:
         return LinearOperator(scalar * self.entries, self.grid)
 
 
-class NormalDecomposition:
-    """Unitary frame U and complex singular-value function d with U N U^H = diag(d)."""
-
-    def __init__(self, U: np.ndarray, d: np.ndarray, grid: HilbertGrid) -> None:
-        self.U = U
-        self.d = d
-        self.grid = grid
-
-    def reconstruct(self) -> LinearOperator:
-        """Return U^H diag(d) U as an operator."""
-        return LinearOperator(self.U.conj().T @ (self.d[:, None] * self.U), self.grid)
-
-    def apply_scalar(self, values: np.ndarray) -> np.ndarray:
-        """``U^H diag(v) U`` for each row ``v`` of ``values``, shape (..., n) -> (..., n, n),
-        as ``sum_i v_i P_i`` over the spectral projectors ``P_i = U[i]^H U[i]``."""
-        values = np.asarray(values, dtype=complex)
-        n = self.d.size
-        projectors = (self.U.conj()[:, :, None] * self.U[:, None, :]).reshape(n, n * n)
-        return (values @ projectors).reshape(*values.shape[:-1], n, n)
-
-
 def identity(grid: HilbertGrid) -> LinearOperator:
     return LinearOperator(np.eye(grid.n, dtype=complex), grid)
 
@@ -128,37 +103,6 @@ def operator_norm(a: np.ndarray | LinearOperator) -> float:
     if not m.size:
         return 0.0
     return float(np.linalg.norm(m, 2))
-
-
-# Relative tolerance of the library's one frame rule: an operator has a
-# unitary frame when that frame reproduces it within ``NORMAL_TOL ||A||``.
-NORMAL_TOL = 1e-10
-
-
-def normal_decompose(n_op: LinearOperator) -> NormalDecomposition:
-    """Diagonalize a normal operator by a unitary: ``U N U^H = diag(d)``.
-
-    The eigenvalues ``d`` come from ``numpy.linalg.eig`` and the frame from
-    a QR factorization of its eigenvectors: the eigenspaces of a normal
-    operator are orthogonal, so the orthonormalized eigenvectors are its
-    Schur vectors and ``d`` is in Schur order.  The library's one frame
-    rule: the operator has this frame when ``U^H diag(d) U`` reproduces it
-    within ``NORMAL_TOL * ||N||``, and is otherwise rejected as not normal,
-    naming the reconstruction error.  No commutator test runs; none would be
-    sufficient, since where eigenvalues repeat the commutator is quadratic
-    in the departure from normality.
-    """
-    d, vecs = np.linalg.eig(n_op.entries)
-    u = np.linalg.qr(vecs)[0].conj().T
-    dec = NormalDecomposition(u, d, n_op.grid)
-    scale = operator_norm(n_op)
-    err = operator_norm(dec.reconstruct().entries - n_op.entries)
-    if scale > 0 and err > NORMAL_TOL * scale:
-        raise NotNormalError(
-            f"operator not normal: unitary diagonalization leaves "
-            f"reconstruction error {err:.3e}"
-        )
-    return dec
 
 
 def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -34,9 +34,10 @@ from typing import Iterator
 import numpy as np
 
 from .existence import ExistenceRefusal, check_conditions, check_duker_conditions
-from .hilbert import HilbertGrid, NotNormalError, identity
+from .hilbert import HilbertGrid, identity
 from .spectral import ArmaModel, FiarmaModel, PowerLawModel
 from .transfer import (
+    NotNormalError,
     OperatorPolynomial,
     binomial_ma_coeffs,
     duker_decomposition,

@@ -14,13 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hilbert import (
-    HilbertGrid,
-    LinearOperator,
-    NormalDecomposition,
-    psd_eigh,
-    sqrt_psd,
-)
+from .hilbert import HilbertGrid, LinearOperator, psd_eigh, sqrt_psd
 from .transfer import (
     CoefficientSequence,
     FracIntegrationSpec,
@@ -332,15 +326,11 @@ def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
 
 
 def local_factorization(
-    model: ArmaModel,
-    dec: NormalDecomposition | None,
-    eta: float,
-    freqs: np.ndarray,
+    model: ArmaModel, eta: float, freqs: np.ndarray
 ) -> tuple[LinearOperator, np.ndarray]:
     """Split the half-factor ``h(lam)`` as ``h0 + lam k(lam)`` near frequency 0.
 
-    ``h(lam)`` is the transfer applied to the noise square root, conjugated
-    into the diagonalizing frame when a decomposition is supplied.  The
+    ``h(lam)`` is the transfer applied to the noise square root.  The
     window is refused when a pole has ``|1 - lam_i e^{-i w}| <= 1e-6 scale``
     on it; ``k`` at an exact zero frequency is filled with a symmetric
     difference estimate.  Returns ``(h0, k_values)`` with ``k_values``
@@ -358,20 +348,14 @@ def local_factorization(
             f"eta too large: AR symbol near-singular at frequency {lam_bad:.6g}"
         )
 
-    def half(points: np.ndarray) -> np.ndarray:
-        vals = arma_transfer_batch(model, points)
-        if dec is not None:
-            vals = np.einsum("ij,fjk,kl->fil", dec.U, vals, dec.U.conj().T)
-        return vals
-
-    h0 = half(np.array([0.0]))[0]
-    h_vals = half(freqs)
+    h0 = arma_transfer_batch(model, [0.0])[0]
+    h_vals = arma_transfer_batch(model, freqs)
     k_vals = np.empty_like(h_vals)
     nz = freqs != 0.0
     k_vals[nz] = (h_vals[nz] - h0) / freqs[nz, None, None]
     if np.any(~nz):
         eps = eta * 1e-6
-        sym = half(np.array([eps, -eps]))
+        sym = arma_transfer_batch(model, [eps, -eps])
         k_vals[~nz] = (sym[0] - sym[1]) / (2.0 * eps)
     return LinearOperator(h0, model.grid), k_vals
 

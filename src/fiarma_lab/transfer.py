@@ -15,14 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hilbert import (
-    HilbertGrid,
-    LinearOperator,
-    NormalDecomposition,
-    NotNormalError,
-    normal_decompose,
-    operator_norm,
-)
+from .hilbert import HilbertGrid, LinearOperator, operator_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .spectral import ArmaModel
@@ -30,6 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class SingularTransferError(ValueError):
     """AR polynomial is (numerically) singular at some frequency."""
+
+
+class NotNormalError(ValueError):
+    """Raised when an operation requires a normal operator and the input is not."""
 
 
 class OperatorPolynomial:
@@ -66,46 +63,89 @@ class OperatorPolynomial:
         return cls(grid, tuple(LinearOperator(v * eye, grid) for v in values))
 
 
-class FracIntegrationSpec:
-    """Bounded memory operator D, the one owner of its unitary frame.
+# Relative tolerance of the library's one frame rule: an operator has a
+# unitary frame when that frame reproduces it within ``NORMAL_TOL ||A||``.
+NORMAL_TOL = 1e-10
 
-    The frame is found once, by the library's one rule: D has a frame when
-    the unitary eigenframe of :func:`normal_decompose` reproduces it within
-    ``NORMAL_TOL ||D||``.  ``decomposition`` is that frame, or ``None``
-    with ``frame_error`` naming the reconstruction error.  :meth:`exp`
-    evaluates every ``exp(t D)`` of the library; the MA coefficients and the
-    power-law decomposition read ``decomposition`` themselves.  The exponent
-    ``N`` of a power-law moving average is held the same way.
+
+class FracIntegrationSpec:
+    """Bounded memory operator D, the one owner of its spectral facts, each
+    found once, when the spec is built.
+
+    The eigenvalues ``d`` come from ``numpy.linalg.eig`` and the frame ``U``
+    from a QR factorization of its eigenvectors: the eigenspaces of a normal
+    operator are orthogonal, so the orthonormalized eigenvectors are its
+    Schur vectors and ``d`` is in Schur order.  The library's one frame
+    rule: D has the frame ``U D U^H = diag(d)`` when ``U^H diag(d) U``
+    reproduces it within ``NORMAL_TOL ||D||``.  Otherwise ``frame_error``
+    names the reconstruction error, and reading ``U`` raises
+    :class:`NotNormalError` with it.  No commutator test runs; none would be
+    sufficient, since where eigenvalues repeat the commutator is quadratic
+    in the departure from normality.
+
+    Two eigenvalues share a cluster when they lie within ``NORMAL_TOL ||D||``
+    of each other, transitively (the frame rule's resolution).
+    ``exponents`` holds the mean of each cluster, ordered by (Re d, Im d),
+    and ``clusters`` the index into it of each eigenvalue.  :meth:`exp`
+    evaluates every ``exp(t D)`` of the library.  The exponent ``N`` of a
+    power-law moving average is held the same way.
     """
 
     def __init__(self, D: LinearOperator) -> None:
         self.D = D
-        self.decomposition: NormalDecomposition | None = None
+        d, vecs = np.linalg.eig(D.entries)
+        u = np.linalg.qr(vecs)[0].conj().T
+        scale = operator_norm(D)
+        err = operator_norm(u.conj().T @ (d[:, None] * u) - D.entries)
+        self.d = d
         self.frame_error: str | None = None
-        try:
-            self.decomposition = normal_decompose(D)
-        except NotNormalError as exc:
-            self.frame_error = str(exc)
+        if scale > 0 and err > NORMAL_TOL * scale:
+            self.frame_error = (
+                f"operator not normal: unitary diagonalization leaves "
+                f"reconstruction error {err:.3e}"
+            )
+        self._frame = u
+        with np.errstate(over="ignore", invalid="ignore"):  # eigenvalues near the double range
+            near = np.abs(d[:, None] - d[None, :]) <= NORMAL_TOL * np.abs(d).max()
+        labels = np.arange(d.size)  # each takes its neighbours' least until a cluster's is uniform
+        while ((step := np.where(near, labels, d.size).min(axis=1)) != labels).any():
+            labels = step
+        clusters = np.unique(labels, return_inverse=True)[1]
+        per = np.bincount(clusters)[clusters]
+        means = np.bincount(clusters, d.real / per) + 1j * np.bincount(clusters, d.imag / per)
+        order = np.lexsort((means.imag, means.real))
+        self.exponents = means[order]
+        self.clusters = np.argsort(order)[clusters]
 
-    def ensure_decomposition(self) -> NormalDecomposition:
-        if self.decomposition is None:
+    @property
+    def U(self) -> np.ndarray:
+        """The unitary frame; a D without one raises :class:`NotNormalError`."""
+        if self.frame_error is not None:
             raise NotNormalError(self.frame_error)
-        return self.decomposition
+        return self._frame
+
+    def apply_scalar(self, values: np.ndarray) -> np.ndarray:
+        """``U^H diag(v) U`` for each row ``v`` of ``values``, shape (..., n) -> (..., n, n),
+        as ``sum_i v_i P_i`` over the spectral projectors ``P_i = U[i]^H U[i]``."""
+        u = self.U
+        values = np.asarray(values, dtype=complex)
+        n = self.d.size
+        projectors = (u.conj()[:, :, None] * u[:, None, :]).reshape(n, n * n)
+        return (values @ projectors).reshape(*values.shape[:-1], n, n)
 
     def exp(self, ts: np.ndarray) -> np.ndarray:
         """Stacked ``exp(t D)`` over the scalars ``ts``, shape ``(len(ts), n, n)``.
 
         In D's frame this is ``U^H diag(exp(t d)) U`` through
-        :meth:`NormalDecomposition.apply_scalar`; without a frame, one
-        scaling-and-squaring ``expm`` of the stack of every ``t D``, the
-        library's only use of scipy.  A value beyond the double range is left
-        as it comes out, not finite, for the caller's finite check to refuse.
+        :meth:`apply_scalar`; without a frame, one scaling-and-squaring
+        ``expm`` of the stack of every ``t D``, the library's only use of
+        scipy.  A value beyond the double range is left as it comes out, not
+        finite, for the caller's finite check to refuse.
         """
         ts = np.asarray(ts, dtype=complex).ravel()
-        dec = self.decomposition
         with np.errstate(over="ignore", invalid="ignore"):
-            if dec is not None:
-                return dec.apply_scalar(np.exp(np.outer(ts, dec.d)))
+            if self.frame_error is None:
+                return self.apply_scalar(np.exp(np.outer(ts, self.d)))
             import scipy.linalg  # deferred: an operator with a frame never needs it
 
             return scipy.linalg.expm(ts[:, None, None] * self.D.entries)
@@ -372,17 +412,16 @@ def frac_ma_coeffs(spec: FracIntegrationSpec, order: int) -> CoefficientSequence
 
     With D's eigenframe each coefficient is a scalar function of the
     eigenvalues, ``Gamma(k + d) / (Gamma(d) k!)``, rotated back through
-    :meth:`NormalDecomposition.apply_scalar`; a real D keeps real
+    :meth:`FracIntegrationSpec.apply_scalar`; a real D keeps real
     coefficients.  A D without a frame takes the dense recursion of
     :func:`binomial_ma_coeffs`.
     """
-    dec = spec.decomposition
-    if dec is None:
+    if spec.frame_error is not None:
         return binomial_ma_coeffs(spec.D, order)
     if order < 0:
         raise ValueError("order must be nonnegative")
-    scalars = _binomial_scalars(dec.d - 1.0, order, "the MA coefficients of (1 - z)^{-D}")
-    data = dec.apply_scalar(scalars)
+    scalars = _binomial_scalars(spec.d - 1.0, order, "the MA coefficients of (1 - z)^{-D}")
+    data = spec.apply_scalar(scalars)
     if not spec.D.entries.imag.any():
         data.imag = 0.0
     return CoefficientSequence(data, spec.grid)
@@ -516,15 +555,17 @@ def duker_decomposition(
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    dec = spec.ensure_decomposition()
-    rho = float(np.min(dec.d.real))
-    c_vals = np.array([_rgamma(1.0 - nv) for nv in dec.d], dtype=complex)
+    if spec.frame_error is not None:  # before any scalar of N's eigenvalues can overflow
+        raise NotNormalError(spec.frame_error)
+    d = spec.d
+    rho = float(np.min(d.real))
+    c_vals = np.array([_rgamma(1.0 - nv) for nv in d], dtype=complex)
     ks = np.arange(order + 1, dtype=float)[:, None]
-    binom = _binomial_scalars(-dec.d, order, "the binomial coefficients of (1 - z)^{N - Id}")
-    powerlaw = np.exp(-np.log(ks + 1.0) * dec.d)  # (k+1)^{-n}
-    deltas = dec.apply_scalar(binom - c_vals * powerlaw)
+    binom = _binomial_scalars(-d, order, "the binomial coefficients of (1 - z)^{N - Id}")
+    powerlaw = np.exp(-np.log(ks + 1.0) * d)  # (k+1)^{-n}
+    deltas = spec.apply_scalar(binom - c_vals * powerlaw)
     return (
-        LinearOperator(dec.apply_scalar(c_vals), spec.grid),
+        LinearOperator(spec.apply_scalar(c_vals), spec.grid),
         CoefficientSequence(deltas, spec.grid),
         rho,
     )

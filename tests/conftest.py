@@ -52,6 +52,11 @@ def op(mat, grid=None) -> LinearOperator:
     return LinearOperator(mat, grid)
 
 
+def reconstruct(spec: FracIntegrationSpec) -> np.ndarray:
+    """``U^H diag(d) U`` from the frame and eigenvalues that ``spec`` found."""
+    return spec.U.conj().T @ (spec.d[:, None] * spec.U)
+
+
 def white_model(grid: HilbertGrid, sigma: LinearOperator | None = None) -> ArmaModel:
     """White noise with covariance ``sigma``, the identity by default: the
     ARMA model with no AR and no MA coefficients."""

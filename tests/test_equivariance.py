@@ -6,7 +6,8 @@ must give the rotated quantities of M: ``W F(lam) W^H`` for the fractional
 transfer, ``W g(lam) W^H`` for the density, ``W Gamma(h) W^H`` for the
 autocovariances and ``W C_k W^H`` for the MA coefficients, and the same
 existence verdict, condition (iii) value, exponent clusters with their
-masses, and existence integral.  A path
+masses, and existence integral.  A D without a unitary frame rotates its
+transfer, density and MA coefficients the same way.  A path
 rotated to ``W x_t`` has the periodogram ``W I(lam) W^H``.  The power-law
 model with exponent ``N = Id - D`` of the same draw rotates its matching
 constant, remainders and weights, and keeps its conditions.
@@ -50,9 +51,11 @@ def _complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
-def draw(seed: int, n: int) -> tuple[HilbertGrid, dict, np.ndarray]:
+def draw(seed: int, n: int, upper: float = 0.0) -> tuple[HilbertGrid, dict, np.ndarray]:
     """A grid with non-uniform weights, the matrices of a normal FIARMA(1,d,1)
-    model with complex coefficients, and a unitary W."""
+    model with complex coefficients, and a unitary W.  A positive ``upper``
+    (n >= 2) adds a strictly upper part of that norm to D's triangle in its
+    frame, so that D is not normal."""
     rng = np.random.default_rng(seed)
     grid = HilbertGrid(np.sort(rng.uniform(0.0, 1.0, n)), rng.uniform(0.2, 2.0, n))
     phi, theta, m = (_complex(rng, n) for _ in range(3))
@@ -64,7 +67,11 @@ def draw(seed: int, n: int) -> tuple[HilbertGrid, dict, np.ndarray]:
         "sigma": m @ m.conj().T / n + 0.1 * np.eye(n),
         "D": frame.conj().T @ (d[:, None] * frame),
     }
-    return grid, mats, random_unitary(rng, n)
+    w = random_unitary(rng, n)
+    if upper:
+        strict = np.triu(_complex(rng, n), 1)
+        mats["D"] += frame.conj().T @ (strict * (upper / np.linalg.norm(strict, 2))) @ frame
+    return grid, mats, w
 
 
 def build(grid: HilbertGrid, mats: dict, w: np.ndarray) -> FiarmaModel:
@@ -129,6 +136,27 @@ def test_ma_coefficients_rotate_with_the_memory_operator(n, seed):
 
 
 @settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_frameless_memory_operator_rotates_with_the_model(n, seed):
+    """D is its frame's triangle plus a strictly upper part of norm 0.2: it
+    and its rotation are both without a unitary frame, so no draw crosses
+    the frame rule, and the dense ``expm`` and recursion rotate the
+    transfer, the density and the MA coefficients."""
+    grid, mats, w = draw(seed, n, upper=0.2)
+    model, rotated = build(grid, mats, np.eye(n)), build(grid, mats, w)
+    assert model.D.frame_error is not None and rotated.D.frame_error is not None
+    freqs = density_frequencies(256)
+    for quantity in (
+        lambda m: frac_transfer_batch(m.D, np.concatenate([freqs, [0.0, np.pi]])),
+        lambda m: fiarma_spectral_density(m, freqs).values,
+        lambda m: frac_ma_coeffs(m.D, 64).data,
+    ):
+        values = quantity(model)
+        want = w @ values @ w.conj().T
+        assert np.abs(quantity(rotated) - want).max() <= 1e-12 * np.abs(values).max()
+
+
+@settings(max_examples=25, deadline=None)
 @given(**DRAWS)
 def test_existence_conditions_are_basis_free(n, seed):
     grid, mats, w = draw(seed, n)
@@ -140,9 +168,13 @@ def test_existence_conditions_are_basis_free(n, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(**DRAWS)
-def test_existence_integral_is_basis_free(n, seed):
+@given(**DRAWS, repeated=st.booleans())
+def test_existence_integral_is_basis_free(n, seed, repeated):
+    """Also where an eigenvalue repeats: the integral groups the rows of
+    its eigenvectors, which are arbitrary, into one cluster."""
     grid, mats, w = draw(seed, n)
+    if repeated:
+        mats = with_repeated_eigenvalue(mats, n, seed)
     model, rotated = build(grid, mats, np.eye(n)), build(grid, mats, w)
     value = existence_integral(model.base, model.D, eta=1.0, n_freq=16, n_refine=12).value
     turned = existence_integral(rotated.base, rotated.D, eta=1.0, n_freq=16, n_refine=12).value
@@ -216,15 +248,21 @@ def with_spectrum(mats: dict, d: np.ndarray, seed: int) -> dict:
     return mats | {"D": frame.conj().T @ (d[:, None] * frame)}
 
 
+def with_repeated_eigenvalue(mats: dict, n: int, seed: int) -> dict:
+    """``mats`` with D replaced by a normal operator whose first eigenvalue
+    has multiplicity ``1 + n // 2``."""
+    d = np.random.default_rng(seed).uniform(-0.4, 0.45, n).astype(complex)
+    d[: 1 + n // 2] = d[0]
+    return with_spectrum(mats, d, seed + 1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
 def test_masses_of_a_repeated_eigenvalue_are_basis_free(n, seed):
     """An eigenvalue of multiplicity two or more: its eigenvectors are
     arbitrary, and the mass on its eigenspace is not."""
     grid, mats, w = draw(seed, n)
-    d = np.random.default_rng(seed).uniform(-0.4, 0.45, n).astype(complex)
-    d[: 1 + n // 2] = d[0]
-    mats = with_spectrum(mats, d, seed + 1)
+    mats = with_repeated_eigenvalue(mats, n, seed)
     model, rotated = build(grid, mats, np.eye(n)), build(grid, mats, w)
     assert_spectral_record_is_basis_free(model, rotated)
     assert len(check_conditions(model.base, model.D).masses) == n - n // 2

@@ -20,7 +20,7 @@ from fiarma_lab import (
     identity,
     simulate_fiarma,
 )
-from fiarma_lab.hilbert import NORMAL_TOL
+from fiarma_lab.transfer import NORMAL_TOL
 from fiarma_lab.transfer import arma_transfer_batch
 
 from conftest import ar1_model, make_grid, op, power_law_model, random_unitary, white_model
@@ -266,6 +266,21 @@ class TestExistenceIntegral:
         assert not report.diverges
         np.testing.assert_allclose(report.shells, mild.shells, rtol=1e-14)
         assert report.value == pytest.approx(mild.value, rel=1e-14)
+
+    def test_one_cluster_takes_its_mean_exponent(self, rng):
+        """Eigenvalues 0.8 ``NORMAL_TOL ||D||`` apart form one cluster, which
+        the integral scales by the cluster's mean exponent, as the conditions
+        do: the value is that of D at the mean within 1e-13 relative."""
+        g = make_grid(2)
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        sigma = LinearOperator(m @ m.conj().T, g)
+        model = ArmaModel(OperatorPolynomial.scalar(g, 0.5), OperatorPolynomial(g), sigma)
+        step = 0.8 * NORMAL_TOL * 0.3
+        split = FracIntegrationSpec(op(np.diag([0.3, 0.3 + step]), g))
+        assert len(split.exponents) == 1
+        mean = scalar_spec(g, split.exponents[0])
+        value = existence_integral(model, split, eta=1.0).value
+        assert value == pytest.approx(existence_integral(model, mean, eta=1.0).value, rel=1e-13)
 
     def test_shells_below_normal_doubles_refused(self):
         g = scalar_grid()

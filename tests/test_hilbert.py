@@ -13,13 +13,12 @@ from fiarma_lab import (
     from_kernel,
     identity,
     kernel_of,
-    normal_decompose,
     operator_norm,
     sqrt_psd,
 )
-from fiarma_lab.hilbert import NORMAL_TOL
+from fiarma_lab.transfer import NORMAL_TOL
 
-from conftest import make_grid, op, random_unitary
+from conftest import make_grid, op, random_unitary, reconstruct
 
 
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False)
@@ -76,29 +75,35 @@ class TestGrid:
 
 
 class TestNormality:
+    """The frame that :class:`FracIntegrationSpec` finds when it is built."""
+
     def test_hermitian_is_normal(self, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert normal_decompose(op(m + m.conj().T)).d.size == 4
+        spec = FracIntegrationSpec(op(m + m.conj().T))
+        assert spec.frame_error is None and spec.d.size == 4
 
     def test_unitary_is_normal(self, rng):
-        assert normal_decompose(op(random_unitary(rng, 3))).d.size == 3
+        spec = FracIntegrationSpec(op(random_unitary(rng, 3)))
+        assert spec.frame_error is None and spec.d.size == 3
 
     def test_decompose_diagonal(self):
-        dec = normal_decompose(op(np.diag([0.2, 0.4])))
-        assert sorted(dec.d.real) == pytest.approx([0.2, 0.4])
-        err = operator_norm(dec.reconstruct().entries - np.diag([0.2, 0.4]))
+        spec = FracIntegrationSpec(op(np.diag([0.2, 0.4])))
+        assert sorted(spec.d.real) == pytest.approx([0.2, 0.4])
+        err = operator_norm(reconstruct(spec) - np.diag([0.2, 0.4]))
         assert err <= 1e-12
 
     def test_decompose_swap_matches_eig_oracle(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        dec = normal_decompose(op(m))
+        spec = FracIntegrationSpec(op(m))
         oracle = np.sort(np.linalg.eigvals(m).real)
-        assert np.sort(dec.d.real) == pytest.approx(list(oracle))
-        assert operator_norm(dec.U @ dec.U.conj().T - np.eye(2)) < 1e-12
+        assert np.sort(spec.d.real) == pytest.approx(list(oracle))
+        assert operator_norm(spec.U @ spec.U.conj().T - np.eye(2)) < 1e-12
 
     def test_decompose_rejects_non_normal(self):
+        spec = FracIntegrationSpec(op([[0, 1], [0, 0]]))
+        assert "not normal" in spec.frame_error
         with pytest.raises(NotNormalError, match="not normal"):
-            normal_decompose(op([[0, 1], [0, 0]]))
+            spec.U
 
     def test_reconstruction_on_random_normals(self, rng):
         for _ in range(100):
@@ -106,9 +111,8 @@ class TestNormality:
             u = random_unitary(rng, n)
             d = rng.normal(size=n) + 1j * rng.normal(size=n)
             m = u.conj().T @ (d[:, None] * u)
-            a = op(m)
-            dec = normal_decompose(a)
-            err = operator_norm(dec.reconstruct().entries - m)
+            spec = FracIntegrationSpec(op(m))
+            err = operator_norm(reconstruct(spec) - m)
             assert err <= 1e-10 * operator_norm(m)
 
 
@@ -128,19 +132,20 @@ def _frame_cases(rng):
 
 
 class TestEigenframeOracle:
-    """``normal_decompose`` against a complex Schur factorization (scipy)."""
+    """The frame of :class:`FracIntegrationSpec` against a complex Schur
+    factorization (scipy)."""
 
     def test_reconstructs_in_schur_order(self, rng):
         kinds = set()
         for kind, m in _frame_cases(rng):
             kinds.add(kind)
-            dec = normal_decompose(op(m))
+            spec = FracIntegrationSpec(op(m))
             n = m.shape[0]
             scale = max(operator_norm(m), 1.0)
-            assert operator_norm(dec.reconstruct().entries - m) <= 1e-12 * scale, kind
-            assert operator_norm(dec.U @ dec.U.conj().T - np.eye(n)) <= 1e-12, kind
+            assert operator_norm(reconstruct(spec) - m) <= 1e-12 * scale, kind
+            assert operator_norm(spec.U @ spec.U.conj().T - np.eye(n)) <= 1e-12, kind
             schur_d = np.diag(scipy.linalg.schur(m, output="complex")[0])
-            assert np.max(np.abs(dec.d - schur_d)) <= 1e-12 * scale, kind
+            assert np.max(np.abs(spec.d - schur_d)) <= 1e-12 * scale, kind
         assert kinds == {"hermitian", "complex", "repeated", "permuted", "zero"}
 
     def test_commuting_but_frameless_rejected(self):
@@ -151,7 +156,7 @@ class TestEigenframeOracle:
         comm = m @ m.conj().T - m.conj().T @ m
         assert operator_norm(comm) <= NORMAL_TOL * operator_norm(m) ** 2
         with pytest.raises(NotNormalError, match="reconstruction error"):
-            normal_decompose(a)
+            FracIntegrationSpec(a).U
 
 
 def power_one_minus_z(d_op: LinearOperator, z: complex) -> np.ndarray:

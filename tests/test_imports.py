@@ -201,7 +201,7 @@ PUBLIC_NAMES = [
     "ArmaModel", "CoefficientSequence", "ConfigError",
     "DecompositionCheck", "DukerReport", "ExistenceRefusal", "ExistenceReport",
     "FiarmaModel", "FracIntegrationSpec", "HilbertGrid", "IntegralReport", "LinearOperator",
-    "ModelConfig", "NonCausalError", "NormalDecomposition", "NotNormalError", "NotPSDError",
+    "ModelConfig", "NonCausalError", "NotNormalError", "NotPSDError",
     "OperatorPolynomial", "PathFormatError", "PowerLawModel", "RunConfig", "SampledPath",
     "SimConfig", "SingularTransferError", "SpectralDensityGrid",
     "ar_inverse_laurent", "arma_spectral_density", "autocov_sequence",
@@ -209,7 +209,7 @@ PUBLIC_NAMES = [
     "check_invertible_on_circle", "density_frequencies", "duker_decomposition",
     "empirical_autocov", "envelope_bounds", "existence_integral", "fiarma_spectral_density",
     "fourier_frequencies", "frac_ma_coeffs", "from_kernel",
-    "identity", "kernel_of", "local_factorization", "normal_decompose",
+    "identity", "kernel_of", "local_factorization",
     "operator_norm", "parse_config", "periodogram", "power_law_weights", "read_path",
     "simulate_arma", "simulate_duker", "simulate_fiarma",
     "sqrt_psd", "verify_longmemory_decomposition", "write_path",
@@ -270,6 +270,16 @@ def test_unread_name_check_skips_only_the_own_definition():
     assert _names_read(tree) == {"f", "g", "x"}
 
 
+def test_only_the_memory_operator_spec_reads_the_frame_tolerance():
+    """D's frame and eigenvalue clusters are found once, by ``FracIntegrationSpec``
+    in ``transfer.py``: no other module of the package reads ``NORMAL_TOL``."""
+    readers = {
+        path.name for path in PACKAGE.glob("*.py")
+        if "NORMAL_TOL" in _names_read(ast.parse(path.read_text()))
+    }
+    assert readers == {"transfer.py"}
+
+
 def test_every_public_name_has_a_reader():
     """A public name that the package does not read is kept only for a
     reader listed in READERS_OUTSIDE_THE_PACKAGE, and an acceptance test
@@ -307,7 +317,6 @@ CONSTRUCTORS = {
     "IntegralReport": ["value", "diverges", "shells", "eta", "n_freq", "n_refine", "tail_estimate"],
     "LinearOperator": ["entries", "grid"],
     "ModelConfig": ["model", "run"],
-    "NormalDecomposition": ["U", "d", "grid"],
     "OperatorPolynomial": ["grid", ("coeffs", ())],
     "PowerLawModel": ["base", "N"],
     "RunConfig": [

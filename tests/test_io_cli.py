@@ -279,6 +279,12 @@ class TestParseConfig:
             parse_config(json.dumps({"grid": GRID_2, "model": {"sigma": sigma}}))
         assert err.value.errors == [f"model.sigma: {refusal.value}"]
 
+    def test_bad_entries_are_one_line_per_matrix(self):
+        sigma = [[1, "x"], ["y", None]]
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps({"grid": GRID_2, "model": {"sigma": sigma}}))
+        assert err.value.errors == ["model.sigma: entries must be numbers or [re, im] pairs"]
+
     def test_ragged_rows_are_not_a_matrix(self):
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps({"grid": GRID_2, "model": {"sigma": [[1.0, 0.0], [1.0]]}}))

@@ -908,7 +908,7 @@ class TestFilterPlanCache:
         g = make_grid(2)
         d_op = op([[0.2, 0.3], [0.0, 0.1]], g)
         model = FiarmaModel(white_model(g), FracIntegrationSpec(d_op))
-        assert model.D.decomposition is None
+        assert model.D.frame_error is not None
         for r in range(2):
             path = simulate_fiarma(model, SimConfig(T=64, K_trunc=16, seed=1, replication=r))
             assert path.meta["existence"] == "unchecked (memory operator not normal)"

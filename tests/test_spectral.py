@@ -25,7 +25,6 @@ from fiarma_lab import (
     identity,
     kernel_of,
     local_factorization,
-    normal_decompose,
     operator_norm,
     periodogram,
     simulate_arma,
@@ -174,7 +173,7 @@ class TestCertifiedOnce:
             lambda: fiarma_spectral_density(model, freqs),
             lambda: existence_integral(model.base, model.D, 0.5),
             lambda: check_conditions(model.base, model.D),
-            lambda: local_factorization(model.base, model.D.decomposition, 0.5, freqs[:8] / 8),
+            lambda: local_factorization(model.base, 0.5, freqs[:8] / 8),
             lambda: simulate_fiarma(model, SimConfig(T=64, K_trunc=32, seed=1)),
         ):
             calls.clear()
@@ -482,14 +481,14 @@ class TestLocalFactorization:
     def test_identity_model(self):
         g = make_grid(2)
         freqs = np.linspace(-0.4, 0.4, 9)
-        h0, k_vals = local_factorization(white_model(g), None, 0.5, freqs)
+        h0, k_vals = local_factorization(white_model(g), 0.5, freqs)
         assert np.allclose(h0.entries, np.eye(2), atol=1e-12)
         assert np.max(np.abs(k_vals)) < 1e-12
 
     def test_scalar_ar1_slope(self):
         g = scalar_grid()
         freqs = np.linspace(-0.2, 0.2, 41)
-        h0, k_vals = local_factorization(ar1_model(g), None, 0.3, freqs)
+        h0, k_vals = local_factorization(ar1_model(g), 0.3, freqs)
         assert h0.entries[0, 0] == pytest.approx(2.0)
         sup = np.max(np.abs(k_vals))
         assert np.isfinite(sup) and sup < 10.0
@@ -506,20 +505,18 @@ class TestLocalFactorization:
             OperatorPolynomial.scalar(g, 0.1),
             random_psd(rng, g),
         )
-        dec = normal_decompose(identity(g))
         freqs = np.linspace(-0.3, 0.3, 13)
-        h0, k_vals = local_factorization(model, dec, 0.4, freqs)
+        h0, k_vals = local_factorization(model, 0.4, freqs)
         halves = arma_transfer_batch(model, freqs)
         for j, lam in enumerate(freqs):
-            h_lam = dec.U @ halves[j] @ dec.U.conj().T
             rebuilt = h0.entries + lam * k_vals[j]
-            assert operator_norm(rebuilt - h_lam) < 1e-10
+            assert operator_norm(rebuilt - halves[j]) < 1e-10
 
     def test_window_guard(self):
         g = scalar_grid()
         model = ar1_model(g, 0.9999999)
         with pytest.raises(SingularTransferError, match="eta too large"):
-            local_factorization(model, None, 3.0, np.array([0.1]))
+            local_factorization(model, 3.0, np.array([0.1]))
 
     def test_nilpotent_symbol_matches_closed_form(self, nilpotent_shift_model):
         """``Id - 1.5 S z`` with S the nilpotent shift has all its poles at 0,
@@ -528,7 +525,7 @@ class TestLocalFactorization:
         ``sum_{k<n} (1.5 e^{-i lam} S)^k``."""
         shift = np.eye(32, k=1)
         freqs = np.linspace(-0.4, 0.4, 9)
-        h0, k_vals = local_factorization(nilpotent_shift_model, None, 0.5, freqs)
+        h0, k_vals = local_factorization(nilpotent_shift_model, 0.5, freqs)
         for lam, k in zip(freqs, k_vals):
             step = 1.5 * np.exp(-1j * lam) * shift
             inv = sum(np.linalg.matrix_power(step, j) for j in range(32))
@@ -541,13 +538,13 @@ class TestLocalFactorization:
         g = scalar_grid()
         model = ar1_model(g, (1.0 - 1e-7) * np.exp(0.8j))
         with pytest.raises(SingularTransferError, match="eta too large.* at frequency 0.8$"):
-            local_factorization(model, None, 1.0, np.array([0.1]))
-        local_factorization(model, None, 0.3, np.array([0.1]))
+            local_factorization(model, 1.0, np.array([0.1]))
+        local_factorization(model, 0.3, np.array([0.1]))
 
     def test_frequency_range_checked(self):
         g = scalar_grid()
         with pytest.raises(ValueError):
-            local_factorization(white_model(g), None, 0.2, np.array([0.3]))
+            local_factorization(white_model(g), 0.2, np.array([0.3]))
 
 
 class TestCrossSpectralKernel:

@@ -27,8 +27,8 @@ from fiarma_lab import (
 )
 
 from fiarma_lab import transfer
-from fiarma_lab.hilbert import NORMAL_TOL
 from fiarma_lab.transfer import (
+    NORMAL_TOL,
     _rgamma,
     ar_values_on_circle,
     arma_transfer_batch,
@@ -36,7 +36,7 @@ from fiarma_lab.transfer import (
     ma_values_on_circle,
 )
 
-from conftest import make_grid, op, random_unitary
+from conftest import make_grid, op, random_unitary, reconstruct
 
 
 def scalar_frac_coeffs(d: float, order: int) -> np.ndarray:
@@ -452,7 +452,7 @@ class TestFracTransfer:
         tri = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
         tri[0, 3] = 1e-12
         spec = FracIntegrationSpec(op(u.conj().T @ tri @ u))
-        dec = spec.ensure_decomposition()
+        assert spec.frame_error is None
 
         def no_expm(*args, **kwargs):
             raise AssertionError("dense expm used for a normal memory operator")
@@ -460,7 +460,7 @@ class TestFracTransfer:
         monkeypatch.setattr(scipy.linalg, "expm", no_expm)
         freqs = np.array([-2.5, -0.3, 0.7, np.pi])
         for lam, val in zip(freqs, frac_transfer_batch(spec, freqs)):
-            expect = dec.apply_scalar((1.0 - np.exp(-1j * lam)) ** -dec.d)
+            expect = spec.apply_scalar((1.0 - np.exp(-1j * lam)) ** -spec.d)
             assert np.allclose(val, expect, rtol=0.0, atol=1e-13)
 
 
@@ -468,7 +468,7 @@ class TestExpOfTheMemoryOperator:
     def test_frameless_stack_matches_one_expm_per_scalar(self, rng):
         d_op = np.triu(rng.normal(size=(5, 5))) * 0.1 + np.diag(rng.uniform(0.0, 0.4, 5))
         spec = FracIntegrationSpec(op(d_op))
-        assert spec.decomposition is None
+        assert spec.frame_error is not None
         ts = rng.normal(size=7) + 1j * rng.normal(size=7)
         want = np.stack([scipy.linalg.expm(t * spec.D.entries) for t in ts])
         assert np.array_equal(spec.exp(ts), want)
@@ -492,13 +492,12 @@ class TestOneFrameRule:
         m = d_op.entries
         comm = m @ m.conj().T - m.conj().T @ m
         assert operator_norm(comm) > NORMAL_TOL * operator_norm(m) ** 2
-        dec = FracIntegrationSpec(d_op).ensure_decomposition()
-        err = operator_norm(dec.reconstruct().entries - d_op.entries)
+        err = operator_norm(reconstruct(FracIntegrationSpec(d_op)) - d_op.entries)
         assert err <= NORMAL_TOL * operator_norm(d_op)
 
     def test_frame_error_names_the_reconstruction_error(self):
         spec = FracIntegrationSpec(op([[0.2, 0.1], [0.0, 0.1]]))
-        assert spec.decomposition is None
+        assert spec.frame_error is not None
         assert spec.frame_error.startswith(
             "operator not normal: unitary diagonalization leaves reconstruction error"
         )
@@ -570,7 +569,7 @@ class TestFracCoeffs:
         u = random_unitary(rng, n)
         d = rng.uniform(-0.2, 0.45, n) + 1j * rng.uniform(-0.1, 0.1, n)
         spec = FracIntegrationSpec(op(u.conj().T @ (d[:, None] * u)))
-        assert spec.decomposition is not None
+        assert spec.frame_error is None
         got = frac_ma_coeffs(spec, 2048).data
         want = binomial_ma_coeffs(spec.D, 2048).data
         err = np.linalg.norm(got - want, 2, axis=(1, 2)) / np.linalg.norm(want, 2, axis=(1, 2))
@@ -609,7 +608,7 @@ class TestFracCoeffs:
         m = np.triu(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         m *= 0.4 / operator_norm(m)
         spec = FracIntegrationSpec(op(m))
-        assert spec.decomposition is None
+        assert spec.frame_error is not None
         eye = np.eye(4, dtype=complex)
         want = [eye]
         for k in range(1, 301):
@@ -622,7 +621,7 @@ class TestFracCoeffs:
         u = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         block = np.array([[0.2, -0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.3]])
         spec = FracIntegrationSpec(op(u.T @ block @ u))
-        assert spec.decomposition is not None
+        assert spec.frame_error is None
         seq = frac_ma_coeffs(spec, 64).data
         assert not seq.imag.any()
         assert np.allclose(seq, binomial_ma_coeffs(spec.D, 64).data, rtol=0.0, atol=1e-14)
