@@ -107,22 +107,58 @@ class PowerLawModel:
         return self.base.grid
 
 
-class SpectralDensityGrid:
-    """Operator density values on a frequency grid, w.r.t. Lebesgue measure."""
+def _row_energies(half: np.ndarray) -> np.ndarray:
+    """``(F, n)`` squared norms of the rows of each ``(n, r)`` half-factor;
+    they bound ``h h^H`` entry-wise, ``|(h h^H)_ab| <= max(e_a, e_b)``."""
+    return np.vecdot(half, half).real
 
-    def __init__(self, freqs: np.ndarray, values: np.ndarray, grid: HilbertGrid) -> None:
+
+def _square(half: np.ndarray) -> np.ndarray:
+    """Frequency-wise ``h h^H / (2 pi)``, made exactly Hermitian: the batched
+    product leaves rounding-level asymmetry, which the lag-0 autocovariance
+    would inherit."""
+    vals = half @ half.conj().transpose(0, 2, 1)
+    vals += vals.conj().transpose(0, 2, 1)
+    vals *= 0.25 / np.pi
+    return vals
+
+
+class SpectralDensityGrid:
+    """Operator density on a frequency grid, w.r.t. Lebesgue measure, kept as
+    its half-factor: ``half[f]`` is an ``(n, r)`` array with
+    ``g(lam_f) = half[f] half[f]^H / (2 pi)``.
+
+    ``values`` forms the ``(F, n, n)`` square on every read, exactly
+    Hermitian and C-contiguous; ``operator(j)`` forms frequency j alone, equal
+    to ``values[j]``, and ``trace()`` reads the factor's row energies.  Twice
+    a row energy bounds every entry of the unscaled symmetrised square, so a
+    factor with one beyond the double range raises :class:`OverflowError`,
+    naming the first frequency that has one, and any other squares to finite
+    values.
+    """
+
+    def __init__(self, freqs: np.ndarray, half: np.ndarray, grid: HilbertGrid) -> None:
         self.freqs = np.asarray(freqs, dtype=float).ravel()
-        self.values = np.ascontiguousarray(values, dtype=complex)
+        self.half = np.ascontiguousarray(half, dtype=complex)
         self.grid = grid
-        n = grid.n
-        if self.values.shape != (self.freqs.size, n, n):
-            raise ValueError("density values must have shape (len(freqs), n, n)")
+        if self.half.ndim != 3 or self.half.shape[:2] != (self.freqs.size, grid.n):
+            raise ValueError("density half-factor must have shape (len(freqs), n, r)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            doubled = 2.0 * _row_energies(self.half)
+            # the largest is NaN if any is
+            if not np.isfinite(doubled.max(initial=0.0)):
+                lam = self.freqs[~np.isfinite(doubled).all(axis=1)][0]
+                raise OverflowError(f"spectral density overflows at frequency {lam:.6g}")
+
+    @property
+    def values(self) -> np.ndarray:
+        return _square(self.half)
 
     def operator(self, j: int) -> LinearOperator:
-        return LinearOperator(self.values[j], self.grid)
+        return LinearOperator(_square(self.half[j][None])[0], self.grid)
 
     def trace(self) -> np.ndarray:
-        return np.einsum("fii->f", self.values).real
+        return _row_energies(self.half).sum(axis=1) * (0.5 / np.pi)
 
     def validate(self) -> None:
         """Check every value is Hermitian PSD within 1e-10 relative to the
@@ -143,31 +179,10 @@ def density_frequencies(n_freq: int) -> np.ndarray:
     return np.sort(np.where(lam > np.pi, lam - 2.0 * np.pi, lam))
 
 
-def _density_from_half(
-    freqs: np.ndarray, half: np.ndarray, grid: HilbertGrid, frac: np.ndarray | None = None
-) -> SpectralDensityGrid:
-    """Frequency-wise ``h h^H / (2 pi)`` with ``h = frac @ half`` (``half``
-    when ``frac`` is None), made exactly Hermitian: the batched product
-    leaves rounding-level asymmetry, which the lag-0 autocovariance would
-    inherit.  A finite half-factor can still square past the double range;
-    a value that is not finite raises :class:`OverflowError` naming the
-    first frequency that has one."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if frac is not None:
-            half = frac @ half
-        vals = half @ half.conj().transpose(0, 2, 1)
-        vals += vals.conj().transpose(0, 2, 1)
-        vals *= 0.25 / np.pi
-    finite = np.isfinite(vals).all(axis=(1, 2))
-    if not finite.all():
-        raise OverflowError(f"spectral density overflows at frequency {freqs[~finite][0]:.6g}")
-    return SpectralDensityGrid(freqs, vals, grid)
-
-
 def arma_spectral_density(model: ArmaModel, freqs: np.ndarray) -> SpectralDensityGrid:
     """Density ``T(lam) Sigma T(lam)^H / (2 pi)`` with T the ARMA transfer."""
     freqs = np.asarray(freqs, dtype=float).ravel()
-    return _density_from_half(freqs, arma_transfer_batch(model, freqs), model.grid)
+    return SpectralDensityGrid(freqs, arma_transfer_batch(model, freqs), model.grid)
 
 
 def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDensityGrid:
@@ -175,7 +190,9 @@ def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDe
     premultiplied by the fractional transfer frequency-wise (zero at 0)."""
     freqs = np.asarray(freqs, dtype=float).ravel()
     half = arma_transfer_batch(model.base, freqs)
-    return _density_from_half(freqs, half, model.grid, frac_transfer_batch(model.D, freqs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = frac_transfer_batch(model.D, freqs) @ half
+    return SpectralDensityGrid(freqs, half, model.grid)
 
 
 def _quadrature_weights(freqs: np.ndarray) -> np.ndarray:
@@ -233,96 +250,56 @@ def fourier_frequencies(t_len: int) -> np.ndarray:
     return np.sort(np.where(lam > np.pi + 1e-12, lam - 2.0 * np.pi, lam))
 
 
-_OUTER_ROW_PRODUCTS = 1 << 12
-
-
-def _outer_by_frequency(d: np.ndarray) -> np.ndarray:
-    """Values ``d_f d_f^H`` for the columns ``d_f`` of the ``(n, F)`` array
-    ``d``, returned C-contiguous as ``(F, n, n)`` and exactly Hermitian.
-
-    Each multiply runs its inner loop over the frequency, and the lower
-    triangle is the conjugate of the upper one and the diagonal is made
-    real: the fused multiply-add in numpy's complex product leaves
-    ``d_a conj(d_b)`` and ``conj(d_b conj(d_a))`` unequal in the last bit,
-    and ``d_a conj(d_a)`` with an imaginary part.
-
-    The values are made in blocks ``(n, n, F')`` with contiguous rows, one
-    upper-triangle row of entries per multiply, and each block is copied
-    transposed into place in one pass.  Writing the entries straight
-    through the transposed view of the values would touch a new cache line
-    with every element.  A block holds ``4096 // n`` frequencies, so a row
-    multiply covers about 2048 products on average at every ``n`` and its
-    per-call cost stays small, while the block (64 KB times ``n``) stays in
-    cache for the copy.  At n=4, T=4096 that is 256 KB: a block as large as
-    the 1 MB of values made the allocator hand the freed memory back to the
-    system and fault it in again on every Monte Carlo replication (about
-    720 page faults each).
-    """
-    n, n_freq = d.shape
-    dc = d.conj()
-    vals = np.empty((n_freq, n, n), dtype=complex)
-    step = max(1, _OUTER_ROW_PRODUCTS // n)
-    block = np.empty((n, n, min(step, n_freq)), dtype=complex)
-    diagonal = block.reshape(n * n, -1)[:: n + 1]
-    for f0 in range(0, n_freq, step):
-        width = min(step, n_freq - f0)
-        rows = block[:, :, :width]
-        da, dca = d[:, f0 : f0 + width], dc[:, f0 : f0 + width]
-        for a in range(n):
-            np.multiply(da[a], dca[a:], out=rows[a, a:])
-        for a in range(n - 1):
-            np.conjugate(rows[a, a + 1 :], out=rows[a + 1 :, a])
-        diagonal[:, :width].imag = 0.0
-        vals[f0 : f0 + width] = rows.transpose(2, 0, 1)
-    return vals
-
-
 def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
-    """Rank-one periodogram values ``d(lam) d(lam)^H / (2 pi T)``.
+    """Rank-one periodogram ``d(lam) d(lam)^H / (2 pi T)``, kept as its
+    half-factor ``d(lam) / sqrt(T)``, one ``(n, 1)`` column per frequency.
 
-    Only Fourier frequencies ``2 pi j / T`` are admitted.  ``d`` is the
-    discrete transform of the mean-centered path, so the scaling is
-    consistent with the density normalization used by this package.
-    Centering changes the transform only at ``j = 0``, where it makes it
-    exactly 0 (Brockwell & Davis 1991, section 10.1), so the transform is
-    taken of the path as it is and that row is set to 0.  The transform's
-    rounding error grows with the norm of what it transforms; a path whose
-    mean carries more than half of its energy is centered before the
-    transform, which keeps that norm within sqrt(2) of the centered path's.
-    The energies are plain sums, not BLAS dot products, whose thread pool
-    would wake on every call.  By Parseval no value exceeds the path's
-    energy over ``2 pi``, so a path whose energy is beyond the double range
-    raises :class:`OverflowError` and any other has finite values.  The
-    values are C-contiguous and exactly Hermitian.
+    Only finite Fourier frequencies ``2 pi j / T`` are admitted, ``j`` taken
+    modulo T.  ``d`` is the discrete transform of the mean-centered path, so
+    the scaling is consistent with the density normalization used by this
+    package.  Centering changes the transform only at ``j = 0``, where it
+    makes it exactly 0 (Brockwell & Davis 1991, section 10.1), so the
+    transform is taken of the path as it is and that row is set to 0.  The
+    transform's rounding error grows with the norm of what it transforms; a
+    path whose mean carries more than half of its energy is centered before
+    the transform, which keeps that norm within sqrt(2) of the centered
+    path's.  The path's energies are plain sums, not BLAS dot products,
+    whose thread pool would wake on every call.  By Parseval no row energy
+    of the factor exceeds the path's energy, so a path whose energy is
+    beyond the double range raises :class:`OverflowError` here, and the grid
+    refuses only a factor whose energy at one frequency is beyond half of
+    it.
     """
     freqs = np.asarray(freqs, dtype=float).ravel()
     y = path.values
     t_len = y.shape[0]
-    off = freqs * (t_len / (2.0 * np.pi))
-    j = np.rint(off)
-    off -= j
-    np.abs(off, out=off)
-    if off.size and off.max() > 1e-8:
-        lam_bad = freqs[np.argmax(off)]
+    x = freqs * (t_len / (2.0 * np.pi))
+    j = np.rint(x)
+    # an infinite frequency gives inf - inf: the NaN it leaves is refused below
+    with np.errstate(invalid="ignore"):
+        off = np.abs(x - j)
+    if off.size and not off.max() <= 1e-8:
+        lam_bad = freqs[np.argmax(off)]  # the first NaN, if there is one
         raise ValueError(f"{lam_bad:.6g} is not a Fourier frequency for T={t_len}")
     flat = y.view(float)
     energy = float(np.einsum("ij,ij->", flat, flat))
     if not np.isfinite(energy):
         raise OverflowError("periodogram overflows: the path's energy is beyond the double range")
-    # entry (a, j) holds sum_t y_{t,a} e^{-2 pi i j t / T}
-    dft = np.fft.fft(y.T, out=np.empty(y.shape[::-1], dtype=complex))
-    # row j = 0 holds T times the mean: T |mean|^2 is the energy of the mean,
+    # row j holds sum_t y_t e^{-2 pi i j t / T}
+    dft = np.fft.fft(y, axis=0, out=np.empty(y.shape, dtype=complex))
+    # row 0 holds T times the mean: T |mean|^2 is the energy of the mean,
     # at most the path's, though its square T^2 |mean|^2 may be out of range
-    mean = dft[:, 0]
+    mean = dft[0]
     with np.errstate(over="ignore"):
         mean_energy = float(np.sum(mean.real**2 + mean.imag**2)) / t_len
     if mean_energy > 0.5 * energy:
-        np.fft.fft((y - y.mean(axis=0)).T, out=dft)
-    dft[:, 0] = 0.0
-    # scaled once, before the gather and the outer product
-    dft *= 1.0 / np.sqrt(2.0 * np.pi * t_len)
-    d = np.take(dft, j.astype(np.intp), axis=1, mode="wrap")  # j modulo T
-    return SpectralDensityGrid(freqs, _outer_by_frequency(d), path.grid)
+        np.fft.fft(y - y.mean(axis=0), axis=0, out=dft)
+    dft[0] = 0.0
+    # j reduced modulo T in floating point, exactly at any size, before the
+    # cast; take counts a negative remainder from the end
+    half = np.take(dft, np.fmod(j, t_len).astype(np.intp), axis=0)
+    half *= 1.0 / np.sqrt(t_len)
+    return SpectralDensityGrid(freqs, half[:, :, None], path.grid)
 
 
 def local_factorization(

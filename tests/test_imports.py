@@ -329,7 +329,7 @@ CONSTRUCTORS = {
         ("T", 1024), ("burnin", None), ("K_trunc", 2048), ("seed", 0), ("noise_kind", "auto"),
         ("replication", 0),
     ],
-    "SpectralDensityGrid": ["freqs", "values", "grid"],
+    "SpectralDensityGrid": ["freqs", "half", "grid"],
 }
 
 

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fiarma_lab
 from fiarma_lab import (
     ArmaModel,
     FiarmaModel,
@@ -30,9 +37,11 @@ from fiarma_lab import (
     simulate_arma,
     simulate_fiarma,
 )
+from fiarma_lab.config import parse_config
 from fiarma_lab.transfer import arma_transfer_batch, frac_transfer_batch
 
 from conftest import ar1_model, make_grid, op, random_unitary, white_model
+from test_io_cli import NEAR_RANGE_SIGMA_CONFIG
 
 
 def scalar_grid():
@@ -263,11 +272,11 @@ class TestAutocovariance:
         rule.  Both are refused, naming the first frequency out of order."""
         g = make_grid(2)
         dens = arma_spectral_density(white_model(g), density_frequencies(64))
-        reversed_dens = SpectralDensityGrid(dens.freqs[::-1], dens.values[::-1], g)
+        reversed_dens = SpectralDensityGrid(dens.freqs[::-1], dens.half[::-1], g)
         with pytest.raises(ValueError, match="must increase: 2.99433 follows 3.09251"):
             autocov_sequence(reversed_dens, 0)
         with pytest.raises(ValueError, match="must increase: 0.1 follows 0.5"):
-            autocov_sequence(SpectralDensityGrid([-1.0, 0.5, 0.1, 2.0], dens.values[:4], g), 0)
+            autocov_sequence(SpectralDensityGrid([-1.0, 0.5, 0.1, 2.0], dens.half[:4], g), 0)
 
     def test_irregular_grid_integrates_white_noise_exactly(self, rng):
         """The periodic trapezoid's weights sum to 2 pi on any grid, so a
@@ -282,20 +291,22 @@ class TestAutocovariance:
 
     def test_one_frequency_carries_the_whole_period(self):
         g = make_grid(2)
-        value = np.array([[[1.0, 0.5j], [-0.5j, 2.0]]])
-        seq = autocov_sequence(SpectralDensityGrid([0.3], value, g), 0)
-        np.testing.assert_allclose(seq.operator(0).entries, 2.0 * np.pi * value[0], rtol=1e-15)
+        # the value is g = h h^H / (2 pi) with 2 pi g = [[1.25, 0.5j], [-0.5j, 1]]
+        half = np.array([[[1.0, 0.5j], [0.0, 1.0]]])
+        seq = autocov_sequence(SpectralDensityGrid([0.3], half, g), 0)
+        want = np.array([[1.25, 0.5j], [-0.5j, 1.0]])
+        np.testing.assert_allclose(seq.operator(0).entries, want, rtol=1e-15)
 
     def test_grid_spanning_a_period_is_refused(self):
         """The first frequency one period on must follow the last."""
         g = make_grid(2)
-        values = np.tile(np.eye(2), (2, 1, 1))
+        half = np.tile(np.eye(2), (2, 1, 1))
         with pytest.raises(ValueError, match="must increase: 3.14159 follows 3.14159"):
-            autocov_sequence(SpectralDensityGrid([-np.pi, np.pi], values, g), 0)
+            autocov_sequence(SpectralDensityGrid([-np.pi, np.pi], half, g), 0)
 
     def test_no_frequencies_are_refused(self):
         g = make_grid(2)
-        empty = SpectralDensityGrid(np.zeros(0), np.zeros((0, 2, 2)), g)
+        empty = SpectralDensityGrid(np.zeros(0), np.zeros((0, 2, 1)), g)
         with pytest.raises(ValueError, match="^need at least one frequency$"):
             autocov_sequence(empty, 1)
 
@@ -460,21 +471,125 @@ class TestPeriodogram:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 32])
     def test_values_contiguous_and_exactly_hermitian(self, rng, n):
-        """Values are made in blocks of ``4096 // n`` frequencies: ``step``
-        frequencies fill exactly one block, one more starts a second block
-        of width 1, and 127 frequencies fill part of one block."""
+        """The rank-one values (r = 1) at an odd and an even length."""
         g = make_grid(n)
-        step = 4096 // n
-        for t_len in (127, step, step + 1):
+        for t_len in (127, 128):
             vals = rng.normal(size=(t_len, n)) + 1j * rng.normal(size=(t_len, n))
             freqs = all_fourier_frequencies(t_len)
-            v = periodogram(SampledPath(vals, g), freqs).values
+            pg = periodogram(SampledPath(vals, g), freqs)
+            assert pg.half.shape == (t_len, n, 1)
+            v = pg.values
             assert v.flags.c_contiguous
             assert np.array_equal(v, v.conj().transpose(0, 2, 1))
             j = np.rint(freqs * t_len / (2.0 * np.pi)).astype(int) % t_len
             d = np.fft.fft(vals - vals.mean(axis=0), axis=0)[j]
             ref = d[:, :, None] * d[:, None, :].conj() / (2.0 * np.pi * t_len)
             assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("freq", ["nan", "inf", "1e300"])
+    def test_far_or_non_finite_frequency_returns_at_once(self, freq):
+        """A NaN passed the Fourier check and cast to the smallest index, and
+        ``np.take(..., mode="wrap")`` reduced a far index by subtracting T
+        repeatedly: each of these calls ran past 20 s.  A non-finite
+        frequency is refused by name; 1e300 is a multiple of 2 pi / 64 to
+        double precision, and its index modulo 64 is 0."""
+        script = (
+            "import numpy as np\n"
+            "from fiarma_lab import HilbertGrid, SampledPath, periodogram\n"
+            "g = HilbertGrid(np.array([0.0, 1.0]), np.array([0.5, 0.5]))\n"
+            "path = SampledPath(np.random.default_rng(0).normal(size=(64, 2)), g)\n"
+            "try:\n"
+            f"    pg = periodogram(path, [float('{freq}')])\n"
+            "    print('values', np.abs(pg.values).max())\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(fiarma_lab.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        want = "values 0.0" if freq == "1e300" else f"{freq} is not a Fourier frequency for T=64"
+        assert proc.stdout == want + "\n"
+
+
+def forbid_values(monkeypatch):
+    """Fail the test on any read of a grid's values."""
+
+    def formed(grid):
+        raise AssertionError("the values were formed")
+
+    monkeypatch.setattr(SpectralDensityGrid, "values", property(formed))
+
+
+class TestHalfFactor:
+    """A grid keeps its half-factor and forms the square only when read."""
+
+    def grids(self, rng):
+        """A periodogram (r = 1) and a FIARMA density (r = n = 4)."""
+        g = make_grid(4)
+        path = SampledPath(rng.normal(size=(256, 4)) + 1j * rng.normal(size=(256, 4)), g)
+        u = random_unitary(rng, 4)
+        mem = u.conj().T @ (np.array([0.1, 0.35, 0.2, -0.1])[:, None] * u)
+        model = FiarmaModel(
+            ArmaModel(
+                OperatorPolynomial(g, (op(0.3 * np.eye(4), g),)),
+                OperatorPolynomial.scalar(g, 0.2),
+                random_psd(rng, g),
+            ),
+            FracIntegrationSpec(LinearOperator(mem, g)),
+        )
+        pg = periodogram(path, fourier_frequencies(256))
+        dens = fiarma_spectral_density(model, density_frequencies(256))
+        assert pg.half.shape == (255, 4, 1) and dens.half.shape == (256, 4, 4)
+        return pg, dens
+
+    def test_trace_reads_the_row_energies(self, rng):
+        for grid in self.grids(rng):
+            want = np.einsum("fii->f", grid.values).real
+            assert np.abs(grid.trace() / want - 1.0).max() <= 1e-15
+
+    def test_operator_is_the_value_bitwise(self, rng):
+        for grid in self.grids(rng):
+            values = grid.values
+            for j in (0, 1, len(grid.freqs) // 2, -1):
+                assert np.array_equal(grid.operator(j).entries, values[j])
+
+    def test_values_exactly_hermitian_for_every_rank(self, rng):
+        for grid in self.grids(rng):
+            v = grid.values
+            assert v.flags.c_contiguous
+            assert np.array_equal(v, v.conj().transpose(0, 2, 1))
+
+    def test_large_periodogram_holds_only_its_factor(self, rng, monkeypatch):
+        """At n=128 and T=4096 the values alone would take 1.07 GB; the
+        factor takes 8.4 MB, and nothing reads the values."""
+        forbid_values(monkeypatch)
+        vals = rng.normal(size=(4096, 128)) + 1j * rng.normal(size=(4096, 128))
+        path = SampledPath(vals, make_grid(128))
+        freqs = fourier_frequencies(4096)
+        tracemalloc.start()
+        try:
+            pg = periodogram(path, freqs)
+            trace = pg.trace()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pg.half.shape == (4095, 128, 1)
+        assert trace.shape == (4095,) and np.all(trace > 0.0)
+        assert peak < 64 * 2**20
+
+    def test_overflow_is_raised_before_the_values_are_read(self, monkeypatch):
+        """The near-range covariance Sigma = 1.7e308 Id squares past the
+        double range: the grid refuses its factor at construction."""
+        cfg = parse_config(NEAR_RANGE_SIGMA_CONFIG)
+        forbid_values(monkeypatch)
+        freqs = density_frequencies(cfg.run.n_freq)
+        message = r"^spectral density overflows at frequency -3\.12932$"
+        with pytest.raises(OverflowError, match=message):
+            fiarma_spectral_density(cfg.model, freqs)
 
 
 class TestLocalFactorization:
