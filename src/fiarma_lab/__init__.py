@@ -31,7 +31,6 @@ from .spectral import (
     FiarmaModel,
     PowerLawModel,
     SpectralDensityGrid,
-    arma_spectral_density,
     autocov_sequence,
     density_frequencies,
     empirical_autocov,
@@ -54,7 +53,6 @@ from .simulate import (
     NonCausalError,
     SampledPath,
     SimConfig,
-    simulate_arma,
     simulate_duker,
     simulate_fiarma,
     verify_longmemory_decomposition,

@@ -28,7 +28,6 @@ from .simulate import (
     SampledPath,
     echo,
     key_range_error,
-    simulate_arma,
     simulate_duker,
     simulate_fiarma,
     verify_longmemory_decomposition,
@@ -37,8 +36,6 @@ from .spectral import (
     ArmaModel,
     FiarmaModel,
     PowerLawModel,
-    SpectralDensityGrid,
-    arma_spectral_density,
     autocov_sequence,
     density_frequencies,
     fiarma_spectral_density,
@@ -49,20 +46,9 @@ from .transfer import duker_decomposition, frac_ma_coeffs
 
 
 def _simulate(cfg: ModelConfig, force: bool) -> SampledPath:
-    """Path of the configured model: fractional (D), power-law (N) or plain ARMA."""
-    if isinstance(cfg.model, FiarmaModel):
-        return simulate_fiarma(cfg.model, cfg.run, force=force)
-    if isinstance(cfg.model, PowerLawModel):
-        return simulate_duker(cfg.model, cfg.run, force=force)
-    return simulate_arma(cfg.model, cfg.run)
-
-
-def _density(cfg: ModelConfig) -> SpectralDensityGrid:
-    """Density of the configured model on the run's frequency grid."""
-    freqs = density_frequencies(cfg.run.n_freq)
-    if isinstance(cfg.model, FiarmaModel):
-        return fiarma_spectral_density(cfg.model, freqs)
-    return arma_spectral_density(cfg.model, freqs)
+    """Path of the configured model: power-law (N), or FIARMA with or without D."""
+    simulate = simulate_duker if isinstance(cfg.model, PowerLawModel) else simulate_fiarma
+    return simulate(cfg.model, cfg.run, force=force)
 
 
 def _run_simulate(cfg: ModelConfig, force: bool) -> dict:
@@ -70,12 +56,13 @@ def _run_simulate(cfg: ModelConfig, force: bool) -> dict:
 
 
 def _run_density(cfg: ModelConfig, force: bool) -> dict:
-    g = _density(cfg)
+    g = fiarma_spectral_density(cfg.model, density_frequencies(cfg.run.n_freq))
     return {"density.csv": {"lambda": g.freqs, "m": g.values}}
 
 
 def _run_autocov(cfg: ModelConfig, force: bool) -> dict:
-    seq = autocov_sequence(_density(cfg), cfg.run.lags)
+    g = fiarma_spectral_density(cfg.model, density_frequencies(cfg.run.n_freq))
+    seq = autocov_sequence(g, cfg.run.lags)
     return {"autocov.csv": {"h": np.arange(seq.k_min, seq.k_max + 1), "m": seq.data}}
 
 

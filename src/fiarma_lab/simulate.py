@@ -455,13 +455,6 @@ def _path(model: _Model, plan: FilterPlan, cfg: SimConfig, **extra) -> SampledPa
     return SampledPath(_filtered_rows(plan, xi), model.grid, meta)
 
 
-def simulate_arma(model: ArmaModel, cfg: SimConfig) -> SampledPath:
-    """Stationary ARMA path: the noise filtered by the impulse response of
-    ``phi^{-1} theta``, started from zero ``burnin + K_trunc + q`` rows back.
-    A non-causal AR polynomial raises :class:`NonCausalError`."""
-    return _path(model, _plan(model, cfg), cfg)
-
-
 def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
     """``"forced"`` under ``force``, else the model's existence verdict, kept
     with its failed condition in the model's :class:`_ModelState` from its
@@ -495,18 +488,27 @@ def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
     return verdict
 
 
-def simulate_fiarma(model: FiarmaModel, cfg: SimConfig, force: bool = False) -> SampledPath:
-    """Fractionally integrated ARMA path via the truncated MA expansion.
+def simulate_fiarma(
+    model: ArmaModel | FiarmaModel, cfg: SimConfig, force: bool = False
+) -> SampledPath:
+    """Path of a FIARMA(p, D, q) model via the truncated MA expansion.
 
-    The existence conditions are decided once per model, on the first call
-    without ``force`` (:func:`_verdict`); a failing verdict refuses to
-    simulate on every call unless ``force`` is set.  A non-causal AR
-    polynomial raises :class:`NonCausalError`.  Truncation diagnostics land
-    in the path metadata.
-    """
-    existence = _verdict(model, force)
-    plan = _plan(model, cfg)
-    return _path(model, plan, cfg, existence=existence, **plan.meta)
+    An :class:`ArmaModel`, the ``D = 0`` member, has no verdict and no
+    truncation, and ignores ``force``.  A :class:`FiarmaModel`'s verdict is
+    decided once (:func:`_verdict`) and refuses every call while it fails,
+    unless ``force`` is set; it lands in the path metadata with the
+    truncation diagnostics.  A non-causal AR polynomial raises
+    :class:`NonCausalError`, any other model class :class:`TypeError`."""
+    if isinstance(model, FiarmaModel):
+        existence = _verdict(model, force)
+        plan = _plan(model, cfg)
+        return _path(model, plan, cfg, existence=existence, **plan.meta)
+    if not isinstance(model, ArmaModel):
+        raise TypeError(
+            f"simulate_fiarma takes an ArmaModel or a FiarmaModel, not {type(model).__name__}; "
+            "a power-law model is simulated by simulate_duker"
+        )
+    return _path(model, _plan(model, cfg), cfg)
 
 
 def simulate_duker(model: PowerLawModel, cfg: SimConfig, force: bool = False) -> SampledPath:

@@ -113,12 +113,20 @@ def _row_energies(half: np.ndarray) -> np.ndarray:
     return np.vecdot(half, half).real
 
 
+_SQUARE_BLOCK = 16384  # entries per block of _square's symmetrising pass: 256 KB
+
+
 def _square(half: np.ndarray) -> np.ndarray:
     """Frequency-wise ``h h^H / (2 pi)``, made exactly Hermitian: the batched
     product leaves rounding-level asymmetry, which the lag-0 autocovariance
-    would inherit."""
+    would inherit.  The adjoint is added in blocks of frequencies through
+    one buffer; numpy would copy the whole square for an overlapping view."""
     vals = half @ half.conj().transpose(0, 2, 1)
-    vals += vals.conj().transpose(0, 2, 1)
+    step = max(1, _SQUARE_BLOCK // vals.shape[-1] ** 2)
+    buf = np.empty_like(vals[:step])
+    for start in range(0, len(vals), step):
+        blk = vals[start : start + step]
+        blk += np.conjugate(blk.transpose(0, 2, 1), out=buf[: len(blk)])
     vals *= 0.25 / np.pi
     return vals
 
@@ -179,19 +187,23 @@ def density_frequencies(n_freq: int) -> np.ndarray:
     return np.sort(np.where(lam > np.pi, lam - 2.0 * np.pi, lam))
 
 
-def arma_spectral_density(model: ArmaModel, freqs: np.ndarray) -> SpectralDensityGrid:
-    """Density ``T(lam) Sigma T(lam)^H / (2 pi)`` with T the ARMA transfer."""
-    freqs = np.asarray(freqs, dtype=float).ravel()
-    return SpectralDensityGrid(freqs, arma_transfer_batch(model, freqs), model.grid)
-
-
-def fiarma_spectral_density(model: FiarmaModel, freqs: np.ndarray) -> SpectralDensityGrid:
-    """Density of the fractionally integrated model: the ARMA half-factor is
-    premultiplied by the fractional transfer frequency-wise (zero at 0)."""
+def fiarma_spectral_density(
+    model: ArmaModel | FiarmaModel, freqs: np.ndarray
+) -> SpectralDensityGrid:
+    """Density ``T(lam) Sigma T(lam)^H / (2 pi)`` of a FIARMA(p, D, q) model:
+    the ARMA half-factor, premultiplied frequency-wise by the fractional
+    transfer (zero at 0) unless the model is an :class:`ArmaModel`, the
+    ``D = 0`` member.  Any other model class raises :class:`TypeError`."""
+    if not isinstance(model, (ArmaModel, FiarmaModel)):
+        raise TypeError(
+            f"fiarma_spectral_density takes an ArmaModel or a FiarmaModel, not "
+            f"{type(model).__name__}; a power-law model has only simulate_duker's paths"
+        )
     freqs = np.asarray(freqs, dtype=float).ravel()
     half = arma_transfer_batch(model.base, freqs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        half = frac_transfer_batch(model.D, freqs) @ half
+    if isinstance(model, FiarmaModel):
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = frac_transfer_batch(model.D, freqs) @ half
     return SpectralDensityGrid(freqs, half, model.grid)
 
 

@@ -112,13 +112,13 @@ def test_c04_filtering_rule_8x8():
         )
         model = FiarmaModel(base, FracIntegrationSpec(d_op))
         freqs = fl.density_frequencies(4096)
-        one_shot = fl.fiarma_spectral_density(model, freqs)
-        base_dens = fl.arma_spectral_density(base, freqs)
-        scale = max(np.linalg.norm(v, 2) for v in one_shot.values)
+        one_shot = fl.fiarma_spectral_density(model, freqs).values
+        base_dens = fl.fiarma_spectral_density(base, freqs).values
+        scale = max(np.linalg.norm(v, 2) for v in one_shot)
         for j, lam in enumerate(freqs):
             f_d = frac_transfer_batch(model.D, [lam])[0]
-            recomposed = f_d @ base_dens.values[j] @ f_d.conj().T
-            diff = np.linalg.norm(one_shot.values[j] - recomposed, 2)
+            recomposed = f_d @ base_dens[j] @ f_d.conj().T
+            diff = np.linalg.norm(one_shot[j] - recomposed, 2)
             assert diff <= 1e-12 * scale, f"lam={lam}: {diff:.3e}"
 
 
@@ -128,8 +128,8 @@ def test_c05_bochner_round_trip():
         t_len = 100_000
         tol = 5.0 / np.sqrt(t_len)  # 5 ||Sigma|| / sqrt(T) with Sigma = 1
         for model in (white_model(g), ar1_model(g)):
-            dens = fl.arma_spectral_density(model, fl.density_frequencies(4096))
-            path = fl.simulate_arma(model, SimConfig(T=t_len, seed=21, K_trunc=0))
+            dens = fl.fiarma_spectral_density(model, fl.density_frequencies(4096))
+            path = fl.simulate_fiarma(model, SimConfig(T=t_len, seed=21, K_trunc=0))
             seq = fl.autocov_sequence(dens, 2)
             for h in (0, 1, 2):
                 want = seq.operator(h).entries[0, 0]

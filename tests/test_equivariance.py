@@ -11,6 +11,11 @@ transfer, density and MA coefficients the same way.  A path
 rotated to ``W x_t`` has the periodogram ``W I(lam) W^H``.  The power-law
 model with exponent ``N = Id - D`` of the same draw rotates its matching
 constant, remainders and weights, and keeps its conditions.
+
+Kolmogorov's log-determinant identity is basis-free and needs no frame: the
+grid mean of ``log det(2 pi g)`` is ``log det Sigma`` less the memory's
+``2 Re tr D log 2 / F`` on every draw, and exceeds it by Jensen's
+``2 sum log(1/|z_i|)`` when ``det theta`` has zeros ``z_i`` in the disk.
 """
 import numpy as np
 import pytest
@@ -279,3 +284,42 @@ def test_condition_ii_near_its_boundary_is_basis_free(n, seed, side):
     model = build(grid, with_spectrum(mats, d, seed + 1), np.eye(n))
     assert check_conditions(model.base, model.D).cond_ii == (side < 0)
     assert_spectral_record_is_basis_free(model, build(grid, with_spectrum(mats, d, seed + 1), w))
+
+
+def log_det_gap(model: ArmaModel | FiarmaModel, n_freq: int) -> float:
+    """The grid mean of ``log det(2 pi g) = 2 log|det h|`` over
+    ``density_frequencies(n_freq)``, less ``log det Sigma - 2 Re tr D log 2 / F``
+    (tr D = 0 for an ARMA model).  On that grid ``prod_k 2 sin(pi (k + 1/2) / F)
+    = 2``, so the memory's term is exact and the gap is 0 up to rounding and
+    the ARMA part's exponentially small quadrature error, when phi is causal,
+    ``det theta`` has no zero in the closed unit disk and Sigma has full rank
+    (Brockwell & Davis 1991, section 5.8)."""
+    half = fiarma_spectral_density(model, density_frequencies(n_freq)).half
+    mean = 2.0 * np.linalg.slogdet(half)[1].mean()
+    trace = np.trace(model.D.D.entries).real if isinstance(model, FiarmaModel) else 0.0
+    log_det_sigma = np.linalg.slogdet(model.base.sigma.entries)[1]
+    return mean - log_det_sigma + 2.0 * trace * np.log(2.0) / n_freq
+
+
+@settings(max_examples=25, deadline=None)
+@given(**DRAWS, frameless=st.booleans())
+def test_log_determinant_identity_holds_on_every_draw(n, seed, frameless):
+    """phi and theta have spectral norm 0.5, so phi is causal and det theta
+    has no zero in the closed disk, and Sigma has full rank.  The identity
+    holds for a D without a frame and for the ARMA base through the same entry."""
+    grid, mats, w = draw(seed, n, upper=0.2 if frameless and n > 1 else 0.0)
+    model = build(grid, mats, w)
+    for member in (model, model.base):
+        for n_freq in (64, 256):
+            assert abs(log_det_gap(member, n_freq)) <= 1e-12
+
+
+@pytest.mark.parametrize("b, gap", [(2.0, 2.0 * np.log(2.0)), (4.0, 2.0 * np.log(4.0)), (0.5, 0.0)])
+def test_log_determinant_gap_counts_the_zeros_of_theta_in_the_disk(b, gap):
+    """theta = 1 + b z vanishes at -1/b, inside the disk for b > 1: Sigma is
+    then not the innovation variance, and the gap is ``2 log b``."""
+    grid = HilbertGrid(np.array([0.5]), np.array([1.0]))
+    theta = OperatorPolynomial.scalar(grid, b)
+    base = ArmaModel(OperatorPolynomial(grid), theta, LinearOperator(np.eye(1), grid))
+    model = FiarmaModel(base, FracIntegrationSpec.scalar(grid, 0.3))
+    assert abs(log_det_gap(model, 256) - gap) <= 1e-12

@@ -3,7 +3,7 @@ operators; scipy is loaded only for the matrix exponential of a non-normal
 memory operator, and ``dataclasses`` never.  Only the process entry touches
 the garbage collector.  Every module of the package keeps its underscore
 names to itself, the package's public names and constructors are pinned,
-and every public name has a reader."""
+and every public name has a reader; every name the benchmark reads is public."""
 import ast
 import importlib
 import inspect
@@ -204,14 +204,14 @@ PUBLIC_NAMES = [
     "ModelConfig", "NonCausalError", "NotNormalError", "NotPSDError",
     "OperatorPolynomial", "PathFormatError", "PowerLawModel", "RunConfig", "SampledPath",
     "SimConfig", "SingularTransferError", "SpectralDensityGrid",
-    "ar_inverse_laurent", "arma_spectral_density", "autocov_sequence",
+    "ar_inverse_laurent", "autocov_sequence",
     "binomial_ma_coeffs", "check_conditions", "check_duker_conditions",
     "check_invertible_on_circle", "density_frequencies", "duker_decomposition",
     "empirical_autocov", "envelope_bounds", "existence_integral", "fiarma_spectral_density",
     "fourier_frequencies", "frac_ma_coeffs", "from_kernel",
     "identity", "kernel_of", "local_factorization",
     "operator_norm", "parse_config", "periodogram", "power_law_weights", "read_path",
-    "simulate_arma", "simulate_duker", "simulate_fiarma",
+    "simulate_duker", "simulate_fiarma",
     "sqrt_psd", "verify_longmemory_decomposition", "write_path",
 ]
 
@@ -225,6 +225,21 @@ def test_public_names_are_pinned():
     assert sorted(names) == sorted(PUBLIC_NAMES)
 
 
+def test_the_benchmark_reads_only_public_names():
+    """The benchmark calls the program through the package's public names
+    (``fl.name``) and ``fiarma_lab.cli.main``: removing a name that
+    ``perfbench/workloads.py`` reads fails here, not only in a benchmark run."""
+    tree = ast.parse((Path(SRC).parent / "perfbench" / "workloads.py").read_text())
+    reads = {
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("fl", "fiarma_lab.cli")
+    }
+    assert {"fiarma_lab.cli.main", "fl.simulate_fiarma"} <= reads
+    assert callable(importlib.import_module("fiarma_lab.cli").main)
+    names = {name.removeprefix("fl.") for name in reads - {"fiarma_lab.cli.main"}}
+    assert names <= set(PUBLIC_NAMES)
+
+
 # The public names that no module of the package reads, each with the reader
 # that keeps it: an acceptance test of ``tests/test_acceptance.py`` that
 # checks it as a claim of the paper, or the ROADMAP item that will call it.
@@ -234,8 +249,8 @@ READERS_OUTSIDE_THE_PACKAGE = {
     "empirical_autocov": "test_c05",
     "local_factorization": "ROADMAP item 16",
     "read_path": "ROADMAP item 14",
-    "from_kernel": "ROADMAP items 10 and 13",
-    "kernel_of": "ROADMAP items 10 and 13",
+    "from_kernel": "ROADMAP items 7 and 10",
+    "kernel_of": "ROADMAP items 7 and 10",
 }
 
 

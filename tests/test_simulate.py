@@ -27,7 +27,6 @@ from fiarma_lab import (
     identity,
     operator_norm,
     periodogram,
-    simulate_arma,
     simulate_duker,
     simulate_fiarma,
     verify_longmemory_decomposition,
@@ -82,14 +81,14 @@ def scalar_grid():
 class TestWhiteNoise:
     def test_zero_covariance(self):
         g = make_grid(2)
-        path = simulate_arma(white_model(g, op(np.zeros((2, 2)), g)), SimConfig(T=64, seed=1))
+        path = simulate_fiarma(white_model(g, op(np.zeros((2, 2)), g)), SimConfig(T=64, seed=1))
         assert np.all(path.values == 0.0)
 
     def test_seed_determinism(self):
         g = make_grid(3)
         cfg = SimConfig(T=256, seed=123, K_trunc=16)
-        a = simulate_arma(white_model(g), cfg)
-        b = simulate_arma(white_model(g), cfg)
+        a = simulate_fiarma(white_model(g), cfg)
+        b = simulate_fiarma(white_model(g), cfg)
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("key", ["seed", "replication"])
@@ -144,27 +143,27 @@ class TestWhiteNoise:
 
     def test_negative_key_is_its_twos_complement(self):
         g = make_grid(2)
-        a = simulate_arma(white_model(g), SimConfig(T=8, seed=-1, replication=-(2**63)))
-        b = simulate_arma(white_model(g), SimConfig(T=8, seed=2**64 - 1, replication=2**63))
+        a = simulate_fiarma(white_model(g), SimConfig(T=8, seed=-1, replication=-(2**63)))
+        b = simulate_fiarma(white_model(g), SimConfig(T=8, seed=2**64 - 1, replication=2**63))
         assert np.array_equal(a.values, b.values)
 
     def test_replications_differ(self):
         g = make_grid(2)
-        a = simulate_arma(white_model(g), SimConfig(T=64, seed=5, replication=0))
-        b = simulate_arma(white_model(g), SimConfig(T=64, seed=5, replication=1))
+        a = simulate_fiarma(white_model(g), SimConfig(T=64, seed=5, replication=0))
+        b = simulate_fiarma(white_model(g), SimConfig(T=64, seed=5, replication=1))
         assert not np.array_equal(a.values, b.values)
 
     def test_empirical_covariance(self):
         g = make_grid(2)
         t_len = 100_000
-        path = simulate_arma(white_model(g), SimConfig(T=t_len, seed=2, K_trunc=0))
+        path = simulate_fiarma(white_model(g), SimConfig(T=t_len, seed=2, K_trunc=0))
         gamma0 = empirical_autocov(path, 0).entries
         assert operator_norm(gamma0 - np.eye(2)) < 5.0 / np.sqrt(t_len)
 
     def test_complex_kind_unit_covariance(self):
         g = make_grid(1)
         cfg = SimConfig(T=200_000, seed=3, K_trunc=0, noise_kind="complex-gaussian")
-        path = simulate_arma(white_model(g), cfg)
+        path = simulate_fiarma(white_model(g), cfg)
         var = np.mean(np.abs(path.values) ** 2)
         assert var == pytest.approx(1.0, abs=0.02)
         assert np.iscomplexobj(path.values) and np.abs(path.values.imag).max() > 0
@@ -175,14 +174,14 @@ class TestSimulateArma:
         g = make_grid(2)
         cfg = SimConfig(T=512, seed=9)
         assert np.array_equal(
-            simulate_arma(white_model(g), cfg).values,
-            simulate_arma(white_model(g), cfg).values,
+            simulate_fiarma(white_model(g), cfg).values,
+            simulate_fiarma(white_model(g), cfg).values,
         )
 
     def test_ar1_autocorrelation(self):
         g = scalar_grid()
         cfg = SimConfig(T=100_000, burnin=1000, seed=31, K_trunc=0)
-        path = simulate_arma(ar1_model(g), cfg)
+        path = simulate_fiarma(ar1_model(g), cfg)
         g0 = empirical_autocov(path, 0).entries[0, 0].real
         g1 = empirical_autocov(path, 1).entries[0, 0].real
         assert g1 / g0 == pytest.approx(0.5, abs=0.02)
@@ -193,14 +192,14 @@ class TestSimulateArma:
             OperatorPolynomial(g), OperatorPolynomial.scalar(g, 0.5), identity(g)
         )
         cfg = SimConfig(T=100_000, seed=32, K_trunc=0)
-        path = simulate_arma(model, cfg)
+        path = simulate_fiarma(model, cfg)
         g0 = empirical_autocov(path, 0).entries[0, 0].real
         g1 = empirical_autocov(path, 1).entries[0, 0].real
         assert g1 / g0 == pytest.approx(0.4, abs=0.02)
 
     def test_burnin_auto_resolved(self):
         g = scalar_grid()
-        path = simulate_arma(ar1_model(g, 0.9), SimConfig(T=128, seed=4))
+        path = simulate_fiarma(ar1_model(g, 0.9), SimConfig(T=128, seed=4))
         assert path.meta["burnin"] > 10
 
     def test_operator_ar_determinism(self, rng):
@@ -211,8 +210,18 @@ class TestSimulateArma:
         )
         cfg = SimConfig(T=200, seed=77)
         assert np.array_equal(
-            simulate_arma(model, cfg).values, simulate_arma(model, cfg).values
+            simulate_fiarma(model, cfg).values, simulate_fiarma(model, cfg).values
         )
+
+    def test_arma_model_is_the_zero_memory_member(self):
+        """A plain ARMA model has no verdict and no truncated memory filter:
+        its path's meta has neither ``existence`` nor ``coeff_tail_norm``,
+        and ``force`` changes nothing."""
+        cfg = SimConfig(T=64, seed=3)
+        path = simulate_fiarma(ar1_model(scalar_grid()), cfg)
+        assert list(path.meta) == ["seed", "replication", "burnin", "K_trunc", "noise_kind"]
+        forced = simulate_fiarma(ar1_model(scalar_grid()), cfg, force=True)
+        assert forced.meta == path.meta and np.array_equal(forced.values, path.values)
 
 
 class TestSimulateFiarma:
@@ -221,7 +230,7 @@ class TestSimulateFiarma:
         model = FiarmaModel(ar1_model(g), FracIntegrationSpec.scalar(g, 0.0))
         cfg = SimConfig(T=1024, seed=13)
         frac = simulate_fiarma(model, cfg)
-        base = simulate_arma(ar1_model(g), cfg)
+        base = simulate_fiarma(ar1_model(g), cfg)
         assert np.abs(frac.values - base.values).max() < 1e-12
 
     def test_refusal_cites_condition(self):
@@ -303,6 +312,13 @@ class TestSimulateFiarma:
 
 
 class TestSimulateDuker:
+    def test_fiarma_entry_refuses_a_power_law_model(self):
+        g = make_grid(2)
+        model = power_law_model(op(0.7 * np.eye(2), g), identity(g))
+        message = "^simulate_fiarma takes .*, not PowerLawModel; .* simulate_duker$"
+        with pytest.raises(TypeError, match=message):
+            simulate_fiarma(model, SimConfig(T=8))
+
     def test_seed_determinism(self):
         g = make_grid(2)
         n_op = op(0.7 * np.eye(2), g)
@@ -317,7 +333,7 @@ class TestSimulateDuker:
         n_op = op(np.eye(1), g)
         cfg = SimConfig(T=128, seed=15, K_trunc=32, burnin=0)
         path = simulate_duker(power_law_model(n_op, identity(g)), cfg, force=True)
-        noise = simulate_arma(white_model(g), SimConfig(T=128, seed=15, K_trunc=32, burnin=0))
+        noise = simulate_fiarma(white_model(g), SimConfig(T=128, seed=15, K_trunc=32, burnin=0))
         # reconstruct y_T-1 from returned noise rows: weights 1/(k+1), k <= t
         t = 127
         manual = sum(noise.values[t - k, 0] / (k + 1) for k in range(0, 33))
@@ -335,7 +351,7 @@ class TestSimulateDuker:
         cfg = SimConfig(T=t_len, K_trunc=k_trunc, burnin=5, seed=21, replication=1)
         path = simulate_duker(power_law_model(op(rot @ np.diag(exps) @ rot.T, g), sigma), cfg)
         eps_cfg = SimConfig(T=t_len + k_trunc, K_trunc=0, burnin=5, seed=21, replication=1)
-        eps = simulate_arma(white_model(g, sigma), eps_cfg).values
+        eps = simulate_fiarma(white_model(g, sigma), eps_cfg).values
         want = np.zeros((t_len, 2), dtype=complex)
         for k in range(k_trunc + 1):
             weight = rot @ np.diag((k + 1.0) ** -exps) @ rot.T
@@ -515,7 +531,7 @@ def recursion_arma(model, cfg, kind, lead=0):
         replication=cfg.replication,
         noise_kind=kind,
     )
-    noise = simulate_arma(white_model(model.grid, model.sigma), block).values
+    noise = simulate_fiarma(white_model(model.grid, model.sigma), block).values
     eps = noise.copy()
     for k, b in enumerate(model.theta.stacked(), start=1):
         eps[k:] += noise[:-k] @ b.T
@@ -608,7 +624,7 @@ class TestFilterOracle:
             "ma2": lambda: ma2_model(rng),
         }[case]()
         cfg = SimConfig(T=512, K_trunc=24, burnin=burnin, seed=41, noise_kind=kind)
-        path = simulate_arma(model, cfg)
+        path = simulate_fiarma(model, cfg)
         want = recursion_arma(model, cfg, path.meta["noise_kind"])
         assert path.values.shape == want.shape
         assert rel_diff(path.values, want) <= 1e-12
@@ -622,12 +638,12 @@ class TestFilterOracle:
         g = scalar_grid()
         cfg = SimConfig(T=256, K_trunc=32, seed=3)
         fractional = FiarmaModel(ar1_model(g, 0.5), FracIntegrationSpec.scalar(g, 0.3))
-        for path in (simulate_arma(transient_ar2(), cfg), simulate_fiarma(fractional, cfg)):
+        for path in (simulate_fiarma(transient_ar2(), cfg), simulate_fiarma(fractional, cfg)):
             assert np.all(path.values.imag == 0.0)
 
     def test_complex_noise_kind_kept(self, rng):
         cfg = SimConfig(T=64, burnin=8, seed=2, noise_kind="complex-gaussian")
-        path = simulate_arma(complex_arma11(rng), cfg)
+        path = simulate_fiarma(complex_arma11(rng), cfg)
         assert path.meta["noise_kind"] == "complex-gaussian"
         assert np.abs(path.values.imag).max() > 0
 
@@ -668,7 +684,7 @@ class TestFilterOracle:
         model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.3))
         cfg = SimConfig(T=8, K_trunc=0, seed=6)
         path = simulate_fiarma(model, cfg)
-        noise = simulate_arma(white_model(g), cfg).values[:, 0]
+        noise = simulate_fiarma(white_model(g), cfg).values[:, 0]
         want = noise + 0.3 * np.concatenate([[0.0], noise[:-1]])
         assert np.abs(path.values[:, 0] - want).max() <= 1e-12
 
@@ -687,12 +703,12 @@ class TestFilterOracle:
 
 class TestAutoBurnin:
     def test_fast_decay_gets_short_burnin(self):
-        path = simulate_arma(ar1_model(scalar_grid(), 0.15), SimConfig(T=64, seed=1))
+        path = simulate_fiarma(ar1_model(scalar_grid(), 0.15), SimConfig(T=64, seed=1))
         assert path.meta["burnin"] <= 40
 
     @pytest.mark.parametrize("a, burnin", [(0.9, 273), (0.99, 2760)])
     def test_slow_decay_unchanged(self, a, burnin):
-        path = simulate_arma(ar1_model(scalar_grid(), a), SimConfig(T=64, seed=1))
+        path = simulate_fiarma(ar1_model(scalar_grid(), a), SimConfig(T=64, seed=1))
         assert path.meta["burnin"] == burnin
 
     def test_mc_model_burnin_short(self):
@@ -726,7 +742,7 @@ class TestFftHelpers:
         stack_calls = counted("_fft_stack")
         cfg = SimConfig(T=t_len, K_trunc=k_trunc, seed=3)
         simulate_fiarma(mc_model(), cfg)
-        simulate_arma(mc_model().base, cfg)
+        simulate_fiarma(mc_model().base, cfg)
         g = make_grid(2)
         simulate_duker(power_law_model(op(0.7 * np.eye(2), g), identity(g)), cfg)
         lengths = [args[1] for args in stack_calls]
@@ -962,7 +978,7 @@ class TestFilterPlanCache:
         same noise block."""
         model = ar1_model(scalar_grid(), 0.5)
         cfg = SimConfig(T=200, K_trunc=64, burnin=300, seed=12)
-        path = simulate_arma(model, cfg)
+        path = simulate_fiarma(model, cfg)
         psi_len = len(fiarma_lab.simulate._ar_impulse(model.phi, 10_000))
         assert psi_len < 100
         m = sim_plan(model).filter_fft.shape[-1]
@@ -981,7 +997,7 @@ class TestNonCausal:
         g = scalar_grid()
         cfg = SimConfig(T=64, seed=1)
         with pytest.raises(NonCausalError, match=f"eigenvalue {a:.6g}"):
-            simulate_arma(ar1_model(g, a), cfg)
+            simulate_fiarma(ar1_model(g, a), cfg)
         fractional = FiarmaModel(ar1_model(g, a), FracIntegrationSpec.scalar(g, 0.2))
         with pytest.raises(NonCausalError):
             simulate_fiarma(fractional, cfg)
@@ -994,11 +1010,11 @@ class TestNonCausal:
             OperatorPolynomial.scalar(g, 2.5, -1.0), OperatorPolynomial(g), identity(g)
         )
         with pytest.raises(NonCausalError, match="eigenvalue 2"):
-            simulate_arma(model, SimConfig(T=64, seed=1))
+            simulate_fiarma(model, SimConfig(T=64, seed=1))
 
     def test_causal_near_circle_simulates(self):
         a = 0.95
         cfg = SimConfig(T=20_000, seed=3, K_trunc=0)
-        path = simulate_arma(ar1_model(scalar_grid(), a), cfg)
+        path = simulate_fiarma(ar1_model(scalar_grid(), a), cfg)
         var = empirical_autocov(path, 0).entries[0, 0].real
         assert var == pytest.approx(1.0 / (1.0 - a * a), rel=0.15)

@@ -20,7 +20,6 @@ from fiarma_lab import (
     SimConfig,
     SingularTransferError,
     SpectralDensityGrid,
-    arma_spectral_density,
     autocov_sequence,
     check_conditions,
     density_frequencies,
@@ -34,7 +33,6 @@ from fiarma_lab import (
     local_factorization,
     operator_norm,
     periodogram,
-    simulate_arma,
     simulate_fiarma,
 )
 from fiarma_lab.config import parse_config
@@ -96,7 +94,7 @@ class TestArmaDensity:
     def test_white_noise_is_flat(self, rng):
         g = make_grid(3)
         sigma = random_psd(rng, g)
-        dens = arma_spectral_density(white_model(g, sigma), density_frequencies(64))
+        dens = fiarma_spectral_density(white_model(g, sigma), density_frequencies(64))
         for j in range(64):
             assert np.allclose(dens.values[j], sigma.entries / (2 * np.pi), atol=1e-13)
         gamma0 = autocov_sequence(dens, 0).operator(0)
@@ -104,13 +102,13 @@ class TestArmaDensity:
 
     def test_scalar_ar1_value_at_zero(self):
         g = scalar_grid()
-        dens = arma_spectral_density(ar1_model(g), np.array([0.0]))
+        dens = fiarma_spectral_density(ar1_model(g), np.array([0.0]))
         assert dens.values[0, 0, 0].real * 2 * np.pi == pytest.approx(4.0)
 
     def test_scalar_ar1_matches_modulus_oracle(self):
         g = scalar_grid()
         freqs = density_frequencies(128)
-        dens = arma_spectral_density(ar1_model(g), freqs)
+        dens = fiarma_spectral_density(ar1_model(g), freqs)
         oracle = 1.0 / np.abs(1 - 0.5 * np.exp(-1j * freqs)) ** 2 / (2 * np.pi)
         assert np.allclose(dens.values[:, 0, 0].real, oracle, rtol=1e-12)
 
@@ -119,7 +117,7 @@ class TestArmaDensity:
         model = ArmaModel(
             OperatorPolynomial(g), OperatorPolynomial.scalar(g, -1.0), identity(g)
         )
-        dens = arma_spectral_density(model, np.array([0.0]))
+        dens = fiarma_spectral_density(model, np.array([0.0]))
         assert operator_norm(dens.values[0]) < 1e-14
 
     def test_values_hermitian_psd(self, rng):
@@ -130,7 +128,7 @@ class TestArmaDensity:
             OperatorPolynomial.scalar(g, 0.4),
             random_psd(rng, g),
         )
-        dens = arma_spectral_density(model, density_frequencies(128))
+        dens = fiarma_spectral_density(model, density_frequencies(128))
         dens.validate()
 
     def test_uncertified_margin_model_matches_closed_form(self, nilpotent_shift_model):
@@ -142,7 +140,7 @@ class TestArmaDensity:
         model = nilpotent_shift_model
         assert model.margin == 0.0
         freqs = density_frequencies(16)
-        dens = arma_spectral_density(model, freqs)
+        dens = fiarma_spectral_density(model, freqs)
         for lam, got in zip(freqs, dens.values):
             step = 1.5 * np.exp(-1j * lam) * shift
             inv = sum(np.linalg.matrix_power(step, k) for k in range(n))
@@ -178,7 +176,7 @@ class TestCertifiedOnce:
             monkeypatch.setattr(np.linalg, name, counting)
         freqs = density_frequencies(64)
         for run in (
-            lambda: arma_spectral_density(model.base, freqs),
+            lambda: fiarma_spectral_density(model.base, freqs),
             lambda: fiarma_spectral_density(model, freqs),
             lambda: existence_integral(model.base, model.D, 0.5),
             lambda: check_conditions(model.base, model.D),
@@ -191,11 +189,18 @@ class TestCertifiedOnce:
 
 
 class TestFiarmaDensity:
+    def test_power_law_model_is_refused(self):
+        g = make_grid(2)
+        model = PowerLawModel(white_model(g), FracIntegrationSpec.scalar(g, 0.7))
+        message = "^fiarma_spectral_density takes .*, not PowerLawModel; .*simulate_duker's paths$"
+        with pytest.raises(TypeError, match=message):
+            fiarma_spectral_density(model, density_frequencies(8))
+
     def test_zero_memory_reduces_to_arma(self, rng):
         g = make_grid(2)
         model = ar1_model(g, 0.3)
         freqs = density_frequencies(32)
-        base = arma_spectral_density(model, freqs)
+        base = fiarma_spectral_density(model, freqs)
         frac = fiarma_spectral_density(
             FiarmaModel(model, FracIntegrationSpec.scalar(g, 0.0)), freqs
         )
@@ -239,27 +244,27 @@ class TestFiarmaDensity:
             FracIntegrationSpec(LinearOperator(mem, g)),
         )
         freqs = density_frequencies(128)
-        one_shot = fiarma_spectral_density(model, freqs)
-        base = arma_spectral_density(model.base, freqs)
-        scale = max(operator_norm(v) for v in one_shot.values)
+        one_shot = fiarma_spectral_density(model, freqs).values
+        base = fiarma_spectral_density(model.base, freqs).values
+        scale = max(operator_norm(v) for v in one_shot)
         for j, lam in enumerate(freqs):
             f_d = frac_transfer_batch(model.D, [lam])[0]
-            recomposed = f_d @ base.values[j] @ f_d.conj().T
-            assert operator_norm(one_shot.values[j] - recomposed) < 1e-12 * scale
+            recomposed = f_d @ base[j] @ f_d.conj().T
+            assert operator_norm(one_shot[j] - recomposed) < 1e-12 * scale
 
 
 class TestAutocovariance:
     def test_white_noise_lags(self, rng):
         g = make_grid(2)
         sigma = random_psd(rng, g)
-        dens = arma_spectral_density(white_model(g, sigma), density_frequencies(4096))
+        dens = fiarma_spectral_density(white_model(g, sigma), density_frequencies(4096))
         seq = autocov_sequence(dens, 1)
         assert operator_norm(seq.operator(0).entries - sigma.entries) < 1e-6
         assert operator_norm(seq.operator(1).entries) < 1e-6
 
     def test_ar1_autocorrelation(self):
         g = scalar_grid()
-        dens = arma_spectral_density(ar1_model(g), density_frequencies(4096))
+        dens = fiarma_spectral_density(ar1_model(g), density_frequencies(4096))
         seq = autocov_sequence(dens, 1)
         g0 = seq.operator(0).entries[0, 0].real
         g1 = seq.operator(1).entries[0, 0].real
@@ -271,7 +276,7 @@ class TestAutocovariance:
         -Sigma; an unsorted irregular grid would mix signs in the trapezoid
         rule.  Both are refused, naming the first frequency out of order."""
         g = make_grid(2)
-        dens = arma_spectral_density(white_model(g), density_frequencies(64))
+        dens = fiarma_spectral_density(white_model(g), density_frequencies(64))
         reversed_dens = SpectralDensityGrid(dens.freqs[::-1], dens.half[::-1], g)
         with pytest.raises(ValueError, match="must increase: 2.99433 follows 3.09251"):
             autocov_sequence(reversed_dens, 0)
@@ -285,7 +290,7 @@ class TestAutocovariance:
         g = make_grid(2)
         sigma = random_psd(rng, g)
         freqs = density_frequencies(64)
-        dens = arma_spectral_density(white_model(g, sigma), freqs + 1e-8 * np.sin(3.0 * freqs))
+        dens = fiarma_spectral_density(white_model(g, sigma), freqs + 1e-8 * np.sin(3.0 * freqs))
         gamma0 = autocov_sequence(dens, 0).operator(0).entries
         assert operator_norm(gamma0 - sigma.entries) <= 1e-14 * operator_norm(sigma)
 
@@ -317,7 +322,7 @@ class TestAutocovariance:
             OperatorPolynomial(g),
             random_psd(rng, g),
         )
-        dens = arma_spectral_density(model, density_frequencies(256))
+        dens = fiarma_spectral_density(model, density_frequencies(256))
         seq = autocov_sequence(dens, 3)
         for h in range(4):
             assert np.array_equal(
@@ -346,7 +351,7 @@ class TestEmpiricalAutocov:
         g = make_grid(2)
         sigma = random_psd(rng, g)
         t_len = 100_000
-        path = simulate_arma(white_model(g, sigma), SimConfig(T=t_len, seed=11, K_trunc=0))
+        path = simulate_fiarma(white_model(g, sigma), SimConfig(T=t_len, seed=11, K_trunc=0))
         gamma0 = empirical_autocov(path, 0).entries
         tol = 5 * operator_norm(sigma.entries) / np.sqrt(t_len)
         assert operator_norm(gamma0 - sigma.entries) < tol
@@ -412,7 +417,7 @@ class TestPeriodogram:
         freqs = fourier_frequencies(t_len)
         acc = np.zeros((freqs.size, 2, 2), dtype=complex)
         for r in range(reps):
-            path = simulate_arma(white_model(g, sigma), SimConfig(T=t_len, seed=99, K_trunc=0, replication=r))
+            path = simulate_fiarma(white_model(g, sigma), SimConfig(T=t_len, seed=99, K_trunc=0, replication=r))
             acc += periodogram(path, freqs).values
         acc /= reps
         target = sigma.entries / (2 * np.pi)
@@ -424,7 +429,7 @@ class TestPeriodogram:
 
     def test_rank_one_psd(self, rng):
         g = make_grid(2)
-        path = simulate_arma(white_model(g), SimConfig(T=64, seed=1, K_trunc=0))
+        path = simulate_fiarma(white_model(g), SimConfig(T=64, seed=1, K_trunc=0))
         pg = periodogram(path, fourier_frequencies(64))
         for v in pg.values:
             ev = np.linalg.eigvalsh(0.5 * (v + v.conj().T))
@@ -563,6 +568,31 @@ class TestHalfFactor:
             assert v.flags.c_contiguous
             assert np.array_equal(v, v.conj().transpose(0, 2, 1))
 
+    def test_blocked_symmetrising_is_the_whole_sum_bitwise(self, rng):
+        """At n=32 one block of the symmetrising pass holds 16 frequencies:
+        one fewer, one block and one more give the unblocked square bitwise."""
+        block = fiarma_lab.spectral._SQUARE_BLOCK // 32**2
+        for f_len in (block - 1, block, block + 1):
+            half = rng.normal(size=(f_len, 32, 3)) + 1j * rng.normal(size=(f_len, 32, 3))
+            grid = SpectralDensityGrid(np.arange(f_len), half, make_grid(32))
+            want = half @ half.conj().transpose(0, 2, 1)
+            want = want + want.conj().transpose(0, 2, 1)
+            want *= 0.25 / np.pi
+            assert np.array_equal(grid.values, want)
+
+    def test_reading_the_values_copies_no_second_square(self, rng):
+        """The symmetrising pass holds one block of the square at a time, so
+        a read's traced peak is little more than the values it returns."""
+        path = SampledPath(rng.normal(size=(512, 32)), make_grid(32))
+        pg = periodogram(path, fourier_frequencies(512))
+        tracemalloc.start()
+        try:
+            values = pg.values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * values.nbytes
+
     def test_large_periodogram_holds_only_its_factor(self, rng, monkeypatch):
         """At n=128 and T=4096 the values alone would take 1.07 GB; the
         factor takes 8.4 MB, and nothing reads the values."""
@@ -669,7 +699,7 @@ class TestCrossSpectralKernel:
         f /= np.sqrt(np.sum(np.abs(f) ** 2 * g.weights))
         coords = f * np.sqrt(g.weights)
         sigma = LinearOperator(np.outer(coords, coords.conj()), g)
-        dens = arma_spectral_density(white_model(g, sigma), density_frequencies(8))
+        dens = fiarma_spectral_density(white_model(g, sigma), density_frequencies(8))
         kern = [kernel_of(dens.operator(j)) for j in range(8)]
         target = np.outer(f, f.conj()) / (2 * np.pi)
         for j in range(8):
@@ -682,7 +712,7 @@ class TestCrossSpectralKernel:
             OperatorPolynomial(g),
             random_psd(rng, g),
         )
-        dens = arma_spectral_density(model, density_frequencies(16))
+        dens = fiarma_spectral_density(model, density_frequencies(16))
         kern = [kernel_of(dens.operator(j)) for j in range(16)]
         ww = np.outer(g.weights, g.weights)
         for j in range(16):
@@ -697,8 +727,8 @@ class TestBochnerRoundTrip:
         g = scalar_grid()
         model = white_model(g) if kind == "white" else ar1_model(g)
         t_len = 40_000
-        path = simulate_arma(model, SimConfig(T=t_len, seed=21, K_trunc=0))
-        dens = arma_spectral_density(model, density_frequencies(4096))
+        path = simulate_fiarma(model, SimConfig(T=t_len, seed=21, K_trunc=0))
+        dens = fiarma_spectral_density(model, density_frequencies(4096))
         tol = 5.0 / np.sqrt(t_len)
         seq = autocov_sequence(dens, 2)
         for h in (0, 1, 2):
