@@ -23,10 +23,21 @@ the model, keeps each model's plan for the last ``(T, K_trunc, burnin)``,
 its ``auto`` noise family and its existence verdict, in a weak mapping
 (:class:`_ModelState`), so replications of one model only draw noise and
 convolve.
+
+A Philox block depends on nothing but its key, so sequential replications
+draw their noise ahead: when a call on a model follows its call for
+replication ``r - 1`` with the same seed, rows and noise family, replication
+``r + 1``'s block is drawn on one background thread while ``r`` is filtered,
+and kept with its key in the model's state.  A call takes that block only
+for the same key, in the process that drew it, once drawn without error,
+and draws its own otherwise, so every path stays bit-identical.  Nothing
+sets this: a single call, or a machine that gives the process one CPU,
+starts no thread.
 """
 from __future__ import annotations
 
 import math
+import os
 import weakref
 from functools import reduce
 from typing import Iterator
@@ -351,13 +362,17 @@ def _filter_plan(
 class _ModelState:
     """What the simulator keeps of one model: its ``auto`` noise family, its
     existence verdict with the failed condition (``None`` when none failed)
-    once decided, and the plan of the last path sizes ``key``."""
+    once decided, the plan of the last path sizes ``key``, the key of the
+    last noise block it drew (the arguments of :func:`_standard_block`) and
+    the block being drawn ahead, as ``(key, future, pid)``."""
 
     def __init__(self, auto_kind: str) -> None:
         self.auto_kind = auto_kind
         self.verdict: tuple[str, str | None] | None = None
         self.key: tuple | None = None
         self.plan: FilterPlan | None = None
+        self.drawn: tuple | None = None
+        self.ahead: tuple | None = None
 
 
 # The state of every model simulated, dropped when the model is collected.
@@ -371,10 +386,62 @@ def _state(model: _Model) -> _ModelState:
     return _STATES[model]
 
 
+# The thread that draws noise blocks ahead, and the process that started it:
+# a forked child has no such thread and starts its own.
+_AHEAD = {"executor": None, "pid": None}
+
+
+def _draw_ahead(key: tuple):
+    """A future of ``_standard_block(*key)`` on the simulator's one background
+    thread, started on first use in this process."""
+    if _AHEAD["pid"] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor  # 4 ms to import: only when needed
+
+        executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiarma-noise")
+        _AHEAD.update(executor=executor, pid=os.getpid())
+    return _AHEAD["executor"].submit(_standard_block, *key)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _take(ahead: tuple | None, key: tuple) -> np.ndarray | None:
+    """The block drawn ahead in ``ahead`` when it was drawn for ``key`` in this
+    process without error, else None.  Another key's draw is cancelled; a
+    draw of the parent of a forked child is left untouched, since its thread
+    is gone from the child."""
+    if ahead is None or ahead[2] != os.getpid():
+        return None
+    ahead_key, future, _ = ahead
+    if ahead_key != key:
+        future.cancel()
+        return None
+    try:
+        return future.result()
+    except Exception:  # the caller draws the block itself, and meets any error there
+        return None
+
+
 def _noise(model: _Model, plan: FilterPlan, cfg: SimConfig) -> tuple[str, np.ndarray]:
-    """The noise family of ``cfg`` for ``model`` and its ``(seed, replication)`` block."""
-    kind = _state(model).auto_kind if cfg.noise_kind == "auto" else cfg.noise_kind
-    return kind, _standard_block(cfg.seed, cfg.replication, plan.rows, model.grid.n, kind)
+    """The noise family of ``cfg`` for ``model`` and its ``(seed, replication)``
+    block: the one drawn ahead for this key (:func:`_take`), else a fresh draw.
+    A call that follows the model's draw for the replication before, with the
+    same seed, rows and family, draws the next replication's block ahead."""
+    state = _state(model)
+    kind = state.auto_kind if cfg.noise_kind == "auto" else cfg.noise_kind
+    seed, rep = int(cfg.seed), int(cfg.replication)  # a numpy integer's sum may wrap
+    key = (seed, rep, plan.rows, model.grid.n, kind)
+    block = _take(state.ahead, key)
+    follows = state.drawn == (seed, rep - 1, *key[2:])
+    state.drawn, state.ahead = key, None
+    if follows and key_range_error("replication", rep + 1) is None and _cpus() > 1:
+        ahead_key = (seed, rep + 1, *key[2:])
+        state.ahead = (ahead_key, _draw_ahead(ahead_key), os.getpid())
+    return kind, _standard_block(*key) if block is None else block
 
 
 def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:

@@ -113,19 +113,22 @@ def _row_energies(half: np.ndarray) -> np.ndarray:
     return np.vecdot(half, half).real
 
 
-_SQUARE_BLOCK = 16384  # entries per block of _square's symmetrising pass: 256 KB
+_SQUARE_BLOCK = 16384  # entries of the square per block of _square's passes: 256 KB
 
 
 def _square(half: np.ndarray) -> np.ndarray:
     """Frequency-wise ``h h^H / (2 pi)``, made exactly Hermitian: the batched
     product leaves rounding-level asymmetry, which the lag-0 autocovariance
-    would inherit.  The adjoint is added in blocks of frequencies through
-    one buffer; numpy would copy the whole square for an overlapping view."""
-    vals = half @ half.conj().transpose(0, 2, 1)
-    step = max(1, _SQUARE_BLOCK // vals.shape[-1] ** 2)
+    would inherit.  Each block of frequencies is multiplied into the values
+    and has its adjoint added through one buffer, so neither the factor's
+    conjugate nor an overlapping view's copy is ever formed whole."""
+    f_len, n, _ = half.shape
+    vals = np.empty((f_len, n, n), dtype=complex)
+    step = max(1, _SQUARE_BLOCK // n**2)
     buf = np.empty_like(vals[:step])
-    for start in range(0, len(vals), step):
-        blk = vals[start : start + step]
+    for start in range(0, f_len, step):
+        h = half[start : start + step]
+        blk = np.matmul(h, h.conj().transpose(0, 2, 1), out=vals[start : start + step])
         blk += np.conjugate(blk.transpose(0, 2, 1), out=buf[: len(blk)])
     vals *= 0.25 / np.pi
     return vals

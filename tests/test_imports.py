@@ -1,6 +1,6 @@
 """Fresh-interpreter checks of the CLI.  It runs on numpy alone for normal
 operators; scipy is loaded only for the matrix exponential of a non-normal
-memory operator, and ``dataclasses`` never.  Only the process entry touches
+memory operator, and ``dataclasses`` never; a run starts no thread.  Only the process entry touches
 the garbage collector.  Every module of the package keeps its underscore
 names to itself, the package's public names and constructors are pinned,
 and every public name has a reader; every name the benchmark reads is public."""
@@ -57,9 +57,10 @@ RUNS = [
 ]
 
 # Runs ``main`` over RUNS in one interpreter; prints the exit codes, the
-# scipy modules loaded afterwards and whether ``dataclasses`` was.
+# scipy modules loaded afterwards, whether ``dataclasses`` and
+# ``concurrent.futures`` were, and how many threads are running.
 SCRIPT = """
-import json, sys
+import json, sys, threading
 from pathlib import Path
 from fiarma_lab.cli import main
 
@@ -70,7 +71,13 @@ for i, (sub, text, _) in enumerate(json.loads(sys.argv[2])):
     cfg.write_text(text)
     codes.append(main([sub, "--config", str(cfg), "--out", str(work / f"out{i}")]))
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy, "dataclasses": "dataclasses" in sys.modules}))
+print(json.dumps({
+    "codes": codes,
+    "scipy": scipy,
+    "dataclasses": "dataclasses" in sys.modules,
+    "futures": "concurrent.futures" in sys.modules,
+    "threads": threading.active_count(),
+}))
 """
 
 
@@ -123,6 +130,9 @@ def test_cli_on_normal_operators_loads_no_scipy(tmp_path):
     assert result["codes"] == [code for _, _, code in RUNS]
     assert result["scipy"] == []
     assert not result["dataclasses"]  # every class is a plain class
+    # each run simulates a model once, so no noise block is drawn ahead
+    assert result["threads"] == 1
+    assert not result["futures"]
 
 
 def test_non_normal_density_loads_scipy_linalg(tmp_path):

@@ -1,5 +1,11 @@
 import gc
+import hashlib
+import os
 import pickle
+import select
+import signal
+import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -807,9 +813,10 @@ class TestFilterPlanCache:
         assert len(coeff_calls) == 1
         assert len(check_calls) == 1
 
-    def test_warm_replication_makes_no_extra_pass(self, monkeypatch, counted):
+    def test_warm_replication_makes_no_extra_pass(self, monkeypatch, counted, two_cpus):
         """A warm Monte Carlo replication (path, then its periodogram) runs
-        three FFTs, draws one noise block and never re-decides the noise kind."""
+        three FFTs, draws its own noise block once, and the next one ahead,
+        and never re-decides the noise kind."""
         fft_calls = []
         for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
             real = getattr(np.fft, name)
@@ -827,8 +834,10 @@ class TestFilterPlanCache:
         kind_calls = counted("_resolve_noise_kind")
         path = simulate_fiarma(model, SimConfig(T=256, K_trunc=64, seed=5, replication=1))
         periodogram(path, freqs)
+        ahead_key, future, _ = fiarma_lab.simulate._STATES[model].ahead
+        future.result(timeout=30)
         assert sorted(fft_calls) == ["fft", "ifft", "rfft"]
-        assert len(block_calls) == 1
+        assert sorted(call[1] for call in block_calls) == [1, 2] and ahead_key[1] == 2
         assert kind_calls == []
         assert path.meta["noise_kind"] == "real-gaussian"
 
@@ -986,6 +995,238 @@ class TestFilterPlanCache:
         want = recursion_arma(model, cfg, "real-gaussian")
         assert path.values.shape == want.shape
         assert rel_diff(path.values, want) <= 1e-12
+
+
+def digest(path):
+    return hashlib.sha256(path.values.tobytes()).hexdigest()
+
+
+def simulate(model, cfg):
+    """The path of ``model`` from its class's simulator."""
+    run = simulate_duker if isinstance(model, PowerLawModel) else simulate_fiarma
+    return run(model, cfg)
+
+
+def power_law_2x2():
+    g = make_grid(2)
+    return power_law_model(op([[0.7, 0.05], [0.05, 0.8]], g), op([[1.0, 0.2], [0.2, 0.5]], g))
+
+
+def fiarma_2x2():
+    return FiarmaModel(
+        complex_arma11(np.random.default_rng(3)), FracIntegrationSpec.scalar(make_grid(2), 0.2)
+    )
+
+
+# A real and a complex ARMA and FIARMA model, and a power-law model.
+AHEAD_MODELS = {
+    "arma-real": lambda: ar1_model(make_grid(3), 0.5),
+    "arma-complex": lambda: complex_arma11(np.random.default_rng(3)),
+    "fiarma-real": mc_model,
+    "fiarma-complex": fiarma_2x2,
+    "power-law": power_law_2x2,
+}
+
+
+OTHER_KIND = {"real-gaussian": "complex-gaussian", "complex-gaussian": "real-gaussian"}
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process may run on two CPUs, whatever the machine gives it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def drawing_threads(monkeypatch):
+    """Each ``(replication, calling thread is the main thread)`` of a noise
+    draw, recorded through ``fiarma_lab.simulate._standard_block``."""
+    draws = []
+    real = fiarma_lab.simulate._standard_block
+
+    def recording(*key):
+        draws.append((key[1], threading.current_thread() is threading.main_thread()))
+        return real(*key)
+
+    monkeypatch.setattr(fiarma_lab.simulate, "_standard_block", recording)
+    return draws
+
+
+def wait_ahead(model):
+    """Wait for the block being drawn ahead for ``model``, if any, and return its key."""
+    ahead = fiarma_lab.simulate._STATES[model].ahead
+    if ahead is None:
+        return None
+    ahead[1].exception(timeout=30)
+    return ahead[0]
+
+
+class TestNoiseDrawnAhead:
+    """A call that follows the model's call for the replication before draws
+    the next block ahead; every path stays what a fresh model gives."""
+
+    @pytest.mark.parametrize("noise_kind", ["auto", "real-gaussian", "complex-gaussian"])
+    @pytest.mark.parametrize("make", AHEAD_MODELS.values(), ids=AHEAD_MODELS)
+    def test_every_call_matches_a_fresh_model(self, two_cpus, make, noise_kind):
+        base = dict(T=48, K_trunc=16, seed=5, noise_kind=noise_kind)
+        steps = [
+            (3, {}), (4, {}), (5, {}),  # sequential: 5 is served from ahead
+            (4, {}),  # a jump back
+            (9, {}), (10, {}), (11, {}),  # a jump ahead, then sequential again
+            (12, {"seed": 6}), (13, {"seed": 6}),
+            (14, {"T": 40}), (15, {"T": 40}),
+            (16, {"K_trunc": 4}), (17, {"K_trunc": 4}),
+            (18, {"burnin": 7}), (19, {"burnin": 7}),
+            (20, {"burnin": 7, "noise_kind": "other"}),  # the family 19 did not draw
+            (21, {"burnin": 7, "noise_kind": "other"}),
+        ]
+        model = make()
+        drawn_ahead = []
+        other = None
+        for rep, change in steps:
+            if change.get("noise_kind") == "other":
+                change = change | {"noise_kind": other}
+            cfg = SimConfig(**(base | change), replication=rep)
+            path = simulate(model, cfg)
+            if rep == 19:
+                other = OTHER_KIND[path.meta["noise_kind"]]
+            fresh = simulate(make(), cfg)
+            assert digest(path) == digest(fresh), (rep, change)
+            assert path.meta == fresh.meta
+            drawn_ahead.append(wait_ahead(model))
+        ahead_reps = [key and key[1] for key in drawn_ahead]
+        assert ahead_reps == [
+            None, 5, 6, None, None, 11, 12, None, 14, None, 16, None, 18, None, 20, None, 22
+        ]
+
+    def test_sequential_replications_draw_only_ahead(self, two_cpus, drawing_threads):
+        model = mc_model()
+        for rep in range(5):
+            simulate_fiarma(model, SimConfig(T=64, K_trunc=16, seed=2, replication=rep))
+            wait_ahead(model)
+        main = [rep for rep, on_main in drawing_threads if on_main]
+        ahead = [rep for rep, on_main in drawing_threads if not on_main]
+        assert main == [0, 1] and ahead == [2, 3, 4, 5]
+
+    def test_decomposition_check_takes_the_block_drawn_ahead(self, two_cpus):
+        model = power_law_2x2()
+        for rep in range(2):
+            simulate_duker(model, SimConfig(T=32, K_trunc=8, seed=1, replication=rep))
+        cfg = SimConfig(T=32, K_trunc=8, seed=1, replication=2)
+        got = verify_longmemory_decomposition(model, cfg).to_dict()
+        assert got == verify_longmemory_decomposition(power_law_2x2(), cfg).to_dict()
+
+    def test_one_cpu_draws_nothing_ahead(self, monkeypatch, drawing_threads):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        model = mc_model()
+        for rep in range(3):
+            simulate_fiarma(model, SimConfig(T=32, K_trunc=8, seed=2, replication=rep))
+            assert fiarma_lab.simulate._STATES[model].ahead is None
+        assert drawing_threads == [(0, True), (1, True), (2, True)]
+
+    def test_no_block_ahead_for_a_refused_replication(self, two_cpus):
+        model = ar1_model(make_grid(2))
+        for rep in (2**64 - 2, 2**64 - 1):
+            simulate_fiarma(model, SimConfig(T=16, seed=1, replication=rep))
+        assert fiarma_lab.simulate._STATES[model].ahead is None
+        for rep in (-2, -1):
+            simulate_fiarma(model, SimConfig(T=16, seed=1, replication=rep))
+        assert wait_ahead(model)[1] == 0
+        path = simulate_fiarma(model, SimConfig(T=16, seed=1))
+        assert digest(path) == digest(simulate_fiarma(ar1_model(make_grid(2)), SimConfig(T=16, seed=1)))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+    def test_numpy_integer_keys_draw_the_int_stream(self, two_cpus, dtype):
+        """A numpy integer seed or replication keys the stream of its value,
+        and a sequence of them draws ahead as ints do."""
+        model, fresh = mc_model(), mc_model()
+        for rep in range(3):
+            cfg = SimConfig(T=32, K_trunc=8, seed=dtype(3), replication=dtype(rep))
+            want = simulate_fiarma(fresh, SimConfig(T=32, K_trunc=8, seed=3, replication=rep))
+            assert digest(simulate_fiarma(model, cfg)) == digest(want)
+        assert wait_ahead(model)[1] == 3
+
+    def test_failed_draw_ahead_is_drawn_again(self, two_cpus, monkeypatch):
+        real = fiarma_lab.simulate._standard_block
+
+        def fails_off_main(*key):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("no room ahead")
+            return real(*key)
+
+        monkeypatch.setattr(fiarma_lab.simulate, "_standard_block", fails_off_main)
+        model = mc_model()
+        cfgs = [SimConfig(T=64, K_trunc=16, seed=4, replication=rep) for rep in range(4)]
+        for cfg in cfgs:
+            path = simulate_fiarma(model, cfg)
+            assert digest(path) == digest(simulate_fiarma(mc_model(), cfg))
+            wait_ahead(model)
+
+    def test_failing_draw_raises_its_own_error(self, two_cpus, monkeypatch):
+        """Replication 2 was drawn ahead before every draw started to fail;
+        replication 3's draw ahead fails, and so does its own."""
+        model = mc_model()
+        cfgs = [SimConfig(T=64, K_trunc=16, seed=4, replication=rep) for rep in range(4)]
+        want = digest(simulate_fiarma(mc_model(), cfgs[2]))
+        for cfg in cfgs[:2]:
+            simulate_fiarma(model, cfg)
+        wait_ahead(model)
+
+        def fails(*key):
+            raise MemoryError(f"no room for replication {key[1]}")
+
+        monkeypatch.setattr(fiarma_lab.simulate, "_standard_block", fails)
+        assert digest(simulate_fiarma(model, cfgs[2])) == want
+        assert wait_ahead(model)[1] == 3
+        with pytest.raises(MemoryError, match="no room for replication 3"):
+            simulate_fiarma(model, cfgs[3])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_its_own_blocks(self, two_cpus, monkeypatch):
+        """A child forked while a block is being drawn ahead has no thread to
+        finish it: its sequential calls return the same paths at once."""
+        parent = os.getpid()
+        gate = threading.Event()
+        real = fiarma_lab.simulate._standard_block
+
+        def held_in_the_parent(*key):
+            if os.getpid() == parent and threading.current_thread() is not threading.main_thread():
+                gate.wait(60)
+            return real(*key)
+
+        monkeypatch.setattr(fiarma_lab.simulate, "_standard_block", held_in_the_parent)
+        model = mc_model()
+        cfgs = [SimConfig(T=64, K_trunc=16, seed=8, replication=rep) for rep in range(6)]
+        for cfg in cfgs[:2]:
+            simulate_fiarma(model, cfg)
+        assert not fiarma_lab.simulate._STATES[model].ahead[1].done()
+        read_end, write_end = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                digests = [digest(simulate_fiarma(model, cfg)) for cfg in cfgs[2:]]
+                os.write(write_end, " ".join(digests).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        gate.set()
+        want = " ".join(digest(simulate_fiarma(mc_model(), cfg)) for cfg in cfgs[2:])
+        try:
+            ready = select.select([read_end], [], [], 30)[0]
+            got = os.read(read_end, 4096).decode() if ready else None
+        finally:
+            os.close(read_end)
+            if not ready:
+                os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+        assert got is not None, "the forked child did not return within 30 s"
+        assert got == want
 
 
 class TestNonCausal:

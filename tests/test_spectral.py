@@ -580,14 +580,21 @@ class TestHalfFactor:
             want *= 0.25 / np.pi
             assert np.array_equal(grid.values, want)
 
-    def test_reading_the_values_copies_no_second_square(self, rng):
-        """The symmetrising pass holds one block of the square at a time, so
-        a read's traced peak is little more than the values it returns."""
-        path = SampledPath(rng.normal(size=(512, 32)), make_grid(32))
-        pg = periodogram(path, fourier_frequencies(512))
+    @pytest.mark.parametrize("rank", [1, 32])
+    def test_reading_the_values_copies_no_second_square(self, rng, rank):
+        """The product and the symmetrising pass hold one block of the square
+        at a time, so a read's traced peak is little more than the values it
+        returns: for a periodogram's factor (r = 1) and a model density's
+        (r = n)."""
+        if rank == 1:
+            path = SampledPath(rng.normal(size=(512, 32)), make_grid(32))
+            grid = periodogram(path, fourier_frequencies(512))
+        else:
+            half = rng.normal(size=(512, 32, rank)) + 1j * rng.normal(size=(512, 32, rank))
+            grid = SpectralDensityGrid(np.arange(512.0), half, make_grid(32))
         tracemalloc.start()
         try:
-            values = pg.values
+            values = grid.values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
