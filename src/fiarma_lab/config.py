@@ -39,10 +39,10 @@ class RunConfig(SimConfig):
     # existence integral needs four dyadic shells
     SIZES = SimConfig.SIZES | {"n_freq": 1, "n_refine": 4, "shell_points": 1, "K": 0, "lags": 0}
 
-    def __init__(self, T: int = 1024, burnin: int | None = None, K_trunc: int = 2048, seed: int = 0,
-                 noise_kind: str = "auto", replication: int = 0, n_freq: int = 4096,
-                 eta: float = 1.0, n_refine: int = N_REFINE, shell_points: int = SHELL_POINTS,
-                 K: int = 64, lags: int = 8, format: str = "csv") -> None:
+    def __init__(self, T: int = 1024, K_trunc: int = 2048, seed: int = 0, noise_kind: str = "auto",
+                 replication: int = 0, n_freq: int = 4096, eta: float = 1.0,
+                 n_refine: int = N_REFINE, shell_points: int = SHELL_POINTS, K: int = 64,
+                 lags: int = 8, format: str = "csv") -> None:
         self._set(locals())
 
     @classmethod
@@ -222,8 +222,6 @@ def parse_config(text: str) -> ModelConfig:
             sigma_mat = _parse_matrix(msec["sigma"], "model.sigma", n, errors)
         if "D" in msec and "N" in msec:
             errors.append("model: provide at most one of D and N")
-        if "N" in msec and (msec.get("phi") or msec.get("theta")):
-            errors.append("model.N: the power-law moving average takes no phi or theta")
         if "D" in msec:
             d_mat = _parse_matrix(msec["D"], "model.D", n, errors)
         if "N" in msec:
@@ -239,11 +237,12 @@ def parse_config(text: str) -> ModelConfig:
         run_kwargs = {k: v for k, v in rsec.items() if k in _RUN_DEFAULTS}
     errors.extend(RunConfig.errors(_RUN_DEFAULTS | run_kwargs, prefix="run."))
 
-    # the model certifies itself in the same pass: Sigma and the AR symbol
-    arma = None
+    # the model certifies itself in the same pass: Sigma, the AR symbol and
+    # a power-law model's white base
+    model = None
     if grid is not None and all(m is not None for m in [sigma_mat, *phi_mats, *theta_mats]):
         try:
-            arma = ArmaModel(
+            model = ArmaModel(
                 OperatorPolynomial(grid, tuple(LinearOperator(m, grid) for m in phi_mats)),
                 OperatorPolynomial(grid, tuple(LinearOperator(m, grid) for m in theta_mats)),
                 LinearOperator(sigma_mat, grid),
@@ -252,11 +251,13 @@ def parse_config(text: str) -> ModelConfig:
             errors.append(f"model.sigma: {exc}")
         except SingularTransferError as exc:
             errors.append(f"model.phi: {exc}")
+    if model is not None and d_mat is not None:
+        model = FiarmaModel(model, FracIntegrationSpec(LinearOperator(d_mat, grid)))
+    elif model is not None and n_mat is not None:
+        try:
+            model = PowerLawModel(model, FracIntegrationSpec(LinearOperator(n_mat, grid)))
+        except ValueError as exc:
+            errors.append(f"model.N: {exc}")
     if errors:
         raise ConfigError(errors)
-    model = arma
-    if d_mat is not None:
-        model = FiarmaModel(arma, FracIntegrationSpec(LinearOperator(d_mat, grid)))
-    elif n_mat is not None:
-        model = PowerLawModel(arma, FracIntegrationSpec(LinearOperator(n_mat, grid)))
     return ModelConfig(model, RunConfig(**run_kwargs))

@@ -3,8 +3,8 @@ power-law moving-average paths, plus the pathwise check of the long-memory
 decomposition.
 
 Noise comes from a counter-based generator keyed by ``(seed, replication)``,
-drawn in a single block per path covering the burn-in and truncation
-pre-history, so identical configurations reproduce bit-identical paths and
+drawn in a single block per path of exactly the ``T + taps - 1`` rows its
+filter reads, so identical configurations reproduce bit-identical paths and
 replications are independent streams that can run in parallel.
 
 Every path is that block through one causal filter, planned and sized in
@@ -16,13 +16,13 @@ fractional model and the weights ``(k+1)^{-N}`` for a power-law one.  White
 noise is the identity ARMA model, whose filter is the one tap
 ``Sigma^{1/2}``, and a white base's tap is folded into the memory factor.
 Every filter, one tap or many, is applied as one FFT convolution at a
-5-smooth length (:func:`_filter_plan`).  An AR polynomial with a root
-inside the unit disk has no causal filter and is refused with
-:class:`NonCausalError`, read from the model's poles.  The simulator, not
-the model, keeps each model's plan for the last ``(T, K_trunc, burnin)``,
-its ``auto`` noise family and its existence verdict, in a weak mapping
-(:class:`_ModelState`), so replications of one model only draw noise and
-convolve.
+5-smooth length (:func:`_filter_plan`), and every output row sees every
+tap.  An AR polynomial with a root inside the unit disk has no causal
+filter and is refused with :class:`NonCausalError`, read from the model's
+poles.  The simulator, not the model, keeps each model's plan for the last
+``(T, K_trunc)``, its ``auto`` noise family and its existence verdict, in a
+weak mapping (:class:`_ModelState`), so replications of one model only draw
+noise and convolve.
 
 A Philox block depends on nothing but its key, so sequential replications
 draw their noise ahead: when a call on a model follows its call for
@@ -62,10 +62,9 @@ _Model = ArmaModel | FiarmaModel | PowerLawModel
 # An impulse-response row below this fraction of the response's peak is
 # double-precision rounding of the peak.
 _ROUNDING_FLOOR = 2.0**-60
-# The auto burn-in lets the AR impulse response fall to this fraction of its
-# peak, within at most _BURNIN_CAP rows.
-_BURNIN_DECAY = 1e-12
-_BURNIN_CAP = 10_000
+# The AR impulse response is cut after this many rows, reached before the
+# rounding floor only by a pole within about 4e-3 of the unit circle.
+_AR_ROWS_CAP = 10_000
 
 
 class NonCausalError(ValueError):
@@ -116,15 +115,16 @@ class SimConfig:
     refused with the first rule of :meth:`errors` that it breaks.
     ``noise_kind="auto"`` draws real noise when ``phi``, ``theta`` and
     ``Sigma`` are real (``D`` does not count), and for a power-law model
-    when ``N`` and ``Sigma`` are; it draws complex noise otherwise.
-    ``burnin=None`` sizes the burn-in from the AR forgetting rate.  Two
-    configs are equal when they are of one class and their fields are equal."""
+    when ``N`` and ``Sigma`` are; it draws complex noise otherwise.  A path
+    of ``T`` rows draws the ``T + taps - 1`` noise rows that its filter of
+    ``taps`` coefficients reads.  Two configs are equal when they are of one
+    class and their fields are equal."""
 
     # the smallest value of each size: a path needs a row
     SIZES = {"T": 1, "K_trunc": 0}
 
-    def __init__(self, T: int = 1024, burnin: int | None = None, K_trunc: int = 2048, seed: int = 0,
-                 noise_kind: str = "auto", replication: int = 0) -> None:
+    def __init__(self, T: int = 1024, K_trunc: int = 2048, seed: int = 0, noise_kind: str = "auto",
+                 replication: int = 0) -> None:
         self._set(locals())
 
     def _set(self, values: dict) -> None:
@@ -153,9 +153,6 @@ class SimConfig:
         for key in ("seed", "replication"):  # may be negative: they key the noise stream
             if message := key_range_error(prefix + key, values[key]):
                 yield message
-        burnin = values["burnin"]
-        if burnin is not None and (not _is_int(burnin) or burnin < 0):
-            yield f"{prefix}burnin: must be a nonnegative integer or null"
         if values["noise_kind"] not in NOISE_KINDS:
             yield f"{prefix}noise_kind: unknown kind {echo(values['noise_kind'])}"
 
@@ -225,16 +222,6 @@ def _ar_impulse(phi: OperatorPolynomial, limit: int) -> np.ndarray:
         if k >= p and max(sizes[-p:]) <= _ROUNDING_FLOOR * peak:
             break
     return np.stack(rows)
-
-
-def _auto_burnin(ar: np.ndarray, p: int) -> int:
-    """``10 p`` plus the rows until the AR impulse response ``ar`` falls to
-    ``_BURNIN_DECAY`` of its peak, the latter at most ``_BURNIN_CAP``."""
-    if p == 0:
-        return 0
-    norms = np.linalg.norm(ar, 2, axis=(1, 2))
-    live = np.flatnonzero(norms > _BURNIN_DECAY * norms.max())
-    return 10 * p + min(int(live[-1]) + 1, _BURNIN_CAP)
 
 
 def _next_fast_len(target: int) -> int:
@@ -310,38 +297,33 @@ class FilterPlan:
     """One causal filter ``sum_k C_k z^k``, ``Sigma^{1/2}`` folded in, for
     paths of ``t_len`` rows, built once.
 
-    A path is the last ``keep`` of ``rows`` standard noise rows through the
-    filter, of which the last ``t_len`` output rows are returned.
-    ``filter_fft`` is the filter's FFT stored by entry as ``(n, n, m)``
-    (:func:`_fft_stack`); with ``m`` covering the path plus the filter
-    length, the circular convolution's wrap-around misses the output rows.
+    A path is ``rows = t_len + taps - 1`` standard noise rows through the
+    filter, of which the last ``t_len`` output rows, the ones that see every
+    tap, are returned.  ``filter_fft`` is the filter's FFT stored by entry
+    as ``(n, n, m)`` (:func:`_fft_stack`); with ``m`` covering ``rows``, the
+    circular convolution's wrap-around misses the output rows.
     """
 
-    def __init__(self, burnin: int, rows: int, t_len: int, keep: int, filter_fft: np.ndarray,
-                 real: bool, meta: dict) -> None:
-        self.burnin = burnin
+    def __init__(self, rows: int, t_len: int, filter_fft: np.ndarray, real: bool,
+                 meta: dict) -> None:
         self.rows = rows
         self.t_len = t_len
-        self.keep = keep
         self.filter_fft = filter_fft
         self.real = real  # the filter has real entries
         self.meta = meta  # diagnostics of the filter
 
 
-def _filter_plan(
-    factors: list[np.ndarray], t_len: int, rows: int, burnin: int = 0, meta: dict | None = None
-) -> FilterPlan:
+def _filter_plan(factors: list[np.ndarray], t_len: int, meta: dict | None = None) -> FilterPlan:
     """The plan of the filter ``factors[0] factors[1] ...``, a product of
     stacked ``(taps, n, n)`` causal coefficient sequences, for ``t_len``
-    output rows from ``rows`` noise rows.
+    output rows.
 
-    The product has ``sum(len(f)) - len(factors) + 1`` taps, so only the
-    last ``t_len + taps - 1`` noise rows reach the output; with fewer rows
-    the filter starts from zero.  The FFT length is the 5-smooth
-    :func:`_next_fast_len` of that span, searched only when an ``(n, n, span)``
-    complex filter fits the address range, else :class:`MemoryError`.  A
-    filter that is not finite raises :class:`OverflowError`, before any
-    noise is drawn.
+    The product has ``sum(len(f)) - len(factors) + 1`` taps, so ``t_len``
+    output rows read the ``span = t_len + taps - 1`` noise rows that the
+    plan draws.  The FFT length is the 5-smooth :func:`_next_fast_len` of
+    that span, searched only when an ``(n, n, span)`` complex filter fits
+    the address range, else :class:`MemoryError`.  A filter that is not
+    finite raises :class:`OverflowError`, before any noise is drawn.
     """
     taps = sum(len(f) for f in factors) - len(factors) + 1
     span = t_len + taps - 1
@@ -356,7 +338,7 @@ def _filter_plan(
     if not np.isfinite(filter_fft).all():
         raise OverflowError("simulation filter overflows")
     real = not any(f.imag.any() for f in factors)
-    return FilterPlan(burnin, rows, t_len, min(rows, span), filter_fft, real, meta or {})
+    return FilterPlan(span, t_len, filter_fft, real, meta or {})
 
 
 class _ModelState:
@@ -450,13 +432,13 @@ def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
 
     Every model is its ARMA base: the impulse response of
     ``phi^{-1} theta`` times ``Sigma^{1/2}``, refused first when a pole of
-    the base is not inside the unit disk, on a block covering the burn-in
-    and ``K_trunc + q`` rows of pre-history.  Its memory factor comes first:
+    the base is not inside the unit disk.  Its memory factor comes first:
     the MA coefficients of ``(1 - z)^{-D}`` or the weights ``(k+1)^{-N}``,
-    with a white base's one tap ``Sigma^{1/2}`` folded in.
+    with a white base's one tap ``Sigma^{1/2}`` folded in.  The plan's
+    block is the ``T + taps - 1`` noise rows that the filter reads.
     """
     state = _state(model)
-    key = (cfg.T, cfg.K_trunc, cfg.burnin)
+    key = (cfg.T, cfg.K_trunc)
     if state.key == key:
         return state.plan
     base = model.base
@@ -468,15 +450,7 @@ def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
             "inside the unit disk"
         )
     p, q = base.phi.degree, base.theta.degree
-    after = cfg.K_trunc + q + cfg.T  # noise rows after the burn-in
-    if cfg.burnin is None:
-        ar = _ar_impulse(base.phi, 10 * p + _BURNIN_CAP + after)
-        burnin = _auto_burnin(ar, p)
-    else:
-        burnin = cfg.burnin
-        ar = _ar_impulse(base.phi, burnin + after)
-    rows = burnin + after
-    ar = ar[:rows]
+    ar = _ar_impulse(base.phi, _AR_ROWS_CAP)
     thetas = base.theta.stacked()
     memory, meta = None, {}
     if isinstance(model, FiarmaModel):
@@ -488,20 +462,19 @@ def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
         psi = np.concatenate([ar, np.zeros((q,) + ar.shape[1:], dtype=complex)])
         for j, b in enumerate(thetas, start=1):
             psi[j : j + len(ar)] += ar @ b
-        factors = [psi[:rows] @ base.root.entries]
+        factors = [psi @ base.root.entries]
         if memory is not None:
             factors = [memory @ factors[0]] if p == q == 0 else [memory, *factors]
-    state.plan = _filter_plan(factors, cfg.T, rows, burnin, meta)
+    state.plan = _filter_plan(factors, cfg.T, meta)
     state.key = key
     return state.plan
 
 
 def _filtered_rows(plan: FilterPlan, xi: np.ndarray) -> np.ndarray:
     """The ``plan.t_len`` path rows that ``plan`` makes of the standard noise
-    block ``xi``."""
-    x = xi[-plan.keep :]
-    out = _fft_apply(plan.filter_fft, x)[plan.keep - plan.t_len : plan.keep]
-    if plan.real and not np.iscomplexobj(x):
+    block ``xi`` of ``plan.rows`` rows."""
+    out = _fft_apply(plan.filter_fft, xi)[plan.rows - plan.t_len : plan.rows]
+    if plan.real and not np.iscomplexobj(xi):
         # a real filter of a real path is real; drop the FFT's rounding fuzz
         out = out.real
     return out
@@ -514,7 +487,6 @@ def _path(model: _Model, plan: FilterPlan, cfg: SimConfig, **extra) -> SampledPa
     meta = {
         "seed": cfg.seed,
         "replication": cfg.replication,
-        "burnin": plan.burnin,
         "K_trunc": cfg.K_trunc,
         "noise_kind": kind,
         **extra,
@@ -639,7 +611,8 @@ def verify_longmemory_decomposition(
     root = model.base.root.entries
     c_mat, deltas, rho = duker_decomposition(model.N, k_trunc)  # first: its overflow names N
     binom = binomial_ma_coeffs(identity(model.grid) - model.N.D, k_trunc)  # (1-z)^{N-Id}
-    checks = [_filter_plan([seq.data @ root], cfg.T, plan.rows) for seq in (binom, deltas)]
+    # each check has the plan's k_trunc + 1 taps, so it reads the plan's block
+    checks = [_filter_plan([seq.data @ root], cfg.T) for seq in (binom, deltas)]
     xi = _noise(model, plan, cfg)[1]
     path_a, remainder = (_filtered_rows(check, xi) for check in checks)
     path_b = _filtered_rows(plan, xi) @ c_mat.entries.T + remainder

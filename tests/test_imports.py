@@ -336,7 +336,7 @@ CONSTRUCTORS = {
         "verdict",
     ],
     "FiarmaModel": ["base", "D"],
-    "FilterPlan": ["burnin", "rows", "t_len", "keep", "filter_fft", "real", "meta"],
+    "FilterPlan": ["rows", "t_len", "filter_fft", "real", "meta"],
     "FracIntegrationSpec": ["D"],
     "HilbertGrid": ["points", "weights"],
     "IntegralReport": ["value", "diverges", "shells", "eta", "n_freq", "n_refine", "tail_estimate"],
@@ -345,14 +345,13 @@ CONSTRUCTORS = {
     "OperatorPolynomial": ["grid", ("coeffs", ())],
     "PowerLawModel": ["base", "N"],
     "RunConfig": [
-        ("T", 1024), ("burnin", None), ("K_trunc", 2048), ("seed", 0), ("noise_kind", "auto"),
+        ("T", 1024), ("K_trunc", 2048), ("seed", 0), ("noise_kind", "auto"),
         ("replication", 0), ("n_freq", 4096), ("eta", 1.0), ("n_refine", 40),
         ("shell_points", 64), ("K", 64), ("lags", 8), ("format", "csv"),
     ],
     "SampledPath": ["values", "grid", ("meta", None)],
     "SimConfig": [
-        ("T", 1024), ("burnin", None), ("K_trunc", 2048), ("seed", 0), ("noise_kind", "auto"),
-        ("replication", 0),
+        ("T", 1024), ("K_trunc", 2048), ("seed", 0), ("noise_kind", "auto"), ("replication", 0),
     ],
     "SpectralDensityGrid": ["freqs", "half", "grid"],
 }

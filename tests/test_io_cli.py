@@ -19,8 +19,10 @@ from fiarma_lab import (
     NotPSDError,
     OperatorPolynomial,
     PathFormatError,
+    PowerLawModel,
     RunConfig,
     SampledPath,
+    SimConfig,
     parse_config,
     read_path,
     write_path,
@@ -359,8 +361,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "key",
-        ["T", "burnin", "K_trunc", "seed", "replication", "n_freq", "n_refine",
-         "shell_points", "K", "lags"],
+        ["T", "K_trunc", "seed", "replication", "n_freq", "n_refine", "shell_points", "K",
+         "lags"],
     )
     def test_boolean_run_integers_flagged(self, key):
         with pytest.raises(ConfigError) as err:
@@ -375,6 +377,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(minimal_config(**{key: value}))
         assert err.value.errors == [f"run.{key}: must be at least {low}"]
+
+    @pytest.mark.parametrize("value", [0, None])
+    def test_burnin_is_not_a_setting(self, value):
+        """A path draws the noise rows its filter reads, and no burn-in is set."""
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_config(burnin=value))
+        assert err.value.errors == ["run: unknown key 'burnin'"]
+        for config in (SimConfig, RunConfig):
+            with pytest.raises(TypeError, match="burnin"):
+                config(burnin=value)
 
     def test_negative_size_flagged_once(self):
         with pytest.raises(ConfigError) as err:
@@ -406,16 +418,25 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key", ["phi", "theta"])
     def test_power_law_with_arma_part_flagged(self, key):
-        """The power-law moving average has no ARMA part to take, reported in
-        the same pass as the config's other defects."""
+        """The power-law model refuses an ARMA part in its own words, reported
+        in the same pass as the config's other defects, after the run
+        section's as every refusal of the built model is."""
         doc = json.loads(family_config("N", **{key: [[[0.5, 0.0], [0.0, 0.5]]]}))
         doc["run"]["T"] = 0
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(doc))
         assert err.value.errors == [
-            "model.N: the power-law moving average takes no phi or theta",
             "run.T: must be at least 1",
+            "model.N: the power-law moving average has no AR or MA part",
         ]
+
+    @pytest.mark.parametrize("key", ["phi", "theta"])
+    def test_power_law_takes_an_explicit_zero_matrix(self, key):
+        """A zero ``phi`` or ``theta`` matrix describes the white base that the
+        power-law model has: the config is taken, as the model takes it."""
+        doc = json.loads(family_config("N", **{key: [[[0.0, 0.0], [0.0, 0.0]]]}))
+        model = parse_config(json.dumps(doc)).model
+        assert isinstance(model, PowerLawModel) and model.base.is_white_noise()
 
     @pytest.mark.parametrize(
         "model, refusal",
@@ -762,7 +783,7 @@ class TestCli:
                 "config error: grid.weights: all grid weights must be finite",
             ),
             (minimal_config(T=True), "config error: run.T:"),
-            (minimal_config(burnin=False), "config error: run.burnin:"),
+            (minimal_config(burnin=0), "config error: run: unknown key 'burnin'"),
             (
                 between_scan_points_unit_root(),
                 "config error: model.phi: AR polynomial not invertible on the circle",
@@ -776,7 +797,7 @@ class TestCli:
             ),
             (
                 family_config("N", phi=[[[0.5, 0.0], [0.0, 0.5]]]),
-                "config error: model.N: the power-law moving average takes no phi or theta",
+                "config error: model.N: the power-law moving average has no AR or MA part",
             ),
             # integers beyond the double range, like 1e400 read as a float
             (two_point_config([HUGE, 1.0]), NON_FINITE_POINTS),

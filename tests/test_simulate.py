@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 
 import fiarma_lab.simulate
 import fiarma_lab.transfer
@@ -137,7 +138,6 @@ class TestWhiteNoise:
         [
             ({"T": True}, "T"),
             ({"T": 0}, "T"),
-            ({"burnin": -1.5}, "burnin"),
             ({"K_trunc": 2.0}, "K_trunc"),
             ({"seed": 1.0}, "seed"),
             ({"noise_kind": "uniform"}, "noise_kind"),
@@ -186,7 +186,7 @@ class TestSimulateArma:
 
     def test_ar1_autocorrelation(self):
         g = scalar_grid()
-        cfg = SimConfig(T=100_000, burnin=1000, seed=31, K_trunc=0)
+        cfg = SimConfig(T=100_000, seed=31, K_trunc=0)
         path = simulate_fiarma(ar1_model(g), cfg)
         g0 = empirical_autocov(path, 0).entries[0, 0].real
         g1 = empirical_autocov(path, 1).entries[0, 0].real
@@ -202,11 +202,6 @@ class TestSimulateArma:
         g0 = empirical_autocov(path, 0).entries[0, 0].real
         g1 = empirical_autocov(path, 1).entries[0, 0].real
         assert g1 / g0 == pytest.approx(0.4, abs=0.02)
-
-    def test_burnin_auto_resolved(self):
-        g = scalar_grid()
-        path = simulate_fiarma(ar1_model(g, 0.9), SimConfig(T=128, seed=4))
-        assert path.meta["burnin"] > 10
 
     def test_operator_ar_determinism(self, rng):
         g = make_grid(3)
@@ -225,19 +220,22 @@ class TestSimulateArma:
         and ``force`` changes nothing."""
         cfg = SimConfig(T=64, seed=3)
         path = simulate_fiarma(ar1_model(scalar_grid()), cfg)
-        assert list(path.meta) == ["seed", "replication", "burnin", "K_trunc", "noise_kind"]
+        assert list(path.meta) == ["seed", "replication", "K_trunc", "noise_kind"]
         forced = simulate_fiarma(ar1_model(scalar_grid()), cfg, force=True)
         assert forced.meta == path.meta and np.array_equal(forced.values, path.values)
 
 
 class TestSimulateFiarma:
     def test_zero_memory_equals_arma(self):
+        """With ``D = 0`` the filter is the base's, padded by ``K_trunc`` zero
+        taps: the path is the last ``T`` rows of the ARMA path that draws the
+        same block, ``K_trunc`` rows longer."""
         g = scalar_grid()
         model = FiarmaModel(ar1_model(g), FracIntegrationSpec.scalar(g, 0.0))
         cfg = SimConfig(T=1024, seed=13)
         frac = simulate_fiarma(model, cfg)
-        base = simulate_fiarma(ar1_model(g), cfg)
-        assert np.abs(frac.values - base.values).max() < 1e-12
+        base = simulate_fiarma(ar1_model(g), SimConfig(T=cfg.T + cfg.K_trunc, seed=13))
+        assert np.abs(frac.values - base.values[cfg.K_trunc :]).max() < 1e-12
 
     def test_refusal_cites_condition(self):
         g = scalar_grid()
@@ -272,8 +270,8 @@ class TestSimulateFiarma:
         model = FiarmaModel(ar1_model(g), FracIntegrationSpec.scalar(g, 0.3))
         frac = simulate_fiarma(model, cfg)
         # the recursion's ARMA rows on the same noise, with K_trunc rows of pre-history
-        ref_cfg = SimConfig(T=256, seed=6, K_trunc=k_trunc, burnin=frac.meta["burnin"])
-        base = recursion_arma(ar1_model(g), ref_cfg, "real-gaussian", lead=k_trunc)
+        rows = sim_plan(model).rows
+        base = recursion_arma(ar1_model(g), cfg, "real-gaussian", rows, lead=k_trunc)
         coeffs = frac_ma_coeffs(model.D, k_trunc)
         manual = np.zeros_like(frac.values)
         for t in range(cfg.T):
@@ -337,12 +335,13 @@ class TestSimulateDuker:
     def test_harmonic_weights_manual_oracle(self):
         g = scalar_grid()
         n_op = op(np.eye(1), g)
-        cfg = SimConfig(T=128, seed=15, K_trunc=32, burnin=0)
+        cfg = SimConfig(T=128, seed=15, K_trunc=32)
         path = simulate_duker(power_law_model(n_op, identity(g)), cfg, force=True)
-        noise = simulate_fiarma(white_model(g), SimConfig(T=128, seed=15, K_trunc=32, burnin=0))
-        # reconstruct y_T-1 from returned noise rows: weights 1/(k+1), k <= t
+        # white noise on the same block: its T + K_trunc rows
+        noise = simulate_fiarma(white_model(g), SimConfig(T=160, seed=15, K_trunc=0))
+        # reconstruct y_T-1 from returned noise rows: weights 1/(k+1), k <= K_trunc
         t = 127
-        manual = sum(noise.values[t - k, 0] / (k + 1) for k in range(0, 33))
+        manual = sum(noise.values[t + 32 - k, 0] / (k + 1) for k in range(0, 33))
         assert abs(path.values[t, 0] - manual) < 1e-10
 
     def test_matches_direct_sum_with_correlated_noise(self):
@@ -354,9 +353,9 @@ class TestSimulateDuker:
         exps = np.array([0.7, 0.9])
         sigma = op([[1.0, 0.6], [0.6, 0.8]], g)
         k_trunc, t_len = 24, 64
-        cfg = SimConfig(T=t_len, K_trunc=k_trunc, burnin=5, seed=21, replication=1)
+        cfg = SimConfig(T=t_len, K_trunc=k_trunc, seed=21, replication=1)
         path = simulate_duker(power_law_model(op(rot @ np.diag(exps) @ rot.T, g), sigma), cfg)
-        eps_cfg = SimConfig(T=t_len + k_trunc, K_trunc=0, burnin=5, seed=21, replication=1)
+        eps_cfg = SimConfig(T=t_len + k_trunc, K_trunc=0, seed=21, replication=1)
         eps = simulate_fiarma(white_model(g, sigma), eps_cfg).values
         want = np.zeros((t_len, 2), dtype=complex)
         for k in range(k_trunc + 1):
@@ -385,10 +384,11 @@ class TestSimulateDuker:
         zero_ar = ArmaModel(OperatorPolynomial.scalar(g, 0.0), OperatorPolynomial(g), identity(g))
         assert zero_ar.phi.degree == 0 and zero_ar.is_white_noise()
         cfg = SimConfig(T=64, seed=3, K_trunc=16)
-        got = simulate_duker(PowerLawModel(zero_ar, FracIntegrationSpec.scalar(g, 0.7)), cfg)
+        model = PowerLawModel(zero_ar, FracIntegrationSpec.scalar(g, 0.7))
+        got = simulate_duker(model, cfg)
         want = simulate_duker(power_law_model(op(0.7 * np.eye(2), g), identity(g)), cfg)
-        assert got.meta["burnin"] == want.meta["burnin"] == 0
-        assert np.array_equal(got.values, want.values)
+        assert sim_plan(model).rows == cfg.T + cfg.K_trunc
+        assert got.meta == want.meta and np.array_equal(got.values, want.values)
 
     def test_exponent_decomposed_once(self, eig_calls):
         g = make_grid(2)
@@ -524,15 +524,14 @@ class TestNotNormalExponent:
             simulate_duker(power_law_model(n_op, sigma), SimConfig(T=16, seed=1, K_trunc=8))
 
 
-def recursion_arma(model, cfg, kind, lead=0):
+def recursion_arma(model, cfg, kind, rows, lead=0):
     """Reference ARMA path: the per-step MA-then-AR recursion from zero
-    starts over ``burnin + K_trunc + q`` noise rows, on the same noise."""
-    q = model.theta.degree
-    pre = cfg.burnin + cfg.K_trunc + q
+    starts over the ``rows - T`` noise rows before the path, on the same
+    block of ``rows`` rows, which the white path of that length draws."""
+    pre = rows - cfg.T
     block = SimConfig(
-        T=pre + cfg.T,
+        T=rows,
         K_trunc=0,
-        burnin=0,
         seed=cfg.seed,
         replication=cfg.replication,
         noise_kind=kind,
@@ -551,11 +550,12 @@ def recursion_arma(model, cfg, kind, lead=0):
     return x[pre - lead :]
 
 
-def recursion_fiarma(model, cfg, kind):
+def recursion_fiarma(model, cfg, kind, rows):
     """Reference fractional path: the recursion's ARMA rows with ``K_trunc``
-    lead rows, then the direct sum ``sum_k C_k x_{t-k}``."""
+    lead rows on the block of ``rows`` rows, then the direct sum
+    ``sum_k C_k x_{t-k}``."""
     k_trunc = cfg.K_trunc
-    x = recursion_arma(model.base, cfg, kind, lead=k_trunc)
+    x = recursion_arma(model.base, cfg, kind, rows, lead=k_trunc)
     coeffs = frac_ma_coeffs(model.D, k_trunc).data
     y = np.zeros((cfg.T, model.grid.n), dtype=complex)
     for k in range(k_trunc + 1):
@@ -611,27 +611,28 @@ def ma2_model(rng):
 
 
 class TestFilterOracle:
-    """The FFT filter against the per-step recursion, with an explicit burn-in."""
+    """The FFT filter against the per-step recursion from zero, started on
+    the first row of the path's own block."""
 
     @pytest.mark.parametrize(
-        "case, burnin, kind",
+        "case, kind",
         [
-            ("transient", 400, "auto"),
-            ("near-unit-root", 3000, "auto"),
-            ("complex", 60, "complex-gaussian"),
-            ("ma2", 5, "auto"),
+            ("transient", "auto"),
+            ("near-unit-root", "auto"),
+            ("complex", "complex-gaussian"),
+            ("ma2", "auto"),
         ],
     )
-    def test_arma_matches_recursion(self, rng, case, burnin, kind):
+    def test_arma_matches_recursion(self, rng, case, kind):
         model = {
             "transient": transient_ar2,
             "near-unit-root": lambda: ar1_model(scalar_grid(), 0.99),
             "complex": lambda: complex_arma11(rng),
             "ma2": lambda: ma2_model(rng),
         }[case]()
-        cfg = SimConfig(T=512, K_trunc=24, burnin=burnin, seed=41, noise_kind=kind)
+        cfg = SimConfig(T=512, K_trunc=24, seed=41, noise_kind=kind)
         path = simulate_fiarma(model, cfg)
-        want = recursion_arma(model, cfg, path.meta["noise_kind"])
+        want = recursion_arma(model, cfg, path.meta["noise_kind"], sim_plan(model).rows)
         assert path.values.shape == want.shape
         assert rel_diff(path.values, want) <= 1e-12
 
@@ -648,7 +649,7 @@ class TestFilterOracle:
             assert np.all(path.values.imag == 0.0)
 
     def test_complex_noise_kind_kept(self, rng):
-        cfg = SimConfig(T=64, burnin=8, seed=2, noise_kind="complex-gaussian")
+        cfg = SimConfig(T=64, seed=2, noise_kind="complex-gaussian")
         path = simulate_fiarma(complex_arma11(rng), cfg)
         assert path.meta["noise_kind"] == "complex-gaussian"
         assert np.abs(path.values.imag).max() > 0
@@ -662,10 +663,11 @@ class TestFilterOracle:
         sigma = op([[1.0, 0.6], [0.6, 0.5]], g)
         base = ArmaModel(OperatorPolynomial(g), OperatorPolynomial(g), sigma)
         model = FiarmaModel(base, FracIntegrationSpec(op([[0.3, 0.1], [0.1, 0.2]], g)))
-        cfg = SimConfig(T=256, K_trunc=64, burnin=5, seed=8, noise_kind=kind)
+        cfg = SimConfig(T=256, K_trunc=64, seed=8, noise_kind=kind)
         path = simulate_fiarma(model, cfg, force=True)
         assert len(stack_calls) == 1
-        assert rel_diff(path.values, recursion_fiarma(model, cfg, kind)) <= 1e-12
+        want = recursion_fiarma(model, cfg, kind, sim_plan(model).rows)
+        assert rel_diff(path.values, want) <= 1e-12
 
     @pytest.mark.parametrize(
         "family, kind", [("power-law", "complex-gaussian"), ("fractional", "real-gaussian")]
@@ -685,13 +687,15 @@ class TestFilterOracle:
             path = simulate_fiarma(FiarmaModel(base, FracIntegrationSpec(d_op)), cfg, force=True)
         assert path.meta["noise_kind"] == kind
 
-    def test_zero_truncation_filters_from_zero_start(self):
+    def test_zero_truncation_row_sees_both_taps(self):
+        """``K_trunc = 0`` keeps the two taps ``Id, D``, and every row, the
+        first included, sees both: the block is the white path of ``T + 1``
+        rows."""
         g = scalar_grid()
         model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.3))
-        cfg = SimConfig(T=8, K_trunc=0, seed=6)
-        path = simulate_fiarma(model, cfg)
-        noise = simulate_fiarma(white_model(g), cfg).values[:, 0]
-        want = noise + 0.3 * np.concatenate([[0.0], noise[:-1]])
+        path = simulate_fiarma(model, SimConfig(T=8, K_trunc=0, seed=6))
+        noise = simulate_fiarma(white_model(g), SimConfig(T=9, K_trunc=0, seed=6)).values[:, 0]
+        want = noise[1:] + 0.3 * noise[:-1]
         assert np.abs(path.values[:, 0] - want).max() <= 1e-12
 
     def test_mc_fiarma_matches_recursion(self):
@@ -699,27 +703,110 @@ class TestFilterOracle:
         transform and the Hermitian rebuild; complex noise takes the full one."""
         model = mc_model()
         for kind in ("real-gaussian", "complex-gaussian"):
-            cfg = SimConfig(
-                T=1024, K_trunc=256, burnin=100, seed=2000, replication=3, noise_kind=kind
-            )
+            cfg = SimConfig(T=1024, K_trunc=256, seed=2000, replication=3, noise_kind=kind)
             path = simulate_fiarma(model, cfg)
-            assert np.abs(sim_plan(model).filter_fft.imag).max() > 0
-            assert rel_diff(path.values, recursion_fiarma(model, cfg, kind)) <= 1e-12
+            plan = sim_plan(model)
+            assert np.abs(plan.filter_fft.imag).max() > 0
+            assert rel_diff(path.values, recursion_fiarma(model, cfg, kind, plan.rows)) <= 1e-12
 
 
-class TestAutoBurnin:
-    def test_fast_decay_gets_short_burnin(self):
-        path = simulate_fiarma(ar1_model(scalar_grid(), 0.15), SimConfig(T=64, seed=1))
-        assert path.meta["burnin"] <= 40
+def direct_filter(model, k_trunc):
+    """The coefficients of the model's filter, built here from the model's
+    matrices: the memory factor's (the binomial recursion of ``(1 - z)^{-D}``
+    at ``max(K_trunc, 1)``, or ``expm(-log(k+1) N)``), times the base's
+    ``psi_k = B_k + sum_j A_j psi_{k-j}`` for the ``_ar_impulse`` rows
+    plus ``q``, times ``Sigma^{1/2}``."""
+    base, n = model.base, model.grid.n
+    vals, vecs = np.linalg.eigh(base.sigma.entries)
+    root = vecs @ (np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T)
+    a, b = base.phi.stacked(), base.theta.stacked()
+    psi_len = len(fiarma_lab.simulate._ar_impulse(base.phi, 10_000)) + len(b)
+    psi = np.zeros((psi_len, n, n), dtype=complex)
+    for k in range(psi_len):
+        psi[k] = np.eye(n) if k == 0 else (b[k - 1] if k <= len(b) else 0.0)
+        for j in range(1, min(len(a), k) + 1):
+            psi[k] += a[j - 1] @ psi[k - j]
+    if isinstance(model, PowerLawModel):
+        n_mat = model.N.D.entries
+        memory = [scipy.linalg.expm(-np.log(k + 1.0) * n_mat) for k in range(k_trunc + 1)]
+    elif isinstance(model, FiarmaModel):
+        d_mat = model.D.D.entries
+        memory = [np.eye(n, dtype=complex)]
+        for k in range(1, max(k_trunc, 1) + 1):
+            memory.append(memory[-1] @ (d_mat + (k - 1) * np.eye(n)) / k)
+    else:
+        memory = [np.eye(n, dtype=complex)]
+    coeffs = np.zeros((len(memory) + psi_len - 1, n, n), dtype=complex)
+    for i, m_i in enumerate(memory):
+        coeffs[i : i + psi_len] += m_i @ psi
+    return coeffs @ root
 
-    @pytest.mark.parametrize("a, burnin", [(0.9, 273), (0.99, 2760)])
-    def test_slow_decay_unchanged(self, a, burnin):
-        path = simulate_fiarma(ar1_model(scalar_grid(), a), SimConfig(T=64, seed=1))
-        assert path.meta["burnin"] == burnin
 
-    def test_mc_model_burnin_short(self):
-        path = simulate_fiarma(mc_model(), SimConfig(T=64, K_trunc=16, seed=1))
-        assert path.meta["burnin"] <= 40
+def white_base_fiarma():
+    g = make_grid(2)
+    base = ArmaModel(OperatorPolynomial(g), OperatorPolynomial(g), op([[1.0, 0.6], [0.6, 0.5]], g))
+    return FiarmaModel(base, FracIntegrationSpec(op([[0.3, 0.1], [0.1, 0.2]], g)))
+
+
+# Each family, non-white bases and a K_trunc = 0 memory factor among them.
+OWN_BLOCK_CASES = {
+    "arma": (lambda: complex_arma11(np.random.default_rng(3)), 16),
+    "fiarma": (mc_model, 32),
+    "fiarma-k0": (mc_model, 0),
+    "fiarma-white-k0": (white_base_fiarma, 0),
+    "power-law": (lambda: power_law_2x2(), 24),
+}
+
+
+class TestOwnBlock:
+    @pytest.mark.parametrize("kind", ["real-gaussian", "complex-gaussian"])
+    @pytest.mark.parametrize("case", OWN_BLOCK_CASES)
+    def test_path_is_the_direct_sum_over_its_block(self, case, kind):
+        """Row ``t`` is ``sum_{j < taps} C_j xi_{t + taps - 1 - j}`` over the
+        ``T + taps - 1`` rows of its own ``(seed, replication)`` block: every
+        row sees every tap, and no row of the block goes unread."""
+        make, k_trunc = OWN_BLOCK_CASES[case]
+        model = make()
+        cfg = SimConfig(T=40, K_trunc=k_trunc, seed=11, replication=2, noise_kind=kind)
+        path = simulate(model, cfg)
+        coeffs = direct_filter(model, k_trunc)
+        taps = len(coeffs)
+        rows = sim_plan(model).rows
+        assert rows == cfg.T + taps - 1
+        xi = fiarma_lab.simulate._standard_block(11, 2, rows, model.grid.n, kind)
+        want = np.zeros((cfg.T, model.grid.n), dtype=complex)
+        for j in range(taps):
+            want += xi[taps - 1 - j : taps - 1 - j + cfg.T] @ coeffs[j].T
+        assert rel_diff(path.values, want) <= 1e-12
+
+
+class TestBlockRows:
+    """A path draws the ``T + taps - 1`` noise rows that its filter reads: an
+    AR(1) response runs until it falls to rounding, longer as ``a`` nears 1."""
+
+    @pytest.mark.parametrize("a, psi_len", [(0.15, 23), (0.9, 396), (0.99, 4140)])
+    def test_ar1_rows_follow_the_response(self, counted, a, psi_len):
+        block_calls = counted("_standard_block")
+        model = ar1_model(scalar_grid(), a)
+        simulate_fiarma(model, SimConfig(T=64, seed=1))
+        assert len(fiarma_lab.simulate._ar_impulse(model.phi, 10_000)) == psi_len
+        assert sim_plan(model).rows == block_calls[0][2] == 64 + psi_len - 1
+
+    def test_mc_model_rows(self, counted):
+        """The ARMA(1, 1) base has ``23 + 1`` taps, the memory factor ``K_trunc + 1``."""
+        block_calls = counted("_standard_block")
+        simulate_fiarma(mc_model(), SimConfig(T=64, K_trunc=16, seed=1))
+        assert block_calls[0][2] == 64 + (16 + 1) + (23 + 1) - 2
+
+    @pytest.mark.parametrize("k_trunc", [0, 16, 2048])
+    def test_arma_rows_ignore_the_truncation(self, counted, rng, k_trunc):
+        """An ARMA path has no memory factor to truncate: it draws
+        ``T + len(psi) - 1`` rows whatever ``K_trunc`` is."""
+        block_calls = counted("_standard_block")
+        model = complex_arma11(rng)
+        simulate_fiarma(model, SimConfig(T=100, K_trunc=k_trunc, seed=1))
+        psi_len = len(fiarma_lab.simulate._ar_impulse(model.phi, 10_000)) + model.theta.degree
+        assert [call[2] for call in block_calls] == [100 + psi_len - 1]
 
 
 class TestFftHelpers:
@@ -976,23 +1063,25 @@ class TestFilterPlanCache:
     def test_forced_path_matches_recursion(self):
         g = scalar_grid()
         model = FiarmaModel(ar1_model(g, 0.5), FracIntegrationSpec.scalar(g, 0.6))
-        cfg = SimConfig(T=256, K_trunc=64, burnin=80, seed=9)
+        cfg = SimConfig(T=256, K_trunc=64, seed=9)
         path = simulate_fiarma(model, cfg, force=True)
         assert path.meta["existence"] == "forced"
-        assert rel_diff(path.values, recursion_fiarma(model, cfg, "real-gaussian")) <= 1e-12
+        want = recursion_fiarma(model, cfg, "real-gaussian", sim_plan(model).rows)
+        assert rel_diff(path.values, want) <= 1e-12
 
     def test_arma_plan_sized_for_its_path(self):
-        """The filter covers ``T + len(psi) - 1`` rows, not the ``K_trunc``
-        rows of pre-history, and the path still matches the recursion on the
-        same noise block."""
+        """The block and the filter cover ``T + len(psi) - 1`` rows, not the
+        ``K_trunc`` rows of pre-history, and the path still matches the
+        recursion on the same noise block."""
         model = ar1_model(scalar_grid(), 0.5)
-        cfg = SimConfig(T=200, K_trunc=64, burnin=300, seed=12)
+        cfg = SimConfig(T=200, K_trunc=64, seed=12)
         path = simulate_fiarma(model, cfg)
         psi_len = len(fiarma_lab.simulate._ar_impulse(model.phi, 10_000))
         assert psi_len < 100
-        m = sim_plan(model).filter_fft.shape[-1]
-        assert m == fiarma_lab.simulate._next_fast_len(cfg.T + psi_len - 1)
-        want = recursion_arma(model, cfg, "real-gaussian")
+        plan = sim_plan(model)
+        assert plan.rows == cfg.T + psi_len - 1
+        assert plan.filter_fft.shape[-1] == fiarma_lab.simulate._next_fast_len(plan.rows)
+        want = recursion_arma(model, cfg, "real-gaussian", plan.rows)
         assert path.values.shape == want.shape
         assert rel_diff(path.values, want) <= 1e-12
 
@@ -1076,9 +1165,8 @@ class TestNoiseDrawnAhead:
             (12, {"seed": 6}), (13, {"seed": 6}),
             (14, {"T": 40}), (15, {"T": 40}),
             (16, {"K_trunc": 4}), (17, {"K_trunc": 4}),
-            (18, {"burnin": 7}), (19, {"burnin": 7}),
-            (20, {"burnin": 7, "noise_kind": "other"}),  # the family 19 did not draw
-            (21, {"burnin": 7, "noise_kind": "other"}),
+            (18, {"K_trunc": 4, "noise_kind": "other"}),  # the family 17 did not draw
+            (19, {"K_trunc": 4, "noise_kind": "other"}),
         ]
         model = make()
         drawn_ahead = []
@@ -1088,16 +1176,14 @@ class TestNoiseDrawnAhead:
                 change = change | {"noise_kind": other}
             cfg = SimConfig(**(base | change), replication=rep)
             path = simulate(model, cfg)
-            if rep == 19:
+            if rep == 17:
                 other = OTHER_KIND[path.meta["noise_kind"]]
             fresh = simulate(make(), cfg)
             assert digest(path) == digest(fresh), (rep, change)
             assert path.meta == fresh.meta
             drawn_ahead.append(wait_ahead(model))
         ahead_reps = [key and key[1] for key in drawn_ahead]
-        assert ahead_reps == [
-            None, 5, 6, None, None, 11, 12, None, 14, None, 16, None, 18, None, 20, None, 22
-        ]
+        assert ahead_reps == [None, 5, 6, None, None, 11, 12, None, 14, None, 16, None, 18, None, 20]
 
     def test_sequential_replications_draw_only_ahead(self, two_cpus, drawing_threads):
         model = mc_model()
