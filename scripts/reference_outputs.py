@@ -10,8 +10,10 @@ exponent that fails its conditions, an existence integral past the double
 range and one too deep for it, a one-row periodogram, the example with an
 explicit zero MA matrix, a base whose half-factor overflows, one whose
 half-factor is finite but squares past the double range, a covariance and
-a memory operator near the double range, and power-law exponents far above
-1/2.  Every op
+a memory operator near the double range, power-law exponents far above
+1/2, a power-law exponent that fails only off the innovation's support, an
+AR pole too close to the unit circle for the impulse response's row cap,
+and autocovariance lags past half the frequency grid.  Every op
 runs through :func:`fiarma_lab.cli.main` in process.  For each op it records the
 exit code, the first line of stderr, and for every output file except
 ``manifest.json`` the shape, the largest finite absolute value and eight seeded
@@ -84,7 +86,10 @@ _HUGE = (1e300 * np.eye(2)).tolist()
 # Sigma = 1.7e308 Id is in range though Sigma + Sigma^H is not; the memory
 # eigenvalue 1e308 takes exp(t D) and the MA coefficients past the double
 # range; the power-law exponents 200 and 1e7 have the matching constant 0,
-# and 1e308 is a value where z + 1 == z.
+# and 1e308 is a value where z + 1 == z; the exponent 0.3 of the deficient N
+# carries no innovation, as Sigma = diag(0, 1); the pole 0.9999 leaves the AR
+# response at 0.37 of its peak after the row cap; the lags n_freq / 2 would
+# read their alias.
 EXTRA_CONFIGS = {
     "frameless_D.json": _example_config(_FRAMELESS_D),
     "frameless_N.json": _example_config({"N": [[0.8, 0.2], [0.0, 0.9]]}, phi=[]),
@@ -104,6 +109,11 @@ EXTRA_CONFIGS = {
         f"far_N_{exponent:g}.json": _example_config({"N": [[exponent, 0.0], [0.0, 0.9]]}, phi=[])
         for exponent in (200.0, 1e7, 1e308)
     },
+    "deficient_N.json": _example_config(
+        {"N": [[0.3, 0.0], [0.0, 0.8]]}, phi=[], sigma=[[0.0, 0.0], [0.0, 1.0]]
+    ),
+    "near_unit_phi.json": _example_config(_README_D, phi=[(0.9999 * np.eye(2)).tolist()]),
+    "half_grid_lags.json": _example_config(_README_D, lags=_EXAMPLE_RUN["n_freq"] // 2),
 }
 EXTRA_OPS = (
     *[
@@ -150,6 +160,10 @@ EXTRA_OPS = (
         for exponent in ("200", "1e+07", "1e+308")
         for sub in ("duker-decompose", "duker-verify", "simulate")
     ],
+    ("simulate", "deficient_N.json"),
+    ("duker-verify", "deficient_N.json"),
+    ("simulate", "near_unit_phi.json"),
+    ("autocov", "half_grid_lags.json"),
 )
 
 

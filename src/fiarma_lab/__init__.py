@@ -40,7 +40,6 @@ from .spectral import (
     periodogram,
 )
 from .existence import (
-    DukerReport,
     ExistenceRefusal,
     ExistenceReport,
     IntegralReport,

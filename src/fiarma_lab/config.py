@@ -17,7 +17,7 @@ import numpy as np
 from .dataio import PATH_FORMATS
 from .existence import N_REFINE, SHELL_POINTS, shell_depth_error
 from .hilbert import HilbertGrid, LinearOperator, NotPSDError
-from .simulate import SimConfig, echo
+from .simulate import SimConfig, echo, is_int
 from .spectral import ArmaModel, FiarmaModel, PowerLawModel
 from .transfer import FracIntegrationSpec, OperatorPolynomial, SingularTransferError
 
@@ -51,8 +51,12 @@ class RunConfig(SimConfig):
         eta, n_refine = values["eta"], values["n_refine"]
         if not _is_number(eta) or not 0.0 < eta < np.pi:
             yield f"{prefix}eta: must lie in (0, pi)"
-        elif isinstance(n_refine, int) and (message := shell_depth_error(eta, n_refine)):
+        elif is_int(n_refine) and (message := shell_depth_error(eta, n_refine)):
             yield prefix + message
+        lags, n_freq = values["lags"], values["n_freq"]
+        # the lags that n_freq frequencies resolve (autocov_sequence), once both sizes are valid
+        if is_int(lags) and is_int(n_freq) and 0 <= lags and 2 * lags >= n_freq >= 1:
+            yield f"{prefix}lags: must be below n_freq / 2 = {n_freq / 2:g}, got {lags}"
         if values["format"] not in PATH_FORMATS:
             yield f"{prefix}format: unknown format {echo(values['format'])}"
 

@@ -4,7 +4,7 @@ The decision runs through the memory operator's spectral measure: the
 transformed innovation's mass on each of its eigenvalue clusters, a set of
 conditions on the real parts of the clusters' exponents, and a dyadically
 refined quadrature of the near-zero frequency integral whose finiteness
-characterizes existence.
+characterizes existence; the power-law conditions are those at ``d = 1 - n``.
 """
 from __future__ import annotations
 
@@ -28,8 +28,9 @@ class ExistenceRefusal(RuntimeError):
 
 
 class ExistenceReport:
-    """Outcome of the necessary/sufficient existence conditions on D's
-    eigenvalue clusters, given as ``[re, im]`` pairs in ``exponents``, and the
+    """Outcome of the necessary/sufficient existence conditions on the memory
+    exponent's eigenvalue clusters, given as ``[re, im]`` pairs ``d`` in
+    ``exponents`` (``d = 1 - n`` for a power-law exponent), and the
     innovation's ``masses`` on them (:func:`_masses`).  ``verdict`` is
     ``"fails"`` when a necessary condition is violated, ``"holds"`` when the
     sufficient set is satisfied, and ``"undetermined"`` when neither
@@ -70,18 +71,6 @@ class IntegralReport:
         return np.column_stack([hi / 2.0, hi])
 
 
-class DukerReport:
-    """Conditions for the power-law moving average ``sum (k+1)^{-N} eps_{t-k}``:
-    whether every exponent's real part exceeds 1/2, the condition's weighted
-    sum, and whether an exponent near 1/2 makes that sum depend on the grid."""
-
-    def __init__(self, condition_exponent: bool, integral_value: float,
-                 grid_sensitive: bool) -> None:
-        self.condition_exponent = condition_exponent
-        self.integral_value = integral_value
-        self.grid_sensitive = grid_sensitive
-
-
 def shell_depth_error(eta: float, n_refine: int) -> str | None:
     """The message for shells whose innermost edge ``eta 2^{-n_refine}`` is
     below the smallest normal double, where their widths underflow, or None."""
@@ -108,17 +97,16 @@ def _row_sq(halves: np.ndarray, clusters: np.ndarray) -> np.ndarray:
     return grouped
 
 
-def _condition_sum(masses: np.ndarray, re: np.ndarray, sign: float, name: str) -> float:
-    """The sum ``sum m_c / gap_c`` of a condition over the clusters where the
-    gap ``sign (1 - 2 Re d_c)`` is positive.  Its exact value is finite, so a
-    sum beyond the double range raises :class:`OverflowError` naming the
-    condition: it is no verdict."""
+def _condition_sum(masses: np.ndarray, re: np.ndarray) -> float:
+    """The sum ``sum m_c / (1 - 2 Re d_c)`` of condition (iii) over the
+    clusters where that gap is positive.  Its exact value is finite, so a sum
+    beyond the double range raises :class:`OverflowError`: it is no verdict."""
     with np.errstate(over="ignore"):  # an infinite gap adds 0, and one of -inf is skipped
-        gap = sign * (1.0 - 2.0 * re)
+        gap = 1.0 - 2.0 * re
         keep = gap > 0.0
         value = float(np.sum(masses[keep] / gap[keep]))
     if not np.isfinite(value):
-        raise OverflowError(f"{name}'s weighted sum overflows the double range")
+        raise OverflowError("existence condition (iii)'s weighted sum overflows the double range")
     return value
 
 
@@ -132,21 +120,28 @@ def _masses(base: ArmaModel, spec: FracIntegrationSpec) -> np.ndarray:
     return _row_sq(spec.U @ arma_transfer_batch(base, [0.0]), spec.clusters)
 
 
-def check_conditions(model: ArmaModel, spec: FracIntegrationSpec) -> ExistenceReport:
-    """Evaluate the existence conditions of the fractional filter on D's
-    eigenvalue clusters (:func:`_masses`).  Almost-everywhere quantifiers
-    become checks on every cluster, the support thresholded at
-    ``1e-24 max m_c`` to guard rounding."""
-    masses = _masses(model, spec)
-    exponents = spec.exponents
+def _report(base: ArmaModel, spec: FracIntegrationSpec, exponents: np.ndarray) -> ExistenceReport:
+    """The existence conditions read at ``exponents``, one per eigenvalue
+    cluster of the operator of ``spec``, with the innovation's masses on
+    those clusters (:func:`_masses`).  Almost-everywhere quantifiers become
+    checks on every cluster, the support thresholded at ``1e-24 max m_c`` to
+    guard rounding."""
+    masses = _masses(base, spec)
     tol = 1e-24 * float(masses.max())
     d_re = exponents.real
     cond_ii = bool(np.all(d_re[masses > tol] < 0.5))
-    cond_iii_value = _condition_sum(masses, d_re, 1.0, "existence condition (iii)")
-    cond_iv, cond_v = bool(np.all(d_re < 1.0)), model.is_white_noise()
+    cond_iii_value = _condition_sum(masses, d_re)
+    cond_iv, cond_v = bool(np.all(d_re < 1.0)), base.is_white_noise()
     verdict = "fails" if not cond_ii else "holds" if cond_iv or cond_v else "undetermined"
     pairs = np.column_stack([d_re, exponents.imag])
     return ExistenceReport(pairs, masses, tol, cond_ii, cond_iii_value, cond_iv, cond_v, verdict)
+
+
+def check_conditions(model: ArmaModel, spec: FracIntegrationSpec) -> ExistenceReport:
+    """Evaluate the existence conditions of the fractional filter on D's
+    eigenvalue clusters (:func:`_report`).  A D without a frame raises
+    :class:`NotNormalError`."""
+    return _report(model, spec, spec.exponents)
 
 
 def existence_integral(
@@ -214,19 +209,9 @@ def existence_integral(
     return report
 
 
-def check_duker_conditions(model: PowerLawModel) -> DukerReport:
-    """Conditions for convergence of the power-law moving average.
-
-    Requires the real part of every exponent to exceed one half and reports
-    the sum ``sum m_c / (2 Re n_c - 1)`` over the exponent's clusters with the
-    white-noise base's masses (:func:`_masses`).  Clusters within 0.05 of the
-    1/2 boundary make that sum resolution-dependent, which is flagged rather
-    than guessed.  An exponent without a frame raises :class:`NotNormalError`.
-    """
-    masses = _masses(model.base, model.N)
-    h = model.N.exponents.real
-    above = h > 0.5
-    cond = bool(np.all(above))
-    value = _condition_sum(masses, h, -1.0, "the power-law condition")
-    sensitive = bool(np.any(above & (h - 0.5 < 0.05)))
-    return DukerReport(condition_exponent=cond, integral_value=value, grid_sensitive=sensitive)
+def check_duker_conditions(model: PowerLawModel) -> ExistenceReport:
+    """The existence conditions of the power-law moving average: the
+    fractional filter's, read at ``d = 1 - n`` on N's own clusters
+    (:func:`_report`), so that (ii) asks square-summable weights on the
+    innovation's support.  An N without a frame raises :class:`NotNormalError`."""
+    return _report(model.base, model.N, 1.0 - model.N.exponents)

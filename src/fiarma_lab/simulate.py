@@ -65,6 +65,9 @@ _ROUNDING_FLOOR = 2.0**-60
 # The AR impulse response is cut after this many rows, reached before the
 # rounding floor only by a pole within about 4e-3 of the unit circle.
 _AR_ROWS_CAP = 10_000
+# A response that the cap cuts above this fraction of its peak is refused: a geometric
+# tail cut there drops a share of the variance below its square, double rounding.
+_AR_CUT_TAIL = 2.0**-26
 
 
 class NonCausalError(ValueError):
@@ -72,7 +75,7 @@ class NonCausalError(ValueError):
     impulse response that simulation filters with diverges."""
 
 
-def _is_int(value) -> bool:  # booleans are not integers here
+def is_int(value) -> bool:  # booleans are not integers here
     return type(value) is int or isinstance(value, np.integer)
 
 
@@ -88,7 +91,7 @@ def key_range_error(name: str, value: int) -> str | None:
     fitting one 64-bit word of the noise stream's key, or None.  A negative
     value stands for its two's complement; a value outside
     ``[-2**63, 2**64)`` would wrap onto the stream of another key."""
-    if not _is_int(value):
+    if not is_int(value):
         return f"{name}: must be an integer"
     if -(2**63) <= value < 2**64:
         return None
@@ -146,7 +149,7 @@ class SimConfig:
         """The message of every rule that the field ``values`` break, each
         naming its field after ``prefix``."""
         for key, low in cls.SIZES.items():
-            if not _is_int(values[key]) or values[key] < 0:
+            if not is_int(values[key]) or values[key] < 0:
                 yield f"{prefix}{key}: must be a nonnegative integer"
             elif values[key] < low:
                 yield f"{prefix}{key}: must be at least {low}"
@@ -343,14 +346,14 @@ def _filter_plan(factors: list[np.ndarray], t_len: int, meta: dict | None = None
 
 class _ModelState:
     """What the simulator keeps of one model: its ``auto`` noise family, its
-    existence verdict with the failed condition (``None`` when none failed)
-    once decided, the plan of the last path sizes ``key``, the key of the
-    last noise block it drew (the arguments of :func:`_standard_block`) and
-    the block being drawn ahead, as ``(key, future, pid)``."""
+    existence verdict once decided, the plan of the last path sizes ``key``,
+    the key of the last noise block it drew (the arguments of
+    :func:`_standard_block`) and the block being drawn ahead, as
+    ``(key, future, pid)``."""
 
     def __init__(self, auto_kind: str) -> None:
         self.auto_kind = auto_kind
-        self.verdict: tuple[str, str | None] | None = None
+        self.verdict: str | None = None
         self.key: tuple | None = None
         self.plan: FilterPlan | None = None
         self.drawn: tuple | None = None
@@ -432,10 +435,12 @@ def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
 
     Every model is its ARMA base: the impulse response of
     ``phi^{-1} theta`` times ``Sigma^{1/2}``, refused first when a pole of
-    the base is not inside the unit disk.  Its memory factor comes first:
-    the MA coefficients of ``(1 - z)^{-D}`` or the weights ``(k+1)^{-N}``,
-    with a white base's one tap ``Sigma^{1/2}`` folded in.  The plan's
-    block is the ``T + taps - 1`` noise rows that the filter reads.
+    the base is not inside the unit disk, or when the row cap cuts the AR
+    response above ``_AR_CUT_TAIL`` of its peak (a :class:`ValueError`).
+    Its memory factor comes first: the MA coefficients of ``(1 - z)^{-D}``
+    or the weights ``(k+1)^{-N}``, with a white base's one tap
+    ``Sigma^{1/2}`` folded in.  The plan's block is the ``T + taps - 1``
+    noise rows that the filter reads.
     """
     state = _state(model)
     key = (cfg.T, cfg.K_trunc)
@@ -451,6 +456,11 @@ def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
         )
     p, q = base.phi.degree, base.theta.degree
     ar = _ar_impulse(base.phi, _AR_ROWS_CAP)
+    if len(ar) == _AR_ROWS_CAP and np.abs(ar[-p:]).max() > _AR_CUT_TAIL * np.abs(ar).max():
+        raise ValueError(
+            f"AR impulse response not resolved in {_AR_ROWS_CAP} rows: the largest pole "
+            f"modulus {abs(lam):.6g} is too close to 1"
+        )
     thetas = base.theta.stacked()
     memory, meta = None, {}
     if isinstance(model, FiarmaModel):
@@ -495,36 +505,28 @@ def _path(model: _Model, plan: FilterPlan, cfg: SimConfig, **extra) -> SampledPa
 
 
 def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
-    """``"forced"`` under ``force``, else the model's existence verdict, kept
-    with its failed condition in the model's :class:`_ModelState` from its
-    first use and refused with :class:`ExistenceRefusal` while it fails.  A
-    ``D`` without a frame is ``unchecked``; an ``N`` without one raises
-    every call."""
+    """``"forced"`` under ``force``, else the model's existence verdict
+    (:func:`check_conditions` of D, :func:`check_duker_conditions` of N),
+    kept in the model's :class:`_ModelState` from its first use and refused
+    with :class:`ExistenceRefusal` while condition (ii) fails.  A memory
+    operator without a frame is ``unchecked``."""
     if force:
         return "forced"
     state = _state(model)
     if state.verdict is None:
-        if isinstance(model, PowerLawModel):
-            passes = check_duker_conditions(model).condition_exponent
-            state.verdict = ("holds", None) if passes else ("fails", "duker")
-        else:
-            try:
-                report = check_conditions(model.base, model.D)
-            except NotNormalError:
-                state.verdict = ("unchecked (memory operator not normal)", None)
+        try:
+            if isinstance(model, PowerLawModel):
+                state.verdict = check_duker_conditions(model).verdict
             else:
-                state.verdict = (report.verdict, None if report.cond_ii else "ii")
-    verdict, cond = state.verdict
-    if cond is not None:
+                state.verdict = check_conditions(model.base, model.D).verdict
+        except NotNormalError:
+            state.verdict = "unchecked (memory operator not normal)"
+    if state.verdict == "fails":
         raise ExistenceRefusal(
-            cond,
-            "power-law moving average conditions fail (need Re exponents > 1/2 "
-            "with a finite weighted sum)"
-            if cond == "duker"
-            else f"existence condition ({cond}) fails for this model; "
-            "pass force=True to simulate anyway",
+            "ii",
+            "existence condition (ii) fails for this model; pass force=True to simulate anyway",
         )
-    return verdict
+    return state.verdict
 
 
 def simulate_fiarma(

@@ -232,12 +232,18 @@ def autocov_sequence(g: SpectralDensityGrid, max_lag: int) -> CoefficientSequenc
 
     Lags 0..H are one ``(H+1, F) @ (F, n^2)`` product.  Lag 0 is made exactly
     Hermitian and each negative lag is the adjoint of its positive lag, so
-    ``Gamma(-h) = Gamma(h)^H`` holds by construction.
+    ``Gamma(-h) = Gamma(h)^H`` holds by construction.  ``F`` frequencies
+    resolve the lags below ``F / 2``: on the half-cell grid the quadrature
+    of lag ``h`` also reads ``-Gamma(h - F)``, a lag no farther from 0 once
+    ``2 h >= F``, so such an ``H`` is refused.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
+    weights = _quadrature_weights(g.freqs)
+    if 2 * max_lag >= len(g.freqs):
+        raise ValueError(f"max_lag {max_lag} needs more than {2 * max_lag} frequencies")
     n = g.grid.n
-    phases = np.exp(1j * np.outer(np.arange(max_lag + 1), g.freqs)) * _quadrature_weights(g.freqs)
+    phases = np.exp(1j * np.outer(np.arange(max_lag + 1), g.freqs)) * weights
     pos = (phases @ g.values.reshape(-1, n * n)).reshape(-1, n, n)
     pos[0] += pos[0].conj().T
     pos[0] *= 0.5

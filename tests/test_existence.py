@@ -177,6 +177,18 @@ class TestCheckConditions:
         v_hi = check_conditions(model, hi).verdict
         assert not (v_lo == "fails" and v_hi == "holds")
 
+    def test_exponent_off_the_innovations_support_is_not_read(self):
+        """N = diag(0.3, 0.8) with Sigma = diag(0, 1): the exponent 0.3 carries
+        no innovation, its mass is exactly 0, and the weights are
+        square-summable on the support."""
+        g = make_grid(2)
+        report = check_duker_conditions(
+            power_law_model(op(np.diag([0.3, 0.8]), g), op(np.diag([0.0, 1.0]), g))
+        )
+        assert report.cond_ii and report.verdict == "holds"
+        np.testing.assert_allclose(report.exponents, [[0.7, 0.0], [0.2, 0.0]], atol=1e-15)
+        assert report.masses[0] == 0.0 and report.masses[1] > 0.0
+
     def test_condition_sum_beyond_the_double_range_is_an_overflow(self):
         """theta = 1e153 Id, D = diag(0.4999, 0.1): the masses are finite, and
         the exact condition (iii) sum is about 1e310, so it is an overflow and
@@ -309,24 +321,38 @@ class TestDukerConditions:
     def test_constant_above_half_passes(self):
         g = make_grid(3)
         report = check_duker_conditions(power_law_model(op(0.7 * np.eye(3), g), identity(g)))
-        assert report.condition_exponent
-        assert not report.grid_sensitive
+        assert report.cond_ii and report.verdict == "holds"
+        np.testing.assert_allclose(report.exponents, [[0.3, 0.0]], atol=1e-15)
 
     def test_boundary_fails(self):
         g = make_grid(3)
         report = check_duker_conditions(power_law_model(op(0.5 * np.eye(3), g), identity(g)))
-        assert not report.condition_exponent
+        assert not report.cond_ii and report.verdict == "fails"
+
+    def test_exponent_off_the_innovations_support_is_not_read(self):
+        """N = diag(0.3, 0.8) with Sigma = diag(0, 1): the exponent 0.3 carries
+        no innovation, its mass is exactly 0, and the weights are
+        square-summable on the support."""
+        g = make_grid(2)
+        report = check_duker_conditions(
+            power_law_model(op(np.diag([0.3, 0.8]), g), op(np.diag([0.0, 1.0]), g))
+        )
+        assert report.cond_ii and report.verdict == "holds"
+        np.testing.assert_allclose(report.exponents, [[0.7, 0.0], [0.2, 0.0]], atol=1e-15)
+        assert report.masses[0] == 0.0 and report.masses[1] > 0.0
 
     def test_condition_sum_beyond_the_double_range_is_an_overflow(self):
         """Sigma = 1e300 Id with an exponent 1e-9 above 1/2: the weighted sum
         over ``2 h - 1`` is about 1e309, an overflow and no verdict."""
         g = make_grid(2)
         model = power_law_model(op(np.diag([0.5 + 1e-9, 0.9]), g), op(1e300 * np.eye(2), g))
-        with pytest.raises(OverflowError, match="^the power-law condition's weighted sum"):
+        with pytest.raises(OverflowError, match=r"^existence condition \(iii\)'s weighted sum"):
             check_duker_conditions(model)
 
     @pytest.mark.parametrize("n", [32, 128, 512])
     def test_harmonic_divergence_flagged_as_grid_sensitive(self, n):
+        """Exponents that approach 1/2 on the grid: the sum is finite on each
+        grid, and its growth like ``log n`` shows its dependence on the grid."""
         g = HilbertGrid.uniform(n)
         exponents = 0.5 + g.points  # h(v) = 0.5 + v on (0, 1]
         n_op = LinearOperator(np.diag(exponents), g)
@@ -334,13 +360,13 @@ class TestDukerConditions:
         report = check_duker_conditions(power_law_model(n_op, sigma))
         # harmonic-sum oracle: sum w / (2 v) = H_n / 2
         oracle = np.sum(1.0 / (2 * np.arange(1, n + 1)))
-        assert report.integral_value == pytest.approx(oracle, rel=1e-10)
-        assert report.grid_sensitive
-        assert report.condition_exponent  # finite on any fixed grid; the flag carries the warning
+        assert report.cond_iii_value == pytest.approx(oracle, rel=1e-10)
+        assert report.cond_ii  # finite on any fixed grid
 
     def test_bridge_to_fractional_conditions(self, rng):
-        # exponents of the power-law weights above 1/2 make the shifted
-        # fractional model admissible: d = 1 - n maps across the boundary
+        """The power-law report is the fractional report of ``Id - N``: its
+        exponents ``d = 1 - n`` and masses, up to the clusters' order, its
+        conditions, sum and verdict.  Exponents above 1/2 hold."""
         for trial in range(10):
             n = int(rng.integers(1, 5))
             g = make_grid(n)
@@ -350,9 +376,17 @@ class TestDukerConditions:
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             sigma = LinearOperator(m @ m.conj().T / n, g)
             duker = check_duker_conditions(power_law_model(LinearOperator(n_mat, g), sigma))
-            assert duker.condition_exponent
             spec = FracIntegrationSpec(
                 LinearOperator(np.eye(n, dtype=complex) - n_mat, g)
             )
             report = check_conditions(white_model(g, sigma), spec)
-            assert report.verdict == "holds"
+            assert duker.cond_ii and report.cond_ii
+            assert duker.verdict == report.verdict == "holds"
+            assert duker.cond_iii_value == pytest.approx(report.cond_iii_value, rel=1e-12)
+            ours, theirs = (np.lexsort(r.exponents.T[::-1]) for r in (duker, report))
+            np.testing.assert_allclose(
+                duker.exponents[ours], report.exponents[theirs], rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                duker.masses[ours], report.masses[theirs], rtol=0, atol=1e-12 * report.masses.max()
+            )

@@ -3,7 +3,8 @@ operators; scipy is loaded only for the matrix exponential of a non-normal
 memory operator, and ``dataclasses`` never; a run starts no thread.  Only the process entry touches
 the garbage collector.  Every module of the package keeps its underscore
 names to itself, the package's public names and constructors are pinned,
-and every public name has a reader; every name the benchmark reads is public."""
+and every public name has a reader; every name the benchmark reads is public,
+and every function its layers time exists, but a pinned stale few."""
 import ast
 import importlib
 import inspect
@@ -209,7 +210,7 @@ def test_no_module_imports_a_private_name_of_a_sibling(module):
 # The package's public names: adding or removing one shows as a diff of this list.
 PUBLIC_NAMES = [
     "ArmaModel", "CoefficientSequence", "ConfigError",
-    "DecompositionCheck", "DukerReport", "ExistenceRefusal", "ExistenceReport",
+    "DecompositionCheck", "ExistenceRefusal", "ExistenceReport",
     "FiarmaModel", "FracIntegrationSpec", "HilbertGrid", "IntegralReport", "LinearOperator",
     "ModelConfig", "NonCausalError", "NotNormalError", "NotPSDError",
     "OperatorPolynomial", "PathFormatError", "PowerLawModel", "RunConfig", "SampledPath",
@@ -248,6 +249,31 @@ def test_the_benchmark_reads_only_public_names():
     assert callable(importlib.import_module("fiarma_lab.cli").main)
     names = {name.removeprefix("fl.") for name in reads - {"fiarma_lab.cli.main"}}
     assert names <= set(PUBLIC_NAMES)
+
+
+# The functions that ``BENCHMARK.json`` times per layer but the package no
+# longer defines (ROADMAP item 5): their per-layer figures read 0.  Renaming
+# them in the benchmark shrinks this set; deleting another traced function
+# grows it, and fails below.
+STALE_TRACED_NAMES = {
+    "hilbert.is_normal", "hilbert.normal_decompose", "hilbert.operator_power_one_minus_z",
+    "simulate.simulate_arma",
+}
+
+
+def test_benchmark_layers_name_the_package_functions():
+    """Every ``<module>.<function>.{calls,self_s}`` figure of the benchmark
+    names a function of ``fiarma_lab.<module>``, but the pinned stale ones."""
+    bench = json.loads((Path(SRC).parent / "BENCHMARK.json").read_text())
+    traced = {
+        tuple(metric["name"].split(".")[:2]) for metric in bench["per_layer"]
+        if metric["name"].count(".") == 2 and metric["name"].endswith((".calls", ".self_s"))
+    }
+    missing = {
+        f"{module}.{name}" for module, name in traced
+        if not hasattr(importlib.import_module(f"fiarma_lab.{module}"), name)
+    }
+    assert missing == STALE_TRACED_NAMES
 
 
 # The public names that no module of the package reads, each with the reader
@@ -330,7 +356,6 @@ CONSTRUCTORS = {
     "ArmaModel": ["phi", "theta", "sigma"],
     "CoefficientSequence": ["data", "grid", ("k_min", 0), ("tail_mass", None)],
     "DecompositionCheck": ["residual", "delta_norms", "rho", "t_len", "k_trunc"],
-    "DukerReport": ["condition_exponent", "integral_value", "grid_sensitive"],
     "ExistenceReport": [
         "exponents", "masses", "support_tol", "cond_ii", "cond_iii_value", "cond_iv", "cond_v",
         "verdict",

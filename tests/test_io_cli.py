@@ -112,7 +112,8 @@ SQUARE_OVERFLOW_CONFIG = readme_config(theta=[[[1e200, 0.0], [0.0, 1e200]]])
 CONDITION_OVERFLOW_CONFIG = readme_config(
     theta=[[[1e153, 0.0], [0.0, 1e153]]], D=[[0.4999, 0.0], [0.0, 0.1]]
 )
-# Sigma = 1e300 Id, N = diag(0.5 + 1e-9, 0.9): the power-law sum (about 1e309) overflows
+# Sigma = 1e300 Id, N = diag(0.5 + 1e-9, 0.9): the sum of condition (iii) at
+# d = 1 - n, over 2 Re n - 1 (about 1e309), overflows
 POWER_LAW_OVERFLOW_CONFIG = family_config("N", sigma=HUGE_2, N=[[0.500000001, 0.0], [0.0, 0.9]])
 # theta = 1e307 Id: the filter is finite, and its FFT convolution with the noise is not
 CONVOLUTION_OVERFLOW_CONFIG = readme_config(theta=[[[1e307, 0.0], [0.0, 1e307]]])
@@ -139,7 +140,7 @@ IN_RANGE_MODEL_OVERFLOWS = [
         (
             POWER_LAW_OVERFLOW_CONFIG,
             " power-law",
-            "error: the power-law condition's weighted sum overflows the double range\n",
+            "error: existence condition (iii)'s weighted sum overflows the double range\n",
             (["simulate"], ["duker-verify"]),
         ),
         (
@@ -491,8 +492,17 @@ class TestParseConfig:
         assert config_accepts == model_accepts
 
     @pytest.mark.parametrize(
+        "sizes", [{"n_refine": np.int64(1100)}, {"lags": np.int64(32), "n_freq": np.int64(64)}]
+    )
+    def test_run_config_rules_take_numpy_integers(self, sizes):
+        """A numpy integer is an integer to every rule, those across fields too."""
+        with pytest.raises(ValueError, match=f"^{next(iter(sizes))}: must be"):
+            RunConfig(**sizes)
+
+    @pytest.mark.parametrize(
         "key, value",
-        [("eta", 5.0), ("eta", True), ("format", "xlsx"), ("n_refine", 3), ("lags", -1), ("T", 0)],
+        [("eta", 5.0), ("eta", True), ("format", "xlsx"), ("n_refine", 3), ("lags", -1), ("T", 0),
+         ("lags", 2048)],
     )
     def test_run_config_applies_the_config_rules(self, key, value):
         """RunConfig built in Python refuses what the config refuses, with the
@@ -1171,6 +1181,16 @@ class TestCli:
         assert not (out / "manifest.json").exists()
         assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
 
+    def test_ar_response_cut_by_the_row_cap_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, ar1_config(0.9999, T=32))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: AR impulse response not resolved in 10000 rows: the largest pole modulus "
+            "0.9999 is too close to 1\n"
+        )
+        assert not out.exists()
+
     def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(cfg, force):
             raise MemoryError("Unable to allocate 20.0 GiB for an array")
@@ -1249,7 +1269,7 @@ class TestCli:
         cfg = self._write(tmp_path, json.dumps(doc))
         args = ["duker-verify", "--config", str(cfg), "--out"]
         assert main([*args, str(tmp_path / "refused")]) == 2
-        assert capsys.readouterr().err.startswith("refused: power-law moving average")
+        assert capsys.readouterr().err.startswith("refused: existence condition (ii) fails")
         out = tmp_path / "forced"
         assert main([*args, str(out), "--force"]) == 0
         assert json.loads((out / "duker_verify.json").read_text())["residual"] < 1e-12
@@ -1266,7 +1286,24 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--force"]) == 0
         assert len((out / "path.csv").read_text().splitlines()) == 17
 
-    @pytest.mark.parametrize("sub", ["simulate", "duker-decompose", "duker-verify"])
+    def test_frameless_power_exponent_simulates_unchecked(self, tmp_path, capsys):
+        """The weights need no frame: the path is the forced one, and its
+        verdict ``unchecked``."""
+        doc = {
+            "grid": {"points": [0.0, 1.0], "weights": [0.5, 0.5]},
+            "model": {"sigma": [[1.0, 0.0], [0.0, 1.0]], "N": [[0.3, 1e-7], [0.0, 0.3]]},
+            "run": {"T": 16, "K_trunc": 8},
+        }
+        cfg = self._write(tmp_path, json.dumps(doc))
+        paths = []
+        for name, force in (("o", []), ("forced", ["--force"])):
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(cfg), "--out", str(out), *force]) == 0
+            paths.append((out / "path.csv").read_text())
+        assert capsys.readouterr().err == ""
+        assert paths[0] == paths[1] and len(paths[0].splitlines()) == 17
+
+    @pytest.mark.parametrize("sub", ["duker-decompose", "duker-verify"])
     def test_frameless_power_exponent_is_an_error(self, tmp_path, capsys, sub):
         doc = {
             "grid": {"points": [0.0, 1.0], "weights": [0.5, 0.5]},
@@ -1313,6 +1350,18 @@ class TestCli:
         assert main(["existence-integral", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: run.n_refine: must be at most 1022")
         assert not (out / "manifest.json").exists()
+
+    def test_lags_past_half_the_grid_exit_one(self, tmp_path, capsys):
+        """64 frequencies resolve the lags below 32: lag 32 would read its
+        alias -Gamma(-32), reported with the other config errors."""
+        cfg = self._write(tmp_path, minimal_config(lags=32, n_freq=64, T=0))
+        out = tmp_path / "o"
+        assert main(["autocov", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: run.T: must be at least 1\n"
+            "config error: run.lags: must be below n_freq / 2 = 32, got 32\n"
+        )
+        assert not out.exists()
 
     def test_output_directory_that_is_a_file_exits_one(self, tmp_path, capsys):
         cfg = self._write(tmp_path, fractional_config(0.3))

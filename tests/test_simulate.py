@@ -372,6 +372,17 @@ class TestSimulateDuker:
         path = simulate_duker(model, SimConfig(T=32, seed=1), force=True)
         assert path.t_len == 32
 
+    def test_exponent_off_the_innovations_support_holds(self):
+        """N = diag(0.3, 0.8) with Sigma = diag(0, 1): the exponent that fails
+        carries no innovation, so the path holds and equals the forced one."""
+        g = make_grid(2)
+        model = power_law_model(op(np.diag([0.3, 0.8]), g), op(np.diag([0.0, 1.0]), g))
+        cfg = SimConfig(T=32, seed=1, K_trunc=16)
+        path = simulate_duker(model, cfg)
+        assert path.meta["existence"] == "holds"
+        forced = simulate_duker(model, cfg, force=True)
+        assert np.array_equal(path.values, forced.values) and not path.values[:, 0].any()
+
     def test_model_refuses_an_arma_part(self):
         g = scalar_grid()
         with pytest.raises(ValueError, match="no AR or MA part"):
@@ -504,9 +515,14 @@ class TestNotNormalExponent:
             check_duker_conditions(power_law_model(n_op, sigma))
 
     def test_simulate_duker(self):
+        """The weights need no frame, so the path is the forced one, marked
+        ``unchecked``."""
         n_op, sigma = self.frameless()
-        with pytest.raises(NotNormalError):
-            simulate_duker(power_law_model(n_op, sigma), SimConfig(T=16, seed=1, K_trunc=8))
+        cfg = SimConfig(T=16, seed=1, K_trunc=8)
+        path = simulate_duker(power_law_model(n_op, sigma), cfg)
+        assert path.meta["existence"] == "unchecked (memory operator not normal)"
+        forced = simulate_duker(power_law_model(n_op, sigma), cfg, force=True)
+        assert np.array_equal(path.values, forced.values)
 
     def test_verify_longmemory_decomposition(self):
         n_op, sigma = self.frameless()
@@ -516,12 +532,14 @@ class TestNotNormalExponent:
             )
 
     def test_refusal_keeps_the_reason(self):
-        """The exponent passes the commutator test, and the refusal says which
-        check of its eigenframe failed."""
+        """The exponent passes the commutator test, and the refusal of what
+        needs its frame says which check of its eigenframe failed."""
         n_op, sigma = self.frameless()
         reason = "unitary diagonalization leaves reconstruction error 1.000e-07"
         with pytest.raises(NotNormalError, match=f"^operator not normal: {reason}$"):
-            simulate_duker(power_law_model(n_op, sigma), SimConfig(T=16, seed=1, K_trunc=8))
+            verify_longmemory_decomposition(
+                power_law_model(n_op, sigma), SimConfig(T=16, seed=1, K_trunc=8)
+            )
 
 
 def recursion_arma(model, cfg, kind, rows, lead=0):
@@ -1028,8 +1046,8 @@ class TestFilterPlanCache:
 
     def test_power_law_verdict_decided_once(self, counted):
         """A failing exponent is checked on its first unforced call and
-        refused with condition ``duker`` on every one, the decomposition
-        check included; a forced run neither checks nor refuses."""
+        refused with condition ``ii`` on every one, the decomposition check
+        included; a forced run neither checks nor refuses."""
         check_calls = counted("check_duker_conditions")
         g = make_grid(2)
         model = power_law_model(op(np.diag([0.3, 0.8]), g), identity(g))
@@ -1039,7 +1057,8 @@ class TestFilterPlanCache:
         for run in (simulate_duker, verify_longmemory_decomposition, simulate_duker):
             with pytest.raises(ExistenceRefusal) as err:
                 run(model, cfg)
-            assert err.value.condition == "duker"
+            assert err.value.condition == "ii"
+            assert str(err.value).startswith("existence condition (ii) fails for this model")
         assert len(check_calls) == 1
 
     def test_power_law_verdict_holds(self, counted):
@@ -1051,14 +1070,14 @@ class TestFilterPlanCache:
             assert path.meta["existence"] == "holds"
         assert len(check_calls) == 1
 
-    def test_frameless_exponent_verdict_never_kept(self, counted):
+    def test_frameless_exponent_unchecked_once(self, counted):
         check_calls = counted("check_duker_conditions")
         g = make_grid(2)
         model = power_law_model(op([[0.3, 1e-7], [0.0, 0.3]], g), identity(g))
-        for _ in range(2):
-            with pytest.raises(NotNormalError):
-                simulate_duker(model, SimConfig(T=16, K_trunc=8, seed=1))
-        assert len(check_calls) == 2
+        for r in range(2):
+            path = simulate_duker(model, SimConfig(T=16, K_trunc=8, seed=1, replication=r))
+            assert path.meta["existence"] == "unchecked (memory operator not normal)"
+        assert len(check_calls) == 1
 
     def test_forced_path_matches_recursion(self):
         g = scalar_grid()
@@ -1338,6 +1357,36 @@ class TestNonCausal:
         )
         with pytest.raises(NonCausalError, match="eigenvalue 2"):
             simulate_fiarma(model, SimConfig(T=64, seed=1))
+
+    @pytest.mark.parametrize("a", [0.999, 0.9999])
+    def test_ar_response_cut_by_the_row_cap_refused(self, a, counted):
+        """``a**10_000`` is 4.5e-5 and 0.37 of the peak: the cut response
+        would lose a visible share of the variance ``1 / (1 - a**2)``, so the
+        model is refused before any noise is drawn."""
+        draws = counted("_standard_block")
+        g = scalar_grid()
+        message = (
+            f"^AR impulse response not resolved in 10000 rows: the largest pole modulus "
+            f"{a:.6g} is too close to 1$"
+        )
+        with pytest.raises(ValueError, match=message):
+            simulate_fiarma(ar1_model(g, a), SimConfig(T=64, seed=3))
+        fractional = FiarmaModel(ar1_model(g, a), FracIntegrationSpec.scalar(g, 0.2))
+        with pytest.raises(ValueError, match=message):
+            simulate_fiarma(fractional, SimConfig(T=64, seed=3), force=True)
+        assert draws == []
+
+    @pytest.mark.parametrize("a", [0.996, 0.997])
+    def test_ar_response_resolved_at_the_row_cap_simulates(self, a):
+        """``a**10_000`` is 3.9e-18 and 8.9e-14 of the peak: the cap cuts the
+        response where its tail is rounding, and the path is the recursion's."""
+        model = ar1_model(scalar_grid(), a)
+        cfg = SimConfig(T=64, seed=3)
+        path = simulate_fiarma(model, cfg)
+        plan = sim_plan(model)
+        assert plan.rows == cfg.T + 10_000 - 1
+        want = recursion_arma(model, cfg, "real-gaussian", plan.rows)
+        assert rel_diff(path.values, want) <= 1e-12
 
     def test_causal_near_circle_simulates(self):
         a = 0.95

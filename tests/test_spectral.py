@@ -315,6 +315,18 @@ class TestAutocovariance:
         with pytest.raises(ValueError, match="^need at least one frequency$"):
             autocov_sequence(empty, 1)
 
+    def test_lags_past_half_the_grid_are_refused(self):
+        """On 64 half-cell frequencies the quadrature of lag h also reads
+        -Gamma(h - 64): an AR(1) with a = 0.5 gave -1.3333 = -Gamma(0) at lag
+        64, and -0.6667 at lag 63, where the exact value is 1.4e-19.  Lag 31
+        is the last one taken: its alias is the farther lag 33."""
+        dens = fiarma_spectral_density(ar1_model(scalar_grid()), density_frequencies(64))
+        for lag in (32, 63, 64):
+            with pytest.raises(ValueError, match=f"^max_lag {lag} needs more than {2 * lag} "):
+                autocov_sequence(dens, lag)
+        got = autocov_sequence(dens, 31).operator(31).entries[0, 0]
+        assert abs(got - (0.5**31 - 0.5**33) / 0.75) <= 1e-15
+
     def test_negative_lag_is_adjoint(self, rng):
         g = make_grid(3)
         model = ArmaModel(
