@@ -24,15 +24,17 @@ poles.  The simulator, not the model, keeps each model's plan for the last
 weak mapping (:class:`_ModelState`), so replications of one model only draw
 noise and convolve.
 
-A Philox block depends on nothing but its key, so sequential replications
-draw their noise ahead: when a call on a model follows its call for
-replication ``r - 1`` with the same seed, rows and noise family, replication
-``r + 1``'s block is drawn on one background thread while ``r`` is filtered,
-and kept with its key in the model's state.  A call takes that block only
-for the same key, in the process that drew it, once drawn without error,
-and draws its own otherwise, so every path stays bit-identical.  Nothing
-sets this: a single call, or a machine that gives the process one CPU,
-starts no thread.
+A Philox block depends on nothing but its key, and a path on nothing but its
+block and its plan, so sequential replications are made ahead: when a call on
+a model follows its call for replication ``r - 1`` with the same seed, rows
+and noise family, replication ``r + 1``'s block is drawn and filtered with
+this call's plan on one background thread while the caller finishes ``r`` and
+does its own work, and the path's rows are kept with the block's key and the
+plan in the model's state.  A call takes those rows only for the same key
+and plan, in the process that made them, once made without error, and makes
+its own path otherwise, so every path stays bit-identical and any error is
+the caller's own.  Nothing sets this: a single call, or a machine that gives
+the process one CPU, starts no thread.
 """
 from __future__ import annotations
 
@@ -262,38 +264,44 @@ def _fft_stack(ops: np.ndarray, m: int) -> np.ndarray:
 def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
     """Circular convolution of the ``(rows, n)`` ``path`` (zero-padded) with
     the filter whose FFT, stored by entry as ``(n, n, m)``, is ``filter_fft``.
-    Returns the ``(m, n)`` result, C-contiguous.
+    Returns the result by coordinate, as a C-contiguous ``(n, m)`` array.
 
     Each coordinate of the path is transformed as one line (``path.T``)
     straight into a row of the ``(n, m)`` spectrum, which the per-entry
-    filter multiplies directly, and the inverse transform writes its lines
-    into the columns of the result.  A real path takes a half-length
-    ``rfft`` and the other half of its spectrum by Hermitian symmetry; the
-    filter itself may be complex.  The real path is first copied into
-    zero-padded contiguous lines: one copy is cheaper than letting ``rfft``
-    pad each strided line itself.
+    filter multiplies directly, one output row at a time, and the inverse
+    transform runs in place on the output's rows.  A real path takes a
+    half-length ``rfft`` and the other half of its spectrum by Hermitian
+    symmetry; the filter itself may be complex.  The real path is first
+    copied into zero-padded contiguous lines, held in the output's memory
+    until the product overwrites it: one copy is cheaper than letting
+    ``rfft`` pad each strided line itself.  Beside the spectrum and the
+    output, only one line of ``m`` values is allocated.
     """
     n, _, m = filter_fft.shape
     xf = np.empty((n, m), dtype=complex)
+    yf = np.empty((n, m), dtype=complex)
     if np.iscomplexobj(path):
         np.fft.fft(path.T, m, out=xf)
     else:
         h = m // 2 + 1
-        padded = np.empty((n, m))
+        padded = yf.view(float)[:, :m]
         padded[:, : len(path)] = path.T
         padded[:, len(path) :] = 0.0
         np.fft.rfft(padded, out=xf[:, :h])
-        np.conjugate(xf[:, m - h : 0 : -1], out=xf[:, h:])
-    out = np.empty((m, n), dtype=complex)
+        # line by line: across lines the two halves' address ranges overlap,
+        # and numpy would copy the whole input half first
+        for line in xf:
+            np.conjugate(line[m - h : 0 : -1], out=line[h:])
+    term = np.empty(m, dtype=complex)
     # an overflow leaves values that are not finite: SampledPath refuses them
     with np.errstate(over="ignore", invalid="ignore"):
-        # at small n this loop over j beats an (m, n, n) einsum or matmul
-        yf = filter_fft[:, 0] * xf[0]
-        term = np.empty_like(yf)
-        for j in range(1, n):
-            yf += np.multiply(filter_fft[:, j], xf[j], out=term)
-        np.fft.ifft(yf, out=out.T)
-    return out
+        # at small n this loop beats an (m, n, n) einsum or matmul
+        for i, acc in enumerate(yf):
+            np.multiply(filter_fft[i, 0], xf[0], out=acc)
+            for j in range(1, n):
+                acc += np.multiply(filter_fft[i, j], xf[j], out=term)
+        np.fft.ifft(yf, out=yf)
+    return yf
 
 
 class FilterPlan:
@@ -347,9 +355,9 @@ def _filter_plan(factors: list[np.ndarray], t_len: int, meta: dict | None = None
 class _ModelState:
     """What the simulator keeps of one model: its ``auto`` noise family, its
     existence verdict once decided, the plan of the last path sizes ``key``,
-    the key of the last noise block it drew (the arguments of
-    :func:`_standard_block`) and the block being drawn ahead, as
-    ``(key, future, pid)``."""
+    the key of the last path's noise block (the arguments of
+    :func:`_standard_block`) and the path being made ahead, as
+    ``(key, plan, future, pid)``."""
 
     def __init__(self, auto_kind: str) -> None:
         self.auto_kind = auto_kind
@@ -371,20 +379,20 @@ def _state(model: _Model) -> _ModelState:
     return _STATES[model]
 
 
-# The thread that draws noise blocks ahead, and the process that started it:
-# a forked child has no such thread and starts its own.
+# The thread that makes paths ahead, and the process that started it: a
+# forked child has no such thread and starts its own.
 _AHEAD = {"executor": None, "pid": None}
 
 
-def _draw_ahead(key: tuple):
-    """A future of ``_standard_block(*key)`` on the simulator's one background
+def _make_ahead(plan: FilterPlan, key: tuple):
+    """A future of ``_path_rows(plan, key)`` on the simulator's one background
     thread, started on first use in this process."""
     if _AHEAD["pid"] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor  # 4 ms to import: only when needed
 
-        executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiarma-noise")
+        executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiarma-ahead")
         _AHEAD.update(executor=executor, pid=os.getpid())
-    return _AHEAD["executor"].submit(_standard_block, *key)
+    return _AHEAD["executor"].submit(_path_rows, plan, key)
 
 
 def _cpus() -> int:
@@ -394,39 +402,29 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _take(ahead: tuple | None, key: tuple) -> np.ndarray | None:
-    """The block drawn ahead in ``ahead`` when it was drawn for ``key`` in this
-    process without error, else None.  Another key's draw is cancelled; a
-    draw of the parent of a forked child is left untouched, since its thread
-    is gone from the child."""
-    if ahead is None or ahead[2] != os.getpid():
+def _take(ahead: tuple | None, key: tuple, plan: FilterPlan) -> np.ndarray | None:
+    """The path rows made ahead in ``ahead`` when they were made of the block
+    ``key`` with ``plan`` in this process without error, else None.  Another
+    block's or plan's job is cancelled; a job of the parent of a forked child
+    is left untouched, since its thread is gone from the child."""
+    if ahead is None or ahead[3] != os.getpid():
         return None
-    ahead_key, future, _ = ahead
-    if ahead_key != key:
+    ahead_key, ahead_plan, future, _ = ahead
+    if ahead_key != key or ahead_plan is not plan:
         future.cancel()
         return None
     try:
         return future.result()
-    except Exception:  # the caller draws the block itself, and meets any error there
+    except Exception:  # the caller makes the path itself, and meets any error there
         return None
 
 
-def _noise(model: _Model, plan: FilterPlan, cfg: SimConfig) -> tuple[str, np.ndarray]:
-    """The noise family of ``cfg`` for ``model`` and its ``(seed, replication)``
-    block: the one drawn ahead for this key (:func:`_take`), else a fresh draw.
-    A call that follows the model's draw for the replication before, with the
-    same seed, rows and family, draws the next replication's block ahead."""
-    state = _state(model)
-    kind = state.auto_kind if cfg.noise_kind == "auto" else cfg.noise_kind
+def _block_key(model: _Model, plan: FilterPlan, cfg: SimConfig) -> tuple:
+    """The arguments of :func:`_standard_block` for the noise that ``plan``
+    filters into the path of ``cfg``, the noise family last."""
+    kind = _state(model).auto_kind if cfg.noise_kind == "auto" else cfg.noise_kind
     seed, rep = int(cfg.seed), int(cfg.replication)  # a numpy integer's sum may wrap
-    key = (seed, rep, plan.rows, model.grid.n, kind)
-    block = _take(state.ahead, key)
-    follows = state.drawn == (seed, rep - 1, *key[2:])
-    state.drawn, state.ahead = key, None
-    if follows and key_range_error("replication", rep + 1) is None and _cpus() > 1:
-        ahead_key = (seed, rep + 1, *key[2:])
-        state.ahead = (ahead_key, _draw_ahead(ahead_key), os.getpid())
-    return kind, _standard_block(*key) if block is None else block
+    return (seed, rep, plan.rows, model.grid.n, kind)
 
 
 def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
@@ -482,26 +480,43 @@ def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
 
 def _filtered_rows(plan: FilterPlan, xi: np.ndarray) -> np.ndarray:
     """The ``plan.t_len`` path rows that ``plan`` makes of the standard noise
-    block ``xi`` of ``plan.rows`` rows."""
-    out = _fft_apply(plan.filter_fft, xi)[plan.rows - plan.t_len : plan.rows]
+    block ``xi`` of ``plan.rows`` rows, as a new C-contiguous complex array
+    that holds no other row of the convolution."""
+    lines = _fft_apply(plan.filter_fft, xi)[:, plan.rows - plan.t_len : plan.rows]
     if plan.real and not np.iscomplexobj(xi):
         # a real filter of a real path is real; drop the FFT's rounding fuzz
-        out = out.real
-    return out
+        lines = lines.real
+    return np.array(lines.T, dtype=complex, order="C")
+
+
+def _path_rows(plan: FilterPlan, key: tuple) -> np.ndarray:
+    """The path rows that ``plan`` makes of the noise block ``_standard_block(*key)``."""
+    return _filtered_rows(plan, _standard_block(*key))
 
 
 def _path(model: _Model, plan: FilterPlan, cfg: SimConfig, **extra) -> SampledPath:
     """The path of ``model`` that ``plan`` makes of the ``(seed, replication)``
-    noise block."""
-    kind, xi = _noise(model, plan, cfg)
+    noise block: the one made ahead for this block and plan (:func:`_take`),
+    else made now.  A call that follows the model's path for the replication
+    before, with the same seed, rows and noise family, makes the next
+    replication's path ahead with its own plan."""
+    state = _state(model)
+    key = _block_key(model, plan, cfg)
+    rows = _take(state.ahead, key, plan)
+    seed, rep = key[:2]
+    follows = state.drawn == (seed, rep - 1, *key[2:])
+    state.drawn, state.ahead = key, None
+    if follows and key_range_error("replication", rep + 1) is None and _cpus() > 1:
+        ahead_key = (seed, rep + 1, *key[2:])
+        state.ahead = (ahead_key, plan, _make_ahead(plan, ahead_key), os.getpid())
     meta = {
         "seed": cfg.seed,
         "replication": cfg.replication,
         "K_trunc": cfg.K_trunc,
-        "noise_kind": kind,
+        "noise_kind": key[-1],
         **extra,
     }
-    return SampledPath(_filtered_rows(plan, xi), model.grid, meta)
+    return SampledPath(_path_rows(plan, key) if rows is None else rows, model.grid, meta)
 
 
 def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
@@ -604,8 +619,10 @@ def verify_longmemory_decomposition(
     frame's binomials and matching constant are right; the report also
     carries the remainder norms whose partial sums certify the short-memory
     property.  Noise and power-law path come from the model's own plan at
-    ``max(K_trunc, 1)``, which :func:`simulate_duker` then reuses.  A model
-    that fails its conditions is refused unless ``force`` is set.
+    ``max(K_trunc, 1)``, which :func:`simulate_duker` then reuses; the check
+    draws the raw block itself, since a path made ahead keeps only its rows,
+    and leaves the path made ahead to the simulation.  A model that fails its
+    conditions is refused unless ``force`` is set.
     """
     _verdict(model, force)
     k_trunc = max(cfg.K_trunc, 1)
@@ -615,7 +632,7 @@ def verify_longmemory_decomposition(
     binom = binomial_ma_coeffs(identity(model.grid) - model.N.D, k_trunc)  # (1-z)^{N-Id}
     # each check has the plan's k_trunc + 1 taps, so it reads the plan's block
     checks = [_filter_plan([seq.data @ root], cfg.T) for seq in (binom, deltas)]
-    xi = _noise(model, plan, cfg)[1]
+    xi = _standard_block(*_block_key(model, plan, cfg))
     path_a, remainder = (_filtered_rows(check, xi) for check in checks)
     path_b = _filtered_rows(plan, xi) @ c_mat.entries.T + remainder
 

@@ -919,15 +919,17 @@ class TestFilterPlanCache:
         assert len(check_calls) == 1
 
     def test_warm_replication_makes_no_extra_pass(self, monkeypatch, counted, two_cpus):
-        """A warm Monte Carlo replication (path, then its periodogram) runs
-        three FFTs, draws its own noise block once, and the next one ahead,
-        and never re-decides the noise kind."""
+        """Warm Monte Carlo replications (path, then its periodogram) run, over
+        both threads, one ``rfft`` and one ``ifft`` for each path and one
+        ``fft`` for each periodogram; each path's block is drawn and filtered
+        once, and the noise kind is never re-decided.  Replication 1 is made
+        on the calling thread, 2 and 3 ahead."""
         fft_calls = []
         for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
             real = getattr(np.fft, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
-                fft_calls.append(_name)
+                fft_calls.append((_name, threading.current_thread() is threading.main_thread()))
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counting)
@@ -936,15 +938,20 @@ class TestFilterPlanCache:
         periodogram(simulate_fiarma(model, SimConfig(T=256, K_trunc=64, seed=5)), freqs)
         fft_calls.clear()
         block_calls = counted("_standard_block")
+        filter_calls = counted("_filtered_rows")
         kind_calls = counted("_resolve_noise_kind")
-        path = simulate_fiarma(model, SimConfig(T=256, K_trunc=64, seed=5, replication=1))
-        periodogram(path, freqs)
-        ahead_key, future, _ = fiarma_lab.simulate._STATES[model].ahead
-        future.result(timeout=30)
-        assert sorted(fft_calls) == ["fft", "ifft", "rfft"]
-        assert sorted(call[1] for call in block_calls) == [1, 2] and ahead_key[1] == 2
+        for rep in (1, 2):
+            path = simulate_fiarma(model, SimConfig(T=256, K_trunc=64, seed=5, replication=rep))
+            periodogram(path, freqs)
+            assert path.meta["noise_kind"] == "real-gaussian"
+        assert wait_ahead(model)[1] == 3
+        on_main = [name for name, main in fft_calls if main]
+        off_main = [name for name, main in fft_calls if not main]
+        assert sorted(on_main) == ["fft", "fft", "ifft", "rfft"]
+        assert sorted(off_main) == ["ifft", "ifft", "rfft", "rfft"]
+        assert sorted(call[1] for call in block_calls) == [1, 2, 3]
+        assert len(filter_calls) == 3
         assert kind_calls == []
-        assert path.meta["noise_kind"] == "real-gaussian"
 
     def test_warm_replication_calls_no_blas_dot(self, monkeypatch):
         """A BLAS dot product above its threading threshold wakes the BLAS
@@ -1161,17 +1168,18 @@ def drawing_threads(monkeypatch):
 
 
 def wait_ahead(model):
-    """Wait for the block being drawn ahead for ``model``, if any, and return its key."""
+    """Wait for the path being made ahead for ``model``, if any, and return its block key."""
     ahead = fiarma_lab.simulate._STATES[model].ahead
     if ahead is None:
         return None
-    ahead[1].exception(timeout=30)
+    ahead[2].exception(timeout=30)
     return ahead[0]
 
 
 class TestNoiseDrawnAhead:
-    """A call that follows the model's call for the replication before draws
-    the next block ahead; every path stays what a fresh model gives."""
+    """A call that follows the model's call for the replication before makes
+    the next path ahead, its noise block drawn and filtered; every path stays
+    what a fresh model gives."""
 
     @pytest.mark.parametrize("noise_kind", ["auto", "real-gaussian", "complex-gaussian"])
     @pytest.mark.parametrize("make", AHEAD_MODELS.values(), ids=AHEAD_MODELS)
@@ -1213,13 +1221,22 @@ class TestNoiseDrawnAhead:
         ahead = [rep for rep, on_main in drawing_threads if not on_main]
         assert main == [0, 1] and ahead == [2, 3, 4, 5]
 
-    def test_decomposition_check_takes_the_block_drawn_ahead(self, two_cpus):
+    def test_decomposition_check_draws_its_own_block(self, two_cpus, drawing_threads):
+        """The check filters the raw block, which a path made ahead does not
+        keep: it draws the block itself and leaves the path made ahead to the
+        simulation of the same replication."""
         model = power_law_2x2()
         for rep in range(2):
             simulate_duker(model, SimConfig(T=32, K_trunc=8, seed=1, replication=rep))
+        assert wait_ahead(model)[1] == 2
         cfg = SimConfig(T=32, K_trunc=8, seed=1, replication=2)
         got = verify_longmemory_decomposition(model, cfg).to_dict()
         assert got == verify_longmemory_decomposition(power_law_2x2(), cfg).to_dict()
+        path = simulate_duker(model, cfg)
+        assert digest(path) == digest(simulate_duker(power_law_2x2(), cfg))
+        assert wait_ahead(model)[1] == 3
+        main = [rep for rep, on_main in drawing_threads if on_main]
+        assert main == [0, 1, 2, 2, 2]  # each check's block, then the fresh model's path
 
     def test_one_cpu_draws_nothing_ahead(self, monkeypatch, drawing_threads):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -1251,6 +1268,70 @@ class TestNoiseDrawnAhead:
             want = simulate_fiarma(fresh, SimConfig(T=32, K_trunc=8, seed=3, replication=rep))
             assert digest(simulate_fiarma(model, cfg)) == digest(want)
         assert wait_ahead(model)[1] == 3
+
+    def test_plan_with_the_same_rows_never_takes_another_plans_path(self, two_cpus):
+        """A white-base fractional model filters 64 noise rows at T=48,
+        K_trunc=16 and at T=40, K_trunc=24: the path made ahead with the
+        first plan is not the second plan's path."""
+        def make():
+            g = make_grid(2)
+            return FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.3))
+
+        model = make()
+        for rep in range(2):
+            simulate_fiarma(model, SimConfig(T=48, K_trunc=16, seed=3, replication=rep))
+        first_plan = sim_plan(model)
+        assert wait_ahead(model)[1] == 2 and first_plan.rows == 64
+        cfg = SimConfig(T=40, K_trunc=24, seed=3, replication=2)
+        path = simulate_fiarma(model, cfg)
+        assert sim_plan(model) is not first_plan and sim_plan(model).rows == 64
+        fresh = simulate_fiarma(make(), cfg)
+        assert digest(path) == digest(fresh) and path.meta == fresh.meta
+
+    @pytest.mark.parametrize("make", AHEAD_MODELS.values(), ids=AHEAD_MODELS)
+    def test_path_holds_only_its_rows(self, two_cpus, make):
+        """A path made on the calling thread or ahead holds its ``T`` rows,
+        not the rest of the convolution's buffer."""
+        model = make()
+        for rep in range(3):
+            path = simulate(model, SimConfig(T=40, K_trunc=24, seed=3, replication=rep))
+            assert path.values.base is None or path.values.base.shape[0] == 40
+        assert wait_ahead(model)[1] == 3
+
+    def test_failed_filter_ahead_is_filtered_again(self, two_cpus, monkeypatch):
+        real = fiarma_lab.simulate._filtered_rows
+
+        def fails_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("no room ahead")
+            return real(*args)
+
+        monkeypatch.setattr(fiarma_lab.simulate, "_filtered_rows", fails_off_main)
+        model = mc_model()
+        for rep in range(4):
+            cfg = SimConfig(T=64, K_trunc=16, seed=4, replication=rep)
+            path = simulate_fiarma(model, cfg)
+            fresh = simulate_fiarma(mc_model(), cfg)
+            assert digest(path) == digest(fresh) and path.meta == fresh.meta
+            wait_ahead(model)
+
+    def test_failing_filter_raises_the_callers_own_error(self, two_cpus, monkeypatch):
+        """Replication 3's path ahead fails, and so does its filtering on the
+        calling thread, whose error is the one raised."""
+        model = mc_model()
+        for rep in range(3):
+            simulate_fiarma(model, SimConfig(T=64, K_trunc=16, seed=4, replication=rep))
+        assert wait_ahead(model)[1] == 3
+
+        def fails(*args):
+            where = "calling" if threading.current_thread() is threading.main_thread() else "ahead"
+            raise MemoryError(f"no room on the {where} thread")
+
+        monkeypatch.setattr(fiarma_lab.simulate, "_filtered_rows", fails)
+        simulate_fiarma(model, SimConfig(T=64, K_trunc=16, seed=4, replication=3))
+        assert wait_ahead(model)[1] == 4
+        with pytest.raises(MemoryError, match="no room on the calling thread"):
+            simulate_fiarma(model, SimConfig(T=64, K_trunc=16, seed=4, replication=4))
 
     def test_failed_draw_ahead_is_drawn_again(self, two_cpus, monkeypatch):
         real = fiarma_lab.simulate._standard_block
@@ -1305,7 +1386,7 @@ class TestNoiseDrawnAhead:
         cfgs = [SimConfig(T=64, K_trunc=16, seed=8, replication=rep) for rep in range(6)]
         for cfg in cfgs[:2]:
             simulate_fiarma(model, cfg)
-        assert not fiarma_lab.simulate._STATES[model].ahead[1].done()
+        assert not fiarma_lab.simulate._STATES[model].ahead[2].done()
         read_end, write_end = os.pipe()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
