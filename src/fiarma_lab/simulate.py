@@ -24,17 +24,19 @@ poles.  The simulator, not the model, keeps each model's plan for the last
 weak mapping (:class:`_ModelState`), so replications of one model only draw
 noise and convolve.
 
-A Philox block depends on nothing but its key, and a path on nothing but its
-block and its plan, so sequential replications are made ahead: when a call on
-a model follows its call for replication ``r - 1`` with the same seed, rows
-and noise family, replication ``r + 1``'s block is drawn and filtered with
-this call's plan on one background thread while the caller finishes ``r`` and
-does its own work, and the path's rows are kept with the block's key and the
-plan in the model's state.  A call takes those rows only for the same key
-and plan, in the process that made them, once made without error, and makes
-its own path otherwise, so every path stays bit-identical and any error is
-the caller's own.  Nothing sets this: a single call, or a machine that gives
-the process one CPU, starts no thread.
+A Philox block depends on nothing but its key, and its filtered spectrum on
+nothing but the block and the plan, so sequential replications are begun
+ahead: when a call on a model follows its call for replication ``r - 1``
+with the same seed, rows and noise family, replication ``r + 1``'s block is
+drawn, transformed and multiplied by this call's filter on one background
+thread while the caller runs ``r``'s inverse FFT and does its own work, and
+the spectrum is kept with the block's key and the plan in the model's state.
+A call takes that spectrum only for the same key and plan, in the process
+that made it, once made without error, and makes its own otherwise, so every
+path stays bit-identical and any error is the caller's own.  The inverse
+FFT stays with the caller, so the two threads share a replication's work
+about evenly.  Nothing sets this: a single call, or a machine that gives the
+process one CPU, starts no thread.
 """
 from __future__ import annotations
 
@@ -261,21 +263,22 @@ def _fft_stack(ops: np.ndarray, m: int) -> np.ndarray:
     return np.fft.fft(by_entry, m, axis=-1)
 
 
-def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
-    """Circular convolution of the ``(rows, n)`` ``path`` (zero-padded) with
-    the filter whose FFT, stored by entry as ``(n, n, m)``, is ``filter_fft``.
-    Returns the result by coordinate, as a C-contiguous ``(n, m)`` array.
+def _filtered_spectrum(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """The length-``m`` spectrum of the circular convolution of the
+    ``(rows, n)`` ``path`` (zero-padded) with the filter whose FFT, stored by
+    entry as ``(n, n, m)``, is ``filter_fft``, by coordinate as a
+    C-contiguous ``(n, m)`` array: its inverse FFT along the last axis is the
+    convolution (:func:`_path_rows`).
 
     Each coordinate of the path is transformed as one line (``path.T``)
     straight into a row of the ``(n, m)`` spectrum, which the per-entry
-    filter multiplies directly, one output row at a time, and the inverse
-    transform runs in place on the output's rows.  A real path takes a
-    half-length ``rfft`` and the other half of its spectrum by Hermitian
+    filter multiplies directly, one output row at a time.  A real path takes
+    a half-length ``rfft`` and the other half of its spectrum by Hermitian
     symmetry; the filter itself may be complex.  The real path is first
     copied into zero-padded contiguous lines, held in the output's memory
     until the product overwrites it: one copy is cheaper than letting
-    ``rfft`` pad each strided line itself.  Beside the spectrum and the
-    output, only one line of ``m`` values is allocated.
+    ``rfft`` pad each strided line itself.  Beside the path's spectrum and
+    the output, only one line of ``m`` values is allocated.
     """
     n, _, m = filter_fft.shape
     xf = np.empty((n, m), dtype=complex)
@@ -300,7 +303,6 @@ def _fft_apply(filter_fft: np.ndarray, path: np.ndarray) -> np.ndarray:
             np.multiply(filter_fft[i, 0], xf[0], out=acc)
             for j in range(1, n):
                 acc += np.multiply(filter_fft[i, j], xf[j], out=term)
-        np.fft.ifft(yf, out=yf)
     return yf
 
 
@@ -356,7 +358,7 @@ class _ModelState:
     """What the simulator keeps of one model: its ``auto`` noise family, its
     existence verdict once decided, the plan of the last path sizes ``key``,
     the key of the last path's noise block (the arguments of
-    :func:`_standard_block`) and the path being made ahead, as
+    :func:`_standard_block`) and the filtered spectrum being made ahead, as
     ``(key, plan, future, pid)``."""
 
     def __init__(self, auto_kind: str) -> None:
@@ -379,20 +381,20 @@ def _state(model: _Model) -> _ModelState:
     return _STATES[model]
 
 
-# The thread that makes paths ahead, and the process that started it: a
-# forked child has no such thread and starts its own.
+# The thread that makes filtered spectra ahead, and the process that started
+# it: a forked child has no such thread and starts its own.
 _AHEAD = {"executor": None, "pid": None}
 
 
 def _make_ahead(plan: FilterPlan, key: tuple):
-    """A future of ``_path_rows(plan, key)`` on the simulator's one background
-    thread, started on first use in this process."""
+    """A future of ``_block_spectrum(plan, key)`` on the simulator's one
+    background thread, started on first use in this process."""
     if _AHEAD["pid"] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor  # 4 ms to import: only when needed
 
         executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiarma-ahead")
         _AHEAD.update(executor=executor, pid=os.getpid())
-    return _AHEAD["executor"].submit(_path_rows, plan, key)
+    return _AHEAD["executor"].submit(_block_spectrum, plan, key)
 
 
 def _cpus() -> int:
@@ -403,10 +405,10 @@ def _cpus() -> int:
 
 
 def _take(ahead: tuple | None, key: tuple, plan: FilterPlan) -> np.ndarray | None:
-    """The path rows made ahead in ``ahead`` when they were made of the block
-    ``key`` with ``plan`` in this process without error, else None.  Another
-    block's or plan's job is cancelled; a job of the parent of a forked child
-    is left untouched, since its thread is gone from the child."""
+    """The filtered spectrum made ahead in ``ahead`` when it was made of the
+    block ``key`` with ``plan`` in this process without error, else None.
+    Another block's or plan's job is cancelled; a job of the parent of a
+    forked child is left untouched, since its thread is gone from the child."""
     if ahead is None or ahead[3] != os.getpid():
         return None
     ahead_key, ahead_plan, future, _ = ahead
@@ -415,7 +417,7 @@ def _take(ahead: tuple | None, key: tuple, plan: FilterPlan) -> np.ndarray | Non
         return None
     try:
         return future.result()
-    except Exception:  # the caller makes the path itself, and meets any error there
+    except Exception:  # the caller makes the spectrum itself, and meets any error there
         return None
 
 
@@ -478,37 +480,49 @@ def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
     return state.plan
 
 
-def _filtered_rows(plan: FilterPlan, xi: np.ndarray) -> np.ndarray:
-    """The ``plan.t_len`` path rows that ``plan`` makes of the standard noise
-    block ``xi`` of ``plan.rows`` rows, as a new C-contiguous complex array
-    that holds no other row of the convolution."""
-    lines = _fft_apply(plan.filter_fft, xi)[:, plan.rows - plan.t_len : plan.rows]
-    if plan.real and not np.iscomplexobj(xi):
+def _path_rows(plan: FilterPlan, spectrum: np.ndarray, real_noise: bool) -> np.ndarray:
+    """The ``plan.t_len`` path rows whose :func:`_filtered_spectrum` under
+    ``plan`` is ``spectrum``, which the inverse FFT overwrites, as a new
+    C-contiguous complex array that holds no other row of the convolution."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.fft.ifft(spectrum, out=spectrum)
+    lines = spectrum[:, plan.rows - plan.t_len : plan.rows]
+    if plan.real and real_noise:
         # a real filter of a real path is real; drop the FFT's rounding fuzz
         lines = lines.real
     return np.array(lines.T, dtype=complex, order="C")
 
 
-def _path_rows(plan: FilterPlan, key: tuple) -> np.ndarray:
-    """The path rows that ``plan`` makes of the noise block ``_standard_block(*key)``."""
-    return _filtered_rows(plan, _standard_block(*key))
+def _filtered_rows(plan: FilterPlan, xi: np.ndarray) -> np.ndarray:
+    """The path rows that ``plan`` makes of the standard noise block ``xi``
+    of ``plan.rows`` rows."""
+    return _path_rows(plan, _filtered_spectrum(plan.filter_fft, xi), not np.iscomplexobj(xi))
+
+
+def _block_spectrum(plan: FilterPlan, key: tuple) -> np.ndarray:
+    """The :func:`_filtered_spectrum` of the noise block ``_standard_block(*key)``
+    under ``plan``."""
+    return _filtered_spectrum(plan.filter_fft, _standard_block(*key))
 
 
 def _path(model: _Model, plan: FilterPlan, cfg: SimConfig, **extra) -> SampledPath:
     """The path of ``model`` that ``plan`` makes of the ``(seed, replication)``
-    noise block: the one made ahead for this block and plan (:func:`_take`),
-    else made now.  A call that follows the model's path for the replication
-    before, with the same seed, rows and noise family, makes the next
-    replication's path ahead with its own plan."""
+    noise block.  Its filtered spectrum is the one made ahead for this block
+    and plan (:func:`_take`), else made now; the inverse FFT runs here.  A
+    call that follows the model's path for the replication before, with the
+    same seed, rows and noise family, makes the next replication's spectrum
+    ahead with its own plan."""
     state = _state(model)
     key = _block_key(model, plan, cfg)
-    rows = _take(state.ahead, key, plan)
+    spectrum = _take(state.ahead, key, plan)
     seed, rep = key[:2]
     follows = state.drawn == (seed, rep - 1, *key[2:])
     state.drawn, state.ahead = key, None
     if follows and key_range_error("replication", rep + 1) is None and _cpus() > 1:
         ahead_key = (seed, rep + 1, *key[2:])
         state.ahead = (ahead_key, plan, _make_ahead(plan, ahead_key), os.getpid())
+    if spectrum is None:
+        spectrum = _block_spectrum(plan, key)
     meta = {
         "seed": cfg.seed,
         "replication": cfg.replication,
@@ -516,7 +530,8 @@ def _path(model: _Model, plan: FilterPlan, cfg: SimConfig, **extra) -> SampledPa
         "noise_kind": key[-1],
         **extra,
     }
-    return SampledPath(_path_rows(plan, key) if rows is None else rows, model.grid, meta)
+    rows = _path_rows(plan, spectrum, key[-1] != "complex-gaussian")
+    return SampledPath(rows, model.grid, meta)
 
 
 def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
@@ -620,9 +635,9 @@ def verify_longmemory_decomposition(
     carries the remainder norms whose partial sums certify the short-memory
     property.  Noise and power-law path come from the model's own plan at
     ``max(K_trunc, 1)``, which :func:`simulate_duker` then reuses; the check
-    draws the raw block itself, since a path made ahead keeps only its rows,
-    and leaves the path made ahead to the simulation.  A model that fails its
-    conditions is refused unless ``force`` is set.
+    draws the raw block itself, since a spectrum made ahead keeps only its
+    filtered transform, and leaves that spectrum to the simulation.  A model
+    that fails its conditions is refused unless ``force`` is set.
     """
     _verdict(model, force)
     k_trunc = max(cfg.K_trunc, 1)

@@ -131,7 +131,7 @@ def test_cli_on_normal_operators_loads_no_scipy(tmp_path):
     assert result["codes"] == [code for _, _, code in RUNS]
     assert result["scipy"] == []
     assert not result["dataclasses"]  # every class is a plain class
-    # each run simulates a model once, so no path is made ahead
+    # each run simulates a model once, so nothing is made ahead
     assert result["threads"] == 1
     assert not result["futures"]
 

@@ -921,9 +921,10 @@ class TestFilterPlanCache:
     def test_warm_replication_makes_no_extra_pass(self, monkeypatch, counted, two_cpus):
         """Warm Monte Carlo replications (path, then its periodogram) run, over
         both threads, one ``rfft`` and one ``ifft`` for each path and one
-        ``fft`` for each periodogram; each path's block is drawn and filtered
-        once, and the noise kind is never re-decided.  Replication 1 is made
-        on the calling thread, 2 and 3 ahead."""
+        ``fft`` for each periodogram; each path's block is drawn and its
+        filtered spectrum made once, and the noise kind is never re-decided.
+        Replication 1's spectrum is made on the calling thread, 2's and 3's
+        ahead, and every inverse FFT runs on the calling thread."""
         fft_calls = []
         for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
             real = getattr(np.fft, name)
@@ -938,7 +939,7 @@ class TestFilterPlanCache:
         periodogram(simulate_fiarma(model, SimConfig(T=256, K_trunc=64, seed=5)), freqs)
         fft_calls.clear()
         block_calls = counted("_standard_block")
-        filter_calls = counted("_filtered_rows")
+        spectrum_calls = counted("_filtered_spectrum")
         kind_calls = counted("_resolve_noise_kind")
         for rep in (1, 2):
             path = simulate_fiarma(model, SimConfig(T=256, K_trunc=64, seed=5, replication=rep))
@@ -947,10 +948,10 @@ class TestFilterPlanCache:
         assert wait_ahead(model)[1] == 3
         on_main = [name for name, main in fft_calls if main]
         off_main = [name for name, main in fft_calls if not main]
-        assert sorted(on_main) == ["fft", "fft", "ifft", "rfft"]
-        assert sorted(off_main) == ["ifft", "ifft", "rfft", "rfft"]
+        assert sorted(on_main) == ["fft", "fft", "ifft", "ifft", "rfft"]
+        assert sorted(off_main) == ["rfft", "rfft"]
         assert sorted(call[1] for call in block_calls) == [1, 2, 3]
-        assert len(filter_calls) == 3
+        assert len(spectrum_calls) == 3
         assert kind_calls == []
 
     def test_warm_replication_calls_no_blas_dot(self, monkeypatch):
@@ -1168,7 +1169,7 @@ def drawing_threads(monkeypatch):
 
 
 def wait_ahead(model):
-    """Wait for the path being made ahead for ``model``, if any, and return its block key."""
+    """Wait for the spectrum being made ahead for ``model``, if any, and return its block key."""
     ahead = fiarma_lab.simulate._STATES[model].ahead
     if ahead is None:
         return None
@@ -1178,8 +1179,9 @@ def wait_ahead(model):
 
 class TestNoiseDrawnAhead:
     """A call that follows the model's call for the replication before makes
-    the next path ahead, its noise block drawn and filtered; every path stays
-    what a fresh model gives."""
+    the next replication's filtered spectrum ahead, its noise block drawn,
+    transformed and multiplied by the filter; every path stays what a fresh
+    model gives."""
 
     @pytest.mark.parametrize("noise_kind", ["auto", "real-gaussian", "complex-gaussian"])
     @pytest.mark.parametrize("make", AHEAD_MODELS.values(), ids=AHEAD_MODELS)
@@ -1222,9 +1224,9 @@ class TestNoiseDrawnAhead:
         assert main == [0, 1] and ahead == [2, 3, 4, 5]
 
     def test_decomposition_check_draws_its_own_block(self, two_cpus, drawing_threads):
-        """The check filters the raw block, which a path made ahead does not
-        keep: it draws the block itself and leaves the path made ahead to the
-        simulation of the same replication."""
+        """The check filters the raw block, which a spectrum made ahead does
+        not keep: it draws the block itself and leaves the spectrum made
+        ahead to the simulation of the same replication."""
         model = power_law_2x2()
         for rep in range(2):
             simulate_duker(model, SimConfig(T=32, K_trunc=8, seed=1, replication=rep))
@@ -1271,8 +1273,8 @@ class TestNoiseDrawnAhead:
 
     def test_plan_with_the_same_rows_never_takes_another_plans_path(self, two_cpus):
         """A white-base fractional model filters 64 noise rows at T=48,
-        K_trunc=16 and at T=40, K_trunc=24: the path made ahead with the
-        first plan is not the second plan's path."""
+        K_trunc=16 and at T=40, K_trunc=24: the spectrum made ahead with the
+        first plan is not taken for the second plan's path."""
         def make():
             g = make_grid(2)
             return FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.3))
@@ -1288,25 +1290,29 @@ class TestNoiseDrawnAhead:
         fresh = simulate_fiarma(make(), cfg)
         assert digest(path) == digest(fresh) and path.meta == fresh.meta
 
-    @pytest.mark.parametrize("make", AHEAD_MODELS.values(), ids=AHEAD_MODELS)
+    @pytest.mark.parametrize("make", [*AHEAD_MODELS.values(), lambda: ar1_model(make_grid(1), 0.5)],
+                             ids=[*AHEAD_MODELS, "arma-n1"])
     def test_path_holds_only_its_rows(self, two_cpus, make):
-        """A path made on the calling thread or ahead holds its ``T`` rows,
-        not the rest of the convolution's buffer."""
+        """A path, its spectrum made on the calling thread or ahead, holds its
+        ``T`` rows, not the rest of the convolution's buffer: at n = 1 a view
+        of the buffer's rows would pass for contiguous."""
         model = make()
-        for rep in range(3):
-            path = simulate(model, SimConfig(T=40, K_trunc=24, seed=3, replication=rep))
-            assert path.values.base is None or path.values.base.shape[0] == 40
-        assert wait_ahead(model)[1] == 3
+        for noise_kind in ("auto", "complex-gaussian"):
+            for rep in range(3):
+                cfg = SimConfig(T=40, K_trunc=24, seed=3, replication=rep, noise_kind=noise_kind)
+                path = simulate(model, cfg)
+                assert path.values.base is None or path.values.base.shape[0] == 40
+            assert wait_ahead(model)[1] == 3
 
     def test_failed_filter_ahead_is_filtered_again(self, two_cpus, monkeypatch):
-        real = fiarma_lab.simulate._filtered_rows
+        real = fiarma_lab.simulate._filtered_spectrum
 
         def fails_off_main(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("no room ahead")
             return real(*args)
 
-        monkeypatch.setattr(fiarma_lab.simulate, "_filtered_rows", fails_off_main)
+        monkeypatch.setattr(fiarma_lab.simulate, "_filtered_spectrum", fails_off_main)
         model = mc_model()
         for rep in range(4):
             cfg = SimConfig(T=64, K_trunc=16, seed=4, replication=rep)
@@ -1316,8 +1322,8 @@ class TestNoiseDrawnAhead:
             wait_ahead(model)
 
     def test_failing_filter_raises_the_callers_own_error(self, two_cpus, monkeypatch):
-        """Replication 3's path ahead fails, and so does its filtering on the
-        calling thread, whose error is the one raised."""
+        """Replication 4's spectrum ahead fails, and so does its filtering on
+        the calling thread, whose error is the one raised."""
         model = mc_model()
         for rep in range(3):
             simulate_fiarma(model, SimConfig(T=64, K_trunc=16, seed=4, replication=rep))
@@ -1327,7 +1333,7 @@ class TestNoiseDrawnAhead:
             where = "calling" if threading.current_thread() is threading.main_thread() else "ahead"
             raise MemoryError(f"no room on the {where} thread")
 
-        monkeypatch.setattr(fiarma_lab.simulate, "_filtered_rows", fails)
+        monkeypatch.setattr(fiarma_lab.simulate, "_filtered_spectrum", fails)
         simulate_fiarma(model, SimConfig(T=64, K_trunc=16, seed=4, replication=3))
         assert wait_ahead(model)[1] == 4
         with pytest.raises(MemoryError, match="no room on the calling thread"):
