@@ -109,7 +109,15 @@ class PowerLawModel:
 
 def _row_energies(half: np.ndarray) -> np.ndarray:
     """``(F, n)`` squared norms of the rows of each ``(n, r)`` half-factor;
-    they bound ``h h^H`` entry-wise, ``|(h h^H)_ab| <= max(e_a, e_b)``."""
+    they bound ``h h^H`` entry-wise, ``|(h h^H)_ab| <= max(e_a, e_b)``.
+
+    A rank-one factor's are its squared moduli, the same bits as the
+    gufunc's one-term sum at well under half its cost."""
+    if half.shape[2] == 1:
+        h = half[:, :, 0]
+        energies = np.square(h.real)
+        energies += np.square(h.imag)
+        return energies
     return np.vecdot(half, half).real
 
 
@@ -141,11 +149,11 @@ class SpectralDensityGrid:
 
     ``values`` forms the ``(F, n, n)`` square on every read, exactly
     Hermitian and C-contiguous; ``operator(j)`` forms frequency j alone, equal
-    to ``values[j]``, and ``trace()`` reads the factor's row energies.  Twice
-    a row energy bounds every entry of the unscaled symmetrised square, so a
-    factor with one beyond the double range raises :class:`OverflowError`,
-    naming the first frequency that has one, and any other squares to finite
-    values.
+    to ``values[j]``.  The factor's ``(F, n)`` row energies are found once, at
+    construction, and kept.  Twice a row energy bounds every entry of the
+    unscaled symmetrised square, so a factor with one beyond the double range
+    raises :class:`OverflowError`, naming the first frequency that has one,
+    and any other squares to finite values.
     """
 
     def __init__(self, freqs: np.ndarray, half: np.ndarray, grid: HilbertGrid) -> None:
@@ -155,10 +163,11 @@ class SpectralDensityGrid:
         if self.half.ndim != 3 or self.half.shape[:2] != (self.freqs.size, grid.n):
             raise ValueError("density half-factor must have shape (len(freqs), n, r)")
         with np.errstate(over="ignore", invalid="ignore"):
-            doubled = 2.0 * _row_energies(self.half)
-            # the largest is NaN if any is
-            if not np.isfinite(doubled.max(initial=0.0)):
-                lam = self.freqs[~np.isfinite(doubled).all(axis=1)][0]
+            self._energies = _row_energies(self.half)
+            # doubling is exact and monotone, so twice the largest energy is
+            # finite exactly when every doubled one is; the largest is NaN if any is
+            if not np.isfinite(2.0 * self._energies.max(initial=0.0)):
+                lam = self.freqs[~np.isfinite(2.0 * self._energies).all(axis=1)][0]
                 raise OverflowError(f"spectral density overflows at frequency {lam:.6g}")
 
     @property
@@ -169,7 +178,9 @@ class SpectralDensityGrid:
         return LinearOperator(_square(self.half[j][None])[0], self.grid)
 
     def trace(self) -> np.ndarray:
-        return _row_energies(self.half).sum(axis=1) * (0.5 / np.pi)
+        """``(F,)`` traces ``tr g(lam_f)``: the kept row energies' sums over
+        ``2 pi``, without forming the square or the energies again."""
+        return self._energies.sum(axis=1) * (0.5 / np.pi)
 
     def validate(self) -> None:
         """Check every value is Hermitian PSD within 1e-10 relative to the
@@ -298,7 +309,7 @@ def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
     j = np.rint(x)
     # an infinite frequency gives inf - inf: the NaN it leaves is refused below
     with np.errstate(invalid="ignore"):
-        off = np.abs(x - j)
+        off = np.abs(np.subtract(x, j, out=x), out=x)
     if off.size and not off.max() <= 1e-8:
         lam_bad = freqs[np.argmax(off)]  # the first NaN, if there is one
         raise ValueError(f"{lam_bad:.6g} is not a Fourier frequency for T={t_len}")
@@ -317,8 +328,11 @@ def periodogram(path: "SampledPath", freqs: np.ndarray) -> SpectralDensityGrid:
         np.fft.fft(y - y.mean(axis=0), axis=0, out=dft)
     dft[0] = 0.0
     # j reduced modulo T in floating point, exactly at any size, before the
-    # cast; take counts a negative remainder from the end
-    half = np.take(dft, np.fmod(j, t_len).astype(np.intp), axis=0)
+    # cast, and only when some |j| reaches T: a frequency in (-pi, pi] has
+    # none; take counts a negative remainder from the end
+    if np.abs(j).max(initial=0.0) >= t_len:
+        np.fmod(j, t_len, out=j)
+    half = np.take(dft, j.astype(np.intp), axis=0)
     half *= 1.0 / np.sqrt(t_len)
     return SpectralDensityGrid(freqs, half[:, :, None], path.grid)
 

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -89,8 +90,31 @@ def two_point_config(points) -> str:
     )
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_example() -> tuple[str, dict[str, int]]:
+    """The JSON block under "Example configuration" in ``README.md``, as
+    written, and the exit code that the README's family table gives a ``D``
+    config for each subcommand it names ("yes" is 0, "exit 1" is 1)."""
+    section = README.read_text().split("\nExample configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("\n```", 1)[0]
+    table = section[section.index("\n| subcommand |") + 1 :]
+    header, _, *rows = table.split("\n")
+    column = [cell.strip() for cell in header.split("|")].index("`D`")
+    codes = {}
+    for row in rows:
+        if not row.startswith("|"):
+            break
+        cells = [cell.strip() for cell in row.split("|")]
+        for name in re.findall(r"`([^`]+)`", cells[1]):
+            codes[name] = {"yes": 0, "exit 1": 1}[cells[column]]
+    return block, codes
+
+
 def readme_config(**model) -> str:
-    """The README example at small run sizes, with the model keys ``model`` replaced."""
+    """A copy of the README example at small run sizes, with the model keys
+    ``model`` replaced; :func:`readme_example` reads the README itself."""
     example = {
         "phi": [[[0.3, 0.0], [0.0, 0.2]]],
         "theta": [],
@@ -698,6 +722,32 @@ class TestCli:
         f = tmp_path / name
         f.write_text(text)
         return f
+
+    def test_readme_table_names_every_subcommand(self):
+        """The family table gives a D config exit 0 for the seven
+        subcommands that take it and exit 1 for the two power-law ones."""
+        codes = readme_example()[1]
+        assert sorted(codes) == sorted(RUNNERS)
+        assert sorted(name for name, code in codes.items() if code) == [
+            "duker-decompose",
+            "duker-verify",
+        ]
+
+    @pytest.mark.parametrize("sub", sorted(RUNNERS))
+    def test_readme_example_runs_as_written(self, tmp_path, capsys, sub):
+        """The README's example config, read from the README, runs every
+        subcommand with the exit code that the README's family table gives
+        a D config; a refused one prints the README's one-line refusal."""
+        block, codes = readme_example()
+        cfg = self._write(tmp_path, block, "example.json")
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == codes[sub]
+        err = capsys.readouterr().err
+        if codes[sub]:
+            assert err == "error: model.N is required by this subcommand\n"
+            assert not out.exists()
+        else:
+            assert json.loads((out / "manifest.json").read_text())["outputs"]
 
     def test_check_existence_holds(self, tmp_path):
         cfg = self._write(tmp_path, fractional_config(0.3))

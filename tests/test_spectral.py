@@ -503,6 +503,18 @@ class TestPeriodogram:
             ref = d[:, :, None] * d[:, None, :].conj() / (2.0 * np.pi * t_len)
             assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    def test_frequencies_whole_periods_away_read_the_same_rows(self, rng):
+        """A frequency some whole periods away from the principal range has
+        its index reduced modulo T, and reads the principal frequency's row
+        bit for bit."""
+        t_len = 64
+        path = SampledPath(rng.normal(size=(t_len, 2)), make_grid(2))
+        freqs = all_fourier_frequencies(t_len)
+        periods = rng.integers(-5, 6, size=freqs.size)
+        periods[:2] = (-1, 1)
+        far = periodogram(path, freqs + 2.0 * np.pi * periods)
+        assert np.array_equal(far.half, periodogram(path, freqs).half)
+
     @pytest.mark.parametrize("freq", ["nan", "inf", "1e300"])
     def test_far_or_non_finite_frequency_returns_at_once(self, freq):
         """A NaN passed the Fourier check and cast to the smallest index, and
@@ -567,6 +579,55 @@ class TestHalfFactor:
         for grid in self.grids(rng):
             want = np.einsum("fii->f", grid.values).real
             assert np.abs(grid.trace() / want - 1.0).max() <= 1e-15
+
+    def test_trace_is_the_gufunc_energies_sum_bitwise(self, rng):
+        """For a periodogram (r = 1) and a model density (r = n), the trace
+        is the sum of the gufunc's row energies over 2 pi, bit for bit."""
+        for grid in self.grids(rng):
+            want = np.vecdot(grid.half, grid.half).real.sum(axis=1) * (0.5 / np.pi)
+            assert np.array_equal(grid.trace(), want)
+
+    def test_rank_one_energies_are_the_gufunc_bitwise(self, rng):
+        """A rank-one factor's squared moduli have the bits of the gufunc's
+        one-term sum on ordinary draws and on entries whose squares sit near
+        the top of the double range (1e154) or beyond it (1e155), underflow
+        (subnormals), or are inf or NaN."""
+        special = [0.0, -0.0, 1e154, -1.3e154, 1e155, -3e155, 5e-324, -2.2e-310,
+                   1e-160, np.inf, -np.inf, np.nan, 1.0, -2.5]
+        half = np.empty((400, 6, 1), dtype=complex)
+        half.real = rng.choice(special, size=half.shape)
+        half.imag = rng.choice(special, size=half.shape)
+        half[::2].real = rng.normal(size=(200, 6, 1)) * 10.0 ** rng.integers(-200, 200, (200, 6, 1))
+        half[1::4].imag = rng.normal(size=(100, 6, 1))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = fiarma_lab.spectral._row_energies(half)
+            want = np.ascontiguousarray(np.vecdot(half, half).real)
+        assert got.shape == (400, 6)
+        assert np.isnan(want).any() and np.isinf(want).any() and (want == 0.0).any()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_trace_forms_the_row_energies_once(self, rng, monkeypatch):
+        """The row energies are found when the grid is built and kept:
+        reading the trace again finds them no second time."""
+        calls = []
+        energies = fiarma_lab.spectral._row_energies
+
+        def spy(half):
+            calls.append(half.shape)
+            return energies(half)
+
+        monkeypatch.setattr(fiarma_lab.spectral, "_row_energies", spy)
+        for grid in self.grids(rng):
+            calls.clear()
+            first = grid.trace()
+            for _ in range(3):
+                assert np.array_equal(grid.trace(), first)
+            assert calls == []
+        path = SampledPath(rng.normal(size=(64, 4)), make_grid(4))
+        pg = periodogram(path, fourier_frequencies(64))
+        for _ in range(3):
+            pg.trace()
+        assert calls == [(63, 4, 1)]
 
     def test_operator_is_the_value_bitwise(self, rng):
         for grid in self.grids(rng):
