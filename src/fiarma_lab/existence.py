@@ -22,10 +22,6 @@ SHELL_POINTS, N_REFINE = 64, 40
 class ExistenceRefusal(RuntimeError):
     """Simulation refused because the existence check reports failure."""
 
-    def __init__(self, condition: str, message: str):
-        super().__init__(message)
-        self.condition = condition
-
 
 class ExistenceReport:
     """Outcome of the necessary/sufficient existence conditions on the memory

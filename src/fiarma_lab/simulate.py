@@ -22,7 +22,9 @@ filter and is refused with :class:`NonCausalError`, read from the model's
 poles.  The simulator, not the model, keeps each model's plan for the last
 ``(T, K_trunc)``, its ``auto`` noise family and its existence verdict, in a
 weak mapping (:class:`_ModelState`), so replications of one model only draw
-noise and convolve.
+noise and convolve.  The decomposition check builds its three filters and
+draws its block, and leaves the plan and any spectrum made ahead to the
+simulation.
 
 A Philox block depends on nothing but its key, and its filtered spectrum on
 nothing but the block and the plan, so sequential replications are begun
@@ -31,9 +33,10 @@ with the same seed, rows and noise family, replication ``r + 1``'s block is
 drawn, transformed and multiplied by this call's filter on one background
 thread while the caller runs ``r``'s inverse FFT and does its own work, and
 the spectrum is kept with the block's key and the plan in the model's state.
-A call takes that spectrum only for the same key and plan, in the process
+One call takes that spectrum, only for the same key and plan, in the process
 that made it, once made without error, and makes its own otherwise, so every
-path stays bit-identical and any error is the caller's own.  The inverse
+path stays bit-identical, calls on one model from several threads get the
+paths that one thread gets, and any error is the caller's own.  The inverse
 FFT stays with the caller, so the two threads share a replication's work
 about evenly.  Nothing sets this: a single call, or a machine that gives the
 process one CPU, starts no thread.
@@ -43,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 import weakref
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterator
 
 import numpy as np
@@ -206,19 +209,19 @@ def _standard_block(seed: int, replication: int, rows: int, n: int, kind: str) -
     return rng.standard_normal((rows, n))
 
 
-def _ar_impulse(phi: OperatorPolynomial, limit: int) -> np.ndarray:
+def _ar_impulse(phi: OperatorPolynomial) -> np.ndarray:
     """Causal coefficients ``P_0 = Id``, ``P_k = sum_j A_j P_{k-j}`` of ``phi^{-1}``.
 
     The exact recursion stops once its last ``p`` rows fall below
     ``_ROUNDING_FLOOR`` of the peak, since every later row is a linear image
-    of them, and it never runs past ``limit`` rows.
+    of them, and it never runs past ``_AR_ROWS_CAP`` rows.
     """
     a = phi.stacked()
     p = len(a)
     rows = [np.eye(phi.grid.n, dtype=complex)]
     sizes = [1.0]
     peak = 1.0
-    while p and len(rows) < limit:
+    while p and len(rows) < _AR_ROWS_CAP:
         k = len(rows)
         acc = a[0] @ rows[k - 1]
         for j in range(2, min(p, k) + 1):
@@ -356,18 +359,18 @@ def _filter_plan(factors: list[np.ndarray], t_len: int, meta: dict | None = None
 
 class _ModelState:
     """What the simulator keeps of one model: its ``auto`` noise family, its
-    existence verdict once decided, the plan of the last path sizes ``key``,
-    the key of the last path's noise block (the arguments of
-    :func:`_standard_block`) and the filtered spectrum being made ahead, as
-    ``(key, plan, future, pid)``."""
+    existence verdict once decided, its last plan as one ``((T, K_trunc),
+    plan)`` pair, the key of the last path's noise block (the arguments of
+    :func:`_standard_block`) and the filtered spectrum being made ahead, as a
+    ``(key, plan, future, pid)`` entry in a list that the call using it
+    pops: ``list.pop`` is atomic, so no two calls take one array."""
 
     def __init__(self, auto_kind: str) -> None:
         self.auto_kind = auto_kind
         self.verdict: str | None = None
-        self.key: tuple | None = None
-        self.plan: FilterPlan | None = None
+        self.plan: tuple = (None, None)
         self.drawn: tuple | None = None
-        self.ahead: tuple | None = None
+        self.ahead: list = []
 
 
 # The state of every model simulated, dropped when the model is collected.
@@ -381,20 +384,14 @@ def _state(model: _Model) -> _ModelState:
     return _STATES[model]
 
 
-# The thread that makes filtered spectra ahead, and the process that started
-# it: a forked child has no such thread and starts its own.
-_AHEAD = {"executor": None, "pid": None}
+@cache
+def _executor(pid: int):
+    """The one background thread that makes filtered spectra ahead in the
+    process ``pid``, started on first use: a forked child has no such thread
+    and starts its own."""
+    from concurrent.futures import ThreadPoolExecutor  # 4 ms to import: only when needed
 
-
-def _make_ahead(plan: FilterPlan, key: tuple):
-    """A future of ``_block_spectrum(plan, key)`` on the simulator's one
-    background thread, started on first use in this process."""
-    if _AHEAD["pid"] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor  # 4 ms to import: only when needed
-
-        executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiarma-ahead")
-        _AHEAD.update(executor=executor, pid=os.getpid())
-    return _AHEAD["executor"].submit(_block_spectrum, plan, key)
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiarma-ahead")
 
 
 def _cpus() -> int:
@@ -404,14 +401,17 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _take(ahead: tuple | None, key: tuple, plan: FilterPlan) -> np.ndarray | None:
-    """The filtered spectrum made ahead in ``ahead`` when it was made of the
-    block ``key`` with ``plan`` in this process without error, else None.
-    Another block's or plan's job is cancelled; a job of the parent of a
-    forked child is left untouched, since its thread is gone from the child."""
-    if ahead is None or ahead[3] != os.getpid():
+def _take(ahead: list, key: tuple, plan: FilterPlan) -> np.ndarray | None:
+    """The filtered spectrum of the entry popped from ``ahead``, if any, when
+    made of the block ``key`` with ``plan`` in this process without error,
+    else None.  Another block's or plan's job is cancelled; a job of the
+    parent of a forked child is left untouched: its thread is not in the child."""
+    try:
+        ahead_key, ahead_plan, future, pid = ahead.pop()
+    except IndexError:
         return None
-    ahead_key, ahead_plan, future, _ = ahead
+    if pid != os.getpid():
+        return None
     if ahead_key != key or ahead_plan is not plan:
         future.cancel()
         return None
@@ -443,9 +443,9 @@ def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
     noise rows that the filter reads.
     """
     state = _state(model)
-    key = (cfg.T, cfg.K_trunc)
-    if state.key == key:
-        return state.plan
+    sizes, plan = state.plan
+    if sizes == (cfg.T, cfg.K_trunc):
+        return plan
     base = model.base
     lam = max(base.poles.values, key=abs, default=0.0)
     if abs(lam) >= 1.0:
@@ -455,7 +455,7 @@ def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
             "inside the unit disk"
         )
     p, q = base.phi.degree, base.theta.degree
-    ar = _ar_impulse(base.phi, _AR_ROWS_CAP)
+    ar = _ar_impulse(base.phi)
     if len(ar) == _AR_ROWS_CAP and np.abs(ar[-p:]).max() > _AR_CUT_TAIL * np.abs(ar).max():
         raise ValueError(
             f"AR impulse response not resolved in {_AR_ROWS_CAP} rows: the largest pole "
@@ -475,9 +475,9 @@ def _plan(model: _Model, cfg: SimConfig) -> FilterPlan:
         factors = [psi @ base.root.entries]
         if memory is not None:
             factors = [memory @ factors[0]] if p == q == 0 else [memory, *factors]
-    state.plan = _filter_plan(factors, cfg.T, meta)
-    state.key = key
-    return state.plan
+    plan = _filter_plan(factors, cfg.T, meta)
+    state.plan = ((cfg.T, cfg.K_trunc), plan)
+    return plan
 
 
 def _path_rows(plan: FilterPlan, spectrum: np.ndarray, real_noise: bool) -> np.ndarray:
@@ -517,10 +517,11 @@ def _path(model: _Model, plan: FilterPlan, cfg: SimConfig, **extra) -> SampledPa
     spectrum = _take(state.ahead, key, plan)
     seed, rep = key[:2]
     follows = state.drawn == (seed, rep - 1, *key[2:])
-    state.drawn, state.ahead = key, None
+    state.drawn = key
     if follows and key_range_error("replication", rep + 1) is None and _cpus() > 1:
         ahead_key = (seed, rep + 1, *key[2:])
-        state.ahead = (ahead_key, plan, _make_ahead(plan, ahead_key), os.getpid())
+        future = _executor(os.getpid()).submit(_block_spectrum, plan, ahead_key)
+        state.ahead = [(ahead_key, plan, future, os.getpid())]
     if spectrum is None:
         spectrum = _block_spectrum(plan, key)
     meta = {
@@ -553,8 +554,7 @@ def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
             state.verdict = "unchecked (memory operator not normal)"
     if state.verdict == "fails":
         raise ExistenceRefusal(
-            "ii",
-            "existence condition (ii) fails for this model; pass force=True to simulate anyway",
+            "existence condition (ii) fails for this model; pass force=True to simulate anyway"
         )
     return state.verdict
 
@@ -633,23 +633,23 @@ def verify_longmemory_decomposition(
     its frame.  The two routes agree up to floating point exactly when the
     frame's binomials and matching constant are right; the report also
     carries the remainder norms whose partial sums certify the short-memory
-    property.  Noise and power-law path come from the model's own plan at
-    ``max(K_trunc, 1)``, which :func:`simulate_duker` then reuses; the check
-    draws the raw block itself, since a spectrum made ahead keeps only its
-    filtered transform, and leaves that spectrum to the simulation.  A model
-    that fails its conditions is refused unless ``force`` is set.
+    property.  The check builds its three filters at ``max(K_trunc, 1)`` and
+    draws its block, and leaves the plan and any spectrum made ahead to the
+    simulation.  A model that fails its conditions is refused unless
+    ``force`` is set.
     """
     _verdict(model, force)
     k_trunc = max(cfg.K_trunc, 1)
-    plan = _plan(model, type(cfg)(**vars(cfg) | {"K_trunc": k_trunc}))
     root = model.base.root.entries
+    with np.errstate(over="ignore", invalid="ignore"):  # _filter_plan refuses an overflow
+        power_law = _filter_plan([power_law_weights(model.N, k_trunc).data @ root], cfg.T)
     c_mat, deltas, rho = duker_decomposition(model.N, k_trunc)  # first: its overflow names N
     binom = binomial_ma_coeffs(identity(model.grid) - model.N.D, k_trunc)  # (1-z)^{N-Id}
-    # each check has the plan's k_trunc + 1 taps, so it reads the plan's block
+    # each filter has k_trunc + 1 taps, so all three read one block
     checks = [_filter_plan([seq.data @ root], cfg.T) for seq in (binom, deltas)]
-    xi = _standard_block(*_block_key(model, plan, cfg))
+    xi = _standard_block(*_block_key(model, power_law, cfg))
     path_a, remainder = (_filtered_rows(check, xi) for check in checks)
-    path_b = _filtered_rows(plan, xi) @ c_mat.entries.T + remainder
+    path_b = _filtered_rows(power_law, xi) @ c_mat.entries.T + remainder
 
     residual = float(np.max(np.linalg.norm(path_a - path_b, axis=1), initial=0.0))
     return DecompositionCheck(

@@ -61,7 +61,7 @@ def eig_calls(monkeypatch):
 
 def sim_plan(model):
     """The filter plan that the simulator keeps for ``model``."""
-    return fiarma_lab.simulate._STATES[model].plan
+    return fiarma_lab.simulate._STATES[model].plan[1]
 
 
 @pytest.fixture
@@ -242,10 +242,8 @@ class TestSimulateFiarma:
     def test_refusal_cites_condition(self):
         g = scalar_grid()
         model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.6))
-        with pytest.raises(ExistenceRefusal) as err:
+        with pytest.raises(ExistenceRefusal, match=r"existence condition \(ii\) fails"):
             simulate_fiarma(model, SimConfig(T=64, seed=1))
-        assert err.value.condition == "ii"
-        assert "(ii)" in str(err.value)
 
     def test_force_overrides_refusal(self):
         g = scalar_grid()
@@ -816,7 +814,7 @@ def direct_filter(model, k_trunc):
     vals, vecs = np.linalg.eigh(base.sigma.entries)
     root = vecs @ (np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T)
     a, b = base.phi.stacked(), base.theta.stacked()
-    psi_len = len(fiarma_lab.simulate._ar_impulse(base.phi, 10_000)) + len(b)
+    psi_len = len(fiarma_lab.simulate._ar_impulse(base.phi)) + len(b)
     psi = np.zeros((psi_len, n, n), dtype=complex)
     for k in range(psi_len):
         psi[k] = np.eye(n) if k == 0 else (b[k - 1] if k <= len(b) else 0.0)
@@ -885,7 +883,7 @@ class TestBlockRows:
         block_calls = counted("_standard_block")
         model = ar1_model(scalar_grid(), a)
         simulate_fiarma(model, SimConfig(T=64, seed=1))
-        assert len(fiarma_lab.simulate._ar_impulse(model.phi, 10_000)) == psi_len
+        assert len(fiarma_lab.simulate._ar_impulse(model.phi)) == psi_len
         assert sim_plan(model).rows == block_calls[0][2] == 64 + psi_len - 1
 
     def test_mc_model_rows(self, counted):
@@ -901,7 +899,7 @@ class TestBlockRows:
         block_calls = counted("_standard_block")
         model = complex_arma11(rng)
         simulate_fiarma(model, SimConfig(T=100, K_trunc=k_trunc, seed=1))
-        psi_len = len(fiarma_lab.simulate._ar_impulse(model.phi, 10_000)) + model.theta.degree
+        psi_len = len(fiarma_lab.simulate._ar_impulse(model.phi)) + model.theta.degree
         assert [call[2] for call in block_calls] == [100 + psi_len - 1]
 
 
@@ -1080,21 +1078,6 @@ class TestFilterPlanCache:
             assert np.array_equal(path.values, cold.values)
             assert path.meta == cold.meta
 
-    def test_decomposition_check_shares_the_power_law_plan(self, counted):
-        """The check draws its noise through the model's own plan, so a
-        simulation at the same sizes reuses its weights."""
-        weight_calls = counted("power_law_weights")
-        g = make_grid(2)
-        n_op = op([[0.7, 0.05], [0.05, 0.8]], g)
-        sigma = op([[1.0, 0.2], [0.2, 0.5]], g)
-        model = power_law_model(n_op, sigma)
-        cfg = SimConfig(T=128, K_trunc=64, seed=5)
-        verify_longmemory_decomposition(model, cfg)
-        path = simulate_duker(model, cfg)
-        assert len(weight_calls) == 1
-        cold = simulate_duker(power_law_model(n_op, sigma), cfg)
-        assert np.array_equal(path.values, cold.values) and path.meta == cold.meta
-
     def test_refusal_builds_no_plan(self, monkeypatch, counted):
         def no_plan(*args):
             raise AssertionError("filter plan built for a refused model")
@@ -1104,9 +1087,8 @@ class TestFilterPlanCache:
         g = scalar_grid()
         model = FiarmaModel(white_model(g), FracIntegrationSpec.scalar(g, 0.6))
         for _ in range(2):
-            with pytest.raises(ExistenceRefusal) as err:
+            with pytest.raises(ExistenceRefusal, match=r"existence condition \(ii\) fails"):
                 simulate_fiarma(model, SimConfig(T=64, seed=1))
-            assert err.value.condition == "ii"
         assert len(check_calls) == 1
 
     def test_forced_run_never_checks(self, counted):
@@ -1141,9 +1123,8 @@ class TestFilterPlanCache:
         assert simulate_duker(model, cfg, force=True).meta["existence"] == "forced"
         assert check_calls == []
         for run in (simulate_duker, verify_longmemory_decomposition, simulate_duker):
-            with pytest.raises(ExistenceRefusal) as err:
+            with pytest.raises(ExistenceRefusal, match=r"existence condition \(ii\) fails") as err:
                 run(model, cfg)
-            assert err.value.condition == "ii"
             assert str(err.value).startswith("existence condition (ii) fails for this model")
         assert len(check_calls) == 1
 
@@ -1181,7 +1162,7 @@ class TestFilterPlanCache:
         model = ar1_model(scalar_grid(), 0.5)
         cfg = SimConfig(T=200, K_trunc=64, seed=12)
         path = simulate_fiarma(model, cfg)
-        psi_len = len(fiarma_lab.simulate._ar_impulse(model.phi, 10_000))
+        psi_len = len(fiarma_lab.simulate._ar_impulse(model.phi))
         assert psi_len < 100
         plan = sim_plan(model)
         assert plan.rows == cfg.T + psi_len - 1
@@ -1249,10 +1230,11 @@ def drawing_threads(monkeypatch):
 def wait_ahead(model):
     """Wait for the spectrum being made ahead for ``model``, if any, and return its block key."""
     ahead = fiarma_lab.simulate._STATES[model].ahead
-    if ahead is None:
+    if not ahead:
         return None
-    ahead[2].exception(timeout=30)
-    return ahead[0]
+    ahead_key, _, future, _ = ahead[0]
+    future.exception(timeout=30)
+    return ahead_key
 
 
 class TestNoiseDrawnAhead:
@@ -1324,14 +1306,14 @@ class TestNoiseDrawnAhead:
         model = mc_model()
         for rep in range(3):
             simulate_fiarma(model, SimConfig(T=32, K_trunc=8, seed=2, replication=rep))
-            assert fiarma_lab.simulate._STATES[model].ahead is None
+            assert fiarma_lab.simulate._STATES[model].ahead == []
         assert drawing_threads == [(0, True), (1, True), (2, True)]
 
     def test_no_block_ahead_for_a_refused_replication(self, two_cpus):
         model = ar1_model(make_grid(2))
         for rep in (2**64 - 2, 2**64 - 1):
             simulate_fiarma(model, SimConfig(T=16, seed=1, replication=rep))
-        assert fiarma_lab.simulate._STATES[model].ahead is None
+        assert fiarma_lab.simulate._STATES[model].ahead == []
         for rep in (-2, -1):
             simulate_fiarma(model, SimConfig(T=16, seed=1, replication=rep))
         assert wait_ahead(model)[1] == 0
@@ -1452,6 +1434,82 @@ class TestNoiseDrawnAhead:
         with pytest.raises(MemoryError, match="no room for replication 3"):
             simulate_fiarma(model, cfgs[3])
 
+    def test_same_replication_from_two_threads(self, two_cpus, monkeypatch):
+        """Replication 2's spectrum is being made ahead, held until both
+        threads that call for replication 2 have reached the record: one of
+        them takes it, the other makes its own, and each runs its inverse
+        FFT on its own array."""
+        gate = threading.Event()
+        real_block = fiarma_lab.simulate._standard_block
+        real_take = fiarma_lab.simulate._take
+        reached = threading.Semaphore(0)
+        draws = []
+
+        def held_ahead(*key):
+            ahead = threading.current_thread().name.startswith("fiarma-ahead")
+            draws.append((key[1], ahead))
+            if ahead:
+                gate.wait(60)
+            return real_block(*key)
+
+        def reaching(*args):
+            reached.release()
+            return real_take(*args)
+
+        monkeypatch.setattr(fiarma_lab.simulate, "_standard_block", held_ahead)
+        model = mc_model()
+        cfgs = [SimConfig(T=64, K_trunc=16, seed=9, replication=rep) for rep in range(3)]
+        want = digest(simulate_fiarma(mc_model(), cfgs[2]))
+        for cfg in cfgs[:2]:
+            simulate_fiarma(model, cfg)
+        monkeypatch.setattr(fiarma_lab.simulate, "_take", reaching)
+        got = []
+        threads = [
+            threading.Thread(target=lambda: got.append(digest(simulate_fiarma(model, cfgs[2]))))
+            for _ in range(2)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            assert all(reached.acquire(timeout=30) for _ in threads)
+        finally:
+            gate.set()
+            for thread in threads:
+                thread.join(30)
+        wait_ahead(model)
+        assert got == [want, want]
+        # the fresh model's block, then one made ahead and one by a caller
+        assert sorted(draw for draw in draws if draw[0] == 2) == [(2, False), (2, False), (2, True)]
+
+    def test_two_sizes_from_two_threads(self, two_cpus):
+        """Two threads alternate two ``(T, K_trunc)`` sizes on one model, so
+        each call replaces the plan the other just kept: every path has its
+        own ``T`` rows and is a fresh model's."""
+        sizes = [(48, 16), (40, 24)]
+        reps = range(12)
+        cfgs = {
+            (size, rep): SimConfig(*size, seed=2, replication=rep) for size in sizes for rep in reps
+        }
+        want = {key: digest(simulate_fiarma(mc_model(), cfg)) for key, cfg in cfgs.items()}
+        model = mc_model()
+        got = {}
+
+        def run(first):
+            for rep in reps:
+                size = sizes[(first + rep) % 2]
+                path = simulate_fiarma(model, cfgs[size, rep])
+                got[first, rep] = (size, path.t_len, digest(path))
+
+        threads = [threading.Thread(target=run, args=(first,)) for first in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        wait_ahead(model)
+        assert len(got) == 2 * len(reps)
+        for (first, rep), (size, t_len, path_digest) in got.items():
+            assert t_len == size[0] and path_digest == want[size, rep], (first, rep)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_draws_its_own_blocks(self, two_cpus, monkeypatch):
         """A child forked while a block is being drawn ahead has no thread to
@@ -1470,7 +1528,7 @@ class TestNoiseDrawnAhead:
         cfgs = [SimConfig(T=64, K_trunc=16, seed=8, replication=rep) for rep in range(6)]
         for cfg in cfgs[:2]:
             simulate_fiarma(model, cfg)
-        assert not fiarma_lab.simulate._STATES[model].ahead[2].done()
+        assert not fiarma_lab.simulate._STATES[model].ahead[0][2].done()
         read_end, write_end = os.pipe()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
