@@ -52,7 +52,6 @@ from .simulate import (
     NonCausalError,
     SampledPath,
     SimConfig,
-    simulate_duker,
     simulate_fiarma,
     verify_longmemory_decomposition,
 )

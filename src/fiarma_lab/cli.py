@@ -24,14 +24,7 @@ from . import __version__
 from .config import ConfigError, ModelConfig, parse_config
 from .dataio import write_outputs
 from .existence import ExistenceRefusal, IntegralReport, check_conditions, existence_integral
-from .simulate import (
-    SampledPath,
-    echo,
-    key_range_error,
-    simulate_duker,
-    simulate_fiarma,
-    verify_longmemory_decomposition,
-)
+from .simulate import echo, key_range_error, simulate_fiarma, verify_longmemory_decomposition
 from .spectral import (
     ArmaModel,
     FiarmaModel,
@@ -45,14 +38,8 @@ from .spectral import (
 from .transfer import duker_decomposition, frac_ma_coeffs
 
 
-def _simulate(cfg: ModelConfig, force: bool) -> SampledPath:
-    """Path of the configured model: power-law (N), or FIARMA with or without D."""
-    simulate = simulate_duker if isinstance(cfg.model, PowerLawModel) else simulate_fiarma
-    return simulate(cfg.model, cfg.run, force=force)
-
-
 def _run_simulate(cfg: ModelConfig, force: bool) -> dict:
-    return {f"path.{cfg.run.format}": _simulate(cfg, force)}
+    return {f"path.{cfg.run.format}": simulate_fiarma(cfg.model, cfg.run, force=force)}
 
 
 def _run_density(cfg: ModelConfig, force: bool) -> dict:
@@ -107,7 +94,7 @@ def _run_duker_verify(cfg: ModelConfig, force: bool) -> dict:
 
 
 def _run_periodogram(cfg: ModelConfig, force: bool) -> dict:
-    path = _simulate(cfg, force)
+    path = simulate_fiarma(cfg.model, cfg.run, force=force)
     pg = periodogram(path, fourier_frequencies(path.t_len))
     return {"periodogram.csv": {"lambda": pg.freqs, "m": pg.values}}
 

@@ -559,34 +559,26 @@ def _verdict(model: FiarmaModel | PowerLawModel, force: bool) -> str:
     return state.verdict
 
 
-def simulate_fiarma(
-    model: ArmaModel | FiarmaModel, cfg: SimConfig, force: bool = False
-) -> SampledPath:
-    """Path of a FIARMA(p, D, q) model via the truncated MA expansion.
+def simulate_fiarma(model: _Model, cfg: SimConfig, force: bool = False) -> SampledPath:
+    """Path of a model of any family: a FIARMA(p, D, q) model via its
+    truncated MA expansion, a power-law model as the truncated moving average
+    ``sum_k (k+1)^{-N} eps_{t-k}``, and an :class:`ArmaModel`, the ``D = 0``
+    member, which has no verdict and no truncation and ignores ``force``.
 
-    An :class:`ArmaModel`, the ``D = 0`` member, has no verdict and no
-    truncation, and ignores ``force``.  A :class:`FiarmaModel`'s verdict is
-    decided once (:func:`_verdict`) and refuses every call while it fails,
-    unless ``force`` is set; it lands in the path metadata with the
-    truncation diagnostics.  A non-causal AR polynomial raises
-    :class:`NonCausalError`, any other model class :class:`TypeError`."""
-    if isinstance(model, FiarmaModel):
-        existence = _verdict(model, force)
-        plan = _plan(model, cfg)
-        return _path(model, plan, cfg, existence=existence, **plan.meta)
-    if not isinstance(model, ArmaModel):
+    A memory model's verdict is decided once (:func:`_verdict`) and refuses
+    every call while it fails, unless ``force`` is set; it lands in the path
+    metadata, a fractional model's truncation diagnostics after it.  A
+    non-causal AR polynomial raises :class:`NonCausalError`, any other object
+    :class:`TypeError`.  The name stays while ``perfbench`` calls it (ROADMAP
+    item 18)."""
+    if not isinstance(model, _Model):
         raise TypeError(
-            f"simulate_fiarma takes an ArmaModel or a FiarmaModel, not {type(model).__name__}; "
-            "a power-law model is simulated by simulate_duker"
+            "simulate_fiarma takes an ArmaModel, a FiarmaModel or a PowerLawModel, "
+            f"not {type(model).__name__}"
         )
-    return _path(model, _plan(model, cfg), cfg)
-
-
-def simulate_duker(model: PowerLawModel, cfg: SimConfig, force: bool = False) -> SampledPath:
-    """Power-law moving average ``sum_k (k+1)^{-N} eps_{t-k}``, truncated.
-    A model that fails its conditions is refused unless ``force`` is set."""
-    existence = _verdict(model, force)
-    return _path(model, _plan(model, cfg), cfg, existence=existence)
+    extra = {} if isinstance(model, ArmaModel) else {"existence": _verdict(model, force)}
+    plan = _plan(model, cfg)
+    return _path(model, plan, cfg, **extra, **plan.meta)
 
 
 class DecompositionCheck:
@@ -629,16 +621,25 @@ def verify_longmemory_decomposition(
     Path A filters the noise with the binomial coefficients of
     ``(1 - z)^{N - Id}`` from the dense recursion on ``Id - N``, which needs
     no eigenframe; path B assembles ``C`` times the power-law path plus the
-    remainder path, whose ``Delta_k`` are taken per eigenvalue of ``N`` in
-    its frame.  The two routes agree up to floating point exactly when the
-    frame's binomials and matching constant are right; the report also
-    carries the remainder norms whose partial sums certify the short-memory
-    property.  The check builds its three filters at ``max(K_trunc, 1)`` and
-    draws its block, and leaves the plan and any spectrum made ahead to the
-    simulation.  A model that fails its conditions is refused unless
-    ``force`` is set.
+    remainder path, whose ``Delta_k = b_k - C (k+1)^{-N}`` are taken per
+    eigenvalue of ``N`` in its frame.  Path B is the path of the frame's
+    binomials ``b_k`` for any ``C``, so the residual checks those binomials
+    against the dense recursion, and only the remainder norms, whose partial
+    sums certify the short-memory property, see the matching constant.  The
+    check builds its three filters at ``max(K_trunc, 1)`` and draws its
+    block, and leaves the plan and any spectrum made ahead to the simulation.
+    A model that fails its conditions is refused unless ``force`` is set, an
+    ``N`` without a frame with :class:`NotNormalError` before any filter is
+    built, and any other object than a :class:`PowerLawModel` with
+    :class:`TypeError`.
     """
+    if not isinstance(model, PowerLawModel):
+        raise TypeError(
+            f"verify_longmemory_decomposition takes a PowerLawModel, not {type(model).__name__}"
+        )
     _verdict(model, force)
+    if model.N.frame_error is not None:
+        raise NotNormalError(model.N.frame_error)
     k_trunc = max(cfg.K_trunc, 1)
     root = model.base.root.entries
     with np.errstate(over="ignore", invalid="ignore"):  # _filter_plan refuses an overflow

@@ -211,7 +211,7 @@ def fiarma_spectral_density(
     if not isinstance(model, (ArmaModel, FiarmaModel)):
         raise TypeError(
             f"fiarma_spectral_density takes an ArmaModel or a FiarmaModel, not "
-            f"{type(model).__name__}; a power-law model has only simulate_duker's paths"
+            f"{type(model).__name__}; a power-law model has only simulated paths"
         )
     freqs = np.asarray(freqs, dtype=float).ravel()
     half = arma_transfer_batch(model.base, freqs)

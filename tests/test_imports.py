@@ -37,6 +37,7 @@ HERMITIAN_D = _config(D=[[0.2, 0.05], [0.05, 0.1]])
 HERMITIAN_N = _config(N=[[0.7, 0.05], [0.05, 0.8]])
 REFUSED_D = _config(D=[[0.6, 0.0], [0.0, 0.1]])
 NONNORMAL_D = _config(D=[[0.2, 0.1], [0.0, 0.1]])
+FRAMELESS_N = _config(N=[[0.8, 0.2], [0.0, 0.9]])
 MALFORMED = '{"grid": {"points": [0.0]}}'
 
 # (subcommand, config, expected exit code)
@@ -142,6 +143,14 @@ def test_non_normal_density_loads_scipy_linalg(tmp_path):
     assert "scipy.linalg" in result["scipy"]
 
 
+def test_frameless_decomposition_check_loads_no_scipy(tmp_path):
+    """An N without a unitary frame is refused before the check builds its
+    power-law filter, whose matrix exponential would load scipy."""
+    result = _run_fresh(tmp_path, [("duker-verify", FRAMELESS_N, 1)])
+    assert result["codes"] == [1]
+    assert result["scipy"] == []
+
+
 @pytest.mark.parametrize(
     "sub, text, code",
     [
@@ -222,7 +231,7 @@ PUBLIC_NAMES = [
     "fourier_frequencies", "frac_ma_coeffs", "from_kernel",
     "identity", "kernel_of", "local_factorization",
     "operator_norm", "parse_config", "periodogram", "power_law_weights", "read_path",
-    "simulate_duker", "simulate_fiarma",
+    "simulate_fiarma",
     "sqrt_psd", "verify_longmemory_decomposition", "write_path",
 ]
 

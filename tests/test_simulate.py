@@ -36,7 +36,6 @@ from fiarma_lab import (
     identity,
     operator_norm,
     periodogram,
-    simulate_duker,
     simulate_fiarma,
     verify_longmemory_decomposition,
 )
@@ -392,27 +391,28 @@ class TestPartialSumVariance:
 
 
 class TestSimulateDuker:
-    def test_fiarma_entry_refuses_a_power_law_model(self):
+    def test_entry_refuses_an_object_that_is_not_a_model(self):
+        """The one entry takes the three model families, and nothing else:
+        not even a model's spec, which has a grid."""
         g = make_grid(2)
-        model = power_law_model(op(0.7 * np.eye(2), g), identity(g))
-        message = "^simulate_fiarma takes .*, not PowerLawModel; .* simulate_duker$"
+        message = "^simulate_fiarma takes .* or a PowerLawModel, not FracIntegrationSpec$"
         with pytest.raises(TypeError, match=message):
-            simulate_fiarma(model, SimConfig(T=8))
+            simulate_fiarma(FracIntegrationSpec.scalar(g, 0.7), SimConfig(T=8))
 
     def test_seed_determinism(self):
         g = make_grid(2)
         n_op = op(0.7 * np.eye(2), g)
         cfg = SimConfig(T=512, seed=14, K_trunc=256)
         assert np.array_equal(
-            simulate_duker(power_law_model(n_op, identity(g)), cfg).values,
-            simulate_duker(power_law_model(n_op, identity(g)), cfg).values,
+            simulate_fiarma(power_law_model(n_op, identity(g)), cfg).values,
+            simulate_fiarma(power_law_model(n_op, identity(g)), cfg).values,
         )
 
     def test_harmonic_weights_manual_oracle(self):
         g = scalar_grid()
         n_op = op(np.eye(1), g)
         cfg = SimConfig(T=128, seed=15, K_trunc=32)
-        path = simulate_duker(power_law_model(n_op, identity(g)), cfg, force=True)
+        path = simulate_fiarma(power_law_model(n_op, identity(g)), cfg, force=True)
         # white noise on the same block: its T + K_trunc rows
         noise = simulate_fiarma(white_model(g), SimConfig(T=160, seed=15, K_trunc=0))
         # reconstruct y_T-1 from returned noise rows: weights 1/(k+1), k <= K_trunc
@@ -430,7 +430,7 @@ class TestSimulateDuker:
         sigma = op([[1.0, 0.6], [0.6, 0.8]], g)
         k_trunc, t_len = 24, 64
         cfg = SimConfig(T=t_len, K_trunc=k_trunc, seed=21, replication=1)
-        path = simulate_duker(power_law_model(op(rot @ np.diag(exps) @ rot.T, g), sigma), cfg)
+        path = simulate_fiarma(power_law_model(op(rot @ np.diag(exps) @ rot.T, g), sigma), cfg)
         eps_cfg = SimConfig(T=t_len + k_trunc, K_trunc=0, seed=21, replication=1)
         eps = simulate_fiarma(white_model(g, sigma), eps_cfg).values
         want = np.zeros((t_len, 2), dtype=complex)
@@ -444,8 +444,8 @@ class TestSimulateDuker:
         n_op = op(0.5 * np.eye(2), g)
         model = power_law_model(n_op, identity(g))
         with pytest.raises(ExistenceRefusal):
-            simulate_duker(model, SimConfig(T=32, seed=1))
-        path = simulate_duker(model, SimConfig(T=32, seed=1), force=True)
+            simulate_fiarma(model, SimConfig(T=32, seed=1))
+        path = simulate_fiarma(model, SimConfig(T=32, seed=1), force=True)
         assert path.t_len == 32
 
     def test_exponent_off_the_innovations_support_holds(self):
@@ -454,9 +454,9 @@ class TestSimulateDuker:
         g = make_grid(2)
         model = power_law_model(op(np.diag([0.3, 0.8]), g), op(np.diag([0.0, 1.0]), g))
         cfg = SimConfig(T=32, seed=1, K_trunc=16)
-        path = simulate_duker(model, cfg)
+        path = simulate_fiarma(model, cfg)
         assert path.meta["existence"] == "holds"
-        forced = simulate_duker(model, cfg, force=True)
+        forced = simulate_fiarma(model, cfg, force=True)
         assert np.array_equal(path.values, forced.values) and not path.values[:, 0].any()
 
     def test_model_refuses_an_arma_part(self):
@@ -472,15 +472,15 @@ class TestSimulateDuker:
         assert zero_ar.phi.degree == 0 and zero_ar.is_white_noise()
         cfg = SimConfig(T=64, seed=3, K_trunc=16)
         model = PowerLawModel(zero_ar, FracIntegrationSpec.scalar(g, 0.7))
-        got = simulate_duker(model, cfg)
-        want = simulate_duker(power_law_model(op(0.7 * np.eye(2), g), identity(g)), cfg)
+        got = simulate_fiarma(model, cfg)
+        want = simulate_fiarma(power_law_model(op(0.7 * np.eye(2), g), identity(g)), cfg)
         assert sim_plan(model).rows == cfg.T + cfg.K_trunc
         assert got.meta == want.meta and np.array_equal(got.values, want.values)
 
     def test_exponent_decomposed_once(self, eig_calls):
         g = make_grid(2)
         model = power_law_model(op(np.diag([0.7, 0.8]), g), identity(g))
-        simulate_duker(model, SimConfig(T=32, seed=1, K_trunc=16))
+        simulate_fiarma(model, SimConfig(T=32, seed=1, K_trunc=16))
         assert len(eig_calls) == 1
 
     def test_autocovariance_decay_slope(self):
@@ -489,7 +489,7 @@ class TestSimulateDuker:
         g = scalar_grid()
         n_op = op(0.7 * np.eye(1), g)
         cfg = SimConfig(T=200_000, seed=16, K_trunc=4096)
-        path = simulate_duker(power_law_model(n_op, identity(g)), cfg)
+        path = simulate_fiarma(power_law_model(n_op, identity(g)), cfg)
         lags = np.unique(np.geomspace(10, 500, 24).astype(int))
         acov = np.array(
             [empirical_autocov(path, int(h)).entries[0, 0].real for h in lags]
@@ -547,6 +547,29 @@ class TestLongMemoryDecomposition:
             monkeypatch.setattr(module, "_binomial_scalars", shifted, raising=False)
         assert verify_longmemory_decomposition(model, cfg).residual > 1e-6
 
+    def test_only_the_remainder_sees_a_wrong_matching_constant(self, monkeypatch):
+        """Path B is ``C Y + Z`` with ``Delta_k = b_k - C (k+1)^{-N}``, the
+        path of the frame's binomials for any ``C``: a wrong ``C`` leaves the
+        residual at rounding, and shows in the remainder norms' tail."""
+        g = make_grid(2)
+        model = power_law_model(op([[0.7, 0.05], [0.05, 0.8]], g), identity(g))
+        cfg = SimConfig(T=256, seed=3, K_trunc=128)
+        right = verify_longmemory_decomposition(model, cfg)
+        real = fiarma_lab.transfer._rgamma
+        monkeypatch.setattr(fiarma_lab.transfer, "_rgamma", lambda z: 2.0 * real(z) + 0.3)
+        wrong = verify_longmemory_decomposition(model, cfg)
+        assert max(right.residual, wrong.residual) < 1e-13
+        assert right.delta_norms[-1] < 1e-4 < 1e-2 < wrong.delta_norms[-1]
+        assert right.to_dict()["delta_norm_tail_fraction"] < 0.01
+        assert wrong.to_dict()["delta_norm_tail_fraction"] > 0.1
+
+    @pytest.mark.parametrize("family", ["fiarma", "arma"])
+    def test_refuses_a_model_without_power_law_memory(self, family):
+        model = fiarma_2x2() if family == "fiarma" else white_model(make_grid(2))
+        message = f"^verify_longmemory_decomposition takes a PowerLawModel, not {type(model).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            verify_longmemory_decomposition(model, SimConfig(T=16, seed=1, K_trunc=8))
+
     def test_exponent_decomposed_once(self, eig_calls):
         g = make_grid(2)
         verify_longmemory_decomposition(
@@ -595,9 +618,9 @@ class TestNotNormalExponent:
         ``unchecked``."""
         n_op, sigma = self.frameless()
         cfg = SimConfig(T=16, seed=1, K_trunc=8)
-        path = simulate_duker(power_law_model(n_op, sigma), cfg)
+        path = simulate_fiarma(power_law_model(n_op, sigma), cfg)
         assert path.meta["existence"] == "unchecked (memory operator not normal)"
-        forced = simulate_duker(power_law_model(n_op, sigma), cfg, force=True)
+        forced = simulate_fiarma(power_law_model(n_op, sigma), cfg, force=True)
         assert np.array_equal(path.values, forced.values)
 
     def test_verify_longmemory_decomposition(self):
@@ -774,7 +797,7 @@ class TestFilterOracle:
         sigma = op([[1.0, 0.2], [0.2, 0.5]], g)
         cfg = SimConfig(T=64, K_trunc=16, seed=4)
         if family == "power-law":
-            path = simulate_duker(power_law_model(op([[0.75, 0.1j], [-0.1j, 0.8]], g), sigma), cfg)
+            path = simulate_fiarma(power_law_model(op([[0.75, 0.1j], [-0.1j, 0.8]], g), sigma), cfg)
         else:
             base = ArmaModel(OperatorPolynomial.scalar(g, 0.5), OperatorPolynomial(g), sigma)
             d_op = op([[0.25, 0.1j], [-0.1j, 0.3]], g)
@@ -862,7 +885,7 @@ class TestOwnBlock:
         make, k_trunc = OWN_BLOCK_CASES[case]
         model = make()
         cfg = SimConfig(T=40, K_trunc=k_trunc, seed=11, replication=2, noise_kind=kind)
-        path = simulate(model, cfg)
+        path = simulate_fiarma(model, cfg)
         coeffs = direct_filter(model, k_trunc)
         taps = len(coeffs)
         rows = sim_plan(model).rows
@@ -931,7 +954,7 @@ class TestFftHelpers:
         simulate_fiarma(mc_model(), cfg)
         simulate_fiarma(mc_model().base, cfg)
         g = make_grid(2)
-        simulate_duker(power_law_model(op(0.7 * np.eye(2), g), identity(g)), cfg)
+        simulate_fiarma(power_law_model(op(0.7 * np.eye(2), g), identity(g)), cfg)
         lengths = [args[1] for args in stack_calls]
         assert len(lengths) == 4  # two for the fractional plan
         assert lengths == [scipy.fft.next_fast_len(m, real=True) for m in lengths]
@@ -1058,7 +1081,7 @@ class TestFilterPlanCache:
         sigma = op([[1.0, 0.2], [0.2, 0.5]], g)
         model = power_law_model(n_op, sigma)
         cfgs = [SimConfig(T=128, K_trunc=64, seed=5, replication=r) for r in range(4)]
-        simulate_duker(model, cfgs[0])
+        simulate_fiarma(model, cfgs[0])
         plan = sim_plan(model)
         eig_calls = []
         for name in ("eig", "eigh"):
@@ -1070,11 +1093,11 @@ class TestFilterPlanCache:
 
             monkeypatch.setattr(np.linalg, name, counting)
         weight_calls = counted("power_law_weights")
-        warm = [simulate_duker(model, cfg) for cfg in cfgs[1:]]
+        warm = [simulate_fiarma(model, cfg) for cfg in cfgs[1:]]
         assert eig_calls == [] and weight_calls == []
         assert sim_plan(model) is plan
         for cfg, path in zip(cfgs[1:], warm):
-            cold = simulate_duker(power_law_model(n_op, sigma), cfg)
+            cold = simulate_fiarma(power_law_model(n_op, sigma), cfg)
             assert np.array_equal(path.values, cold.values)
             assert path.meta == cold.meta
 
@@ -1120,9 +1143,9 @@ class TestFilterPlanCache:
         g = make_grid(2)
         model = power_law_model(op(np.diag([0.3, 0.8]), g), identity(g))
         cfg = SimConfig(T=32, K_trunc=16, seed=1)
-        assert simulate_duker(model, cfg, force=True).meta["existence"] == "forced"
+        assert simulate_fiarma(model, cfg, force=True).meta["existence"] == "forced"
         assert check_calls == []
-        for run in (simulate_duker, verify_longmemory_decomposition, simulate_duker):
+        for run in (simulate_fiarma, verify_longmemory_decomposition, simulate_fiarma):
             with pytest.raises(ExistenceRefusal, match=r"existence condition \(ii\) fails") as err:
                 run(model, cfg)
             assert str(err.value).startswith("existence condition (ii) fails for this model")
@@ -1133,7 +1156,7 @@ class TestFilterPlanCache:
         g = make_grid(2)
         model = power_law_model(op(np.diag([0.7, 0.8]), g), identity(g))
         for r in range(2):
-            path = simulate_duker(model, SimConfig(T=32, K_trunc=16, seed=1, replication=r))
+            path = simulate_fiarma(model, SimConfig(T=32, K_trunc=16, seed=1, replication=r))
             assert path.meta["existence"] == "holds"
         assert len(check_calls) == 1
 
@@ -1142,7 +1165,7 @@ class TestFilterPlanCache:
         g = make_grid(2)
         model = power_law_model(op([[0.3, 1e-7], [0.0, 0.3]], g), identity(g))
         for r in range(2):
-            path = simulate_duker(model, SimConfig(T=16, K_trunc=8, seed=1, replication=r))
+            path = simulate_fiarma(model, SimConfig(T=16, K_trunc=8, seed=1, replication=r))
             assert path.meta["existence"] == "unchecked (memory operator not normal)"
         assert len(check_calls) == 1
 
@@ -1174,12 +1197,6 @@ class TestFilterPlanCache:
 
 def digest(path):
     return hashlib.sha256(path.values.tobytes()).hexdigest()
-
-
-def simulate(model, cfg):
-    """The path of ``model`` from its class's simulator."""
-    run = simulate_duker if isinstance(model, PowerLawModel) else simulate_fiarma
-    return run(model, cfg)
 
 
 def power_law_2x2():
@@ -1264,10 +1281,10 @@ class TestNoiseDrawnAhead:
             if change.get("noise_kind") == "other":
                 change = change | {"noise_kind": other}
             cfg = SimConfig(**(base | change), replication=rep)
-            path = simulate(model, cfg)
+            path = simulate_fiarma(model, cfg)
             if rep == 17:
                 other = OTHER_KIND[path.meta["noise_kind"]]
-            fresh = simulate(make(), cfg)
+            fresh = simulate_fiarma(make(), cfg)
             assert digest(path) == digest(fresh), (rep, change)
             assert path.meta == fresh.meta
             drawn_ahead.append(wait_ahead(model))
@@ -1289,13 +1306,13 @@ class TestNoiseDrawnAhead:
         ahead to the simulation of the same replication."""
         model = power_law_2x2()
         for rep in range(2):
-            simulate_duker(model, SimConfig(T=32, K_trunc=8, seed=1, replication=rep))
+            simulate_fiarma(model, SimConfig(T=32, K_trunc=8, seed=1, replication=rep))
         assert wait_ahead(model)[1] == 2
         cfg = SimConfig(T=32, K_trunc=8, seed=1, replication=2)
         got = verify_longmemory_decomposition(model, cfg).to_dict()
         assert got == verify_longmemory_decomposition(power_law_2x2(), cfg).to_dict()
-        path = simulate_duker(model, cfg)
-        assert digest(path) == digest(simulate_duker(power_law_2x2(), cfg))
+        path = simulate_fiarma(model, cfg)
+        assert digest(path) == digest(simulate_fiarma(power_law_2x2(), cfg))
         assert wait_ahead(model)[1] == 3
         main = [rep for rep, on_main in drawing_threads if on_main]
         assert main == [0, 1, 2, 2, 2]  # each check's block, then the fresh model's path
@@ -1360,7 +1377,7 @@ class TestNoiseDrawnAhead:
         for noise_kind in ("auto", "complex-gaussian"):
             for rep in range(3):
                 cfg = SimConfig(T=40, K_trunc=24, seed=3, replication=rep, noise_kind=noise_kind)
-                path = simulate(model, cfg)
+                path = simulate_fiarma(model, cfg)
                 assert path.values.base is None or path.values.base.shape[0] == 40
             assert wait_ahead(model)[1] == 3
 

@@ -192,7 +192,7 @@ class TestFiarmaDensity:
     def test_power_law_model_is_refused(self):
         g = make_grid(2)
         model = PowerLawModel(white_model(g), FracIntegrationSpec.scalar(g, 0.7))
-        message = "^fiarma_spectral_density takes .*, not PowerLawModel; .*simulate_duker's paths$"
+        message = "^fiarma_spectral_density takes .*, not PowerLawModel; .*has only simulated paths$"
         with pytest.raises(TypeError, match=message):
             fiarma_spectral_density(model, density_frequencies(8))
 
